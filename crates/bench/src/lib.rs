@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use pim_dpu::{DpuConfig, SimError};
+use pim_dpu::{DpuConfig, ExecTier, SimError};
 use pim_isa::InstrClass;
 use pimulator::experiments as exp;
 use pimulator::jobs::JobRunner;
@@ -1548,11 +1548,12 @@ fn run_sim_rate(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let reps = 3;
     for name in ["VA", "GEMV", "BS", "RED"] {
         // Before/after on the same simulated work: the naive per-cycle
-        // reference loop (`DpuConfig::naive_loop`) vs the optimized
+        // reference loop (`ExecTier::Naive`) vs the optimized
         // scheduler. Both are timing-identical (see
         // `tests/loop_differential.rs`), so `instructions` is shared.
         let cfg = DpuConfig::paper_baseline(16);
-        let naive = perf::measure_prim(name, ctx.size, &cfg.clone().with_naive_loop(), reps)?;
+        let naive =
+            perf::measure_prim(name, ctx.size, &cfg.clone().with_exec_tier(ExecTier::Naive), reps)?;
         let fast = perf::measure_prim(name, ctx.size, &cfg, reps)?;
         assert_eq!(
             (naive.instructions, naive.cycles),

@@ -304,7 +304,7 @@ pub fn measure_synthetic(
 }
 
 /// The `rank` synthetic: one DPU population launched twice — through the
-/// SoA batch executor and through the per-DPU path — on identical staged
+/// lockstep batch driver and through the per-DPU path — on identical staged
 /// inputs. Both launches produce byte-identical simulated results
 /// (asserted), so the wall-time ratio isolates the executor itself. The
 /// headline metric is **DPU-steps/sec**: aggregate simulated DPU cycles
@@ -313,7 +313,7 @@ pub fn measure_synthetic(
 pub struct RankMeasurement {
     /// Population size (DPUs launched together).
     pub dpus: u32,
-    /// SoA batch size of the batched launch.
+    /// Batch size of the batched launch.
     pub batch_dpus: u32,
     /// Tasklets per DPU.
     pub tasklets: u32,
@@ -747,7 +747,7 @@ pub fn validate_bench_json(doc: &Json) -> Result<(), String> {
             return Err(format!("`channels` is missing `{mode}` rows"));
         }
     }
-    // The `rank` entry (SoA batch executor throughput) is required: the CI
+    // The `rank` entry (lockstep batch driver throughput) is required: the CI
     // bench smoke step fails on documents written without it.
     let Json::Obj(rank) = field("rank")? else {
         return Err("`rank` must be an object".to_string());

@@ -789,13 +789,13 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
 }
 
 // ---------------------------------------------------------------------
-// Rank scale — batched SoA execution at paper population sizes
+// Rank scale — batched lockstep execution at paper population sizes
 // ---------------------------------------------------------------------
 
 /// DPUs per rank of the paper's hardware baseline (20 ranks = 2,560 DPUs).
 pub const DPUS_PER_RANK: u32 = 128;
 
-/// Default batch size of the rank sweep's SoA batch executor.
+/// Default batch size of the rank sweep's lockstep batch driver.
 pub const DEFAULT_RANK_BATCH: u32 = 64;
 
 /// MRAM bytes given to each rank-sweep DPU — enough for the kernel's input
@@ -874,7 +874,7 @@ fn rank_kernel() -> pim_asm::DpuProgram {
 
 /// The rank sweep's DPU configuration: the paper baseline at 8 tasklets
 /// with the shrunken MRAM bank; `batch_dpus > 0` routes launches through
-/// the SoA batch executor, 0 keeps the per-DPU path (the throughput
+/// the lockstep batch driver, 0 keeps the per-DPU path (the throughput
 /// baseline `pim-bench` compares against).
 #[must_use]
 pub fn rank_config(batch_dpus: u32) -> DpuConfig {
@@ -960,7 +960,7 @@ pub fn exp_rank_scale(rt: &JobRunner, size: DatasetSize) -> Result<Vec<RankScale
 }
 
 /// Rank-scale sweep: simulates whole-rank DPU populations (up to the
-/// paper's 20 ranks = 2,560 DPUs at `MultiDpu`) through the SoA batch
+/// paper's 20 ranks = 2,560 DPUs at `MultiDpu`) through the lockstep batch
 /// executor, sharding **batches — not individual DPUs — over the job
 /// engine**, so each worker steps a contiguous block of DPUs out of one
 /// contiguous state block. `batch_dpus == 0` runs the per-DPU path with

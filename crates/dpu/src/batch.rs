@@ -1,965 +1,157 @@
-//! Rank-scale batched execution: one structure-of-arrays executor advances
-//! many same-program DPUs per sweep.
+//! Rank-scale batched execution: a lockstep driver that runs the schedule
+//! of many same-program DPUs once.
 //!
-//! The execution stack is a multi-level hierarchy:
+//! Same-program DPUs whose inputs differ only in *data* make identical
+//! scheduling decisions (loop trips, DMA shapes, and branch directions
+//! usually depend on staged sizes, not values), so while a batch is
+//! *timing-convergent* the scheduler, the scoreboard, the memory engine,
+//! and the statistics run **once** — on the leader's issue engine
+//! (`crate::sched::Engine`, the same one [`Dpu::launch`] drives) — and
+//! every member only executes each issued instruction functionally.
+//! Convergence is verified per instruction by comparing every member's
+//! `Effect` against the leader's (branch direction, DMA address/length,
+//! acquire outcome, and stop are all visible there — in scratchpad mode
+//! those are the only data-dependent timing inputs).
 //!
-//! 1. [`pim_isa::DecodedProgram`] — the pre-decoded side tables (source
-//!    masks, destinations, hazards) shared by every executor;
-//! 2. the compiled kernel (`crate::compiled::CompiledKernel`) — the
-//!    threaded-code op table the per-DPU compiled loop executes, cached on
-//!    the [`Dpu`] across relaunches;
-//! 3. the per-DPU loops (`Dpu::run_scalar_fast` / `run_scalar_compiled`)
-//!    — one DPU, one launch, semantics unchanged;
-//! 4. this module — N same-program DPUs stepped out of one contiguous
-//!    state block, executing through the leader's compiled op table.
+//! On the first disagreement each member receives a clone of the leader's
+//! engine — scheduling state, in-cycle issue cursor, memory engine, and
+//! statistics, all identical by the convergence invariant and captured
+//! *before* the divergent instruction retires — retires that instruction
+//! with its own effect, and finishes the rest of the cycle and of the
+//! kernel on the ordinary per-DPU path. Members that faulted on the
+//! divergent instruction return their error. Lockstep is therefore a pure
+//! prefix optimization: byte-identical to per-DPU launches by construction
+//! (same `DpuRunStats`, same memory end-state, regardless of batch size or
+//! membership), with the fully-convergent case (the rank-scale sweep,
+//! `pim-fuzz` batch cases) never leaving the shared schedule. The
+//! differential tests (`tests/loop_differential.rs`) and the pim-fuzz
+//! gauntlet's `batch` invariant pin this.
 //!
-//! The flattening PR 4 applied across tasklets is applied here across DPUs:
-//! the forwarding scoreboard becomes a single `Vec<u64>` indexed
-//! `d*T*24 + t*24 + r`, and every other per-tasklet array (`status`,
-//! `next_issue`, `ready_at`, `skip_dcache`) a single `Vec` indexed
-//! `d*T + t`. One shared [`CompiledKernel`] (the leader's relaunch cache)
-//! serves the whole batch — no per-batch program clone or re-decode —
-//! per-DPU reset allocations disappear, and the working set a core
-//! touches while sweeping stays contiguous.
-//!
-//! DPUs share no architectural state during a kernel, so each batch member
-//! keeps its own event-driven timeline `now[d]`; a sweep advances every
-//! *active* DPU by one scheduling event of its own schedule. Divergence is
-//! handled by per-DPU retirement — a DPU that finishes (or faults) simply
-//! drops out of the active set. Because each member's step is an exact
-//! transliteration of the fast loop's iteration body, batched execution is
-//! byte-identical to per-DPU execution: same `DpuRunStats`, same memory
-//! end-state, regardless of batch size or membership. The differential
-//! tests (`tests/loop_differential.rs`) and the pim-fuzz gauntlet's `batch`
-//! invariant pin this.
-//!
-//! On top of the sweep sits the **lockstep fast path**, where the batched
-//! layout pays off: same-program DPUs whose inputs differ only in *data*
-//! make identical scheduling decisions (loop trips, DMA shapes, and branch
-//! directions usually depend on staged sizes, not values), so while the
-//! batch is *timing-convergent* the scheduler, the scoreboard, the memory
-//! engine, and the statistics run **once** — on the batch leader — and the
-//! followers replay only the functional execution of each issued
-//! instruction. Convergence is verified per instruction by comparing every
-//! member's [`Effect`] against the leader's (branch direction, DMA
-//! address/length, acquire outcome, and stop are all visible there — in
-//! scratchpad mode those are the only data-dependent timing inputs). On
-//! the first disagreement the shared state is materialized into every
-//! member's SoA row (plus a clone of the leader's engine and statistics,
-//! identical by the convergence invariant), the divergent cycle is
-//! completed per-DPU, and the batch permanently falls back to the sweep.
-//! Lockstep is therefore a pure prefix optimization: byte-identical by
-//! construction, with the fully-convergent case (the rank-scale sweep,
-//! `pim-fuzz` batch cases) never leaving the shared schedule.
-//!
-//! Configurations the SoA stepper does not model (SIMT front-end, the naive
-//! reference loop, event tracing) fall back to [`Dpu::launch`] per member,
-//! so [`run_batch`] is total over any population.
+//! Everything lockstep does not model — SIMT front-ends, the naive
+//! reference loop, event tracing, cache-centric mode (fill timing depends
+//! on per-DPU load/store addresses, which the `Effect` comparison does not
+//! witness), non-uniform entry points, singleton runs — goes to
+//! [`Dpu::launch`] per member, so [`run_batch`] is total over any
+//! population.
 
-use std::sync::Arc;
+use pim_trace::NullSink;
 
-use pim_cache::Cache;
-
-use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
 use crate::config::{ExecTier, MemoryMode};
-use crate::dpu::{Dpu, TaskletStatus};
+use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::Effect;
-use crate::mem::{MemEngine, Segment};
+use crate::sched::{CompiledDispatch, Dispatch, Engine};
 use crate::stats::DpuRunStats;
 
-const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
-
-/// Whether a DPU's configuration is modeled by the SoA stepper.
-///
-/// SIMT front-ends, the naive reference loop, and event-traced runs keep
-/// their dedicated loops; [`run_batch`] launches such DPUs individually.
-#[must_use]
-pub fn soa_eligible(dpu: &Dpu) -> bool {
+/// Whether a DPU's configuration can run under the lockstep driver.
+fn lockstep_eligible(dpu: &Dpu) -> bool {
     dpu.program.is_some()
         && dpu.cfg.simt.is_none()
-        && dpu.cfg.effective_exec_tier() != ExecTier::Naive
+        && dpu.cfg.exec_tier != ExecTier::Naive
         && dpu.cfg.event_trace_capacity == 0
+        && dpu.cfg.memory_mode == MemoryMode::Scratchpad
 }
 
-/// Whether two DPUs can share one batch: both SoA-eligible, identical
-/// configuration, identical instruction stream. (Data images, entry points
-/// and tasklet-id bases may differ — they live in per-DPU state.)
+/// Whether two DPUs can share one lockstep batch: both eligible, identical
+/// configuration, instruction stream, and per-tasklet entry points. (Data
+/// images and tasklet-id bases may differ — they live in per-DPU state.)
 fn compatible(a: &Dpu, b: &Dpu) -> bool {
-    soa_eligible(a)
-        && soa_eligible(b)
+    let entry = |d: &Dpu, t: usize| d.entry.get(t).copied().unwrap_or(0);
+    lockstep_eligible(a)
+        && lockstep_eligible(b)
         && a.cfg == b.cfg
         && a.program.as_ref().map(|p| &p.instrs) == b.program.as_ref().map(|p| &p.instrs)
+        && (0..a.cfg.n_tasklets as usize).all(|t| entry(a, t) == entry(b, t))
 }
 
-/// Launches every DPU in the slice, batching maximal contiguous runs of
-/// same-program, same-configuration DPUs through the SoA stepper and
-/// falling back to [`Dpu::launch`] for the rest.
+/// Launches every DPU in the slice, running maximal contiguous runs of
+/// compatible DPUs in lockstep and falling back to [`Dpu::launch`] for the
+/// rest.
 ///
 /// Returns one result per DPU, in slice order. Timing, statistics, and
 /// memory end-state are byte-identical to calling [`Dpu::launch`] on each
 /// DPU individually.
 pub fn run_batch(dpus: &mut [Dpu]) -> Vec<Result<DpuRunStats, SimError>> {
-    let mut results: Vec<Option<Result<DpuRunStats, SimError>>> =
-        (0..dpus.len()).map(|_| None).collect();
+    let mut results = Vec::with_capacity(dpus.len());
     let mut i = 0;
     while i < dpus.len() {
-        if !soa_eligible(&dpus[i]) {
-            results[i] = Some(dpus[i].launch());
-            i += 1;
-            continue;
-        }
         let mut j = i + 1;
         while j < dpus.len() && compatible(&dpus[i], &dpus[j]) {
             j += 1;
         }
-        let (group, out) = (&mut dpus[i..j], &mut results[i..j]);
-        run_group(group, out);
+        if j - i == 1 {
+            results.push(dpus[i].launch());
+        } else {
+            results.extend(run_lockstep(&mut dpus[i..j]));
+        }
         i = j;
     }
-    results.into_iter().map(|r| r.expect("every DPU got a result")).collect()
+    results
 }
 
-/// Batch-wide immutable context: the leader's compiled kernel (program,
-/// decoded side tables, and threaded-code op table, shared via the
-/// relaunch cache) and every configuration-derived constant of the fast
-/// loop.
-struct BatchShared {
-    kernel: Arc<CompiledKernel>,
-    n_instrs: u32,
-    /// Tasklets per DPU (uniform across the batch).
-    n: usize,
-    fwd: bool,
-    unified_rf: bool,
-    ways: usize,
-    gap: u64,
-    fwd_alu: u64,
-    fwd_load: u64,
-    cached: bool,
-    iram_base: u32,
-    max_cycles: u64,
-    trace_limit: usize,
-    /// Seeded bug for the mutation self-check, sampled once per batch (the
-    /// per-DPU loop samples once per launch; the ambient value is
-    /// identical, so batch ≡ per-DPU holds under `--mutate` too).
-    #[cfg(feature = "mutation-hooks")]
-    drop_rf_hazard: bool,
-}
-
-impl BatchShared {
-    /// Cycle at which every operand of the instruction at `pc` is
-    /// forwardable, given one tasklet's scoreboard row.
-    fn deps_ready_at(&self, pc: u32, row: &[u64]) -> u64 {
-        if !self.fwd {
-            return 0;
-        }
-        match self.kernel.decoded.get(pc) {
-            Some(d) => {
-                let mut mask = d.src_mask;
-                let mut latest = 0u64;
-                while mask != 0 {
-                    latest = latest.max(row[mask.trailing_zeros() as usize]);
-                    mask &= mask - 1;
-                }
-                latest
-            }
-            None => 0,
-        }
-    }
-}
-
-/// Mutable SoA state for one batch. Per-tasklet arrays are flattened
-/// across DPUs (`[d*T + t]`; the scoreboard `[d*T*24 + t*24 + r]`),
-/// per-DPU scalars are plain vectors (`[d]`), and the two scratch buffers
-/// are shared by every member (they carry no state across steps).
-struct BatchState {
-    status: Vec<TaskletStatus>,
-    next_issue: Vec<u64>,
-    reg_ready: Vec<u64>,
-    skip_dcache: Vec<bool>,
-    ready_at: Vec<u64>,
-    wake: Vec<u64>,
-    live: Vec<usize>,
-    now: Vec<u64>,
-    rf_block: Vec<u64>,
-    rr: Vec<usize>,
-    window_acc: Vec<(u64, u64)>,
-    done_buf: Vec<(u64, u64)>,
-    issuable: Vec<usize>,
-}
-
-impl BatchState {
-    fn new(n_dpus: usize, n_tasklets: usize) -> Self {
-        BatchState {
-            status: vec![TaskletStatus::Ready; n_dpus * n_tasklets],
-            next_issue: vec![0; n_dpus * n_tasklets],
-            reg_ready: vec![0; n_dpus * n_tasklets * NREGS],
-            skip_dcache: vec![false; n_dpus * n_tasklets],
-            ready_at: vec![0; n_dpus * n_tasklets],
-            wake: vec![0; n_dpus],
-            live: vec![n_tasklets; n_dpus],
-            now: vec![0; n_dpus],
-            rf_block: vec![0; n_dpus],
-            rr: vec![0; n_dpus],
-            window_acc: vec![(0, 0); n_dpus],
-            done_buf: Vec::with_capacity(n_tasklets),
-            issuable: Vec::with_capacity(n_tasklets),
-        }
-    }
-}
-
-/// Runs one compatible group to completion through the SoA stepper.
-fn run_group(group: &mut [Dpu], out: &mut [Option<Result<DpuRunStats, SimError>>]) {
-    let nd = group.len();
-    let cfg = group[0].cfg.clone();
-    let n = cfg.n_tasklets as usize;
-
-    // Reset every member before stepping any of them, exactly as a
-    // sequence of individual launches would (the oracle snapshot must see
-    // the post-reset, pre-run state).
-    let mut mems: Vec<MemEngine> = Vec::with_capacity(nd);
-    let mut oracles = Vec::with_capacity(nd);
-    for dpu in group.iter_mut() {
-        mems.push(dpu.reset_launch_state());
-        oracles.push(dpu.build_oracle());
-    }
-
+/// Runs one compatible group on the leader's schedule until it finishes or
+/// the members' effects disagree; from there each member finishes alone.
+fn run_lockstep(group: &mut [Dpu]) -> Vec<Result<DpuRunStats, SimError>> {
+    // Reset every member before stepping any of them (the oracle snapshot
+    // must see the post-reset, pre-run state). Only the leader's memory
+    // engine runs; the followers' are dropped here.
+    let mem = group.iter_mut().map(Dpu::reset_launch_state).collect::<Vec<_>>().swap_remove(0);
+    let mut oracles: Vec<_> = group.iter().map(Dpu::build_oracle).collect();
     let kernel = group[0].kernel_artifacts();
-    let sh = BatchShared {
-        n_instrs: kernel.instrs.len() as u32,
-        kernel,
-        n,
-        fwd: cfg.ilp.data_forwarding,
-        unified_rf: cfg.ilp.unified_rf,
-        ways: cfg.issue_ways() as usize,
-        gap: if cfg.ilp.data_forwarding { 1 } else { u64::from(cfg.revolver_cycles) },
-        fwd_alu: u64::from(cfg.forward_alu_latency),
-        fwd_load: u64::from(cfg.forward_load_latency),
-        cached: matches!(cfg.memory_mode, MemoryMode::Cached { .. }),
-        iram_base: group[0].iram_backing_base(),
-        max_cycles: cfg.max_cycles,
-        trace_limit: cfg.trace_limit,
-        #[cfg(feature = "mutation-hooks")]
-        drop_rf_hazard: crate::mutation::scoreboard_bug(),
+    let mut engine = Engine::new(&group[0], mem);
+    let mut finish = |d: usize, dpu: &Dpu, run: Result<DpuRunStats, SimError>| {
+        let stats = run?;
+        match oracles[d].take() {
+            Some(oracle) => dpu.check_against_oracle(oracle).map(|()| stats),
+            None => Ok(stats),
+        }
     };
 
-    let mut icaches: Vec<Option<Cache>> = Vec::with_capacity(nd);
-    let mut dcaches: Vec<Option<Cache>> = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        match cfg.memory_mode {
-            MemoryMode::Scratchpad => {
-                icaches.push(None);
-                dcaches.push(None);
-            }
-            MemoryMode::Cached { icache, dcache } => {
-                icaches.push(Some(Cache::new(icache)));
-                dcaches.push(Some(Cache::new(dcache)));
-            }
-        }
-    }
-    let mut stats: Vec<DpuRunStats> = group.iter().map(Dpu::new_stats).collect();
-    let mut st = BatchState::new(nd, n);
-
-    // Lockstep fast path (scratchpad mode, uniform entry points): run the
-    // shared schedule on the leader until the members' effects disagree.
-    // Cached mode stays on the sweep — cache-fill timing depends on
-    // per-DPU load/store addresses, which the `Effect` comparison alone
-    // does not witness.
-    let mut active: Vec<usize>;
-    let lockstep = nd > 1
-        && !sh.cached
-        && group
-            .split_first()
-            .is_some_and(|(leader, rest)| rest.iter().all(|x| x.state.pc == leader.state.pc));
-    if lockstep {
-        match run_lockstep(group, &mut mems, &mut stats, &mut oracles, &sh, &mut st, out) {
-            LockstepEnd::Finished => return,
-            LockstepEnd::Diverged { survivors } => active = survivors,
-        }
-    } else {
-        active = (0..nd).collect();
-    }
-
-    // Sweep all active DPUs; retire members as they finish or fault.
-    let mut next_active: Vec<usize> = Vec::with_capacity(nd);
-    while !active.is_empty() {
-        next_active.clear();
-        for &d in &active {
-            let stepped = step_dpu(
-                d,
-                &mut group[d],
-                &mut mems[d],
-                &mut icaches[d],
-                &mut dcaches[d],
-                &mut stats[d],
-                &sh,
-                &mut st,
-            );
-            match stepped {
-                Ok(false) => next_active.push(d),
-                Ok(true) => {
-                    let mut s = std::mem::take(&mut stats[d]);
-                    s.cycles = st.now[d];
-                    s.dram = *mems[d].bank().stats();
-                    s.mmu = mems[d].mmu().map(|m| *m.stats());
-                    s.icache = icaches[d].take().map(|c| *c.stats());
-                    s.dcache = dcaches[d].take().map(|c| *c.stats());
-                    s.dma_requests = mems[d].requests_issued;
-                    out[d] = Some(match oracles[d].take() {
-                        Some(oracle) => group[d].check_against_oracle(oracle).map(|()| s),
-                        None => Ok(s),
-                    });
-                }
-                Err(e) => out[d] = Some(Err(e)),
-            }
-        }
-        std::mem::swap(&mut active, &mut next_active);
-    }
-}
-
-/// How a lockstep run ended.
-enum LockstepEnd {
-    /// Every member retired (or errored) inside the shared schedule; `out`
-    /// is fully populated.
-    Finished,
-    /// The members' effects disagreed mid-cycle: the shared state has been
-    /// materialized into every member's SoA row and the divergent cycle
-    /// completed per-DPU; these members continue under the sweep.
-    Diverged {
-        /// Members still running (divergence-cycle faults are already in
-        /// `out` and excluded here).
-        survivors: Vec<usize>,
-    },
-}
-
-/// Runs a timing-convergent batch on the shared schedule: scheduling,
-/// scoreboard, memory-engine, and statistics work happen once — on row 0
-/// and the leader's engine/stats — while every member executes each issued
-/// instruction functionally. Convergence is checked per instruction by
-/// comparing all members' [`Effect`]s; the first disagreement hands off to
-/// [`diverge_and_finish_cycle`]. Scratchpad mode only (caller-gated): with
-/// no caches, the effect stream is the only data-dependent timing input.
-///
-/// Every phase is the same transliteration of the per-DPU fast loop that
-/// [`step_dpu`] uses, specialized to row 0.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn run_lockstep(
-    group: &mut [Dpu],
-    mems: &mut [MemEngine],
-    stats: &mut [DpuRunStats],
-    oracles: &mut [Option<pim_ref::RefInterpreter>],
-    sh: &BatchShared,
-    st: &mut BatchState,
-    out: &mut [Option<Result<DpuRunStats, SimError>>],
-) -> LockstepEnd {
-    let nd = group.len();
-    let n = sh.n;
-    let mut effects: Vec<Result<Effect, SimError>> = Vec::with_capacity(nd);
+    let mut effects: Vec<Result<Effect, SimError>> = Vec::with_capacity(group.len());
     loop {
-        if st.live[0] == 0 {
+        let slot @ (t, pc) = match engine.next_op(&kernel, &group[0].state) {
+            Ok(Some(slot)) => slot,
             // The whole batch ran one schedule: identical timing statistics
             // for every member, individually-validated functional state.
-            for d in 0..nd {
-                let mut s = stats[0].clone();
-                s.cycles = st.now[0];
-                s.dram = *mems[0].bank().stats();
-                s.mmu = mems[0].mmu().map(|m| *m.stats());
-                s.dma_requests = mems[0].requests_issued;
-                out[d] = Some(match oracles[d].take() {
-                    Some(oracle) => group[d].check_against_oracle(oracle).map(|()| s),
-                    None => Ok(s),
-                });
+            Ok(None) => {
+                let stats = engine.finish();
+                return group
+                    .iter()
+                    .enumerate()
+                    .map(|(d, dpu)| finish(d, dpu, Ok(stats.clone())))
+                    .collect();
             }
-            return LockstepEnd::Finished;
-        }
-        let now = st.now[0];
-        if now >= sh.max_cycles {
-            for slot in out.iter_mut() {
-                *slot = Some(Err(SimError::CycleLimit { limit: sh.max_cycles }));
-            }
-            return LockstepEnd::Finished;
-        }
-        // 1. Memory completions — leader engine only (followers' engines
-        // would process the identical request stream and stay cloneable).
-        if mems[0].is_active() {
-            mems[0].advance(now);
-            mems[0].drain_done_into(&mut st.done_buf);
-            for &(token, at) in &st.done_buf {
-                let t = token as usize;
-                st.status[t] = TaskletStatus::Ready;
-                st.next_issue[t] = st.next_issue[t].max(at + 1);
-                let row = &st.reg_ready[t * NREGS..(t + 1) * NREGS];
-                st.ready_at[t] = st.next_issue[t].max(sh.deps_ready_at(group[0].state.pc[t], row));
-                st.wake[0] = st.wake[0].min(st.ready_at[t]);
-            }
-        }
-        // 2. Issuable set.
-        st.issuable.clear();
-        if now >= st.wake[0] {
-            for (t, &at) in st.ready_at[..n].iter().enumerate() {
-                if now >= at {
-                    st.issuable.push(t);
-                }
-            }
-        }
-        // 3. Register-file structural block.
-        if st.rf_block[0] > 0 {
-            stats[0].record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[0]);
-            stats[0].idle_rf += 1.0;
-            st.rf_block[0] -= 1;
-            st.now[0] = now + 1;
-            continue;
-        }
-        // 4. Idle fast-forward.
-        if st.issuable.is_empty() {
-            let n_sched =
-                st.status[..n].iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-            let n_mem =
-                st.status[..n].iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-            let mut next = st.ready_at[..n].iter().copied().min().unwrap_or(u64::MAX);
-            st.wake[0] = next;
-            if let Some(e) = mems[0].next_event(now) {
-                next = next.min(e);
-            }
-            let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-            let span = (next - now).min(sh.max_cycles - now);
-            stats[0].record_tlp_span(0, span, &mut st.window_acc[0]);
-            let tot = (n_sched + n_mem).max(1.0);
-            stats[0].idle_memory += span as f64 * n_mem / tot;
-            stats[0].idle_revolver += span as f64 * n_sched / tot;
-            st.now[0] = now + span;
-            continue;
-        }
-        stats[0].record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[0]);
-        // 5. Issue up to `ways` instructions, round-robin: every member
-        // executes, the leader keeps the books.
-        let start = st.issuable.iter().position(|&t| t >= st.rr[0]).unwrap_or(0);
-        let mut issued = 0usize;
-        for k in 0..st.issuable.len() {
-            if issued == sh.ways {
-                break;
-            }
-            let t = st.issuable[(start + k) % st.issuable.len()];
-            if st.status[t] != TaskletStatus::Ready {
-                continue;
-            }
-            let pc = group[0].state.pc[t];
-            if pc >= sh.n_instrs {
-                for slot in out.iter_mut() {
-                    *slot = Some(Err(SimError::PcOutOfRange { pc, tasklet: t as u32 }));
-                }
-                return LockstepEnd::Finished;
-            }
-            let op = sh.kernel.ops[pc as usize];
-            let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-            #[cfg(feature = "mutation-hooks")]
-            let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-            if stats[0].trace.len() < sh.trace_limit {
-                stats[0].trace.push(crate::stats::TraceEntry {
-                    cycle: now,
-                    tasklet: t as u32,
-                    pc,
-                    text: sh.kernel.instrs[pc as usize].to_string(),
-                });
-            }
-            effects.clear();
-            for dpu in group.iter_mut() {
-                effects.push((op.exec)(&mut dpu.state, t as u32, pc, &op));
-            }
-            let convergent = match &effects[0] {
-                Ok(e0) => effects[1..].iter().all(|r| matches!(r, Ok(e) if e == e0)),
-                Err(_) => false,
-            };
-            if !convergent {
-                let survivors = diverge_and_finish_cycle(
-                    group,
-                    mems,
-                    stats,
-                    sh,
-                    st,
-                    out,
-                    &mut effects,
-                    t,
-                    pc,
-                    op,
-                    hazard,
-                    start,
-                    k + 1,
-                    issued,
-                );
-                return LockstepEnd::Diverged { survivors };
-            }
-            let effect = match effects[0] {
-                Ok(e) => e,
-                Err(_) => unreachable!("convergence implies every member is Ok"),
-            };
-            stats[0].count_instruction_idx(op.class_idx as usize, t as u32);
-            st.next_issue[t] = now + sh.gap;
-            if sh.fwd {
-                if let Some(rd) = op.dst() {
-                    let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                    st.reg_ready[t * NREGS + rd as usize] = now + lat;
-                }
-            }
-            match effect {
-                Effect::Advance => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = pc + 1;
-                    }
-                }
-                Effect::Jump(target) => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = target;
-                    }
-                }
-                Effect::AcquireRetry => {}
-                Effect::Stop => {
-                    st.status[t] = TaskletStatus::Stopped;
-                    stats[0].tasklet_stop_cycle[t] = now;
-                    st.live[0] -= 1;
-                }
-                Effect::Dma { mram, len, write } => {
-                    for dpu in group.iter_mut() {
-                        dpu.state.pc[t] = pc + 1;
-                    }
-                    st.status[t] = TaskletStatus::Blocked;
-                    mems[0].issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-                }
-            }
-            if st.status[t] == TaskletStatus::Ready {
-                let row = &st.reg_ready[t * NREGS..(t + 1) * NREGS];
-                st.ready_at[t] = st.next_issue[t].max(sh.deps_ready_at(group[0].state.pc[t], row));
-                st.wake[0] = st.wake[0].min(st.ready_at[t]);
-            } else {
-                st.ready_at[t] = u64::MAX;
-            }
-            issued += 1;
-            st.rr[0] = t + 1;
-            if hazard > 0 {
-                st.rf_block[0] = hazard;
-                break;
-            }
-        }
-        if issued > 0 {
-            stats[0].active_cycles += 1;
-        } else {
-            stats[0].idle_memory += 1.0;
-        }
-        st.now[0] = now + 1;
-    }
-}
-
-/// Handles the first effect disagreement of a lockstep run: replicates the
-/// shared scheduling state (row 0), the leader's engine, and the leader's
-/// statistics into every member — all identical by the convergence
-/// invariant, captured *before* the divergent instruction's bookkeeping —
-/// then finishes the divergent instruction and the rest of its cycle
-/// per-DPU. Members whose `execute` faulted retire with their error, per
-/// the per-DPU loop's semantics.
-///
-/// Returns the members that continue under the sweep.
-#[allow(clippy::too_many_arguments)]
-fn diverge_and_finish_cycle(
-    group: &mut [Dpu],
-    mems: &mut [MemEngine],
-    stats: &mut [DpuRunStats],
-    sh: &BatchShared,
-    st: &mut BatchState,
-    out: &mut [Option<Result<DpuRunStats, SimError>>],
-    effects: &mut Vec<Result<Effect, SimError>>,
-    t: usize,
-    pc: u32,
-    op: CompiledOp,
-    hazard: u64,
-    start: usize,
-    next_k: usize,
-    issued_before: usize,
-) -> Vec<usize> {
-    let nd = group.len();
-    let n = sh.n;
-    let now = st.now[0];
-    for d in 1..nd {
-        st.status.copy_within(0..n, d * n);
-        st.next_issue.copy_within(0..n, d * n);
-        st.skip_dcache.copy_within(0..n, d * n);
-        st.ready_at.copy_within(0..n, d * n);
-        st.reg_ready.copy_within(0..n * NREGS, d * n * NREGS);
-        st.wake[d] = st.wake[0];
-        st.live[d] = st.live[0];
-        st.now[d] = st.now[0];
-        st.rf_block[d] = st.rf_block[0];
-        st.rr[d] = st.rr[0];
-        st.window_acc[d] = st.window_acc[0];
-        mems[d] = mems[0].clone();
-        stats[d] = stats[0].clone();
-    }
-    let mut survivors = Vec::with_capacity(nd);
-    for (d, res) in effects.drain(..).enumerate() {
-        let effect = match res {
-            Ok(e) => e,
-            Err(e) => {
-                out[d] = Some(Err(e));
-                continue;
-            }
+            Err(e) => return group.iter().map(|_| Err(e.clone())).collect(),
         };
-        let tb = d * n;
-        let rb = d * n * NREGS;
-        // Post-execute bookkeeping of the divergent instruction with this
-        // member's own effect (the tail of `step_dpu`'s issue body).
-        stats[d].count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
+        effects.clear();
+        for dpu in group.iter_mut() {
+            effects.push(CompiledDispatch::execute(&kernel, &mut dpu.state, t as u32, pc));
         }
-        match effect {
-            Effect::Advance => group[d].state.pc[t] = pc + 1,
-            Effect::Jump(target) => group[d].state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats[d].tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                group[d].state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mems[d].issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
+        let convergent = match &effects[0] {
+            Ok(e0) => effects[1..].iter().all(|r| matches!(r, Ok(e) if e == e0)),
+            Err(_) => false,
+        };
+        if !convergent {
+            return effects
+                .into_iter()
+                .zip(group.iter_mut())
+                .enumerate()
+                .map(|(d, (effect, dpu))| {
+                    let mut own = engine.clone();
+                    own.retire_op(&kernel, &mut dpu.state, slot, effect?);
+                    let run =
+                        own.run::<CompiledDispatch, _>(&kernel, &mut dpu.state, &mut NullSink);
+                    finish(d, dpu, run)
+                })
+                .collect();
         }
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] =
-                st.next_issue[tb + t].max(sh.deps_ready_at(group[d].state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        let mut issued = issued_before + 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            st.rf_block[d] = hazard;
-        } else {
-            match finish_cycle_tail(
-                d,
-                &mut group[d],
-                &mut mems[d],
-                &mut stats[d],
-                sh,
-                st,
-                start,
-                next_k,
-                issued,
-            ) {
-                Ok(total) => issued = total,
-                Err(e) => {
-                    out[d] = Some(Err(e));
-                    continue;
-                }
-            }
-        }
-        if issued > 0 {
-            stats[d].active_cycles += 1;
-        } else {
-            stats[d].idle_memory += 1.0;
-        }
-        st.now[d] = now + 1;
-        survivors.push(d);
-    }
-    survivors
-}
-
-/// Finishes the remaining round-robin candidates of a divergence cycle for
-/// one member — the rest of `step_dpu`'s issue loop, scratchpad-mode
-/// specialization, operating on the member's freshly materialized row.
-#[allow(clippy::too_many_arguments)]
-fn finish_cycle_tail(
-    d: usize,
-    dpu: &mut Dpu,
-    mem: &mut MemEngine,
-    stats: &mut DpuRunStats,
-    sh: &BatchShared,
-    st: &mut BatchState,
-    start: usize,
-    from_k: usize,
-    mut issued: usize,
-) -> Result<usize, SimError> {
-    let n = sh.n;
-    let tb = d * n;
-    let rb = d * n * NREGS;
-    let now = st.now[d];
-    for k in from_k..st.issuable.len() {
-        if issued == sh.ways {
-            break;
-        }
-        let t = st.issuable[(start + k) % st.issuable.len()];
-        if st.status[tb + t] != TaskletStatus::Ready {
-            continue;
-        }
-        let pc = dpu.state.pc[t];
-        if pc >= sh.n_instrs {
-            return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-        }
-        let op = sh.kernel.ops[pc as usize];
-        let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-        #[cfg(feature = "mutation-hooks")]
-        let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-        if stats.trace.len() < sh.trace_limit {
-            stats.trace.push(crate::stats::TraceEntry {
-                cycle: now,
-                tasklet: t as u32,
-                pc,
-                text: sh.kernel.instrs[pc as usize].to_string(),
-            });
-        }
-        let effect = (op.exec)(&mut dpu.state, t as u32, pc, &op)?;
-        stats.count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
-        }
-        match effect {
-            Effect::Advance => dpu.state.pc[t] = pc + 1,
-            Effect::Jump(target) => dpu.state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats.tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                dpu.state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
-        }
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        issued += 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            st.rf_block[d] = hazard;
-            break;
+        let effect = *effects[0].as_ref().expect("convergence implies every member is Ok");
+        let (leader, followers) = group.split_first_mut().expect("lockstep groups are non-empty");
+        engine.retire_op(&kernel, &mut leader.state, slot, effect);
+        for dpu in followers {
+            dpu.state.pc[t] = leader.state.pc[t];
         }
     }
-    Ok(issued)
-}
-
-/// Advances one batch member by one scheduling event of its own timeline —
-/// an exact transliteration of one iteration of the per-DPU fast loop
-/// (`Dpu::run_scalar_fast` with the null trace sink), reading and writing
-/// the member's slices of the batch SoA arrays.
-///
-/// Returns `Ok(true)` when the member has finished (all tasklets stopped).
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn step_dpu(
-    d: usize,
-    dpu: &mut Dpu,
-    mem: &mut MemEngine,
-    icache: &mut Option<Cache>,
-    dcache: &mut Option<Cache>,
-    stats: &mut DpuRunStats,
-    sh: &BatchShared,
-    st: &mut BatchState,
-) -> Result<bool, SimError> {
-    let n = sh.n;
-    let tb = d * n;
-    let rb = d * n * NREGS;
-    if st.live[d] == 0 {
-        return Ok(true);
-    }
-    let now = st.now[d];
-    if now >= sh.max_cycles {
-        return Err(SimError::CycleLimit { limit: sh.max_cycles });
-    }
-    // 1. Memory completions (skipped while the engine holds no
-    // outstanding request — `advance` would be a no-op).
-    if mem.is_active() {
-        mem.advance(now);
-        mem.drain_done_into(&mut st.done_buf);
-        for &(token, at) in &st.done_buf {
-            let t = token as usize;
-            st.status[tb + t] = TaskletStatus::Ready;
-            st.next_issue[tb + t] = st.next_issue[tb + t].max(at + 1);
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        }
-    }
-    // 2. Issuable set — scan skipped while `now < wake` proves it empty.
-    st.issuable.clear();
-    if now >= st.wake[d] {
-        for (t, &at) in st.ready_at[tb..tb + n].iter().enumerate() {
-            if now >= at {
-                st.issuable.push(t);
-            }
-        }
-    }
-    // 3. Register-file structural block.
-    if st.rf_block[d] > 0 {
-        stats.record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[d]);
-        stats.idle_rf += 1.0;
-        st.rf_block[d] -= 1;
-        st.now[d] = now + 1;
-        return Ok(false);
-    }
-    // 4. Nothing to issue: attribute the idle span across the per-tasklet
-    // wait reasons, then fast-forward to the next possible event.
-    if st.issuable.is_empty() {
-        let n_sched =
-            st.status[tb..tb + n].iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-        let n_mem =
-            st.status[tb..tb + n].iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-        let mut next = st.ready_at[tb..tb + n].iter().copied().min().unwrap_or(u64::MAX);
-        st.wake[d] = next;
-        if let Some(e) = mem.next_event(now) {
-            next = next.min(e);
-        }
-        let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-        let span = (next - now).min(sh.max_cycles - now);
-        stats.record_tlp_span(0, span, &mut st.window_acc[d]);
-        let tot = (n_sched + n_mem).max(1.0);
-        stats.idle_memory += span as f64 * n_mem / tot;
-        stats.idle_revolver += span as f64 * n_sched / tot;
-        st.now[d] = now + span;
-        return Ok(false);
-    }
-    stats.record_tlp_span(st.issuable.len(), 1, &mut st.window_acc[d]);
-    // 5. Issue up to `ways` instructions, round-robin.
-    let start = st.issuable.iter().position(|&t| t >= st.rr[d]).unwrap_or(0);
-    let mut issued = 0usize;
-    for k in 0..st.issuable.len() {
-        if issued == sh.ways {
-            break;
-        }
-        let t = st.issuable[(start + k) % st.issuable.len()];
-        if st.status[tb + t] != TaskletStatus::Ready {
-            continue;
-        }
-        let pc = dpu.state.pc[t];
-        if pc >= sh.n_instrs {
-            return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-        }
-        // Instruction fetch through the I-cache (cache-centric mode).
-        if let Some(ic) = icache.as_mut() {
-            let fetch_addr = sh.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
-            let out = ic.access(fetch_addr, false);
-            if !out.hit {
-                st.status[tb + t] = TaskletStatus::Blocked;
-                st.ready_at[tb + t] = u64::MAX;
-                let line = out.fill_line.expect("miss has a fill");
-                let bytes = ic.config().line_bytes;
-                mem.issue(t as u64, &[Segment { addr: line, bytes, write: false }], now);
-                continue;
-            }
-        }
-        let op = sh.kernel.ops[pc as usize];
-        if sh.cached && op.is_dma() {
-            return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
-        }
-        // Data access through the D-cache (cache-centric mode). The
-        // effective address comes from the pre-extracted base/offset
-        // (identical to `ArchState::ls_addr` on the instruction).
-        if let Some(dc) = dcache.as_mut() {
-            if op.flags & (F_LOAD | F_STORE) != 0 {
-                let addr = dpu.state.regs[t][op.b as usize].wrapping_add(op.imm as u32);
-                let write = op.flags & F_STORE != 0;
-                if st.skip_dcache[tb + t] {
-                    st.skip_dcache[tb + t] = false;
-                } else {
-                    let out = dc.access(addr, write);
-                    if !out.hit {
-                        st.status[tb + t] = TaskletStatus::Blocked;
-                        st.ready_at[tb + t] = u64::MAX;
-                        st.skip_dcache[tb + t] = true;
-                        let line_bytes = dc.config().line_bytes;
-                        let fill = Segment {
-                            addr: out.fill_line.expect("miss has a fill"),
-                            bytes: line_bytes,
-                            write: false,
-                        };
-                        let mut segs = [fill, fill];
-                        let mut n_segs = 1;
-                        if let Some(wb) = out.writeback_line {
-                            segs[1] = Segment { addr: wb, bytes: line_bytes, write: true };
-                            n_segs = 2;
-                        }
-                        mem.issue(t as u64, &segs[..n_segs], now);
-                        continue;
-                    }
-                }
-            }
-        }
-        // Register-file structural hazard (even/odd banks).
-        let hazard = if sh.unified_rf { 0 } else { u64::from(op.rf_hazard) };
-        #[cfg(feature = "mutation-hooks")]
-        let hazard = if sh.drop_rf_hazard { 0 } else { hazard };
-        if stats.trace.len() < sh.trace_limit {
-            stats.trace.push(crate::stats::TraceEntry {
-                cycle: now,
-                tasklet: t as u32,
-                pc,
-                text: sh.kernel.instrs[pc as usize].to_string(),
-            });
-        }
-        let effect = (op.exec)(&mut dpu.state, t as u32, pc, &op)?;
-        stats.count_instruction_idx(op.class_idx as usize, t as u32);
-        st.next_issue[tb + t] = now + sh.gap;
-        if sh.fwd {
-            if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { sh.fwd_load } else { sh.fwd_alu };
-                st.reg_ready[rb + t * NREGS + rd as usize] = now + lat;
-            }
-        }
-        match effect {
-            Effect::Advance => dpu.state.pc[t] = pc + 1,
-            Effect::Jump(target) => dpu.state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                st.status[tb + t] = TaskletStatus::Stopped;
-                stats.tasklet_stop_cycle[t] = now;
-                st.live[d] -= 1;
-            }
-            Effect::Dma { mram, len, write } => {
-                dpu.state.pc[t] = pc + 1;
-                st.status[tb + t] = TaskletStatus::Blocked;
-                mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-            }
-        }
-        // Refresh the wakeup entry for the new PC / issue window.
-        if st.status[tb + t] == TaskletStatus::Ready {
-            let row = &st.reg_ready[rb + t * NREGS..rb + (t + 1) * NREGS];
-            st.ready_at[tb + t] = st.next_issue[tb + t].max(sh.deps_ready_at(dpu.state.pc[t], row));
-            st.wake[d] = st.wake[d].min(st.ready_at[tb + t]);
-        } else {
-            st.ready_at[tb + t] = u64::MAX;
-        }
-        issued += 1;
-        st.rr[d] = t + 1;
-        if hazard > 0 {
-            // The split register file blocks the issue stage.
-            st.rf_block[d] = hazard;
-            break;
-        }
-    }
-    if issued > 0 {
-        stats.active_cycles += 1;
-    } else {
-        // Every candidate stalled on a cache fill this cycle.
-        stats.idle_memory += 1.0;
-    }
-    st.now[d] = now + 1;
-    Ok(false)
 }
 
 #[cfg(test)]
@@ -1006,8 +198,8 @@ mod tests {
     }
 
     /// Branches on a value pulled from MRAM, so members with different
-    /// inputs leave lockstep mid-kernel and must be materialized into
-    /// their own SoA rows without losing a cycle of timing fidelity.
+    /// inputs leave lockstep mid-kernel and must resume on their own
+    /// engine clones without losing a cycle of timing fidelity.
     fn divergent_kernel() -> pim_asm::DpuProgram {
         assemble(
             r#"
@@ -1035,29 +227,139 @@ mod tests {
         .unwrap()
     }
 
+    /// Runs one DPU per entry of `inputs` — each staged by `stage(dpu,
+    /// input)` — through `run_batch` and through solo launches, asserts
+    /// identical results (statistics or error) and memory images, and
+    /// returns the batch's results.
+    fn assert_batch_matches_solo(
+        cfg: &DpuConfig,
+        program: &pim_asm::DpuProgram,
+        inputs: &[u32],
+        stage: impl Fn(&mut Dpu, u32),
+    ) -> Vec<Result<DpuRunStats, SimError>> {
+        let staged = || -> Vec<Dpu> {
+            inputs
+                .iter()
+                .map(|&input| {
+                    let mut dpu = Dpu::new(cfg.clone());
+                    dpu.load_program(program).unwrap();
+                    stage(&mut dpu, input);
+                    dpu
+                })
+                .collect()
+        };
+        let (mut batched, mut solo) = (staged(), staged());
+        let results = run_batch(&mut batched);
+        for (i, ((got, b), s)) in results.iter().zip(&batched).zip(&mut solo).enumerate() {
+            assert_eq!(format!("{got:?}"), format!("{:?}", s.launch()), "member {i}");
+            assert!(b.state.wram == s.state.wram, "member {i}: WRAM image differs");
+            assert!(b.state.mram == s.state.mram, "member {i}: MRAM image differs");
+        }
+        results
+    }
+
+    fn stage_mram(dpu: &mut Dpu, input: u32) {
+        dpu.write_mram(0, &input.to_le_bytes());
+    }
+
     #[test]
     fn mid_kernel_divergence_matches_individual_launches() {
         let cfg = DpuConfig::paper_baseline(4);
         let program = divergent_kernel();
         // Members 0-1 take the even path, 2-3 spin on the odd path: the
         // batch starts convergent (identical pcs) and splits at the `bne`.
-        let inputs = [0u32, 0, 5, 9];
-        let mut batched: Vec<Dpu> = (0..4).map(|_| Dpu::new(cfg.clone())).collect();
-        let mut solo: Vec<Dpu> = (0..4).map(|_| Dpu::new(cfg.clone())).collect();
-        for (i, dpu) in batched.iter_mut().chain(solo.iter_mut()).enumerate() {
-            dpu.load_program(&program).unwrap();
-            dpu.write_mram(0, &inputs[i % 4].to_le_bytes());
-        }
-        let batch_stats = run_batch(&mut batched);
-        for ((b, bd), s) in batch_stats.iter().zip(batched.iter()).zip(solo.iter_mut()) {
-            let want = s.launch().unwrap();
-            assert_eq!(format!("{:?}", b.as_ref().unwrap()), format!("{want:?}"));
-            assert_eq!(bd.read_mram(0, 8), s.read_mram(0, 8));
-        }
+        let results = assert_batch_matches_solo(&cfg, &program, &[0, 0, 5, 9], stage_mram);
         // The two paths really do take different time.
-        let c0 = batch_stats[0].as_ref().unwrap().cycles;
-        let c2 = batch_stats[2].as_ref().unwrap().cycles;
+        let c0 = results[0].as_ref().unwrap().cycles;
+        let c2 = results[2].as_ref().unwrap().cycles;
         assert_ne!(c0, c2, "odd path must cost different cycles");
+    }
+
+    #[test]
+    fn a_member_faulting_on_the_divergent_instruction_retires_alone() {
+        // The second `lw` dereferences a per-DPU pointer: in range it is an
+        // `Advance` like everyone else's, out of range it faults — so the
+        // members' effects disagree exactly where one of them errors.
+        let program = assemble(
+            r#"
+            .text
+            movi r0, 0
+            movi r1, 1024
+            ldma r1, r0, 8
+            lw   r2, 0(r1)
+            lw   r3, 0(r2)
+            add  r3, r3, 1
+            sw   r3, 4(r1)
+            sdma r1, r0, 8
+            stop
+        "#,
+        )
+        .unwrap();
+        let cfg = DpuConfig::paper_baseline(4);
+        const WILD: u32 = 0x0100_0000;
+        // A faulting follower, then a faulting leader.
+        for (inputs, bad) in [([1024, 1028, WILD, 1024], 2), ([WILD, 1024, 1028, 1024], 0)] {
+            let results = assert_batch_matches_solo(&cfg, &program, &inputs, stage_mram);
+            for (i, r) in results.iter().enumerate() {
+                if i == bad {
+                    assert!(matches!(r, Err(SimError::OutOfBounds { addr: WILD, .. })), "{r:?}");
+                } else {
+                    assert!(r.is_ok(), "survivor {i}: {r:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn divergence_on_the_first_op_of_a_multi_issue_cycle_resumes_mid_cycle() {
+        // No DMA before the branch, so tasklets 0 and 1 stay paired: under
+        // 2-way issue both reach the data-dependent `bne` in the same
+        // cycle. The members split on tasklet 0's — the first op of that
+        // cycle — and each clone must still issue tasklet 1's in it.
+        let program = assemble(
+            r#"
+            .text
+            movi r1, 1024
+            lw   r2, 0(r1)
+            bne  r2, 0, odd
+            movi r3, 100
+            add  r3, r3, r2
+            sw   r3, 4(r1)
+            stop
+        odd:
+            movi r3, 7
+        spin:
+            sub  r3, r3, 1
+            bne  r3, 0, spin
+            sw   r2, 4(r1)
+            stop
+        "#,
+        )
+        .unwrap();
+        let mut cfg = DpuConfig::paper_baseline(4).with_ilp(crate::IlpFeatures::all());
+        cfg.trace_limit = 64;
+        let results = assert_batch_matches_solo(&cfg, &program, &[0, 0, 5, 9], |dpu, input| {
+            dpu.write_wram(1024, &input.to_le_bytes());
+        });
+        for r in &results {
+            let trace = &r.as_ref().unwrap().trace;
+            let first = trace.iter().position(|e| e.pc == 2).expect("the branch issued");
+            let (a, b) = (&trace[first], &trace[first + 1]);
+            assert_eq!((a.tasklet, b.tasklet, b.pc), (0, 1, 2), "{a} / {b}");
+            assert_eq!(a.cycle, b.cycle, "both branches issue in the divergence cycle");
+        }
+    }
+
+    #[test]
+    fn cycle_limit_inside_lockstep_reaches_every_member() {
+        let mut cfg = DpuConfig::paper_baseline(4);
+        cfg.max_cycles = 60;
+        // Equal inputs: the batch is still on the shared schedule (mid-DMA)
+        // when the limit hits.
+        let results = assert_batch_matches_solo(&cfg, &divergent_kernel(), &[5; 3], stage_mram);
+        for r in &results {
+            assert!(matches!(r, Err(SimError::CycleLimit { limit: 60 })), "{r:?}");
+        }
     }
 
     #[test]

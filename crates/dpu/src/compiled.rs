@@ -1,10 +1,8 @@
 //! Launch-time block compilation: threaded-code op tables over basic
 //! blocks.
 //!
-//! The fast scalar loop (PR 4) removed per-cycle allocation and re-decoding
-//! from the hot path, but every issued instruction still pays a copy of the
-//! 16-byte [`Instruction`] enum, a second copy of its [`DecodedInstr`] side
-//! entry, and a full `match` over the enum inside
+//! Interpreting the decoded program costs every issued instruction a copy
+//! of the 16-byte [`Instruction`] enum and a full `match` over it inside
 //! [`ArchState::execute`] — including nested `Operand`/`AluOp` matches that
 //! re-discriminate operands whose shape was fixed at load time.
 //!
@@ -102,16 +100,16 @@ impl CompiledOp {
 }
 
 /// A program compiled once per [`crate::Dpu::load_program`] and reused
-/// across every relaunch (and shared with SoA batch groups through an
+/// across every relaunch (and shared with lockstep batches through an
 /// `Arc`): the original instruction stream (trace text, event emission,
-/// cache-mode address probing), the decoded side table (kept for the fast
-/// tier and the batch sweep path), the basic-block partition, and the flat
-/// threaded-code op table.
+/// the interpreter dispatch), the decoded side table (the SIMT
+/// front-end), the basic-block partition, and the flat threaded-code op
+/// table.
 #[derive(Debug)]
 pub(crate) struct CompiledKernel {
     /// The instruction stream as loaded.
     pub instrs: Vec<Instruction>,
-    /// Decoded per-PC side table (fast-tier loop, batch scoreboard).
+    /// Decoded per-PC side table (SIMT front-end).
     pub decoded: DecodedProgram,
     /// Basic-block partition of the program.
     pub blocks: BlockMap,

@@ -139,15 +139,15 @@ pub enum ExecTier {
     /// engine every iteration. Slow; exists so the other tiers have a
     /// simple executor to be differentially tested against.
     Naive,
-    /// The pre-decoded loop (PR 4): launch-time [`pim_isa::DecodedProgram`]
-    /// side tables, event-driven tasklet wakeup, allocation-free steady
-    /// state.
+    /// The issue engine (pre-extracted scheduling facts, event-driven
+    /// tasklet wakeup, allocation-free steady state) executing each
+    /// instruction through the interpreter's `Instruction` match.
     Fast,
-    /// The block-compiled loop (the default): the program is split into
-    /// basic blocks and lowered once per load into a flat table of
-    /// monomorphic op functions with pre-extracted operands, so the
-    /// steady-state loop dispatches with one indexed load and one indirect
-    /// call — no `Instruction` match, no per-launch re-decode.
+    /// The issue engine with block-compiled dispatch (the default): the
+    /// program is split into basic blocks and lowered once per load into a
+    /// flat table of monomorphic op functions with pre-extracted operands,
+    /// so the steady state dispatches with one indexed load and one
+    /// indirect call — no `Instruction` match, no per-launch re-decode.
     Compiled,
 }
 
@@ -204,25 +204,16 @@ pub struct DpuConfig {
     /// WRAM/MRAM state differs (differential testing; scratchpad-centric
     /// runs only — the oracle does not model the flat cached space).
     pub oracle_check: bool,
-    /// Force the naive per-cycle scheduling loop: no pre-decoded side
-    /// tables, no event-driven wakeup caching, and the memory engine is
-    /// advanced every iteration. Timing-identical to the optimized loop by
-    /// construction — exists only so differential tests can pin that
-    /// equivalence. Slow; never enable outside tests. Kept alongside
-    /// [`DpuConfig::exec_tier`] for compatibility: when set it overrides
-    /// the tier to [`ExecTier::Naive`] (see
-    /// [`DpuConfig::effective_exec_tier`]).
-    pub naive_loop: bool,
     /// Which scalar executor runs launches (see [`ExecTier`]). Defaults to
     /// [`ExecTier::Compiled`]; simulated counts are byte-identical across
     /// tiers.
     pub exec_tier: ExecTier,
-    /// Maximum DPUs per batch of the rank-scale SoA batch executor
+    /// Maximum DPUs per batch of the rank-scale lockstep driver
     /// (`pim_dpu::batch`). 0 (the default) keeps every launch on the
     /// per-DPU path; a positive value makes host-side set launches
     /// (`PimSystem::launch_all`) route through
     /// `PimSystem::launch_all_batched` with this batch size. Purely a
-    /// simulator-implementation switch, like [`DpuConfig::naive_loop`]:
+    /// simulator-implementation switch, like [`DpuConfig::exec_tier`]:
     /// simulated timing and statistics are byte-identical either way.
     pub batch_dpus: u32,
 }
@@ -256,43 +247,20 @@ impl DpuConfig {
             trace_limit: 0,
             event_trace_capacity: 0,
             oracle_check: false,
-            naive_loop: false,
             exec_tier: ExecTier::Compiled,
             batch_dpus: 0,
         }
     }
 
-    /// Forces the naive per-cycle scheduling loop (differential testing of
-    /// the hot-path optimizations; see [`DpuConfig::naive_loop`]).
-    #[must_use]
-    pub fn with_naive_loop(mut self) -> Self {
-        self.naive_loop = true;
-        self
-    }
-
-    /// Selects the scalar executor tier (see [`ExecTier`]). Keeps the
-    /// legacy [`DpuConfig::naive_loop`] flag consistent so code reading
-    /// either field observes the same choice.
+    /// Selects the scalar executor tier (see [`ExecTier`]).
+    /// [`ExecTier::Naive`] is the one way to ask for the reference loop.
     #[must_use]
     pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = tier;
-        self.naive_loop = tier == ExecTier::Naive;
         self
     }
 
-    /// The tier a launch actually runs under: [`DpuConfig::naive_loop`]
-    /// (the older switch) overrides [`DpuConfig::exec_tier`] to
-    /// [`ExecTier::Naive`].
-    #[must_use]
-    pub fn effective_exec_tier(&self) -> ExecTier {
-        if self.naive_loop {
-            ExecTier::Naive
-        } else {
-            self.exec_tier
-        }
-    }
-
-    /// Routes host-side set launches through the SoA batch executor with
+    /// Routes host-side set launches through the lockstep batch driver with
     /// batches of at most `batch_dpus` DPUs (see [`DpuConfig::batch_dpus`]).
     ///
     /// # Panics

@@ -5,15 +5,16 @@ use std::sync::Arc;
 
 use pim_asm::DpuProgram;
 use pim_cache::Cache;
-use pim_isa::{AddressSpace, InstrClass, Instruction};
+use pim_isa::{AddressSpace, Instruction};
 use pim_mmu::{Mmu, PageTable};
 use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink};
 
-use crate::compiled::{CompiledKernel, F_LOAD, F_STORE};
+use crate::compiled::CompiledKernel;
 use crate::config::{DpuConfig, ExecTier, MemoryMode};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{MemEngine, Segment};
+use crate::sched::{CompiledDispatch, Dispatch, Engine, FastDispatch};
 use crate::stats::DpuRunStats;
 
 /// Execution status of one tasklet.
@@ -64,8 +65,8 @@ pub struct Dpu {
     armed_fault: Option<crate::fault::FaultKind>,
     /// Launch-time artifacts (decoded side tables + block-compiled op
     /// table), built on first use after [`Dpu::load_program`] and reused
-    /// across every relaunch of the same program. Shared with SoA batch
-    /// groups through the `Arc`.
+    /// across every relaunch of the same program. Shared with the issue
+    /// engine (and its lockstep clones) through the `Arc`.
     kernel_cache: Option<Arc<CompiledKernel>>,
 }
 
@@ -395,7 +396,7 @@ impl Dpu {
 
     /// Resets per-launch architectural state (register files, PCs, atomic
     /// bits) and builds a fresh memory engine for the run. Shared between
-    /// [`Dpu::launch`] and the batched SoA executor (`crate::batch`), which
+    /// [`Dpu::launch`] and the lockstep driver (`crate::batch`), which
     /// resets every member of a batch before stepping any of them.
     pub(crate) fn reset_launch_state(&mut self) -> MemEngine {
         let n = self.cfg.n_tasklets as usize;
@@ -497,782 +498,40 @@ impl Dpu {
     /// trace sink so the `NullSink` instantiation compiles the event
     /// emission away entirely.
     ///
-    /// Dispatches on [`DpuConfig::effective_exec_tier`]: the block-compiled
-    /// loop (the default), the pre-decoded fast loop, or the per-cycle
-    /// reference loop the differential tests pin both against. All three
-    /// produce byte-identical timing and statistics.
+    /// Dispatches on [`DpuConfig::exec_tier`]: the issue engine
+    /// ([`Engine`]) under the block-compiled dispatch (the default) or the
+    /// interpreter dispatch, or the per-cycle reference loop the
+    /// differential tests pin the engine against. All three produce
+    /// byte-identical timing and statistics.
     fn run_scalar<S: TraceSink>(
         &mut self,
         mem: MemEngine,
         sink: &mut S,
     ) -> Result<DpuRunStats, SimError> {
-        match self.cfg.effective_exec_tier() {
+        match self.cfg.exec_tier {
             ExecTier::Naive => self.run_scalar_naive(mem, sink),
-            ExecTier::Fast => self.run_scalar_fast(mem, sink),
-            ExecTier::Compiled => self.run_scalar_compiled(mem, sink),
+            ExecTier::Fast => self.run_engine::<FastDispatch, S>(mem, sink),
+            ExecTier::Compiled => self.run_engine::<CompiledDispatch, S>(mem, sink),
         }
     }
 
-    /// The optimized scalar cycle loop.
-    ///
-    /// Relative to [`Dpu::run_scalar_naive`] (the timing-equivalent
-    /// reference), three mechanical changes — none of which alter any
-    /// simulated time:
-    ///
-    /// 1. a [`pim_isa::DecodedProgram`] side table answers source-mask /
-    ///    dest / class / hazard queries with flat lookups instead of
-    ///    re-matching the `Instruction` enum (and allocating `Vec<Reg>`)
-    ///    every cycle;
-    /// 2. event-driven wakeup: `ready_at[t]` caches each tasklet's earliest
-    ///    issue cycle (`max(next_issue, operand forwarding)`, `u64::MAX`
-    ///    while blocked or stopped) and `wake` holds a lower bound on their
-    ///    minimum, so the per-cycle issuable scan is skipped outright while
-    ///    `now < wake` and never inspects operands;
-    /// 3. the steady-state loop performs no heap allocation: memory
-    ///    completions drain into a reused buffer, DMA segments are stack
-    ///    arrays, and `MemEngine::advance` is skipped while the engine is
-    ///    provably inert.
-    #[allow(clippy::too_many_lines)]
-    fn run_scalar_fast<S: TraceSink>(
+    /// One launch on the issue engine under dispatch `D`.
+    fn run_engine<D: Dispatch, S: TraceSink>(
         &mut self,
-        mut mem: MemEngine,
+        mem: MemEngine,
         sink: &mut S,
     ) -> Result<DpuRunStats, SimError> {
-        const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
-        let n = self.cfg.n_tasklets as usize;
         let kernel = self.kernel_artifacts();
-        let decoded = &kernel.decoded;
-        let n_instrs = kernel.instrs.len() as u32;
-        let fwd = self.cfg.ilp.data_forwarding;
-        let unified_rf = self.cfg.ilp.unified_rf;
-        let ways = self.cfg.issue_ways() as usize;
-        let gap: u64 = if fwd { 1 } else { u64::from(self.cfg.revolver_cycles) };
-        let fwd_alu = u64::from(self.cfg.forward_alu_latency);
-        let fwd_load = u64::from(self.cfg.forward_load_latency);
-        // Seeded bug for the mutation self-check: sampled once per launch
-        // so the hot loop stays branch-predictable and default behavior is
-        // untouched while the switch is off.
-        #[cfg(feature = "mutation-hooks")]
-        let drop_rf_hazard = crate::mutation::scoreboard_bug();
-
-        let (mut icache, mut dcache) = match self.cfg.memory_mode {
-            MemoryMode::Scratchpad => (None, None),
-            MemoryMode::Cached { icache, dcache } => {
-                (Some(Cache::new(icache)), Some(Cache::new(dcache)))
-            }
-        };
-        let cached = icache.is_some();
-        let iram_base = self.iram_backing_base();
-
-        let mut stats = self.new_stats();
-        let mut window_acc = (0u64, 0u64);
-        let mut status = vec![TaskletStatus::Ready; n];
-        let mut next_issue = vec![0u64; n];
-        // Forwarding scoreboard, flattened to one contiguous allocation:
-        // register `r` of tasklet `t` is ready at `reg_ready[t*NREGS + r]`.
-        let mut reg_ready = vec![0u64; n * NREGS];
-        let mut skip_dcache = vec![false; n];
-        // Event-driven wakeup state: `ready_at[t]` is exact for Ready
-        // tasklets and `u64::MAX` otherwise; `wake` is a lower bound on
-        // `min(ready_at)`, re-tightened whenever an idle span is computed.
-        let mut ready_at = vec![0u64; n];
-        let mut wake: u64 = 0;
-        let mut done_buf: Vec<(u64, u64)> = Vec::with_capacity(n);
-        let mut live = n;
-        let mut now: u64 = 0;
-        let mut rf_block: u64 = 0;
-        let mut rr: usize = 0;
-        let mut issuable: Vec<usize> = Vec::with_capacity(n);
-
-        // Cycle at which every operand of the instruction at `pc` is
-        // forwardable, given one tasklet's scoreboard row (0 without the
-        // data-forwarding feature, mirroring the reference loop).
-        let deps_ready_at = |pc: u32, row: &[u64]| -> u64 {
-            if !fwd {
-                return 0;
-            }
-            match decoded.get(pc) {
-                Some(d) => {
-                    let mut mask = d.src_mask;
-                    let mut latest = 0u64;
-                    while mask != 0 {
-                        latest = latest.max(row[mask.trailing_zeros() as usize]);
-                        mask &= mask - 1;
-                    }
-                    latest
-                }
-                None => 0,
-            }
-        };
-
-        loop {
-            if live == 0 {
-                break;
-            }
-            if now >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-            }
-            // 1. Memory completions (skipped while the engine holds no
-            // outstanding request — `advance` would be a no-op).
-            if mem.is_active() {
-                mem.advance(now);
-                if sink.enabled() {
-                    mem.drain_row_events(sink);
-                }
-                mem.drain_done_into(&mut done_buf);
-                for &(token, at) in &done_buf {
-                    let t = token as usize;
-                    status[t] = TaskletStatus::Ready;
-                    next_issue[t] = next_issue[t].max(at + 1);
-                    let row = &reg_ready[t * NREGS..(t + 1) * NREGS];
-                    ready_at[t] = next_issue[t].max(deps_ready_at(self.state.pc[t], row));
-                    wake = wake.min(ready_at[t]);
-                    if sink.enabled() {
-                        sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
-                    }
-                }
-            }
-            // 2. Issuable set — `ready_at[t] = max(next_issue[t], operand
-            // forwarding)` for Ready tasklets and `u64::MAX` otherwise, so
-            // one compare replaces the status/window/operand triple; while
-            // `now < wake` the set is provably empty and the scan skipped.
-            issuable.clear();
-            if now >= wake {
-                for (t, &at) in ready_at.iter().enumerate() {
-                    if now >= at {
-                        issuable.push(t);
-                    }
-                }
-            }
-            // 3. Register-file structural block.
-            if rf_block > 0 {
-                stats.record_tlp_span(issuable.len(), 1, &mut window_acc);
-                stats.idle_rf += 1.0;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: 1,
-                        cause: StallCause::RegisterFile,
-                    });
-                }
-                rf_block -= 1;
-                now += 1;
-                continue;
-            }
-            // 4. Nothing to issue: attribute the idle span across the
-            // per-tasklet wait reasons (paper Fig 6 categorizes by thread
-            // status), then fast-forward to the next possible event.
-            if issuable.is_empty() {
-                let n_sched = status.iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-                let n_mem = status.iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-                // Blocked/stopped tasklets sit at u64::MAX, so the plain
-                // minimum is the Ready minimum — and the exact `wake`.
-                let mut next = ready_at.iter().copied().min().unwrap_or(u64::MAX);
-                wake = next;
-                if let Some(e) = mem.next_event(now) {
-                    next = next.min(e);
-                }
-                let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-                let span = (next - now).min(self.cfg.max_cycles - now);
-                stats.record_tlp_span(0, span, &mut window_acc);
-                let tot = (n_sched + n_mem).max(1.0);
-                stats.idle_memory += span as f64 * n_mem / tot;
-                stats.idle_revolver += span as f64 * n_sched / tot;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: span,
-                        cause: if n_mem >= n_sched {
-                            StallCause::Memory
-                        } else {
-                            StallCause::Revolver
-                        },
-                    });
-                }
-                now += span;
-                continue;
-            }
-            stats.record_tlp_span(issuable.len(), 1, &mut window_acc);
-            // 5. Issue up to `ways` instructions, round-robin.
-            let start = issuable.iter().position(|&t| t >= rr).unwrap_or(0);
-            let mut issued = 0usize;
-            for k in 0..issuable.len() {
-                if issued == ways {
-                    break;
-                }
-                let t = issuable[(start + k) % issuable.len()];
-                if status[t] != TaskletStatus::Ready {
-                    continue;
-                }
-                let pc = self.state.pc[t];
-                if pc >= n_instrs {
-                    return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-                }
-                // Instruction fetch through the I-cache (cache-centric mode).
-                if let Some(ic) = icache.as_mut() {
-                    let fetch_addr = iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
-                    let out = ic.access(fetch_addr, false);
-                    if !out.hit {
-                        status[t] = TaskletStatus::Blocked;
-                        ready_at[t] = u64::MAX;
-                        let line = out.fill_line.expect("miss has a fill");
-                        let bytes = ic.config().line_bytes;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram: line,
-                                bytes,
-                                write: false,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: line, bytes, write: false }], now);
-                        continue;
-                    }
-                }
-                let instr = kernel.instrs[pc as usize];
-                let d = *decoded.get(pc).expect("pc bounds-checked above");
-                if cached && d.is_dma {
-                    return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
-                }
-                // Data access through the D-cache (cache-centric mode).
-                if let Some(dc) = dcache.as_mut() {
-                    if let Some((addr, write)) = self.state.ls_addr(t as u32, &instr) {
-                        if skip_dcache[t] {
-                            skip_dcache[t] = false;
-                        } else {
-                            let out = dc.access(addr, write);
-                            if !out.hit {
-                                status[t] = TaskletStatus::Blocked;
-                                ready_at[t] = u64::MAX;
-                                skip_dcache[t] = true;
-                                let line_bytes = dc.config().line_bytes;
-                                let fill = Segment {
-                                    addr: out.fill_line.expect("miss has a fill"),
-                                    bytes: line_bytes,
-                                    write: false,
-                                };
-                                let mut segs = [fill, fill];
-                                let mut n_segs = 1;
-                                if let Some(wb) = out.writeback_line {
-                                    segs[1] = Segment { addr: wb, bytes: line_bytes, write: true };
-                                    n_segs = 2;
-                                }
-                                let segs = &segs[..n_segs];
-                                if sink.enabled() {
-                                    sink.emit(TraceEvent::DmaBegin {
-                                        cycle: now,
-                                        tasklet: t as u32,
-                                        mram: segs[0].addr,
-                                        bytes: segs.iter().map(|s| s.bytes).sum(),
-                                        write: false,
-                                    });
-                                }
-                                mem.issue(t as u64, segs, now);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                // Register-file structural hazard (even/odd banks).
-                let hazard = if unified_rf { 0 } else { u64::from(d.rf_hazard) };
-                #[cfg(feature = "mutation-hooks")]
-                let hazard = if drop_rf_hazard { 0 } else { hazard };
-                if stats.trace.len() < self.cfg.trace_limit {
-                    stats.trace.push(crate::stats::TraceEntry {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        text: instr.to_string(),
-                    });
-                }
-                let effect = self.state.execute(t as u32, &instr)?;
-                stats.count_instruction(d.class, t as u32);
-                if sink.enabled() {
-                    sink.emit(TraceEvent::InstrRetire {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        class: d.class,
-                    });
-                    match instr {
-                        Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                            acquired: effect != Effect::AcquireRetry,
-                        }),
-                        Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                        }),
-                        _ => {}
-                    }
-                }
-                next_issue[t] = now + gap;
-                if fwd {
-                    if let Some(rd) = d.dst {
-                        let lat = if d.is_load { fwd_load } else { fwd_alu };
-                        reg_ready[t * NREGS + rd as usize] = now + lat;
-                    }
-                }
-                match effect {
-                    Effect::Advance => self.state.pc[t] = pc + 1,
-                    Effect::Jump(target) => self.state.pc[t] = target,
-                    Effect::AcquireRetry => {}
-                    Effect::Stop => {
-                        status[t] = TaskletStatus::Stopped;
-                        stats.tasklet_stop_cycle[t] = now;
-                        live -= 1;
-                    }
-                    Effect::Dma { mram, len, write } => {
-                        self.state.pc[t] = pc + 1;
-                        status[t] = TaskletStatus::Blocked;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram,
-                                bytes: len,
-                                write,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-                    }
-                }
-                // Refresh the wakeup entry for the new PC / issue window.
-                if status[t] == TaskletStatus::Ready {
-                    let row = &reg_ready[t * NREGS..(t + 1) * NREGS];
-                    ready_at[t] = next_issue[t].max(deps_ready_at(self.state.pc[t], row));
-                    wake = wake.min(ready_at[t]);
-                } else {
-                    ready_at[t] = u64::MAX;
-                }
-                issued += 1;
-                rr = t + 1;
-                if hazard > 0 {
-                    // The split register file blocks the issue stage.
-                    rf_block = hazard;
-                    break;
-                }
-            }
-            if issued > 0 {
-                stats.active_cycles += 1;
-            } else {
-                // Every candidate stalled on a cache fill this cycle.
-                stats.idle_memory += 1.0;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: 1,
-                        cause: StallCause::Memory,
-                    });
-                }
-            }
-            now += 1;
-        }
-        stats.cycles = now;
-        stats.dram = *mem.bank().stats();
-        stats.mmu = mem.mmu().map(|m| *m.stats());
-        stats.icache = icache.map(|c| *c.stats());
-        stats.dcache = dcache.map(|c| *c.stats());
-        stats.dma_requests = mem.requests_issued;
-        Ok(stats)
+        Engine::new(self, mem).run::<D, S>(&kernel, &mut self.state, sink)
     }
 
-    /// The block-compiled scalar cycle loop ([`ExecTier::Compiled`], the
-    /// default tier).
-    ///
-    /// A timing-exact transliteration of [`Dpu::run_scalar_fast`] — every
-    /// statistic, trace entry, and event is computed at the same point with
-    /// the same formula — with the interpretation cost compiled away:
-    ///
-    /// 1. the program is lowered once per [`Dpu::load_program`] into a
-    ///    [`CompiledKernel`]: a flat table of monomorphic op functions
-    ///    (basic block by basic block) with operands, scheduling facts, and
-    ///    the instruction-class index pre-extracted — so the steady-state
-    ///    issue path performs one indexed load plus one indirect call
-    ///    instead of two per-PC table copies and a nested `Instruction` /
-    ///    `Operand` match;
-    /// 2. the kernel artifact is `Arc`-cached across relaunches: chained
-    ///    multi-launch workloads (MLP-Q / ATTN) pay for decoding and
-    ///    compilation once, and launches no longer clone the program image;
-    /// 3. the issuable set is a bitmask (`n_tasklets <= 24`): the TLP
-    ///    histogram takes a popcount and round-robin selection walks set
-    ///    bits with `trailing_zeros`, visiting the same tasklets in the
-    ///    same order as the fast loop's vector scan.
-    #[allow(clippy::too_many_lines)]
-    fn run_scalar_compiled<S: TraceSink>(
-        &mut self,
-        mut mem: MemEngine,
-        sink: &mut S,
-    ) -> Result<DpuRunStats, SimError> {
-        const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
-        let n = self.cfg.n_tasklets as usize;
-        let kernel = self.kernel_artifacts();
-        let ops = &kernel.ops[..];
-        let n_instrs = ops.len() as u32;
-        let fwd = self.cfg.ilp.data_forwarding;
-        let unified_rf = self.cfg.ilp.unified_rf;
-        let ways = self.cfg.issue_ways() as usize;
-        let gap: u64 = if fwd { 1 } else { u64::from(self.cfg.revolver_cycles) };
-        let fwd_alu = u64::from(self.cfg.forward_alu_latency);
-        let fwd_load = u64::from(self.cfg.forward_load_latency);
-        // Seeded bug for the mutation self-check: sampled once per launch
-        // (same point as the fast loop) so the two tiers inject identically.
-        #[cfg(feature = "mutation-hooks")]
-        let drop_rf_hazard = crate::mutation::scoreboard_bug();
-
-        let (mut icache, mut dcache) = match self.cfg.memory_mode {
-            MemoryMode::Scratchpad => (None, None),
-            MemoryMode::Cached { icache, dcache } => {
-                (Some(Cache::new(icache)), Some(Cache::new(dcache)))
-            }
-        };
-        let cached = icache.is_some();
-        let iram_base = self.iram_backing_base();
-
-        let mut stats = self.new_stats();
-        let mut window_acc = (0u64, 0u64);
-        let mut status = vec![TaskletStatus::Ready; n];
-        let mut next_issue = vec![0u64; n];
-        // Forwarding scoreboard, flattened to one contiguous allocation:
-        // register `r` of tasklet `t` is ready at `reg_ready[t*NREGS + r]`.
-        let mut reg_ready = vec![0u64; n * NREGS];
-        let mut skip_dcache = vec![false; n];
-        // Event-driven wakeup state, exactly as in the fast loop.
-        let mut ready_at = vec![0u64; n];
-        let mut wake: u64 = 0;
-        let mut done_buf: Vec<(u64, u64)> = Vec::with_capacity(n);
-        let mut live = n;
-        let mut now: u64 = 0;
-        let mut rf_block: u64 = 0;
-        let mut rr: usize = 0;
-
-        // Cycle at which every operand of the instruction at `pc` is
-        // forwardable — identical to the fast loop's computation, reading
-        // the pre-extracted source mask from the op table.
-        let deps_ready_at = |pc: u32, row: &[u64]| -> u64 {
-            if !fwd {
-                return 0;
-            }
-            match ops.get(pc as usize) {
-                Some(op) => {
-                    let mut mask = op.src_mask;
-                    let mut latest = 0u64;
-                    while mask != 0 {
-                        latest = latest.max(row[mask.trailing_zeros() as usize]);
-                        mask &= mask - 1;
-                    }
-                    latest
-                }
-                None => 0,
-            }
-        };
-
-        loop {
-            if live == 0 {
-                break;
-            }
-            if now >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimit { limit: self.cfg.max_cycles });
-            }
-            // 1. Memory completions (skipped while the engine holds no
-            // outstanding request — `advance` would be a no-op).
-            if mem.is_active() {
-                mem.advance(now);
-                if sink.enabled() {
-                    mem.drain_row_events(sink);
-                }
-                mem.drain_done_into(&mut done_buf);
-                for &(token, at) in &done_buf {
-                    let t = token as usize;
-                    status[t] = TaskletStatus::Ready;
-                    next_issue[t] = next_issue[t].max(at + 1);
-                    let row = &reg_ready[t * NREGS..(t + 1) * NREGS];
-                    ready_at[t] = next_issue[t].max(deps_ready_at(self.state.pc[t], row));
-                    wake = wake.min(ready_at[t]);
-                    if sink.enabled() {
-                        sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
-                    }
-                }
-            }
-            // 2. Issuable set as a bitmask (bit `t` = tasklet `t` can
-            // issue). Same membership as the fast loop's vector.
-            let mut issuable: u32 = 0;
-            if now >= wake {
-                for (t, &at) in ready_at.iter().enumerate() {
-                    if now >= at {
-                        issuable |= 1 << t;
-                    }
-                }
-            }
-            let n_issuable = issuable.count_ones() as usize;
-            // 3. Register-file structural block.
-            if rf_block > 0 {
-                stats.record_tlp_span(n_issuable, 1, &mut window_acc);
-                stats.idle_rf += 1.0;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: 1,
-                        cause: StallCause::RegisterFile,
-                    });
-                }
-                rf_block -= 1;
-                now += 1;
-                continue;
-            }
-            // 4. Nothing to issue: attribute the idle span across the
-            // per-tasklet wait reasons (paper Fig 6 categorizes by thread
-            // status), then fast-forward to the next possible event.
-            if issuable == 0 {
-                let n_sched = status.iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-                let n_mem = status.iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
-                // Blocked/stopped tasklets sit at u64::MAX, so the plain
-                // minimum is the Ready minimum — and the exact `wake`.
-                let mut next = ready_at.iter().copied().min().unwrap_or(u64::MAX);
-                wake = next;
-                if let Some(e) = mem.next_event(now) {
-                    next = next.min(e);
-                }
-                let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-                let span = (next - now).min(self.cfg.max_cycles - now);
-                stats.record_tlp_span(0, span, &mut window_acc);
-                let tot = (n_sched + n_mem).max(1.0);
-                stats.idle_memory += span as f64 * n_mem / tot;
-                stats.idle_revolver += span as f64 * n_sched / tot;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: span,
-                        cause: if n_mem >= n_sched {
-                            StallCause::Memory
-                        } else {
-                            StallCause::Revolver
-                        },
-                    });
-                }
-                now += span;
-                continue;
-            }
-            stats.record_tlp_span(n_issuable, 1, &mut window_acc);
-            // 5. Issue up to `ways` instructions, round-robin: walk set
-            // bits at or above `rr` first, then wrap to the low bits —
-            // the same cyclic order as the fast loop's vector rotation.
-            let lo_mask = (1u32 << rr) - 1;
-            let mut pending_hi = issuable & !lo_mask;
-            let mut pending_lo = issuable & lo_mask;
-            let mut issued = 0usize;
-            loop {
-                if issued == ways {
-                    break;
-                }
-                let t = if pending_hi != 0 {
-                    let t = pending_hi.trailing_zeros() as usize;
-                    pending_hi &= pending_hi - 1;
-                    t
-                } else if pending_lo != 0 {
-                    let t = pending_lo.trailing_zeros() as usize;
-                    pending_lo &= pending_lo - 1;
-                    t
-                } else {
-                    break;
-                };
-                if status[t] != TaskletStatus::Ready {
-                    continue;
-                }
-                let pc = self.state.pc[t];
-                if pc >= n_instrs {
-                    return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
-                }
-                // Instruction fetch through the I-cache (cache-centric mode).
-                if let Some(ic) = icache.as_mut() {
-                    let fetch_addr = iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
-                    let out = ic.access(fetch_addr, false);
-                    if !out.hit {
-                        status[t] = TaskletStatus::Blocked;
-                        ready_at[t] = u64::MAX;
-                        let line = out.fill_line.expect("miss has a fill");
-                        let bytes = ic.config().line_bytes;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram: line,
-                                bytes,
-                                write: false,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: line, bytes, write: false }], now);
-                        continue;
-                    }
-                }
-                let op = &ops[pc as usize];
-                // The op table is laid out block-by-block; every entry must
-                // carry the block id its pc belongs to.
-                debug_assert_eq!(op.block, kernel.blocks.block_of(pc));
-                if cached && op.is_dma() {
-                    return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
-                }
-                // Data access through the D-cache (cache-centric mode). The
-                // effective address comes from the pre-extracted base/offset
-                // (identical to `ArchState::ls_addr` on the instruction).
-                if let Some(dc) = dcache.as_mut() {
-                    if op.flags & (F_LOAD | F_STORE) != 0 {
-                        let addr = self.state.regs[t][op.b as usize].wrapping_add(op.imm as u32);
-                        let write = op.flags & F_STORE != 0;
-                        if skip_dcache[t] {
-                            skip_dcache[t] = false;
-                        } else {
-                            let out = dc.access(addr, write);
-                            if !out.hit {
-                                status[t] = TaskletStatus::Blocked;
-                                ready_at[t] = u64::MAX;
-                                skip_dcache[t] = true;
-                                let line_bytes = dc.config().line_bytes;
-                                let fill = Segment {
-                                    addr: out.fill_line.expect("miss has a fill"),
-                                    bytes: line_bytes,
-                                    write: false,
-                                };
-                                let mut segs = [fill, fill];
-                                let mut n_segs = 1;
-                                if let Some(wb) = out.writeback_line {
-                                    segs[1] = Segment { addr: wb, bytes: line_bytes, write: true };
-                                    n_segs = 2;
-                                }
-                                let segs = &segs[..n_segs];
-                                if sink.enabled() {
-                                    sink.emit(TraceEvent::DmaBegin {
-                                        cycle: now,
-                                        tasklet: t as u32,
-                                        mram: segs[0].addr,
-                                        bytes: segs.iter().map(|s| s.bytes).sum(),
-                                        write: false,
-                                    });
-                                }
-                                mem.issue(t as u64, segs, now);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                // Register-file structural hazard (even/odd banks).
-                let hazard = if unified_rf { 0 } else { u64::from(op.rf_hazard) };
-                #[cfg(feature = "mutation-hooks")]
-                let hazard = if drop_rf_hazard { 0 } else { hazard };
-                if stats.trace.len() < self.cfg.trace_limit {
-                    stats.trace.push(crate::stats::TraceEntry {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        text: kernel.instrs[pc as usize].to_string(),
-                    });
-                }
-                let effect = (op.exec)(&mut self.state, t as u32, pc, op)?;
-                stats.count_instruction_idx(op.class_idx as usize, t as u32);
-                if sink.enabled() {
-                    sink.emit(TraceEvent::InstrRetire {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        class: InstrClass::ALL[op.class_idx as usize],
-                    });
-                    match kernel.instrs[pc as usize] {
-                        Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                            acquired: effect != Effect::AcquireRetry,
-                        }),
-                        Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                        }),
-                        _ => {}
-                    }
-                }
-                next_issue[t] = now + gap;
-                if fwd {
-                    if let Some(rd) = op.dst() {
-                        let lat = if op.is_load() { fwd_load } else { fwd_alu };
-                        reg_ready[t * NREGS + rd as usize] = now + lat;
-                    }
-                }
-                match effect {
-                    Effect::Advance => self.state.pc[t] = pc + 1,
-                    Effect::Jump(target) => self.state.pc[t] = target,
-                    Effect::AcquireRetry => {}
-                    Effect::Stop => {
-                        status[t] = TaskletStatus::Stopped;
-                        stats.tasklet_stop_cycle[t] = now;
-                        live -= 1;
-                    }
-                    Effect::Dma { mram, len, write } => {
-                        self.state.pc[t] = pc + 1;
-                        status[t] = TaskletStatus::Blocked;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram,
-                                bytes: len,
-                                write,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
-                    }
-                }
-                // Refresh the wakeup entry for the new PC / issue window.
-                if status[t] == TaskletStatus::Ready {
-                    let row = &reg_ready[t * NREGS..(t + 1) * NREGS];
-                    ready_at[t] = next_issue[t].max(deps_ready_at(self.state.pc[t], row));
-                    wake = wake.min(ready_at[t]);
-                } else {
-                    ready_at[t] = u64::MAX;
-                }
-                issued += 1;
-                rr = t + 1;
-                if hazard > 0 {
-                    // The split register file blocks the issue stage.
-                    rf_block = hazard;
-                    break;
-                }
-            }
-            if issued > 0 {
-                stats.active_cycles += 1;
-            } else {
-                // Every candidate stalled on a cache fill this cycle.
-                stats.idle_memory += 1.0;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::Stall {
-                        cycle: now,
-                        cycles: 1,
-                        cause: StallCause::Memory,
-                    });
-                }
-            }
-            now += 1;
-        }
-        stats.cycles = now;
-        stats.dram = *mem.bank().stats();
-        stats.mmu = mem.mmu().map(|m| *m.stats());
-        stats.icache = icache.map(|c| *c.stats());
-        stats.dcache = dcache.map(|c| *c.stats());
-        stats.dma_requests = mem.requests_issued;
-        Ok(stats)
-    }
-
-    /// The naive per-cycle reference loop ([`DpuConfig::naive_loop`]).
+    /// The naive per-cycle reference loop ([`ExecTier::Naive`]).
     ///
     /// Re-derives everything from the `Instruction` enum each iteration —
     /// operand lists via `srcs()`, hazards via `rf_hazard_cycles()` — with
     /// no wakeup caching and an unconditional memory-engine advance. Kept
     /// deliberately close to the original loop so the differential tests
-    /// pin the optimized loop's timing against an independent computation
+    /// pin the issue engine's timing against an independent computation
     /// of the same schedule. Slow; only differential tests should run it.
     #[allow(clippy::too_many_lines)]
     fn run_scalar_naive<S: TraceSink>(

@@ -64,11 +64,12 @@ pub mod fault;
 mod mem;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
+mod sched;
 mod simt;
 pub mod stats;
 pub mod tenancy;
 
-pub use batch::{run_batch, soa_eligible};
+pub use batch::run_batch;
 pub use config::{
     DmaConfig, DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, MAX_TASKLETS,
 };

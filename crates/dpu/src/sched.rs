@@ -1,0 +1,598 @@
+//! The DPU issue engine: the one optimized implementation of the scalar
+//! issue stage (14-stage revolver, even/odd RF hazard, blocking DMA
+//! wake-up — paper §III, Table I).
+//!
+//! Every cycle runs the same five steps: drain memory completions, build
+//! the issuable set, honour a register-file structural block, attribute and
+//! fast-forward idle spans, then issue up to `ways` instructions
+//! round-robin. The issue body is split into [`Engine::pre_issue`] (pc
+//! bounds, I/D-cache fills, trace entry) → [`Dispatch::execute`] →
+//! [`Engine::retire`] (scoreboard, effect, wake-up refresh), and all
+//! scheduling state — including the in-cycle issue cursor — lives in the
+//! [`Engine`] struct, so a run can be cloned and resumed mid-cycle.
+//! [`Engine::run`] drives one DPU to completion; the lockstep driver
+//! (`crate::batch`) steps the leader's engine, executes each issued op on
+//! every member, and hands clones to the members when their effects
+//! disagree.
+//!
+//! The scalars the loop touches every cycle sit in [`Hot`], which
+//! [`Engine::run`] copies into a local for the duration of the run: the
+//! engine itself lends `mem`, `stats` and the caches to out-of-line calls,
+//! which pins it in memory, whereas the local stays in registers.
+//!
+//! Relative to the reference loop (`Dpu::run_scalar_naive`) nothing here
+//! alters any simulated time:
+//!
+//! 1. scheduling facts (source mask, destination, hazard cost, class) come
+//!    from the [`CompiledKernel`] op table, lowered once per
+//!    [`crate::Dpu::load_program`], instead of re-matching the
+//!    `Instruction` enum every cycle;
+//! 2. event-driven wakeup: `ready_at[t]` caches each tasklet's earliest
+//!    issue cycle (`max(next_issue, operand forwarding)`, `u64::MAX` while
+//!    blocked or stopped) and `wake` holds a lower bound on their minimum,
+//!    so the issuable scan is skipped outright while `now < wake`;
+//! 3. the issuable set is a bitmask (`MAX_TASKLETS = 24`): the TLP
+//!    histogram takes a popcount and round-robin selection walks set bits
+//!    with `trailing_zeros`, visiting tasklets in the reference order;
+//! 4. the steady state performs no heap allocation: completions drain into
+//!    a reused buffer, DMA segments are stack arrays, and
+//!    `MemEngine::advance` is skipped while the engine is provably inert.
+
+use pim_cache::Cache;
+use pim_isa::{InstrClass, Instruction};
+use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
+
+use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
+use crate::config::MemoryMode;
+use crate::dpu::{Dpu, TaskletStatus};
+use crate::error::SimError;
+use crate::exec::{ArchState, Effect};
+use crate::mem::{MemEngine, Segment};
+use crate::stats::DpuRunStats;
+
+const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
+
+/// How the functional effect of the instruction at `pc` is computed. The
+/// engine takes every scheduling fact from the op table either way; the
+/// two implementations differ only in the execute step.
+pub(crate) trait Dispatch {
+    fn execute(
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        tasklet: u32,
+        pc: u32,
+    ) -> Result<Effect, SimError>;
+}
+
+/// [`crate::ExecTier::Compiled`]: one indexed load and one indirect call
+/// into the monomorphic op function, operands pre-extracted.
+pub(crate) struct CompiledDispatch;
+
+impl Dispatch for CompiledDispatch {
+    #[inline(always)]
+    fn execute(
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        tasklet: u32,
+        pc: u32,
+    ) -> Result<Effect, SimError> {
+        let op = &kernel.ops[pc as usize];
+        (op.exec)(state, tasklet, pc, op)
+    }
+}
+
+/// [`crate::ExecTier::Fast`]: the decoded `Instruction` through the
+/// interpreter's `match` ([`ArchState::execute`]).
+pub(crate) struct FastDispatch;
+
+impl Dispatch for FastDispatch {
+    #[inline(always)]
+    fn execute(
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        tasklet: u32,
+        pc: u32,
+    ) -> Result<Effect, SimError> {
+        state.execute(tasklet, &kernel.instrs[pc as usize])
+    }
+}
+
+/// The engine's per-cycle scalars: configuration-derived constants, the
+/// clock and round-robin state, and the in-cycle issue cursor.
+#[derive(Clone, Copy)]
+struct Hot {
+    fwd: bool,
+    /// Whether same-bank source pairs cost extra issue slots (off with a
+    /// unified register file).
+    rf_hazards: bool,
+    ways: usize,
+    gap: u64,
+    fwd_alu: u64,
+    fwd_load: u64,
+    iram_base: u32,
+    max_cycles: u64,
+    trace_limit: usize,
+    /// Lower bound on `min(ready_at)`, re-tightened on every idle span.
+    wake: u64,
+    live: usize,
+    now: u64,
+    rf_block: u64,
+    rr: usize,
+    // In-cycle issue cursor: candidates at or above `rr` (`pending_hi`)
+    // go first, then the wrap-around (`pending_lo`).
+    in_cycle: bool,
+    pending_hi: u32,
+    pending_lo: u32,
+    issued: usize,
+}
+
+/// The complete scheduling state of one scalar run.
+#[derive(Clone)]
+pub(crate) struct Engine {
+    hot: Hot,
+    status: Vec<TaskletStatus>,
+    next_issue: Vec<u64>,
+    /// Forwarding scoreboard, flattened: register `r` of tasklet `t` is
+    /// ready at `reg_ready[t * NREGS + r]`.
+    reg_ready: Vec<u64>,
+    /// Exact earliest issue cycle for Ready tasklets, `u64::MAX` otherwise.
+    ready_at: Vec<u64>,
+    skip_dcache: Vec<bool>,
+    window_acc: (u64, u64),
+    icache: Option<Cache>,
+    dcache: Option<Cache>,
+    mem: MemEngine,
+    stats: DpuRunStats,
+    done_buf: Vec<(u64, u64)>,
+}
+
+impl Engine {
+    /// A fresh engine for one launch on `dpu` over `mem`.
+    pub(crate) fn new(dpu: &Dpu, mem: MemEngine) -> Self {
+        let cfg = &dpu.cfg;
+        let n = cfg.n_tasklets as usize;
+        let fwd = cfg.ilp.data_forwarding;
+        let (icache, dcache) = match cfg.memory_mode {
+            MemoryMode::Scratchpad => (None, None),
+            MemoryMode::Cached { icache, dcache } => {
+                (Some(Cache::new(icache)), Some(Cache::new(dcache)))
+            }
+        };
+        let rf_hazards = !cfg.ilp.unified_rf;
+        // Seeded bug for the mutation self-check, sampled here and nowhere
+        // else: every optimized run, solo or lockstep, starts from this
+        // constructor, so `fuzz --mutate` arms all of them or none.
+        #[cfg(feature = "mutation-hooks")]
+        let rf_hazards = rf_hazards && !crate::mutation::scoreboard_bug();
+        Engine {
+            hot: Hot {
+                fwd,
+                rf_hazards,
+                ways: cfg.issue_ways() as usize,
+                gap: if fwd { 1 } else { u64::from(cfg.revolver_cycles) },
+                fwd_alu: u64::from(cfg.forward_alu_latency),
+                fwd_load: u64::from(cfg.forward_load_latency),
+                iram_base: dpu.iram_backing_base(),
+                max_cycles: cfg.max_cycles,
+                trace_limit: cfg.trace_limit,
+                wake: 0,
+                live: n,
+                now: 0,
+                rf_block: 0,
+                rr: 0,
+                in_cycle: false,
+                pending_hi: 0,
+                pending_lo: 0,
+                issued: 0,
+            },
+            status: vec![TaskletStatus::Ready; n],
+            next_issue: vec![0; n],
+            reg_ready: vec![0; n * NREGS],
+            ready_at: vec![0; n],
+            skip_dcache: vec![false; n],
+            window_acc: (0, 0),
+            icache,
+            dcache,
+            mem,
+            stats: dpu.new_stats(),
+            done_buf: Vec::with_capacity(n),
+        }
+    }
+
+    /// Drives the run to completion from wherever the engine stands
+    /// (launch start, or mid-cycle after a lockstep divergence).
+    pub(crate) fn run<D: Dispatch, S: TraceSink>(
+        mut self,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        sink: &mut S,
+    ) -> Result<DpuRunStats, SimError> {
+        let mut hot = self.hot;
+        while let Some(slot @ (t, pc)) = self.pre_issue(&mut hot, kernel, state, sink)? {
+            let effect = D::execute(kernel, state, t as u32, pc)?;
+            self.retire(&mut hot, kernel, state, sink, slot, effect);
+        }
+        self.hot = hot;
+        Ok(self.finish())
+    }
+
+    /// Seals the statistics of a finished run.
+    pub(crate) fn finish(self) -> DpuRunStats {
+        let mut stats = self.stats;
+        stats.cycles = self.hot.now;
+        stats.dram = *self.mem.bank().stats();
+        stats.mmu = self.mem.mmu().map(|m| *m.stats());
+        stats.icache = self.icache.map(|c| *c.stats());
+        stats.dcache = self.dcache.map(|c| *c.stats());
+        stats.dma_requests = self.mem.requests_issued;
+        stats
+    }
+
+    /// One [`Engine::pre_issue`] step on the engine's own [`Hot`], for the
+    /// lockstep driver (untraced by construction).
+    pub(crate) fn next_op(
+        &mut self,
+        kernel: &CompiledKernel,
+        state: &ArchState,
+    ) -> Result<Option<(usize, u32)>, SimError> {
+        let mut hot = self.hot;
+        let slot = self.pre_issue(&mut hot, kernel, state, &mut NullSink);
+        self.hot = hot;
+        slot
+    }
+
+    /// The [`Engine::retire`] counterpart of [`Engine::next_op`].
+    pub(crate) fn retire_op(
+        &mut self,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        slot: (usize, u32),
+        effect: Effect,
+    ) {
+        let mut hot = self.hot;
+        self.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+        self.hot = hot;
+    }
+
+    /// `ready_at` for a Ready tasklet about to run `pc`: its issue window,
+    /// pushed out to the cycle every source operand is forwardable (no
+    /// push-out without the data-forwarding feature).
+    #[inline(always)]
+    fn earliest_issue(&self, fwd: bool, ops: &[CompiledOp], t: usize, pc: u32) -> u64 {
+        let mut at = self.next_issue[t];
+        if fwd {
+            if let Some(op) = ops.get(pc as usize) {
+                let row = &self.reg_ready[t * NREGS..(t + 1) * NREGS];
+                let mut mask = op.src_mask;
+                while mask != 0 {
+                    at = at.max(row[mask.trailing_zeros() as usize]);
+                    mask &= mask - 1;
+                }
+            }
+        }
+        at
+    }
+
+    /// Advances the schedule to the next instruction that is ready to
+    /// execute and returns its `(tasklet, pc)`, or `None` once every
+    /// tasklet has stopped. The caller executes it and reports the effect
+    /// through [`Engine::retire`] before calling again.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::CycleLimit`], [`SimError::PcOutOfRange`] or
+    /// [`SimError::DmaInCachedMode`]; the run is over.
+    #[inline(always)]
+    fn pre_issue<S: TraceSink>(
+        &mut self,
+        h: &mut Hot,
+        kernel: &CompiledKernel,
+        state: &ArchState,
+        sink: &mut S,
+    ) -> Result<Option<(usize, u32)>, SimError> {
+        loop {
+            if h.in_cycle {
+                // 5. Issue up to `ways` instructions, round-robin.
+                while h.issued < h.ways {
+                    let t = if h.pending_hi != 0 {
+                        let t = h.pending_hi.trailing_zeros() as usize;
+                        h.pending_hi &= h.pending_hi - 1;
+                        t
+                    } else if h.pending_lo != 0 {
+                        let t = h.pending_lo.trailing_zeros() as usize;
+                        h.pending_lo &= h.pending_lo - 1;
+                        t
+                    } else {
+                        break;
+                    };
+                    if self.status[t] != TaskletStatus::Ready {
+                        continue;
+                    }
+                    let pc = state.pc[t];
+                    let Some(op) = kernel.ops.get(pc as usize) else {
+                        return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
+                    };
+                    // Instruction fetch through the I-cache (cache-centric mode).
+                    if let Some(ic) = self.icache.as_mut() {
+                        let fetch_addr = h.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
+                        let out = ic.access(fetch_addr, false);
+                        if !out.hit {
+                            let line = out.fill_line.expect("miss has a fill");
+                            let fill =
+                                Segment { addr: line, bytes: ic.config().line_bytes, write: false };
+                            self.status[t] = TaskletStatus::Blocked;
+                            self.ready_at[t] = u64::MAX;
+                            issue_fill(&mut self.mem, sink, h.now, t, &[fill]);
+                            continue;
+                        }
+                    }
+                    // The op table is laid out block-by-block; every entry
+                    // must carry the block id its pc belongs to.
+                    debug_assert_eq!(op.block, kernel.blocks.block_of(pc));
+                    // Data access through the D-cache (cache-centric mode).
+                    if let Some(dc) = self.dcache.as_mut() {
+                        if op.is_dma() {
+                            return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
+                        }
+                        if op.flags & (F_LOAD | F_STORE) != 0 {
+                            if self.skip_dcache[t] {
+                                self.skip_dcache[t] = false;
+                            } else {
+                                let addr = state.regs[t][op.b as usize].wrapping_add(op.imm as u32);
+                                let out = dc.access(addr, op.flags & F_STORE != 0);
+                                if !out.hit {
+                                    let line_bytes = dc.config().line_bytes;
+                                    let fill = Segment {
+                                        addr: out.fill_line.expect("miss has a fill"),
+                                        bytes: line_bytes,
+                                        write: false,
+                                    };
+                                    let mut segs = [fill, fill];
+                                    let mut n_segs = 1;
+                                    if let Some(wb) = out.writeback_line {
+                                        segs[1] =
+                                            Segment { addr: wb, bytes: line_bytes, write: true };
+                                        n_segs = 2;
+                                    }
+                                    self.status[t] = TaskletStatus::Blocked;
+                                    self.ready_at[t] = u64::MAX;
+                                    self.skip_dcache[t] = true;
+                                    issue_fill(&mut self.mem, sink, h.now, t, &segs[..n_segs]);
+                                    continue;
+                                }
+                            }
+                        }
+                    }
+                    if self.stats.trace.len() < h.trace_limit {
+                        self.stats.trace.push(crate::stats::TraceEntry {
+                            cycle: h.now,
+                            tasklet: t as u32,
+                            pc,
+                            text: kernel.instrs[pc as usize].to_string(),
+                        });
+                    }
+                    return Ok(Some((t, pc)));
+                }
+                if h.issued > 0 {
+                    self.stats.active_cycles += 1;
+                } else {
+                    // Every candidate stalled on a cache fill this cycle.
+                    self.stats.idle_memory += 1.0;
+                    if sink.enabled() {
+                        sink.emit(TraceEvent::Stall {
+                            cycle: h.now,
+                            cycles: 1,
+                            cause: StallCause::Memory,
+                        });
+                    }
+                }
+                h.now += 1;
+                h.in_cycle = false;
+            }
+            if h.live == 0 {
+                return Ok(None);
+            }
+            let now = h.now;
+            if now >= h.max_cycles {
+                return Err(SimError::CycleLimit { limit: h.max_cycles });
+            }
+            // 1. Memory completions (skipped while the engine holds no
+            // outstanding request — `advance` would be a no-op).
+            if self.mem.is_active() {
+                self.mem.advance(now);
+                if sink.enabled() {
+                    self.mem.drain_row_events(sink);
+                }
+                let mut done = std::mem::take(&mut self.done_buf);
+                self.mem.drain_done_into(&mut done);
+                for &(token, at) in &done {
+                    let t = token as usize;
+                    self.status[t] = TaskletStatus::Ready;
+                    self.next_issue[t] = self.next_issue[t].max(at + 1);
+                    self.ready_at[t] = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
+                    h.wake = h.wake.min(self.ready_at[t]);
+                    if sink.enabled() {
+                        sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
+                    }
+                }
+                self.done_buf = done;
+            }
+            // 2. Issuable set as a bitmask (bit `t` = tasklet `t` can
+            // issue). `ready_at` folds the status/window/operand triple of
+            // the reference loop into one compare; while `now < wake` the
+            // set is provably empty and the scan skipped.
+            let mut issuable: u32 = 0;
+            if now >= h.wake {
+                for (t, &at) in self.ready_at.iter().enumerate() {
+                    if now >= at {
+                        issuable |= 1 << t;
+                    }
+                }
+            }
+            let n_issuable = issuable.count_ones() as usize;
+            // 3. Register-file structural block.
+            if h.rf_block > 0 {
+                self.stats.record_tlp_span(n_issuable, 1, &mut self.window_acc);
+                self.stats.idle_rf += 1.0;
+                if sink.enabled() {
+                    sink.emit(TraceEvent::Stall {
+                        cycle: now,
+                        cycles: 1,
+                        cause: StallCause::RegisterFile,
+                    });
+                }
+                h.rf_block -= 1;
+                h.now = now + 1;
+                continue;
+            }
+            // 4. Nothing to issue: attribute the idle span across the
+            // per-tasklet wait reasons (paper Fig 6 categorizes by thread
+            // status), then fast-forward to the next possible event.
+            if issuable == 0 {
+                let count = |s| self.status.iter().filter(|x| **x == s).count() as f64;
+                let n_sched = count(TaskletStatus::Ready);
+                let n_mem = count(TaskletStatus::Blocked);
+                // Blocked/stopped tasklets sit at u64::MAX, so the plain
+                // minimum is the Ready minimum — and the exact `wake`.
+                let mut next = self.ready_at.iter().copied().min().unwrap_or(u64::MAX);
+                h.wake = next;
+                if let Some(e) = self.mem.next_event(now) {
+                    next = next.min(e);
+                }
+                let next = if next == u64::MAX || next <= now { now + 1 } else { next };
+                let span = (next - now).min(h.max_cycles - now);
+                self.stats.record_tlp_span(0, span, &mut self.window_acc);
+                let tot = (n_sched + n_mem).max(1.0);
+                self.stats.idle_memory += span as f64 * n_mem / tot;
+                self.stats.idle_revolver += span as f64 * n_sched / tot;
+                if sink.enabled() {
+                    sink.emit(TraceEvent::Stall {
+                        cycle: now,
+                        cycles: span,
+                        cause: if n_mem >= n_sched {
+                            StallCause::Memory
+                        } else {
+                            StallCause::Revolver
+                        },
+                    });
+                }
+                h.now = now + span;
+                continue;
+            }
+            self.stats.record_tlp_span(n_issuable, 1, &mut self.window_acc);
+            let lo_mask = (1u32 << h.rr) - 1;
+            h.pending_hi = issuable & !lo_mask;
+            h.pending_lo = issuable & lo_mask;
+            h.issued = 0;
+            h.in_cycle = true;
+        }
+    }
+
+    /// Books the instruction [`Engine::pre_issue`] handed out, now that it
+    /// executed with `effect`: instruction mix, issue window, forwarding
+    /// scoreboard, pc / status / DMA, and the tasklet's wake-up entry.
+    #[inline(always)]
+    fn retire<S: TraceSink>(
+        &mut self,
+        h: &mut Hot,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        sink: &mut S,
+        (t, pc): (usize, u32),
+        effect: Effect,
+    ) {
+        let now = h.now;
+        let op = &kernel.ops[pc as usize];
+        self.stats.count_instruction_idx(op.class_idx as usize, t as u32);
+        if sink.enabled() {
+            sink.emit(TraceEvent::InstrRetire {
+                cycle: now,
+                tasklet: t as u32,
+                pc,
+                class: InstrClass::ALL[op.class_idx as usize],
+            });
+            match kernel.instrs[pc as usize] {
+                Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
+                    cycle: now,
+                    tasklet: t as u32,
+                    bit: state.operand(t as u32, bit),
+                    acquired: effect != Effect::AcquireRetry,
+                }),
+                Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
+                    cycle: now,
+                    tasklet: t as u32,
+                    bit: state.operand(t as u32, bit),
+                }),
+                _ => {}
+            }
+        }
+        self.next_issue[t] = now + h.gap;
+        if h.fwd {
+            if let Some(rd) = op.dst() {
+                let lat = if op.is_load() { h.fwd_load } else { h.fwd_alu };
+                self.reg_ready[t * NREGS + rd as usize] = now + lat;
+            }
+        }
+        match effect {
+            Effect::Advance => state.pc[t] = pc + 1,
+            Effect::Jump(target) => state.pc[t] = target,
+            Effect::AcquireRetry => {}
+            Effect::Stop => {
+                self.status[t] = TaskletStatus::Stopped;
+                self.stats.tasklet_stop_cycle[t] = now;
+                h.live -= 1;
+            }
+            Effect::Dma { mram, len, write } => {
+                state.pc[t] = pc + 1;
+                self.status[t] = TaskletStatus::Blocked;
+                if sink.enabled() {
+                    sink.emit(TraceEvent::DmaBegin {
+                        cycle: now,
+                        tasklet: t as u32,
+                        mram,
+                        bytes: len,
+                        write,
+                    });
+                }
+                self.mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
+            }
+        }
+        // Refresh the wakeup entry for the new PC / issue window.
+        if self.status[t] == TaskletStatus::Ready {
+            self.ready_at[t] = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
+            h.wake = h.wake.min(self.ready_at[t]);
+        } else {
+            self.ready_at[t] = u64::MAX;
+        }
+        h.issued += 1;
+        h.rr = t + 1;
+        if h.rf_hazards && op.rf_hazard > 0 {
+            // The split register file (even/odd banks) blocks the issue
+            // stage: no further candidate issues this cycle.
+            h.rf_block = u64::from(op.rf_hazard);
+            h.pending_hi = 0;
+            h.pending_lo = 0;
+        }
+    }
+}
+
+/// Blocks tasklet `t` on a cache fill: the request (line fill, plus the
+/// victim's writeback when dirty) goes to the memory engine.
+fn issue_fill<S: TraceSink>(
+    mem: &mut MemEngine,
+    sink: &mut S,
+    now: u64,
+    t: usize,
+    segs: &[Segment],
+) {
+    if sink.enabled() {
+        sink.emit(TraceEvent::DmaBegin {
+            cycle: now,
+            tasklet: t as u32,
+            mram: segs[0].addr,
+            bytes: segs.iter().map(|s| s.bytes).sum(),
+            write: false,
+        });
+    }
+    mem.issue(t as u64, segs, now);
+}

@@ -15,7 +15,7 @@
 //! 5. **Schedule invariance** — re-running the oracle with a *reversed*
 //!    tasklet service order leaves the same final memory image (the
 //!    generator only emits schedule-independent programs).
-//! 6. **Batch equality** — running the case through the SoA batched
+//! 6. **Batch equality** — running the case through the lockstep batch
 //!    executor ([`pim_dpu::run_batch`], the rank-scale path) produces the
 //!    same `DpuRunStats` rendering and WRAM/MRAM image as the per-DPU
 //!    launch, for every batch member.
@@ -58,7 +58,7 @@ pub enum Invariant {
     SinkInvisibility,
     /// Final memory is independent of the oracle's service order.
     ScheduleInvariance,
-    /// The SoA batched executor matches the per-DPU launch exactly.
+    /// The lockstep batch driver matches the per-DPU launch exactly.
     BatchEquality,
 }
 
@@ -241,7 +241,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
 
     // Invariant 2: the naive per-cycle loop times identically.
     if case.mode.has_naive_loop() {
-        let naive = match run_once(case, case.config().with_naive_loop()) {
+        let naive = match run_once(case, case.config().with_exec_tier(ExecTier::Naive)) {
             Ok(r) => r,
             Err(e) => {
                 return CheckOutcome::Fail(Failure {
@@ -347,7 +347,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    // Invariant 6: the SoA batched executor (the rank-scale path) matches
+    // Invariant 6: the lockstep batch driver (the rank-scale path) matches
     // the per-DPU launch member-for-member. Two members with identical
     // state exercise the lockstep fast path end to end; SIMT and traced
     // configurations fall back to per-DPU launches inside `run_batch` and

@@ -506,7 +506,7 @@ impl PimSystem {
     /// *successful* launches (a DPU that faulted at the launch boundary
     /// never ran); faults armed via [`Dpu::arm_fault`] surface here as
     /// their typed [`SimError`] carrying the faulting DPU's index. Always
-    /// uses the per-DPU executor (never the SoA batch path) so each
+    /// uses the per-DPU executor (never the lockstep batch path) so each
     /// device's armed-fault slot is checked individually.
     pub fn launch_each(&mut self) -> Vec<Result<DpuRunStats, SimError>> {
         let results = self.run_all_chunked();
@@ -556,7 +556,7 @@ impl PimSystem {
         }
     }
 
-    /// Launches the loaded kernel through the rank-scale SoA batch
+    /// Launches the loaded kernel through the rank-scale lockstep batch
     /// executor ([`pim_dpu::run_batch`]): the set is partitioned into
     /// batches of up to `max_batch` contiguous DPUs, and *batches* — not
     /// individual DPUs — are sharded over the worker threads, so each
@@ -577,7 +577,7 @@ impl PimSystem {
     /// Panics if `max_batch` is zero.
     pub fn launch_all_batched(&mut self, max_batch: usize) -> Result<LaunchReport, SimError> {
         assert!(max_batch > 0, "batch size must be at least 1 DPU");
-        // The SoA executor steps a whole batch out of one state block and
+        // The lockstep driver steps a whole batch on one schedule and
         // cannot fail a single member at the boundary, so armed faults are
         // consumed up front: every armed slot is taken (one-shot, matching
         // the per-DPU path, which launches all DPUs before propagating) and

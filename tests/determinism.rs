@@ -23,7 +23,7 @@ fn repeated_runs_are_bit_identical() {
 
 #[test]
 fn rank_scale_rows_are_identical_across_thread_counts_and_batch_sizes() {
-    // The rank sweep shards thousands of DPUs into SoA batches and folds
+    // The rank sweep shards thousands of DPUs into lockstep batches and folds
     // shard rows with order-independent operations, so its *simulated*
     // quantities must be byte-identical however the host parallelizes —
     // worker counts, batch sizes (including 0 = the per-DPU path), and

@@ -81,7 +81,7 @@ fn cached_loop_matches_naive_reference() {
 }
 
 /// Runs one workload over the same 4-DPU population through the per-DPU
-/// path and the SoA batched executor (`batch_dpus = 3`, so the population
+/// path and the lockstep batch driver (`batch_dpus = 3`, so the population
 /// shards into a 3-member batch plus a singleton) and asserts per-DPU
 /// stats are identical field-for-field.
 ///
@@ -119,7 +119,7 @@ fn assert_batched_agrees(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
 #[test]
 fn batched_executor_matches_per_dpu_path() {
     // SIMT configurations fall back to individual launches inside
-    // `run_batch` (`soa_eligible` rejects them), so the batched legs here
+    // `run_batch` (lockstep does not model them), so the batched legs here
     // are the three scoreboard-loop modes; SIMT is covered below.
     for w in all_workloads() {
         for n in TASKLETS {
@@ -128,8 +128,8 @@ fn batched_executor_matches_per_dpu_path() {
             assert_batched_agrees(w.as_ref(), "ilp", ilp);
             if w.supports_cache_mode() {
                 // Cache-centric runs are single-DPU by construction (and
-                // cached mode never enters lockstep), so this leg pins the
-                // batched sweep on a singleton batch.
+                // cached mode never enters lockstep), so this leg pins
+                // `run_batch`'s per-DPU fallback.
                 let cached = DpuConfig::paper_baseline(n).with_paper_caches();
                 let solo = w
                     .run(DatasetSize::Tiny, &RunConfig::single(cached.clone()))
@@ -163,8 +163,8 @@ fn event_tracing_is_invisible_to_both_loops() {
         let legs = [
             ("fast+null", base.clone()),
             ("fast+ring", base.clone().with_event_trace(RING)),
-            ("naive+null", base.clone().with_naive_loop()),
-            ("naive+ring", base.with_naive_loop().with_event_trace(RING)),
+            ("naive+null", base.clone().with_exec_tier(ExecTier::Naive)),
+            ("naive+ring", base.with_exec_tier(ExecTier::Naive).with_event_trace(RING)),
         ];
         let mut rendered: Vec<(&str, Vec<String>)> = Vec::new();
         for (leg, cfg) in legs {

@@ -6,10 +6,10 @@
 //! SpMM-BSR) and *chained* kernel launches with host-side staging between
 //! phases (MLP-Q, ATTN). Each leg must produce byte-identical outputs —
 //! every workload validates its DPU results against the host oracle — and
-//! the naive, fast, and SoA-batched executors must agree on the full
+//! the naive, fast, and lockstep-batched executors must agree on the full
 //! timing statistics, at 1, 8, and 16 tasklets.
 
-use pim_dpu::{DpuConfig, IlpFeatures};
+use pim_dpu::{DpuConfig, ExecTier, IlpFeatures};
 use prim_suite::{nn_workloads, sparse_workloads, DatasetSize, RunConfig, Workload};
 
 const TASKLETS: [u32; 3] = [1, 8, 16];
@@ -30,7 +30,7 @@ fn assert_loops_agree(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
         .as_ref()
         .unwrap_or_else(|e| panic!("{} [{mode}] output failed validation: {e}", w.name()));
     let naive = w
-        .run(DatasetSize::Tiny, &RunConfig::single(cfg.with_naive_loop()))
+        .run(DatasetSize::Tiny, &RunConfig::single(cfg.with_exec_tier(ExecTier::Naive)))
         .unwrap_or_else(|e| panic!("{} [{mode}] naive run failed: {e}", w.name()));
     naive
         .validation
@@ -66,7 +66,7 @@ fn extension_ilp_loop_matches_naive_reference() {
     }
 }
 
-/// 4 DPUs through the per-DPU path and the SoA batched executor
+/// 4 DPUs through the per-DPU path and the lockstep batch driver
 /// (`batch_dpus = 3`: one 3-member batch plus a singleton). The chained
 /// kernels re-enter `run_batch` once per launch, so batch scheduling state
 /// must survive the host staging round-trips too.

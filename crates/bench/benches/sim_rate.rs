@@ -80,6 +80,18 @@ fn main() {
         done
     });
 
+    // The backlog sixteen tasklets leave when each starts a 2 KB DMA in the
+    // same cycle: 512 bursts queued as 32 row runs, drained in one call.
+    bench("dram_backlog_16x2kb", 200, 512, || {
+        let mut bank = DramBank::new(DramConfig::ddr4_2400());
+        let mut done = Vec::new();
+        for t in 0..16u32 {
+            bank.enqueue_run(Access::read(t * (1 << 16), 2048), 0, u64::from(t));
+        }
+        bank.advance_to_tagged(u64::MAX / 2, &mut done);
+        done
+    });
+
     bench("dcache_4096_accesses", 200, 4096, || {
         let mut cache = Cache::new(CacheConfig::paper_dcache());
         for i in 0..4096u32 {

@@ -647,9 +647,7 @@ impl Dpu {
                         next = next.min(ready);
                     }
                 }
-                if let Some(e) = mem.next_event(now) {
-                    next = next.min(e);
-                }
+                next = next.min(mem.due());
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(self.cfg.max_cycles - now);
                 stats.record_tlp_span(0, span, &mut window_acc);

@@ -15,10 +15,19 @@
 //! request completes when its last burst clears the interface. With the MMU
 //! enabled, TLB-missing pages first perform their page-table walk as
 //! dependent bank reads before any data burst is enqueued.
+//!
+//! The engine is event-driven: [`MemEngine::due`] names the first core
+//! cycle at which [`MemEngine::advance`] can change anything, and the cycle
+//! loops skip the call before it. A burst's interface occupancy and a
+//! walk's end are charged at the cycle `advance` *observes* them, so the
+//! skip is exact only because an eager caller would observe nothing
+//! earlier: the bank decides at decision time however far `now` jumps, and
+//! `due` is the first core cycle whose DRAM time reaches the bank's next
+//! event (or a transferred request's finish). Live requests sit in a small
+//! slab in issue order and bursts carry their request's slot through the
+//! bank as a tag, so nothing on the per-burst path hashes.
 
-use std::collections::HashMap;
-
-use pim_dram::{Access, AccessId, DramBank, DramConfig, RowEventKind};
+use pim_dram::{Access, DramBank, DramConfig, RowEventKind};
 use pim_mmu::Mmu;
 use pim_trace::{TraceEvent, TraceSink};
 
@@ -37,25 +46,31 @@ pub(crate) struct Segment {
 }
 
 #[derive(Debug, Clone)]
-enum Phase {
-    /// Waiting for page-walk reads to complete; data segments are held.
-    Walk { remaining: usize },
-    /// Data bursts are in the bank/interface pipeline.
-    Data,
-}
-
-#[derive(Debug, Clone)]
 struct Request {
+    /// Issue sequence number; bursts carry it through the bank.
+    slot: u64,
     token: Token,
-    phase: Phase,
-    /// Physical data segments awaiting enqueue (Walk phase only).
+    /// Page-walk reads still in the bank. While non-zero the data segments
+    /// wait in `held`.
+    walk_left: usize,
+    /// Physical data segments awaiting enqueue (during the walk only).
     held: Vec<Segment>,
     /// Data bursts not yet through the interface.
     pending: usize,
     /// Latest interface-completion cycle seen so far.
     finish: u64,
-    /// Whether every burst has been enqueued and accounted.
-    all_enqueued: bool,
+}
+
+impl Request {
+    /// Every burst is through the interface; the request retires at `finish`.
+    fn transferred(&self) -> bool {
+        self.walk_left == 0 && self.pending == 0
+    }
+}
+
+/// The bank tag of a burst of request `slot`.
+fn tag(slot: u64, is_walk: bool) -> u64 {
+    slot << 1 | u64::from(is_walk)
 }
 
 /// The memory engine. All public times are **core cycles**; the DRAM bank
@@ -75,19 +90,24 @@ pub(crate) struct MemEngine {
     iface_free_at: u64,
     /// Fixed per-request setup latency in core cycles.
     setup: u32,
-    requests: HashMap<u64, Request>,
+    /// Live requests in issue order (at most one per blocked tasklet or
+    /// SIMT lane), so `slot` is ascending.
+    requests: Vec<Request>,
     next_slot: u64,
-    /// Burst → (request slot, is_walk_burst).
-    owner: HashMap<AccessId, (u64, bool)>,
+    /// First core cycle at which `advance` has work; `u64::MAX` when idle.
+    due: u64,
     /// Completions ready to report: (token, completion core cycle).
     done: Vec<(Token, u64)>,
     /// Requests issued (for stats).
     pub requests_issued: u64,
-    scratch: Vec<AccessId>,
+    /// Reusable buffer for the tags of bursts the bank completed.
+    scratch: Vec<u64>,
     /// Reusable buffer for walk-completion bookkeeping in `advance`.
     walk_scratch: Vec<(u64, u64)>,
     /// Reusable buffer for MMU-translated segments in `issue`.
     phys_scratch: Vec<Segment>,
+    /// Reusable buffer for page-table reads in `issue`.
+    pte_scratch: Vec<u32>,
 }
 
 impl MemEngine {
@@ -106,14 +126,15 @@ impl MemEngine {
             iface_rate,
             iface_free_at: 0,
             setup,
-            requests: HashMap::new(),
+            requests: Vec::new(),
             next_slot: 0,
-            owner: HashMap::new(),
+            due: u64::MAX,
             done: Vec::new(),
             requests_issued: 0,
             scratch: Vec::new(),
             walk_scratch: Vec::new(),
             phys_scratch: Vec::new(),
+            pte_scratch: Vec::new(),
         }
     }
 
@@ -150,19 +171,46 @@ impl MemEngine {
         (dram as f64 / self.ratio).ceil() as u64
     }
 
+    /// The first core cycle `c` with `to_dram(c) >= dram`: the cycle at
+    /// which an advance first sees the bank at DRAM cycle `dram`. This is
+    /// `to_core(dram)` whenever the `f64` ceil and floor agree (they do for
+    /// every clock ratio the configurations produce — see the unit test);
+    /// the two loops make `due` exact for any other ratio as well.
+    fn first_core_reaching(&self, dram: u64) -> u64 {
+        let mut core = self.to_core(dram);
+        while core > 0 && self.to_dram(core - 1) >= dram {
+            core -= 1;
+        }
+        while self.to_dram(core) < dram {
+            core += 1;
+        }
+        core
+    }
+
+    /// The bank's next event as a due cycle; `u64::MAX` when it is idle.
+    fn bank_due(&self) -> u64 {
+        self.bank.next_event().map_or(u64::MAX, |d| self.first_core_reaching(d))
+    }
+
+    fn request_mut(&mut self, slot: u64) -> &mut Request {
+        let i = self.requests.binary_search_by_key(&slot, |r| r.slot).expect("live request");
+        &mut self.requests[i]
+    }
+
     /// Issues a request of one or more MRAM segments at core cycle `now`.
     /// Addresses are virtual when an MMU is configured.
     ///
-    /// Allocation-free on the common paths (no MMU, or every page TLB-hits):
-    /// translated segments go through a pooled scratch buffer and walk-read
-    /// collection only allocates on an actual TLB miss.
+    /// Allocation-free on every path but a TLB miss, which moves the pooled
+    /// segment buffer into the request for the duration of the walk:
+    /// translated segments and page-table reads go through scratch buffers.
     pub(crate) fn issue(&mut self, token: Token, segments: &[Segment], now: u64) {
         debug_assert!(!segments.is_empty());
         self.requests_issued += 1;
         let slot = self.next_slot;
         self.next_slot += 1;
         // Translate (MMU) — collect physical segments plus walk reads.
-        let mut walk_reads: Vec<u32> = Vec::new();
+        let mut walk_reads = std::mem::take(&mut self.pte_scratch);
+        walk_reads.clear();
         let mut tlb_cycles: u64 = 0;
         let mut physical = std::mem::take(&mut self.phys_scratch);
         physical.clear();
@@ -185,159 +233,118 @@ impl MemEngine {
             }
         }
         let start = now + u64::from(self.setup) + tlb_cycles;
+        let mut req =
+            Request { slot, token, walk_left: 0, held: Vec::new(), pending: 0, finish: start };
         if walk_reads.is_empty() {
-            let pending = if self.mmu.is_some() {
-                self.enqueue_data(slot, &physical, start)
-            } else {
-                self.enqueue_data(slot, segments, start)
-            };
-            self.requests.insert(
-                slot,
-                Request {
-                    token,
-                    phase: Phase::Data,
-                    held: Vec::new(),
-                    pending,
-                    finish: start, // at minimum
-                    all_enqueued: true,
-                },
-            );
+            let data = if self.mmu.is_some() { &physical[..] } else { segments };
+            req.pending = self.enqueue_data(slot, data, start);
             self.phys_scratch = physical;
         } else {
             walk_reads.sort_unstable();
             walk_reads.dedup();
             let arrival = self.to_dram(start);
-            let remaining = walk_reads.len();
-            for pte in &walk_reads {
-                let id = self.bank.enqueue(Access::read(*pte, 4), arrival);
-                self.owner.insert(id, (slot, true));
+            for &pte in &walk_reads {
+                req.walk_left +=
+                    self.bank.enqueue_run(Access::read(pte, 4), arrival, tag(slot, true));
             }
-            self.requests.insert(
-                slot,
-                Request {
-                    token,
-                    phase: Phase::Walk { remaining },
-                    held: physical,
-                    pending: 0,
-                    finish: start,
-                    all_enqueued: false,
-                },
-            );
+            req.held = physical;
         }
+        self.pte_scratch = walk_reads;
+        // Pull the due cycle forward: the new bursts may start before
+        // anything already in the bank finishes.
+        if req.transferred() {
+            self.due = self.due.min(req.finish);
+        }
+        self.due = self.due.min(self.bank_due());
+        self.requests.push(req);
     }
 
-    /// Splits physical segments into burst-aligned bank accesses enqueued at
-    /// core cycle `start`; returns the number of bursts.
+    /// Enqueues physical segments as bank runs arriving at core cycle
+    /// `start`; returns the number of bursts.
     fn enqueue_data(&mut self, slot: u64, segments: &[Segment], start: u64) -> usize {
-        let burst = self.bank.config().burst_bytes;
         let arrival = self.to_dram(start);
-        let mut count = 0;
-        for seg in segments {
-            let mut addr = seg.addr;
-            let mut left = seg.bytes;
-            while left > 0 {
-                let chunk = (burst - addr % burst).min(left);
-                let access =
-                    if seg.write { Access::write(addr, chunk) } else { Access::read(addr, chunk) };
-                let id = self.bank.enqueue(access, arrival);
-                self.owner.insert(id, (slot, false));
-                addr += chunk;
-                left -= chunk;
-                count += 1;
-            }
-        }
-        count
+        segments
+            .iter()
+            .map(|seg| {
+                let range = Access { addr: seg.addr, bytes: seg.bytes, write: seg.write };
+                self.bank.enqueue_run(range, arrival, tag(slot, false))
+            })
+            .sum()
     }
 
-    /// Drives the engine to core cycle `now`.
+    /// Drives the engine to core cycle `now`. A no-op while `now` is before
+    /// [`MemEngine::due`].
     pub(crate) fn advance(&mut self, now: u64) {
         let mut bank_done = std::mem::take(&mut self.scratch);
         bank_done.clear();
-        self.bank.advance_to(self.to_dram(now), &mut bank_done);
+        self.bank.advance_to_tagged(self.to_dram(now), &mut bank_done);
         let mut walk_finished = std::mem::take(&mut self.walk_scratch);
         walk_finished.clear();
-        for id in &bank_done {
-            let (slot, is_walk) = self.owner.remove(id).expect("burst has an owner");
+        let occupancy = (f64::from(self.bank.config().burst_bytes) / self.iface_rate).ceil() as u64;
+        for &burst in &bank_done {
+            let (slot, is_walk) = (burst >> 1, burst & 1 == 1);
             if is_walk {
-                let req = self.requests.get_mut(&slot).expect("live request");
-                if let Phase::Walk { remaining } = &mut req.phase {
-                    *remaining -= 1;
-                    if *remaining == 0 {
-                        // Walk completion time in core cycles.
-                        // (The burst finished by `now`; use `now` — advance is
-                        // called at event granularity so this is tight.)
-                        walk_finished.push((slot, now));
-                    }
+                let req = self.request_mut(slot);
+                req.walk_left -= 1;
+                if req.walk_left == 0 {
+                    // Walk completion time in core cycles.
+                    // (The burst finished by `now`; use `now` — advance is
+                    // called at event granularity so this is tight.)
+                    walk_finished.push((slot, now));
                 }
             } else {
                 // Data burst: account interface occupancy in completion order.
-                let req = self.requests.get_mut(&slot).expect("live request");
-                let bytes = f64::from(self.bank.config().burst_bytes);
-                let occupancy = (bytes / self.iface_rate).ceil() as u64;
-                let t = self.iface_free_at.max(now);
-                self.iface_free_at = t + occupancy;
-                req.finish = req.finish.max(self.iface_free_at);
+                self.iface_free_at = self.iface_free_at.max(now) + occupancy;
+                let free_at = self.iface_free_at;
+                let req = self.request_mut(slot);
+                req.finish = req.finish.max(free_at);
                 req.pending -= 1;
             }
         }
         self.scratch = bank_done;
-        self.scratch.clear();
         // Requests whose walk completed: enqueue their data bursts now.
         for (slot, at) in walk_finished.drain(..) {
-            let held =
-                std::mem::take(&mut self.requests.get_mut(&slot).expect("live request").held);
+            let held = std::mem::take(&mut self.request_mut(slot).held);
             let pending = self.enqueue_data(slot, &held, at);
-            let req = self.requests.get_mut(&slot).expect("live request");
+            let req = self.request_mut(slot);
             req.pending = pending;
-            req.phase = Phase::Data;
-            req.all_enqueued = true;
             req.finish = req.finish.max(at);
         }
         self.walk_scratch = walk_finished;
-        // Report and drop finished requests.
+        // Report and drop finished requests; what remains sets the due cycle.
+        let mut due = u64::MAX;
         let done = &mut self.done;
-        self.requests.retain(|_, req| {
-            if req.all_enqueued && req.pending == 0 && req.finish <= now {
-                done.push((req.token, req.finish));
-                false
-            } else {
-                true
+        self.requests.retain(|req| {
+            if !req.transferred() {
+                return true;
             }
+            if req.finish <= now {
+                done.push((req.token, req.finish));
+                return false;
+            }
+            due = due.min(req.finish);
+            true
         });
+        self.due = due.min(self.bank_due());
     }
 
     /// Moves the completions accumulated by [`MemEngine::advance`] into
     /// `out` (cleared first), swapping buffers so neither side allocates in
-    /// steady state.
+    /// steady state. Requests that finish in one `advance` are reported in
+    /// the order they were issued.
     pub(crate) fn drain_done_into(&mut self, out: &mut Vec<(Token, u64)>) {
         out.clear();
         std::mem::swap(&mut self.done, out);
     }
 
-    /// Whether a request is outstanding or a completion is unreported.
-    /// When false, [`MemEngine::advance`] is a no-op (the bank holds no
-    /// queued or in-flight bursts — every burst belongs to a live request)
-    /// and the cycle loop may skip it.
-    pub(crate) fn is_active(&self) -> bool {
-        !self.requests.is_empty() || !self.done.is_empty()
-    }
-
-    /// The next core cycle at which progress may occur, or `None` if idle.
-    pub(crate) fn next_event(&self, now: u64) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut consider = |t: u64| {
-            let t = t.max(now + 1);
-            next = Some(next.map_or(t, |n| n.min(t)));
-        };
-        for req in self.requests.values() {
-            if req.all_enqueued && req.pending == 0 {
-                consider(req.finish);
-            }
-        }
-        if let Some(d) = self.bank.next_event() {
-            consider(self.to_core(d));
-        }
-        next
+    /// The first core cycle at which [`MemEngine::advance`] can change
+    /// anything — a bank decision or completion comes due, or a transferred
+    /// request reaches its finish — and `u64::MAX` when nothing is
+    /// outstanding. Calling `advance` earlier is a no-op, so the cycle
+    /// loops skip it and fast-forward idle spans to this cycle;
+    /// [`MemEngine::issue`] pulls it forward.
+    pub(crate) fn due(&self) -> u64 {
+        self.due
     }
 
     /// Whether nothing is queued or in flight.
@@ -360,21 +367,14 @@ mod tests {
     fn run_until_done(e: &mut MemEngine, mut now: u64) -> Vec<(Token, u64)> {
         let mut out = Vec::new();
         let mut buf = Vec::new();
-        let mut guard = 0;
         loop {
             e.advance(now);
             e.drain_done_into(&mut buf);
             out.extend_from_slice(&buf);
-            if e.is_idle() && !out.is_empty() {
+            if e.is_idle() {
                 return out;
             }
-            match e.next_event(now) {
-                Some(n) => now = n,
-                None if e.is_idle() => return out,
-                None => now += 1,
-            }
-            guard += 1;
-            assert!(guard < 1_000_000, "engine failed to quiesce");
+            now = e.due().max(now + 1);
         }
     }
 
@@ -491,5 +491,132 @@ mod tests {
         let done = run_until_done(&mut e, 0);
         assert_eq!(done.len(), 1);
         assert_eq!(e.bank().stats().reads, 2);
+    }
+
+    /// The clock ratios and interface rates of the bandwidth-scaling design
+    /// points (Fig 11 `+4x/16x`, Fig 13) at both core frequencies.
+    fn scaled_engine(mmu: bool, scale: f64, core_mhz: f64, setup: u32) -> MemEngine {
+        let mmu = mmu.then(|| Mmu::new(MmuConfig::paper(), PageTable::identity(16 * 1024)));
+        let dram = DramConfig::ddr4_2400().scaled(scale);
+        MemEngine::new(dram, mmu, dram.freq_mhz / core_mhz, 2.0 * scale, setup)
+    }
+
+    #[test]
+    fn requests_finishing_in_one_advance_report_in_issue_order() {
+        let mut e = engine();
+        let tokens = [5u64, 3, 9, 1, 7, 2, 8, 4];
+        for (i, &t) in tokens.iter().enumerate() {
+            e.issue(t, &[Segment { addr: i as u32 * 4096, bytes: 64, write: false }], 0);
+        }
+        // Every burst is observed here and queues on the interface, 32
+        // cycles each; nothing has cleared it yet.
+        e.advance(1_000_000);
+        assert_eq!(e.due(), 1_000_032);
+        e.advance(2_000_000);
+        let mut done = Vec::new();
+        e.drain_done_into(&mut done);
+        assert_eq!(done.iter().map(|d| d.0).collect::<Vec<_>>(), tokens);
+        assert_eq!(e.due(), u64::MAX);
+    }
+
+    /// `due` converts the bank's next event to the first core cycle whose
+    /// DRAM time reaches it. For the shipped clock ratios that is plain
+    /// `to_core` — the `f64` ceil and floor agree, so the conversion costs
+    /// the idle fast-forward nothing it did not already do — and for a
+    /// ratio where they disagree it is still the first such cycle.
+    #[test]
+    fn due_cycle_is_the_first_core_cycle_reaching_the_dram_cycle() {
+        let mut engines = Vec::new();
+        for core_mhz in [350.0, 700.0] {
+            for scale in [1.0, 2.0, 4.0, 16.0] {
+                engines.push((scaled_engine(false, scale, core_mhz, 0), true));
+            }
+        }
+        // 1200 / 110: ceil overshoots and floor undershoots on some cycles.
+        engines
+            .push((MemEngine::new(DramConfig::ddr4_2400(), None, 1200.0 / 110.0, 2.0, 0), false));
+        for (e, ceil_is_exact) in engines {
+            let mut first = 0u64;
+            let mut disagreements = 0;
+            for d in 0..200_000u64 {
+                while e.to_dram(first) < d {
+                    first += 1;
+                }
+                assert_eq!(e.first_core_reaching(d), first, "ratio {} dram cycle {d}", e.ratio);
+                disagreements += u32::from(e.to_core(d) != first);
+            }
+            assert_eq!(disagreements == 0, ceil_is_exact, "ratio {}", e.ratio);
+        }
+    }
+
+    /// One seeded issue stream through two engines: `eager` is advanced on
+    /// every core cycle, `gated` only from its due cycle on, as the cycle
+    /// loops do. Both must report the same completions on the same cycles,
+    /// agree on the due cycle throughout, and end with the same statistics.
+    /// `setup = 0` is the edge where a request issued at cycle `c` arrives
+    /// at the bank at `to_dram(c)`, the very instant the eager engine has
+    /// just advanced to.
+    #[test]
+    fn gated_advance_matches_eager_advance() {
+        let mut rng = pim_rng::StdRng::seed_from_u64(0x6A7E_D001);
+        for mmu in [false, true] {
+            for scale in [1.0, 4.0, 16.0] {
+                for setup in [0, 24] {
+                    for _case in 0..6 {
+                        let mut eager = scaled_engine(mmu, scale, 350.0, setup);
+                        let mut gated = eager.clone();
+                        let (mut eager_done, mut gated_done) = (Vec::new(), Vec::new());
+                        let mut buf = Vec::new();
+                        let mut skipped = 0u32;
+                        let mut free: Vec<u64> = (0..16).collect();
+                        let mut to_issue = rng.gen_range(20u32..60);
+                        let burstiness = rng.gen_range(1u32..40);
+                        let mut now = 0u64;
+                        while to_issue > 0 || !eager.is_idle() {
+                            eager.advance(now);
+                            eager.drain_done_into(&mut buf);
+                            free.extend(buf.iter().map(|d| d.0));
+                            eager_done.extend(buf.iter().map(|&d| (now, d)));
+                            if now >= gated.due() {
+                                gated.advance(now);
+                                gated.drain_done_into(&mut buf);
+                                gated_done.extend(buf.iter().map(|&d| (now, d)));
+                            } else {
+                                skipped += 1;
+                            }
+                            assert_eq!(gated.due(), eager.due(), "cycle {now}");
+                            // Like a cycle loop: issue after the advance.
+                            while to_issue > 0 && !free.is_empty() && rng.gen_ratio(1, burstiness) {
+                                to_issue -= 1;
+                                let token = free.swap_remove(rng.gen_range(0..free.len()));
+                                let n_segs = rng.gen_range(1usize..3);
+                                let segs: Vec<Segment> = (0..n_segs)
+                                    .map(|_| Segment {
+                                        // A few hot pages, so the TLB both hits and misses.
+                                        addr: rng.gen_range(0u32..24) * 4096 * 5
+                                            + rng.gen_range(0u32..512) * 8,
+                                        bytes: rng.gen_range(1u32..257) * 8,
+                                        write: rng.gen_bool(),
+                                    })
+                                    .collect();
+                                eager.issue(token, &segs, now);
+                                gated.issue(token, &segs, now);
+                                assert_eq!(gated.due(), eager.due(), "issue at cycle {now}");
+                            }
+                            now += 1;
+                            assert!(now < 2_000_000, "engines failed to quiesce");
+                        }
+                        assert!(gated.is_idle());
+                        assert!(skipped > 0, "the gate never closed");
+                        assert_eq!(gated_done, eager_done);
+                        assert_eq!(gated.bank().stats(), eager.bank().stats());
+                        assert_eq!(
+                            gated.mmu().map(|m| *m.stats()),
+                            eager.mmu().map(|m| *m.stats())
+                        );
+                    }
+                }
+            }
+        }
     }
 }

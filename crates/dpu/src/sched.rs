@@ -34,9 +34,13 @@
 //! 3. the issuable set is a bitmask (`MAX_TASKLETS = 24`): the TLP
 //!    histogram takes a popcount and round-robin selection walks set bits
 //!    with `trailing_zeros`, visiting tasklets in the reference order;
-//! 4. the steady state performs no heap allocation: completions drain into
-//!    a reused buffer, DMA segments are stack arrays, and
-//!    `MemEngine::advance` is skipped while the engine is provably inert.
+//! 4. the memory path is event-driven too: `MemEngine::advance` runs only
+//!    from the engine's cached due cycle on (`MemEngine::due` — before it
+//!    the call is provably a no-op, which the reference loop demonstrates
+//!    by making it on every visited cycle), idle spans fast-forward to that
+//!    same cycle, and the steady state performs no heap allocation:
+//!    completions drain into a reused buffer and DMA segments are stack
+//!    arrays.
 
 use pim_cache::Cache;
 use pim_isa::{InstrClass, Instruction};
@@ -396,9 +400,9 @@ impl Engine {
             if now >= h.max_cycles {
                 return Err(SimError::CycleLimit { limit: h.max_cycles });
             }
-            // 1. Memory completions (skipped while the engine holds no
-            // outstanding request — `advance` would be a no-op).
-            if self.mem.is_active() {
+            // 1. Memory completions (skipped until the memory engine's due
+            // cycle — `advance` would be a no-op).
+            if now >= self.mem.due() {
                 self.mem.advance(now);
                 if sink.enabled() {
                     self.mem.drain_row_events(sink);
@@ -456,9 +460,7 @@ impl Engine {
                 // minimum is the Ready minimum — and the exact `wake`.
                 let mut next = self.ready_at.iter().copied().min().unwrap_or(u64::MAX);
                 h.wake = next;
-                if let Some(e) = self.mem.next_event(now) {
-                    next = next.min(e);
-                }
+                next = next.min(self.mem.due());
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(h.max_cycles - now);
                 self.stats.record_tlp_span(0, span, &mut self.window_acc);

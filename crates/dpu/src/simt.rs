@@ -95,7 +95,7 @@ pub(crate) fn run_simt<S: TraceSink>(
         if now >= cfg.max_cycles {
             return Err(SimError::CycleLimit { limit: cfg.max_cycles });
         }
-        if mem.is_active() {
+        if now >= mem.due() {
             mem.advance(now);
             if sink.enabled() {
                 mem.drain_row_events(sink);
@@ -154,9 +154,7 @@ pub(crate) fn run_simt<S: TraceSink>(
                     lanes_mem += live as f64;
                 }
             }
-            if let Some(e) = mem.next_event(now) {
-                next = next.min(e);
-            }
+            next = next.min(mem.due());
             let next = if next == u64::MAX || next <= now { now + 1 } else { next };
             let span = next - now;
             stats.record_tlp_span(0, span, &mut window_acc);

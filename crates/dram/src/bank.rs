@@ -1,4 +1,13 @@
 //! The DRAM bank state machine with FR-FCFS scheduling.
+//!
+//! The queue holds **runs**, not bursts: the bursts of one enqueued range
+//! that fall in one row share an arrival time and a row and are served
+//! head first, so FR-FCFS arbitrates among run heads — one pass over a few
+//! dozen entries where a burst queue would hold hundreds — and peels one
+//! burst off the winner. The per-burst rule is unchanged: a burst queue in
+//! enqueue order keeps each run's bursts adjacent, so "oldest, first in
+//! queue on ties" picks the head of the earliest-enqueued run either way
+//! (`tests/properties.rs` drives a per-burst reference bank against this one).
 
 use std::collections::VecDeque;
 
@@ -10,12 +19,14 @@ use crate::stats::DramStats;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AccessId(pub u64);
 
-/// A single bank access (at most one burst's worth of data within one row).
+/// A bank access: at most one burst's worth of data within one row for
+/// [`DramBank::enqueue`], a byte range of any length for
+/// [`DramBank::enqueue_run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Access {
     /// MRAM byte address of the first byte accessed.
     pub addr: u32,
-    /// Number of bytes accessed (`1..=burst_bytes`, within a single row).
+    /// Number of bytes accessed.
     pub bytes: u32,
     /// `true` for writes, `false` for reads.
     pub write: bool,
@@ -58,16 +69,29 @@ pub struct RowEvent {
     pub kind: RowEventKind,
 }
 
+/// The not-yet-started bursts of one enqueued range that fall in one DRAM
+/// row. They share an arrival time and are address-consecutive, so the
+/// queue holds the run and the scheduler peels bursts off its head.
 #[derive(Debug, Clone, Copy)]
-struct Queued {
-    id: AccessId,
-    access: Access,
+struct Run {
+    /// Bytes of the head burst (a range may start mid-burst; every later
+    /// burst of the run is aligned).
+    head_bytes: u32,
+    /// Bytes not yet started, head burst included.
+    bytes_left: u32,
+    row: u32,
+    write: bool,
     arrival: u64,
+    /// Id of the head burst; the run's bursts are numbered consecutively.
+    first_id: u64,
+    /// Caller's tag, reported by [`DramBank::advance_to_tagged`].
+    tag: u64,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     id: AccessId,
+    tag: u64,
     finish: u64,
 }
 
@@ -84,16 +108,19 @@ struct InFlight {
 #[derive(Debug, Clone)]
 pub struct DramBank {
     cfg: DramConfig,
-    queue: VecDeque<Queued>,
-    in_flight: Vec<InFlight>,
+    /// Queued runs in enqueue order (the FR-FCFS tie-break among equal
+    /// arrivals is first-in-queue).
+    queue: Vec<Run>,
+    /// Bursts queued across all runs.
+    queued_bursts: usize,
+    /// Started bursts, in start order — which is also finish order, since
+    /// CAS times never decrease.
+    in_flight: VecDeque<InFlight>,
     open_row: Option<u32>,
     /// Earliest cycle the next bank command sequence may begin.
     next_start: u64,
     /// Cycle at which the currently open row was activated (for tRAS).
     act_cycle: u64,
-    /// If the scheduler stopped because the next request couldn't start yet,
-    /// the cycle at which it can.
-    blocked_until: Option<u64>,
     next_id: u64,
     stats: DramStats,
     /// Row-buffer commands recorded while `record_events` is set.
@@ -107,12 +134,12 @@ impl DramBank {
     pub fn new(cfg: DramConfig) -> Self {
         DramBank {
             cfg,
-            queue: VecDeque::new(),
-            in_flight: Vec::new(),
+            queue: Vec::new(),
+            queued_bursts: 0,
+            in_flight: VecDeque::new(),
             open_row: None,
             next_start: 0,
             act_cycle: 0,
-            blocked_until: None,
             next_id: 0,
             stats: DramStats::default(),
             row_events: Vec::new(),
@@ -155,7 +182,7 @@ impl DramBank {
     /// Number of queued (not yet started) accesses.
     #[must_use]
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.queued_bursts
     }
 
     /// Enqueues an access arriving at DRAM cycle `now`.
@@ -178,10 +205,53 @@ impl DramBank {
             "access crosses a row boundary"
         );
         let id = AccessId(self.next_id);
-        self.next_id += 1;
-        self.queue.push_back(Queued { id, access, arrival: now });
-        self.blocked_until = None;
+        self.push_run(access, access.bytes, 1, now, 0);
         id
+    }
+
+    /// Enqueues a byte range of any length arriving at DRAM cycle `now`,
+    /// split into burst-aligned accesses exactly as if each had been passed
+    /// to [`DramBank::enqueue`] in address order; returns how many. Every
+    /// one of them reports `tag` from [`DramBank::advance_to_tagged`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range spans a row boundary that is not burst-aligned.
+    pub fn enqueue_run(&mut self, range: Access, now: u64, tag: u64) -> usize {
+        let burst = self.cfg.burst_bytes;
+        let mut piece = range;
+        let mut left = range.bytes;
+        let mut count = 0;
+        while left > 0 {
+            let row_end =
+                u64::from(self.cfg.row_of(piece.addr) + 1) * u64::from(self.cfg.row_bytes);
+            piece.bytes = u64::from(left).min(row_end - u64::from(piece.addr)) as u32;
+            if piece.bytes < left {
+                assert_eq!(row_end % u64::from(burst), 0, "access crosses a row boundary");
+            }
+            let head = (burst - piece.addr % burst).min(piece.bytes);
+            let bursts = 1 + (piece.bytes - head).div_ceil(burst) as usize;
+            self.push_run(piece, head, bursts, now, tag);
+            count += bursts;
+            left -= piece.bytes;
+            piece.addr = piece.addr.wrapping_add(piece.bytes);
+        }
+        count
+    }
+
+    /// Queues one run of `bursts` accesses within a single row.
+    fn push_run(&mut self, range: Access, head_bytes: u32, bursts: usize, arrival: u64, tag: u64) {
+        self.queue.push(Run {
+            head_bytes,
+            bytes_left: range.bytes,
+            row: self.cfg.row_of(range.addr),
+            write: range.write,
+            arrival,
+            first_id: self.next_id,
+            tag,
+        });
+        self.next_id += bursts as u64;
+        self.queued_bursts += bursts;
     }
 
     /// Advances the bank to DRAM cycle `now`, starting every request that can
@@ -193,80 +263,88 @@ impl DramBank {
     /// already queued at that moment participate in FR-FCFS arbitration,
     /// regardless of how far `now` jumps ahead.
     pub fn advance_to(&mut self, now: u64, completed: &mut Vec<AccessId>) {
-        self.blocked_until = None;
-        while !self.queue.is_empty() {
-            let min_arrival = self.queue.iter().map(|q| q.arrival).min().expect("queue non-empty");
-            let decision = self.next_start.max(min_arrival);
+        self.advance(now, |f| completed.push(f.id));
+    }
+
+    /// [`DramBank::advance_to`], reporting each completed access by the tag
+    /// its [`DramBank::enqueue_run`] call carried (0 for
+    /// [`DramBank::enqueue`]).
+    pub fn advance_to_tagged(&mut self, now: u64, completed: &mut Vec<u64>) {
+        self.advance(now, |f| completed.push(f.tag));
+    }
+
+    fn advance(&mut self, now: u64, mut retire: impl FnMut(InFlight)) {
+        // A decision is never earlier than `next_start`, so a busy bank
+        // skips the arbitration pass outright.
+        while !self.queue.is_empty() && self.next_start <= now {
+            let (decision, pick) = self.arbitrate();
             if decision > now {
-                self.blocked_until = Some(decision);
                 break;
             }
-            let pick = self.pick_at(decision).expect("an arrived request exists");
-            let q = self.queue.remove(pick).expect("picked index valid");
-            let finish = self.service(q, decision);
-            self.in_flight.push(InFlight { id: q.id, finish });
+            let run = &mut self.queue[pick];
+            let (bytes, id) = (run.head_bytes, AccessId(run.first_id));
+            let (row, write, arrival, tag) = (run.row, run.write, run.arrival, run.tag);
+            run.bytes_left -= bytes;
+            run.head_bytes = run.bytes_left.min(self.cfg.burst_bytes);
+            run.first_id += 1;
+            if run.bytes_left == 0 {
+                self.queue.remove(pick);
+            }
+            self.queued_bursts -= 1;
+            let finish = self.service(row, bytes, write, arrival, decision);
+            self.in_flight.push_back(InFlight { id, tag, finish });
         }
-        // Retire accesses whose data is complete. After the sort the
-        // finished prefix is contiguous, so a partition point + drain
-        // retires in completion order without a temporary vector.
-        self.in_flight.sort_by_key(|f| f.finish);
-        let done = self.in_flight.partition_point(|f| f.finish <= now);
-        completed.extend(self.in_flight.drain(..done).map(|f| f.id));
+        while let Some(&front) = self.in_flight.front() {
+            if front.finish > now {
+                break;
+            }
+            self.in_flight.pop_front();
+            retire(front);
+        }
     }
 
     /// The next DRAM cycle at which calling [`DramBank::advance_to`] could
-    /// make progress (a completion retires or a blocked request can start),
-    /// or `None` if the bank is idle.
-    ///
-    /// Valid after an [`DramBank::advance_to`] call; enqueueing invalidates
-    /// the hint conservatively (the caller should re-advance).
+    /// make progress (a completion retires or a queued request can start),
+    /// or `None` if the bank is idle. Exact at any time, including between
+    /// an [`DramBank::enqueue`] and the next advance.
     #[must_use]
     pub fn next_event(&self) -> Option<u64> {
-        let mut next = self.in_flight.iter().map(|f| f.finish).min();
-        if let Some(b) = self.blocked_until {
-            next = Some(next.map_or(b, |n| n.min(b)));
+        let finish = self.in_flight.front().map(|f| f.finish);
+        let oldest = self.queue.iter().map(|r| r.arrival).min();
+        match (finish, oldest.map(|a| a.max(self.next_start))) {
+            (Some(f), Some(d)) => Some(f.min(d)),
+            (f, d) => f.or(d),
         }
-        if next.is_none() && !self.queue.is_empty() {
-            // advance_to has not run since the last enqueue; the caller
-            // should re-advance immediately.
-            next = Some(self.next_start);
-        }
-        next
     }
 
-    /// FR-FCFS pick among requests that have arrived by `decision` time: the
-    /// oldest row-hit request, unless the oldest overall request has waited
-    /// past the starvation cap, in which case it wins. Returns a queue index.
-    fn pick_at(&self, decision: u64) -> Option<usize> {
-        let arrived = |q: &Queued| q.arrival <= decision;
-        let oldest = self
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| arrived(q))
-            .min_by_key(|(_, q)| q.arrival)?;
-        if decision.saturating_sub(oldest.1.arrival) > self.cfg.starvation_cap {
-            return Some(oldest.0);
-        }
-        if let Some(open) = self.open_row {
-            let hit = self
-                .queue
-                .iter()
-                .enumerate()
-                .filter(|(_, q)| arrived(q) && self.cfg.row_of(q.access.addr) == open)
-                .min_by_key(|(_, q)| q.arrival);
-            if let Some((i, _)) = hit {
-                return Some(i);
+    /// One FR-FCFS decision over the (non-empty) queue of run heads, in a
+    /// single pass. The decision time is the moment the bank is free and
+    /// the oldest request has arrived; among the runs arrived by then the
+    /// oldest row hit wins, unless the oldest overall has waited past the
+    /// starvation cap. Equal arrivals resolve to the first in queue.
+    /// Returns the decision time and the index of the chosen run.
+    fn arbitrate(&self) -> (u64, usize) {
+        let mut oldest = (u64::MAX, 0);
+        let mut oldest_hit = (u64::MAX, 0);
+        for (i, run) in self.queue.iter().enumerate() {
+            if run.arrival < oldest.0 {
+                oldest = (run.arrival, i);
+            }
+            if Some(run.row) == self.open_row && run.arrival < oldest_hit.0 {
+                oldest_hit = (run.arrival, i);
             }
         }
-        Some(oldest.0)
+        let decision = self.next_start.max(oldest.0);
+        let starved = decision - oldest.0 > self.cfg.starvation_cap;
+        // If the oldest hit has not arrived by `decision`, no hit has.
+        let pick = if !starved && oldest_hit.0 <= decision { oldest_hit.1 } else { oldest.1 };
+        (decision, pick)
     }
 
-    /// Runs the bank state machine for one access starting at `start`;
-    /// returns the cycle its data transfer completes.
-    fn service(&mut self, q: Queued, start: u64) -> u64 {
+    /// Runs the bank state machine for one access of `bytes` in `row`
+    /// starting at `start`; returns the cycle its data transfer completes.
+    fn service(&mut self, row: u32, bytes: u32, write: bool, arrival: u64, start: u64) -> u64 {
         let cfg = self.cfg;
-        let row = cfg.row_of(q.access.addr);
         let cas_at = match self.open_row {
             Some(open) if open == row => {
                 self.stats.row_hits += 1;
@@ -305,14 +383,14 @@ impl DramBank {
         };
         let finish = cas_at + cfg.t_cl + cfg.t_bl;
         self.next_start = cas_at + cfg.t_ccd;
-        if q.access.write {
+        if write {
             self.stats.writes += 1;
-            self.stats.bytes_written += u64::from(q.access.bytes);
+            self.stats.bytes_written += u64::from(bytes);
         } else {
             self.stats.reads += 1;
-            self.stats.bytes_read += u64::from(q.access.bytes);
+            self.stats.bytes_read += u64::from(bytes);
         }
-        self.stats.total_latency += finish - q.arrival;
+        self.stats.total_latency += finish - arrival;
         finish
     }
 }
@@ -445,6 +523,54 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(bank.next_event(), None);
         assert!(bank.is_idle());
+    }
+
+    #[test]
+    fn enqueue_while_a_burst_is_in_flight_reports_the_earlier_start() {
+        let cfg = DramConfig::ddr4_2400();
+        let mut bank = DramBank::new(cfg);
+        bank.enqueue(Access::read(0, 64), 0);
+        let mut out = Vec::new();
+        bank.advance_to(0, &mut out);
+        let finish = cfg.t_rcd + cfg.t_cl + cfg.t_bl;
+        assert_eq!(bank.next_event(), Some(finish));
+        // A second access can start at tRCD + tCCD, long before the first
+        // one's data is back; the hint must name that cycle with no
+        // advance in between.
+        bank.enqueue(Access::read(64, 64), 1);
+        assert_eq!(bank.next_event(), Some(cfg.t_rcd + cfg.t_ccd));
+        // A later arrival moves the start, never past the in-flight finish.
+        let mut late = DramBank::new(cfg);
+        late.enqueue(Access::read(0, 64), 0);
+        late.advance_to(0, &mut out);
+        late.enqueue(Access::read(64, 64), 25);
+        assert_eq!(late.next_event(), Some(25));
+        late.enqueue(Access::read(128, 64), 500);
+        assert_eq!(late.next_event(), Some(25));
+    }
+
+    #[test]
+    fn run_splits_like_per_burst_enqueues() {
+        let cfg = DramConfig::ddr4_2400();
+        // 2000 bytes from byte 1000: a 24-byte head up to the row boundary,
+        // one full row, and a 952-byte tail (14 bursts + 56 bytes).
+        let mut runs = DramBank::new(cfg);
+        assert_eq!(runs.enqueue_run(Access::write(1000, 2000), 7, 5), 1 + 16 + 15);
+        assert_eq!(runs.queue_len(), 32);
+        let mut bursts = DramBank::new(cfg);
+        let (mut addr, mut left) = (1000u32, 2000u32);
+        while left > 0 {
+            let chunk = (cfg.burst_bytes - addr % cfg.burst_bytes).min(left);
+            bursts.enqueue(Access::write(addr, chunk), 7);
+            addr += chunk;
+            left -= chunk;
+        }
+        let mut tags = Vec::new();
+        runs.advance_to_tagged(1_000_000, &mut tags);
+        assert_eq!(tags, vec![5; 32]);
+        drain(&mut bursts, 1_000_000);
+        assert_eq!(runs.stats(), bursts.stats());
+        assert!(runs.is_idle() && runs.queue_len() == 0);
     }
 
     #[test]

@@ -80,3 +80,49 @@ fn multi_dpu_runs_are_bit_identical() {
         }
     }
 }
+
+#[test]
+fn dma_event_streams_are_identical_across_runs() {
+    // Sixteen tasklets stream blocks through the bank at once, so the
+    // memory engine retires requests back to back. It reports completions
+    // in issue order, never in the iteration order of a hashed container
+    // (which differs between two instances in one process), so the
+    // `DmaEnd` order, and with it the whole event stream, must repeat
+    // exactly.
+    use pim_asm::KernelBuilder;
+    use pim_dpu::Dpu;
+    use pim_isa::Cond;
+    use pim_trace::TraceEvent;
+
+    const TASKLETS: u32 = 16;
+    const BLOCK: u32 = 1024;
+    const ROUNDS: u32 = 3;
+    let mut k = KernelBuilder::new();
+    let buf = k.alloc_wram(BLOCK * TASKLETS, 8);
+    let [w, m, d, end] = k.regs(["w", "m", "d", "end"]);
+    k.tid(m);
+    k.mul(m, m, BLOCK as i32);
+    k.add(w, m, buf as i32);
+    k.add(end, m, (ROUNDS * BLOCK * TASKLETS) as i32);
+    let top = k.label_here("copy");
+    k.ldma(w, m, BLOCK as i32);
+    k.add(d, m, 1 << 20);
+    k.sdma(w, d, BLOCK as i32);
+    k.add(m, m, (BLOCK * TASKLETS) as i32);
+    k.branch(Cond::Ltu, m, end, &top);
+    k.stop();
+    let program = k.build().expect("DMA kernel builds");
+
+    let events = || {
+        let mut dpu = Dpu::new(DpuConfig::paper_baseline(TASKLETS).with_event_trace(1 << 16));
+        dpu.load_program(&program).unwrap();
+        dpu.launch().expect("DMA kernel completes");
+        let trace = dpu.take_trace().expect("tracing is on");
+        assert_eq!(trace.dropped, 0);
+        trace.events
+    };
+    let first = events();
+    let ends = first.iter().filter(|e| matches!(e, TraceEvent::DmaEnd { .. })).count();
+    assert_eq!(ends as u32, 2 * ROUNDS * TASKLETS);
+    assert!(first == events(), "event stream differs between two runs");
+}

@@ -55,13 +55,18 @@ fn main() {
     }
     println!("== pim-bench micro-benchmarks ==");
 
-    let program = alu_kernel(2000);
-    // ~16 × 5 × 2000 instructions per launch.
-    bench("dpu_16t_alu_kernel", 20, 16 * 5 * 2000, || {
-        let mut dpu = Dpu::new(DpuConfig::paper_baseline(16));
-        dpu.load_program(&program).unwrap();
-        dpu.launch().unwrap()
-    });
+    // ~160 k instructions per launch at every tasklet count. Sixteen
+    // tasklets issue on every cycle; at four and at one the idle
+    // fast-forward runs between most (at one: all) instructions.
+    for (tasklets, iters) in [(16u32, 2000), (4, 8000), (1, 32_000)] {
+        let program = alu_kernel(iters);
+        let instrs = u64::from(tasklets) * 5 * iters as u64;
+        bench(&format!("dpu_{tasklets}t_alu_kernel"), 20, instrs, || {
+            let mut dpu = Dpu::new(DpuConfig::paper_baseline(tasklets));
+            dpu.load_program(&program).unwrap();
+            dpu.launch().unwrap()
+        });
+    }
 
     for name in ["VA", "GEMV", "BS"] {
         let w = workload_by_name(name).unwrap();

@@ -5,7 +5,7 @@
 //!
 //! The tuner sweeps a fixed grid per workload through the parallel
 //! [`JobRunner`] and scores every point by **simulated** end-to-end wall
-//! time ([`ExecutionTimeline::wall_ns`]), so the emitted table
+//! time ([`pim_host::ExecutionTimeline::wall_ns`]), so the emitted table
 //! (`results/tuned.json`, schema [`TUNE_SCHEMA`]) is a pure function of
 //! `(workload set, grid, size)`: byte-identical at any `--threads`
 //! value. Ties break to the earlier grid point. `pimsim serve --tuned
@@ -38,7 +38,7 @@ pub const TUNE_SCHEMA: &str = "pim-tune/1";
 /// One tuned configuration: the winning grid point of one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TunedEntry {
-    /// Canonical workload name (as [`Workload::name`] spells it).
+    /// Canonical workload name (as [`prim_suite::Workload::name`] spells it).
     pub workload: String,
     /// Family label (`dense` | `sparse` | `nn-inference`).
     pub family: String,

@@ -1,8 +1,9 @@
 //! Fault-injection hooks at the launch boundary.
 //!
-//! Sibling of [`crate::mutation`]: a runtime-off switch that costs nothing
-//! when untouched, except this one is *per DPU* rather than process-global
-//! — a fault campaign fails individual devices, not the build. A
+//! Sibling of `crate::mutation` (compiled in by the `mutation-hooks`
+//! feature): a runtime-off switch that costs nothing when untouched, except
+//! this one is *per DPU* rather than process-global — a fault campaign
+//! fails individual devices, not the build. A
 //! [`FaultKind`] armed on a [`crate::Dpu`] makes its **next** launch
 //! return the corresponding typed [`SimError`] instead of running the
 //! kernel (the host launch paths check the armed slot before dispatch, so

@@ -29,11 +29,17 @@
 //!    `Instruction` enum every cycle;
 //! 2. event-driven wakeup: `ready_at[t]` caches each tasklet's earliest
 //!    issue cycle (`max(next_issue, operand forwarding)`, `u64::MAX` while
-//!    blocked or stopped) and `wake` holds a lower bound on their minimum,
-//!    so the issuable scan is skipped outright while `now < wake`;
+//!    blocked or stopped), and the issuable set `{t : ready_at[t] <= now}`
+//!    is *maintained* rather than recomputed ([`ReadySet`]): it changes only
+//!    when a `ready_at[t]` is written or the clock moves, so a write files
+//!    the tasklet under its wake-up cycle on a 64-slot timing wheel and a
+//!    clock advance folds the slot of the new cycle into the set — O(1)
+//!    per simulated cycle where the reference loop scans every tasklet;
 //! 3. the issuable set is a bitmask (`MAX_TASKLETS = 24`): the TLP
-//!    histogram takes a popcount and round-robin selection walks set bits
-//!    with `trailing_zeros`, visiting tasklets in the reference order;
+//!    histogram takes a popcount, round-robin selection walks set bits
+//!    with `trailing_zeros`, visiting tasklets in the reference order, and
+//!    a second mask of blocked tasklets makes the idle attribution two
+//!    popcounts;
 //! 4. the memory path is event-driven too: `MemEngine::advance` runs only
 //!    from the engine's cached due cycle on (`MemEngine::due` — before it
 //!    the call is provably a no-op, which the reference loop demonstrates
@@ -48,7 +54,7 @@ use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
 use crate::config::MemoryMode;
-use crate::dpu::{Dpu, TaskletStatus};
+use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{MemEngine, Segment};
@@ -101,6 +107,95 @@ impl Dispatch for FastDispatch {
     }
 }
 
+/// Slots on the timing wheel: a wake-up fewer than this many cycles ahead
+/// is filed under its own cycle.
+const WHEEL_SLOTS: u64 = 64;
+
+/// The issuable set `{t : ready_at[t] <= now}`, maintained at the two kinds
+/// of event that change it — a write to `ready_at[t]` ([`ReadySet::place`])
+/// and the clock moving ([`ReadySet::advance`]) — instead of re-derived by
+/// a scan.
+///
+/// `ready_at` is the truth; every tasklet with a finite entry `at` sits in
+/// exactly one container: `ready` (`at <= now`), wheel slot `at % 64`
+/// (`now < at < now + 64`) or `far` (`at >= now + 64`, re-filed on every
+/// clock advance; only forwarding latencies of 64 cycles or more get
+/// there). The clock never moves past an occupied slot: single steps visit
+/// every cycle, and the idle fast-forward lands no later than
+/// [`ReadySet::min_at`].
+#[derive(Clone)]
+struct ReadySet {
+    /// Exact earliest issue cycle per tasklet; `u64::MAX` while blocked or
+    /// stopped.
+    ready_at: Vec<u64>,
+    ready: u32,
+    wheel: [u32; WHEEL_SLOTS as usize],
+    far: u32,
+}
+
+impl ReadySet {
+    /// `n` tasklets, all issuable at cycle 0.
+    fn new(n: usize) -> Self {
+        ReadySet {
+            ready_at: vec![0; n],
+            ready: (1 << n) - 1,
+            wheel: [0; WHEEL_SLOTS as usize],
+            far: 0,
+        }
+    }
+
+    /// Sets tasklet `t`'s earliest issue cycle. Only a tasklet that is in
+    /// `ready` (it just issued, or missed a cache) or in no container (it
+    /// was blocked) is ever re-placed — never one waiting in a slot.
+    #[inline(always)]
+    fn place(&mut self, now: u64, t: usize, at: u64) {
+        debug_assert!(
+            self.ready_at[t] <= now || self.ready_at[t] == u64::MAX,
+            "re-placed out of a slot"
+        );
+        self.ready_at[t] = at;
+        self.ready &= !(1 << t);
+        self.file(now, t, at);
+    }
+
+    /// Puts tasklet `t`, currently in no container, where `at` belongs.
+    #[inline(always)]
+    fn file(&mut self, now: u64, t: usize, at: u64) {
+        let bit = 1 << t;
+        if at <= now {
+            self.ready |= bit;
+        } else if at - now < WHEEL_SLOTS {
+            self.wheel[(at % WHEEL_SLOTS) as usize] |= bit;
+        } else if at != u64::MAX {
+            self.far |= bit;
+        }
+    }
+
+    /// Moves the clock to `now`, which must not lie beyond
+    /// [`ReadySet::min_at`] unless `ready` is non-empty already.
+    #[inline(always)]
+    fn advance(&mut self, now: u64) {
+        let mut far = std::mem::take(&mut self.far);
+        while far != 0 {
+            let t = far.trailing_zeros() as usize;
+            far &= far - 1;
+            self.file(now, t, self.ready_at[t]);
+        }
+        self.ready |= std::mem::take(&mut self.wheel[(now % WHEEL_SLOTS) as usize]);
+        debug_assert_eq!(self.ready, self.scan(now), "a wake-up was skipped or left behind");
+    }
+
+    /// The earliest wake-up of any tasklet, `u64::MAX` when none is due.
+    fn min_at(&self) -> u64 {
+        self.ready_at.iter().copied().min().unwrap_or(u64::MAX)
+    }
+
+    /// The issuable set by its definition: what `ready` must equal.
+    fn scan(&self, now: u64) -> u32 {
+        self.ready_at.iter().enumerate().fold(0, |set, (t, &at)| set | u32::from(at <= now) << t)
+    }
+}
+
 /// The engine's per-cycle scalars: configuration-derived constants, the
 /// clock and round-robin state, and the in-cycle issue cursor.
 #[derive(Clone, Copy)]
@@ -116,9 +211,9 @@ struct Hot {
     iram_base: u32,
     max_cycles: u64,
     trace_limit: usize,
-    /// Lower bound on `min(ready_at)`, re-tightened on every idle span.
-    wake: u64,
     live: usize,
+    /// Tasklets waiting on the memory system (DMA or cache fill).
+    blocked: u32,
     now: u64,
     rf_block: u64,
     rr: usize,
@@ -134,13 +229,11 @@ struct Hot {
 #[derive(Clone)]
 pub(crate) struct Engine {
     hot: Hot,
-    status: Vec<TaskletStatus>,
+    ready_set: ReadySet,
     next_issue: Vec<u64>,
     /// Forwarding scoreboard, flattened: register `r` of tasklet `t` is
     /// ready at `reg_ready[t * NREGS + r]`.
     reg_ready: Vec<u64>,
-    /// Exact earliest issue cycle for Ready tasklets, `u64::MAX` otherwise.
-    ready_at: Vec<u64>,
     skip_dcache: Vec<bool>,
     window_acc: (u64, u64),
     icache: Option<Cache>,
@@ -179,8 +272,8 @@ impl Engine {
                 iram_base: dpu.iram_backing_base(),
                 max_cycles: cfg.max_cycles,
                 trace_limit: cfg.trace_limit,
-                wake: 0,
                 live: n,
+                blocked: 0,
                 now: 0,
                 rf_block: 0,
                 rr: 0,
@@ -189,10 +282,9 @@ impl Engine {
                 pending_lo: 0,
                 issued: 0,
             },
-            status: vec![TaskletStatus::Ready; n],
+            ready_set: ReadySet::new(n),
             next_issue: vec![0; n],
             reg_ready: vec![0; n * NREGS],
-            ready_at: vec![0; n],
             skip_dcache: vec![false; n],
             window_acc: (0, 0),
             icache,
@@ -309,9 +401,9 @@ impl Engine {
                     } else {
                         break;
                     };
-                    if self.status[t] != TaskletStatus::Ready {
-                        continue;
-                    }
+                    // A candidate leaves the issuable set only by its own
+                    // issue, and its pending bit went when it was picked.
+                    debug_assert!(self.ready_set.ready & (1 << t) != 0);
                     let pc = state.pc[t];
                     let Some(op) = kernel.ops.get(pc as usize) else {
                         return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
@@ -324,8 +416,8 @@ impl Engine {
                             let line = out.fill_line.expect("miss has a fill");
                             let fill =
                                 Segment { addr: line, bytes: ic.config().line_bytes, write: false };
-                            self.status[t] = TaskletStatus::Blocked;
-                            self.ready_at[t] = u64::MAX;
+                            h.blocked |= 1 << t;
+                            self.ready_set.place(h.now, t, u64::MAX);
                             issue_fill(&mut self.mem, sink, h.now, t, &[fill]);
                             continue;
                         }
@@ -358,8 +450,8 @@ impl Engine {
                                             Segment { addr: wb, bytes: line_bytes, write: true };
                                         n_segs = 2;
                                     }
-                                    self.status[t] = TaskletStatus::Blocked;
-                                    self.ready_at[t] = u64::MAX;
+                                    h.blocked |= 1 << t;
+                                    self.ready_set.place(h.now, t, u64::MAX);
                                     self.skip_dcache[t] = true;
                                     issue_fill(&mut self.mem, sink, h.now, t, &segs[..n_segs]);
                                     continue;
@@ -391,6 +483,7 @@ impl Engine {
                     }
                 }
                 h.now += 1;
+                self.ready_set.advance(h.now);
                 h.in_cycle = false;
             }
             if h.live == 0 {
@@ -411,10 +504,10 @@ impl Engine {
                 self.mem.drain_done_into(&mut done);
                 for &(token, at) in &done {
                     let t = token as usize;
-                    self.status[t] = TaskletStatus::Ready;
+                    h.blocked &= !(1 << t);
                     self.next_issue[t] = self.next_issue[t].max(at + 1);
-                    self.ready_at[t] = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
-                    h.wake = h.wake.min(self.ready_at[t]);
+                    let wake = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
+                    self.ready_set.place(now, t, wake);
                     if sink.enabled() {
                         sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
                     }
@@ -423,20 +516,13 @@ impl Engine {
             }
             // 2. Issuable set as a bitmask (bit `t` = tasklet `t` can
             // issue). `ready_at` folds the status/window/operand triple of
-            // the reference loop into one compare; while `now < wake` the
-            // set is provably empty and the scan skipped.
-            let mut issuable: u32 = 0;
-            if now >= h.wake {
-                for (t, &at) in self.ready_at.iter().enumerate() {
-                    if now >= at {
-                        issuable |= 1 << t;
-                    }
-                }
-            }
+            // the reference loop into one compare, and the ready set holds
+            // the outcome of that compare for every tasklet.
+            let issuable = self.ready_set.ready;
             let n_issuable = issuable.count_ones() as usize;
             // 3. Register-file structural block.
             if h.rf_block > 0 {
-                self.stats.record_tlp_span(n_issuable, 1, &mut self.window_acc);
+                self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
                 self.stats.idle_rf += 1.0;
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
@@ -447,20 +533,19 @@ impl Engine {
                 }
                 h.rf_block -= 1;
                 h.now = now + 1;
+                self.ready_set.advance(h.now);
                 continue;
             }
             // 4. Nothing to issue: attribute the idle span across the
             // per-tasklet wait reasons (paper Fig 6 categorizes by thread
             // status), then fast-forward to the next possible event.
             if issuable == 0 {
-                let count = |s| self.status.iter().filter(|x| **x == s).count() as f64;
-                let n_sched = count(TaskletStatus::Ready);
-                let n_mem = count(TaskletStatus::Blocked);
-                // Blocked/stopped tasklets sit at u64::MAX, so the plain
-                // minimum is the Ready minimum — and the exact `wake`.
-                let mut next = self.ready_at.iter().copied().min().unwrap_or(u64::MAX);
-                h.wake = next;
-                next = next.min(self.mem.due());
+                let n_blocked = h.blocked.count_ones() as usize;
+                let n_sched = (h.live - n_blocked) as f64;
+                let n_mem = n_blocked as f64;
+                // Landing no later than the earliest wake-up, the jump
+                // passes no occupied wheel slot.
+                let next = self.ready_set.min_at().min(self.mem.due());
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(h.max_cycles - now);
                 self.stats.record_tlp_span(0, span, &mut self.window_acc);
@@ -479,9 +564,10 @@ impl Engine {
                     });
                 }
                 h.now = now + span;
+                self.ready_set.advance(h.now);
                 continue;
             }
-            self.stats.record_tlp_span(n_issuable, 1, &mut self.window_acc);
+            self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
             let lo_mask = (1u32 << h.rr) - 1;
             h.pending_hi = issuable & !lo_mask;
             h.pending_lo = issuable & lo_mask;
@@ -535,18 +621,20 @@ impl Engine {
                 self.reg_ready[t * NREGS + rd as usize] = now + lat;
             }
         }
+        let mut runnable = true;
         match effect {
             Effect::Advance => state.pc[t] = pc + 1,
             Effect::Jump(target) => state.pc[t] = target,
             Effect::AcquireRetry => {}
             Effect::Stop => {
-                self.status[t] = TaskletStatus::Stopped;
+                runnable = false;
                 self.stats.tasklet_stop_cycle[t] = now;
                 h.live -= 1;
             }
             Effect::Dma { mram, len, write } => {
                 state.pc[t] = pc + 1;
-                self.status[t] = TaskletStatus::Blocked;
+                runnable = false;
+                h.blocked |= 1 << t;
                 if sink.enabled() {
                     sink.emit(TraceEvent::DmaBegin {
                         cycle: now,
@@ -560,12 +648,12 @@ impl Engine {
             }
         }
         // Refresh the wakeup entry for the new PC / issue window.
-        if self.status[t] == TaskletStatus::Ready {
-            self.ready_at[t] = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
-            h.wake = h.wake.min(self.ready_at[t]);
+        let wake = if runnable {
+            self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t])
         } else {
-            self.ready_at[t] = u64::MAX;
-        }
+            u64::MAX
+        };
+        self.ready_set.place(now, t, wake);
         h.issued += 1;
         h.rr = t + 1;
         if h.rf_hazards && op.rf_hazard > 0 {
@@ -597,4 +685,86 @@ fn issue_fill<S: TraceSink>(
         });
     }
     mem.issue(t as u64, segs, now);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pim_rng::StdRng;
+
+    /// `ready` against its definition, and every tasklet with a finite
+    /// wake-up in exactly one container, inside that container's window.
+    fn check(set: &ReadySet, now: u64) {
+        assert_eq!(set.ready, set.scan(now), "ready set at cycle {now}");
+        for (t, &at) in set.ready_at.iter().enumerate() {
+            let bit = 1u32 << t;
+            let slots: Vec<u64> =
+                (0..WHEEL_SLOTS).filter(|&s| set.wheel[s as usize] & bit != 0).collect();
+            let in_far = set.far & bit != 0;
+            let homes = usize::from(set.ready & bit != 0) + slots.len() + usize::from(in_far);
+            assert_eq!(homes, usize::from(at != u64::MAX), "tasklet {t} (at {at}) at cycle {now}");
+            for s in slots {
+                assert!(
+                    now < at && at - now < WHEEL_SLOTS && at % WHEEL_SLOTS == s,
+                    "slot {s}: at {at}, now {now}"
+                );
+            }
+            assert!(!in_far || at - now >= WHEEL_SLOTS, "far: at {at}, now {now}");
+        }
+    }
+
+    /// Seeded op streams — issue (re-place a ready tasklet ahead), block,
+    /// stop, completion (place a blocked tasklet), single-cycle ticks and
+    /// idle jumps up to the minimum — with the invariant checked after
+    /// every step.
+    #[test]
+    fn ready_set_matches_its_definition() {
+        for seed in 0..32 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1..25usize);
+            let gap = rng.gen_range(1..24u64);
+            let mut set = ReadySet::new(n);
+            let mut now = 0u64;
+            let mut blocked = 0u32;
+            check(&set, now);
+            for _ in 0..4000 {
+                let t = rng.gen_range(0..n);
+                let ahead = [0, 1, gap, 63, 64, 65, 1_000_000][rng.gen_range(0..7usize)];
+                match rng.gen_range(0..8u32) {
+                    // Issue, D-cache-miss block and stop take a ready tasklet.
+                    0..=2 if set.ready & (1 << t) != 0 => set.place(now, t, now + ahead),
+                    3 if set.ready & (1 << t) != 0 => {
+                        blocked |= 1 << t;
+                        set.place(now, t, u64::MAX);
+                    }
+                    // Rarely, so that tasklets are left to the end of the stream.
+                    4 if set.ready & (1 << t) != 0 && rng.gen_range(0..64u32) == 0 => {
+                        set.place(now, t, u64::MAX);
+                    }
+                    // A completion wakes a blocked one.
+                    5 if blocked & (1 << t) != 0 => {
+                        blocked &= !(1 << t);
+                        set.place(now, t, now + ahead);
+                    }
+                    6 => {
+                        now += 1;
+                        set.advance(now);
+                    }
+                    // The idle fast-forward: to the minimum, or short of it
+                    // (a memory event falls due first).
+                    7 if set.ready == 0 && set.min_at() != u64::MAX => {
+                        let span = set.min_at() - now;
+                        now += if rng.gen_range(0..2u32) == 0 {
+                            span
+                        } else {
+                            rng.gen_range(1..span + 1)
+                        };
+                        set.advance(now);
+                    }
+                    _ => continue,
+                }
+                check(&set, now);
+            }
+        }
+    }
 }

@@ -178,9 +178,7 @@ impl DpuRunStats {
     pub(crate) fn count_instruction_idx(&mut self, idx: usize, tasklet: u32) {
         self.instructions += 1;
         self.class_counts[idx] += 1;
-        if let Some(slot) = self.per_tasklet_instructions.get_mut(tasklet as usize) {
-            *slot += 1;
-        }
+        self.per_tasklet_instructions[tasklet as usize] += 1;
     }
 
     /// Fraction of instructions in `class`.
@@ -262,6 +260,21 @@ impl DpuRunStats {
         weighted as f64 / cycles as f64
     }
 
+    /// [`DpuRunStats::record_tlp_span`] for a single cycle — the form the
+    /// issue engine calls once per visited cycle. Same integer sums and the
+    /// same `f32` division at the flush, so the timeline is bit-identical.
+    #[inline(always)]
+    pub(crate) fn record_tlp_cycle(&mut self, issuable: usize, window_acc: &mut (u64, u64)) {
+        self.tlp_histogram[issuable] += 1;
+        let (filled, sum) = window_acc;
+        *filled += 1;
+        *sum += issuable as u64;
+        if *filled == self.tlp_window {
+            self.tlp_timeline.push(*sum as f32 / self.tlp_window as f32);
+            *window_acc = (0, 0);
+        }
+    }
+
     /// Internal accounting helper: records `span` cycles with `issuable`
     /// issuable tasklets into the histogram and timeline accumulator.
     pub(crate) fn record_tlp_span(
@@ -270,9 +283,7 @@ impl DpuRunStats {
         span: u64,
         window_acc: &mut (u64, u64),
     ) {
-        if let Some(slot) = self.tlp_histogram.get_mut(issuable) {
-            *slot += span;
-        }
+        self.tlp_histogram[issuable] += span;
         // Timeline: accumulate (cycles, issuable-cycles) and flush whole
         // windows.
         let (ref mut filled, ref mut sum) = *window_acc;
@@ -359,5 +370,21 @@ mod tests {
         assert_eq!(s.tlp_histogram[4], 15);
         assert_eq!(s.tlp_histogram[0], 5);
         assert!((s.mean_issuable() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn one_cycle_form_matches_the_span_form() {
+        // 57 cycles over a 10-cycle window: five flushes and a remainder.
+        let (mut cycle, mut span) = (stats(), stats());
+        let (mut cycle_acc, mut span_acc) = ((0, 0), (0, 0));
+        for c in 0..57usize {
+            let issuable = c * 7 % 5;
+            cycle.record_tlp_cycle(issuable, &mut cycle_acc);
+            span.record_tlp_span(issuable, 1, &mut span_acc);
+        }
+        assert_eq!(cycle.tlp_timeline.len(), 5);
+        assert_eq!(cycle.tlp_timeline, span.tlp_timeline);
+        assert_eq!(cycle.tlp_histogram, span.tlp_histogram);
+        assert_eq!(cycle_acc, span_acc);
     }
 }

@@ -105,7 +105,7 @@ pub struct CampaignReport {
     pub invalid: u32,
     /// Total conformance failures observed (reported + counted).
     pub failures_seen: u32,
-    /// Shrunk, reportable failures (at most [`MAX_REPORTED_FAILURES`]).
+    /// Shrunk, reportable failures (at most `MAX_REPORTED_FAILURES`).
     pub failures: Vec<CampaignFailure>,
     /// The coverage map over all passing cases.
     pub coverage: CoverageMap,

@@ -10,7 +10,7 @@ use pim_isa::Reg;
 /// Inter-region skew (three cache lines) added between a workload's MRAM /
 /// flat-space buffers. Power-of-two-sized buffers at power-of-two-aligned
 /// bases alias to the same cache set under the §V-D cache-centric model
-/// (A[x], B[x], C[x] all landing in one set thrashes even an 8-way cache);
+/// (`A[x]`, `B[x]`, `C[x]` all landing in one set thrashes even an 8-way cache);
 /// real allocators break this alignment with header/metadata padding, and
 /// this constant plays that role.
 pub const REGION_SKEW: u32 = 192;

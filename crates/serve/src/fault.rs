@@ -9,7 +9,7 @@
 //! wall-clock or thread timing, so a faulty run is as byte-reproducible
 //! as a healthy one and a resumed run redraws the identical faults.
 //!
-//! The fault kinds are exactly [`pim_dpu::FaultKind`] — the same typed
+//! The fault kinds are exactly [`pimulator::pim_dpu::FaultKind`] — the same typed
 //! errors the `pim-host` launch boundary produces when a fault is armed
 //! on a device, so the policy layer tolerates precisely what the
 //! hardware boundary can emit.

@@ -5,7 +5,7 @@
 //! therefore maps to a *proxy request kernel*: a partition-built kernel
 //! (mem-bound DMA loop, compute-bound MAC loop, or a mixed loop) whose
 //! intensity is calibrated per workload, built per *slot* so four
-//! requests share one 16-tasklet DPU through [`pim_dpu::colocate`] —
+//! requests share one 16-tasklet DPU through [`pimulator::pim_dpu::colocate`] —
 //! exactly the paper's §V-C co-location machinery, now under load.
 //!
 //! A DPU's *composition* is the vector of request classes occupying its

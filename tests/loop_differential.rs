@@ -148,6 +148,154 @@ fn batched_executor_matches_per_dpu_path() {
     }
 }
 
+/// Launches one hand-written kernel on every executor tier and asserts the
+/// outcomes — full statistics, or the error — are identical. Returns the
+/// reference loop's outcome for the caller's coverage checks.
+fn assert_tiers_agree_on(
+    program: &pim_asm::DpuProgram,
+    what: &str,
+    cfg: &DpuConfig,
+) -> Result<pim_dpu::DpuRunStats, pim_dpu::SimError> {
+    let launch = |tier| {
+        let mut dpu = pim_dpu::Dpu::new(cfg.clone().with_exec_tier(tier));
+        dpu.load_program(program).unwrap_or_else(|e| panic!("{what}: load failed: {e}"));
+        dpu.launch()
+    };
+    let naive = launch(ExecTier::Naive);
+    for (tier_name, tier) in &TIERS[1..] {
+        assert_eq!(
+            format!("{naive:?}"),
+            format!("{:?}", launch(*tier)),
+            "{what}: {tier_name} diverges from naive"
+        );
+    }
+    naive
+}
+
+/// Every tasklet walks its own stride of `data`, one word per 64 B cache
+/// line, consumes each load in the next instruction (a load-use pair) and
+/// then runs `filler` mutually independent ALU instructions before the
+/// next load.
+fn load_use_kernel(lines_per_tasklet: u32, tasklets: u32, filler: u32) -> pim_asm::DpuProgram {
+    use pim_isa::Cond;
+    let mut k = pim_asm::KernelBuilder::new();
+    let data = k.global_zeroed("data", 64 * lines_per_tasklet * tasklets);
+    let [p, v, acc, i, scratch] = k.regs(["p", "v", "acc", "i", "scratch"]);
+    k.tasklet_slot(p, data, 64 * lines_per_tasklet);
+    k.movi(acc, 0);
+    k.movi(i, lines_per_tasklet as i32);
+    let top = k.label_here("top");
+    k.lw(v, p, 0);
+    k.add(acc, acc, v);
+    for _ in 0..filler {
+        k.add(scratch, i, 1);
+    }
+    k.add(p, p, 64);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &top);
+    k.sw(acc, p, -64);
+    k.stop();
+    k.build().expect("load-use kernel builds")
+}
+
+#[test]
+fn far_wakeups_match_naive_reference() {
+    // A load-to-use forwarding latency of 64 cycles or more files the
+    // consumer beyond the engine's 64-slot timing wheel (its overflow
+    // list); no shipped configuration reaches that, so pin it here, with
+    // both sides of the boundary.
+    for n in TASKLETS {
+        let program = load_use_kernel(8, n, 0);
+        for latency in [63, 64, 65, 200] {
+            let mut cfg = DpuConfig::paper_baseline(n).with_ilp(IlpFeatures::all());
+            cfg.forward_load_latency = latency;
+            let stats = assert_tiers_agree_on(&program, &format!("fwd_load={latency} x{n}"), &cfg)
+                .expect("load-use kernel completes");
+            assert!(stats.cycles > 8 * u64::from(latency), "the loads' consumers waited");
+        }
+    }
+}
+
+#[test]
+fn cycle_limit_is_the_same_on_every_kind_of_cycle() {
+    // Sweeping `max_cycles` over every cycle of a run that has issuing
+    // cycles, register-file block cycles, and revolver and DMA idle spans
+    // puts the limit on, and inside, each of them in turn.
+    use pim_isa::Cond;
+    let mut k = pim_asm::KernelBuilder::new();
+    let buf = k.global_zeroed("buf", 256);
+    let [w, m, a, i] = k.regs(["w", "m", "a", "i"]);
+    k.movi(w, buf as i32);
+    k.movi(m, 0);
+    k.movi(i, 3);
+    let top = k.label_here("top");
+    k.ldma(w, m, 256);
+    k.lw(a, w, 0);
+    // `w` and `a` share a register bank: one extra issue slot.
+    k.add(a, w, a);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &top);
+    k.stop();
+    let program = k.build().expect("kernel builds");
+    assert!(program.instrs.iter().any(|i| i.rf_hazard_cycles() > 0), "kernel has an RF hazard");
+
+    let cfg = DpuConfig::paper_baseline(2);
+    let full = assert_tiers_agree_on(&program, "unlimited", &cfg).expect("kernel completes");
+    assert!(full.active_cycles > 0 && full.idle_rf > 0.0);
+    assert!(full.idle_revolver > 0.0 && full.idle_memory > 0.0);
+    for limit in 1..=full.cycles {
+        let mut cfg = cfg.clone();
+        cfg.max_cycles = limit;
+        let run = assert_tiers_agree_on(&program, &format!("max_cycles={limit}"), &cfg);
+        // The last `stop` issues on cycle `full.cycles - 1`.
+        assert_eq!(run.is_err(), limit < full.cycles, "max_cycles={limit}: {run:?}");
+    }
+}
+
+#[test]
+fn dcache_miss_on_the_first_of_two_issue_ways_matches_naive_reference() {
+    // 2-way issue in cache-centric mode: when the first candidate of a
+    // cycle misses the D-cache it leaves the issuable set without
+    // retiring, and a later candidate still issues in that cycle. Enough
+    // ALU filler makes the run compute-bound, so other tasklets are
+    // issuable on the cycle a load misses.
+    use pim_trace::TraceEvent;
+    for n in [8, 16] {
+        let program = load_use_kernel(16, n, 96);
+        let cfg = DpuConfig::paper_baseline(n).with_ilp(IlpFeatures::all()).with_paper_caches();
+        let stats = assert_tiers_agree_on(&program, &format!("2-way cached x{n}"), &cfg)
+            .expect("load-use kernel completes");
+        let misses = stats.dcache.expect("cached mode keeps D-cache statistics").misses;
+        assert!(misses >= 16 * u64::from(n), "every line misses once, got {misses}");
+
+        // The event order shows the case was reached: a fill request that
+        // no retirement of its cycle precedes and at least one follows.
+        let mut dpu = pim_dpu::Dpu::new(cfg.with_event_trace(RING));
+        dpu.load_program(&program).unwrap();
+        dpu.launch().unwrap();
+        let events = dpu.take_trace().expect("tracing was on").events;
+        let (mut last_retire, mut open_fill, mut first_way_fills) = (None, None, 0u64);
+        for event in &events {
+            match *event {
+                TraceEvent::DmaBegin { cycle, .. } if last_retire != Some(cycle) => {
+                    open_fill = Some(cycle);
+                }
+                TraceEvent::InstrRetire { cycle, .. } => {
+                    first_way_fills += u64::from(open_fill == Some(cycle));
+                    open_fill = None;
+                    last_retire = Some(cycle);
+                }
+                _ => {}
+            }
+        }
+        let ifills = stats.icache.expect("cached mode keeps I-cache statistics").misses;
+        assert!(
+            first_way_fills > ifills,
+            "x{n}: {first_way_fills} first-way fills, {ifills} I-fills"
+        );
+    }
+}
+
 /// Ring capacity for the event-tracing legs: large enough that no PrIM
 /// tiny-dataset run wraps, so the sink exercises its full record path.
 const RING: usize = 1 << 16;

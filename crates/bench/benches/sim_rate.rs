@@ -9,10 +9,13 @@ use pim_cache::{Cache, CacheConfig};
 use pim_dpu::{Dpu, DpuConfig};
 use pim_dram::{Access, DramBank, DramConfig};
 use pim_isa::{AluOp, Cond, Instruction};
+use pim_serve::traffic::TrafficGen;
+use pim_serve::{run_scenario, scenario_by_name, ServeOptions};
 use prim_suite::{workload_by_name, DatasetSize, RunConfig};
 
-/// Times `iters` repetitions of `f`, reporting ns/iter and a derived
-/// elements/second rate when `elements` is non-zero.
+/// Times `iters` repetitions of `f`, reporting time/iter and, when
+/// `elements` is non-zero, the derived elements/second rate and its
+/// inverse, ns/element.
 fn bench<R>(name: &str, iters: u32, elements: u64, mut f: impl FnMut() -> R) {
     // One warm-up iteration keeps lazy init out of the measurement.
     std::hint::black_box(f());
@@ -24,7 +27,11 @@ fn bench<R>(name: &str, iters: u32, elements: u64, mut f: impl FnMut() -> R) {
     let per_iter = total / iters;
     if elements > 0 {
         let rate = elements as f64 / per_iter.as_secs_f64();
-        println!("{name:32} {per_iter:>12.2?}/iter  {:>10.2} Melem/s", rate / 1e6);
+        println!(
+            "{name:32} {per_iter:>12.2?}/iter  {:>10.2} Melem/s  {:>10.2} ns/elem",
+            rate / 1e6,
+            1e9 / rate
+        );
     } else {
         println!("{name:32} {per_iter:>12.2?}/iter");
     }
@@ -104,6 +111,26 @@ fn main() {
         }
         *cache.stats()
     });
+
+    // The serving hot loops on `saturate`, one simulated second each.
+    // The generator is drained streaming, as the runtime does — eagerly
+    // collecting the schedule into a `Vec` would time the push instead of
+    // the draw. Rates: arrivals/s, and dispatch rounds/s of a whole run
+    // (arrival draw, admission, policy, dispatch and cold profiling).
+    let saturate = scenario_by_name("saturate").unwrap();
+    let drain = || {
+        let mut gen = TrafficGen::new(saturate, 1, 1.0, 1_000_000_000);
+        let mut arrivals = 0u64;
+        gen.drain_due(u64::MAX, |a| {
+            std::hint::black_box(a);
+            arrivals += 1;
+        });
+        arrivals
+    };
+    bench("serve_traffic_saturate_1s", 10, drain(), drain);
+    let opts = ServeOptions { seed: 1, duration_ms: 1000, threads: Some(1), ..Default::default() };
+    let rounds = run_scenario(saturate, &opts).unwrap().rounds;
+    bench("serve_saturate_1s", 5, rounds, || run_scenario(saturate, &opts).unwrap().rounds);
 
     let instr = Instruction::Alu {
         op: AluOp::Add,

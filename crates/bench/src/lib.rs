@@ -785,6 +785,15 @@ pub fn run_serve_with_args(name: &str, args: &[String]) -> ExitCode {
     }
     if !opts.json_stdout {
         eprintln!("wrote {}", path.display());
+        // The composition cache, per run: how often a round's DPU found
+        // its profile memoized. After `--resume`, lookups count from the
+        // cut (see `ServeOutcome::composition_lookups`).
+        eprintln!(
+            "compositions: {} profiled, {} lookups, hit rate {:.4}",
+            out.distinct_compositions,
+            out.composition_lookups,
+            out.composition_hit_rate()
+        );
     }
     ExitCode::SUCCESS
 }

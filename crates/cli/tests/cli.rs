@@ -123,6 +123,18 @@ fn serve_writes_the_results_document() {
     // stdout under --json is the same document that landed on disk.
     let stdout = String::from_utf8_lossy(&st.stdout);
     assert_eq!(Json::parse(&stdout).expect("stdout parses"), doc);
+    // --json keeps stderr quiet; the table form reports the composition
+    // cache next to its `wrote …` line.
+    assert!(!String::from_utf8_lossy(&st.stderr).contains("compositions:"));
+    let st = pimsim()
+        .args(["serve", "tiny", "--duration-ms", "1", "--threads", "2", "--out"])
+        .arg(&out_dir)
+        .output()
+        .expect("spawn pimsim");
+    assert!(st.status.success());
+    let stderr = String::from_utf8_lossy(&st.stderr);
+    let line = stderr.lines().find(|l| l.starts_with("compositions: ")).expect("cache line");
+    assert!(line.contains(" profiled, ") && line.contains(" lookups, hit rate 0."), "{line}");
 }
 
 #[test]
@@ -200,9 +212,16 @@ fn serve_rejects_non_positive_and_non_finite_load() {
 
 #[test]
 fn serve_rejects_a_malformed_fault_spec() {
-    for (bad, expect) in
-        [("frobnicate=1", "--faults"), ("transient=1001", "--faults"), ("rank_dpus=0", "--faults")]
-    {
+    for (bad, expect) in [
+        ("frobnicate=1", "--faults"),
+        ("transient=1001", "--faults"),
+        ("rank_dpus=0", "--faults"),
+        // Values that used to be truncated into acceptable ones, or to
+        // overflow the loop's nanosecond arithmetic.
+        ("transient=4294967297", "out of range in `transient=4294967297`"),
+        ("timeout_us=18446744073709551615", "out of range in `timeout_us="),
+        ("outages=4000000000", "out of range in `outages=4000000000`"),
+    ] {
         let out =
             pimsim().args(["serve", "faulty", "--faults", bad]).output().expect("spawn pimsim");
         assert!(!out.status.success(), "--faults {bad} must be rejected");

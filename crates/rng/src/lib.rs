@@ -134,15 +134,73 @@ impl StdRng {
         &items[self.below(items.len() as u64) as usize]
     }
 
-    /// Debiased uniform value in `0..bound` (Lemire-style rejection on the
-    /// modulo threshold).
+    /// Debiased uniform value in `0..bound`: a one-shot [`Below`]. A
+    /// one-off draw pays for the threshold's division either way, so it
+    /// skips [`Below::sample`]'s mask test and runs the rejection loop
+    /// directly — the same values and draws for every bound.
     fn below(&mut self, bound: u64) -> u64 {
-        debug_assert!(bound > 0);
-        let threshold = bound.wrapping_neg() % bound;
+        Below::new(bound).reject(self)
+    }
+}
+
+/// A precomputed debiased sampler over `0..bound` (rejection on the
+/// modulo threshold), for callers that draw from the same bound many
+/// times: the threshold's division is paid once in [`Below::new`], and a
+/// power-of-two bound — whose threshold is zero, so nothing is ever
+/// rejected — samples with a mask instead of a modulo.
+///
+/// It is the one implementation behind [`StdRng::gen_range`],
+/// [`StdRng::gen_bool_ratio`] and [`StdRng::choose`], so a `Below` is
+/// value-for-value *and* draw-for-draw identical to them: swapping one in
+/// never moves a seeded stream. A bound of 1 still consumes one draw.
+///
+/// ```
+/// use pim_rng::{Below, StdRng};
+///
+/// let die = Below::new(6);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(3), StdRng::seed_from_u64(3));
+/// for _ in 0..100 {
+///     assert_eq!(die.sample(&mut a), b.gen_range(0u64..6));
+/// }
+/// assert_eq!(a.state(), b.state());
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Below {
+    bound: u64,
+    /// `2^64 mod bound`: raw draws below it are rejected. Zero exactly
+    /// when `bound` is a power of two.
+    threshold: u64,
+}
+
+impl Below {
+    /// A sampler over `0..bound`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` is zero.
+    #[must_use]
+    pub fn new(bound: u64) -> Self {
+        assert!(bound > 0, "cannot sample below zero");
+        Below { bound, threshold: bound.wrapping_neg() % bound }
+    }
+
+    /// One uniform value in `0..bound`.
+    #[inline]
+    pub fn sample(&self, rng: &mut StdRng) -> u64 {
+        if self.threshold == 0 {
+            return rng.next_u64() & (self.bound - 1);
+        }
+        self.reject(rng)
+    }
+
+    /// The rejection loop itself; correct for every bound (a zero
+    /// threshold accepts the first draw).
+    #[inline]
+    fn reject(&self, rng: &mut StdRng) -> u64 {
         loop {
-            let v = self.next_u64();
-            if v >= threshold {
-                return v % bound;
+            let v = rng.next_u64();
+            if v >= self.threshold {
+                return v % self.bound;
             }
         }
     }
@@ -267,6 +325,59 @@ mod tests {
         for _ in 0..1000 {
             let _ = rng.gen_range(i32::MIN..i32::MAX);
         }
+    }
+
+    /// The rejection loop as `StdRng::below` spelled it before [`Below`]
+    /// existed — the stream every seeded dataset and golden was drawn from.
+    fn reference_below(rng: &mut StdRng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let v = rng.next_u64();
+            if v >= threshold {
+                return v % bound;
+            }
+        }
+    }
+
+    #[test]
+    fn below_matches_gen_range_value_for_value_and_draw_for_draw() {
+        // u64::MAX / 2 + 2 rejects nearly half of all raw draws, so the
+        // loop (not just the power-of-two fast path) is exercised.
+        let bounds = (1..=1024u64).chain((0..64).map(|k| 1u64 << k)).chain([
+            u64::MAX,
+            u64::MAX / 2 + 1,
+            u64::MAX / 2 + 2,
+            (1 << 40) + 1,
+        ]);
+        for n in bounds {
+            let sampler = Below::new(n);
+            let mut a = StdRng::seed_from_u64(n ^ 0x5eed);
+            let (mut b, mut c) = (a.clone(), a.clone());
+            for _ in 0..64 {
+                let v = sampler.sample(&mut a);
+                assert!(v < n);
+                assert_eq!(v, b.gen_range(0..n), "bound {n}");
+                assert_eq!(v, reference_below(&mut c, n), "bound {n}");
+            }
+            // Same number of raw draws consumed, rejections included.
+            assert_eq!(a.state(), b.state(), "bound {n}");
+            assert_eq!(a.state(), c.state(), "bound {n}");
+        }
+    }
+
+    #[test]
+    fn below_one_still_consumes_its_draw() {
+        let mut a = StdRng::seed_from_u64(12);
+        let mut b = a.clone();
+        assert_eq!(Below::new(1).sample(&mut a), 0);
+        b.next_u64();
+        assert_eq!(a.state(), b.state());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot sample below zero")]
+    fn below_zero_is_refused() {
+        let _ = Below::new(0);
     }
 
     #[test]

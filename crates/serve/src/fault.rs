@@ -14,11 +14,22 @@
 //! on a device, so the policy layer tolerates precisely what the
 //! hardware boundary can emit.
 
-use pim_rng::StdRng;
+use pim_rng::{Below, StdRng};
 use pimulator::pim_dpu::FaultKind;
 
 /// Golden-ratio increment decorrelating per-round fault streams.
 const ROUND_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Most whole-rank outages one campaign may schedule. The schedule is
+/// materialized up front and the loop scans the active ones every round,
+/// so the count is bounded where it enters.
+pub const MAX_OUTAGES: u32 = 100_000;
+
+/// Longest virtual-time span a single knob (`timeout_us`, `backoff_us`,
+/// `outage_ms`) may name: one hour. The loop turns these into nanoseconds
+/// (and shifts the backoff left by up to 20 bits); an hour keeps every
+/// product far inside the `u64` virtual clock.
+pub const MAX_KNOB_NS: u64 = 3_600 * 1_000_000_000;
 
 /// Operator knobs of a fault campaign (parsed from the CLI `--faults`
 /// string).
@@ -85,7 +96,10 @@ impl FaultSpec {
     /// # Errors
     ///
     /// Returns a message naming the offending pair on an unknown key, a
-    /// malformed number, a rate above 1000, or a zero `rank_dpus`.
+    /// malformed number, a value that does not fit its field (`retries`,
+    /// `rank_dpus` and the rates are 32-bit), more than [`MAX_OUTAGES`]
+    /// outages, or a time knob past [`MAX_KNOB_NS`]; and a plain message
+    /// on a rate above 1000 or a zero `rank_dpus`.
     pub fn parse(s: &str) -> Result<FaultSpec, String> {
         let mut spec = FaultSpec::default();
         for pair in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
@@ -94,16 +108,26 @@ impl FaultSpec {
                 .ok_or_else(|| format!("--faults: `{pair}` is not key=value"))?;
             let num =
                 |v: &str| v.parse::<u64>().map_err(|_| format!("--faults: bad number in `{pair}`"));
+            let range = || format!("--faults: value out of range in `{pair}`");
+            let num32 = |v: &str| u32::try_from(num(v)?).map_err(|_| range());
+            // A time knob in units of `unit_ns`, bounded by `MAX_KNOB_NS`.
+            let span = |v: &str, unit_ns: u64| match num(v)? {
+                n if n.checked_mul(unit_ns).is_some_and(|ns| ns <= MAX_KNOB_NS) => Ok(n),
+                _ => Err(range()),
+            };
             match key {
                 "seed" => spec.seed = num(value)?,
-                "transient" => spec.transient_per_mille = num(value)? as u32,
-                "stuck" => spec.stuck_per_mille = num(value)? as u32,
-                "timeout_us" => spec.stuck_timeout_us = num(value)?,
-                "retries" => spec.max_retries = num(value)? as u32,
-                "backoff_us" => spec.backoff_us = num(value)?,
-                "outages" => spec.outages = num(value)? as u32,
-                "outage_ms" => spec.outage_ms = num(value)?,
-                "rank_dpus" => spec.dpus_per_rank = num(value)? as u32,
+                "transient" => spec.transient_per_mille = num32(value)?,
+                "stuck" => spec.stuck_per_mille = num32(value)?,
+                "timeout_us" => spec.stuck_timeout_us = span(value, 1_000)?,
+                "retries" => spec.max_retries = num32(value)?,
+                "backoff_us" => spec.backoff_us = span(value, 1_000)?,
+                "outages" => {
+                    spec.outages =
+                        num32(value).ok().filter(|&n| n <= MAX_OUTAGES).ok_or_else(range)?;
+                }
+                "outage_ms" => spec.outage_ms = span(value, 1_000_000)?,
+                "rank_dpus" => spec.dpus_per_rank = num32(value)?,
                 _ => return Err(format!("--faults: unknown key `{key}`")),
             }
         }
@@ -156,6 +180,8 @@ pub struct FaultPlan {
     spec: FaultSpec,
     n_ranks: u32,
     outages: Vec<Outage>,
+    /// Sampler behind every per-mille fault draw.
+    per_mille: Below,
 }
 
 impl FaultPlan {
@@ -174,7 +200,7 @@ impl FaultPlan {
             })
             .collect();
         outages.sort_unstable_by_key(|o| (o.at_ns, o.rank));
-        FaultPlan { spec, n_ranks, outages }
+        FaultPlan { spec, n_ranks, outages, per_mille: Below::new(1000) }
     }
 
     /// The spec this plan was expanded from.
@@ -202,33 +228,33 @@ impl FaultPlan {
     }
 
     /// Draws the faults of dispatch round `round` over the DPUs actually
-    /// occupied this round, in their given order: `(dpu, kind)` pairs. A
+    /// occupied this round, in their given order, into `faults` (cleared
+    /// first; the caller owns the buffer so a serving loop reuses it) as
+    /// `(dpu, kind)` pairs — a subsequence of `occupied`. A
     /// fresh stream is keyed on `(seed, round)`, so the draw depends only
     /// on the round index and the occupied set — not on wall-clock,
     /// threads, or how the loop got here (a resumed run redraws
     /// identically).
-    #[must_use]
-    pub fn round_faults(&self, round: u64, occupied: &[u32]) -> Vec<(u32, FaultKind)> {
-        if self.spec.transient_per_mille == 0 && self.spec.stuck_per_mille == 0 {
-            return Vec::new();
+    pub fn round_faults(&self, round: u64, occupied: &[u32], faults: &mut Vec<(u32, FaultKind)>) {
+        faults.clear();
+        let (transient, stuck) =
+            (u64::from(self.spec.transient_per_mille), u64::from(self.spec.stuck_per_mille));
+        if transient == 0 && stuck == 0 {
+            return;
         }
         let mut rng = StdRng::seed_from_u64(self.spec.seed ^ round.wrapping_mul(ROUND_MIX));
-        let mut faults = Vec::new();
         for &dpu in occupied {
-            if self.spec.transient_per_mille > 0
-                && rng.gen_bool_ratio(self.spec.transient_per_mille, 1000)
-            {
+            // A zero rate consumes no draw, exactly as `gen_bool_ratio`
+            // behind the same guards did.
+            if transient > 0 && self.per_mille.sample(&mut rng) < transient {
                 faults.push((dpu, FaultKind::Transient));
-            } else if self.spec.stuck_per_mille > 0
-                && rng.gen_bool_ratio(self.spec.stuck_per_mille, 1000)
-            {
+            } else if stuck > 0 && self.per_mille.sample(&mut rng) < stuck {
                 faults.push((
                     dpu,
                     FaultKind::Stuck { timeout_ns: self.spec.stuck_timeout_us * 1000 },
                 ));
             }
         }
-        faults
     }
 }
 
@@ -256,6 +282,54 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_values_that_do_not_fit_their_field() {
+        // Each of these used to be truncated by `as u32` into a value
+        // that then passed validation (or failed it with the wrong
+        // message): 2^32 + 1 became a rate of 1, 2^32 a budget of 0.
+        for (text, pair) in [
+            ("transient=4294967297", "transient=4294967297"),
+            ("stuck=4294967296", "stuck=4294967296"),
+            ("seed=2,retries=4294967296", "retries=4294967296"),
+            ("rank_dpus=4294967296", "rank_dpus=4294967296"),
+            ("outages=4294967296", "outages=4294967296"),
+        ] {
+            let err = FaultSpec::parse(text).unwrap_err();
+            assert_eq!(err, format!("--faults: value out of range in `{pair}`"));
+        }
+        // In-range 32-bit values still parse, and the rate cap still
+        // speaks for itself.
+        assert_eq!(FaultSpec::parse("retries=4294967295").unwrap().max_retries, u32::MAX);
+        assert!(FaultSpec::parse("transient=4294967295").unwrap_err().contains("at most 1000"));
+    }
+
+    #[test]
+    fn parse_bounds_the_outage_count_and_the_time_knobs() {
+        assert_eq!(FaultSpec::parse("outages=100000").unwrap().outages, MAX_OUTAGES);
+        for text in [
+            "outages=100001",
+            "outages=4000000000",
+            // Products that overflow u64 outright…
+            "timeout_us=18446744073709551615",
+            "backoff_us=18446744073709551615",
+            "outage_ms=18446744073709551615",
+            // …and ones that fit but name more than an hour.
+            "timeout_us=3600000001",
+            "backoff_us=3600000001",
+            "outage_ms=3600001",
+        ] {
+            let err = FaultSpec::parse(text).unwrap_err();
+            assert_eq!(err, format!("--faults: value out of range in `{text}`"));
+        }
+        let hour =
+            FaultSpec::parse("timeout_us=3600000000,backoff_us=3600000000,outage_ms=3600000")
+                .unwrap();
+        assert_eq!(hour.stuck_timeout_us * 1000, MAX_KNOB_NS);
+        assert_eq!(hour.outage_ms * 1_000_000, MAX_KNOB_NS);
+        // The largest admissible backoff survives the loop's 20-bit shift.
+        assert!(hour.backoff_us * 1000 <= u64::MAX >> 20);
+    }
+
+    #[test]
     fn empty_string_parses_to_none() {
         let spec = FaultSpec::parse("").unwrap();
         assert!(spec.is_none());
@@ -274,12 +348,43 @@ mod tests {
         let spec = FaultSpec::parse("transient=200,stuck=100,seed=9").unwrap();
         let plan = FaultPlan::generate(spec, 8, 1_000_000);
         let occupied: Vec<u32> = (0..8).collect();
-        let a = plan.round_faults(17, &occupied);
-        let b = plan.round_faults(17, &occupied);
+        let draw = |round| {
+            let mut faults = vec![(99, FaultKind::Transient)]; // stale content is cleared
+            plan.round_faults(round, &occupied, &mut faults);
+            faults
+        };
+        let a = draw(17);
+        let b = draw(17);
         assert_eq!(a, b);
         // Across many rounds the streams differ (else every round fails
         // the same DPUs).
-        assert!((0..50).any(|r| plan.round_faults(r, &occupied) != a));
+        assert!((0..50).any(|r| draw(r) != a));
+    }
+
+    #[test]
+    fn round_faults_keep_the_gen_bool_ratio_stream() {
+        // The plan's hoisted per-mille sampler must consume the seeded
+        // stream exactly as the per-draw `gen_bool_ratio` spelling did.
+        let spec = FaultSpec::parse("transient=80,stuck=10,seed=6").unwrap();
+        let plan = FaultPlan::generate(spec, 8, 1_000_000);
+        let occupied: Vec<u32> = (0..8).collect();
+        let mut faults = Vec::new();
+        let mut total = 0;
+        for round in 0..2_000u64 {
+            let mut rng = StdRng::seed_from_u64(spec.seed ^ round.wrapping_mul(ROUND_MIX));
+            let mut want = Vec::new();
+            for &dpu in &occupied {
+                if rng.gen_bool_ratio(spec.transient_per_mille, 1000) {
+                    want.push((dpu, FaultKind::Transient));
+                } else if rng.gen_bool_ratio(spec.stuck_per_mille, 1000) {
+                    want.push((dpu, FaultKind::Stuck { timeout_ns: 200_000 }));
+                }
+            }
+            plan.round_faults(round, &occupied, &mut faults);
+            assert_eq!(faults, want, "round {round}");
+            total += want.len();
+        }
+        assert!(total > 1000, "the campaign actually drew faults ({total})");
     }
 
     #[test]
@@ -302,6 +407,8 @@ mod tests {
     fn fault_free_plan_draws_nothing() {
         let plan = FaultPlan::generate(FaultSpec::none(), 8, 1_000_000);
         assert!(plan.outages().is_empty());
-        assert!(plan.round_faults(0, &[0, 1, 2, 3]).is_empty());
+        let mut faults = Vec::new();
+        plan.round_faults(0, &[0, 1, 2, 3], &mut faults);
+        assert!(faults.is_empty());
     }
 }

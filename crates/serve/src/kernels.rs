@@ -14,7 +14,7 @@
 //! re-use profiles, and only first-seen compositions pay for simulation
 //! (those simulations are what `--threads` parallelizes).
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use pimulator::pim_asm::{KernelBuilder, LinkOptions};
 use pimulator::pim_dpu::{colocate, Colocated, DpuConfig, SimError, Tenant};
@@ -441,9 +441,49 @@ pub fn composition_label(comp: &[u16]) -> String {
         .join("+")
 }
 
-/// The memoization table, keyed by composition vector. `BTreeMap` keeps
-/// iteration (and therefore any reporting derived from it) deterministic.
-pub type CompositionCache = BTreeMap<Vec<u16>, CompositionProfile>;
+/// One DPU's composition in the fixed-width form the dispatch round
+/// works in: the class of each slot, [`EMPTY_SLOT`] where idle.
+pub type Composition = [u16; SLOTS_PER_DPU];
+
+/// The memoization table: profiles in first-seen order, plus an index
+/// from *canonical* (sorted) composition to profile position. A round
+/// looks each occupied DPU up once and carries the position from there
+/// on, so per-request reads are a slice index, not a map walk. `BTreeMap`
+/// keeps iteration (and any reporting derived from it) deterministic.
+#[derive(Debug, Clone, Default)]
+pub struct CompositionCache {
+    index: BTreeMap<Composition, usize>,
+    profiles: Vec<CompositionProfile>,
+}
+
+impl CompositionCache {
+    /// An empty cache.
+    #[must_use]
+    pub fn new() -> Self {
+        CompositionCache::default()
+    }
+
+    /// The position of `canon`'s profile, if it has been profiled.
+    #[must_use]
+    pub fn position(&self, canon: &Composition) -> Option<usize> {
+        self.index.get(canon).copied()
+    }
+
+    /// Memoizes `profile` for `canon` (a composition already cached keeps
+    /// its profile and its position).
+    pub fn insert(&mut self, canon: Composition, profile: CompositionProfile) {
+        if let Entry::Vacant(slot) = self.index.entry(canon) {
+            slot.insert(self.profiles.len());
+            self.profiles.push(profile);
+        }
+    }
+
+    /// The profile at a position returned by [`CompositionCache::position`].
+    #[must_use]
+    pub fn profile(&self, position: usize) -> &CompositionProfile {
+        &self.profiles[position]
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -481,6 +521,22 @@ mod tests {
             let (p, _) = profile_composition(&comp, &cfg, 0).unwrap();
             assert!(p.slot_exec_ns[0] > 0.0, "{name} proxy ran");
         }
+    }
+
+    #[test]
+    fn cache_positions_are_stable_across_inserts() {
+        let profile = |ns: f64| CompositionProfile { slot_exec_ns: vec![ns; 4], makespan_ns: ns };
+        let mut cache = CompositionCache::new();
+        let (a, b) = ([1, 2, 3, EMPTY_SLOT], [0, 0, 0, 0]);
+        assert_eq!(cache.position(&a), None);
+        cache.insert(a, profile(10.0));
+        cache.insert(b, profile(20.0));
+        // Positions follow first-seen order, not key order, and a repeat
+        // insert changes nothing.
+        cache.insert(a, profile(99.0));
+        assert_eq!((cache.position(&a), cache.position(&b)), (Some(0), Some(1)));
+        assert_eq!(cache.profile(0).makespan_ns, 10.0);
+        assert_eq!(cache.profile(1).makespan_ns, 20.0);
     }
 
     #[test]

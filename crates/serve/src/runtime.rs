@@ -12,6 +12,28 @@
 //! [`JobRunner::map`]), so results are byte-identical at any worker
 //! count.
 //!
+//! ## The round's data layout
+//!
+//! A round touches only fixed-width, loop-owned state: the batch, its
+//! retry-attempt counts, one `DpuRound` record per occupied DPU, the
+//! healthy set and the drawn faults all live in buffers allocated once
+//! and reused, a composition is a `[u16; SLOTS_PER_DPU]` ([`Composition`]),
+//! and each occupied DPU resolves its profile to a cache *position* once
+//! — the per-request loop then reads `profile(position)` and a per-DPU
+//! fault verdict. In the steady state (no first-seen composition, no
+//! checkpoint cut) a round performs no heap allocation. Three behaviours
+//! are load-bearing for byte-identical results:
+//!
+//! 1. the occupied DPUs of a round are exactly the first
+//!    `ceil(batch / SLOTS_PER_DPU)` healthy ones, in healthy order — the
+//!    fault stream is drawn over that prefix;
+//! 2. the all-[`EMPTY_SLOT`] composition is profiled, and counted among
+//!    the distinct compositions, the first time a round leaves a healthy
+//!    DPU idle;
+//! 3. first-seen compositions are profiled in sorted, de-duplicated
+//!    order through the order-preserving runner, so `traces` and
+//!    `--threads` determinism do not depend on packing order.
+//!
 //! ## Faults, retries, elastic capacity
 //!
 //! With a [`FaultSpec`], each round draws per-DPU faults from a stream
@@ -45,10 +67,10 @@ use pimulator::trace::JobTrace;
 use crate::checkpoint::{Checkpoint, RetryEntry};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::kernels::{
-    profile_composition, request_classes, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
+    profile_composition, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
     TASKLETS_PER_SLOT,
 };
-use crate::queue::{AdmissionQueue, TenantAdmission};
+use crate::queue::{AdmissionQueue, Request, TenantAdmission};
 use crate::scenario::Scenario;
 use crate::sched::{policy_by_name_with_weights, SchedulerPolicy};
 use crate::slo::LatencySplit;
@@ -155,6 +177,12 @@ pub struct ServeOutcome {
     pub rounds: u64,
     /// Distinct DPU compositions simulated (cache size).
     pub distinct_compositions: usize,
+    /// Composition-cache lookups: one per occupied DPU per round. Against
+    /// [`ServeOutcome::distinct_compositions`] misses this gives the
+    /// cache's hit rate. Not part of the rendered results. A *resumed*
+    /// run counts lookups from the cut, while the distinct count spans
+    /// the whole run.
+    pub composition_lookups: u64,
     /// Profiling event traces, one per distinct composition, present
     /// when [`ServeOptions::trace_capacity`] was non-zero. A *resumed*
     /// run only holds traces of compositions first touched after the
@@ -205,6 +233,16 @@ impl ServeOutcome {
         self.tenants.iter().map(|t| t.degraded).sum()
     }
 
+    /// Fraction of composition lookups served from the cache: every
+    /// distinct composition missed once. 0 for a run that dispatched
+    /// nothing; a lower bound on a *resumed* run, whose lookups count
+    /// from the cut while the distinct compositions span the whole run.
+    #[must_use]
+    pub fn composition_hit_rate(&self) -> f64 {
+        let hits = self.composition_lookups.saturating_sub(self.distinct_compositions as u64);
+        hits as f64 / self.composition_lookups.max(1) as f64
+    }
+
     /// Aggregate completions per simulated second.
     #[must_use]
     pub fn throughput_rps(&self) -> f64 {
@@ -251,8 +289,8 @@ pub fn channel_label(opts: &ServeOptions) -> &'static str {
 
 /// The live state of one serving run between rounds — everything a
 /// [`Checkpoint`] captures.
-struct LoopState<'a> {
-    gen: TrafficGen<'a>,
+struct LoopState {
+    gen: TrafficGen,
     next_id: u64,
     queue: AdmissionQueue,
     policy: Box<dyn SchedulerPolicy>,
@@ -265,14 +303,14 @@ struct LoopState<'a> {
     timeline: ExecutionTimeline,
     rounds: u64,
     vtime: u64,
-    seen: BTreeSet<Vec<u16>>,
+    seen: BTreeSet<Composition>,
     outage_cursor: usize,
     active_outages: Vec<(u32, u64)>,
     fault_counts: [u64; 3],
 }
 
-impl<'a> LoopState<'a> {
-    fn new(scenario: &'a Scenario, opts: &ServeOptions, duration_ns: u64) -> Self {
+impl LoopState {
+    fn new(scenario: &Scenario, opts: &ServeOptions, duration_ns: u64) -> Self {
         let weights: Vec<u64> = scenario.tenants.iter().map(|t| u64::from(t.weight)).collect();
         let policy_name = resolved_policy_name(scenario, opts);
         let policy = policy_by_name_with_weights(policy_name, &weights)
@@ -301,7 +339,7 @@ impl<'a> LoopState<'a> {
     }
 
     fn from_checkpoint(
-        scenario: &'a Scenario,
+        scenario: &Scenario,
         opts: &ServeOptions,
         duration_ns: u64,
         ck: &Checkpoint,
@@ -325,6 +363,15 @@ impl<'a> LoopState<'a> {
             .ok_or_else(|| format!("unknown scheduling policy {policy_name}"))?;
         policy.restore(&ck.policy_state)?;
         let quotas: Vec<usize> = scenario.tenants.iter().map(|t| t.quota).collect();
+        let seen = ck
+            .seen
+            .iter()
+            .map(|c| {
+                Composition::try_from(c.as_slice()).map_err(|_| {
+                    format!("checkpoint composition holds {} slots, not {SLOTS_PER_DPU}", c.len())
+                })
+            })
+            .collect::<Result<_, _>>()?;
         Ok(LoopState {
             gen: TrafficGen::restore(scenario, opts.load, duration_ns, &ck.traffic),
             next_id: ck.next_id,
@@ -344,7 +391,7 @@ impl<'a> LoopState<'a> {
             timeline: ck.timeline,
             rounds: ck.rounds,
             vtime: ck.vtime,
-            seen: ck.seen.iter().cloned().collect(),
+            seen,
             outage_cursor: ck.outage_cursor,
             active_outages: ck.active_outages.clone(),
             fault_counts: ck.fault_counts,
@@ -379,7 +426,7 @@ impl<'a> LoopState<'a> {
             splits: self.splits.clone(),
             timeline: self.timeline,
             policy_state: self.policy.snapshot(),
-            seen: self.seen.iter().cloned().collect(),
+            seen: self.seen.iter().map(|c| c.to_vec()).collect(),
             outage_cursor: self.outage_cursor,
             active_outages: self.active_outages.clone(),
             fault_counts: self.fault_counts,
@@ -456,12 +503,51 @@ pub fn resume_scenario(
     run_loop(scenario, opts, duration_ns, st, every_ms, sink)
 }
 
+/// One occupied DPU's share of a dispatch round.
+#[derive(Debug, Clone, Copy)]
+struct DpuRound {
+    /// The DPU's composition in *canonical* (sorted) form — the cache
+    /// key. The cycle cost of a co-located image depends on the multiset
+    /// of kernels sharing the DPU, not on which slot each occupies, so
+    /// canonicalizing collapses the keyspace from ordered tuples to
+    /// multisets.
+    canon: Composition,
+    /// Batch slot → position in `canon` (duplicates taken in order), so
+    /// per-request execute times read the right profile entry.
+    assign: [u8; SLOTS_PER_DPU],
+    /// Position of `canon`'s profile in the cache; `None` only between
+    /// packing and the first-seen profiling pass of the same round.
+    profile: Option<usize>,
+}
+
+impl DpuRound {
+    /// Packs up to [`SLOTS_PER_DPU`] requests onto one DPU, slot by slot.
+    fn pack(requests: &[Request], cache: &CompositionCache) -> Self {
+        let mut comp = [EMPTY_SLOT; SLOTS_PER_DPU];
+        for (slot, r) in comp.iter_mut().zip(requests) {
+            *slot = r.class;
+        }
+        let mut canon = comp;
+        canon.sort_unstable();
+        let mut assign = [0; SLOTS_PER_DPU];
+        let mut used = [false; SLOTS_PER_DPU];
+        for (slot, &class) in comp.iter().enumerate() {
+            let j = (0..SLOTS_PER_DPU)
+                .find(|&j| canon[j] == class && !used[j])
+                .expect("canonical form is a permutation");
+            used[j] = true;
+            assign[slot] = j as u8;
+        }
+        DpuRound { canon, assign, profile: cache.position(&canon) }
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn run_loop(
     scenario: &Scenario,
     opts: &ServeOptions,
     duration_ns: u64,
-    mut st: LoopState<'_>,
+    mut st: LoopState,
     every_ms: u64,
     sink: &mut dyn FnMut(&Checkpoint),
 ) -> Result<ServeOutcome, SimError> {
@@ -484,6 +570,19 @@ fn run_loop(
     let next_cut = |vtime: u64| (vtime / every.max(1) + 1) * every;
     let mut next_ckpt = if every > 0 { next_cut(st.vtime) } else { u64::MAX };
 
+    // Round buffers, sized for a full rank once and reused every round.
+    let n_dpus = scenario.n_dpus as usize;
+    let mut healthy: Vec<u32> = Vec::with_capacity(n_dpus);
+    let mut healthy_stale = true;
+    let mut batch: Vec<Request> = Vec::with_capacity(n_dpus * SLOTS_PER_DPU);
+    let mut attempts: Vec<u32> = Vec::with_capacity(n_dpus * SLOTS_PER_DPU);
+    let mut dpus: Vec<DpuRound> = Vec::with_capacity(n_dpus);
+    let mut faults: Vec<(u32, FaultKind)> = Vec::with_capacity(n_dpus);
+    let mut missing: Vec<Composition> = Vec::new();
+    let mut struck_ranks: Vec<u32> = Vec::new();
+    let mut idle_profiled = false;
+    let mut lookups = 0u64;
+
     loop {
         // Cut a checkpoint before processing anything at this virtual
         // time — the resumed loop starts exactly here.
@@ -493,8 +592,11 @@ fn run_loop(
         }
 
         // Elastic capacity: expire outages whose rank rejoined, activate
-        // the ones whose onset has passed, then rebuild the healthy set.
+        // the ones whose onset has passed, then rebuild the healthy set —
+        // only when the active outages actually changed.
+        let active_before = st.active_outages.len();
         st.active_outages.retain(|&(_, until)| until > st.vtime);
+        healthy_stale |= st.active_outages.len() != active_before;
         while st.outage_cursor < plan.outages().len()
             && plan.outages()[st.outage_cursor].at_ns <= st.vtime
         {
@@ -502,25 +604,24 @@ fn run_loop(
             st.outage_cursor += 1;
             if o.until_ns > st.vtime {
                 st.active_outages.push((o.rank, o.until_ns));
+                healthy_stale = true;
             }
         }
-        let healthy: Vec<u32> = (0..scenario.n_dpus)
-            .filter(|&d| {
+        if healthy_stale {
+            healthy.clear();
+            healthy.extend((0..scenario.n_dpus).filter(|&d| {
                 let rank = plan.rank_of(d);
                 !st.active_outages.iter().any(|&(r, _)| r == rank)
-            })
-            .collect();
+            }));
+            healthy_stale = false;
+        }
 
         // Admit everything that has arrived by now; rejects are counted
         // inside the queue, never dropped silently.
-        while let Some(a) = st.gen.peek() {
-            if a.at_ns > st.vtime {
-                break;
-            }
-            st.gen.next_arrival();
+        st.gen.drain_due(st.vtime, |a| {
             st.queue.offer(to_request(st.next_id, a));
             st.next_id += 1;
-        }
+        });
 
         let ready_retries = st.retries.iter().take_while(|r| r.ready_at <= st.vtime).count();
         if st.queue.is_empty() && ready_retries == 0 {
@@ -547,106 +648,82 @@ fn run_loop(
         // backoff), then a fresh batch from the policy, packed slot by
         // slot onto the healthy DPUs.
         let capacity = healthy.len() * SLOTS_PER_DPU;
-        let mut batch = Vec::with_capacity(capacity);
-        let mut attempts: Vec<u32> = Vec::with_capacity(capacity);
+        batch.clear();
+        attempts.clear();
         for e in st.retries.drain(..ready_retries.min(capacity)) {
             batch.push(e.req);
             attempts.push(e.attempt);
         }
         if batch.len() < capacity && !st.queue.is_empty() {
-            let fresh = st.policy.next_batch(&mut st.queue, capacity - batch.len());
-            attempts.resize(attempts.len() + fresh.len(), 0);
-            batch.extend(fresh);
+            st.policy.next_batch(&mut st.queue, capacity - batch.len(), &mut batch);
         }
+        attempts.resize(batch.len(), 0);
         assert!(!batch.is_empty(), "a dispatchable round drains at least one request");
-        let mut comps = vec![vec![EMPTY_SLOT; SLOTS_PER_DPU]; healthy.len()];
-        for (i, r) in batch.iter().enumerate() {
-            comps[i / SLOTS_PER_DPU][i % SLOTS_PER_DPU] = r.class;
-        }
 
-        // Profile each composition in *canonical* (sorted) form: the
-        // cycle cost of a co-located image depends on the multiset of
-        // kernels sharing the DPU, not on which slot each occupies, so
-        // canonicalizing collapses the cache keyspace from ordered
-        // tuples to multisets. `assign` maps each original slot to its
-        // position in the canonical form (duplicates taken in order) so
-        // per-request execute times read the right profile entry.
-        let canon: Vec<Vec<u16>> = comps
-            .iter()
-            .map(|c| {
-                let mut s = c.clone();
-                s.sort_unstable();
-                s
-            })
-            .collect();
-        let assign: Vec<Vec<usize>> = comps
-            .iter()
-            .zip(&canon)
-            .map(|(orig, c)| {
-                let mut used = vec![false; c.len()];
-                orig.iter()
-                    .map(|&cls| {
-                        let j = c
-                            .iter()
-                            .enumerate()
-                            .position(|(j, &cc)| cc == cls && !used[j])
-                            .expect("canonical form is a permutation");
-                        used[j] = true;
-                        j
-                    })
-                    .collect()
-            })
-            .collect();
+        // Packing fills DPUs in healthy order, so the occupied ones are
+        // exactly the first `ceil(batch / SLOTS_PER_DPU)`. Each resolves
+        // its profile position here, once. Parallel transfers charge the
+        // largest per-DPU chunk (as `push_to_mram` does).
+        dpus.clear();
+        let (mut to_bytes, mut from_bytes) = (0u64, 0u64);
+        for requests in batch.chunks(SLOTS_PER_DPU) {
+            let dpu = DpuRound::pack(requests, &cache);
+            if dpu.profile.is_none() {
+                missing.push(dpu.canon);
+            }
+            dpus.push(dpu);
+            let (mut input, mut output) = (0u64, 0u64);
+            for r in requests {
+                let class = &classes[r.class as usize];
+                input += u64::from(class.input_bytes);
+                output += u64::from(class.output_bytes);
+            }
+            to_bytes = to_bytes.max(input);
+            from_bytes = from_bytes.max(output);
+        }
+        let occupied = &healthy[..dpus.len()];
+        lookups += dpus.len() as u64;
+        // A healthy DPU left idle runs the all-empty composition; it is
+        // profiled (and counted) the first time that happens.
+        if !idle_profiled && dpus.len() < healthy.len() {
+            missing.push([EMPTY_SLOT; SLOTS_PER_DPU]);
+            idle_profiled = true;
+        }
 
         // Simulate first-seen compositions, in sorted order on the
         // order-preserving runner so threading cannot reorder results.
         // `seen` tracks every key ever cached so a resumed run (which
         // re-simulates on demand) still reports the uninterrupted
         // distinct-composition count.
-        let mut missing: Vec<Vec<u16>> =
-            canon.iter().filter(|c| !cache.contains_key(c.as_slice())).cloned().collect();
-        missing.sort_unstable();
-        missing.dedup();
-        let profiled =
-            runner.map(&missing, |_, comp| profile_composition(comp, &cfg, opts.trace_capacity));
-        for (comp, res) in missing.into_iter().zip(profiled) {
-            let (profile, trace) = res?;
-            st.seen.insert(comp.clone());
-            cache.insert(comp, profile);
-            traces.extend(trace);
+        if !missing.is_empty() {
+            missing.sort_unstable();
+            missing.dedup();
+            let profiled = runner
+                .map(&missing, |_, comp| profile_composition(comp, &cfg, opts.trace_capacity));
+            for (comp, res) in missing.drain(..).zip(profiled) {
+                let (profile, trace) = res?;
+                st.seen.insert(comp);
+                cache.insert(comp, profile);
+                traces.extend(trace);
+            }
+            for dpu in &mut dpus {
+                dpu.profile = cache.position(&dpu.canon);
+            }
         }
-
-        // The round's cost: parallel transfers charge the largest per-DPU
-        // chunk (as `push_to_mram` does); the kernel phase is the slowest
-        // DPU's makespan — or the watchdog timeout, if a DPU hung.
-        let dpu_bytes = |occupied: fn(&crate::kernels::RequestClass) -> u32| {
-            comps
-                .iter()
-                .map(|comp| {
-                    comp.iter()
-                        .filter(|&&c| c != EMPTY_SLOT)
-                        .map(|&c| u64::from(occupied(&classes[c as usize])))
-                        .sum::<u64>()
-                })
-                .max()
-                .unwrap_or(0)
+        let profile_of = |dpu: &DpuRound| {
+            cache.profile(dpu.profile.expect("every packed composition is profiled by now"))
         };
-        let to_ns = xfer.to_dpu_ns(dpu_bytes(|c| c.input_bytes));
-        let from_ns = xfer.from_dpu_ns(dpu_bytes(|c| c.output_bytes));
-        let exec_max_ns = canon
-            .iter()
-            .filter(|c| c.iter().any(|&s| s != EMPTY_SLOT))
-            .map(|c| cache[c].makespan_ns)
-            .fold(0.0f64, f64::max);
 
-        // Draw this round's faults over the occupied DPUs (global ids).
-        let occupied_dpus: Vec<u32> = comps
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.iter().any(|&s| s != EMPTY_SLOT))
-            .map(|(i, _)| healthy[i])
-            .collect();
-        let faults = plan.round_faults(st.rounds, &occupied_dpus);
+        // The round's cost: the transfers above, and a kernel phase as
+        // long as the slowest DPU's makespan — or the watchdog timeout,
+        // if a DPU hung.
+        let to_ns = xfer.to_dpu_ns(to_bytes);
+        let from_ns = xfer.from_dpu_ns(from_bytes);
+        let exec_max_ns = dpus.iter().map(|d| profile_of(d).makespan_ns).fold(0.0f64, f64::max);
+
+        // Draw this round's faults over the occupied DPUs (global ids);
+        // a plan without fault rates leaves the buffer empty.
+        plan.round_faults(st.rounds, occupied, &mut faults);
         let any_stuck = faults.iter().any(|(_, k)| matches!(k, FaultKind::Stuck { .. }));
         let kernel_ns =
             if any_stuck { exec_max_ns.max(stuck_timeout_ns as f64) } else { exec_max_ns };
@@ -672,7 +749,7 @@ fn run_loop(
         // down mid-flight: every request on it fails with the typed
         // rank-offline fault, and the rank stays out of the healthy set
         // until it rejoins.
-        let mut struck_ranks: Vec<u32> = Vec::new();
+        struck_ranks.clear();
         while st.outage_cursor < plan.outages().len()
             && plan.outages()[st.outage_cursor].at_ns < round_end
         {
@@ -680,55 +757,64 @@ fn run_loop(
             st.outage_cursor += 1;
             struck_ranks.push(o.rank);
             st.active_outages.push((o.rank, o.until_ns));
+            healthy_stale = true;
         }
         let degraded_round = !st.active_outages.is_empty();
 
-        // Resolve every request: completion records its latency split;
-        // a fault either schedules a backoff retry or, past the budget,
-        // counts the request as failed. Rank-offline outranks the
-        // per-DPU draws (the whole rank is gone).
-        let fault_of = |dpu: u32| -> Option<FaultKind> {
-            let rank = plan.rank_of(dpu);
-            if struck_ranks.contains(&rank) {
-                return Some(FaultKind::RankOffline { rank });
-            }
-            faults.iter().find(|&&(d, _)| d == dpu).map(|&(_, k)| k)
-        };
-        for (i, (r, &prior)) in batch.iter().zip(&attempts).enumerate() {
-            let (slot_dpu, slot) = (i / SLOTS_PER_DPU, i % SLOTS_PER_DPU);
-            match fault_of(healthy[slot_dpu]) {
-                None => {
-                    let profile = &cache[&canon[slot_dpu]];
+        // Resolve the round DPU by DPU: the fault verdict is per DPU
+        // (rank-offline outranks the per-DPU draw — the whole rank is
+        // gone), so it is decided once and applied to the DPU's requests.
+        // A completion records its latency split; a fault either
+        // schedules a backoff retry or, past the budget, counts the
+        // request as failed.
+        let mut drawn = faults.iter().peekable();
+        let mut pushed_retry = false;
+        let slots = batch.chunks(SLOTS_PER_DPU).zip(attempts.chunks(SLOTS_PER_DPU));
+        for ((dpu, &id), (requests, priors)) in dpus.iter().zip(occupied).zip(slots) {
+            // `faults` is a subsequence of `occupied`, so one cursor
+            // walks both.
+            let drawn_here = drawn.next_if(|&&(d, _)| d == id).map(|&(_, kind)| kind);
+            let rank = plan.rank_of(id);
+            let fault = if struck_ranks.contains(&rank) {
+                Some(FaultKind::RankOffline { rank })
+            } else {
+                drawn_here
+            };
+            let Some(kind) = fault else {
+                let profile = profile_of(dpu);
+                for (r, &slot) in requests.iter().zip(&dpu.assign) {
                     let queue_ns = start - r.arrival_ns;
-                    let execute_ns = profile.slot_exec_ns[assign[slot_dpu][slot]] as u64;
+                    let execute_ns = profile.slot_exec_ns[usize::from(slot)] as u64;
                     st.splits[r.tenant].record(queue_ns, transfer_ns, execute_ns);
                     st.completed[r.tenant] += 1;
                     if degraded_round {
                         st.degraded[r.tenant] += 1;
                     }
                 }
-                Some(kind) => {
-                    st.fault_counts[match kind {
-                        FaultKind::Transient => 0,
-                        FaultKind::Stuck { .. } => 1,
-                        FaultKind::RankOffline { .. } => 2,
-                    }] += 1;
-                    let attempt = prior + 1;
-                    if attempt > spec.max_retries {
-                        st.failed[r.tenant] += 1;
-                    } else {
-                        st.retried[r.tenant] += 1;
-                        let delay = backoff_ns << (attempt - 1).min(20);
-                        st.retries.push(RetryEntry {
-                            ready_at: round_end + delay,
-                            attempt,
-                            req: *r,
-                        });
-                    }
+                continue;
+            };
+            st.fault_counts[match kind {
+                FaultKind::Transient => 0,
+                FaultKind::Stuck { .. } => 1,
+                FaultKind::RankOffline { .. } => 2,
+            }] += requests.len() as u64;
+            for (r, &prior) in requests.iter().zip(priors) {
+                let attempt = prior + 1;
+                if attempt > spec.max_retries {
+                    st.failed[r.tenant] += 1;
+                } else {
+                    st.retried[r.tenant] += 1;
+                    let delay = backoff_ns << (attempt - 1).min(20);
+                    st.retries.push(RetryEntry { ready_at: round_end + delay, attempt, req: *r });
+                    pushed_retry = true;
                 }
             }
         }
-        st.retries.sort_unstable_by_key(|e| (e.ready_at, e.req.id));
+        // The retry set stays sorted between rounds (draining takes a
+        // prefix), so only a round that pushed has anything to re-sort.
+        if pushed_retry {
+            st.retries.sort_unstable_by_key(|e| (e.ready_at, e.req.id));
+        }
 
         st.timeline.to_dpu_ns += to_ns;
         st.timeline.kernel_ns += kernel_ns;
@@ -786,6 +872,7 @@ fn run_loop(
         metrics,
         rounds: st.rounds,
         distinct_compositions: st.seen.len(),
+        composition_lookups: lookups,
         traces,
     })
 }
@@ -860,6 +947,47 @@ mod tests {
         let out = run_scenario(s, &ServeOptions { trace_capacity: 256, ..opts(2) }).unwrap();
         assert_eq!(out.traces.len(), out.distinct_compositions);
         assert!(out.traces.iter().all(|t| t.trace.event_count() > 0));
+    }
+
+    #[test]
+    fn a_checkpoint_with_a_misshapen_composition_does_not_resume() {
+        let s = scenario_by_name("tiny").unwrap();
+        let mut cuts = Vec::new();
+        let out =
+            run_scenario_with_checkpoints(s, &opts(1), 1, &mut |ck| cuts.push(ck.clone())).unwrap();
+        let ck = cuts.last_mut().expect("a 2 ms run cuts at 1 ms");
+        assert!(!ck.seen.is_empty());
+        assert!(LoopState::from_checkpoint(s, &opts(1), out.duration_ns, ck).is_ok());
+        ck.seen[0].push(EMPTY_SLOT);
+        let err = LoopState::from_checkpoint(s, &opts(1), out.duration_ns, ck).err().unwrap();
+        assert!(err.contains("5 slots"), "{err}");
+    }
+
+    #[test]
+    fn an_idle_dpu_profiles_the_empty_composition_exactly_once() {
+        const IDLE: &str = "--+--+--+--";
+        // Four DPUs at a quarter of the base rate: most rounds carry one
+        // or two requests, so nearly every round leaves DPUs idle — yet
+        // the all-empty composition is profiled, and counted, once.
+        let demo = scenario_by_name("demo").unwrap();
+        let light = ServeOptions { load: 0.25, duration_ms: 5, trace_capacity: 64, ..opts(2) };
+        let out = run_scenario(demo, &light).unwrap();
+        assert!(out.rounds > 10);
+        assert!(
+            out.composition_lookups < out.rounds * u64::from(out.n_dpus),
+            "the window must actually leave DPUs idle"
+        );
+        assert_eq!(out.traces.iter().filter(|t| t.label == IDLE).count(), 1);
+        assert_eq!(out.traces.len(), out.distinct_compositions);
+        assert_eq!(out.metrics.get("serve_compositions"), out.distinct_compositions as u64);
+        // One DPU is never both healthy and idle in a dispatched round:
+        // every lookup is an occupied DPU, and nothing idle is profiled.
+        let tiny = scenario_by_name("tiny").unwrap();
+        let out = run_scenario(tiny, &ServeOptions { trace_capacity: 64, ..opts(2) }).unwrap();
+        assert_eq!(out.composition_lookups, out.rounds);
+        assert!(out.traces.iter().all(|t| t.label != IDLE));
+        let misses = out.distinct_compositions as f64 / out.rounds as f64;
+        assert!((out.composition_hit_rate() - (1.0 - misses)).abs() < 1e-12);
     }
 
     #[test]

@@ -15,8 +15,10 @@ pub trait SchedulerPolicy {
     /// The registry name (`fifo` | `size_class` | `weighted_fair`).
     fn name(&self) -> &'static str;
 
-    /// Drains up to `capacity` requests from `q` in service order.
-    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize) -> Vec<Request>;
+    /// Drains up to `capacity` requests from `q`, appending them to
+    /// `batch` in service order. The caller owns the buffer so a serving
+    /// loop reuses one allocation across rounds.
+    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize, batch: &mut Vec<Request>);
 
     /// The policy's internal state for a checkpoint. Stateless policies
     /// (fifo, size_class) return [`Json::Null`]; stateful ones serialize
@@ -47,13 +49,8 @@ impl SchedulerPolicy for Fifo {
         "fifo"
     }
 
-    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize) -> Vec<Request> {
-        let mut batch = Vec::with_capacity(capacity);
-        while batch.len() < capacity {
-            let Some(r) = q.pop_front() else { break };
-            batch.push(r);
-        }
-        batch
+    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize, batch: &mut Vec<Request>) {
+        batch.extend(std::iter::from_fn(|| q.pop_front()).take(capacity));
     }
 }
 
@@ -70,18 +67,17 @@ impl SchedulerPolicy for SizeClass {
         "size_class"
     }
 
-    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize) -> Vec<Request> {
-        let mut batch = Vec::with_capacity(capacity);
-        let Some(anchor) = q.front().map(|r| r.class) else { return batch };
-        while batch.len() < capacity {
+    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize, batch: &mut Vec<Request>) {
+        let full = batch.len() + capacity;
+        let Some(anchor) = q.front().map(|r| r.class) else { return };
+        while batch.len() < full {
             let Some(r) = q.pop_first_where(|r| r.class == anchor) else { break };
             batch.push(r);
         }
-        while batch.len() < capacity {
+        while batch.len() < full {
             let Some(r) = q.pop_front() else { break };
             batch.push(r);
         }
-        batch
     }
 }
 
@@ -109,7 +105,7 @@ impl SchedulerPolicy for WeightedFair {
         "weighted_fair"
     }
 
-    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize) -> Vec<Request> {
+    fn next_batch(&mut self, q: &mut AdmissionQueue, capacity: usize, batch: &mut Vec<Request>) {
         // A tenant whose backlog drained loses its stale credit (standard
         // DRR: deficit resets when the queue empties) so it cannot hoard
         // service for later.
@@ -118,8 +114,8 @@ impl SchedulerPolicy for WeightedFair {
                 *c = 0;
             }
         }
-        let mut batch = Vec::with_capacity(capacity);
-        while batch.len() < capacity && !q.is_empty() {
+        let full = batch.len() + capacity;
+        while batch.len() < full && !q.is_empty() {
             // Top up a quantum whenever no backlogged tenant has credit.
             let backlogged = |credit: &[i64]| {
                 (0..credit.len())
@@ -139,7 +135,6 @@ impl SchedulerPolicy for WeightedFair {
             self.credit[pick] -= 1;
             batch.push(r);
         }
-        batch
     }
 
     fn snapshot(&self) -> Json {
@@ -201,6 +196,13 @@ mod tests {
     use super::*;
     use crate::queue::AdmissionQueue;
 
+    /// One round's batch in a fresh buffer.
+    fn drain(p: &mut dyn SchedulerPolicy, q: &mut AdmissionQueue, capacity: usize) -> Vec<Request> {
+        let mut batch = Vec::new();
+        p.next_batch(q, capacity, &mut batch);
+        batch
+    }
+
     fn queue_with(reqs: &[(usize, u16)]) -> AdmissionQueue {
         let n_tenants = reqs.iter().map(|r| r.0).max().unwrap_or(0) + 1;
         let mut q = AdmissionQueue::new(1024, vec![1024; n_tenants]);
@@ -213,7 +215,7 @@ mod tests {
     #[test]
     fn fifo_preserves_arrival_order() {
         let mut q = queue_with(&[(0, 1), (1, 2), (0, 1), (1, 3)]);
-        let batch = Fifo.next_batch(&mut q, 3);
+        let batch = drain(&mut Fifo, &mut q, 3);
         assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(q.len(), 1);
     }
@@ -221,7 +223,7 @@ mod tests {
     #[test]
     fn size_class_prefers_the_anchor_class() {
         let mut q = queue_with(&[(0, 5), (0, 9), (0, 5), (0, 5), (0, 9)]);
-        let batch = SizeClass.next_batch(&mut q, 4);
+        let batch = drain(&mut SizeClass, &mut q, 4);
         // Three class-5 requests first (ids 0,2,3), then FIFO fallback (1).
         assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), vec![0, 2, 3, 1]);
     }
@@ -231,7 +233,7 @@ mod tests {
         let reqs: Vec<(usize, u16)> = (0..40).map(|i| (i % 2, 0u16)).collect();
         let mut q = queue_with(&reqs);
         let mut wf = WeightedFair::new(vec![3, 1]);
-        let batch = wf.next_batch(&mut q, 16);
+        let batch = drain(&mut wf, &mut q, 16);
         let t0 = batch.iter().filter(|r| r.tenant == 0).count();
         let t1 = batch.iter().filter(|r| r.tenant == 1).count();
         assert_eq!(t0 + t1, 16);
@@ -242,7 +244,7 @@ mod tests {
     fn weighted_fair_serves_the_only_backlogged_tenant() {
         let mut q = queue_with(&[(1, 0), (1, 0), (1, 0)]);
         let mut wf = WeightedFair::new(vec![100, 1]);
-        let batch = wf.next_batch(&mut q, 8);
+        let batch = drain(&mut wf, &mut q, 8);
         assert_eq!(batch.len(), 3);
         assert!(batch.iter().all(|r| r.tenant == 1));
     }
@@ -252,15 +254,31 @@ mod tests {
         let reqs: Vec<(usize, u16)> = (0..40).map(|i| (i % 2, 0u16)).collect();
         let mut q = queue_with(&reqs);
         let mut wf = WeightedFair::new(vec![3, 1]);
-        wf.next_batch(&mut q, 10); // leaves non-zero credits behind
+        drain(&mut wf, &mut q, 10); // leaves non-zero credits behind
         let state = wf.snapshot();
         let mut q2 = q.clone();
         let mut restored = WeightedFair::new(vec![3, 1]);
         restored.restore(&state).unwrap();
-        assert_eq!(restored.next_batch(&mut q2, 16), wf.next_batch(&mut q, 16));
+        assert_eq!(drain(&mut restored, &mut q2, 16), drain(&mut wf, &mut q, 16));
         // Mismatched snapshots are rejected, not silently accepted.
         assert!(WeightedFair::new(vec![1]).restore(&state).is_err());
         assert!(restored.restore(&Json::from("nope")).is_err());
+    }
+
+    #[test]
+    fn next_batch_appends_after_what_the_buffer_holds() {
+        // The runtime puts ready retries at the front of the round's
+        // buffer; every policy must add at most `capacity` behind them.
+        for name in ["fifo", "size_class", "weighted_fair"] {
+            let mut q = queue_with(&[(0, 1), (1, 2), (0, 1), (1, 3)]);
+            let mut policy = policy_by_name_with_weights(name, &[1, 1]).unwrap();
+            let retry = Request { id: 99, tenant: 0, class: 7, arrival_ns: 0 };
+            let mut batch = vec![retry];
+            policy.next_batch(&mut q, 3, &mut batch);
+            assert_eq!(batch.len(), 4, "{name}");
+            assert_eq!(batch[0], retry, "{name}");
+            assert_eq!(q.len(), 1, "{name}");
+        }
     }
 
     #[test]

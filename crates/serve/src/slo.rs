@@ -41,7 +41,9 @@ fn lower_bound(idx: usize) -> u64 {
 /// A log-bucketed latency histogram over nanosecond samples.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
-    counts: Vec<u64>,
+    /// Inline, not boxed: recording is the per-request hot path, and a
+    /// fixed array indexes without a pointer chase.
+    counts: [u64; BUCKETS],
     total: u64,
     sum_ns: u64,
     max_ns: u64,
@@ -49,7 +51,7 @@ pub struct LatencyHistogram {
 
 impl Default for LatencyHistogram {
     fn default() -> Self {
-        LatencyHistogram { counts: vec![0; BUCKETS], total: 0, sum_ns: 0, max_ns: 0 }
+        LatencyHistogram { counts: [0; BUCKETS], total: 0, sum_ns: 0, max_ns: 0 }
     }
 }
 
@@ -160,10 +162,10 @@ impl LatencyHistogram {
             return Err("histogram snapshot is too short".into());
         };
         let mut h = LatencyHistogram {
-            counts: vec![0; BUCKETS],
             total: uint(total)?,
             sum_ns: uint(sum_ns)?,
             max_ns: uint(max_ns)?,
+            ..LatencyHistogram::default()
         };
         for pair in buckets {
             let Json::Arr(p) = pair else { return Err("histogram bucket must be a pair".into()) };

@@ -168,3 +168,63 @@ fn overlapped_channel_conserves_while_shifting_transfer_latency_down() {
         mean(&blocking)
     );
 }
+
+#[test]
+fn steady_state_shapes_are_pinned_byte_for_byte() {
+    // The three shapes the `serve_steady` benchmark workload runs, at its
+    // smoke length: weighted-fair + overlapped saturation, a checkpointed
+    // fault campaign long enough for an outage to rejoin, and the
+    // chained-kernel inference mix. The goldens cover none of them, and a
+    // 64-bit FNV-1a of each rendered document pins its bytes without
+    // committing 60 KB of JSON. The constants were captured on the commit
+    // before the dispatch round was rewritten; they move only if serving
+    // *results* move.
+    use pim_fuzz::corpus::fnv1a;
+    use pim_host::ChannelMode;
+    use pim_serve::{resume_scenario, run_scenario_with_checkpoints, Checkpoint, FaultSpec};
+    use pimulator::report::Json;
+
+    const SATURATE: [u64; 2] = [0x8a53_c723_d252_9a51, 0x722a_90d0_0b39_41dc];
+    const FAULTY: [u64; 2] = [0x58c7_b2fb_b247_7520, 0x72d7_3e64_50b5_9571];
+    const FAULTY_CUTS: [u64; 2] = [0xef6a_fde8_5018_2570, 0x0c28_8287_8916_8110];
+    const INFERENCE: [u64; 2] = [0x2a3d_f921_1e6a_2e44, 0x59b4_f530_04cc_3729];
+
+    let steady = |seed: u64| ServeOptions { seed, duration_ms: 300, ..opts(1) };
+    let render = |o: &pim_serve::ServeOutcome| outcome_json(o).render_pretty();
+    for (i, seed) in [1u64, 2].into_iter().enumerate() {
+        let saturate = run_scenario(
+            scenario_by_name("saturate").unwrap(),
+            &ServeOptions {
+                policy: Some("weighted_fair".into()),
+                channel: ChannelMode::Overlapped,
+                ..steady(seed)
+            },
+        )
+        .unwrap();
+        assert_eq!(fnv1a(render(&saturate).as_bytes()), SATURATE[i], "saturate seed {seed}");
+
+        let faulty = scenario_by_name("faulty").unwrap();
+        let spec = FaultSpec::parse("transient=80,stuck=10,outages=2,rank_dpus=4").unwrap();
+        let faulty_opts = ServeOptions { faults: Some(spec), ..steady(seed) };
+        let mut cuts: Vec<String> = Vec::new();
+        let full = run_scenario_with_checkpoints(faulty, &faulty_opts, 100, &mut |ck| {
+            cuts.push(ck.to_json().render_pretty());
+        })
+        .unwrap();
+        let uninterrupted = render(&full);
+        assert_eq!(fnv1a(uninterrupted.as_bytes()), FAULTY[i], "faulty seed {seed}");
+        assert!(cuts.len() >= 3, "300 ms at a 100 ms cadence cuts at least three times");
+        assert_eq!(
+            fnv1a(cuts.concat().as_bytes()),
+            FAULTY_CUTS[i],
+            "faulty checkpoints seed {seed}"
+        );
+        let middle = Checkpoint::from_json(&Json::parse(&cuts[cuts.len() / 2]).unwrap()).unwrap();
+        let resumed = resume_scenario(faulty, &faulty_opts, &middle, 0, &mut |_| {}).unwrap();
+        assert!(render(&resumed) == uninterrupted, "faulty seed {seed}: resume diverged");
+
+        let inference =
+            run_scenario(scenario_by_name("inference").unwrap(), &steady(seed)).unwrap();
+        assert_eq!(fnv1a(render(&inference).as_bytes()), INFERENCE[i], "inference seed {seed}");
+    }
+}

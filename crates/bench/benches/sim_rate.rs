@@ -82,6 +82,18 @@ fn main() {
         });
     }
 
+    // Sixteen DPUs through `launch_all`, per simulated instruction of the
+    // whole run (staging included). VA's DPUs follow their group leader's
+    // schedule to the end; BS's searches part within a few instructions,
+    // so every follower re-derives its own engine and finishes alone.
+    for name in ["VA", "BS"] {
+        let w = workload_by_name(name).unwrap();
+        let rc = RunConfig::multi(16, DpuConfig::paper_baseline(16));
+        let run = || w.run(DatasetSize::SingleDpu, &rc).unwrap();
+        let instrs = run().per_dpu.iter().map(|s| s.instructions).sum();
+        bench(&format!("lockstep_{}_16dpu", name.to_lowercase()), 5, instrs, run);
+    }
+
     bench("dram_streaming_1024_bursts", 50, 1024, || {
         let mut bank = DramBank::new(DramConfig::ddr4_2400());
         let mut done = Vec::new();

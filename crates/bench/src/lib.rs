@@ -1510,7 +1510,10 @@ fn run_transfer_study(ctx: &ExpContext) -> Result<ExpReport, SimError> {
 
 fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let mut text = header("Rank scale: batched SoA execution of whole-rank populations", ctx.size);
-    let rows = exp::exp_rank_scale(&ctx.rt, ctx.size)?;
+    let (rows, lockstep) = exp::exp_rank_scale(&ctx.rt, ctx.size)?;
+    // Out of band: the summary depends on the host's thread count, the
+    // document must not. CI's rank-scale smoke reads this line.
+    eprintln!("lockstep: {lockstep}");
     let mut json_rows = Vec::new();
     for r in &rows {
         let _ = writeln!(

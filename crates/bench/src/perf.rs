@@ -303,17 +303,19 @@ pub fn measure_synthetic(
     })
 }
 
-/// The `rank` synthetic: one DPU population launched twice — through the
-/// lockstep batch driver and through the per-DPU path — on identical staged
-/// inputs. Both launches produce byte-identical simulated results
-/// (asserted), so the wall-time ratio isolates the executor itself. The
+/// The `rank` synthetic: one DPU population launched twice — through
+/// `launch_all` (the lockstep driver) and DPU by DPU through `launch_each`
+/// — on identical staged inputs. Both launches produce byte-identical
+/// simulated results (asserted), so the wall-time ratio isolates the
+/// executor itself. The
 /// headline metric is **DPU-steps/sec**: aggregate simulated DPU cycles
 /// advanced per wall-second.
 #[derive(Debug, Clone)]
 pub struct RankMeasurement {
     /// Population size (DPUs launched together).
     pub dpus: u32,
-    /// Batch size of the batched launch.
+    /// Always [`exp::DEFAULT_RANK_BATCH`]; lockstep groups are no longer
+    /// sized by a knob, the field stays for the `pim-bench/3` schema.
     pub batch_dpus: u32,
     /// Tasklets per DPU.
     pub tasklets: u32,
@@ -371,7 +373,7 @@ fn rank_population_size(size: DatasetSize) -> u32 {
 pub fn measure_rank(size: DatasetSize, reps: usize) -> Result<RankMeasurement, SimError> {
     let dpus = rank_population_size(size);
     let batch_dpus = exp::DEFAULT_RANK_BATCH;
-    let mut batched = exp::rank_population(0, dpus, batch_dpus)?;
+    let mut batched = exp::rank_population(0, dpus, 0)?;
     let mut per_dpu = exp::rank_population(0, dpus, 0)?;
     let mut walls_batched = Vec::with_capacity(reps);
     let mut walls_per_dpu = Vec::with_capacity(reps);
@@ -381,10 +383,11 @@ pub fn measure_rank(size: DatasetSize, reps: usize) -> Result<RankMeasurement, S
         let rb = batched.launch_all()?;
         walls_batched.push(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        let rp = per_dpu.launch_all()?;
+        let rp = per_dpu.launch_each().into_iter().collect::<Result<Vec<_>, _>>()?;
         walls_per_dpu.push(start.elapsed().as_secs_f64());
         let got = (rb.total_instructions(), rb.per_dpu.iter().map(|s| s.cycles).sum::<u64>());
-        let got_p = (rp.total_instructions(), rp.per_dpu.iter().map(|s| s.cycles).sum::<u64>());
+        let got_p =
+            (rp.iter().map(|s| s.instructions).sum::<u64>(), rp.iter().map(|s| s.cycles).sum());
         assert_eq!(got, got_p, "RANK: batched and per-DPU launches disagree on simulated work");
         match sim {
             None => sim = Some(got),

@@ -32,7 +32,7 @@
 //!     --budget N                  programs to generate (default 96)
 //!     --jobs N                    worker threads (never affects results)
 //!     --corpus DIR                replay this corpus first; write repros here
-//!     --mutate                    arm the seeded scoreboard bug (self-check)
+//!     --mutate                    arm each seeded bug in turn (self-check)
 //!     --json                      print the JSON document to stdout
 //!     --out FILE                  where the JSON report is written
 //! pimsim tune   [options]                    autotune per-workload configs

@@ -316,6 +316,14 @@ fn fuzz_mutate_self_check_succeeds_and_prints_a_shrunk_repro() {
         .expect("spawn pimsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("mutation self-check: detected"), "stdout: {stdout}");
-    assert!(stdout.contains("shrunk repro ("), "stdout: {stdout}");
+    for bug in ["scoreboard", "replay"] {
+        let detected = format!("mutation self-check: detected the seeded {bug} bug");
+        assert!(stdout.contains(&detected), "stdout: {stdout}");
+    }
+    assert_eq!(stdout.matches("shrunk repro (").count(), 2, "stdout: {stdout}");
+    // A budget of nothing generates nothing: both bugs survive.
+    let none = pimsim().args(["fuzz", "--mutate", "--budget", "0"]).output().expect("spawn pimsim");
+    assert!(!none.status.success());
+    let stderr = String::from_utf8_lossy(&none.stderr);
+    assert!(stderr.contains("scoreboard bug survived") && stderr.contains("replay bug survived"));
 }

@@ -13,7 +13,7 @@
 //! that ordered list — output is bit-identical at any worker count.
 
 use crate::jobs::{JobRunner, SimJob, SimJobOutput};
-use pim_dpu::{DpuConfig, IlpFeatures, SimError, SimtConfig};
+use pim_dpu::{DpuConfig, IlpFeatures, LockstepSummary, SimError, SimtConfig};
 use pim_isa::InstrClass;
 use prim_suite::{all_workloads, DatasetSize};
 
@@ -795,7 +795,8 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
 /// DPUs per rank of the paper's hardware baseline (20 ranks = 2,560 DPUs).
 pub const DPUS_PER_RANK: u32 = 128;
 
-/// Default batch size of the rank sweep's lockstep batch driver.
+/// Default shard length of the rank sweep: DPUs per `PimSystem` handed to
+/// the job engine.
 pub const DEFAULT_RANK_BATCH: u32 = 64;
 
 /// MRAM bytes given to each rank-sweep DPU — enough for the kernel's input
@@ -873,16 +874,14 @@ fn rank_kernel() -> pim_asm::DpuProgram {
 }
 
 /// The rank sweep's DPU configuration: the paper baseline at 8 tasklets
-/// with the shrunken MRAM bank; `batch_dpus > 0` routes launches through
-/// the lockstep batch driver, 0 keeps the per-DPU path (the throughput
-/// baseline `pim-bench` compares against).
+/// with the shrunken MRAM bank. `_batch_dpus` is ignored — it used to
+/// select the lockstep driver, which `PimSystem::launch_all` now takes
+/// whenever the DPUs are compatible; the parameter stays because
+/// `benchmark/` compiles against this signature.
 #[must_use]
-pub fn rank_config(batch_dpus: u32) -> DpuConfig {
+pub fn rank_config(_batch_dpus: u32) -> DpuConfig {
     let mut cfg = DpuConfig::paper_baseline(RANK_TASKLETS);
     cfg.layout.mram_bytes = RANK_MRAM_BYTES;
-    if batch_dpus > 0 {
-        cfg = cfg.with_batched(batch_dpus);
-    }
     cfg
 }
 
@@ -905,10 +904,10 @@ struct RankShard {
 }
 
 /// Builds a fully staged rank-sweep population: `n_dpus` DPUs under
-/// [`rank_config`]`(batch_dpus)` with the kernel loaded and DPU `base + i`'s
+/// [`rank_config`] with the kernel loaded and DPU `base + i`'s
 /// deterministic input window written to MRAM. Used by the sweep's shards
 /// and by the `pim-bench` `rank` synthetic, which stages once and times
-/// repeated launches.
+/// repeated launches. `_batch_dpus` is ignored, as in [`rank_config`].
 ///
 /// # Errors
 ///
@@ -916,14 +915,11 @@ struct RankShard {
 pub fn rank_population(
     base: u32,
     n_dpus: u32,
-    batch_dpus: u32,
+    _batch_dpus: u32,
 ) -> Result<pim_host::PimSystem, SimError> {
     let program = rank_kernel();
-    let mut sys = pim_host::PimSystem::new(
-        n_dpus,
-        rank_config(batch_dpus),
-        pim_host::TransferConfig::paper(),
-    );
+    let mut sys =
+        pim_host::PimSystem::new(n_dpus, rank_config(0), pim_host::TransferConfig::paper());
     sys.load(&program)?;
     for i in 0..n_dpus {
         let bytes: Vec<u8> = rank_input(base + i).iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -932,11 +928,14 @@ pub fn rank_population(
     Ok(sys)
 }
 
-/// Simulates one shard end-to-end and returns
-/// `(instructions, cycles, kernel_ns, checksum)`, validating every DPU's
-/// kernel result against the host reference.
-fn run_rank_shard(shard: RankShard, batch_dpus: u32) -> Result<(u64, u64, f64, u32), SimError> {
-    let mut sys = rank_population(shard.lo, shard.hi - shard.lo, batch_dpus)?;
+/// What one shard contributes to its row: `(instructions, cycles,
+/// kernel_ns, checksum)` and what lockstep did with its DPUs.
+type RankShardOut = ((u64, u64, f64, u32), LockstepSummary);
+
+/// Simulates one shard end-to-end, validating every DPU's kernel result
+/// against the host reference.
+fn run_rank_shard(shard: RankShard) -> Result<RankShardOut, SimError> {
+    let mut sys = rank_population(shard.lo, shard.hi - shard.lo, 0)?;
     let report = sys.launch_all()?;
     let mut checksum: u32 = 0;
     for (j, bytes) in sys.pull_from_symbol("sum").iter().enumerate() {
@@ -947,29 +946,34 @@ fn run_rank_shard(shard: RankShard, batch_dpus: u32) -> Result<(u64, u64, f64, u
         checksum = checksum.wrapping_add(got as u32);
     }
     let cycles = report.per_dpu.iter().map(|s| s.cycles).sum();
-    Ok((report.total_instructions(), cycles, report.kernel_ns, checksum))
+    Ok(((report.total_instructions(), cycles, report.kernel_ns, checksum), report.lockstep))
 }
 
-/// Rank-scale sweep with the default batch size ([`DEFAULT_RANK_BATCH`]).
+/// Rank-scale sweep at the default shard length ([`DEFAULT_RANK_BATCH`]),
+/// with what the lockstep driver did over the whole sweep. The summary is
+/// diagnostic: unlike the rows it depends on how launches were split over
+/// host threads, so it goes into no results document.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation fault.
-pub fn exp_rank_scale(rt: &JobRunner, size: DatasetSize) -> Result<Vec<RankScaleRow>, SimError> {
-    exp_rank_scale_with(rt, size, DEFAULT_RANK_BATCH)
+pub fn exp_rank_scale(
+    rt: &JobRunner,
+    size: DatasetSize,
+) -> Result<(Vec<RankScaleRow>, LockstepSummary), SimError> {
+    rank_scale_sweep(rt, size, DEFAULT_RANK_BATCH)
 }
 
 /// Rank-scale sweep: simulates whole-rank DPU populations (up to the
-/// paper's 20 ranks = 2,560 DPUs at `MultiDpu`) through the lockstep batch
-/// executor, sharding **batches — not individual DPUs — over the job
-/// engine**, so each worker steps a contiguous block of DPUs out of one
-/// contiguous state block. `batch_dpus == 0` runs the per-DPU path with
-/// the same shard shape.
+/// paper's 20 ranks = 2,560 DPUs at `MultiDpu`), sharding the population
+/// into systems of `batch_dpus` DPUs over the job engine (0 = the default,
+/// [`DEFAULT_RANK_BATCH`]); each system's `launch_all` runs its compatible
+/// DPUs in lockstep. `batch_dpus` is the shard length and nothing else.
 ///
-/// Rows are byte-identical across worker counts and batch sizes (pinned by
-/// `tests/determinism.rs`): batch boundaries are timing-invisible, and
-/// every reported quantity is simulated, aggregated with order-independent
-/// folds.
+/// Rows are byte-identical across worker counts and shard lengths (pinned
+/// by `tests/determinism.rs`): lockstep group boundaries are
+/// timing-invisible, and every reported quantity is simulated, aggregated
+/// with order-independent folds.
 ///
 /// # Errors
 ///
@@ -979,32 +983,42 @@ pub fn exp_rank_scale_with(
     size: DatasetSize,
     batch_dpus: u32,
 ) -> Result<Vec<RankScaleRow>, SimError> {
+    let shard_len = if batch_dpus > 0 { batch_dpus } else { DEFAULT_RANK_BATCH };
+    rank_scale_sweep(rt, size, shard_len).map(|(rows, _)| rows)
+}
+
+fn rank_scale_sweep(
+    rt: &JobRunner,
+    size: DatasetSize,
+    shard_len: u32,
+) -> Result<(Vec<RankScaleRow>, LockstepSummary), SimError> {
     let rank_counts: &[u32] = match size {
         DatasetSize::Tiny => &[1, 2],
         DatasetSize::SingleDpu => &[1, 2, 4, 8],
         DatasetSize::MultiDpu => &[1, 4, 8, 20],
     };
-    let shard_len = if batch_dpus > 0 { batch_dpus } else { DEFAULT_RANK_BATCH };
     let mut rows = Vec::with_capacity(rank_counts.len());
+    let mut lockstep = LockstepSummary::default();
     for &ranks in rank_counts {
         let dpus = ranks * DPUS_PER_RANK;
         let shards: Vec<RankShard> = (0..dpus)
             .step_by(shard_len as usize)
             .map(|lo| RankShard { lo, hi: (lo + shard_len).min(dpus) })
             .collect();
-        let outs = rt.map(&shards, |_, &s| run_rank_shard(s, batch_dpus));
+        let outs = rt.map(&shards, |_, &s| run_rank_shard(s));
         let mut row =
             RankScaleRow { ranks, dpus, instructions: 0, cycles: 0, kernel_ns: 0.0, checksum: 0 };
-        for out in outs {
-            let (instructions, cycles, kernel_ns, checksum) = out?;
+        for (shard, out) in shards.iter().zip(outs) {
+            let ((instructions, cycles, kernel_ns, checksum), summary) = out?;
             row.instructions += instructions;
             row.cycles += cycles;
             row.kernel_ns = row.kernel_ns.max(kernel_ns);
             row.checksum = row.checksum.wrapping_add(checksum);
+            lockstep.absorb(&summary, shard.lo);
         }
         rows.push(row);
     }
-    Ok(rows)
+    Ok((rows, lockstep))
 }
 
 #[cfg(test)]
@@ -1049,10 +1063,12 @@ mod tests {
     }
 
     #[test]
-    fn rank_scale_rows_are_batch_size_invariant() {
+    fn rank_scale_rows_are_shard_length_invariant() {
         let rt = JobRunner::new(Some(2));
         let batched = exp_rank_scale_with(&rt, DatasetSize::Tiny, 32).unwrap();
-        let per_dpu = exp_rank_scale_with(&rt, DatasetSize::Tiny, 0).unwrap();
+        let (per_dpu, lockstep) = exp_rank_scale(&rt, DatasetSize::Tiny).unwrap();
+        assert_eq!(lockstep.members(), 3 * DPUS_PER_RANK);
+        assert!(lockstep.left.is_empty(), "the rank kernel never diverges: {lockstep}");
         let odd = exp_rank_scale_with(&rt, DatasetSize::Tiny, 7).unwrap();
         assert_eq!(batched.len(), 2);
         assert_eq!(batched[0].dpus, DPUS_PER_RANK);

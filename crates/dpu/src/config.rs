@@ -208,14 +208,6 @@ pub struct DpuConfig {
     /// [`ExecTier::Compiled`]; simulated counts are byte-identical across
     /// tiers.
     pub exec_tier: ExecTier,
-    /// Maximum DPUs per batch of the rank-scale lockstep driver
-    /// (`pim_dpu::batch`). 0 (the default) keeps every launch on the
-    /// per-DPU path; a positive value makes host-side set launches
-    /// (`PimSystem::launch_all`) route through
-    /// `PimSystem::launch_all_batched` with this batch size. Purely a
-    /// simulator-implementation switch, like [`DpuConfig::exec_tier`]:
-    /// simulated timing and statistics are byte-identical either way.
-    pub batch_dpus: u32,
 }
 
 impl DpuConfig {
@@ -248,7 +240,6 @@ impl DpuConfig {
             event_trace_capacity: 0,
             oracle_check: false,
             exec_tier: ExecTier::Compiled,
-            batch_dpus: 0,
         }
     }
 
@@ -257,20 +248,6 @@ impl DpuConfig {
     #[must_use]
     pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {
         self.exec_tier = tier;
-        self
-    }
-
-    /// Routes host-side set launches through the lockstep batch driver with
-    /// batches of at most `batch_dpus` DPUs (see [`DpuConfig::batch_dpus`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_dpus` is zero (use the default configuration for
-    /// the per-DPU path).
-    #[must_use]
-    pub fn with_batched(mut self, batch_dpus: u32) -> Self {
-        assert!(batch_dpus > 0, "batch size must be at least 1 DPU");
-        self.batch_dpus = batch_dpus;
         self
     }
 

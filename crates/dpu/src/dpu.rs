@@ -366,7 +366,8 @@ impl Dpu {
         if self.program.is_none() {
             return Err(SimError::NoProgram);
         }
-        let mut mem = self.reset_launch_state();
+        self.rearm();
+        let mut mem = self.mem_engine();
         // The oracle snapshot must see the post-reset, pre-run state.
         let oracle = self.build_oracle();
         let result = if let Some(mut ring) = self.trace.take() {
@@ -394,18 +395,22 @@ impl Dpu {
         result
     }
 
-    /// Resets per-launch architectural state (register files, PCs, atomic
-    /// bits) and builds a fresh memory engine for the run. Shared between
-    /// [`Dpu::launch`] and the lockstep driver (`crate::batch`), which
-    /// resets every member of a batch before stepping any of them.
-    pub(crate) fn reset_launch_state(&mut self) -> MemEngine {
-        let n = self.cfg.n_tasklets as usize;
-        self.state.regs = vec![[0; 24]; n];
-        self.state.pc = (0..n).map(|t| self.entry.get(t).copied().unwrap_or(0)).collect();
-        self.state.tid_base = (0..n).map(|t| self.tid_base.get(t).copied().unwrap_or(0)).collect();
-        for b in &mut self.state.atomic {
-            *b = false;
+    /// Re-arms per-launch architectural state: register files, PCs, tasklet-id
+    /// bases and atomic bits. All a lockstep follower needs — only its
+    /// group's leader also builds a memory engine.
+    pub(crate) fn rearm(&mut self) {
+        self.state.regs.fill([0; 24]);
+        for (t, pc) in self.state.pc.iter_mut().enumerate() {
+            *pc = self.entry.get(t).copied().unwrap_or(0);
         }
+        for (t, base) in self.state.tid_base.iter_mut().enumerate() {
+            *base = self.tid_base.get(t).copied().unwrap_or(0);
+        }
+        self.state.atomic.fill(false);
+    }
+
+    /// A fresh memory engine for one launch.
+    pub(crate) fn mem_engine(&self) -> MemEngine {
         let mmu = self.cfg.mmu.map(|mc| {
             let pages = self.cfg.layout.mram_bytes / mc.page_bytes;
             Mmu::new(mc, PageTable::identity(pages))

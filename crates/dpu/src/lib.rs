@@ -69,7 +69,7 @@ mod simt;
 pub mod stats;
 pub mod tenancy;
 
-pub use batch::run_batch;
+pub use batch::{run_batch, Divergence, Ineligible, LockstepSummary};
 pub use config::{
     DmaConfig, DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, MAX_TASKLETS,
 };

@@ -1,21 +1,28 @@
 //! Fault-injection hooks for mutation self-checks (feature-gated).
 //!
 //! A conformance fuzzer is only trustworthy if it demonstrably catches the
-//! class of bug it exists for. This module provides a single seeded bug —
-//! dropping the even/odd register-file structural hazard in the optimized
-//! scalar loop — behind a process-global switch that `pim-fuzz --mutate`
-//! flips before running a campaign. With the bug armed, the fast loop
-//! under-counts issue slots for same-bank source pairs, so any program
-//! with an RF hazard diverges from the naive reference loop in cycle
-//! counts and stall attribution.
+//! class of bug it exists for. This module provides two seeded bugs, each
+//! behind a process-global switch that `pim-fuzz --mutate` flips before
+//! running a campaign:
 //!
-//! The switch defaults to off; builds with `mutation-hooks` enabled but
-//! the switch untouched behave identically to builds without the feature
-//! (the flag is read once per launch, outside the hot loop).
+//! * the **scoreboard** bug drops the even/odd register-file structural
+//!   hazard in the issue engine, which then under-counts issue slots for
+//!   same-bank source pairs: any program with an RF hazard diverges from
+//!   the naive reference loop in cycle counts and stall attribution;
+//! * the **replay** bug makes a lockstep follower skip the `Effect`
+//!   comparison on jumps, so a member whose branch goes the other way
+//!   stays on the leader's schedule instead of leaving it: only a batch
+//!   whose members take different paths shows it.
+//!
+//! Both switches default to off; builds with `mutation-hooks` enabled but
+//! the switches untouched behave identically to builds without the
+//! feature (each flag is read once per launch or per replayed segment,
+//! outside the hot loops).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static SCOREBOARD_BUG: AtomicBool = AtomicBool::new(false);
+static REPLAY_BUG: AtomicBool = AtomicBool::new(false);
 
 /// Arms (or disarms) the seeded scoreboard bug: while armed, the
 /// optimized scalar loop treats every instruction's register-file hazard
@@ -29,4 +36,17 @@ pub fn set_scoreboard_bug(on: bool) {
 #[must_use]
 pub fn scoreboard_bug() -> bool {
     SCOREBOARD_BUG.load(Ordering::SeqCst)
+}
+
+/// Arms (or disarms) the seeded replay bug: while armed, a lockstep
+/// follower accepts any logged instruction on which it or the leader
+/// jumped without comparing the two effects.
+pub fn set_replay_bug(on: bool) {
+    REPLAY_BUG.store(on, Ordering::SeqCst);
+}
+
+/// Whether the seeded replay bug is currently armed.
+#[must_use]
+pub fn replay_bug() -> bool {
+    REPLAY_BUG.load(Ordering::SeqCst)
 }

@@ -10,10 +10,11 @@
 //! [`Engine::retire`] (scoreboard, effect, wake-up refresh), and all
 //! scheduling state — including the in-cycle issue cursor — lives in the
 //! [`Engine`] struct, so a run can be cloned and resumed mid-cycle.
-//! [`Engine::run`] drives one DPU to completion; the lockstep driver
-//! (`crate::batch`) steps the leader's engine, executes each issued op on
-//! every member, and hands clones to the members when their effects
-//! disagree.
+//! [`Engine::run`] drives one DPU to completion. The lockstep driver
+//! (`crate::batch`) runs the leader's engine one logged segment at a time
+//! ([`Engine::run_segment`]), keeps a [`Checkpoint`] of each segment's
+//! start, and gives a member whose effects disagree with the log its own
+//! engine re-derived from that checkpoint ([`Checkpoint::diverge`]).
 //!
 //! The scalars the loop touches every cycle sit in [`Hot`], which
 //! [`Engine::run`] copies into a local for the duration of the run: the
@@ -225,6 +226,87 @@ struct Hot {
     issued: usize,
 }
 
+/// One retired instruction of a shared schedule, as the leader logs it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub tasklet: u32,
+    pub pc: u32,
+    pub effect: Effect,
+}
+
+/// How [`Engine::run_segment`] stopped.
+#[derive(Debug)]
+pub(crate) enum SegmentEnd {
+    /// The segment's issue slots are used up; the run goes on.
+    Full,
+    /// Every tasklet stopped.
+    Finished,
+    /// The schedule itself ended the run (cycle limit, pc out of range):
+    /// the outcome of every DPU still on it.
+    Halted(SimError),
+    /// The leader faulted executing the instruction handed out at this
+    /// `(tasklet, pc)`, which therefore is not in the log. The engine
+    /// stands before its retirement.
+    Faulted(SimError, (usize, u32)),
+}
+
+/// An [`Engine`] frozen at a segment boundary ([`Engine::checkpoint`]),
+/// with the program counters there.
+pub(crate) struct Checkpoint {
+    engine: Engine,
+    pcs: Vec<u32>,
+    timeline_len: usize,
+    trace_len: usize,
+}
+
+impl Checkpoint {
+    /// Takes a member off the shared schedule, whose engine `live` has
+    /// run on since this checkpoint: re-steps the `agreed` logged
+    /// instructions (everything retired since) on a copy of the frozen
+    /// engine, hands out the next one — where the member's effect `own`
+    /// differs from the leader's — retires it with `own`, and finishes
+    /// the run alone. Returns the cycle and pc of that instruction beside
+    /// the run's result; a member that faulted on it gets its fault.
+    ///
+    /// `state` is the member's, which already executed everything in
+    /// `agreed`: a scratchpad-mode, untraced engine reads nothing of it
+    /// but the program counters, which go back to the checkpoint's first.
+    pub(crate) fn diverge(
+        &self,
+        live: &Engine,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        agreed: &[Step],
+        own: Result<Effect, SimError>,
+    ) -> ((u64, u32), Result<DpuRunStats, SimError>) {
+        let mut engine = self.engine.clone();
+        debug_assert!(engine.icache.is_none() && engine.dcache.is_none());
+        // The append-only statistics the checkpoint left out: their
+        // prefixes are still in the live engine.
+        engine.stats.tlp_timeline = live.stats.tlp_timeline[..self.timeline_len].to_vec();
+        engine.stats.trace = live.stats.trace[..self.trace_len].to_vec();
+        state.pc.copy_from_slice(&self.pcs);
+        let mut hot = engine.hot;
+        for step in agreed {
+            let slot = (step.tasklet as usize, step.pc);
+            let handed = engine.pre_issue(&mut hot, kernel, state, &mut NullSink);
+            debug_assert_eq!(handed, Ok(Some(slot)), "the log is the schedule");
+            engine.retire(&mut hot, kernel, state, &mut NullSink, slot, step.effect);
+        }
+        let slot = match engine.pre_issue(&mut hot, kernel, state, &mut NullSink) {
+            Ok(Some(slot)) => slot,
+            other => unreachable!("the leader issued here, the replay got {other:?}"),
+        };
+        let at = (hot.now, slot.1);
+        let run = own.and_then(|effect| {
+            engine.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+            engine.hot = hot;
+            engine.run::<CompiledDispatch, _>(kernel, state, &mut NullSink)
+        });
+        (at, run)
+    }
+}
+
 /// The complete scheduling state of one scalar run.
 #[derive(Clone)]
 pub(crate) struct Engine {
@@ -324,30 +406,52 @@ impl Engine {
         stats
     }
 
-    /// One [`Engine::pre_issue`] step on the engine's own [`Hot`], for the
-    /// lockstep driver (untraced by construction).
-    pub(crate) fn next_op(
-        &mut self,
-        kernel: &CompiledKernel,
-        state: &ArchState,
-    ) -> Result<Option<(usize, u32)>, SimError> {
-        let mut hot = self.hot;
-        let slot = self.pre_issue(&mut hot, kernel, state, &mut NullSink);
-        self.hot = hot;
-        slot
-    }
-
-    /// The [`Engine::retire`] counterpart of [`Engine::next_op`].
-    pub(crate) fn retire_op(
+    /// Runs at most `slots` issue slots of the shared schedule on the
+    /// leader's `state`, logging every retired instruction into `log`
+    /// (cleared first) for the followers to replay. The engine stays
+    /// resumable whatever the outcome.
+    pub(crate) fn run_segment(
         &mut self,
         kernel: &CompiledKernel,
         state: &mut ArchState,
-        slot: (usize, u32),
-        effect: Effect,
-    ) {
+        log: &mut Vec<Step>,
+        slots: usize,
+    ) -> SegmentEnd {
         let mut hot = self.hot;
-        self.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+        log.clear();
+        let end = loop {
+            if log.len() == slots {
+                break SegmentEnd::Full;
+            }
+            let slot @ (t, pc) = match self.pre_issue(&mut hot, kernel, state, &mut NullSink) {
+                Ok(Some(slot)) => slot,
+                Ok(None) => break SegmentEnd::Finished,
+                Err(e) => break SegmentEnd::Halted(e),
+            };
+            match CompiledDispatch::execute(kernel, state, t as u32, pc) {
+                Ok(effect) => {
+                    log.push(Step { tasklet: t as u32, pc, effect });
+                    self.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+                }
+                Err(e) => break SegmentEnd::Faulted(e, slot),
+            }
+        };
         self.hot = hot;
+        end
+    }
+
+    /// Freezes the engine at a segment boundary, `pcs` being the program
+    /// counters there.
+    pub(crate) fn checkpoint(&mut self, pcs: &[u32]) -> Checkpoint {
+        // Without the two append-only statistics, so that a checkpoint
+        // costs the same however long the run already is.
+        let timeline = std::mem::take(&mut self.stats.tlp_timeline);
+        let trace = std::mem::take(&mut self.stats.trace);
+        let engine = self.clone();
+        let (timeline_len, trace_len) = (timeline.len(), trace.len());
+        self.stats.tlp_timeline = timeline;
+        self.stats.trace = trace;
+        Checkpoint { engine, pcs: pcs.to_vec(), timeline_len, trace_len }
     }
 
     /// `ready_at` for a Ready tasklet about to run `pc`: its issue window,

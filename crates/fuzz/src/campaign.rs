@@ -9,9 +9,9 @@
 //! order), and coverage/failure folding happens serially after. The
 //! report carries no wall-clock times and no worker counts.
 //!
-//! With [`CampaignOptions::mutate`] set, the seeded scoreboard bug in
-//! `pim-dpu` is armed for the campaign's duration and the report records
-//! whether the fuzzer caught it — the harness's self-check.
+//! With [`CampaignOptions::mutate`] set, that seeded bug in `pim-dpu`
+//! ([`Mutant`]) is armed for the campaign's duration and the report
+//! records whether the fuzzer caught it — the harness's self-check.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -37,6 +37,36 @@ const BATCH: u32 = 32;
 /// Most failures shrunk/reported per campaign (the rest are counted).
 const MAX_REPORTED_FAILURES: usize = 5;
 
+/// A seeded bug in `pim-dpu` the self-check can arm (`pim_dpu::mutation`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutant {
+    /// The issue engine drops the even/odd register-file hazard.
+    Scoreboard,
+    /// A lockstep follower skips the `Effect` comparison on jumps.
+    Replay,
+}
+
+impl Mutant {
+    /// Every seeded bug, in self-check order.
+    pub const ALL: [Mutant; 2] = [Mutant::Scoreboard, Mutant::Replay];
+
+    /// Lower-case name, as reports print it.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Mutant::Scoreboard => "scoreboard",
+            Mutant::Replay => "replay",
+        }
+    }
+
+    fn set(self, on: bool) {
+        match self {
+            Mutant::Scoreboard => pim_dpu::mutation::set_scoreboard_bug(on),
+            Mutant::Replay => pim_dpu::mutation::set_replay_bug(on),
+        }
+    }
+}
+
 /// What to run.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -49,8 +79,8 @@ pub struct CampaignOptions {
     /// Corpus directory to replay before generating (and to write new
     /// repros into).
     pub corpus: Option<PathBuf>,
-    /// Arm the seeded scoreboard bug and self-check detection.
-    pub mutate: bool,
+    /// Arm this seeded bug and self-check detection.
+    pub mutate: Option<Mutant>,
     /// Gauntlet-evaluation budget per shrink.
     pub shrink_evals: u32,
 }
@@ -64,7 +94,7 @@ impl CampaignOptions {
             budget: 96,
             jobs: None,
             corpus: None,
-            mutate: false,
+            mutate: None,
             shrink_evals: DEFAULT_SHRINK_EVALS,
         }
     }
@@ -111,8 +141,8 @@ pub struct CampaignReport {
     pub coverage: CoverageMap,
     /// Event counters aggregated over all passing traced runs.
     pub counters: BTreeMap<&'static str, u64>,
-    /// Whether the scoreboard bug was armed.
-    pub mutate: bool,
+    /// The seeded bug that was armed, if any.
+    pub mutate: Option<Mutant>,
 }
 
 impl CampaignReport {
@@ -120,7 +150,7 @@ impl CampaignReport {
     /// [`CampaignReport::mutate`] is off).
     #[must_use]
     pub fn mutation_detected(&self) -> bool {
-        self.mutate && self.failures_seen > 0
+        self.mutate.is_some() && self.failures_seen > 0
     }
 
     /// The machine-readable report (no timings, no worker counts).
@@ -149,7 +179,7 @@ impl CampaignReport {
             ("replayed", Json::UInt(u64::from(self.replayed))),
             ("invalid", Json::UInt(u64::from(self.invalid))),
             ("failures_seen", Json::UInt(u64::from(self.failures_seen))),
-            ("mutate", Json::Bool(self.mutate)),
+            ("mutate", Json::Bool(self.mutate.is_some())),
             ("mutation_detected", Json::Bool(self.mutation_detected())),
             ("failures", Json::arr(failures)),
             ("coverage", self.coverage.json()),
@@ -177,12 +207,12 @@ impl CampaignReport {
     }
 }
 
-/// Disarms the scoreboard bug on every exit path.
+/// Disarms the seeded bugs on every exit path.
 struct MutationGuard;
 
 impl Drop for MutationGuard {
     fn drop(&mut self) {
-        pim_dpu::mutation::set_scoreboard_bug(false);
+        Mutant::ALL.into_iter().for_each(|m| m.set(false));
     }
 }
 
@@ -196,7 +226,7 @@ impl Drop for MutationGuard {
 #[allow(clippy::too_many_lines)]
 pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     let _guard = MutationGuard;
-    pim_dpu::mutation::set_scoreboard_bug(opts.mutate);
+    Mutant::ALL.into_iter().for_each(|m| m.set(opts.mutate == Some(m)));
 
     let runner = JobRunner::new(opts.jobs);
     let mut coverage = CoverageMap::new();
@@ -235,7 +265,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     // Corpus replay first: known repros must stay fixed. Skipped when
     // mutating — the self-check must prove *generation* finds the bug.
     let mut replayed = 0u32;
-    if !opts.mutate {
+    if opts.mutate.is_none() {
         if let Some(dir) = &opts.corpus {
             let entries = corpus::load_dir(dir)?;
             let cases: Vec<FuzzCase> = entries
@@ -262,7 +292,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
     let mut master = StdRng::seed_from_u64(opts.seed);
     let mut generated = 0u32;
     while generated < opts.budget {
-        if opts.mutate && failures_seen > 0 {
+        if opts.mutate.is_some() && failures_seen > 0 {
             break; // self-check satisfied; no need to spend the budget
         }
         let batch = BATCH.min(opts.budget - generated);

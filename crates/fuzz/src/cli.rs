@@ -5,7 +5,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::campaign::{run_campaign, CampaignOptions, CampaignReport};
+use crate::campaign::{run_campaign, CampaignOptions, CampaignReport, Mutant};
 use crate::shrink::DEFAULT_SHRINK_EVALS;
 
 const USAGE: &str = "usage: pimsim fuzz [--seed N] [--budget N] [--jobs N] [--corpus DIR] \
@@ -106,7 +106,8 @@ fn render_failures(report: &CampaignReport) -> String {
 ///
 /// Exit status: `2` for usage errors, failure for campaign errors, a
 /// conformance failure in a normal campaign, or an *undetected* mutation
-/// in a `--mutate` campaign; success otherwise.
+/// in a `--mutate` run (one campaign per seeded bug, each of which must
+/// be caught and shrunk); success otherwise.
 #[must_use]
 pub fn run_with_args(args: &[String]) -> ExitCode {
     let opts = match FuzzOptions::parse(args) {
@@ -116,27 +117,32 @@ pub fn run_with_args(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let campaign = CampaignOptions {
-        seed: opts.seed,
-        budget: opts.budget,
-        jobs: opts.jobs,
-        corpus: opts.corpus.clone(),
-        mutate: opts.mutate,
-        shrink_evals: DEFAULT_SHRINK_EVALS,
-    };
-    let report = match run_campaign(&campaign) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("pimsim fuzz: {e}");
-            return ExitCode::FAILURE;
+    let mutants: Vec<Option<Mutant>> =
+        if opts.mutate { Mutant::ALL.into_iter().map(Some).collect() } else { vec![None] };
+    let mut reports = Vec::with_capacity(mutants.len());
+    for mutate in mutants {
+        let campaign = CampaignOptions {
+            seed: opts.seed,
+            budget: opts.budget,
+            jobs: opts.jobs,
+            corpus: opts.corpus.clone(),
+            mutate,
+            shrink_evals: DEFAULT_SHRINK_EVALS,
+        };
+        match run_campaign(&campaign) {
+            Ok(r) => reports.push(r),
+            Err(e) => {
+                eprintln!("pimsim fuzz: {e}");
+                return ExitCode::FAILURE;
+            }
         }
-    };
+    }
 
     // Persist minimized repros into the corpus so the next `cargo test`
-    // replays them (skipped for the self-check's intentional bug).
+    // replays them (skipped for the self-check's intentional bugs).
     if !opts.mutate {
         if let Some(dir) = &opts.corpus {
-            for f in &report.failures {
+            for f in &reports[0].failures {
                 let path = dir.join(&f.repro_name);
                 if let Err(err) = write_with_parents(&path, &f.repro_text) {
                     eprintln!("pimsim fuzz: could not write {}: {err}", path.display());
@@ -147,7 +153,13 @@ pub fn run_with_args(args: &[String]) -> ExitCode {
         }
     }
 
-    let doc = report.json();
+    // One document per campaign: the report itself, or under `--mutate`
+    // the array of the seeded bugs' reports.
+    let doc = if opts.mutate {
+        pimulator::report::Json::arr(reports.iter().map(CampaignReport::json))
+    } else {
+        reports[0].json()
+    };
     if let Some(out) = &opts.out {
         if let Err(err) = write_with_parents(out, &doc.render_pretty()) {
             eprintln!("pimsim fuzz: could not write {}: {err}", out.display());
@@ -160,36 +172,37 @@ pub fn run_with_args(args: &[String]) -> ExitCode {
     if opts.json {
         emit(&format!("{}\n", doc.render_pretty()));
     } else {
-        emit(&format!("{}\n{}", report.table(), render_failures(&report)));
+        for report in &reports {
+            emit(&format!("{}\n{}", report.table(), render_failures(report)));
+        }
     }
 
     if opts.mutate {
-        if report.mutation_detected() {
-            let shrunk = report
-                .failures
-                .first()
-                .map(|f| {
-                    format!(
-                        "shrunk repro ({} instructions):\n{}",
-                        f.shrunk.program.instrs.len(),
-                        pim_asm::disassemble(&f.shrunk.program)
-                    )
-                })
-                .unwrap_or_default();
-            emit(&format!(
-                "mutation self-check: detected the seeded scoreboard bug after {} cases\n{shrunk}",
-                report.generated
-            ));
-            ExitCode::SUCCESS
-        } else {
-            eprintln!(
-                "pimsim fuzz: mutation self-check FAILED — the seeded bug survived {} cases",
-                report.generated
-            );
-            ExitCode::FAILURE
+        let mut status = ExitCode::SUCCESS;
+        for report in &reports {
+            let bug = report.mutate.map_or("", Mutant::as_str);
+            // Caught is not enough: the repro has to have been shrunk too.
+            match report.failures.first().filter(|_| report.mutation_detected()) {
+                Some(f) => emit(&format!(
+                    "mutation self-check: detected the seeded {bug} bug after {} cases\n\
+                     shrunk repro ({} instructions):\n{}",
+                    report.generated,
+                    f.shrunk.program.instrs.len(),
+                    pim_asm::disassemble(&f.shrunk.program)
+                )),
+                None => {
+                    eprintln!(
+                        "pimsim fuzz: mutation self-check FAILED — the seeded {bug} bug \
+                         survived {} cases",
+                        report.generated
+                    );
+                    status = ExitCode::FAILURE;
+                }
+            }
         }
-    } else if report.failures_seen > 0 {
-        eprintln!("pimsim fuzz: {} conformance failure(s)", report.failures_seen);
+        status
+    } else if reports[0].failures_seen > 0 {
+        eprintln!("pimsim fuzz: {} conformance failure(s)", reports[0].failures_seen);
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS

@@ -16,9 +16,11 @@
 //!    tasklet service order leaves the same final memory image (the
 //!    generator only emits schedule-independent programs).
 //! 6. **Batch equality** — running the case through the lockstep batch
-//!    executor ([`pim_dpu::run_batch`], the rank-scale path) produces the
+//!    executor ([`pim_dpu::run_batch`], the `launch_all` path) produces the
 //!    same `DpuRunStats` rendering and WRAM/MRAM image as the per-DPU
-//!    launch, for every batch member.
+//!    launch, for every batch member: two that follow the leader's
+//!    schedule to the end and one, staged with different MRAM contents,
+//!    that may leave it.
 //!
 //! A case whose ground truth cannot be established (the oracle itself
 //! faults) is [`CheckOutcome::Invalid`] — shrink candidates that break
@@ -166,8 +168,31 @@ struct RunOutput {
 /// Launches the case's program `case.launches` times on one DPU (WRAM and
 /// MRAM persist between launches) and merges the per-launch statistics.
 fn run_once(case: &FuzzCase, cfg: DpuConfig) -> Result<RunOutput, String> {
+    run_staged(case, cfg, |_| {})
+}
+
+/// Fills the tasklets' private MRAM windows with a fixed non-zero word,
+/// where every other run starts from zeroes. Generated programs read the
+/// windows back only through gather probes, which fold each loaded word
+/// into the value that later data-dependent branches test — and that picks
+/// the next probe's offset from its low ten bits. The word leaves those
+/// bits alone, so a DPU staged like this keeps issuing the same DMAs as its
+/// unstaged twins and first parts from them on a branch.
+fn perturb_mram(dpu: &mut Dpu) {
+    const WORD: u32 = 0xa5a5_a400;
+    let words = crate::gen::MRAM_WINDOW as usize * 16 / 4;
+    dpu.write_mram(crate::gen::MRAM_BASE as u32, &WORD.to_le_bytes().repeat(words));
+}
+
+/// [`run_once`] on a DPU that `stage` touched between load and launch.
+fn run_staged(
+    case: &FuzzCase,
+    cfg: DpuConfig,
+    stage: impl Fn(&mut Dpu),
+) -> Result<RunOutput, String> {
     let mut dpu = Dpu::new(cfg);
     dpu.load_program(&case.program).map_err(|e| format!("load: {e}"))?;
+    stage(&mut dpu);
     let mut stats = dpu.launch().map_err(|e| format!("launch: {e}"))?;
     for n in 1..case.launch_count() {
         let more = dpu.launch().map_err(|e| format!("launch {}: {e}", n + 1))?;
@@ -347,12 +372,15 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    // Invariant 6: the lockstep batch driver (the rank-scale path) matches
-    // the per-DPU launch member-for-member. Two members with identical
-    // state exercise the lockstep fast path end to end; SIMT and traced
-    // configurations fall back to per-DPU launches inside `run_batch` and
-    // must still agree.
-    let mut batch: Vec<Dpu> = (0..2).map(|_| Dpu::new(case.config())).collect();
+    // Invariant 6: the lockstep batch driver (the `launch_all` path) matches
+    // the per-DPU launch member-for-member. Two members with the case's own
+    // state follow the leader's schedule end to end; a third, with
+    // perturbed MRAM, leaves it wherever its branches go another way (when
+    // its solo reference faults — shrink candidates can — it stays
+    // unperturbed). SIMT and traced configurations fall back to per-DPU
+    // launches inside `run_batch` and must still agree.
+    let perturbed = run_staged(case, case.config(), perturb_mram).ok();
+    let mut batch: Vec<Dpu> = (0..3).map(|_| Dpu::new(case.config())).collect();
     for dpu in &mut batch {
         if let Err(e) = dpu.load_program(&case.program) {
             return CheckOutcome::Fail(Failure {
@@ -361,11 +389,15 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     }
+    if perturbed.is_some() {
+        perturb_mram(&mut batch[2]);
+    }
+    let solo = [&fast, &fast, perturbed.as_ref().unwrap_or(&fast)];
     // Chained launches go through `run_batch` once per launch; stats merge
     // per member, exactly as the solo path merges per-launch stats.
     let mut merged: Vec<Option<DpuRunStats>> = vec![None; batch.len()];
     for n in 0..case.launch_count() {
-        let batch_stats = pim_dpu::run_batch(&mut batch);
+        let (batch_stats, _) = pim_dpu::run_batch(&mut batch);
         for (i, result) in batch_stats.into_iter().enumerate() {
             let stats = match result {
                 Ok(s) => s,
@@ -386,20 +418,20 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             }
         }
     }
-    for (i, (stats, dpu)) in merged.iter().flatten().zip(&batch).enumerate() {
+    for (i, ((stats, dpu), solo)) in merged.iter().flatten().zip(&batch).zip(solo).enumerate() {
         let rendered = format!("{stats:#?}");
-        if rendered != fast.stats_debug {
+        if rendered != solo.stats_debug {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::BatchEquality,
                 detail: format!(
                     "batch member {i} stats diverged: {}",
-                    first_line_diff(&fast.stats_debug, &rendered)
+                    first_line_diff(&solo.stats_debug, &rendered)
                 ),
             });
         }
         let bwram = dpu.read_wram(0, WRAM_COMPARE);
         let bmram = dpu.read_mram(0, MRAM_COMPARE);
-        for (name, got, want) in [("WRAM", &bwram, &fast.wram), ("MRAM", &bmram, &fast.mram)] {
+        for (name, got, want) in [("WRAM", &bwram, &solo.wram), ("MRAM", &bmram, &solo.mram)] {
             if let Some(at) = first_diff(got, want) {
                 return CheckOutcome::Fail(Failure {
                     invariant: Invariant::BatchEquality,

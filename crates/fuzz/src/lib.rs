@@ -31,8 +31,8 @@
 //!
 //! [`campaign`] ties it together on the `pimulator` job engine, and
 //! [`cli`] exposes it as `pimsim fuzz`, including the `--mutate`
-//! self-check that arms a seeded scoreboard bug and proves the harness
-//! detects it.
+//! self-check that arms each seeded `pim-dpu` bug in turn and proves the
+//! harness detects it.
 
 pub mod campaign;
 pub mod cli;

@@ -1,21 +1,22 @@
-//! The harness's proof-of-usefulness: with the seeded scoreboard bug
-//! armed, a small campaign must catch it and shrink the repro to a
-//! handful of instructions; the same seed with the bug disarmed must run
-//! clean.
+//! The harness's proof-of-usefulness: with either seeded bug armed, a
+//! small campaign must catch it and shrink the repro to a handful of
+//! instructions; the same seed with the bugs disarmed must run clean.
 //!
-//! Both halves live in ONE test: the bug switch is process-global, so
+//! All three live in ONE test: the bug switches are process-global, so
 //! interleaving with a parallel clean run would race. (The `pimsim fuzz
 //! --mutate` CLI path is exercised end-to-end in `crates/cli/tests`.)
 
-use pim_fuzz::campaign::{run_campaign, CampaignOptions};
+use pim_fuzz::campaign::{run_campaign, CampaignOptions, Mutant};
 use pim_fuzz::gauntlet::Invariant;
 
 #[test]
-fn the_fuzzer_catches_the_seeded_scoreboard_bug_and_shrinks_it() {
+fn the_fuzzer_catches_the_seeded_bugs_and_shrinks_them() {
     let base = CampaignOptions { budget: 256, ..CampaignOptions::smoke(1) };
 
     // Armed: the campaign must detect and shrink.
-    let mutated = run_campaign(&CampaignOptions { mutate: true, ..base.clone() }).unwrap();
+    let mutated =
+        run_campaign(&CampaignOptions { mutate: Some(Mutant::Scoreboard), ..base.clone() })
+            .unwrap();
     assert!(mutated.mutation_detected(), "the seeded bug survived {} cases", mutated.generated);
     let f = mutated.failures.first().expect("a reported failure");
     assert_eq!(
@@ -28,6 +29,19 @@ fn the_fuzzer_catches_the_seeded_scoreboard_bug_and_shrinks_it() {
         f.shrunk.program.instrs.len() <= 12,
         "shrunk repro has {} instructions (budgeted for <= 12):\n{}",
         f.shrunk.program.instrs.len(),
+        pim_asm::disassemble(&f.shrunk.program)
+    );
+
+    // The replay bug shows only where a lockstep follower takes a branch
+    // the leader does not: the gauntlet's perturbed batch member.
+    let replay = CampaignOptions { mutate: Some(Mutant::Replay), budget: 2000, ..base.clone() };
+    let mutated = run_campaign(&replay).unwrap();
+    assert!(mutated.mutation_detected(), "the replay bug survived {} cases", mutated.generated);
+    let f = mutated.failures.first().expect("a reported failure");
+    assert_eq!(f.invariant, Invariant::BatchEquality, "{}", f.detail);
+    assert!(
+        f.shrunk.program.instrs.len() < f.original_instrs,
+        "the repro was not shrunk:\n{}",
         pim_asm::disassemble(&f.shrunk.program)
     );
 

@@ -1,7 +1,7 @@
 //! The multi-DPU system: a set of DPUs driven synchronously by the host.
 
 use pim_asm::DpuProgram;
-use pim_dpu::{Dpu, DpuConfig, DpuRunStats, SimError};
+use pim_dpu::{Dpu, DpuConfig, DpuRunStats, LockstepSummary, SimError};
 use pim_trace::{SystemTrace, TraceEvent};
 
 use crate::xfer::{Channel, ChannelConfig, ChannelMode};
@@ -65,6 +65,11 @@ pub struct LaunchReport {
     pub per_dpu: Vec<DpuRunStats>,
     /// Kernel time of this launch (slowest DPU), ns.
     pub kernel_ns: f64,
+    /// What the lockstep driver did: which DPUs shared a schedule to the
+    /// end, which left one and where, which were launched on their own
+    /// and why. Diagnostic only — it depends on how the set was split over
+    /// worker threads, unlike everything simulated.
+    pub lockstep: LockstepSummary,
 }
 
 impl LaunchReport {
@@ -75,8 +80,7 @@ impl LaunchReport {
     }
 
     /// The statistics of the slowest DPU in this launch. Ties break toward
-    /// the lowest DPU index, so report ordering is deterministic and can
-    /// never diverge between the per-DPU and batched launch paths.
+    /// the lowest DPU index, so report ordering is deterministic.
     ///
     /// # Panics
     ///
@@ -475,25 +479,43 @@ impl PimSystem {
     /// split into contiguous chunks over at most
     /// `std::thread::available_parallelism` workers (one OS thread per
     /// *worker*, not per DPU, so a 2048-DPU rank doesn't spawn 2048
-    /// threads). This is safe and bit-deterministic because DPUs share no
-    /// state during a kernel (§II-B: no inter-DPU datapath); results are
-    /// collected in DPU order.
+    /// threads), and each worker hands its chunk to the lockstep driver
+    /// ([`pim_dpu::run_batch`]): neighbouring DPUs with the same program
+    /// and configuration share one schedule for as long as their effects
+    /// agree, everything else is launched on its own. This is safe and
+    /// bit-deterministic because DPUs share no state during a kernel
+    /// (§II-B: no inter-DPU datapath) and lockstep is byte-identical to
+    /// per-DPU launches; results are collected in DPU order.
+    ///
+    /// Faults armed via [`Dpu::arm_fault`] are consumed up front: every
+    /// armed slot is taken (one-shot), the lowest-indexed one is returned
+    /// as its typed error, and nothing is simulated — no DPU's memory
+    /// changes and the timeline records no launch. Use
+    /// [`PimSystem::launch_each`] to run the healthy DPUs regardless.
     ///
     /// # Errors
     ///
     /// Propagates the [`SimError`] of the lowest-indexed faulting DPU.
     pub fn launch_all(&mut self) -> Result<LaunchReport, SimError> {
-        let batch = self.dpus[0].config().batch_dpus;
-        if batch > 0 {
-            return self.launch_all_batched(batch as usize);
+        let mut armed = None;
+        for (i, dpu) in self.dpus.iter_mut().enumerate() {
+            if let Some(kind) = dpu.take_armed_fault() {
+                armed.get_or_insert(kind.into_error(i as u32));
+            }
         }
-        let per_dpu = self.run_all_chunked().into_iter().collect::<Result<Vec<_>, _>>()?;
+        if let Some(err) = armed {
+            return Err(err);
+        }
+        let mut results = Vec::with_capacity(self.dpus.len());
+        let mut lockstep = LockstepSummary::default();
+        for (chunk, summary) in self.on_workers(|chunk, _| pim_dpu::run_batch(chunk)) {
+            lockstep.absorb(&summary, results.len() as u32);
+            results.extend(chunk);
+        }
+        let per_dpu = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let kernel_ns = per_dpu.iter().map(DpuRunStats::time_ns).fold(0.0f64, f64::max);
-        self.timeline.kernel_ns += kernel_ns;
-        self.timeline.launches += 1;
-        self.channel.kernel(kernel_ns);
-        self.sync_wall();
-        Ok(LaunchReport { per_dpu, kernel_ns })
+        self.charge_kernel(kernel_ns);
+        Ok(LaunchReport { per_dpu, kernel_ns, lockstep })
     }
 
     /// Launches every DPU and returns a per-DPU `Result` instead of
@@ -506,121 +528,59 @@ impl PimSystem {
     /// *successful* launches (a DPU that faulted at the launch boundary
     /// never ran); faults armed via [`Dpu::arm_fault`] surface here as
     /// their typed [`SimError`] carrying the faulting DPU's index. Always
-    /// uses the per-DPU executor (never the lockstep batch path) so each
-    /// device's armed-fault slot is checked individually.
+    /// launches DPU by DPU (never in lockstep) so each device's armed-fault
+    /// slot is checked individually.
     pub fn launch_each(&mut self) -> Vec<Result<DpuRunStats, SimError>> {
-        let results = self.run_all_chunked();
+        let results: Vec<_> = self
+            .on_workers(|chunk, base| {
+                chunk
+                    .iter_mut()
+                    .enumerate()
+                    .map(|(i, dpu)| launch_one(dpu, base + i as u32))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
         let kernel_ns = results
             .iter()
             .filter_map(|r| r.as_ref().ok())
             .map(DpuRunStats::time_ns)
             .fold(0.0f64, f64::max);
+        self.charge_kernel(kernel_ns);
+        results
+    }
+
+    /// Books one launch of `kernel_ns` on the timeline and the channel.
+    fn charge_kernel(&mut self, kernel_ns: f64) {
         self.timeline.kernel_ns += kernel_ns;
         self.timeline.launches += 1;
         self.channel.kernel(kernel_ns);
         self.sync_wall();
-        results
     }
 
-    /// Runs every DPU through [`launch_one`] on the chunked worker pool,
-    /// collecting per-DPU results in DPU order.
-    fn run_all_chunked(&mut self) -> Vec<Result<DpuRunStats, SimError>> {
+    /// Splits the set into contiguous chunks over at most
+    /// `available_parallelism` worker threads and runs `work(chunk, index
+    /// of the chunk's first DPU)` on each; the outputs come back in DPU
+    /// order.
+    fn on_workers<T: Send>(&mut self, work: impl Fn(&mut [Dpu], u32) -> T + Sync) -> Vec<T> {
         let n_workers = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
             .min(self.dpus.len());
         if n_workers <= 1 {
-            self.dpus.iter_mut().enumerate().map(|(i, dpu)| launch_one(dpu, i as u32)).collect()
-        } else {
-            let chunk_len = self.dpus.len().div_ceil(n_workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .dpus
-                    .chunks_mut(chunk_len)
-                    .enumerate()
-                    .map(|(ci, chunk)| {
-                        let base = ci * chunk_len;
-                        scope.spawn(move || {
-                            chunk
-                                .iter_mut()
-                                .enumerate()
-                                .map(|(i, dpu)| launch_one(dpu, (base + i) as u32))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| -> Vec<_> { h.join().expect("DPU simulation thread panicked") })
-                    .collect()
-            })
+            return vec![work(&mut self.dpus, 0)];
         }
-    }
-
-    /// Launches the loaded kernel through the rank-scale lockstep batch
-    /// executor ([`pim_dpu::run_batch`]): the set is partitioned into
-    /// batches of up to `max_batch` contiguous DPUs, and *batches* — not
-    /// individual DPUs — are sharded over the worker threads, so each
-    /// worker steps its whole batch out of one contiguous state block.
-    ///
-    /// Timing, statistics, and memory end-state are byte-identical to
-    /// [`PimSystem::launch_all`]'s per-DPU path regardless of `max_batch`
-    /// — batch boundaries are timing-invisible. Reached automatically from
-    /// `launch_all` when the DPU configuration sets
-    /// [`DpuConfig::batch_dpus`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`SimError`] of the lowest-indexed faulting DPU.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_batch` is zero.
-    pub fn launch_all_batched(&mut self, max_batch: usize) -> Result<LaunchReport, SimError> {
-        assert!(max_batch > 0, "batch size must be at least 1 DPU");
-        // The lockstep driver steps a whole batch on one schedule and
-        // cannot fail a single member at the boundary, so armed faults are
-        // consumed up front: every armed slot is taken (one-shot, matching
-        // the per-DPU path, which launches all DPUs before propagating) and
-        // the lowest-indexed fault is the one reported.
-        let mut armed = None;
-        for (i, dpu) in self.dpus.iter_mut().enumerate() {
-            if let Some(kind) = dpu.take_armed_fault() {
-                armed.get_or_insert(kind.into_error(i as u32));
-            }
-        }
-        if let Some(err) = armed {
-            return Err(err);
-        }
-        let mut batches: Vec<&mut [Dpu]> = self.dpus.chunks_mut(max_batch).collect();
-        let n_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(batches.len());
-        let results: Vec<Result<DpuRunStats, SimError>> = if n_workers <= 1 {
-            batches.iter_mut().flat_map(|b| pim_dpu::run_batch(b)).collect()
-        } else {
-            let per_worker = batches.len().div_ceil(n_workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = batches
-                    .chunks_mut(per_worker)
-                    .map(|group| {
-                        scope.spawn(move || {
-                            group.iter_mut().flat_map(|b| pim_dpu::run_batch(b)).collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| -> Vec<_> { h.join().expect("DPU simulation thread panicked") })
-                    .collect()
-            })
-        };
-        let per_dpu = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let kernel_ns = per_dpu.iter().map(DpuRunStats::time_ns).fold(0.0f64, f64::max);
-        self.timeline.kernel_ns += kernel_ns;
-        self.timeline.launches += 1;
-        self.channel.kernel(kernel_ns);
-        self.sync_wall();
-        Ok(LaunchReport { per_dpu, kernel_ns })
+        let chunk_len = self.dpus.len().div_ceil(n_workers);
+        let work = &work;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .dpus
+                .chunks_mut(chunk_len)
+                .enumerate()
+                .map(|(ci, chunk)| scope.spawn(move || work(chunk, (ci * chunk_len) as u32)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("DPU simulation thread panicked")).collect()
+        })
     }
 }
 
@@ -784,36 +744,30 @@ mod tests {
     }
 
     #[test]
-    fn launch_all_propagates_lowest_indexed_fault() {
+    fn launch_all_surfaces_armed_faults_before_running_anything() {
         let program = sum_kernel(64);
         let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), TransferConfig::paper());
         sys.load(&program).unwrap();
-        let data = vec![0u8; 64 * 4];
+        let data = vec![1u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data, &data, &data]);
+        let images = |sys: &PimSystem| -> Vec<(Vec<u8>, Vec<u8>)> {
+            (0..4).map(|d| (sys.dpu(d).read_wram(0, 1024), sys.dpu(d).read_mram(0, 1024))).collect()
+        };
+        let before = images(&sys);
         sys.dpu_mut(3).arm_fault(pim_dpu::FaultKind::RankOffline { rank: 0 });
         sys.dpu_mut(1).arm_fault(pim_dpu::FaultKind::Stuck { timeout_ns: 9 });
+        // The lowest-indexed fault is the one reported…
         let err = sys.launch_all().unwrap_err();
         assert_eq!(err, SimError::DpuStuck { dpu: 1, timeout_ns: 9 });
-        // Both armed slots were consumed by the failed launch.
+        // …every armed slot was consumed by the failed launch…
+        assert!((0..4).all(|d| sys.dpu(d).armed_fault().is_none()));
+        // …and no DPU, healthy or not, ran: the kernel would have written
+        // `sum` and the timeline would show a launch.
+        assert!(images(&sys) == before, "a faulted launch_all must simulate nothing");
+        assert_eq!(sys.timeline().launches, 0);
+        assert_eq!(sys.timeline().kernel_ns, 0.0);
         assert!(sys.launch_all().is_ok());
-    }
-
-    #[test]
-    fn batched_launch_surfaces_armed_faults_before_running() {
-        let program = sum_kernel(64);
-        let mut sys = PimSystem::new(
-            4,
-            DpuConfig::paper_baseline(1).with_batched(2),
-            TransferConfig::paper(),
-        );
-        sys.load(&program).unwrap();
-        let data = vec![0u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data, &data, &data]);
-        sys.dpu_mut(2).arm_fault(pim_dpu::FaultKind::Transient);
-        let err = sys.launch_all().unwrap_err();
-        assert_eq!(err, SimError::InjectedFault { dpu: 2 });
-        assert_eq!(sys.timeline().launches, 0, "faulted batched launch simulates nothing");
-        assert!(sys.launch_all().is_ok());
+        assert!(images(&sys) != before);
     }
 
     #[test]
@@ -882,35 +836,66 @@ mod tests {
     }
 
     #[test]
-    fn batched_launch_matches_per_dpu_launch() {
+    fn launch_all_matches_launch_each_on_a_twin_system() {
+        // An odd population, so the worker chunks (and with them the
+        // lockstep groups) are uneven.
         let n = 7u32;
         let program = sum_kernel(64);
         let chunks: Vec<Vec<u8>> = (0..n as i32)
             .map(|d| (0..64).flat_map(|i| (d * 100 + i).to_le_bytes()).collect())
             .collect();
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+        let twin = || {
+            let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(2), TransferConfig::paper());
+            sys.load(&program).unwrap();
+            sys.push_to_mram(0, &refs);
+            sys
+        };
 
-        let mut base = PimSystem::new(n, DpuConfig::paper_baseline(2), TransferConfig::paper());
-        base.load(&program).unwrap();
-        base.push_to_mram(0, &refs);
-        let want = base.launch_all().unwrap();
+        let mut each = twin();
+        let want: Vec<DpuRunStats> = each.launch_each().into_iter().map(Result::unwrap).collect();
+        let mut all = twin();
+        let got = all.launch_all().unwrap();
 
-        // A batch size that does not divide the population, routed through
-        // the `batch_dpus` config knob exactly as workloads reach it.
-        let cfg = DpuConfig::paper_baseline(2).with_batched(3);
-        let mut sys = PimSystem::new(n, cfg, TransferConfig::paper());
-        sys.load(&program).unwrap();
-        sys.push_to_mram(0, &refs);
-        let got = sys.launch_all().unwrap();
-
-        assert_eq!(got.per_dpu.len(), want.per_dpu.len());
-        for (g, w) in got.per_dpu.iter().zip(&want.per_dpu) {
+        assert_eq!(got.per_dpu.len(), want.len());
+        for (g, w) in got.per_dpu.iter().zip(&want) {
             assert_eq!(format!("{g:?}"), format!("{w:?}"));
         }
-        assert!((got.kernel_ns - want.kernel_ns).abs() < 1e-12);
-        for (g, w) in sys.pull_from_symbol("sum").iter().zip(base.pull_from_symbol("sum").iter()) {
-            assert_eq!(g, w);
+        assert_eq!(all.timeline(), each.timeline());
+        assert_eq!(all.pull_from_symbol("sum"), each.pull_from_symbol("sum"));
+        // Same program, same trip counts: nobody leaves a shared schedule.
+        assert_eq!(got.lockstep.members(), n);
+        assert!(got.lockstep.left.is_empty(), "{}", got.lockstep);
+    }
+
+    #[test]
+    fn launch_report_names_the_dpu_that_left_lockstep() {
+        // DPU 5 of 8 gets a different trip count (staged through `count`,
+        // which the kernel's outer loop branches on).
+        let mut k = KernelBuilder::new();
+        let count = k.global_zeroed("count", 4);
+        let [p, i] = k.regs(["p", "i"]);
+        k.movi(p, count as i32);
+        k.lw(i, p, 0);
+        let top = k.label_here("top");
+        k.sub(i, i, 1);
+        k.branch(Cond::Ne, i, 0, &top);
+        k.stop();
+        let program = k.build().unwrap();
+        let mut sys = PimSystem::new(8, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        sys.load(&program).unwrap();
+        let counts: Vec<[u8; 4]> =
+            (0..8).map(|d| if d == 5 { 9u32 } else { 4 }.to_le_bytes()).collect();
+        let refs: Vec<&[u8]> = counts.iter().map(|c| c.as_slice()).collect();
+        sys.push_to_symbol("count", &refs);
+        let report = sys.launch_all().unwrap();
+        let left: Vec<u32> = report.lockstep.left.iter().map(|d| d.dpu).collect();
+        // (On a host with a worker thread per DPU nobody shares a schedule.)
+        if report.lockstep.followed > 0 {
+            assert_eq!(left, [5], "{}", report.lockstep);
         }
+        assert_eq!(report.lockstep.members(), 8);
+        assert!(report.per_dpu[5].cycles > report.per_dpu[4].cycles);
     }
 
     /// Runs the standard push → launch → pull round trip under `mode` and

@@ -23,23 +23,25 @@ fn repeated_runs_are_bit_identical() {
 
 #[test]
 fn rank_scale_rows_are_identical_across_thread_counts_and_batch_sizes() {
-    // The rank sweep shards thousands of DPUs into lockstep batches and folds
-    // shard rows with order-independent operations, so its *simulated*
-    // quantities must be byte-identical however the host parallelizes —
-    // worker counts, batch sizes (including 0 = the per-DPU path), and
-    // uneven shard splits all land on the same rows.
+    // The rank sweep shards thousands of DPUs into systems whose launches
+    // run in lockstep groups, and folds shard rows with order-independent
+    // operations, so its *simulated* quantities must be byte-identical
+    // however the host parallelizes — worker counts, shard lengths
+    // (0 = the default) and uneven shard splits all land on the same rows.
     let render = |rows: &[exp::RankScaleRow]| format!("{rows:#?}");
-    let baseline = render(
-        &exp::exp_rank_scale(&JobRunner::new(Some(1)), DatasetSize::Tiny).expect("rank sweep runs"),
-    );
+    let (rows, _) =
+        exp::exp_rank_scale(&JobRunner::new(Some(1)), DatasetSize::Tiny).expect("rank sweep runs");
+    let baseline = render(&rows);
     for threads in [4, 8] {
-        let rows = exp::exp_rank_scale(&JobRunner::new(Some(threads)), DatasetSize::Tiny).unwrap();
+        let (rows, lockstep) =
+            exp::exp_rank_scale(&JobRunner::new(Some(threads)), DatasetSize::Tiny).unwrap();
         assert_eq!(baseline, render(&rows), "rank rows differ at --threads {threads}");
+        assert!(lockstep.left.is_empty(), "the rank kernel never diverges: {lockstep}");
     }
     let rt = JobRunner::new(Some(4));
     for batch in [0, 7, 32] {
         let rows = exp::exp_rank_scale_with(&rt, DatasetSize::Tiny, batch).unwrap();
-        assert_eq!(baseline, render(&rows), "rank rows differ at batch size {batch}");
+        assert_eq!(baseline, render(&rows), "rank rows differ at shard length {batch}");
     }
 }
 

@@ -80,37 +80,40 @@ fn cached_loop_matches_naive_reference() {
     }
 }
 
-/// Runs one workload over the same 4-DPU population through the per-DPU
-/// path and the lockstep batch driver (`batch_dpus = 3`, so the population
-/// shards into a 3-member batch plus a singleton) and asserts per-DPU
-/// stats are identical field-for-field.
+/// Runs one workload over the same 4-DPU population on the default tier —
+/// where `launch_all` puts the DPUs of each worker's chunk in lockstep —
+/// and on [`ExecTier::Naive`], the reference loop, which lockstep never
+/// takes, and asserts per-DPU stats are identical field-for-field.
 ///
-/// Each DPU holds a different dataset shard, so batches start in lockstep
-/// and genuinely diverge mid-kernel — this leg pins the divergence
-/// materialization path on real workloads, not just synthetic kernels.
-fn assert_batched_agrees(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
+/// Each DPU holds a different dataset shard, so groups start in lockstep
+/// and members genuinely leave mid-kernel — this leg pins the replay and
+/// re-derivation path on real workloads, not just synthetic kernels.
+fn assert_lockstep_agrees(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
     const DPUS: u32 = 4;
-    let per_dpu = w
-        .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg.clone()))
-        .unwrap_or_else(|e| panic!("{} [{mode}] per-DPU run failed: {e}", w.name()));
-    let batched = w
-        .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg.with_batched(3)))
-        .unwrap_or_else(|e| panic!("{} [{mode}] batched run failed: {e}", w.name()));
-    batched
+    let reference = w
+        .run(
+            DatasetSize::Tiny,
+            &RunConfig::multi(DPUS, cfg.clone().with_exec_tier(ExecTier::Naive)),
+        )
+        .unwrap_or_else(|e| panic!("{} [{mode}] reference run failed: {e}", w.name()));
+    let lockstep = w
+        .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg))
+        .unwrap_or_else(|e| panic!("{} [{mode}] lockstep run failed: {e}", w.name()));
+    lockstep
         .validation
         .as_ref()
-        .unwrap_or_else(|e| panic!("{} [{mode}] batched output failed validation: {e}", w.name()));
+        .unwrap_or_else(|e| panic!("{} [{mode}] lockstep output failed validation: {e}", w.name()));
     assert_eq!(
-        per_dpu.per_dpu.len(),
-        batched.per_dpu.len(),
+        reference.per_dpu.len(),
+        lockstep.per_dpu.len(),
         "{} [{mode}]: DPU count differs",
         w.name()
     );
-    for (i, (p, b)) in per_dpu.per_dpu.iter().zip(&batched.per_dpu).enumerate() {
+    for (i, (r, l)) in reference.per_dpu.iter().zip(&lockstep.per_dpu).enumerate() {
         assert_eq!(
-            format!("{p:?}"),
-            format!("{b:?}"),
-            "{} [{mode}] dpu {i}: batched stats diverge from per-DPU path",
+            format!("{r:?}"),
+            format!("{l:?}"),
+            "{} [{mode}] dpu {i}: lockstep stats diverge from the reference loop",
             w.name()
         );
     }
@@ -118,33 +121,91 @@ fn assert_batched_agrees(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
 
 #[test]
 fn batched_executor_matches_per_dpu_path() {
-    // SIMT configurations fall back to individual launches inside
-    // `run_batch` (lockstep does not model them), so the batched legs here
-    // are the three scoreboard-loop modes; SIMT is covered below.
+    // SIMT and cache-centric configurations are launched DPU by DPU inside
+    // `run_batch` (lockstep does not model them) and cache-centric runs
+    // are single-DPU by construction, so the lockstep legs here are the
+    // two scoreboard-loop modes.
     for w in all_workloads() {
         for n in TASKLETS {
-            assert_batched_agrees(w.as_ref(), "scalar", DpuConfig::paper_baseline(n));
+            assert_lockstep_agrees(w.as_ref(), "scalar", DpuConfig::paper_baseline(n));
             let ilp = DpuConfig::paper_baseline(n).with_ilp(IlpFeatures::all());
-            assert_batched_agrees(w.as_ref(), "ilp", ilp);
-            if w.supports_cache_mode() {
-                // Cache-centric runs are single-DPU by construction (and
-                // cached mode never enters lockstep), so this leg pins
-                // `run_batch`'s per-DPU fallback.
-                let cached = DpuConfig::paper_baseline(n).with_paper_caches();
-                let solo = w
-                    .run(DatasetSize::Tiny, &RunConfig::single(cached.clone()))
-                    .unwrap_or_else(|e| panic!("{} [cached] run failed: {e}", w.name()));
-                let batched = w
-                    .run(DatasetSize::Tiny, &RunConfig::single(cached.with_batched(3)))
-                    .unwrap_or_else(|e| panic!("{} [cached] batched run failed: {e}", w.name()));
-                assert_eq!(
-                    format!("{:?}", solo.per_dpu),
-                    format!("{:?}", batched.per_dpu),
-                    "{} [cached]: batched stats diverge from per-DPU path",
-                    w.name()
-                );
-            }
+            assert_lockstep_agrees(w.as_ref(), "ilp", ilp);
         }
+    }
+}
+
+/// `run_batch` against solo launches of identically staged DPUs: results
+/// (statistics or error) and memory images.
+fn assert_group_matches_solo(
+    cfg: &DpuConfig,
+    program: &pim_asm::DpuProgram,
+    inputs: &[u32],
+    what: &str,
+) -> (Vec<Result<pim_dpu::DpuRunStats, pim_dpu::SimError>>, pim_dpu::LockstepSummary) {
+    let staged = || -> Vec<pim_dpu::Dpu> {
+        inputs
+            .iter()
+            .map(|&input| {
+                let mut dpu = pim_dpu::Dpu::new(cfg.clone());
+                dpu.load_program(program).unwrap();
+                dpu.write_mram(0, &input.to_le_bytes());
+                dpu
+            })
+            .collect()
+    };
+    let (mut group, mut solo) = (staged(), staged());
+    let (results, summary) = pim_dpu::run_batch(&mut group);
+    for (i, ((got, g), s)) in results.iter().zip(&group).zip(&mut solo).enumerate() {
+        assert_eq!(format!("{got:?}"), format!("{:?}", s.launch()), "{what}: member {i}");
+        assert_eq!(g.read_wram(0, 2048), s.read_wram(0, 2048), "{what}: member {i} WRAM");
+        assert_eq!(g.read_mram(0, 2048), s.read_mram(0, 2048), "{what}: member {i} MRAM");
+    }
+    (results, summary)
+}
+
+#[test]
+fn cycle_limit_is_the_same_for_every_member_of_a_lockstep_group() {
+    // The sweep of `cycle_limit_is_the_same_on_every_kind_of_cycle`, over
+    // a three-member group whose last member takes a longer path: the
+    // limit lands before the split, on it, between the two finishes and
+    // after both, and each member must see what its solo launch sees.
+    use pim_isa::Cond;
+    let mut k = pim_asm::KernelBuilder::new();
+    let buf = k.global_zeroed("buf", 256);
+    let [w, m, a, i] = k.regs(["w", "m", "a", "i"]);
+    k.movi(w, buf as i32);
+    k.movi(m, 0);
+    k.ldma(w, m, 256);
+    k.lw(i, w, 0);
+    let top = k.label_here("top");
+    k.ldma(w, m, 256);
+    k.lw(a, w, 0);
+    // `w` and `a` share a register bank: one extra issue slot.
+    k.add(a, w, a);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &top);
+    k.stop();
+    let program = k.build().expect("kernel builds");
+
+    let cfg = DpuConfig::paper_baseline(2);
+    let inputs = [2, 2, 4];
+    let (full, summary) = assert_group_matches_solo(&cfg, &program, &inputs, "unlimited");
+    assert_eq!((summary.followed, summary.left.len()), (2, 1), "{summary}");
+    let cycles: Vec<u64> = full.iter().map(|r| r.as_ref().expect("completes").cycles).collect();
+    let split = summary.left[0].cycle;
+    assert!(split < cycles[0] && cycles[0] < cycles[2]);
+    for limit in 1..=cycles[2] {
+        let mut cfg = cfg.clone();
+        cfg.max_cycles = limit;
+        let (run, summary) =
+            assert_group_matches_solo(&cfg, &program, &inputs, &format!("max_cycles={limit}"));
+        for (r, &c) in run.iter().zip(&cycles) {
+            assert_eq!(r.is_err(), limit < c, "max_cycles={limit}: {r:?}");
+        }
+        // A limit up to the split's cycle stops all three on the shared
+        // schedule; a later one lets the third member leave first.
+        let left = usize::from(limit > split);
+        assert_eq!((summary.followed as usize, summary.left.len()), (3 - left, left));
     }
 }
 

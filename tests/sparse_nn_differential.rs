@@ -66,37 +66,40 @@ fn extension_ilp_loop_matches_naive_reference() {
     }
 }
 
-/// 4 DPUs through the per-DPU path and the lockstep batch driver
-/// (`batch_dpus = 3`: one 3-member batch plus a singleton). The chained
-/// kernels re-enter `run_batch` once per launch, so batch scheduling state
-/// must survive the host staging round-trips too.
+/// 4 DPUs on the default tier — `launch_all` runs each worker's chunk in
+/// lockstep — against [`ExecTier::Naive`], which lockstep never takes. The
+/// chained kernels re-enter `run_batch` once per launch, so group
+/// scheduling state must survive the host staging round-trips too.
 #[test]
 fn extension_batched_executor_matches_per_dpu_path() {
     const DPUS: u32 = 4;
     for w in extension_workloads() {
         for n in TASKLETS {
             let cfg = DpuConfig::paper_baseline(n);
-            let per_dpu = w
-                .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg.clone()))
-                .unwrap_or_else(|e| panic!("{} per-DPU run failed: {e}", w.name()));
-            let batched = w
-                .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg.with_batched(3)))
-                .unwrap_or_else(|e| panic!("{} batched run failed: {e}", w.name()));
-            batched
+            let reference = w
+                .run(
+                    DatasetSize::Tiny,
+                    &RunConfig::multi(DPUS, cfg.clone().with_exec_tier(ExecTier::Naive)),
+                )
+                .unwrap_or_else(|e| panic!("{} reference run failed: {e}", w.name()));
+            let lockstep = w
+                .run(DatasetSize::Tiny, &RunConfig::multi(DPUS, cfg))
+                .unwrap_or_else(|e| panic!("{} lockstep run failed: {e}", w.name()));
+            lockstep
                 .validation
                 .as_ref()
-                .unwrap_or_else(|e| panic!("{} batched output failed validation: {e}", w.name()));
+                .unwrap_or_else(|e| panic!("{} lockstep output failed validation: {e}", w.name()));
             assert_eq!(
-                per_dpu.per_dpu.len(),
-                batched.per_dpu.len(),
+                reference.per_dpu.len(),
+                lockstep.per_dpu.len(),
                 "{}: DPU count differs",
                 w.name()
             );
-            for (i, (p, b)) in per_dpu.per_dpu.iter().zip(&batched.per_dpu).enumerate() {
+            for (i, (r, l)) in reference.per_dpu.iter().zip(&lockstep.per_dpu).enumerate() {
                 assert_eq!(
-                    format!("{p:?}"),
-                    format!("{b:?}"),
-                    "{} dpu {i}: batched stats diverge from per-DPU path",
+                    format!("{r:?}"),
+                    format!("{l:?}"),
+                    "{} dpu {i}: lockstep stats diverge from the reference loop",
                     w.name()
                 );
             }

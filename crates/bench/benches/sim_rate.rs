@@ -54,6 +54,67 @@ fn alu_kernel(iters: i32) -> pim_asm::DpuProgram {
     k.build().expect("bench kernel builds")
 }
 
+/// A gather with BS's access pattern: every tasklet draws a pseudo-random
+/// 8-byte-aligned MRAM offset (an LCG on its own state), fetches 8 bytes
+/// from it, consumes the word, and does ALU work in between — one `ldma`
+/// per 18 other instructions. The DMA interface is the bottleneck (one
+/// burst slot per request), so per request the engine makes 18 issue
+/// visits, 3 idle hops and 3 `MemEngine::advance` calls, the latter with up
+/// to sixteen requests live.
+fn gather_kernel(iters: i32) -> pim_asm::DpuProgram {
+    let mut k = KernelBuilder::new();
+    let slots = k.global_zeroed("slots", 8 * 16);
+    let [w, m, x, v, acc, i] = k.regs(["w", "m", "x", "v", "acc", "i"]);
+    k.tasklet_slot(w, slots, 8);
+    k.tid(x);
+    k.add(x, x, 1);
+    k.movi(acc, 0);
+    k.movi(i, iters);
+    let top = k.label_here("loop");
+    k.mul(x, x, 1_103_515_245);
+    k.add(x, x, 12_345);
+    k.srl(m, x, 8);
+    // Within the first 4 MB of MRAM, 8-byte aligned.
+    k.alu(AluOp::And, m, m, (4 << 20) - 8);
+    k.ldma(w, m, 8);
+    k.lw(v, w, 0);
+    k.add(acc, acc, v);
+    for _ in 0..9 {
+        k.alu(AluOp::Xor, acc, acc, x);
+    }
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &top);
+    k.stop();
+    k.build().expect("bench kernel builds")
+}
+
+/// Back-to-back 256-byte reads (BS's probe size): with two tasklets every
+/// issue is followed by an idle hop — per request 4 issue visits, 13 idle
+/// hops and 9 `MemEngine::advance` calls, most of which finish nothing.
+fn dma_kernel(iters: i32) -> pim_asm::DpuProgram {
+    let mut k = KernelBuilder::new();
+    let bufs = k.global_zeroed("bufs", 256 * 2);
+    let [w, m, i] = k.regs(["w", "m", "i"]);
+    k.tasklet_slot(w, bufs, 256);
+    k.tid(m);
+    k.sll(m, m, 20);
+    k.movi(i, iters);
+    let top = k.label_here("loop");
+    k.ldma(w, m, 256);
+    k.add(m, m, 256);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &top);
+    k.stop();
+    k.build().expect("bench kernel builds")
+}
+
+/// One launch of `program` on a fresh paper-baseline DPU.
+fn launch(tasklets: u32, program: &pim_asm::DpuProgram) -> pim_dpu::DpuRunStats {
+    let mut dpu = Dpu::new(DpuConfig::paper_baseline(tasklets));
+    dpu.load_program(program).unwrap();
+    dpu.launch().unwrap()
+}
+
 fn main() {
     // `cargo bench` passes `--bench`; `cargo test --benches` passes
     // `--test-threads` etc. — in test mode just smoke-run nothing.
@@ -68,11 +129,19 @@ fn main() {
     for (tasklets, iters) in [(16u32, 2000), (4, 8000), (1, 32_000)] {
         let program = alu_kernel(iters);
         let instrs = u64::from(tasklets) * 5 * iters as u64;
-        bench(&format!("dpu_{tasklets}t_alu_kernel"), 20, instrs, || {
-            let mut dpu = Dpu::new(DpuConfig::paper_baseline(tasklets));
-            dpu.load_program(&program).unwrap();
-            dpu.launch().unwrap()
-        });
+        bench(&format!("dpu_{tasklets}t_alu_kernel"), 20, instrs, || launch(tasklets, &program));
+    }
+
+    // The DMA-bound side of the issue engine, per DMA request: the low-TLP
+    // visits (idle hop, `MemEngine::advance`) that the ALU rows above never
+    // make.
+    for (name, tasklets, iters, program) in [
+        ("dpu_16t_gather_kernel", 16u32, 1000, gather_kernel(1000)),
+        ("dpu_2t_dma_kernel", 2, 4000, dma_kernel(4000)),
+    ] {
+        let requests = u64::from(tasklets) * iters;
+        assert_eq!(launch(tasklets, &program).dma_requests, requests);
+        bench(name, 20, requests, || launch(tasklets, &program));
     }
 
     for name in ["VA", "GEMV", "BS"] {

@@ -16,6 +16,14 @@
 //! and one indirect call; no enum is matched and no operand is
 //! re-discriminated.
 //!
+//! The ALU and branch op functions are stamped out per operation by macro
+//! and name it as a constant (`AluOp::Add.eval(a, b)`), so "monomorphic"
+//! holds only as long as `pim-isa` marks `AluOp::eval` and `Cond::eval`
+//! `#[inline]`: `eval` lives in another crate, and un-inlined every ALU op
+//! was a call into the full 15-arm `match` with the operation passed as an
+//! argument. Inlined, `alu_add_ri` is the register bounds checks, a load,
+//! an `add` and a store.
+//!
 //! Correctness bar: every op function must be *observationally identical*
 //! to [`ArchState::execute`] on the same state — same register/memory
 //! writes, same [`Effect`], same [`SimError`] variant with the same fields,

@@ -369,6 +369,9 @@ impl DpuConfig {
         }
         assert!(self.revolver_cycles >= 1);
         assert!(self.mram_bw_scale > 0.0);
+        // A zero-length window never fills: the TLP timeline would flush
+        // (and divide by) nothing, forever.
+        assert!(self.tlp_window >= 1, "tlp_window must be at least 1 cycle");
     }
 }
 
@@ -437,6 +440,14 @@ mod tests {
     #[should_panic(expected = "scratchpad-centric")]
     fn simt_with_caches_is_invalid() {
         let c = DpuConfig::paper_baseline(16).with_paper_caches().with_simt(SimtConfig::default());
+        c.assert_valid();
+    }
+
+    #[test]
+    #[should_panic(expected = "tlp_window")]
+    fn zero_tlp_window_is_invalid() {
+        let mut c = DpuConfig::paper_baseline(2);
+        c.tlp_window = 0;
         c.assert_valid();
     }
 

@@ -25,7 +25,12 @@
 //! `due` is the first core cycle whose DRAM time reaches the bank's next
 //! event (or a transferred request's finish). Live requests sit in a small
 //! slab in issue order and bursts carry their request's slot through the
-//! bank as a tag, so nothing on the per-burst path hashes.
+//! bank as a tag, so nothing on the per-burst path hashes. Most advances
+//! only move the bank and finish no request: `advance` looks over the slab
+//! read-only for the next finish and rewrites it only when a request goes.
+//! `due` has the same value on every cycle either way — the cycle loops
+//! split idle spans at it, and the position of those splits reaches the
+//! statistics (`DESIGN.md` §4, "Idle hop").
 
 use pim_dram::{Access, DramBank, DramConfig, RowEventKind};
 use pim_mmu::Mmu;
@@ -84,8 +89,8 @@ pub(crate) struct MemEngine {
     mmu: Option<Mmu>,
     /// DRAM cycles per core cycle.
     ratio: f64,
-    /// Interface throughput in bytes per core cycle.
-    iface_rate: f64,
+    /// Core cycles one full burst occupies the interface.
+    burst_occupancy: u64,
     /// Next core cycle at which the interface is free.
     iface_free_at: u64,
     /// Fixed per-request setup latency in core cycles.
@@ -123,7 +128,7 @@ impl MemEngine {
             bank: DramBank::new(dram),
             mmu,
             ratio,
-            iface_rate,
+            burst_occupancy: (f64::from(dram.burst_bytes) / iface_rate).ceil() as u64,
             iface_free_at: 0,
             setup,
             requests: Vec::new(),
@@ -280,7 +285,6 @@ impl MemEngine {
         self.bank.advance_to_tagged(self.to_dram(now), &mut bank_done);
         let mut walk_finished = std::mem::take(&mut self.walk_scratch);
         walk_finished.clear();
-        let occupancy = (f64::from(self.bank.config().burst_bytes) / self.iface_rate).ceil() as u64;
         for &burst in &bank_done {
             let (slot, is_walk) = (burst >> 1, burst & 1 == 1);
             if is_walk {
@@ -294,7 +298,7 @@ impl MemEngine {
                 }
             } else {
                 // Data burst: account interface occupancy in completion order.
-                self.iface_free_at = self.iface_free_at.max(now) + occupancy;
+                self.iface_free_at = self.iface_free_at.max(now) + self.burst_occupancy;
                 let free_at = self.iface_free_at;
                 let req = self.request_mut(slot);
                 req.finish = req.finish.max(free_at);
@@ -311,20 +315,28 @@ impl MemEngine {
             req.finish = req.finish.max(at);
         }
         self.walk_scratch = walk_finished;
-        // Report and drop finished requests; what remains sets the due cycle.
+        // Report and drop finished requests; what remains sets the due
+        // cycle. Most calls only move the bank and finish nothing, so look
+        // first and rewrite the list only when a request goes.
         let mut due = u64::MAX;
-        let done = &mut self.done;
-        self.requests.retain(|req| {
-            if !req.transferred() {
-                return true;
-            }
+        let mut finished = false;
+        for req in self.requests.iter().filter(|req| req.transferred()) {
             if req.finish <= now {
-                done.push((req.token, req.finish));
-                return false;
+                finished = true;
+            } else {
+                due = due.min(req.finish);
             }
-            due = due.min(req.finish);
-            true
-        });
+        }
+        if finished {
+            let done = &mut self.done;
+            self.requests.retain(|req| {
+                let gone = req.transferred() && req.finish <= now;
+                if gone {
+                    done.push((req.token, req.finish));
+                }
+                !gone
+            });
+        }
         self.due = due.min(self.bank_due());
     }
 
@@ -517,6 +529,39 @@ mod tests {
         e.drain_done_into(&mut done);
         assert_eq!(done.iter().map(|d| d.0).collect::<Vec<_>>(), tokens);
         assert_eq!(e.due(), u64::MAX);
+    }
+
+    /// Most advances only move the bank: bursts complete and queue on the
+    /// interface, nothing finishes. Such a call must leave the request list
+    /// and the completions alone and still move `due` exactly as an engine
+    /// advanced on every cycle does.
+    #[test]
+    fn an_advance_that_finishes_nothing_only_moves_the_due_cycle() {
+        let mut gated = engine();
+        for (i, token) in [4u64, 2, 6].into_iter().enumerate() {
+            gated.issue(token, &[Segment { addr: i as u32 * 4096, bytes: 512, write: false }], 0);
+        }
+        let mut eager = gated.clone();
+        let live = |e: &MemEngine| e.requests.iter().map(|r| (r.slot, r.token)).collect::<Vec<_>>();
+        let issued = live(&gated);
+        let mut quiet = 0;
+        for now in 0.. {
+            eager.advance(now);
+            if now < gated.due() {
+                continue;
+            }
+            gated.advance(now);
+            assert_eq!(gated.due(), eager.due(), "cycle {now}");
+            if !gated.done.is_empty() {
+                break;
+            }
+            quiet += 1;
+            assert_eq!(live(&gated), issued, "cycle {now}");
+        }
+        assert!(quiet >= 3, "only {quiet} advances before the first completion");
+        assert_eq!(gated.done, eager.done);
+        assert_eq!(live(&gated), live(&eager));
+        assert!(live(&gated).len() < issued.len());
     }
 
     /// `due` converts the bank's next event to the first core cycle whose

@@ -19,7 +19,11 @@
 //! The scalars the loop touches every cycle sit in [`Hot`], which
 //! [`Engine::run`] copies into a local for the duration of the run: the
 //! engine itself lends `mem`, `stats` and the caches to out-of-line calls,
-//! which pins it in memory, whereas the local stays in registers.
+//! which pins it in memory, whereas the local stays in registers. The
+//! issue body is compiled twice from one source: `pre_issue` and `retire`
+//! take `const PLAIN: bool`, which the entry points set from
+//! [`Engine::is_plain`] so that the plain pipeline (every paper-baseline
+//! launch) does not test its per-launch constants per instruction.
 //!
 //! Relative to the reference loop (`Dpu::run_scalar_naive`) nothing here
 //! alters any simulated time:
@@ -47,7 +51,17 @@
 //!    by making it on every visited cycle), idle spans fast-forward to that
 //!    same cycle, and the steady state performs no heap allocation:
 //!    completions drain into a reused buffer and DMA segments are stack
-//!    arrays.
+//!    arrays;
+//! 5. the idle hop is O(1): a 64-bit occupancy mask of the wheel gives the
+//!    earliest wake-up with a rotate and a `trailing_zeros`
+//!    ([`ReadySet::min_at`]) where the reference loop takes a minimum over
+//!    every tasklet, and the span is booked by
+//!    [`DpuRunStats::record_idle_span`], which skips the reference
+//!    expression's two `f64` divisions exactly when their result is known
+//!    bit for bit. The hop lands on the same cycle as before: where idle
+//!    spans are split decides the low bits of the `f64` idle totals, so
+//!    no wake-up may be added, removed or moved (`DESIGN.md` §4, "Idle
+//!    hop").
 
 use pim_cache::Cache;
 use pim_isa::{InstrClass, Instruction};
@@ -124,6 +138,12 @@ const WHEEL_SLOTS: u64 = 64;
 /// there). The clock never moves past an occupied slot: single steps visit
 /// every cycle, and the idle fast-forward lands no later than
 /// [`ReadySet::min_at`].
+///
+/// `occupied` mirrors the wheel one bit per slot (bit `s` set exactly when
+/// `wheel[s] != 0`): a slot fills only in [`ReadySet::file`] and empties
+/// only when [`ReadySet::advance`] folds it into `ready`, so the mask is
+/// kept at those two places and the earliest wake-up on the wheel is one
+/// rotate and one `trailing_zeros` away.
 #[derive(Clone)]
 struct ReadySet {
     /// Exact earliest issue cycle per tasklet; `u64::MAX` while blocked or
@@ -131,6 +151,7 @@ struct ReadySet {
     ready_at: Vec<u64>,
     ready: u32,
     wheel: [u32; WHEEL_SLOTS as usize],
+    occupied: u64,
     far: u32,
 }
 
@@ -141,6 +162,7 @@ impl ReadySet {
             ready_at: vec![0; n],
             ready: (1 << n) - 1,
             wheel: [0; WHEEL_SLOTS as usize],
+            occupied: 0,
             far: 0,
         }
     }
@@ -166,7 +188,9 @@ impl ReadySet {
         if at <= now {
             self.ready |= bit;
         } else if at - now < WHEEL_SLOTS {
-            self.wheel[(at % WHEEL_SLOTS) as usize] |= bit;
+            let slot = at % WHEEL_SLOTS;
+            self.wheel[slot as usize] |= bit;
+            self.occupied |= 1 << slot;
         } else if at != u64::MAX {
             self.far |= bit;
         }
@@ -182,13 +206,40 @@ impl ReadySet {
             far &= far - 1;
             self.file(now, t, self.ready_at[t]);
         }
-        self.ready |= std::mem::take(&mut self.wheel[(now % WHEEL_SLOTS) as usize]);
+        let slot = now % WHEEL_SLOTS;
+        self.ready |= std::mem::take(&mut self.wheel[slot as usize]);
+        self.occupied &= !(1 << slot);
         debug_assert_eq!(self.ready, self.scan(now), "a wake-up was skipped or left behind");
     }
 
-    /// The earliest wake-up of any tasklet, `u64::MAX` when none is due.
-    fn min_at(&self) -> u64 {
-        self.ready_at.iter().copied().min().unwrap_or(u64::MAX)
+    /// The earliest wake-up still ahead of `now` — of any tasklet when
+    /// `ready` is empty, which is when the idle fast-forward asks —
+    /// `u64::MAX` when none is due.
+    ///
+    /// Slot `at % 64` holds `now < at < now + 64`, so rotating the
+    /// occupancy mask down by `(now + 1) % 64` puts the slot of cycle
+    /// `now + 1 + k` at bit `k`. Everything in `far` lies beyond the whole
+    /// wheel and is looked at only when the wheel is empty.
+    #[inline(always)]
+    fn min_at(&self, now: u64) -> u64 {
+        let min = if self.occupied != 0 {
+            let ahead = self.occupied.rotate_right(((now + 1) % WHEEL_SLOTS) as u32);
+            now + 1 + u64::from(ahead.trailing_zeros())
+        } else {
+            let (mut far, mut min) = (self.far, u64::MAX);
+            while far != 0 {
+                min = min.min(self.ready_at[far.trailing_zeros() as usize]);
+                far &= far - 1;
+            }
+            min
+        };
+        debug_assert_eq!(min, self.scan_min(now), "the occupancy mask lost track of the wheel");
+        min
+    }
+
+    /// [`ReadySet::min_at`] by its definition.
+    fn scan_min(&self, now: u64) -> u64 {
+        self.ready_at.iter().copied().filter(|&at| at > now).min().unwrap_or(u64::MAX)
     }
 
     /// The issuable set by its definition: what `ready` must equal.
@@ -286,20 +337,22 @@ impl Checkpoint {
         engine.stats.tlp_timeline = live.stats.tlp_timeline[..self.timeline_len].to_vec();
         engine.stats.trace = live.stats.trace[..self.trace_len].to_vec();
         state.pc.copy_from_slice(&self.pcs);
+        // Re-stepping covers at most one segment: the general
+        // instantiation serves, and `run` picks its own for the rest.
         let mut hot = engine.hot;
         for step in agreed {
             let slot = (step.tasklet as usize, step.pc);
-            let handed = engine.pre_issue(&mut hot, kernel, state, &mut NullSink);
+            let handed = engine.pre_issue::<false, _>(&mut hot, kernel, state, &mut NullSink);
             debug_assert_eq!(handed, Ok(Some(slot)), "the log is the schedule");
-            engine.retire(&mut hot, kernel, state, &mut NullSink, slot, step.effect);
+            engine.retire::<false, _>(&mut hot, kernel, state, &mut NullSink, slot, step.effect);
         }
-        let slot = match engine.pre_issue(&mut hot, kernel, state, &mut NullSink) {
+        let slot = match engine.pre_issue::<false, _>(&mut hot, kernel, state, &mut NullSink) {
             Ok(Some(slot)) => slot,
             other => unreachable!("the leader issued here, the replay got {other:?}"),
         };
         let at = (hot.now, slot.1);
         let run = own.and_then(|effect| {
-            engine.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+            engine.retire::<false, _>(&mut hot, kernel, state, &mut NullSink, slot, effect);
             engine.hot = hot;
             engine.run::<CompiledDispatch, _>(kernel, state, &mut NullSink)
         });
@@ -377,18 +430,49 @@ impl Engine {
         }
     }
 
+    /// Whether this launch is the plain pipeline — one issue way, no
+    /// operand forwarding, scratchpad memory, no instruction trace — which
+    /// is every launch of the paper baseline. The issue body is compiled
+    /// twice from one source ([`Engine::pre_issue`] and [`Engine::retire`]
+    /// take `const PLAIN: bool`): the `PLAIN` instantiation drops those
+    /// four per-launch constants out of the per-instruction path, the
+    /// other serves every configuration. Fixed for the life of the engine.
+    fn is_plain(&self) -> bool {
+        let h = &self.hot;
+        h.ways == 1
+            && !h.fwd
+            && h.trace_limit == 0
+            && self.icache.is_none()
+            && self.dcache.is_none()
+    }
+
     /// Drives the run to completion from wherever the engine stands
     /// (launch start, or mid-cycle after a lockstep divergence).
     pub(crate) fn run<D: Dispatch, S: TraceSink>(
+        self,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        sink: &mut S,
+    ) -> Result<DpuRunStats, SimError> {
+        if self.is_plain() {
+            self.run_as::<true, D, S>(kernel, state, sink)
+        } else {
+            self.run_as::<false, D, S>(kernel, state, sink)
+        }
+    }
+
+    fn run_as<const PLAIN: bool, D: Dispatch, S: TraceSink>(
         mut self,
         kernel: &CompiledKernel,
         state: &mut ArchState,
         sink: &mut S,
     ) -> Result<DpuRunStats, SimError> {
         let mut hot = self.hot;
-        while let Some(slot @ (t, pc)) = self.pre_issue(&mut hot, kernel, state, sink)? {
+        while let Some(slot @ (t, pc)) =
+            self.pre_issue::<PLAIN, S>(&mut hot, kernel, state, sink)?
+        {
             let effect = D::execute(kernel, state, t as u32, pc)?;
-            self.retire(&mut hot, kernel, state, sink, slot, effect);
+            self.retire::<PLAIN, S>(&mut hot, kernel, state, sink, slot, effect);
         }
         self.hot = hot;
         Ok(self.finish())
@@ -417,21 +501,36 @@ impl Engine {
         log: &mut Vec<Step>,
         slots: usize,
     ) -> SegmentEnd {
+        if self.is_plain() {
+            self.run_segment_as::<true>(kernel, state, log, slots)
+        } else {
+            self.run_segment_as::<false>(kernel, state, log, slots)
+        }
+    }
+
+    fn run_segment_as<const PLAIN: bool>(
+        &mut self,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        log: &mut Vec<Step>,
+        slots: usize,
+    ) -> SegmentEnd {
         let mut hot = self.hot;
         log.clear();
         let end = loop {
             if log.len() == slots {
                 break SegmentEnd::Full;
             }
-            let slot @ (t, pc) = match self.pre_issue(&mut hot, kernel, state, &mut NullSink) {
-                Ok(Some(slot)) => slot,
-                Ok(None) => break SegmentEnd::Finished,
-                Err(e) => break SegmentEnd::Halted(e),
-            };
+            let slot @ (t, pc) =
+                match self.pre_issue::<PLAIN, _>(&mut hot, kernel, state, &mut NullSink) {
+                    Ok(Some(slot)) => slot,
+                    Ok(None) => break SegmentEnd::Finished,
+                    Err(e) => break SegmentEnd::Halted(e),
+                };
             match CompiledDispatch::execute(kernel, state, t as u32, pc) {
                 Ok(effect) => {
                     log.push(Step { tasklet: t as u32, pc, effect });
-                    self.retire(&mut hot, kernel, state, &mut NullSink, slot, effect);
+                    self.retire::<PLAIN, _>(&mut hot, kernel, state, &mut NullSink, slot, effect);
                 }
                 Err(e) => break SegmentEnd::Faulted(e, slot),
             }
@@ -482,18 +581,22 @@ impl Engine {
     ///
     /// [`SimError::CycleLimit`], [`SimError::PcOutOfRange`] or
     /// [`SimError::DmaInCachedMode`]; the run is over.
+    ///
+    /// `PLAIN` may be set only when [`Engine::is_plain`] holds.
     #[inline(always)]
-    fn pre_issue<S: TraceSink>(
+    fn pre_issue<const PLAIN: bool, S: TraceSink>(
         &mut self,
         h: &mut Hot,
         kernel: &CompiledKernel,
         state: &ArchState,
         sink: &mut S,
     ) -> Result<Option<(usize, u32)>, SimError> {
+        let ways = if PLAIN { 1 } else { h.ways };
+        let fwd = !PLAIN && h.fwd;
         loop {
             if h.in_cycle {
                 // 5. Issue up to `ways` instructions, round-robin.
-                while h.issued < h.ways {
+                while h.issued < ways {
                     let t = if h.pending_hi != 0 {
                         let t = h.pending_hi.trailing_zeros() as usize;
                         h.pending_hi &= h.pending_hi - 1;
@@ -512,8 +615,9 @@ impl Engine {
                     let Some(op) = kernel.ops.get(pc as usize) else {
                         return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
                     };
-                    // Instruction fetch through the I-cache (cache-centric mode).
-                    if let Some(ic) = self.icache.as_mut() {
+                    // Instruction fetch through the I-cache (cache-centric
+                    // mode; the plain pipeline has neither cache).
+                    if let Some(ic) = self.icache.as_mut().filter(|_| !PLAIN) {
                         let fetch_addr = h.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
                         let out = ic.access(fetch_addr, false);
                         if !out.hit {
@@ -530,7 +634,7 @@ impl Engine {
                     // must carry the block id its pc belongs to.
                     debug_assert_eq!(op.block, kernel.blocks.block_of(pc));
                     // Data access through the D-cache (cache-centric mode).
-                    if let Some(dc) = self.dcache.as_mut() {
+                    if let Some(dc) = self.dcache.as_mut().filter(|_| !PLAIN) {
                         if op.is_dma() {
                             return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
                         }
@@ -563,7 +667,7 @@ impl Engine {
                             }
                         }
                     }
-                    if self.stats.trace.len() < h.trace_limit {
+                    if !PLAIN && self.stats.trace.len() < h.trace_limit {
                         self.stats.trace.push(crate::stats::TraceEntry {
                             cycle: h.now,
                             tasklet: t as u32,
@@ -610,7 +714,7 @@ impl Engine {
                     let t = token as usize;
                     h.blocked &= !(1 << t);
                     self.next_issue[t] = self.next_issue[t].max(at + 1);
-                    let wake = self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t]);
+                    let wake = self.earliest_issue(fwd, &kernel.ops, t, state.pc[t]);
                     self.ready_set.place(now, t, wake);
                     if sink.enabled() {
                         sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
@@ -644,18 +748,15 @@ impl Engine {
             // per-tasklet wait reasons (paper Fig 6 categorizes by thread
             // status), then fast-forward to the next possible event.
             if issuable == 0 {
-                let n_blocked = h.blocked.count_ones() as usize;
-                let n_sched = (h.live - n_blocked) as f64;
-                let n_mem = n_blocked as f64;
+                let n_mem = h.blocked.count_ones() as usize;
+                let n_sched = h.live - n_mem;
                 // Landing no later than the earliest wake-up, the jump
                 // passes no occupied wheel slot.
-                let next = self.ready_set.min_at().min(self.mem.due());
+                let next = self.ready_set.min_at(now).min(self.mem.due());
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(h.max_cycles - now);
                 self.stats.record_tlp_span(0, span, &mut self.window_acc);
-                let tot = (n_sched + n_mem).max(1.0);
-                self.stats.idle_memory += span as f64 * n_mem / tot;
-                self.stats.idle_revolver += span as f64 * n_sched / tot;
+                self.stats.record_idle_span(span, n_sched, n_mem);
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
                         cycle: now,
@@ -684,7 +785,7 @@ impl Engine {
     /// executed with `effect`: instruction mix, issue window, forwarding
     /// scoreboard, pc / status / DMA, and the tasklet's wake-up entry.
     #[inline(always)]
-    fn retire<S: TraceSink>(
+    fn retire<const PLAIN: bool, S: TraceSink>(
         &mut self,
         h: &mut Hot,
         kernel: &CompiledKernel,
@@ -718,8 +819,9 @@ impl Engine {
                 _ => {}
             }
         }
+        let fwd = !PLAIN && h.fwd;
         self.next_issue[t] = now + h.gap;
-        if h.fwd {
+        if fwd {
             if let Some(rd) = op.dst() {
                 let lat = if op.is_load() { h.fwd_load } else { h.fwd_alu };
                 self.reg_ready[t * NREGS + rd as usize] = now + lat;
@@ -752,11 +854,8 @@ impl Engine {
             }
         }
         // Refresh the wakeup entry for the new PC / issue window.
-        let wake = if runnable {
-            self.earliest_issue(h.fwd, &kernel.ops, t, state.pc[t])
-        } else {
-            u64::MAX
-        };
+        let wake =
+            if runnable { self.earliest_issue(fwd, &kernel.ops, t, state.pc[t]) } else { u64::MAX };
         self.ready_set.place(now, t, wake);
         h.issued += 1;
         h.rr = t + 1;
@@ -796,10 +895,12 @@ mod tests {
     use super::*;
     use pim_rng::StdRng;
 
-    /// `ready` against its definition, and every tasklet with a finite
-    /// wake-up in exactly one container, inside that container's window.
+    /// `ready` and the earliest wake-up ahead against their definitions,
+    /// and every tasklet with a finite wake-up in exactly one container,
+    /// inside that container's window.
     fn check(set: &ReadySet, now: u64) {
         assert_eq!(set.ready, set.scan(now), "ready set at cycle {now}");
+        assert_eq!(set.min_at(now), set.scan_min(now), "earliest wake-up at cycle {now}");
         for (t, &at) in set.ready_at.iter().enumerate() {
             let bit = 1u32 << t;
             let slots: Vec<u64> =
@@ -815,14 +916,21 @@ mod tests {
             }
             assert!(!in_far || at - now >= WHEEL_SLOTS, "far: at {at}, now {now}");
         }
+        for s in 0..WHEEL_SLOTS {
+            assert_eq!(set.occupied >> s & 1 != 0, set.wheel[s as usize] != 0, "slot {s}");
+        }
     }
 
     /// Seeded op streams — issue (re-place a ready tasklet ahead), block,
     /// stop, completion (place a blocked tasklet), single-cycle ticks and
     /// idle jumps up to the minimum — with the invariant checked after
-    /// every step.
+    /// every step. The idle jumps must between them have found the minimum
+    /// on the wheel alone, in `far` alone and on the wheel with `far`
+    /// occupied behind it (none pending is checked wherever it occurs).
     #[test]
     fn ready_set_matches_its_definition() {
+        // [wheel only, far only, both]
+        let mut jumps = [0u32; 3];
         for seed in 0..32 {
             let mut rng = StdRng::seed_from_u64(seed);
             let n = rng.gen_range(1..25usize);
@@ -856,8 +964,14 @@ mod tests {
                     }
                     // The idle fast-forward: to the minimum, or short of it
                     // (a memory event falls due first).
-                    7 if set.ready == 0 && set.min_at() != u64::MAX => {
-                        let span = set.min_at() - now;
+                    7 if set.ready == 0 && set.min_at(now) != u64::MAX => {
+                        jumps[match (set.occupied != 0, set.far != 0) {
+                            (true, false) => 0,
+                            (false, true) => 1,
+                            (true, true) => 2,
+                            (false, false) => unreachable!("a wake-up is pending"),
+                        }] += 1;
+                        let span = set.min_at(now) - now;
                         now += if rng.gen_range(0..2u32) == 0 {
                             span
                         } else {
@@ -870,5 +984,6 @@ mod tests {
                 check(&set, now);
             }
         }
+        assert!(jumps.iter().all(|&n| n > 0), "idle jumps by container: {jumps:?}");
     }
 }

@@ -142,25 +142,23 @@ pub(crate) fn run_simt<S: TraceSink>(
         }
         if issuable.is_empty() {
             // Fractional attribution by lane state, as in the scalar loop.
-            let mut lanes_sched = 0f64;
-            let mut lanes_mem = 0f64;
+            let mut lanes_sched = 0usize;
+            let mut lanes_mem = 0usize;
             let mut next = u64::MAX;
             for w in &warps {
                 let live = w.lanes.clone().filter(|&l| status[l] == TaskletStatus::Ready).count();
                 if w.pending_mem == 0 && live > 0 {
-                    lanes_sched += live as f64;
+                    lanes_sched += live;
                     next = next.min(w.next_issue);
                 } else if live > 0 {
-                    lanes_mem += live as f64;
+                    lanes_mem += live;
                 }
             }
             next = next.min(mem.due());
             let next = if next == u64::MAX || next <= now { now + 1 } else { next };
             let span = next - now;
             stats.record_tlp_span(0, span, &mut window_acc);
-            let tot = (lanes_sched + lanes_mem).max(1.0);
-            stats.idle_memory += span as f64 * lanes_mem / tot;
-            stats.idle_revolver += span as f64 * lanes_sched / tot;
+            stats.record_idle_span(span, lanes_sched, lanes_mem);
             if sink.enabled() {
                 sink.emit(TraceEvent::Stall {
                     cycle: now,

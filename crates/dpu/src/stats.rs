@@ -260,6 +260,36 @@ impl DpuRunStats {
         weighted as f64 / cycles as f64
     }
 
+    /// Attributes an idle span of `span` cycles across the waiting
+    /// tasklets by wait reason — `n_sched` gated by the pipeline, `n_mem`
+    /// by the memory system — as the reference loop's expression
+    ///
+    /// ```text
+    /// tot = max(n_sched + n_mem, 1)
+    /// idle_memory   += span * n_mem   / tot
+    /// idle_revolver += span * n_sched / tot
+    /// ```
+    ///
+    /// does in `f64`, bit for bit. When every waiter waits for the same
+    /// reason neither division is needed: with `span * n <= 2^53` the
+    /// product is exact, so `(span * n) / n` is exactly `span`, and the
+    /// other share is `+0.0`, which leaves a sum that is never `-0.0` as
+    /// it is.
+    #[inline]
+    pub(crate) fn record_idle_span(&mut self, span: u64, n_sched: usize, n_mem: usize) {
+        let exact = span.saturating_mul((n_sched + n_mem) as u64) <= 1 << 53;
+        match (n_sched, n_mem) {
+            (0, 1..) if exact => self.idle_memory += span as f64,
+            (1.., 0) if exact => self.idle_revolver += span as f64,
+            _ => {
+                let (n_sched, n_mem) = (n_sched as f64, n_mem as f64);
+                let tot = (n_sched + n_mem).max(1.0);
+                self.idle_memory += span as f64 * n_mem / tot;
+                self.idle_revolver += span as f64 * n_sched / tot;
+            }
+        }
+    }
+
     /// [`DpuRunStats::record_tlp_span`] for a single cycle — the form the
     /// issue engine calls once per visited cycle. Same integer sums and the
     /// same `f32` division at the flush, so the timeline is bit-identical.
@@ -287,6 +317,13 @@ impl DpuRunStats {
         // Timeline: accumulate (cycles, issuable-cycles) and flush whole
         // windows.
         let (ref mut filled, ref mut sum) = *window_acc;
+        // `filled < tlp_window` between calls: a span that leaves the
+        // window open only accumulates.
+        if span < self.tlp_window - *filled {
+            *filled += span;
+            *sum += span * issuable as u64;
+            return;
+        }
         let mut remaining = span;
         while remaining > 0 {
             let take = remaining.min(self.tlp_window - *filled);
@@ -370,6 +407,83 @@ mod tests {
         assert_eq!(s.tlp_histogram[4], 15);
         assert_eq!(s.tlp_histogram[0], 5);
         assert!((s.mean_issuable() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn span_form_matches_the_one_cycle_form_across_window_edges() {
+        // Spans that stay inside a window (the one-compare path), end
+        // exactly on its edge, cross it and cover several windows, against
+        // the same cycles recorded one at a time.
+        for seed in 0..8 {
+            let mut rng = pim_rng::StdRng::seed_from_u64(seed);
+            let (mut span, mut cycle) = (stats(), stats());
+            let (mut span_acc, mut cycle_acc) = ((0, 0), (0, 0));
+            let mut short = 0;
+            for _ in 0..2000 {
+                let issuable = rng.gen_range(0..25usize);
+                let to_edge = span.tlp_window - span_acc.0;
+                let len = match rng.gen_range(0..6u32) {
+                    0 => to_edge - 1,
+                    1 => to_edge,
+                    2 => to_edge + 1,
+                    3 => rng.gen_range(0..4 * span.tlp_window),
+                    _ => rng.gen_range(0..4u64),
+                };
+                short += u32::from(len > 0 && len < to_edge);
+                span.record_tlp_span(issuable, len, &mut span_acc);
+                for _ in 0..len {
+                    cycle.record_tlp_cycle(issuable, &mut cycle_acc);
+                }
+                assert_eq!(span_acc, cycle_acc);
+                assert_eq!(span.tlp_timeline, cycle.tlp_timeline);
+            }
+            assert_eq!(span.tlp_histogram, cycle.tlp_histogram);
+            assert!(short > 500 && span.tlp_timeline.len() > 500, "both paths ran");
+        }
+    }
+
+    /// The reference loop's idle attribution, literally.
+    fn idle_by_the_expression(s: &mut DpuRunStats, span: u64, n_sched: f64, n_mem: f64) {
+        let tot = (n_sched + n_mem).max(1.0);
+        s.idle_memory += span as f64 * n_mem / tot;
+        s.idle_revolver += span as f64 * n_sched / tot;
+    }
+
+    #[test]
+    fn idle_span_attribution_is_the_two_division_expression_bit_for_bit() {
+        const EXACT: u64 = 1 << 53;
+        let spans = (1..=4096).chain([1 << 20, 1 << 40]).chain(
+            // Either side of where `span * live` stops being exact — the
+            // fast path's limit — for every `live`, and far beyond it.
+            (1..=24).flat_map(|live| [EXACT / live - 1, EXACT / live, EXACT / live + 1]),
+        );
+        let spans: Vec<u64> = spans.chain([EXACT + 1, u64::MAX / 3, u64::MAX]).collect();
+        for live in 1..=24usize {
+            for n_mem in 0..=live {
+                let n_sched = live - n_mem;
+                // Sums that already hold fractions, so the add itself rounds.
+                let (mut fast, mut slow) = (stats(), stats());
+                idle_by_the_expression(&mut fast, 7, 2.0, 1.0);
+                idle_by_the_expression(&mut slow, 7, 2.0, 1.0);
+                for &span in &spans {
+                    fast.record_idle_span(span, n_sched, n_mem);
+                    idle_by_the_expression(&mut slow, span, n_sched as f64, n_mem as f64);
+                    assert_eq!(
+                        (fast.idle_memory.to_bits(), fast.idle_revolver.to_bits()),
+                        (slow.idle_memory.to_bits(), slow.idle_revolver.to_bits()),
+                        "span {span}, {n_sched} on the pipeline, {n_mem} on memory"
+                    );
+                }
+            }
+        }
+        // The limit is not slack: one cycle past it the quotient is
+        // already not the span.
+        let past = (EXACT / 3 + 1) as f64;
+        assert_ne!(past * 3.0 / 3.0, past);
+        // Nobody waiting (the `max(1.0)` arm): nothing is attributed.
+        let mut none = stats();
+        none.record_idle_span(5, 0, 0);
+        assert_eq!((none.idle_memory.to_bits(), none.idle_revolver.to_bits()), (0, 0));
     }
 
     #[test]

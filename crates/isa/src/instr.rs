@@ -90,6 +90,11 @@ impl AluOp {
     ///
     /// Division follows the conventions documented on [`AluOp::Div`] and
     /// [`AluOp::Rem`] so that execution can never trap.
+    ///
+    /// `#[inline]` so that a caller in another crate naming the operation
+    /// as a constant (`AluOp::Add.eval(a, b)`) compiles to that one
+    /// operation instead of a call into the full `match`.
+    #[inline]
     #[must_use]
     pub fn eval(self, a: u32, b: u32) -> u32 {
         let (sa, sb) = (a as i32, b as i32);
@@ -165,7 +170,9 @@ impl Cond {
         }
     }
 
-    /// Evaluates the condition.
+    /// Evaluates the condition (`#[inline]` for the same reason as
+    /// [`AluOp::eval`]).
+    #[inline]
     #[must_use]
     pub fn eval(self, a: u32, b: u32) -> bool {
         match self {

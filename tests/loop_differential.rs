@@ -278,6 +278,90 @@ fn far_wakeups_match_naive_reference() {
 }
 
 #[test]
+fn low_tlp_idle_hops_match_naive_reference() {
+    // Three tasklets cannot cover the 11-cycle revolver, so the run is
+    // mostly idle hops, and the kernel walks them through the three ways
+    // an idle span is attributed: (A) ALU work only — every waiter waits
+    // out the revolver; (B) all three start a 2 KB DMA — every waiter is
+    // on the memory system; (C) tasklet 0 keeps fetching while 1 and 2
+    // compute — one on a DMA beside two on the revolver, the span split
+    // between the two counters.
+    use pim_isa::Cond;
+    use pim_trace::{StallCause, TraceEvent};
+    let mut k = pim_asm::KernelBuilder::new();
+    let buf = k.global_zeroed("buf", 3 * 2048);
+    let [w, m, id, i, acc] = k.regs(["w", "m", "id", "i", "acc"]);
+    k.tasklet_slot(w, buf, 2048);
+    k.tid(id);
+    k.sll(m, id, 11);
+    k.movi(i, 4);
+    let spin = k.label_here("spin");
+    k.add(acc, acc, 1);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &spin);
+    k.ldma(w, m, 2048);
+    let compute = k.fresh_label("compute");
+    let end = k.fresh_label("end");
+    k.branch(Cond::Ne, id, 0, &compute);
+    k.movi(i, 6);
+    let fetch = k.label_here("fetch");
+    k.ldma(w, m, 256);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &fetch);
+    k.jump(&end);
+    k.place(&compute);
+    k.movi(i, 40);
+    let work = k.label_here("work");
+    k.add(acc, acc, 3);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &work);
+    k.place(&end);
+    k.stop();
+    let program = k.build().expect("low-TLP kernel builds");
+    let stop_pc = program.instrs.len() as u32 - 1;
+
+    // The baseline runs the engine's plain-pipeline instantiation; asking
+    // for an issue trace puts the same kernel on the general one.
+    let base = DpuConfig::paper_baseline(3);
+    let mut traced = base.clone();
+    traced.trace_limit = 16;
+    let legs = [("scratchpad", base.clone()), ("mmu", base.with_paper_mmu()), ("traced", traced)];
+    for (mode, cfg) in legs {
+        let stats = assert_tiers_agree_on(&program, &format!("low TLP [{mode}]"), &cfg)
+            .expect("low-TLP kernel completes");
+        assert!(stats.idle_memory > 0.0 && stats.idle_revolver > 0.0, "{mode}: {stats:?}");
+        assert!(stats.idle_memory + stats.idle_revolver > stats.active_cycles as f64);
+        assert_eq!(stats.trace.len(), cfg.trace_limit, "{mode}");
+
+        // The event stream shows each attribution was reached: count the
+        // DMAs in flight at every idle span, up to the first `stop`.
+        let mut dpu = pim_dpu::Dpu::new(cfg.with_event_trace(RING));
+        dpu.load_program(&program).unwrap();
+        dpu.launch().unwrap();
+        let (mut in_flight, mut spans) = (0u32, [0u32; 3]);
+        for event in &dpu.take_trace().expect("tracing was on").events {
+            match *event {
+                TraceEvent::DmaBegin { .. } => in_flight += 1,
+                TraceEvent::DmaEnd { .. } => in_flight -= 1,
+                TraceEvent::InstrRetire { pc, .. } if pc == stop_pc => break,
+                TraceEvent::Stall { cause, .. } if cause != StallCause::RegisterFile => {
+                    spans[match in_flight {
+                        0 => 0,
+                        3 => 1,
+                        _ => 2,
+                    }] += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(
+            spans.iter().all(|&n| n > 0),
+            "{mode}: idle spans all-revolver / all-DMA / mixed: {spans:?}"
+        );
+    }
+}
+
+#[test]
 fn cycle_limit_is_the_same_on_every_kind_of_cycle() {
     // Sweeping `max_cycles` over every cycle of a run that has issuing
     // cycles, register-file block cycles, and revolver and DMA idle spans

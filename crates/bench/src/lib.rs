@@ -1,63 +1,39 @@
 //! # pim-bench
 //!
-//! The figure/table regeneration harness. All experiments share one
-//! driver: a registry entry per figure (`fig05_utilization` …
-//! `exp_validation`), common flag parsing (`--size tiny|single|multi`,
-//! `--threads N`, `--json`, `--out DIR`), execution through the parallel
-//! [`JobRunner`], and dual output — the human-readable table on stdout
-//! plus machine-readable `results/<name>.json`.
+//! The figure/table regeneration library: a registry entry per figure or
+//! study of the paper's evaluation ([`experiments`]), execution through
+//! the parallel [`JobRunner`] ([`run_experiment`]), and per-experiment
+//! formatting into an [`ExpReport`] — the human-readable table plus the
+//! machine-readable JSON document. The [`tune`] module holds the
+//! autotuner sweep and its table format.
 //!
-//! The per-figure binaries (`cargo run --release -p pim-bench --bin
-//! fig05_utilization`) and the `pimsim exp <name>` subcommand are both
-//! thin wrappers over [`run_with_args`].
+//! This crate parses no command line and writes no file: `pimsim exp`,
+//! `pimsim trace` and `pimsim tune` (crate `pim-cli`) are the front door.
 
-pub mod perf;
 pub mod tune;
 
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::time::Instant;
 
 use pim_dpu::{DpuConfig, ExecTier, SimError};
 use pim_isa::InstrClass;
 use pimulator::experiments as exp;
-use pimulator::jobs::JobRunner;
-use pimulator::pim_trace::MetricsSink;
+use pimulator::jobs::{JobRunner, SimJob};
 use pimulator::report::{pct, speedup, Json, Table};
-use pimulator::trace::{chrome_trace, JobTrace};
+use pimulator::trace::JobTrace;
 use prim_suite::DatasetSize;
 
-/// Parses the common `--size` argument from `std::env::args`.
-///
-/// # Panics
-///
-/// Panics with a usage message on an unknown size.
+/// The dataset size a `--size` value or a document's `size` field names.
 #[must_use]
-pub fn parse_size_arg(default: DatasetSize) -> DatasetSize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--size" {
-            return parse_size(it.next().map_or("", String::as_str));
-        }
-    }
-    default
+pub fn size_by_label(label: &str) -> Option<DatasetSize> {
+    [DatasetSize::Tiny, DatasetSize::SingleDpu, DatasetSize::MultiDpu]
+        .into_iter()
+        .find(|&s| size_label(s) == label)
 }
 
-fn parse_size(v: &str) -> DatasetSize {
-    parse_size_value(v).unwrap_or_else(|msg| panic!("{msg}"))
-}
-
-fn parse_size_value(v: &str) -> Result<DatasetSize, String> {
-    match v {
-        "tiny" => Ok(DatasetSize::Tiny),
-        "single" => Ok(DatasetSize::SingleDpu),
-        "multi" => Ok(DatasetSize::MultiDpu),
-        other => Err(format!("unknown --size `{other}` (expected tiny|single|multi)")),
-    }
-}
-
-fn size_label(size: DatasetSize) -> &'static str {
+/// The inverse of [`size_by_label`].
+#[must_use]
+pub fn size_label(size: DatasetSize) -> &'static str {
     match size {
         DatasetSize::Tiny => "tiny",
         DatasetSize::SingleDpu => "single",
@@ -71,20 +47,23 @@ pub const PAPER_THREADS: [u32; 3] = [1, 4, 16];
 /// Everything an experiment needs at run time.
 #[derive(Debug)]
 pub struct ExpContext {
+    /// The registry entry being run: the one place its name and title
+    /// are written; every table header and JSON document reads them here.
+    pub exp: &'static Experiment,
     /// The worker pool all simulations go through.
     pub rt: JobRunner,
     /// Dataset size to run at.
     pub size: DatasetSize,
     /// Tuned-config table from `--tuned FILE`, when given. Experiments
-    /// that sweep execution shapes (e.g. `exp_transfer_study`) take
-    /// their per-workload `(tasklets, n_dpus)` from it instead of the
-    /// built-in defaults.
+    /// that sweep execution shapes (the channel study) take their
+    /// per-workload `(tasklets, n_dpus)` from it instead of the built-in
+    /// defaults.
     pub tuned: Option<tune::TunedTable>,
 }
 
 /// What an experiment produces: the full human-readable text (header line
-/// included, exactly what the binary prints) and the JSON document written
-/// to `results/<name>.json`.
+/// included, exactly what `pimsim exp` prints) and the JSON document it
+/// writes to `results/<name>.json`.
 #[derive(Debug, Clone)]
 pub struct ExpReport {
     /// Human-readable output.
@@ -94,9 +73,10 @@ pub struct ExpReport {
 }
 
 /// A registry entry: one figure or study of the paper's evaluation.
+#[derive(Debug)]
 pub struct Experiment {
-    /// Stable name — the binary name, the `pimsim exp` argument, and the
-    /// JSON file stem.
+    /// Stable name — the `pimsim exp` argument, the `experiment` field of
+    /// the JSON document, and its file stem.
     pub name: &'static str,
     /// One-line description shown by `pimsim exp --list`.
     pub title: &'static str,
@@ -240,580 +220,70 @@ pub fn experiment_by_name(name: &str) -> Option<&'static Experiment> {
     experiments().iter().find(|e| e.name == name)
 }
 
-// ---------------------------------------------------------------------
-// The driver
-// ---------------------------------------------------------------------
-
-/// Parsed common flags.
+/// How to run an experiment; every field has a default.
 #[derive(Debug, Clone, Default)]
 pub struct DriverOptions {
-    /// `--size tiny|single|multi` (experiment default when absent).
+    /// Dataset size (the experiment's default when absent).
     pub size: Option<DatasetSize>,
-    /// `--threads N` worker cap (`available_parallelism` when absent).
+    /// Worker cap (`available_parallelism` when absent).
     pub threads: Option<usize>,
-    /// `--json`: print the JSON document to stdout instead of the table.
-    pub json_stdout: bool,
-    /// `--out DIR`: where `<name>.json` is written (default `results`).
-    pub out_dir: PathBuf,
-    /// `--trace FILE`: run with event tracing and write a Chrome
-    /// trace-event document there (parent directories are created).
-    pub trace: Option<PathBuf>,
-    /// `--tuned FILE`: tuned-config table from `pimsim tune`, loaded
-    /// (and schema-checked) at parse time so a stale or malformed table
-    /// fails before any simulation runs.
+    /// Run the whole sweep with event tracing and harvest every job's
+    /// trace (see [`run_experiment_with_traces`]).
+    pub trace: bool,
+    /// Tuned-config table from `pimsim tune`, handed to the experiment.
     pub tuned: Option<tune::TunedTable>,
 }
 
-impl DriverOptions {
-    /// Parses the common flag set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on an unknown flag or malformed value.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut opts =
-            DriverOptions { out_dir: PathBuf::from("results"), ..DriverOptions::default() };
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--size" => {
-                    let v = it.next().ok_or("--size needs a value (tiny|single|multi)")?;
-                    opts.size = Some(parse_size_value(v)?);
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a number")?;
-                    let n: usize =
-                        v.parse().map_err(|_| format!("--threads: `{v}` is not a number"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".to_string());
-                    }
-                    opts.threads = Some(n);
-                }
-                "--json" => opts.json_stdout = true,
-                "--out" => {
-                    opts.out_dir = PathBuf::from(it.next().ok_or("--out needs a directory")?);
-                }
-                "--trace" => {
-                    opts.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file path")?));
-                }
-                "--tuned" => {
-                    let p =
-                        PathBuf::from(it.next().ok_or("--tuned needs a tuned-table file path")?);
-                    opts.tuned = Some(tune::TunedTable::load(&p)?);
-                }
-                other => {
-                    return Err(format!(
-                        "unknown flag `{other}` (expected \
-                         --size/--threads/--json/--out/--trace/--tuned)"
-                    ))
-                }
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// Per-DPU event-ring capacity used by `--trace` and `pimsim trace`: deep
-/// enough to keep the whole steady state of the tiny/single sweeps while
-/// bounding memory on the long ones (the ring keeps the most recent
-/// events; drops are counted and reported).
+/// Per-DPU event-ring capacity of a traced run: deep enough to keep the
+/// whole steady state of the tiny/single sweeps while bounding memory on
+/// the long ones (the ring keeps the most recent events; drops are
+/// counted and reported).
 pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Runs one experiment under the given options and returns its report.
-/// This is the pure core of the driver — no printing, no filesystem.
 ///
 /// # Errors
 ///
 /// Propagates the experiment's simulation fault.
-pub fn run_experiment(e: &Experiment, opts: &DriverOptions) -> Result<ExpReport, SimError> {
+pub fn run_experiment(e: &'static Experiment, opts: &DriverOptions) -> Result<ExpReport, SimError> {
     run_experiment_with_traces(e, opts).map(|(report, _)| report)
 }
 
-/// Like [`run_experiment`], but when `opts.trace` is set the whole sweep
-/// runs with event tracing enabled and every job's labelled trace is
-/// returned alongside the report (empty otherwise).
+/// Like [`run_experiment`], but when `opts.trace` is set every job's
+/// labelled trace is returned alongside the report (empty otherwise).
 ///
 /// # Errors
 ///
 /// Propagates the experiment's simulation fault.
 pub fn run_experiment_with_traces(
-    e: &Experiment,
+    e: &'static Experiment,
     opts: &DriverOptions,
 ) -> Result<(ExpReport, Vec<JobTrace>), SimError> {
     let mut rt = JobRunner::new(opts.threads);
-    if opts.trace.is_some() {
+    if opts.trace {
         rt = rt.collecting_traces(DEFAULT_TRACE_CAPACITY);
     }
-    let ctx =
-        ExpContext { rt, size: opts.size.unwrap_or(e.default_size), tuned: opts.tuned.clone() };
+    let ctx = ExpContext {
+        exp: e,
+        rt,
+        size: opts.size.unwrap_or(e.default_size),
+        tuned: opts.tuned.clone(),
+    };
     let report = (e.run)(&ctx)?;
     Ok((report, ctx.rt.collected_traces()))
 }
 
-/// Writes `contents` to `path`, creating any missing parent directories
-/// first (so `--out results/nested/dir` and `--trace a/b/trace.json` work
-/// on a fresh checkout).
-fn write_with_parents(path: &Path, contents: &str) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    std::fs::write(path, contents)
+/// The header line of an experiment's table: its title and the size.
+fn header(ctx: &ExpContext) -> String {
+    format!("== {} ({:?}) ==\n", ctx.exp.title, ctx.size)
 }
 
-/// The shared binary entry point: parses `args`, runs experiment `name`,
-/// prints the table (or the JSON document under `--json`), and writes
-/// `<out>/<name>.json`.
-#[must_use]
-pub fn run_with_args(name: &str, args: &[String]) -> ExitCode {
-    let Some(e) = experiment_by_name(name) else {
-        eprintln!("unknown experiment `{name}`; available:");
-        for e in experiments() {
-            eprintln!("  {:26} {}", e.name, e.title);
-        }
-        return ExitCode::FAILURE;
-    };
-    let opts = match DriverOptions::parse(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!(
-                "usage: {name} [--size tiny|single|multi] [--threads N] [--json] [--out DIR] \
-                 [--trace FILE] [--tuned FILE]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let (mut report, traces) = match run_experiment_with_traces(e, &opts) {
-        Ok(r) => r,
-        Err(err) => {
-            eprintln!("{name}: simulation fault: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(trace_path) = &opts.trace {
-        let doc = chrome_trace(&traces);
-        if let Err(err) = write_with_parents(trace_path, &doc.render_pretty()) {
-            eprintln!("{name}: could not write {}: {err}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-        // Record where the trace went in the machine-readable results.
-        if let Json::Obj(pairs) = &mut report.json {
-            pairs.push(("trace".to_string(), Json::from(trace_path.display().to_string())));
-        }
-        if !opts.json_stdout {
-            eprintln!("wrote {}", trace_path.display());
-        }
-    }
-    let pretty = report.json.render_pretty();
-    {
-        // Tolerate a closed pipe (`pimsim exp ... | head`): losing stdout
-        // mid-table is the downstream reader's choice, not a fault.
-        use std::io::Write;
-        let out = if opts.json_stdout { &pretty } else { &report.text };
-        let _ = std::io::stdout().write_all(out.as_bytes());
-    }
-    let path = opts.out_dir.join(format!("{name}.json"));
-    if let Err(err) = write_with_parents(&path, &pretty) {
-        eprintln!("{name}: could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-    if !opts.json_stdout {
-        eprintln!("wrote {}", path.display());
-    }
-    ExitCode::SUCCESS
-}
-
-/// Parses the `pimsim trace` flag set: the common `--size`/`--threads`
-/// plus `--out FILE` naming the Chrome trace file.
-fn parse_trace_args(args: &[String]) -> Result<(DriverOptions, Option<PathBuf>), String> {
-    let mut opts = DriverOptions { out_dir: PathBuf::from("results"), ..DriverOptions::default() };
-    let mut out = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--size" => {
-                let v = it.next().ok_or("--size needs a value (tiny|single|multi)")?;
-                opts.size = Some(parse_size_value(v)?);
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--threads: `{v}` is not a number"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                opts.threads = Some(n);
-            }
-            "--out" => out = Some(PathBuf::from(it.next().ok_or("--out needs a file path")?)),
-            other => {
-                return Err(format!("unknown flag `{other}` (expected --size/--threads/--out)"))
-            }
-        }
-    }
-    Ok((opts, out))
-}
-
-/// The `pimsim trace <exp>` entry point: runs the experiment with event
-/// tracing, writes the Chrome trace-event file (default
-/// `results/<name>.trace.json`), and prints a metrics summary folded from
-/// every retained event.
-#[must_use]
-pub fn run_trace_with_args(name: &str, args: &[String]) -> ExitCode {
-    let Some(e) = experiment_by_name(name) else {
-        eprintln!("unknown experiment `{name}`; available:");
-        for e in experiments() {
-            eprintln!("  {:26} {}", e.name, e.title);
-        }
-        return ExitCode::FAILURE;
-    };
-    let (mut opts, out) = match parse_trace_args(args) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!(
-                "usage: pimsim trace {name} [--size tiny|single|multi] [--threads N] [--out FILE]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    let path = out.unwrap_or_else(|| opts.out_dir.join(format!("{name}.trace.json")));
-    opts.trace = Some(path.clone());
-    let (_, traces) = match run_experiment_with_traces(e, &opts) {
-        Ok(v) => v,
-        Err(err) => {
-            eprintln!("{name}: simulation fault: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let doc = chrome_trace(&traces);
-    if let Err(err) = write_with_parents(&path, &doc.render_pretty()) {
-        eprintln!("{name}: could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-    let mut text = format!("== trace: {name} ==\n");
-    for jt in &traces {
-        let _ = writeln!(
-            text,
-            "{:24} {:>8} events retained, {:>6} dropped",
-            jt.label,
-            jt.trace.event_count(),
-            jt.trace.dropped()
-        );
-    }
-    let mut totals = MetricsSink::new();
-    for jt in &traces {
-        totals.absorb(&jt.trace.host);
-        for d in &jt.trace.per_dpu {
-            totals.absorb(&d.events);
-        }
-    }
-    let _ = writeln!(text, "metrics over retained events:");
-    for (k, v) in totals.counters() {
-        let _ = writeln!(text, "  {k:24} {v}");
-    }
-    {
-        use std::io::Write;
-        let _ = std::io::stdout().write_all(text.as_bytes());
-    }
-    eprintln!("wrote {}", path.display());
-    ExitCode::SUCCESS
-}
-
-/// Serve-only driver knobs parsed alongside [`DriverOptions`].
-#[derive(Debug, Clone, Default)]
-struct ServeDriverOptions {
-    /// `--checkpoint-every MS`: checkpoint cadence in simulated ms
-    /// (0 = disabled); snapshots land at `<out>/serve_<name>.ckpt<k>.json`.
-    checkpoint_every_ms: u64,
-    /// `--resume FILE`: continue from a checkpoint document instead of
-    /// starting at virtual time zero.
-    resume: Option<PathBuf>,
-    /// `--tuned FILE`: a `pimsim tune` table; its policy and channel mode
-    /// for the scenario's dominant workload are applied unless the
-    /// matching explicit flag overrides them.
-    tuned: Option<PathBuf>,
-    /// Whether `--channel` was given explicitly (wins over `--tuned`).
-    channel_given: bool,
-}
-
-/// Parses the `pimsim serve` flag set: the serving knobs
-/// (`--seed/--duration-ms/--load/--policy/--faults`), the
-/// checkpoint/restore knobs (`--checkpoint-every/--resume`), plus the
-/// common `--threads/--json/--out/--trace`.
-fn parse_serve_args(
-    args: &[String],
-) -> Result<(pim_serve::ServeOptions, ServeDriverOptions, DriverOptions), String> {
-    let mut serve = pim_serve::ServeOptions::default();
-    let mut drv = ServeDriverOptions::default();
-    let mut opts = DriverOptions { out_dir: PathBuf::from("results"), ..DriverOptions::default() };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a number")?;
-                serve.seed = v.parse().map_err(|_| format!("--seed: `{v}` is not a number"))?;
-            }
-            "--duration-ms" => {
-                let v = it.next().ok_or("--duration-ms needs a number")?;
-                serve.duration_ms =
-                    v.parse().map_err(|_| format!("--duration-ms: `{v}` is not a number"))?;
-            }
-            "--load" => {
-                let v = it.next().ok_or("--load needs a number")?;
-                let load: f64 = v.parse().map_err(|_| format!("--load: `{v}` is not a number"))?;
-                // `is_finite` also rejects NaN; `inf` would otherwise be
-                // accepted and collapse the mean arrival gap to zero.
-                if !load.is_finite() || load <= 0.0 {
-                    return Err("--load must be a positive finite number".to_string());
-                }
-                serve.load = load;
-            }
-            "--faults" => {
-                let v = it.next().ok_or("--faults needs a spec (k=v,... or `none`)")?;
-                if v != "none" {
-                    // Parse errors already carry the `--faults:` prefix.
-                    serve.faults = Some(pim_serve::FaultSpec::parse(v)?);
-                }
-            }
-            "--checkpoint-every" => {
-                let v = it.next().ok_or("--checkpoint-every needs a number of ms")?;
-                drv.checkpoint_every_ms =
-                    v.parse().map_err(|_| format!("--checkpoint-every: `{v}` is not a number"))?;
-                if drv.checkpoint_every_ms == 0 {
-                    return Err("--checkpoint-every must be at least 1 ms".to_string());
-                }
-            }
-            "--resume" => {
-                drv.resume =
-                    Some(PathBuf::from(it.next().ok_or("--resume needs a checkpoint file path")?));
-            }
-            "--channel" => {
-                let v =
-                    it.next().ok_or("--channel needs a mode (blocking|broadcast|overlapped)")?;
-                serve.channel = pimulator::pim_host::ChannelMode::by_name(v)
-                    .map_err(|e| format!("--channel: {e}"))?;
-                drv.channel_given = true;
-            }
-            "--tuned" => {
-                drv.tuned =
-                    Some(PathBuf::from(it.next().ok_or("--tuned needs a tuned-table file path")?));
-            }
-            "--policy" => {
-                let v = it.next().ok_or("--policy needs a name")?;
-                if pim_serve::policy_by_name(v).is_none() {
-                    return Err(format!(
-                        "--policy: unknown policy `{v}` (expected fifo|size_class|weighted_fair)"
-                    ));
-                }
-                serve.policy = Some(v.clone());
-            }
-            "--threads" => {
-                let v = it.next().ok_or("--threads needs a number")?;
-                let n: usize =
-                    v.parse().map_err(|_| format!("--threads: `{v}` is not a number"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                serve.threads = Some(n);
-            }
-            "--json" => opts.json_stdout = true,
-            "--out" => {
-                opts.out_dir = PathBuf::from(it.next().ok_or("--out needs a directory")?);
-            }
-            "--trace" => {
-                opts.trace = Some(PathBuf::from(it.next().ok_or("--trace needs a file path")?));
-                serve.trace_capacity = DEFAULT_TRACE_CAPACITY;
-            }
-            other => {
-                return Err(format!(
-                    "unknown flag `{other}` (expected --seed/--duration-ms/--load/--policy/\
-                     --faults/--channel/--tuned/--checkpoint-every/--resume/--threads/--json/\
-                     --out/--trace)"
-                ))
-            }
-        }
-    }
-    Ok((serve, drv, opts))
-}
-
-/// The `pimsim serve <scenario>` entry point: runs one serving scenario,
-/// prints the per-tenant table (or the JSON document under `--json`),
-/// and writes `<out>/serve_<scenario>.json`. With `--trace FILE` the
-/// composition profiles run with event tracing and a Chrome trace-event
-/// document lands there.
-#[must_use]
-pub fn run_serve_with_args(name: &str, args: &[String]) -> ExitCode {
-    let Some(scenario) = pim_serve::scenario_by_name(name) else {
-        eprintln!("unknown scenario `{name}`; available:");
-        for s in pim_serve::scenarios() {
-            eprintln!("  {:26} {}", s.name, s.title);
-        }
-        return ExitCode::FAILURE;
-    };
-    let (mut serve_opts, drv, opts) = match parse_serve_args(args) {
-        Ok(v) => v,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!(
-                "usage: pimsim serve {name} [--seed N] [--duration-ms M] [--load X] \
-                 [--policy P] [--faults SPEC] [--channel MODE] [--tuned FILE] \
-                 [--checkpoint-every MS] [--resume FILE] \
-                 [--threads N] [--json] [--out DIR] [--trace FILE]"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(tuned_path) = &drv.tuned {
-        let table = match tune::TunedTable::load(tuned_path) {
-            Ok(t) => t,
-            Err(err) => {
-                eprintln!("serve {name}: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match table.entry_for_scenario(scenario) {
-            Ok(entry) => {
-                // Explicit flags outrank the table.
-                if serve_opts.policy.is_none() {
-                    serve_opts.policy = Some(entry.policy.clone());
-                }
-                if !drv.channel_given {
-                    serve_opts.channel = entry.channel;
-                }
-                if !opts.json_stdout {
-                    eprintln!(
-                        "tuned: {} -> policy={} channel={}",
-                        entry.workload,
-                        entry.policy,
-                        entry.channel.label()
-                    );
-                }
-            }
-            Err(err) => {
-                eprintln!("serve {name}: {err}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Checkpoints are rendered as they are cut and written once the run
-    // finishes, as `<out>/serve_<name>.ckpt<k>.json` in cut order.
-    let mut snapshots: Vec<String> = Vec::new();
-    let mut sink = |ck: &pim_serve::Checkpoint| snapshots.push(ck.to_json().render_pretty());
-    let result = if let Some(ckpt_path) = &drv.resume {
-        let text = match std::fs::read_to_string(ckpt_path) {
-            Ok(t) => t,
-            Err(err) => {
-                eprintln!("serve {name}: could not read {}: {err}", ckpt_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        let ck = match Json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|doc| pim_serve::Checkpoint::from_json(&doc))
-        {
-            Ok(ck) => ck,
-            Err(err) => {
-                eprintln!("serve {name}: {} is not a checkpoint: {err}", ckpt_path.display());
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(err) = ck.validate(
-            scenario.name,
-            pim_serve::resolved_policy_name(scenario, &serve_opts),
-            serve_opts.seed,
-            serve_opts.load,
-            pim_serve::resolved_duration_ns(scenario, &serve_opts),
-            &pim_serve::fault_label(&serve_opts),
-            pim_serve::channel_label(&serve_opts),
-        ) {
-            eprintln!("serve {name}: checkpoint does not match this run: {err}");
-            return ExitCode::FAILURE;
-        }
-        pim_serve::resume_scenario(scenario, &serve_opts, &ck, drv.checkpoint_every_ms, &mut sink)
-    } else {
-        pim_serve::run_scenario_with_checkpoints(
-            scenario,
-            &serve_opts,
-            drv.checkpoint_every_ms,
-            &mut sink,
-        )
-    };
-    let out = match result {
-        Ok(o) => o,
-        Err(err) => {
-            eprintln!("serve {name}: simulation fault: {err}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for (k, rendered) in snapshots.iter().enumerate() {
-        let path = opts.out_dir.join(format!("serve_{name}.ckpt{k}.json"));
-        if let Err(err) = write_with_parents(&path, rendered) {
-            eprintln!("serve {name}: could not write {}: {err}", path.display());
-            return ExitCode::FAILURE;
-        }
-        if !opts.json_stdout {
-            eprintln!("wrote {}", path.display());
-        }
-    }
-    let mut doc = pim_serve::outcome_json(&out);
-    if let Some(trace_path) = &opts.trace {
-        let trace_doc = chrome_trace(&out.traces);
-        if let Err(err) = write_with_parents(trace_path, &trace_doc.render_pretty()) {
-            eprintln!("serve {name}: could not write {}: {err}", trace_path.display());
-            return ExitCode::FAILURE;
-        }
-        if let Json::Obj(pairs) = &mut doc {
-            pairs.push(("trace".to_string(), Json::from(trace_path.display().to_string())));
-        }
-        if !opts.json_stdout {
-            eprintln!("wrote {}", trace_path.display());
-        }
-    }
-    let pretty = doc.render_pretty();
-    {
-        use std::io::Write;
-        let text = pim_serve::outcome_table(&out);
-        let printed = if opts.json_stdout { &pretty } else { &text };
-        let _ = std::io::stdout().write_all(printed.as_bytes());
-    }
-    let path = opts.out_dir.join(format!("serve_{name}.json"));
-    if let Err(err) = write_with_parents(&path, &pretty) {
-        eprintln!("serve {name}: could not write {}: {err}", path.display());
-        return ExitCode::FAILURE;
-    }
-    if !opts.json_stdout {
-        eprintln!("wrote {}", path.display());
-        // The composition cache, per run: how often a round's DPU found
-        // its profile memoized. After `--resume`, lookups count from the
-        // cut (see `ServeOutcome::composition_lookups`).
-        eprintln!(
-            "compositions: {} profiled, {} lookups, hit rate {:.4}",
-            out.distinct_compositions,
-            out.composition_lookups,
-            out.composition_hit_rate()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// Entry point for the per-figure binaries: [`run_with_args`] over
-/// `std::env::args`.
-#[must_use]
-pub fn run_cli(name: &str) -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    run_with_args(name, &args)
-}
-
-fn header(title: &str, size: DatasetSize) -> String {
-    format!("== {title} ({size:?}) ==\n")
-}
-
-fn json_doc(name: &str, size: DatasetSize, rows: Json, extra: Vec<(&str, Json)>) -> Json {
+/// The JSON document of an experiment: `experiment`, `size`, `rows`, then
+/// the experiment's `extra` top-level fields.
+fn json_doc(ctx: &ExpContext, rows: Json, extra: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![
-        ("experiment".to_string(), Json::from(name)),
-        ("size".to_string(), Json::from(size_label(size))),
+        ("experiment".to_string(), Json::from(ctx.exp.name)),
+        ("size".to_string(), Json::from(size_label(ctx.size))),
         ("rows".to_string(), rows),
     ];
     for (k, v) in extra {
@@ -845,8 +315,8 @@ fn run_fig05(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 5: compute & MRAM-read-bandwidth utilization", ctx.size) + &t.render(),
-        json: json_doc("fig05_utilization", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -867,8 +337,8 @@ fn run_fig06(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         json_rows.push(breakdown_json(&r));
     }
     Ok(ExpReport {
-        text: header("Fig 6: runtime breakdown", ctx.size) + &t.render(),
-        json: json_doc("fig06_breakdown", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -918,14 +388,14 @@ fn run_fig07(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 7: issuable-tasklet histogram @16 tasklets", ctx.size) + &t.render(),
-        json: json_doc("fig07_tlp_histogram", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
 fn run_fig08(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig08_tlp_timeline(&ctx.rt, ctx.size, 16)?;
-    let mut text = header("Fig 8: TLP over time @16 tasklets", ctx.size);
+    let mut text = header(ctx);
     let mut json_rows = Vec::new();
     for r in rows {
         let _ = writeln!(text, "\n{} (windows of {} cycles):", r.workload, r.window);
@@ -948,10 +418,7 @@ fn run_fig08(ctx: &ExpContext) -> Result<ExpReport, SimError> {
             ("series", Json::arr(r.series.iter().map(|&v| Json::from(f64::from(v))))),
         ]));
     }
-    Ok(ExpReport {
-        text,
-        json: json_doc("fig08_tlp_timeline", ctx.size, Json::Arr(json_rows), vec![]),
-    })
+    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![]) })
 }
 
 fn run_fig09(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -977,8 +444,8 @@ fn run_fig09(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 9: instruction mix", ctx.size) + &t.render(),
-        json: json_doc("fig09_instr_mix", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1011,8 +478,8 @@ fn run_fig10(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 10: multi-DPU strong scaling", ctx.size) + &t.render(),
-        json: json_doc("fig10_strong_scaling", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1029,8 +496,8 @@ fn run_fig11(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 11: SIMT case study on GEMV", ctx.size) + &t.render(),
-        json: json_doc("fig11_simt", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1072,7 +539,7 @@ fn run_fig12(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     let avg = sum / f64::from(n.max(1));
-    let text = header("Fig 12: ILP ablation @16 tasklets", ctx.size)
+    let text = header(ctx)
         + &t.render()
         + &format!(
             "\nBase+DRSF speedup: avg {} / max {}  (paper: avg 2.7x, max 6.2x)\n",
@@ -1083,15 +550,7 @@ fn run_fig12(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ("avg_drsf_speedup", Json::from(avg)),
         ("max_drsf_speedup", Json::from(max_speedup)),
     ]);
-    Ok(ExpReport {
-        text,
-        json: json_doc(
-            "fig12_ilp_ablation",
-            ctx.size,
-            Json::Arr(json_rows),
-            vec![("summary", summary)],
-        ),
-    })
+    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![("summary", summary)]) })
 }
 
 fn run_fig13(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -1119,8 +578,8 @@ fn run_fig13(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 13: MRAM bandwidth scaling @16 tasklets", ctx.size) + &t.render(),
-        json: json_doc("fig13_mram_scaling", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1137,8 +596,8 @@ fn run_fig15(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 15: cache-centric vs scratchpad-centric", ctx.size) + &t.render(),
-        json: json_doc("fig15_cache_vs_scratchpad", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1174,8 +633,8 @@ fn run_fig16(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Fig 16: DRAM bytes read, scratchpad vs cache", ctx.size) + &t.render(),
-        json: json_doc("fig16_bytes_read", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1197,7 +656,7 @@ fn run_mmu(ctx: &ExpContext) -> Result<ExpReport, SimError> {
             ("tlb_hit_rate", Json::from(r.tlb_hit_rate)),
         ]));
     }
-    let text = header("\u{a7}V-C: MMU address-translation overhead @16 tasklets", ctx.size)
+    let text = header(ctx)
         + &t.render()
         + &format!(
             "\naverage overhead {} / max {}  (paper: avg 0.8%, max 14.1%)\n",
@@ -1206,20 +665,12 @@ fn run_mmu(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         );
     let summary =
         Json::obj([("avg_overhead", Json::from(sum / n)), ("max_overhead", Json::from(max))]);
-    Ok(ExpReport {
-        text,
-        json: json_doc(
-            "exp_mmu_overhead",
-            ctx.size,
-            Json::Arr(json_rows),
-            vec![("summary", summary)],
-        ),
-    })
+    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![("summary", summary)]) })
 }
 
 fn run_multi_tenant(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let r = exp::multi_tenant()?;
-    let mut text = String::from("== \u{a7}V-C: multi-tenant co-location ==\n");
+    let mut text = format!("== {} ==\n", ctx.exp.title);
     let _ = writeln!(
         text,
         "memory-bound tenant alone (8 tasklets)  : {:>9} cycles",
@@ -1259,8 +710,7 @@ fn run_multi_tenant(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let _ = writeln!(text, " program changes and fails on WRAM capacity; on-demand caches");
     let _ = writeln!(text, " restore transparency.)");
     let json = json_doc(
-        "exp_multi_tenant",
-        ctx.size,
+        ctx,
         Json::arr([Json::obj([
             ("alone_mem_cycles", Json::from(r.alone_mem_cycles)),
             ("alone_compute_cycles", Json::from(r.alone_compute_cycles)),
@@ -1329,11 +779,9 @@ fn run_serving(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Serving: saturation sweep (throughput plateau, p99 knee)", ctx.size)
-            + &t.render(),
+        text: header(ctx) + &t.render(),
         json: json_doc(
-            "exp_serving",
-            ctx.size,
+            ctx,
             Json::Arr(json_rows),
             vec![("scenario", Json::from(scenario.name)), ("duration_ms", Json::UInt(duration_ms))],
         ),
@@ -1402,11 +850,9 @@ fn run_serving_faults(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Serving: fault campaigns (retry, degradation, conservation)", ctx.size)
-            + &t.render(),
+        text: header(ctx) + &t.render(),
         json: json_doc(
-            "exp_serving_faults",
-            ctx.size,
+            ctx,
             Json::Arr(json_rows),
             vec![("scenario", Json::from(scenario.name)), ("duration_ms", Json::UInt(duration_ms))],
         ),
@@ -1497,19 +943,13 @@ fn run_transfer_study(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Channel study: blocking vs broadcast vs overlapped host transfers", ctx.size)
-            + &t.render(),
-        json: json_doc(
-            "exp_transfer_study",
-            ctx.size,
-            Json::Arr(json_rows),
-            vec![("tuned", Json::from(ctx.tuned.is_some()))],
-        ),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![("tuned", Json::from(ctx.tuned.is_some()))]),
     })
 }
 
 fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    let mut text = header("Rank scale: batched SoA execution of whole-rank populations", ctx.size);
+    let mut text = header(ctx);
     let (rows, lockstep) = exp::exp_rank_scale(&ctx.rt, ctx.size)?;
     // Out of band: the summary depends on the host's thread count, the
     // document must not. CI's rank-scale smoke reads this line.
@@ -1543,8 +983,7 @@ fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     Ok(ExpReport {
         text,
         json: json_doc(
-            "exp_rank_scale",
-            ctx.size,
+            ctx,
             Json::Arr(json_rows),
             vec![
                 ("dpus_per_rank", Json::from(exp::DPUS_PER_RANK)),
@@ -1554,44 +993,58 @@ fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     })
 }
 
+/// Median-of-three wall seconds of `job`, with the simulated
+/// `(instructions, cycles)` every repetition must agree on.
+fn time_job(job: &SimJob) -> Result<(f64, (u64, u64)), SimError> {
+    let mut walls = [0.0f64; 3];
+    let mut sim = None;
+    for wall in &mut walls {
+        let start = Instant::now();
+        let out = job.execute()?;
+        *wall = start.elapsed().as_secs_f64();
+        let got = (out.stats.instructions, out.stats.cycles);
+        assert_eq!(*sim.get_or_insert(got), got, "simulated work must not vary across reps");
+    }
+    walls.sort_by(f64::total_cmp);
+    Ok((walls[1], sim.expect("three reps ran")))
+}
+
 fn run_sim_rate(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    let mut text = header("\u{a7}III-D: simulation rate", ctx.size);
+    let mut text = header(ctx);
     let mut json_rows = Vec::new();
-    let reps = 3;
     for name in ["VA", "GEMV", "BS", "RED"] {
         // Before/after on the same simulated work: the naive per-cycle
         // reference loop (`ExecTier::Naive`) vs the optimized
         // scheduler. Both are timing-identical (see
         // `tests/loop_differential.rs`), so `instructions` is shared.
         let cfg = DpuConfig::paper_baseline(16);
-        let naive =
-            perf::measure_prim(name, ctx.size, &cfg.clone().with_exec_tier(ExecTier::Naive), reps)?;
-        let fast = perf::measure_prim(name, ctx.size, &cfg, reps)?;
-        assert_eq!(
-            (naive.instructions, naive.cycles),
-            (fast.instructions, fast.cycles),
-            "{name}: naive and optimized loops disagree on simulated work"
-        );
-        let kips_naive = naive.instrs_per_sec() / 1e3;
-        let kips = fast.instrs_per_sec() / 1e3;
+        let naive = SimJob::single(name, ctx.size, cfg.clone().with_exec_tier(ExecTier::Naive));
+        let (wall_naive, sim_naive) = time_job(&naive)?;
+        let (wall, sim) = time_job(&SimJob::single(name, ctx.size, cfg))?;
+        assert_eq!(sim_naive, sim, "{name}: naive and optimized loops disagree on simulated work");
+        let instructions = sim.0;
+        let kips_naive = instructions as f64 / wall_naive / 1e3;
+        let kips = instructions as f64 / wall / 1e3;
         let speedup = kips / kips_naive;
         let _ = writeln!(
             text,
-            "{name:8} {instrs:>12} instructions  naive {kips_naive:>9.1} KIPS -> optimized {kips:>9.1} KIPS ({speedup:.2}x)",
-            instrs = fast.instructions,
+            "{name:8} {instructions:>12} instructions  naive {kips_naive:>9.1} KIPS -> optimized {kips:>9.1} KIPS ({speedup:.2}x)",
         );
         json_rows.push(Json::obj([
             ("workload", Json::from(name)),
-            ("instructions", Json::from(fast.instructions)),
-            ("wall_seconds_naive", Json::from(naive.wall_seconds)),
-            ("wall_seconds", Json::from(fast.wall_seconds)),
+            ("instructions", Json::from(instructions)),
+            ("wall_seconds_naive", Json::from(wall_naive)),
+            ("wall_seconds", Json::from(wall)),
             ("kips_naive", Json::from(kips_naive)),
             ("kips", Json::from(kips)),
             ("speedup", Json::from(speedup)),
         ]));
     }
-    let _ = writeln!(text, "(paper's PIMulator: ~3 KIPS; `pimsim bench` runs the full suite)");
-    Ok(ExpReport { text, json: json_doc("exp_sim_rate", ctx.size, Json::Arr(json_rows), vec![]) })
+    let _ = writeln!(
+        text,
+        "(paper's PIMulator: ~3 KIPS; `cargo bench -p pim-bench` is the developer stopwatch)"
+    );
+    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![]) })
 }
 
 fn run_sparse_nn(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -1664,9 +1117,8 @@ fn run_sparse_nn(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ]));
     }
     Ok(ExpReport {
-        text: header("Extension: sparse BSR & quantized NN-inference families", ctx.size)
-            + &t.render(),
-        json: json_doc("exp_sparse_nn", ctx.size, Json::Arr(json_rows), vec![]),
+        text: header(ctx) + &t.render(),
+        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
     })
 }
 
@@ -1695,7 +1147,9 @@ fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
             }
         }
     }
-    for d in [4u32, 16] {
+    // The tiny datasets split at most 4 ways (BFS and NW bands).
+    let dpus: [u32; 2] = if ctx.size == DatasetSize::Tiny { [2, 4] } else { [4, 16] };
+    for d in dpus {
         for w in all_workloads() {
             cases.push(Case {
                 workload: w.name().to_string(),
@@ -1726,7 +1180,7 @@ fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let failures: Vec<&String> = verdicts.iter().flatten().collect();
     let total = cases.len();
     let ok = total - failures.len();
-    let mut text = String::from("== \u{a7}III-C validation sweep (functional, hardware-free) ==\n");
+    let mut text = format!("== {} ==\n", ctx.exp.title);
     let _ =
         writeln!(text, "{ok}/{total} data points bit-exact against the reference implementations");
     for f in &failures {
@@ -1739,8 +1193,7 @@ fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     );
     assert!(failures.is_empty(), "{} validation failures", failures.len());
     let json = json_doc(
-        "exp_validation",
-        ctx.size,
+        ctx,
         Json::arr([]),
         vec![(
             "summary",
@@ -1758,9 +1211,13 @@ fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_size_passes_through() {
-        assert_eq!(parse_size_arg(DatasetSize::Tiny), DatasetSize::Tiny);
+    fn tiny(name: &str) -> (&'static Experiment, DriverOptions) {
+        let opts = DriverOptions {
+            size: Some(DatasetSize::Tiny),
+            threads: Some(2),
+            ..DriverOptions::default()
+        };
+        (experiment_by_name(name).unwrap(), opts)
     }
 
     #[test]
@@ -1775,63 +1232,29 @@ mod tests {
     }
 
     #[test]
-    fn driver_options_parse_the_full_flag_set() {
-        let args: Vec<String> =
-            ["--size", "tiny", "--threads", "3", "--json", "--out", "/tmp/r", "--trace", "t.json"]
-                .iter()
-                .map(ToString::to_string)
-                .collect();
-        let o = DriverOptions::parse(&args).unwrap();
-        assert_eq!(o.size, Some(DatasetSize::Tiny));
-        assert_eq!(o.threads, Some(3));
-        assert!(o.json_stdout);
-        assert_eq!(o.out_dir, PathBuf::from("/tmp/r"));
-        assert_eq!(o.trace, Some(PathBuf::from("t.json")));
-        assert!(DriverOptions::parse(&["--threads".to_string(), "0".to_string()]).is_err());
-        assert!(DriverOptions::parse(&["--trace".to_string()]).is_err());
-        assert!(DriverOptions::parse(&["--what".to_string()]).is_err());
-    }
-
-    #[test]
-    fn trace_args_parse_and_reject() {
-        let args: Vec<String> = ["--size", "tiny", "--threads", "2", "--out", "x/t.json"]
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        let (o, out) = parse_trace_args(&args).unwrap();
-        assert_eq!(o.size, Some(DatasetSize::Tiny));
-        assert_eq!(o.threads, Some(2));
-        assert_eq!(out, Some(PathBuf::from("x/t.json")));
-        assert!(parse_trace_args(&["--json".to_string()]).is_err());
+    fn size_labels_round_trip() {
+        for size in [DatasetSize::Tiny, DatasetSize::SingleDpu, DatasetSize::MultiDpu] {
+            assert_eq!(size_by_label(size_label(size)), Some(size));
+        }
+        assert_eq!(size_by_label("huge"), None);
     }
 
     #[test]
     fn traced_experiment_yields_job_traces() {
-        let e = experiment_by_name("fig11_simt").unwrap();
-        let opts = DriverOptions {
-            size: Some(DatasetSize::Tiny),
-            threads: Some(2),
-            trace: Some(PathBuf::from("unused.json")),
-            ..DriverOptions::default()
-        };
+        let (e, opts) = tiny("fig11_simt");
+        let (_, none) = run_experiment_with_traces(e, &opts).unwrap();
+        assert!(none.is_empty(), "untraced runs return no traces");
+        let opts = DriverOptions { trace: true, ..opts };
         let (_, traces) = run_experiment_with_traces(e, &opts).unwrap();
         assert!(!traces.is_empty());
         assert!(traces.iter().all(|t| t.trace.event_count() > 0));
-        // Untraced runs return no traces.
-        let opts = DriverOptions { trace: None, ..opts };
-        let (_, none) = run_experiment_with_traces(e, &opts).unwrap();
-        assert!(none.is_empty());
     }
 
     #[test]
     fn fig11_report_has_table_and_json() {
-        let e = experiment_by_name("fig11_simt").unwrap();
-        let opts = DriverOptions {
-            size: Some(DatasetSize::Tiny),
-            threads: Some(2),
-            ..DriverOptions::default()
-        };
+        let (e, opts) = tiny("fig11_simt");
         let r = run_experiment(e, &opts).unwrap();
+        assert!(r.text.starts_with("== Fig 11: SIMT case study on GEMV (Tiny) ==\n"));
         assert!(r.text.contains("SIMT+AC+16x"));
         let rendered = r.json.render();
         assert!(rendered.starts_with(r#"{"experiment":"fig11_simt","size":"tiny""#));

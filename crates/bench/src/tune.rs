@@ -20,8 +20,7 @@
 //! classes are latency-critical (`fifo`), and everything else gets the
 //! fairness-preserving default (`weighted_fair`).
 
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
+use std::path::Path;
 
 use pim_dpu::{DpuConfig, SimError};
 use pim_serve::kernels::{request_classes, KernelKind};
@@ -30,7 +29,7 @@ use pimulator::pim_host::ChannelMode;
 use pimulator::report::{Json, Table};
 use prim_suite::{extended_workloads, workload_by_name, DatasetSize, RunConfig};
 
-use crate::{parse_size_value, size_label, write_with_parents};
+use crate::{size_by_label, size_label};
 
 /// Schema tag written to (and required in) a tuned table.
 pub const TUNE_SCHEMA: &str = "pim-tune/1";
@@ -187,7 +186,8 @@ impl TunedTable {
         let Json::Str(size_text) = field("size")? else {
             return Err("tuned table `size` must be a string".to_string());
         };
-        let size = parse_size_value(size_text).map_err(|e| format!("tuned table: {e}"))?;
+        let size = size_by_label(size_text)
+            .ok_or_else(|| format!("tuned table: unknown size `{size_text}`"))?;
         let Json::Arr(rows) = field("workloads")? else {
             return Err("tuned table `workloads` must be an array".to_string());
         };
@@ -271,86 +271,23 @@ pub fn derived_policy(workload: &str) -> &'static str {
     }
 }
 
-/// Options of `pimsim tune`.
+/// What to sweep: the inputs of [`run_tune`].
 #[derive(Debug, Clone)]
 pub struct TuneOptions {
     /// Dataset size the sweep runs at (default tiny; the tuned table is a
     /// configuration artifact, not a performance figure).
     pub size: DatasetSize,
-    /// `--quick`: a reduced grid for the CI smoke step.
+    /// A reduced grid for the CI smoke step.
     pub quick: bool,
     /// Worker threads (`None` ⇒ default).
     pub threads: Option<usize>,
     /// Workloads to tune (`None` ⇒ the full extended suite).
     pub workloads: Option<Vec<String>>,
-    /// Where the table is written.
-    pub out: PathBuf,
-    /// Print the JSON document instead of the table.
-    pub json_stdout: bool,
 }
 
 impl Default for TuneOptions {
     fn default() -> Self {
-        TuneOptions {
-            size: DatasetSize::Tiny,
-            quick: false,
-            threads: None,
-            workloads: None,
-            out: PathBuf::from("results/tuned.json"),
-            json_stdout: false,
-        }
-    }
-}
-
-impl TuneOptions {
-    /// Parses the `pimsim tune` flag set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message on an unknown flag or malformed value.
-    pub fn parse(args: &[String]) -> Result<Self, String> {
-        let mut o = TuneOptions::default();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => o.quick = true,
-                "--size" => {
-                    let v = it.next().ok_or("--size needs a value (tiny|single|multi)")?;
-                    o.size = parse_size_value(v)?;
-                }
-                "--threads" => {
-                    let v = it.next().ok_or("--threads needs a number")?;
-                    let n: usize =
-                        v.parse().map_err(|_| format!("--threads: `{v}` is not a number"))?;
-                    if n == 0 {
-                        return Err("--threads must be at least 1".to_string());
-                    }
-                    o.threads = Some(n);
-                }
-                "--workloads" => {
-                    let v = it.next().ok_or("--workloads needs a comma-separated list")?;
-                    let names: Vec<String> = v
-                        .split(',')
-                        .map(str::trim)
-                        .filter(|s| !s.is_empty())
-                        .map(String::from)
-                        .collect();
-                    if names.is_empty() {
-                        return Err("--workloads needs at least one name".to_string());
-                    }
-                    o.workloads = Some(names);
-                }
-                "--out" => o.out = PathBuf::from(it.next().ok_or("--out needs a file path")?),
-                "--json" => o.json_stdout = true,
-                other => {
-                    return Err(format!(
-                        "unknown flag `{other}` (expected \
-                         --quick/--size/--threads/--workloads/--out/--json)"
-                    ))
-                }
-            }
-        }
-        Ok(o)
+        TuneOptions { size: DatasetSize::Tiny, quick: false, threads: None, workloads: None }
     }
 }
 
@@ -501,56 +438,6 @@ pub fn tune_table_text(table: &TunedTable) -> String {
     format!("== pimsim tune ({} size) ==\n{}", size_label(table.size), t.render())
 }
 
-/// The `pimsim tune` entry point: sweeps, prints, writes the table.
-#[must_use]
-pub fn run_tune_with_args(args: &[String]) -> ExitCode {
-    let opts = match TuneOptions::parse(args) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            eprintln!(
-                "usage: pimsim tune [--quick] [--size tiny|single|multi] [--threads N] \
-                 [--workloads A,B,...] [--out FILE] [--json]"
-            );
-            return ExitCode::from(2);
-        }
-    };
-    let table = match run_tune(&opts) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("pimsim tune: {msg}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let pretty = table.to_json().render_pretty();
-    {
-        use std::io::Write as _;
-        let text = tune_table_text(&table);
-        let out = if opts.json_stdout { &pretty } else { &text };
-        let _ = std::io::stdout().write_all(out.as_bytes());
-    }
-    if let Err(e) = write_with_parents(&opts.out, &pretty) {
-        eprintln!("pimsim tune: could not write {}: {e}", opts.out.display());
-        return ExitCode::FAILURE;
-    }
-    // Round-trip through the parser so a table that would be rejected at
-    // consumption time fails at write time instead.
-    match TunedTable::load(&opts.out) {
-        Ok(back) if back == table => {
-            eprintln!("wrote {} (schema {TUNE_SCHEMA} OK)", opts.out.display());
-            ExitCode::SUCCESS
-        }
-        Ok(_) => {
-            eprintln!("pimsim tune: {} did not round-trip", opts.out.display());
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("pimsim tune: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,21 +450,6 @@ mod tests {
             ..TuneOptions::default()
         };
         run_tune(&opts).unwrap()
-    }
-
-    #[test]
-    fn options_parse_and_reject() {
-        let args: Vec<String> =
-            ["--quick", "--workloads", "VA, GEMV", "--out", "x.json", "--threads", "2"]
-                .iter()
-                .map(ToString::to_string)
-                .collect();
-        let o = TuneOptions::parse(&args).unwrap();
-        assert!(o.quick);
-        assert_eq!(o.workloads, Some(vec!["VA".to_string(), "GEMV".to_string()]));
-        assert_eq!(o.out, PathBuf::from("x.json"));
-        assert!(TuneOptions::parse(&["--threads".to_string(), "0".to_string()]).is_err());
-        assert!(TuneOptions::parse(&["--what".to_string()]).is_err());
     }
 
     #[test]

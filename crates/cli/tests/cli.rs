@@ -266,12 +266,51 @@ fn serve_checkpoint_and_resume_reproduce_the_run_byte_for_byte() {
 }
 
 #[test]
-fn fuzz_unknown_flag_is_a_usage_error() {
-    let out = pimsim().args(["fuzz", "--frobnicate"]).output().expect("spawn pimsim");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("unknown flag"), "stderr: {stderr}");
-    assert!(stderr.contains("usage: pimsim fuzz"), "stderr: {stderr}");
+fn unknown_flag_is_a_usage_error_on_every_subcommand() {
+    for sub in [
+        &["run", "kernel.s"][..],
+        &["exp", "fig11_simt"],
+        &["trace", "fig11_simt"],
+        &["serve", "tiny"],
+        &["tune"],
+        &["fuzz"],
+    ] {
+        let out = pimsim().args(sub).arg("--frobnicate").output().expect("spawn pimsim");
+        assert_eq!(out.status.code(), Some(2), "pimsim {sub:?} --frobnicate");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag `--frobnicate`"), "stderr: {stderr}");
+        assert!(stderr.contains(&format!("usage: pimsim {}", sub[0])), "stderr: {stderr}");
+    }
+}
+
+#[test]
+fn run_rejects_malformed_and_out_of_range_flag_values() {
+    let scratch = Scratch::new("run-flags");
+    let kernel = scratch.path("kernel.s");
+    std::fs::write(&kernel, ".text\nmain:\n    movi r0, 1\n    stop\n").expect("write kernel");
+    let run = |flags: &[&str]| {
+        pimsim().arg("run").arg(&kernel).args(flags).output().expect("spawn pimsim")
+    };
+    let ok = run(&["--tasklets", "24", "--trace", "2", "--cache", "--ilp", "DRSF"]);
+    assert!(ok.status.success(), "stderr: {}", String::from_utf8_lossy(&ok.stderr));
+    for (flags, expect) in [
+        (&["--tasklets", "0"][..], "--tasklets: must be in 1..=24"),
+        (&["--tasklets", "99"], "--tasklets: must be in 1..=24"),
+        (&["--tasklets", "abc"], "--tasklets: `abc` is not a number"),
+        (&["--tasklets"], "--tasklets needs a value"),
+        (&["--trace"], "--trace needs a value"),
+        (&["--trace", "few"], "--trace: `few` is not a number"),
+        (&["--ilp"], "--ilp needs a value"),
+        (&["--ilp", "XYZ"], "--ilp: `X` is not one of D, R, S, F"),
+        (&["--cache", "--mmu"], "--mmu sits on the scratchpad DMA path"),
+    ] {
+        let out = run(flags);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: stderr: {stderr}");
+        assert!(stderr.contains(expect), "{flags:?}: stderr: {stderr}");
+        assert!(stderr.contains("usage: pimsim run"), "{flags:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: stderr: {stderr}");
+    }
 }
 
 #[test]

@@ -30,12 +30,11 @@
 //!   `cargo test`.
 //!
 //! [`campaign`] ties it together on the `pimulator` job engine, and
-//! [`cli`] exposes it as `pimsim fuzz`, including the `--mutate`
+//! `pimsim fuzz` (crate `pim-cli`) exposes it, including the `--mutate`
 //! self-check that arms each seeded `pim-dpu` bug in turn and proves the
 //! harness detects it.
 
 pub mod campaign;
-pub mod cli;
 pub mod corpus;
 pub mod coverage;
 pub mod gauntlet;

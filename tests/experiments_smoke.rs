@@ -1,8 +1,10 @@
 //! Invariants of the figure-regeneration harness at the Tiny size: every
 //! experiment returns complete, internally consistent rows.
 
+use pim_bench::{experiment_by_name, run_experiment, DriverOptions};
 use pimulator::experiments::*;
 use pimulator::jobs::JobRunner;
+use pimulator::report::Json;
 use prim_suite::DatasetSize;
 
 const N_WORKLOADS: usize = 16;
@@ -98,4 +100,20 @@ fn fig15_covers_cache_capable_workloads() {
     for r in rows {
         assert!(r.normalized_time > 0.0, "{}", r.workload);
     }
+}
+
+#[test]
+fn validation_sweep_passes_every_point_at_tiny() {
+    // The multi-DPU leg must use DPU counts the tiny BFS/NW bands split
+    // into; 16 used to trip their partitioning asserts in the worker pool.
+    let e = experiment_by_name("exp_validation").unwrap();
+    let opts = DriverOptions { size: Some(DatasetSize::Tiny), ..DriverOptions::default() };
+    let report = run_experiment(e, &opts).unwrap();
+    let Json::Obj(top) = &report.json else { panic!("document is an object") };
+    let Some((_, Json::Obj(summary))) = top.iter().find(|(k, _)| k == "summary") else {
+        panic!("document has a summary")
+    };
+    let get = |key: &str| summary.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
+    assert!(matches!(get("total"), Some(Json::UInt(n)) if n > 0));
+    assert_eq!(get("passed"), get("total"));
 }

@@ -5,7 +5,6 @@
 //! (experiment → job engine → ring sinks → exporter → JSON text).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
 use pim_bench::{experiment_by_name, run_experiment_with_traces, DriverOptions};
 use pimulator::report::Json;
@@ -41,7 +40,7 @@ fn traced_fig05_produces_a_valid_chrome_trace() {
     let opts = DriverOptions {
         size: Some(DatasetSize::Tiny),
         threads: None, // all cores — per-job traces are scheduling-independent
-        trace: Some(PathBuf::from("unused: tracing is keyed on Some")),
+        trace: true,
         ..DriverOptions::default()
     };
     let (_, traces) = run_experiment_with_traces(e, &opts).unwrap();

@@ -22,11 +22,11 @@
 
 use std::path::Path;
 
-use pim_dpu::{DpuConfig, SimError};
+use pim_dpu::{DpuConfig, SimError, MAX_TASKLETS};
 use pim_serve::kernels::{request_classes, KernelKind};
 use pimulator::jobs::JobRunner;
 use pimulator::pim_host::ChannelMode;
-use pimulator::report::{Json, Table};
+use pimulator::report::{Json, Node, Table};
 use prim_suite::{extended_workloads, workload_by_name, DatasetSize, RunConfig};
 
 use crate::{size_by_label, size_label};
@@ -159,87 +159,52 @@ impl TunedTable {
     }
 
     /// Parses a table document, rejecting anything that is not a
-    /// well-formed [`TUNE_SCHEMA`] table.
+    /// well-formed [`TUNE_SCHEMA`] table whose every entry a run can use:
+    /// a known channel mode and policy, a tasklet count a DPU has, at
+    /// least one DPU, positive finite wall times.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violation.
+    /// Returns the path to the first violation and what is wrong there.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
-        let Json::Obj(top) = doc else {
-            return Err("tuned table must be a JSON object".to_string());
-        };
-        let field = |name: &str| -> Result<&Json, String> {
-            top.iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("tuned table is missing `{name}`"))
-        };
-        match field("schema")? {
-            Json::Str(s) if s == TUNE_SCHEMA => {}
-            other => {
-                return Err(format!(
-                    "unsupported tuned-table schema {} (expected \"{TUNE_SCHEMA}\")",
-                    other.render()
-                ))
-            }
+        let doc = Node::root("tuned", doc);
+        let schema = doc.field("schema")?;
+        let found = schema.str()?;
+        if found != TUNE_SCHEMA {
+            return schema.fail(format_args!("schema `{found}`, expected `{TUNE_SCHEMA}`"));
         }
-        let Json::Str(size_text) = field("size")? else {
-            return Err("tuned table `size` must be a string".to_string());
+        let size = doc.field("size")?;
+        let label = size.str()?;
+        let Some(size) = size_by_label(label) else {
+            return size.fail(format_args!("unknown size `{label}`"));
         };
-        let size = size_by_label(size_text)
-            .ok_or_else(|| format!("tuned table: unknown size `{size_text}`"))?;
-        let Json::Arr(rows) = field("workloads")? else {
-            return Err("tuned table `workloads` must be an array".to_string());
+        let wall = |j: Node<'_>| match j.number()? {
+            ns if ns.is_finite() && ns > 0.0 => Ok(ns),
+            ns => j.fail(format_args!("{ns} is not a positive wall time")),
         };
-        let mut entries = Vec::with_capacity(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            let Json::Obj(pairs) = row else {
-                return Err(format!("tuned table workloads[{i}] must be an object"));
-            };
-            let get = |name: &str| pairs.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-            let str_field = |name: &str| -> Result<String, String> {
-                match get(name) {
-                    Some(Json::Str(s)) => Ok(s.clone()),
-                    _ => Err(format!("tuned table workloads[{i}] needs a string `{name}`")),
-                }
-            };
-            let uint_field = |name: &str| -> Result<u32, String> {
-                match get(name) {
-                    Some(Json::UInt(v)) if *v > 0 => Ok(*v as u32),
-                    _ => {
-                        Err(format!("tuned table workloads[{i}] needs a positive integer `{name}`"))
-                    }
-                }
-            };
-            let num_field = |name: &str| -> Result<f64, String> {
-                match get(name) {
-                    Some(Json::Num(v)) if v.is_finite() && *v > 0.0 => Ok(*v),
-                    Some(Json::UInt(v)) => Ok(*v as f64),
-                    _ => {
-                        Err(format!("tuned table workloads[{i}] needs a positive number `{name}`"))
-                    }
-                }
-            };
-            let workload = str_field("workload")?;
-            let channel = ChannelMode::by_name(&str_field("channel")?)
-                .map_err(|e| format!("tuned table workloads[{i}] ({workload}): {e}"))?;
-            let policy = str_field("policy")?;
-            if pim_serve::policy_by_name(&policy).is_none() {
-                return Err(format!(
-                    "tuned table workloads[{i}] ({workload}) names unknown policy `{policy}`"
-                ));
-            }
-            entries.push(TunedEntry {
-                workload,
-                family: str_field("family")?,
-                tasklets: uint_field("tasklets")?,
-                n_dpus: uint_field("n_dpus")?,
-                channel,
-                policy,
-                wall_ns: num_field("wall_ns")?,
-                blocking_wall_ns: num_field("blocking_wall_ns")?,
-            });
-        }
+        let entries = doc.field("workloads")?.list(|row| {
+            let (tasklets, n_dpus) = (row.field("tasklets")?, row.field("n_dpus")?);
+            let (channel, policy) = (row.field("channel")?, row.field("policy")?);
+            Ok(TunedEntry {
+                workload: row.field("workload")?.str()?.to_string(),
+                family: row.field("family")?.str()?.to_string(),
+                tasklets: match tasklets.int()? {
+                    n if (1..=MAX_TASKLETS).contains(&n) => n,
+                    n => return tasklets.fail(format_args!("{n} is outside 1..={MAX_TASKLETS}")),
+                },
+                n_dpus: match n_dpus.int()? {
+                    0 => return n_dpus.fail("a run needs at least one DPU"),
+                    n => n,
+                },
+                channel: ChannelMode::by_name(channel.str()?).or_else(|e| channel.fail(e))?,
+                policy: match pim_serve::policy_by_name(policy.str()?) {
+                    Some(name) => name.to_string(),
+                    None => return policy.fail(format_args!("unknown policy `{}`", policy.str()?)),
+                },
+                wall_ns: wall(row.field("wall_ns")?)?,
+                blocking_wall_ns: wall(row.field("blocking_wall_ns")?)?,
+            })
+        })?;
         Ok(TunedTable { size, entries })
     }
 

@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 use pim_bench::tune::TunedTable;
-use pim_serve::{Checkpoint, FaultSpec, Scenario, ServeOptions};
+use pim_serve::{Checkpoint, FaultSpec, ServeOptions};
 use pimulator::pim_host::ChannelMode;
 use pimulator::report::Json;
 
@@ -125,19 +125,20 @@ pub fn serve(args: &[String]) -> Result<(), Failure> {
     // finishes, as `<out>/serve_<name>.ckpt<k>.json` in cut order.
     let mut snapshots: Vec<String> = Vec::new();
     let mut sink = |ck: &Checkpoint| snapshots.push(ck.to_json().render_pretty());
-    let result = match &resume {
+    let out = match &resume {
         Some(path) => {
-            let ck = load_checkpoint(path, scenario, &serve)?;
+            let ck = load_checkpoint(path)?;
             pim_serve::resume_scenario(scenario, &serve, &ck, checkpoint_every_ms, &mut sink)
+                .map_err(Failure::Run)?
         }
         None => pim_serve::run_scenario_with_checkpoints(
             scenario,
             &serve,
             checkpoint_every_ms,
             &mut sink,
-        ),
+        )
+        .map_err(|err| Failure::Run(format!("simulation fault: {err}")))?,
     };
-    let out = result.map_err(|err| Failure::Run(format!("simulation fault: {err}")))?;
     let dir = common.out.as_deref().unwrap_or(Path::new("results"));
     for (k, rendered) in snapshots.iter().enumerate() {
         let path = dir.join(format!("serve_{name}.ckpt{k}.json"));
@@ -161,26 +162,12 @@ pub fn serve(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Reads a `--resume` document and checks it was cut by this very run.
-fn load_checkpoint(
-    path: &Path,
-    scenario: &Scenario,
-    serve: &ServeOptions,
-) -> Result<Checkpoint, Failure> {
+/// Reads a `--resume` document; `resume_scenario` then checks that this
+/// very run cut it.
+fn load_checkpoint(path: &Path) -> Result<Checkpoint, Failure> {
     let text = std::fs::read_to_string(path)
         .map_err(|err| Failure::Run(format!("could not read {}: {err}", path.display())))?;
-    let ck = Json::parse(&text)
+    Json::parse(&text)
         .and_then(|doc| Checkpoint::from_json(&doc))
-        .map_err(|err| Failure::Run(format!("{} is not a checkpoint: {err}", path.display())))?;
-    ck.validate(
-        scenario.name,
-        pim_serve::resolved_policy_name(scenario, serve),
-        serve.seed,
-        serve.load,
-        pim_serve::resolved_duration_ns(scenario, serve),
-        &pim_serve::fault_label(serve),
-        pim_serve::channel_label(serve),
-    )
-    .map_err(|err| Failure::Run(format!("checkpoint does not match this run: {err}")))?;
-    Ok(ck)
+        .map_err(|err| Failure::Run(format!("{} is not a checkpoint: {err}", path.display())))
 }

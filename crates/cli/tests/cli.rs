@@ -5,7 +5,7 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use pimulator::report::Json;
+use pimulator::report::{Json, Node};
 
 fn pimsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_pimsim"))
@@ -37,6 +37,12 @@ fn parse_file(path: &Path) -> Json {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
     Json::parse(&text).unwrap_or_else(|e| panic!("parse {}: {e}", path.display()))
+}
+
+fn assert_has_trace_events(path: &Path) {
+    let doc = parse_file(path);
+    let events = Node::root("trace", &doc).field("traceEvents").unwrap().list(Ok).unwrap();
+    assert!(!events.is_empty(), "{} holds no events", path.display());
 }
 
 #[test]
@@ -77,8 +83,7 @@ fn exp_out_creates_missing_parent_dirs() {
         .expect("spawn pimsim");
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
     let doc = parse_file(&out_dir.join("fig11_simt.json"));
-    let Json::Obj(pairs) = &doc else { panic!("results doc not an object") };
-    assert_eq!(pairs[0], ("experiment".to_string(), Json::from("fig11_simt")));
+    assert_eq!(Node::root("results", &doc).field("experiment").unwrap().str(), Ok("fig11_simt"));
 }
 
 #[test]
@@ -115,10 +120,10 @@ fn serve_writes_the_results_document() {
         .expect("spawn pimsim");
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
     let doc = parse_file(&out_dir.join("serve_tiny.json"));
-    let Json::Obj(pairs) = &doc else { panic!("results doc not an object") };
-    assert_eq!(pairs[0], ("serve".to_string(), Json::from("tiny")));
+    let results = Node::root("results", &doc);
+    assert_eq!(results.field("serve").unwrap().str(), Ok("tiny"));
     for key in ["policy", "tenants", "totals", "timeline", "metrics"] {
-        assert!(pairs.iter().any(|(k, _)| k == key), "missing key {key}");
+        results.field(key).unwrap();
     }
     // stdout under --json is the same document that landed on disk.
     let stdout = String::from_utf8_lossy(&st.stdout);
@@ -151,14 +156,10 @@ fn serve_trace_writes_a_chrome_trace() {
         .output()
         .expect("spawn pimsim");
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
-    let doc = parse_file(&trace_path);
-    let Json::Obj(pairs) = &doc else { panic!("trace doc not an object") };
-    assert_eq!(pairs[0].0, "traceEvents");
-    assert!(matches!(&pairs[0].1, Json::Arr(evs) if !evs.is_empty()));
+    assert_has_trace_events(&trace_path);
     let results = parse_file(&out_dir.join("serve_tiny.json"));
-    let Json::Obj(pairs) = &results else { panic!("results doc not an object") };
-    let trace_field = pairs.iter().find(|(k, _)| k == "trace").expect("trace field");
-    assert_eq!(trace_field.1, Json::from(trace_path.display().to_string()));
+    let recorded = Node::root("results", &results).field("trace").unwrap().str().unwrap();
+    assert_eq!(recorded, trace_path.display().to_string());
 }
 
 #[test]
@@ -173,10 +174,7 @@ fn trace_subcommand_writes_a_chrome_trace_and_records_the_path() {
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
     let stdout = String::from_utf8_lossy(&st.stdout);
     assert!(stdout.contains("metrics over retained events"), "stdout: {stdout}");
-    let doc = parse_file(&trace_path);
-    let Json::Obj(pairs) = &doc else { panic!("trace doc not an object") };
-    assert_eq!(pairs[0].0, "traceEvents");
-    assert!(matches!(&pairs[0].1, Json::Arr(evs) if !evs.is_empty()));
+    assert_has_trace_events(&trace_path);
 
     // `exp --trace` records where the trace went in the results document.
     let out_dir = scratch.path("results");
@@ -192,9 +190,8 @@ fn trace_subcommand_writes_a_chrome_trace_and_records_the_path() {
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
     assert!(flag_trace.is_file());
     let doc = parse_file(&out_dir.join("fig11_simt.json"));
-    let Json::Obj(pairs) = &doc else { panic!("results doc not an object") };
-    let trace_field = pairs.iter().find(|(k, _)| k == "trace").expect("trace field");
-    assert_eq!(trace_field.1, Json::from(flag_trace.display().to_string()));
+    let recorded = Node::root("results", &doc).field("trace").unwrap().str().unwrap();
+    assert_eq!(recorded, flag_trace.display().to_string());
 }
 
 #[test]
@@ -260,9 +257,17 @@ fn serve_checkpoint_and_resume_reproduce_the_run_byte_for_byte() {
         .arg(&ckpt)
         .output()
         .expect("spawn pimsim");
-    assert!(!st.status.success(), "a seed-43 run must not accept a seed-42 checkpoint");
+    assert_eq!(st.status.code(), Some(1), "a seed-43 run must not accept a seed-42 checkpoint");
     let stderr = String::from_utf8_lossy(&st.stderr);
-    assert!(stderr.contains("checkpoint does not match this run"), "stderr: {stderr}");
+    assert!(stderr.contains("checkpoint.seed: `42`, this run has `43`"), "stderr: {stderr}");
+    // So is a file that is no checkpoint at all, however deep it nests:
+    // one line and exit 1, not a stack overflow.
+    let deep = scratch.path("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let st = base(&scratch.path("d")).arg("--resume").arg(&deep).output().expect("spawn pimsim");
+    assert_eq!(st.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&st.stderr);
+    assert!(stderr.lines().count() == 1 && stderr.contains("nesting deeper than"), "{stderr}");
 }
 
 #[test]
@@ -338,10 +343,9 @@ fn fuzz_out_creates_missing_parent_dirs() {
         .expect("spawn pimsim");
     assert!(st.status.success(), "stderr: {}", String::from_utf8_lossy(&st.stderr));
     let doc = parse_file(&out_path);
-    let Json::Obj(pairs) = &doc else { panic!("fuzz doc not an object") };
-    assert_eq!(pairs[0].0, "seed");
-    let failures = pairs.iter().find(|(k, _)| k == "failures_seen").expect("failures_seen");
-    assert_eq!(failures.1, Json::UInt(0));
+    let report = Node::root("fuzz", &doc);
+    assert_eq!(report.field("seed").unwrap().int::<u64>(), Ok(3));
+    assert_eq!(report.field("failures_seen").unwrap().int::<u64>(), Ok(0));
     // --json prints the same document to stdout.
     let stdout = String::from_utf8_lossy(&st.stdout);
     assert!(stdout.contains("\"class_hazard_reachable\""), "stdout: {stdout}");

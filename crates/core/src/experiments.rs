@@ -919,7 +919,7 @@ pub fn rank_population(
 ) -> Result<pim_host::PimSystem, SimError> {
     let program = rank_kernel();
     let mut sys =
-        pim_host::PimSystem::new(n_dpus, rank_config(0), pim_host::TransferConfig::paper());
+        pim_host::PimSystem::new(n_dpus, rank_config(0), pim_host::ChannelConfig::paper());
     sys.load(&program)?;
     for i in 0..n_dpus {
         let bytes: Vec<u8> = rank_input(base + i).iter().flat_map(|w| w.to_le_bytes()).collect();

@@ -62,7 +62,7 @@ pub use prim_suite;
 pub mod prelude {
     pub use pim_asm::{assemble, DpuProgram, KernelBuilder};
     pub use pim_dpu::{Dpu, DpuConfig, DpuRunStats, IlpFeatures, MemoryMode, SimError, SimtConfig};
-    pub use pim_host::{ExecutionTimeline, PimSystem, TransferConfig};
+    pub use pim_host::{ChannelConfig, ExecutionTimeline, PimSystem};
     pub use prim_suite::{
         all_workloads, workload_by_name, DatasetSize, RunConfig, Workload, WorkloadRun,
     };

@@ -151,17 +151,18 @@ impl Json {
         out
     }
 
-    /// Parses a JSON document (used by tests to validate emitted files;
-    /// the emitter side stays write-only in production paths).
+    /// Parses a JSON document: the first step of every document the
+    /// simulator reads back ([`Node`] is the second).
     ///
     /// Numbers without a fraction or exponent parse as `Int`/`UInt`;
     /// everything else parses as `Num`.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset of the first syntax error.
+    /// Returns a message naming the byte offset of the first syntax error;
+    /// arrays and objects nested more than 64 deep are one.
     pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -240,10 +241,16 @@ impl Json {
     }
 }
 
+/// Deepest nesting [`Json::parse`] accepts: the parser recurses once per
+/// level, and the documents this repository writes nest a handful.
+const MAX_DEPTH: usize = 64;
+
 /// Recursive-descent parser behind [`Json::parse`].
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -281,8 +288,15 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' { self.array() } else { self.object() };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -431,6 +445,125 @@ impl Parser<'_> {
             }
         }
         text.parse::<f64>().map(Json::Num).map_err(|_| format!("bad number at byte {start}"))
+    }
+}
+
+/// One value inside a parsed document on its way to becoming typed: the
+/// reader behind every document the simulator loads back (checkpoints,
+/// tuned tables, SLO histograms, policy snapshots) and the lookups tests
+/// make into emitted ones. Every accessor checks shape and range and fails
+/// with `Err("<path>: <what>")`. The path is worked out only when an error
+/// is formatted, by searching the document for this value's address, so
+/// decoding a well-formed document builds no string.
+///
+/// ```
+/// use pimulator::report::{Json, Node};
+///
+/// let doc = Json::parse(r#"{"queue": [[7, 70000]]}"#).unwrap();
+/// let queue = Node::root("checkpoint", &doc).field("queue")?.list(|request| {
+///     let [id, class] = request.tuple()?;
+///     Ok((id.int::<u64>()?, class.int::<u16>()?))
+/// });
+/// assert_eq!(queue.unwrap_err(), "checkpoint.queue[0][1]: 70000 is out of range");
+/// # Ok::<(), String>(())
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Node<'a> {
+    name: &'a str,
+    root: &'a Json,
+    at: &'a Json,
+}
+
+impl<'a> Node<'a> {
+    /// The top of `doc`; `name` opens every path (`checkpoint`, `tuned`).
+    #[must_use]
+    pub fn root(name: &'a str, doc: &'a Json) -> Self {
+        Node { name, root: doc, at: doc }
+    }
+
+    /// The value itself, for a field that stays a document.
+    #[must_use]
+    pub fn json(self) -> &'a Json {
+        self.at
+    }
+
+    /// `Err("<path>: <what>")` — also how a decoder reports a range of its
+    /// own (`tuned.workloads[0].tasklets: 99 is outside 1..=24`).
+    pub fn fail<T>(self, what: impl std::fmt::Display) -> Result<T, String> {
+        /// The steps from `at` down to the value at address `to`.
+        fn path(at: &Json, to: &Json) -> Option<String> {
+            match at {
+                _ if std::ptr::eq(at, to) => Some(String::new()),
+                Json::Arr(items) => {
+                    items.iter().zip(0..).find_map(|(v, i)| Some(format!("[{i}]{}", path(v, to)?)))
+                }
+                Json::Obj(pairs) => {
+                    pairs.iter().find_map(|(k, v)| Some(format!(".{k}{}", path(v, to)?)))
+                }
+                _ => None,
+            }
+        }
+        Err(format!("{}{}: {what}", self.name, path(self.root, self.at).unwrap_or_default()))
+    }
+
+    /// The value under `key`; an error unless this is an object with one.
+    pub fn field(self, key: &str) -> Result<Node<'a>, String> {
+        let Json::Obj(pairs) = self.at else { return self.fail("expected an object") };
+        match pairs.iter().find(|(k, _)| k == key) {
+            Some((_, value)) => Ok(Node { at: value, ..self }),
+            None => self.fail(format_args!("missing `{key}`")),
+        }
+    }
+
+    /// Every element of an array decoded by `each` (`Ok` for the elements
+    /// themselves), or the first error; an error for anything but an array.
+    pub fn list<T>(self, each: impl FnMut(Self) -> Result<T, String>) -> Result<Vec<T>, String> {
+        let Json::Arr(items) = self.at else { return self.fail("expected an array") };
+        items.iter().map(|item| Node { at: item, ..self }).map(each).collect()
+    }
+
+    /// The elements of an array that must hold exactly `N`.
+    pub fn tuple<const N: usize>(self) -> Result<[Node<'a>; N], String> {
+        let Json::Arr(items) = self.at else { return self.fail("expected an array") };
+        let Ok(items) = <&[Json; N]>::try_from(items.as_slice()) else {
+            return self.fail(format_args!("expected {N} items, found {}", items.len()));
+        };
+        Ok(items.each_ref().map(|item| Node { at: item, ..self }))
+    }
+
+    /// `None` for `null`, the value otherwise.
+    #[must_use]
+    pub fn optional(self) -> Option<Node<'a>> {
+        (*self.at != Json::Null).then_some(self)
+    }
+
+    /// A string; an error for anything else.
+    pub fn str(self) -> Result<&'a str, String> {
+        let Json::Str(s) = self.at else { return self.fail("expected a string") };
+        Ok(s)
+    }
+
+    /// An integer narrowed to `T`, the type of the field it fills; an error
+    /// for anything else and for an integer `T` cannot hold.
+    pub fn int<T: TryFrom<u64> + TryFrom<i64>>(self) -> Result<T, String> {
+        let narrowed = match *self.at {
+            Json::UInt(u) => T::try_from(u).ok(),
+            Json::Int(i) => T::try_from(i).ok(),
+            _ => return self.fail("expected an integer"),
+        };
+        narrowed.map_or_else(|| self.fail(format_args!("{} is out of range", self.at.render())), Ok)
+    }
+
+    /// A number as a double: a float as written, an integer while `f64`
+    /// holds it exactly (2^53 either side of zero); an error for anything else.
+    pub fn number(self) -> Result<f64, String> {
+        match *self.at {
+            Json::Num(x) => Ok(x),
+            Json::UInt(u) if u <= 1 << 53 => Ok(u as f64),
+            Json::Int(i) if i >= -(1 << 53) => Ok(i as f64),
+            Json::UInt(_) | Json::Int(_) => self.fail("an integer a double would round"),
+            _ => self.fail("expected a number"),
+        }
     }
 }
 
@@ -609,6 +742,13 @@ mod tests {
         assert!(Json::parse("{\"a\" 1}").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("1 2").is_err());
+        // The parser recurses once per level, so nesting is bounded: what
+        // overflowed the stack is a syntax error with its offset.
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(64)).is_ok());
+        let err = Json::parse(&nested(65)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 64 levels at byte 64");
+        assert!(Json::parse(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

@@ -265,6 +265,7 @@ fn track_name(tid: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::Node;
     use pim_trace::{DpuTrace, StallCause};
 
     fn sample() -> JobTrace {
@@ -290,55 +291,41 @@ mod tests {
         }
     }
 
-    fn events(doc: &Json) -> &[Json] {
-        match doc {
-            Json::Obj(pairs) => match &pairs[0].1 {
-                Json::Arr(items) => items,
-                other => panic!("traceEvents not an array: {other:?}"),
-            },
-            other => panic!("not an object: {other:?}"),
-        }
+    fn events(doc: &Json) -> Vec<Node<'_>> {
+        Node::root("trace", doc).field("traceEvents").and_then(|events| events.list(Ok)).unwrap()
     }
 
-    fn field<'j>(ev: &'j Json, key: &str) -> &'j Json {
-        match ev {
-            Json::Obj(pairs) => &pairs.iter().find(|(k, _)| k == key).expect("field").1,
-            other => panic!("event not an object: {other:?}"),
-        }
+    fn track(ev: Node<'_>) -> Result<(u64, u64), String> {
+        Ok((ev.field("pid")?.int()?, ev.field("tid")?.int()?))
     }
 
     #[test]
-    fn document_shape_and_metadata() {
+    fn document_shape_and_metadata() -> Result<(), String> {
         let doc = chrome_trace(&[sample()]);
         let evs = events(&doc);
         assert!(evs.len() >= 5);
-        assert_eq!(field(&evs[0], "ph"), &Json::from("M"));
-        let names: Vec<String> = evs
-            .iter()
-            .filter(|e| field(e, "ph") == &Json::from("M"))
-            .map(|e| match field(field(e, "args"), "name") {
-                Json::Str(s) => s.clone(),
-                _ => panic!(),
-            })
-            .collect();
-        assert!(names.contains(&"VA@4".to_string()));
-        assert!(names.contains(&"host".to_string()));
-        assert!(names.contains(&"dpu0/tasklet0".to_string()));
-        assert!(names.contains(&"dpu0/stalls".to_string()));
+        assert_eq!(evs[0].field("ph")?.str()?, "M");
+        let mut names = Vec::new();
+        for ev in evs {
+            if ev.field("ph")?.str()? == "M" {
+                names.push(ev.field("args")?.field("name")?.str()?);
+            }
+        }
+        for name in ["VA@4", "host", "dpu0/tasklet0", "dpu0/stalls"] {
+            assert!(names.contains(&name), "no track named {name}");
+        }
+        Ok(())
     }
 
     #[test]
-    fn begins_and_ends_balance_per_track() {
+    fn begins_and_ends_balance_per_track() -> Result<(), String> {
         let doc = chrome_trace(&[sample()]);
         let mut depth: BTreeMap<(u64, u64), i64> = BTreeMap::new();
         for ev in events(&doc) {
-            let key = match (field(ev, "pid"), field(ev, "tid")) {
-                (Json::UInt(p), Json::UInt(t)) => (*p, *t),
-                _ => panic!("pid/tid not uints"),
-            };
-            match field(ev, "ph") {
-                Json::Str(s) if s == "B" => *depth.entry(key).or_default() += 1,
-                Json::Str(s) if s == "E" => {
+            let key = track(ev)?;
+            match ev.field("ph")?.str()? {
+                "B" => *depth.entry(key).or_default() += 1,
+                "E" => {
                     let d = depth.entry(key).or_default();
                     *d -= 1;
                     assert!(*d >= 0, "E without matching B on {key:?}");
@@ -347,27 +334,22 @@ mod tests {
             }
         }
         assert!(depth.values().all(|&d| d == 0), "unbalanced tracks: {depth:?}");
+        Ok(())
     }
 
     #[test]
-    fn timestamps_monotonic_per_track() {
+    fn timestamps_monotonic_per_track() -> Result<(), String> {
         let doc = chrome_trace(&[sample()]);
         let mut last: BTreeMap<(u64, u64), f64> = BTreeMap::new();
         for ev in events(&doc) {
-            if field(ev, "ph") == &Json::from("M") {
+            if ev.field("ph")?.str()? == "M" {
                 continue;
             }
-            let key = match (field(ev, "pid"), field(ev, "tid")) {
-                (Json::UInt(p), Json::UInt(t)) => (*p, *t),
-                _ => panic!(),
-            };
-            let ts = match field(ev, "ts") {
-                Json::Num(x) => *x,
-                other => panic!("ts not a number: {other:?}"),
-            };
-            if let Some(prev) = last.insert(key, ts) {
-                assert!(ts >= prev, "ts regressed on {key:?}: {prev} -> {ts}");
+            let ts = ev.field("ts")?.number()?;
+            if let Some(prev) = last.insert(track(ev)?, ts) {
+                assert!(ts >= prev, "ts regressed on {:?}: {prev} -> {ts}", track(ev)?);
             }
         }
+        Ok(())
     }
 }

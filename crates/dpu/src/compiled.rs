@@ -1,5 +1,4 @@
-//! Launch-time block compilation: threaded-code op tables over basic
-//! blocks.
+//! Load-time compilation: one threaded-code op table per program.
 //!
 //! Interpreting the decoded program costs every issued instruction a copy
 //! of the 16-byte [`Instruction`] enum and a full `match` over it inside
@@ -7,9 +6,8 @@
 //! re-discriminate operands whose shape was fixed at load time.
 //!
 //! This module compiles a program once per load into a [`CompiledKernel`]:
-//! the program is split into basic blocks ([`BlockMap`]) and each block's
-//! instructions are lowered into a span of one flat table of
-//! [`CompiledOp`]s — a *monomorphic* function pointer plus pre-extracted
+//! each instruction is lowered into the entry at its pc of one flat table
+//! of [`CompiledOp`]s — a *monomorphic* function pointer plus pre-extracted
 //! operands (register indices, immediate, branch target) and the decoded
 //! scheduling facts (source mask, destination, RF-hazard cost, class
 //! index). The steady-state executor then dispatches with one indexed load
@@ -31,8 +29,8 @@
 //! shape (including each error path) through both and compare.
 
 use pim_isa::{
-    AddressSpace, AluOp, BlockMap, Cond, DecodedInstr, DecodedProgram, InstrClass, Instruction,
-    Operand, Width,
+    AddressSpace, AluOp, Cond, DecodedInstr, DecodedProgram, InstrClass, Instruction, Operand,
+    Width,
 };
 
 use crate::error::SimError;
@@ -68,8 +66,6 @@ pub(crate) struct CompiledOp {
     pub target: u32,
     /// Bit `i` set when `r<i>` is a source (scoreboard lookups).
     pub src_mask: u32,
-    /// Basic block containing this instruction (see [`BlockMap`]).
-    pub block: u32,
     /// First register field (destination / wram / stored value).
     pub a: u8,
     /// Second register field (ra / base / mram).
@@ -111,37 +107,25 @@ impl CompiledOp {
 /// across every relaunch (and shared with lockstep batches through an
 /// `Arc`): the original instruction stream (trace text, event emission,
 /// the interpreter dispatch), the decoded side table (the SIMT
-/// front-end), the basic-block partition, and the flat threaded-code op
-/// table.
+/// front-end), and the flat threaded-code op table.
 #[derive(Debug)]
 pub(crate) struct CompiledKernel {
     /// The instruction stream as loaded.
     pub instrs: Vec<Instruction>,
     /// Decoded per-PC side table (SIMT front-end).
     pub decoded: DecodedProgram,
-    /// Basic-block partition of the program.
-    pub blocks: BlockMap,
-    /// Flat per-PC op table; blocks occupy contiguous spans.
+    /// Flat per-PC op table.
     pub ops: Vec<CompiledOp>,
 }
 
 impl CompiledKernel {
-    /// Compiles an instruction stream: builds the block map, then lowers
-    /// each block's instructions into the op table.
+    /// Compiles an instruction stream: lowers each instruction into the
+    /// op table, in program order.
     pub(crate) fn compile(instrs: &[Instruction]) -> Self {
-        let blocks = BlockMap::build(instrs);
-        let mut ops = Vec::with_capacity(instrs.len());
-        for block in 0..blocks.len() as u32 {
-            let (start, end) = blocks.span(block);
-            for pc in start..end {
-                ops.push(compile_op(&instrs[pc as usize], block));
-            }
-        }
         CompiledKernel {
             instrs: instrs.to_vec(),
             decoded: DecodedProgram::decode(instrs),
-            blocks,
-            ops,
+            ops: instrs.iter().map(compile_op).collect(),
         }
     }
 }
@@ -486,7 +470,7 @@ fn op_nop(_s: &mut ArchState, _t: u32, _pc: u32, _op: &CompiledOp) -> Result<Eff
 }
 
 /// Lowers one instruction into its table entry.
-fn compile_op(instr: &Instruction, block: u32) -> CompiledOp {
+fn compile_op(instr: &Instruction) -> CompiledOp {
     let d = DecodedInstr::new(instr);
     let class_idx = InstrClass::ALL
         .iter()
@@ -497,7 +481,6 @@ fn compile_op(instr: &Instruction, block: u32) -> CompiledOp {
         imm: 0,
         target: 0,
         src_mask: d.src_mask,
-        block,
         a: 0,
         b: 0,
         c: 0,
@@ -663,7 +646,7 @@ mod tests {
     /// Every instruction shape (including every error path) must behave
     /// identically through the compiled op function and the interpreter.
     fn assert_compiled_matches(instr: &Instruction, prep: impl Fn(&mut ArchState)) {
-        let op = compile_op(instr, 0);
+        let op = compile_op(instr);
         for t in 0..4u32 {
             for pc in [0u32, 7] {
                 let mut want_state = state();
@@ -834,7 +817,7 @@ mod tests {
     }
 
     #[test]
-    fn compiled_kernel_mirrors_decoded_facts_and_blocks() {
+    fn compiled_kernel_mirrors_decoded_facts() {
         let instrs = vec![
             Instruction::Tid { rd: Reg::r(0) },
             Instruction::Branch { cond: Cond::Ne, ra: Reg::r(0), rb: Operand::Imm(0), target: 4 },
@@ -854,12 +837,7 @@ mod tests {
             assert_eq!(InstrClass::ALL[op.class_idx as usize], d.class, "pc {pc}");
             assert_eq!(op.is_dma(), d.is_dma, "pc {pc}");
             assert_eq!(op.is_load(), d.is_load, "pc {pc}");
-            assert_eq!(op.block, k.blocks.block_of(pc as u32), "pc {pc}");
             assert_eq!((op.flags & F_STORE != 0), matches!(instr, Instruction::Store { .. }));
         }
-        // Ops are stored in program order, so block spans index the table
-        // directly.
-        let (start, end) = k.blocks.span(k.blocks.block_of(2));
-        assert_eq!((start, end), (2, 4));
     }
 }

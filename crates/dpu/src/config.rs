@@ -143,11 +143,11 @@ pub enum ExecTier {
     /// tasklet wakeup, allocation-free steady state) executing each
     /// instruction through the interpreter's `Instruction` match.
     Fast,
-    /// The issue engine with block-compiled dispatch (the default): the
-    /// program is split into basic blocks and lowered once per load into a
-    /// flat table of monomorphic op functions with pre-extracted operands,
-    /// so the steady state dispatches with one indexed load and one
-    /// indirect call — no `Instruction` match, no per-launch re-decode.
+    /// The issue engine with compiled dispatch (the default): the program
+    /// is lowered once per load into a per-instruction table of
+    /// monomorphic op functions with pre-extracted operands, so the
+    /// steady state dispatches with one indexed load and one indirect
+    /// call — no `Instruction` match, no per-launch re-decode.
     Compiled,
 }
 

@@ -630,9 +630,6 @@ impl Engine {
                             continue;
                         }
                     }
-                    // The op table is laid out block-by-block; every entry
-                    // must carry the block id its pc belongs to.
-                    debug_assert_eq!(op.block, kernel.blocks.block_of(pc));
                     // Data access through the D-cache (cache-centric mode).
                     if let Some(dc) = self.dcache.as_mut().filter(|_| !PLAIN) {
                         if op.is_dma() {

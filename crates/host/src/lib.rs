@@ -14,25 +14,24 @@
 //! buffer; the per-launch [`ExecutionTimeline`] accumulates transfer and
 //! kernel phases for the strong-scaling breakdowns of Fig 10.
 //!
-//! On top of that v1 pipe sits the **channel model v2** ([`ChannelConfig`]
-//! / [`ChannelMode`] / [`Channel`]): per-rank parallel channels, broadcast
-//! writes that serve a whole rank at once, and asynchronous CPU→DPU pushes
-//! that overlap kernel execution with completion barriers at pull
-//! boundaries — the software transfer tricks the pathfinding literature
-//! shows recover most of the channel's loss. The legacy
-//! [`ChannelMode::Blocking`] mode (the default, and what a bare
-//! [`TransferConfig`] converts into) reproduces the v1 numbers
-//! byte-for-byte.
+//! That is [`ChannelMode::Blocking`], the default mode of the one channel
+//! model ([`ChannelConfig`] / [`ChannelMode`] / [`Channel`]) and what
+//! [`ChannelConfig::paper`] selects. Its two other modes add per-rank
+//! parallel channels with broadcast writes that serve a whole rank at
+//! once, and asynchronous CPU→DPU pushes that overlap kernel execution
+//! with completion barriers at pull boundaries — the software transfer
+//! tricks the pathfinding literature shows recover most of the channel's
+//! loss.
 //!
 //! # Example
 //!
 //! ```
 //! use pim_asm::assemble;
 //! use pim_dpu::DpuConfig;
-//! use pim_host::{PimSystem, TransferConfig};
+//! use pim_host::{ChannelConfig, PimSystem};
 //!
 //! let program = assemble(".text\n movi r0, 1\n stop\n").unwrap();
-//! let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), TransferConfig::paper());
+//! let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
 //! sys.load(&program).unwrap();
 //! let report = sys.launch_all().unwrap();
 //! assert_eq!(report.per_dpu.len(), 4);

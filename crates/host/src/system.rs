@@ -19,10 +19,11 @@ pub struct ExecutionTimeline {
     /// Number of kernel launches.
     pub launches: u32,
     /// Wall-clock end of the run on the virtual channel timeline, ns.
-    /// Only the v2 channel modes set it (transfers there may overlap
-    /// kernel execution, so the wall clock can undercut the serialized
-    /// phase sum); it stays `0.0` under [`ChannelMode::Blocking`], where
-    /// the wall clock *is* [`ExecutionTimeline::total_ns`]. Read through
+    /// Only the broadcast and overlapped modes set it (transfers there
+    /// may overlap kernel execution, so the wall clock can undercut the
+    /// serialized phase sum); it stays `0.0` under
+    /// [`ChannelMode::Blocking`], where the wall clock *is*
+    /// [`ExecutionTimeline::total_ns`]. Read through
     /// [`ExecutionTimeline::wall_ns`].
     pub end_ns: f64,
 }
@@ -35,7 +36,7 @@ impl ExecutionTimeline {
         self.to_dpu_ns + self.kernel_ns + self.from_dpu_ns
     }
 
-    /// End-to-end wall-clock time: the channel-timeline end when a v2
+    /// End-to-end wall-clock time: the channel-timeline end when the
     /// channel mode tracked one, else the serialized phase sum.
     #[must_use]
     pub fn wall_ns(&self) -> f64 {
@@ -114,9 +115,7 @@ pub struct PimSystem {
 
 impl PimSystem {
     /// Allocates `n_dpus` DPUs with the given configuration
-    /// (`dpu_alloc`). The channel accepts either a bare
-    /// [`crate::TransferConfig`] (the legacy blocking pipe, exactly as
-    /// before v2) or a full [`ChannelConfig`] selecting a v2 mode.
+    /// (`dpu_alloc`) behind one CPU↔DPU channel.
     ///
     /// # Panics
     ///
@@ -124,17 +123,16 @@ impl PimSystem {
     /// the channel configuration violates the invariants of
     /// [`ChannelConfig::try_new`].
     #[must_use]
-    pub fn new<C: Into<ChannelConfig>>(n_dpus: u32, cfg: DpuConfig, channel: C) -> Self {
+    pub fn new(n_dpus: u32, cfg: DpuConfig, channel: ChannelConfig) -> Self {
         assert!(n_dpus > 0, "a PIM system needs at least one DPU");
-        let channel_cfg: ChannelConfig = channel.into();
-        if let Err(e) = channel_cfg.xfer.validate() {
+        if let Err(e) = channel.xfer.validate() {
             panic!("invalid channel config: {e}");
         }
         let trace_host = (cfg.event_trace_capacity > 0).then(Vec::new);
         let dpus = (0..n_dpus).map(|_| Dpu::new(cfg.clone())).collect();
         PimSystem {
             dpus,
-            channel: Channel::new(channel_cfg, n_dpus),
+            channel: Channel::new(channel, n_dpus),
             timeline: ExecutionTimeline::default(),
             trace_host,
         }
@@ -147,7 +145,7 @@ impl PimSystem {
     }
 
     /// Mirrors the channel's wall clock into the timeline. Blocking mode
-    /// leaves `end_ns` at 0.0 so pre-v2 timelines (and everything keyed
+    /// leaves `end_ns` at 0.0 so blocking timelines (and everything keyed
     /// on them — goldens, checkpoints) stay bit-identical.
     fn sync_wall(&mut self) {
         if self.channel.mode() != ChannelMode::Blocking {
@@ -156,9 +154,9 @@ impl PimSystem {
     }
 
     /// Prices one parallel CPU→DPU push under the channel mode. Payloads
-    /// that are byte-identical across all DPUs are detected in the v2
-    /// modes and priced as a broadcast — one write serves the whole set,
-    /// the common shape of `launch_all` setup traffic.
+    /// that are byte-identical across all DPUs are detected outside
+    /// blocking mode and priced as a broadcast — one write serves the
+    /// whole set, the common shape of `launch_all` setup traffic.
     fn price_push(&mut self, chunks: &[&[u8]]) -> f64 {
         if self.channel.mode() == ChannelMode::Blocking {
             let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
@@ -297,8 +295,8 @@ impl PimSystem {
     }
 
     /// Broadcast CPU→DPU transfer: the same bytes to every DPU's MRAM.
-    /// The v2 channel modes price this as one rank-parallel write
-    /// serving the whole set ([`Channel::broadcast`]).
+    /// The broadcast and overlapped modes price this as one rank-parallel
+    /// write serving the whole set ([`Channel::broadcast`]).
     pub fn broadcast_to_mram(&mut self, addr: u32, data: &[u8]) {
         for dpu in &mut self.dpus {
             dpu.write_mram(addr, data);
@@ -634,7 +632,7 @@ mod tests {
     fn partitioned_sum_across_four_dpus() {
         let count = 256u32; // words per DPU
         let program = sum_kernel(count);
-        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         // DPU d gets words d*1000 .. d*1000+count.
         let chunks: Vec<Vec<u8>> = (0..4)
@@ -655,7 +653,7 @@ mod tests {
     #[test]
     fn timeline_accumulates_all_three_phases() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![0u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data]);
@@ -673,7 +671,7 @@ mod tests {
     #[test]
     fn parallel_transfer_takes_max_chunk_time() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let small = vec![0u8; 64];
         let big = vec![0u8; 64 * 1024];
@@ -685,7 +683,7 @@ mod tests {
     #[test]
     fn readback_is_slower_than_upload_for_same_bytes() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(1, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(1, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![0u8; 4096];
         sys.push_to_mram(0, &[&data]);
@@ -698,7 +696,7 @@ mod tests {
     #[test]
     fn broadcast_and_per_dpu_symbols() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         sys.broadcast_to_symbol("sum", &7i32.to_le_bytes());
         let vals = sys.pull_from_symbol("sum");
@@ -710,7 +708,7 @@ mod tests {
     #[test]
     fn kernel_time_is_slowest_dpu() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![1u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data]);
@@ -723,7 +721,7 @@ mod tests {
     #[test]
     fn armed_fault_fails_only_its_dpu_in_launch_each() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![0u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data, &data, &data]);
@@ -746,7 +744,7 @@ mod tests {
     #[test]
     fn launch_all_surfaces_armed_faults_before_running_anything() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![1u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data, &data, &data]);
@@ -773,7 +771,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one chunk per DPU")]
     fn mismatched_chunks_panic() {
-        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.push_to_mram(0, &[&[0u8; 4] as &[u8]]);
     }
 
@@ -787,7 +785,7 @@ mod tests {
 
     #[test]
     fn pull_from_symbol_charges_the_largest_chunk() {
-        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.dpu_mut(0).load_program(&sym_program(4096)).unwrap();
         sys.dpu_mut(1).load_program(&sym_program(64)).unwrap();
         sys.dpu_mut(2).load_program(&sym_program(256)).unwrap();
@@ -802,7 +800,7 @@ mod tests {
     #[test]
     fn slowest_breaks_ties_by_dpu_index() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![2u8; 64 * 4];
         sys.push_to_mram(0, &[&data, &data, &data]);
@@ -815,7 +813,7 @@ mod tests {
     #[test]
     fn pull_into_variants_match_allocating_pulls() {
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let chunks: Vec<Vec<u8>> =
             (0..3u8).map(|d| (0..=255u8).map(|i| d.wrapping_mul(i)).collect()).collect();
@@ -846,7 +844,7 @@ mod tests {
             .collect();
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
         let twin = || {
-            let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(2), TransferConfig::paper());
+            let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(2), ChannelConfig::paper());
             sys.load(&program).unwrap();
             sys.push_to_mram(0, &refs);
             sys
@@ -882,7 +880,7 @@ mod tests {
         k.branch(Cond::Ne, i, 0, &top);
         k.stop();
         let program = k.build().unwrap();
-        let mut sys = PimSystem::new(8, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(8, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let counts: Vec<[u8; 4]> =
             (0..8).map(|d| if d == 5 { 9u32 } else { 4 }.to_le_bytes()).collect();
@@ -975,7 +973,11 @@ mod tests {
     #[should_panic(expected = "invalid channel config")]
     fn bad_bandwidth_config_is_rejected_at_allocation() {
         let bad = TransferConfig { to_dpu_gbps: f64::NAN, ..TransferConfig::paper() };
-        let _ = PimSystem::new(1, DpuConfig::paper_baseline(1), bad);
+        let _ = PimSystem::new(
+            1,
+            DpuConfig::paper_baseline(1),
+            ChannelConfig { xfer: bad, ..ChannelConfig::paper() },
+        );
     }
 
     #[test]
@@ -984,7 +986,7 @@ mod tests {
         // divide evenly, to exercise the chunked worker path end-to-end.
         let n = 19u32;
         let program = sum_kernel(64);
-        let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(1), TransferConfig::paper());
+        let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let chunks: Vec<Vec<u8>> = (0..n as i32)
             .map(|d| (0..64).flat_map(|i| (d * 100 + i).to_le_bytes()).collect())

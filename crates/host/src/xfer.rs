@@ -1,33 +1,31 @@
 //! The CPU↔DPU channel model.
 //!
-//! Two layers live here:
+//! One model, three modes. A [`ChannelConfig`] is the paper's §III-A
+//! fixed per-direction bandwidths ([`TransferConfig`], Table I), a
+//! [`ChannelMode`] and the rank geometry; [`Channel`] is the virtual-time
+//! engine that prices each operation under it. The modes ladder the
+//! software transfer tricks of the pathfinding literature ("UPMEM
+//! Unleashed", arXiv:2510.15927):
 //!
-//! 1. [`TransferConfig`] — the paper's §III-A fixed-bandwidth,
-//!    per-direction pipe (Table I constants), unchanged since v1. Every
-//!    transfer blocks the host and the set behaves as one flat channel.
-//! 2. The **channel model v2**: [`ChannelConfig`] selects a
-//!    [`ChannelMode`] on top of the same bandwidth constants, and
-//!    [`Channel`] is the virtual-time engine that prices each operation.
-//!    The modes ladder the software transfer tricks of the pathfinding
-//!    literature ("UPMEM Unleashed", arXiv:2510.15927):
-//!
-//!    * [`ChannelMode::Blocking`] — the legacy v1 pipe, byte-for-byte.
-//!    * [`ChannelMode::Broadcast`] — per-rank parallel channels, and a
-//!      payload written once serves every DPU of a rank: a broadcast of
-//!      `B` bytes costs `B / (rank_dpus × bw)` per rank instead of
-//!      `B / bw`. Host semantics stay blocking.
-//!    * [`ChannelMode::Overlapped`] — broadcast pricing **plus**
-//!      asynchronous pushes: CPU→DPU transfers are issued against the
-//!      per-rank channel timelines and overlap kernel execution (the
-//!      restructured, double-buffered host program), with a completion
-//!      barrier at every pull boundary. Pulls stay synchronous — the
-//!      paper observes CPU←DPU uses synchronous AVX reads, so read-back
-//!      can never be hidden.
+//! * [`ChannelMode::Blocking`] — what the paper measures and every golden
+//!   is pinned to: each transfer blocks the host at per-DPU bandwidth and
+//!   the set behaves as one flat channel.
+//! * [`ChannelMode::Broadcast`] — per-rank parallel channels, and a
+//!   payload written once serves every DPU of a rank: a broadcast of `B`
+//!   bytes costs `B / (rank_dpus × bw)` per rank instead of `B / bw`.
+//!   Host semantics stay blocking.
+//! * [`ChannelMode::Overlapped`] — broadcast pricing **plus**
+//!   asynchronous pushes: CPU→DPU transfers are issued against the
+//!   per-rank channel timelines and overlap kernel execution (the
+//!   restructured, double-buffered host program), with a completion
+//!   barrier at every pull boundary. Pulls stay synchronous — the paper
+//!   observes CPU←DPU uses synchronous AVX reads, so read-back can never
+//!   be hidden.
 //!
 //! The duration *sums* accumulated into
-//! [`crate::ExecutionTimeline`]'s phase fields keep their v1 meaning in
-//! every mode; overlap shows up only in the separately tracked wall
-//! clock ([`Channel::wall_ns`] / `ExecutionTimeline::wall_ns`).
+//! [`crate::ExecutionTimeline`]'s phase fields mean the same in every
+//! mode; overlap shows up only in the separately tracked wall clock
+//! ([`Channel::wall_ns`] / `ExecutionTimeline::wall_ns`).
 
 use std::fmt;
 
@@ -68,7 +66,8 @@ impl fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// Fixed-bandwidth, per-direction transfer model (paper Table I).
+/// The fixed per-direction bandwidths of the channel (paper Table I):
+/// the `xfer` pair inside every [`ChannelConfig`].
 ///
 /// The asymmetry is real and load-bearing: the paper observes that UPMEM
 /// implements CPU→DPU with asynchronous AVX writes but CPU←DPU with
@@ -145,8 +144,8 @@ impl Default for TransferConfig {
 /// How the channel prices and schedules transfers (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChannelMode {
-    /// The legacy v1 pipe: every transfer blocks the host at per-DPU
-    /// bandwidth. Reproduces pre-v2 numbers byte-for-byte.
+    /// Every transfer blocks the host at per-DPU bandwidth: the SDK path
+    /// the paper measures.
     #[default]
     Blocking,
     /// Rank-parallel channels with broadcast dedup; blocking host.
@@ -194,23 +193,24 @@ impl fmt::Display for ChannelMode {
 }
 
 /// The full channel model: bandwidth constants, scheduling mode, and the
-/// rank geometry the v2 modes exploit.
+/// rank geometry the broadcast and overlapped modes exploit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Per-direction bandwidth constants (Table I).
     pub xfer: TransferConfig,
     /// Transfer scheduling mode.
     pub mode: ChannelMode,
-    /// DPUs per rank (per-rank channels move in parallel in the v2
-    /// modes). Must be at least 1.
+    /// DPUs per rank (per-rank channels move in parallel in the
+    /// broadcast and overlapped modes). Must be at least 1.
     pub rank_dpus: u32,
 }
 
 impl ChannelConfig {
-    /// The legacy blocking pipe with the paper's constants — the default
-    /// everywhere, and the mode every golden snapshot is pinned to.
+    /// The blocking pipe with the paper's constants (the paper measures
+    /// the blocking SDK path) — the default everywhere, and the mode every
+    /// golden snapshot is pinned to.
     #[must_use]
-    pub fn blocking() -> Self {
+    pub fn paper() -> Self {
         ChannelConfig {
             xfer: TransferConfig::paper(),
             mode: ChannelMode::Blocking,
@@ -221,26 +221,19 @@ impl ChannelConfig {
     /// Paper constants, [`ChannelMode::Broadcast`].
     #[must_use]
     pub fn broadcast() -> Self {
-        ChannelConfig { mode: ChannelMode::Broadcast, ..Self::blocking() }
+        ChannelConfig { mode: ChannelMode::Broadcast, ..Self::paper() }
     }
 
     /// Paper constants, [`ChannelMode::Overlapped`].
     #[must_use]
     pub fn overlapped() -> Self {
-        ChannelConfig { mode: ChannelMode::Overlapped, ..Self::blocking() }
-    }
-
-    /// Alias for [`ChannelConfig::blocking`] (the paper measures the
-    /// blocking SDK path).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self::blocking()
+        ChannelConfig { mode: ChannelMode::Overlapped, ..Self::paper() }
     }
 
     /// Paper constants with the given mode.
     #[must_use]
     pub fn with_mode(mode: ChannelMode) -> Self {
-        ChannelConfig { mode, ..Self::blocking() }
+        ChannelConfig { mode, ..Self::paper() }
     }
 
     /// Validated constructor for hand-assembled configs.
@@ -263,15 +256,7 @@ impl ChannelConfig {
 
 impl Default for ChannelConfig {
     fn default() -> Self {
-        Self::blocking()
-    }
-}
-
-impl From<TransferConfig> for ChannelConfig {
-    /// A bare [`TransferConfig`] means the legacy blocking pipe — every
-    /// pre-v2 call site keeps its exact semantics.
-    fn from(xfer: TransferConfig) -> Self {
-        ChannelConfig { xfer, ..Self::blocking() }
+        Self::paper()
     }
 }
 
@@ -359,10 +344,10 @@ impl Channel {
     /// timeline's `to_dpu_ns` phase sum.
     ///
     /// Pricing: the slowest per-DPU chunk gates the push in every mode
-    /// (per-DPU links move in parallel, exactly the v1 rule). In
-    /// [`ChannelMode::Overlapped`] the push is issued asynchronously:
-    /// each rank's channel is busy from `max(host, rank_free)` for its
-    /// own largest chunk, and the host does not wait.
+    /// (per-DPU links move in parallel). In [`ChannelMode::Overlapped`]
+    /// the push is issued asynchronously: each rank's channel is busy from
+    /// `max(host, rank_free)` for its own largest chunk, and the host does
+    /// not wait.
     ///
     /// # Panics
     ///
@@ -407,11 +392,11 @@ impl Channel {
 
     /// Prices a broadcast of `bytes` — one payload serving every DPU.
     ///
-    /// In the v2 modes the payload is written **once** per rank and the
-    /// rank's aggregate link (`rank_dpus × bw`) carries it, so the cost
+    /// Outside blocking mode the payload is written **once** per rank and
+    /// the rank's aggregate link (`rank_dpus × bw`) carries it, so the cost
     /// per rank is `bytes / (population × bw)`; the smallest (possibly
     /// partial, and therefore slowest) rank gates the operation, and
-    /// ranks move in parallel. [`ChannelMode::Blocking`] keeps the v1
+    /// ranks move in parallel. [`ChannelMode::Blocking`] charges the
     /// price of one per-DPU write (`bytes / bw`), which is what the SDK's
     /// sequential broadcast costs under per-DPU-parallel links.
     pub fn broadcast(&mut self, bytes: u64) -> f64 {
@@ -456,7 +441,7 @@ impl Channel {
     ///
     /// Read-back is synchronous in every mode (the paper: CPU←DPU uses
     /// synchronous AVX reads), and per-DPU links already move in
-    /// parallel, so the price is the v1 `max_bytes / from_bw` everywhere
+    /// parallel, so the price is `max_bytes / from_bw` everywhere
     /// — the read-back asymmetry is preserved in every mode. In
     /// [`ChannelMode::Overlapped`] the pull is a completion barrier: the
     /// host first waits out every in-flight push.
@@ -531,8 +516,6 @@ mod tests {
         );
         let bad = TransferConfig { to_dpu_gbps: 0.0, ..TransferConfig::paper() };
         assert!(ChannelConfig::try_new(bad, ChannelMode::Blocking, 64).is_err());
-        let from_v1: ChannelConfig = TransferConfig::paper().into();
-        assert_eq!(from_v1, ChannelConfig::blocking());
         assert_eq!(ChannelConfig::default().mode, ChannelMode::Blocking);
     }
 
@@ -582,8 +565,7 @@ mod tests {
         let ns = ch.broadcast(8192);
         assert!((ns - t.to_dpu_ns(8192) / 8.0).abs() < 1e-9);
         // Blocking prices the same broadcast at the full per-DPU cost.
-        let mut legacy =
-            Channel::new(ChannelConfig { rank_dpus: 8, ..ChannelConfig::blocking() }, 8);
+        let mut legacy = Channel::new(ChannelConfig { rank_dpus: 8, ..ChannelConfig::paper() }, 8);
         assert!((legacy.broadcast(8192) - t.to_dpu_ns(8192)).abs() < 1e-9);
     }
 

@@ -17,10 +17,16 @@
 //! numbers; only the key set travels, to keep the
 //! `distinct_compositions` count exact.
 
-use pimulator::pim_host::ExecutionTimeline;
-use pimulator::report::Json;
+use std::fmt::Display;
 
+use pimulator::pim_host::ExecutionTimeline;
+use pimulator::report::{Json, Node};
+
+use crate::fault::FaultSpec;
+use crate::kernels::{request_classes, Composition, EMPTY_SLOT, SLOTS_PER_DPU};
 use crate::queue::{Request, TenantAdmission};
+use crate::runtime::{fault_label, new_policy, resolved_duration_ns, ServeOptions};
+use crate::scenario::Scenario;
 use crate::slo::LatencySplit;
 use crate::traffic::{Arrival, TrafficState};
 
@@ -90,7 +96,7 @@ pub struct Checkpoint {
     /// Scheduling-policy internal state ([`crate::sched::SchedulerPolicy::snapshot`]).
     pub policy_state: Json,
     /// Canonical composition keys seen so far (cache key set).
-    pub seen: Vec<Vec<u16>>,
+    pub seen: Vec<Composition>,
     /// Outages consumed from the fault plan's sorted schedule.
     pub outage_cursor: usize,
     /// Currently offline ranks as `(rank, rejoin_ns)` in activation order.
@@ -108,50 +114,22 @@ fn request_json(r: &Request) -> Json {
     ])
 }
 
-fn uint(j: &Json) -> Result<u64, String> {
-    match *j {
-        Json::UInt(u) => Ok(u),
-        _ => Err(format!("expected an unsigned integer, got {}", j.render())),
+/// A request class: an index into [`request_classes`].
+fn class_from(j: Node<'_>) -> Result<u16, String> {
+    match j.int()? {
+        class if usize::from(class) < request_classes().len() => Ok(class),
+        class => j.fail(format_args!("class {class}, registry has {}", request_classes().len())),
     }
 }
 
-fn str_field(j: &Json) -> Result<&str, String> {
-    match j {
-        Json::Str(s) => Ok(s),
-        _ => Err(format!("expected a string, got {}", j.render())),
-    }
-}
-
-fn items(j: &Json) -> Result<&[Json], String> {
-    match j {
-        Json::Arr(v) => Ok(v),
-        _ => Err(format!("expected an array, got {}", j.render())),
-    }
-}
-
-fn get<'a>(obj: &'a Json, key: &str) -> Result<&'a Json, String> {
-    let Json::Obj(pairs) = obj else { return Err("checkpoint node must be an object".into()) };
-    pairs
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("checkpoint is missing `{key}`"))
-}
-
-fn request_from(j: &Json) -> Result<Request, String> {
-    let [id, tenant, class, arrival_ns] = items(j)? else {
-        return Err("a request must be a 4-tuple".into());
-    };
+fn request_from(j: Node<'_>) -> Result<Request, String> {
+    let [id, tenant, class, arrival_ns] = j.tuple()?;
     Ok(Request {
-        id: uint(id)?,
-        tenant: uint(tenant)? as usize,
-        class: uint(class)? as u16,
-        arrival_ns: uint(arrival_ns)?,
+        id: id.int()?,
+        tenant: tenant.int()?,
+        class: class_from(class)?,
+        arrival_ns: arrival_ns.int()?,
     })
-}
-
-fn uint_vec(j: &Json) -> Result<Vec<u64>, String> {
-    items(j)?.iter().map(uint).collect()
 }
 
 impl Checkpoint {
@@ -245,186 +223,189 @@ impl Checkpoint {
         ])
     }
 
-    /// Rebuilds a checkpoint from [`Checkpoint::to_json`] output.
+    /// Rebuilds a checkpoint from [`Checkpoint::to_json`] output. This is
+    /// the shape half of reading one back — every field in its type's
+    /// range, every tuple its width, every class a class there is; whether
+    /// the values belong to a given run is [`Checkpoint::fit`]'s half.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first malformed or missing field.
+    /// Returns the path to the first malformed or missing field and what
+    /// is wrong with it.
     pub fn from_json(doc: &Json) -> Result<Checkpoint, String> {
-        let schema = str_field(get(doc, "checkpoint")?)?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(format!("unsupported checkpoint schema `{schema}`"));
+        let doc = Node::root("checkpoint", doc);
+        let schema = doc.field("checkpoint")?;
+        let found = schema.str()?;
+        if found != CHECKPOINT_SCHEMA {
+            return schema.fail(format_args!("schema `{found}`, expected `{CHECKPOINT_SCHEMA}`"));
         }
-        let traffic = get(doc, "traffic")?;
-        let rng_words = uint_vec(get(traffic, "rng")?)?;
-        let rng: [u64; 4] =
-            rng_words.try_into().map_err(|_| "traffic rng must hold 4 words".to_string())?;
-        let peeked = match get(traffic, "peeked")? {
-            Json::Null => None,
-            j => {
-                let [at_ns, tenant, class] = items(j)? else {
-                    return Err("peeked arrival must be a 3-tuple".into());
-                };
+        let text = |key: &str| Ok::<_, String>(doc.field(key)?.str()?.to_string());
+        let traffic = doc.field("traffic")?;
+        let [r0, r1, r2, r3] = traffic.field("rng")?.tuple()?;
+        let peeked = match traffic.field("peeked")?.optional() {
+            None => None,
+            Some(arrival) => {
+                let [at_ns, tenant, class] = arrival.tuple()?;
                 Some(Arrival {
-                    at_ns: uint(at_ns)?,
-                    tenant: uint(tenant)? as usize,
-                    class: uint(class)? as u16,
+                    at_ns: at_ns.int()?,
+                    tenant: tenant.int()?,
+                    class: class_from(class)?,
                 })
             }
         };
-        let admission = items(get(doc, "admission")?)?
-            .iter()
-            .map(|j| {
-                let [offered, admitted, cap, quota] = items(j)? else {
-                    return Err("admission counters must be a 4-tuple".to_string());
-                };
-                Ok(TenantAdmission {
-                    offered: uint(offered)?,
-                    admitted: uint(admitted)?,
-                    rejected_capacity: uint(cap)?,
-                    rejected_quota: uint(quota)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let retries = items(get(doc, "retries")?)?
-            .iter()
-            .map(|j| {
-                let [ready_at, attempt, req] = items(j)? else {
-                    return Err("a retry must be a 3-tuple".to_string());
-                };
-                Ok(RetryEntry {
-                    ready_at: uint(ready_at)?,
-                    attempt: uint(attempt)? as u32,
-                    req: request_from(req)?,
-                })
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let splits = items(get(doc, "splits")?)?
-            .iter()
-            .map(LatencySplit::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
-        let timeline_node = get(doc, "timeline")?;
-        let timeline = ExecutionTimeline {
-            to_dpu_ns: f64::from_bits(uint(get(timeline_node, "to_dpu_bits")?)?),
-            kernel_ns: f64::from_bits(uint(get(timeline_node, "kernel_bits")?)?),
-            from_dpu_ns: f64::from_bits(uint(get(timeline_node, "from_dpu_bits")?)?),
-            launches: uint(get(timeline_node, "launches")?)? as u32,
-            // The serving loop prices rounds itself; the overlapped wall
-            // clock is derived per round and never checkpointed.
-            end_ns: 0.0,
-        };
-        let seen = items(get(doc, "seen")?)?
-            .iter()
-            .map(|c| Ok(uint_vec(c)?.into_iter().map(|s| s as u16).collect()))
-            .collect::<Result<Vec<Vec<u16>>, String>>()?;
-        let active_outages = items(get(doc, "active_outages")?)?
-            .iter()
-            .map(|j| {
-                let [rank, until] = items(j)? else {
-                    return Err("an active outage must be a pair".to_string());
-                };
-                Ok((uint(rank)? as u32, uint(until)?))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let fault_counts_vec = uint_vec(get(doc, "fault_counts")?)?;
-        let fault_counts: [u64; 3] = fault_counts_vec
-            .try_into()
-            .map_err(|_| "fault_counts must hold 3 entries".to_string())?;
+        let timeline = doc.field("timeline")?;
+        let bits = |key: &str| Ok::<_, String>(f64::from_bits(timeline.field(key)?.int()?));
+        let [transient, stuck, rank_offline] = doc.field("fault_counts")?.tuple()?;
         Ok(Checkpoint {
-            scenario: str_field(get(doc, "scenario")?)?.to_string(),
-            policy: str_field(get(doc, "policy")?)?.to_string(),
-            seed: uint(get(doc, "seed")?)?,
-            load_bits: uint(get(doc, "load_bits")?)?,
-            duration_ns: uint(get(doc, "duration_ns")?)?,
-            faults: str_field(get(doc, "faults")?)?.to_string(),
-            channel: str_field(get(doc, "channel")?)?.to_string(),
-            vtime: uint(get(doc, "vtime")?)?,
-            rounds: uint(get(doc, "rounds")?)?,
-            next_id: uint(get(doc, "next_id")?)?,
-            traffic: TrafficState { rng, t_ns: uint(get(traffic, "t_ns")?)?, peeked },
-            queue: items(get(doc, "queue")?)?
-                .iter()
-                .map(request_from)
-                .collect::<Result<Vec<_>, String>>()?,
-            admission,
-            retries,
-            completed: uint_vec(get(doc, "completed")?)?,
-            failed: uint_vec(get(doc, "failed")?)?,
-            retried: uint_vec(get(doc, "retried")?)?,
-            degraded: uint_vec(get(doc, "degraded")?)?,
-            splits,
-            timeline,
-            policy_state: get(doc, "policy_state")?.clone(),
-            seen,
-            outage_cursor: uint(get(doc, "outage_cursor")?)? as usize,
-            active_outages,
-            fault_counts,
+            scenario: text("scenario")?,
+            policy: text("policy")?,
+            seed: doc.field("seed")?.int()?,
+            load_bits: doc.field("load_bits")?.int()?,
+            duration_ns: doc.field("duration_ns")?.int()?,
+            faults: text("faults")?,
+            channel: text("channel")?,
+            vtime: doc.field("vtime")?.int()?,
+            rounds: doc.field("rounds")?.int()?,
+            next_id: doc.field("next_id")?.int()?,
+            traffic: TrafficState {
+                rng: [r0.int()?, r1.int()?, r2.int()?, r3.int()?],
+                t_ns: traffic.field("t_ns")?.int()?,
+                peeked,
+            },
+            queue: doc.field("queue")?.list(request_from)?,
+            admission: doc.field("admission")?.list(|j| {
+                let [offered, admitted, capacity, quota] = j.tuple()?;
+                Ok(TenantAdmission {
+                    offered: offered.int()?,
+                    admitted: admitted.int()?,
+                    rejected_capacity: capacity.int()?,
+                    rejected_quota: quota.int()?,
+                })
+            })?,
+            retries: doc.field("retries")?.list(|j| {
+                let [ready_at, attempt, req] = j.tuple()?;
+                let (ready_at, attempt) = (ready_at.int()?, attempt.int()?);
+                Ok(RetryEntry { ready_at, attempt, req: request_from(req)? })
+            })?,
+            completed: doc.field("completed")?.list(Node::int)?,
+            failed: doc.field("failed")?.list(Node::int)?,
+            retried: doc.field("retried")?.list(Node::int)?,
+            degraded: doc.field("degraded")?.list(Node::int)?,
+            splits: doc.field("splits")?.list(LatencySplit::from_json)?,
+            timeline: ExecutionTimeline {
+                to_dpu_ns: bits("to_dpu_bits")?,
+                kernel_ns: bits("kernel_bits")?,
+                from_dpu_ns: bits("from_dpu_bits")?,
+                launches: timeline.field("launches")?.int()?,
+                // The serving loop prices rounds itself; the overlapped wall
+                // clock is derived per round and never checkpointed.
+                end_ns: 0.0,
+            },
+            policy_state: doc.field("policy_state")?.json().clone(),
+            seen: doc.field("seen")?.list(|j| {
+                let slots = j.list(|slot| match slot.int()? {
+                    EMPTY_SLOT => Ok(EMPTY_SLOT),
+                    _ => class_from(slot),
+                })?;
+                Composition::try_from(slots).or_else(|slots| {
+                    let found = slots.len();
+                    j.fail(format_args!("{found} slots, a composition has {SLOTS_PER_DPU}"))
+                })
+            })?,
+            outage_cursor: doc.field("outage_cursor")?.int()?,
+            active_outages: doc.field("active_outages")?.list(|j| {
+                let [rank, until] = j.tuple()?;
+                Ok((rank.int()?, until.int()?))
+            })?,
+            fault_counts: [transient.int()?, stuck.int()?, rank_offline.int()?],
         })
     }
 
-    /// Checks that this checkpoint belongs to the run described by
-    /// `(scenario, policy, seed, load, duration_ns, faults, channel)` —
-    /// resuming under different knobs would silently produce a
-    /// Franken-run, so every identity field must match.
+    /// Checks that the run `(scenario, opts)` describes is the one that cut
+    /// this checkpoint — the fit half of reading one back, which
+    /// [`crate::resume_scenario`] makes before it simulates anything.
+    /// Every identity field matches (resuming under different knobs would
+    /// silently produce a Franken-run), every per-tenant array, the policy
+    /// state included, has the scenario's tenants, and every tenant or
+    /// rank a request or an outage names exists in that run.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the first mismatching field.
-    #[allow(clippy::too_many_arguments)]
-    pub fn validate(
-        &self,
-        scenario: &str,
-        policy: &str,
-        seed: u64,
-        load: f64,
-        duration_ns: u64,
-        faults: &str,
-        channel: &str,
-    ) -> Result<(), String> {
-        let check = |name: &str, got: &str, want: &str| {
+    /// Returns the path of the first field that does not fit, its value
+    /// and what the run has there.
+    pub fn fit(&self, scenario: &Scenario, opts: &ServeOptions) -> Result<(), String> {
+        fn misfit<T>(at: impl Display, got: impl Display, want: impl Display) -> Result<T, String> {
+            Err(format!("checkpoint.{at}: {got}, this run has {want}"))
+        }
+        fn same<T: PartialEq + Display>(key: &str, got: T, want: T) -> Result<(), String> {
             if got == want {
-                Ok(())
-            } else {
-                Err(format!("checkpoint {name} is `{got}` but the run wants `{want}`"))
+                return Ok(());
             }
-        };
-        check("scenario", &self.scenario, scenario)?;
-        check("policy", &self.policy, policy)?;
-        check("faults", &self.faults, faults)?;
-        check("channel", &self.channel, channel)?;
-        if self.seed != seed {
-            return Err(format!("checkpoint seed is {} but the run wants {seed}", self.seed));
+            misfit(key, format_args!("`{got}`"), format_args!("`{want}`"))
         }
-        if self.load_bits != load.to_bits() {
-            return Err(format!(
-                "checkpoint load is {} but the run wants {load}",
-                f64::from_bits(self.load_bits)
-            ));
+        let mut policy = new_policy(scenario, opts)?;
+        same("scenario", self.scenario.as_str(), scenario.name)?;
+        same("policy", self.policy.as_str(), policy.name())?;
+        same("seed", self.seed, opts.seed)?;
+        same("load_bits", f64::from_bits(self.load_bits), opts.load)?;
+        same("duration_ns", self.duration_ns, resolved_duration_ns(scenario, opts))?;
+        same("faults", self.faults.as_str(), fault_label(opts).as_str())?;
+        same("channel", self.channel.as_str(), opts.channel.label())?;
+        let tenants = scenario.tenants.len();
+        for (key, len) in [
+            ("admission", self.admission.len()),
+            ("completed", self.completed.len()),
+            ("failed", self.failed.len()),
+            ("retried", self.retried.len()),
+            ("degraded", self.degraded.len()),
+            ("splits", self.splits.len()),
+        ] {
+            if len != tenants {
+                return misfit(key, format_args!("{len} tenants"), tenants);
+            }
         }
-        if self.duration_ns != duration_ns {
-            return Err(format!(
-                "checkpoint duration is {} ns but the run wants {duration_ns} ns",
-                self.duration_ns
-            ));
+        // A request is `[id, tenant, ..]`, an arrival `[at, tenant, ..]`.
+        let queued = self.queue.iter().enumerate().map(|(i, r)| ("queue", i, "", r.tenant));
+        let retries = self.retries.iter().enumerate();
+        let retried = retries.map(|(i, e)| ("retries", i, "[2]", e.req.tenant));
+        if let Some((list, i, req, tenant)) = queued.chain(retried).find(|t| t.3 >= tenants) {
+            let at = format_args!("{list}[{i}]{req}[1]");
+            return misfit(at, format_args!("tenant {tenant}"), tenants);
         }
-        Ok(())
+        if let Some(a) = self.traffic.peeked.filter(|a| a.tenant >= tenants) {
+            return misfit("traffic.peeked[1]", format_args!("tenant {}", a.tenant), tenants);
+        }
+        let spec = opts.faults.unwrap_or_else(FaultSpec::none);
+        let ranks = spec.n_ranks(scenario.n_dpus);
+        if let Some(i) = self.active_outages.iter().position(|&(rank, _)| rank >= ranks) {
+            let got = format_args!("rank {}", self.active_outages[i].0);
+            return misfit(format_args!("active_outages[{i}][0]"), got, ranks);
+        }
+        if u32::try_from(self.outage_cursor).map_or(true, |cursor| cursor > spec.outages) {
+            let want = format_args!("{} outages", spec.outages);
+            return misfit("outage_cursor", self.outage_cursor, want);
+        }
+        policy.restore(Node::root("checkpoint.policy_state", &self.policy_state))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use pimulator::pim_host::ChannelMode;
+
     use super::*;
+    use crate::scenario::scenario_by_name;
 
     fn sample() -> Checkpoint {
         let mut split = LatencySplit::default();
         split.record(10, 20, 30);
         Checkpoint {
             scenario: "faulty".into(),
-            policy: "fifo".into(),
+            policy: "weighted_fair".into(),
             seed: 7,
             load_bits: 1.5f64.to_bits(),
             duration_ns: 5_000_000,
-            faults: "seed=1,transient=5,stuck=0,timeout_us=200,retries=3,backoff_us=50,outages=0,outage_ms=1,rank_dpus=64".into(),
+            faults: "seed=1,transient=5,stuck=0,timeout_us=200,retries=3,backoff_us=50,outages=2,outage_ms=1,rank_dpus=4".into(),
             channel: "blocking".into(),
             vtime: 123_456,
             rounds: 17,
@@ -463,7 +444,7 @@ mod tests {
             // Canonical snapshot shape: non-negative credits are UInt
             // (what JSON text parses back to), negatives stay Int.
             policy_state: Json::arr([Json::UInt(3), Json::from(-1i64)]),
-            seen: vec![vec![0, 1, 65535, 65535], vec![2, 2, 2, 2]],
+            seen: vec![[0, 1, 65535, 65535], [2, 2, 2, 2]],
             outage_cursor: 1,
             active_outages: vec![(1, 2_000_000)],
             fault_counts: [5, 2, 8],
@@ -494,21 +475,33 @@ mod tests {
     }
 
     #[test]
-    fn validate_catches_every_identity_mismatch() {
+    fn fit_catches_every_identity_mismatch() {
         let ck = sample();
-        let ok = ck.validate("faulty", "fifo", 7, 1.5, 5_000_000, &ck.faults, "blocking");
+        let faulty = scenario_by_name("faulty").unwrap();
+        let run = ServeOptions {
+            seed: 7,
+            load: 1.5,
+            duration_ms: 5,
+            policy: Some("weighted_fair".into()),
+            faults: Some(FaultSpec::parse(&ck.faults).unwrap()),
+            ..ServeOptions::default()
+        };
+        let ok = ck.fit(faulty, &run);
         assert!(ok.is_ok(), "{ok:?}");
-        assert!(ck.validate("tiny", "fifo", 7, 1.5, 5_000_000, &ck.faults, "blocking").is_err());
-        assert!(ck
-            .validate("faulty", "size_class", 7, 1.5, 5_000_000, &ck.faults, "blocking")
-            .is_err());
-        assert!(ck.validate("faulty", "fifo", 8, 1.5, 5_000_000, &ck.faults, "blocking").is_err());
-        assert!(ck.validate("faulty", "fifo", 7, 2.0, 5_000_000, &ck.faults, "blocking").is_err());
-        assert!(ck.validate("faulty", "fifo", 7, 1.5, 9, &ck.faults, "blocking").is_err());
-        assert!(ck.validate("faulty", "fifo", 7, 1.5, 5_000_000, "none", "blocking").is_err());
-        let err =
-            ck.validate("faulty", "fifo", 7, 1.5, 5_000_000, &ck.faults, "overlapped").unwrap_err();
-        assert!(err.contains("channel"), "{err}");
+        let err = ck.fit(scenario_by_name("tiny").unwrap(), &run).unwrap_err();
+        assert!(err.contains("checkpoint.scenario") && err.contains("`tiny`"), "{err}");
+        // One option off at a time: the message names the field.
+        for (key, other) in [
+            ("policy", ServeOptions { policy: Some("size_class".into()), ..run.clone() }),
+            ("seed", ServeOptions { seed: 8, ..run.clone() }),
+            ("load_bits", ServeOptions { load: 2.0, ..run.clone() }),
+            ("duration_ns", ServeOptions { duration_ms: 9, ..run.clone() }),
+            ("faults", ServeOptions { faults: None, ..run.clone() }),
+            ("channel", ServeOptions { channel: ChannelMode::Overlapped, ..run.clone() }),
+        ] {
+            let err = ck.fit(faulty, &other).unwrap_err();
+            assert!(err.starts_with(&format!("checkpoint.{key}: ")), "{key}: {err}");
+        }
     }
 
     #[test]

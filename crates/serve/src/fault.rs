@@ -88,6 +88,13 @@ impl FaultSpec {
         self.transient_per_mille == 0 && self.stuck_per_mille == 0 && self.outages == 0
     }
 
+    /// Ranks a system of `n_dpus` falls into under this spec's rank
+    /// geometry (a partial last rank counts; never zero).
+    #[must_use]
+    pub fn n_ranks(&self, n_dpus: u32) -> u32 {
+        n_dpus.div_ceil(self.dpus_per_rank).max(1)
+    }
+
     /// Parses the CLI `--faults` string: comma-separated `key=value`
     /// pairs over the defaults. Keys: `seed`, `transient`, `stuck`
     /// (per-mille rates), `timeout_us`, `retries`, `backoff_us`,
@@ -190,7 +197,7 @@ impl FaultPlan {
     /// sorted by onset, so the loop walks them with a cursor.
     #[must_use]
     pub fn generate(spec: FaultSpec, n_dpus: u32, duration_ns: u64) -> FaultPlan {
-        let n_ranks = n_dpus.div_ceil(spec.dpus_per_rank).max(1);
+        let n_ranks = spec.n_ranks(n_dpus);
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut outages: Vec<Outage> = (0..spec.outages)
             .map(|_| {

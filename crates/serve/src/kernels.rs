@@ -18,7 +18,7 @@ use std::collections::btree_map::{BTreeMap, Entry};
 
 use pimulator::pim_asm::{KernelBuilder, LinkOptions};
 use pimulator::pim_dpu::{colocate, Colocated, DpuConfig, SimError, Tenant};
-use pimulator::pim_host::{PimSystem, TransferConfig};
+use pimulator::pim_host::{ChannelConfig, PimSystem};
 use pimulator::pim_isa::{Cond, MemLayout};
 use pimulator::trace::JobTrace;
 
@@ -402,7 +402,7 @@ pub fn profile_composition(
     if trace_capacity > 0 {
         sim_cfg = sim_cfg.with_event_trace(trace_capacity);
     }
-    let mut sys = PimSystem::new(1, sim_cfg, TransferConfig::paper());
+    let mut sys = PimSystem::new(1, sim_cfg, ChannelConfig::paper());
     for (slot, &c) in comp.iter().enumerate() {
         if c != EMPTY_SLOT {
             let input = vec![0u8; classes[c as usize].input_bytes as usize];

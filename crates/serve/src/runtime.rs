@@ -51,7 +51,8 @@
 //!
 //! [`run_scenario_with_checkpoints`] emits a [`Checkpoint`] at the top
 //! of the loop each time virtual time crosses a multiple of the cadence;
-//! [`resume_scenario`] rebuilds the loop state from one and continues.
+//! [`resume_scenario`] rebuilds the loop state from one that fits the run
+//! ([`Checkpoint::fit`]) and continues.
 //! Because the cut is taken before any event at that virtual time is
 //! processed, a resumed run replays the identical event sequence and
 //! renders byte-identical results JSON.
@@ -62,6 +63,7 @@ use pimulator::jobs::JobRunner;
 use pimulator::pim_dpu::{DpuConfig, FaultKind, SimError};
 use pimulator::pim_host::{ChannelMode, ExecutionTimeline, TransferConfig};
 use pimulator::pim_trace::MetricsSink;
+use pimulator::report::Node;
 use pimulator::trace::JobTrace;
 
 use crate::checkpoint::{Checkpoint, RetryEntry};
@@ -262,29 +264,27 @@ impl ServeOutcome {
 }
 
 /// The run length in ns after applying the scenario default.
-#[must_use]
-pub fn resolved_duration_ns(scenario: &Scenario, opts: &ServeOptions) -> u64 {
+pub(crate) fn resolved_duration_ns(scenario: &Scenario, opts: &ServeOptions) -> u64 {
     let ms = if opts.duration_ms > 0 { opts.duration_ms } else { scenario.default_duration_ms };
     ms * 1_000_000
 }
 
-/// The policy name that will run (after any override).
-#[must_use]
-pub fn resolved_policy_name<'a>(scenario: &'a Scenario, opts: &'a ServeOptions) -> &'a str {
-    opts.policy.as_deref().unwrap_or(scenario.policy)
+/// The policy that will run (the override, else the scenario's), sized
+/// for the scenario's tenants.
+pub(crate) fn new_policy(
+    scenario: &Scenario,
+    opts: &ServeOptions,
+) -> Result<Box<dyn SchedulerPolicy>, String> {
+    let weights: Vec<u64> = scenario.tenants.iter().map(|t| u64::from(t.weight)).collect();
+    let name = opts.policy.as_deref().unwrap_or(scenario.policy);
+    policy_by_name_with_weights(name, &weights)
+        .ok_or_else(|| format!("unknown scheduling policy {name}"))
 }
 
 /// The canonical fault label of a run (`"none"` without a campaign —
 /// also for an explicit all-zero spec, so the two render identically).
-#[must_use]
-pub fn fault_label(opts: &ServeOptions) -> String {
+pub(crate) fn fault_label(opts: &ServeOptions) -> String {
     opts.faults.map_or_else(|| "none".to_string(), |s| s.label())
-}
-
-/// The canonical channel-mode label of a run.
-#[must_use]
-pub fn channel_label(opts: &ServeOptions) -> &'static str {
-    opts.channel.label()
 }
 
 /// The live state of one serving run between rounds — everything a
@@ -311,17 +311,15 @@ struct LoopState {
 
 impl LoopState {
     fn new(scenario: &Scenario, opts: &ServeOptions, duration_ns: u64) -> Self {
-        let weights: Vec<u64> = scenario.tenants.iter().map(|t| u64::from(t.weight)).collect();
-        let policy_name = resolved_policy_name(scenario, opts);
-        let policy = policy_by_name_with_weights(policy_name, &weights)
-            .unwrap_or_else(|| panic!("unknown scheduling policy {policy_name}"));
-        let quotas: Vec<usize> = scenario.tenants.iter().map(|t| t.quota).collect();
         let n = scenario.tenants.len();
         LoopState {
             gen: TrafficGen::new(scenario, opts.seed, opts.load, duration_ns),
             next_id: 0,
-            queue: AdmissionQueue::new(scenario.queue_capacity, quotas),
-            policy,
+            queue: AdmissionQueue::new(
+                scenario.queue_capacity,
+                scenario.tenants.iter().map(|t| t.quota).collect(),
+            ),
+            policy: new_policy(scenario, opts).unwrap_or_else(|e| panic!("{e}")),
             retries: Vec::new(),
             splits: vec![LatencySplit::default(); n],
             completed: vec![0; n],
@@ -338,50 +336,27 @@ impl LoopState {
         }
     }
 
+    /// The state `ck` was cut from, if [`Checkpoint::fit`] finds that it
+    /// belongs to this run.
     fn from_checkpoint(
         scenario: &Scenario,
         opts: &ServeOptions,
         duration_ns: u64,
         ck: &Checkpoint,
     ) -> Result<Self, String> {
-        let n = scenario.tenants.len();
-        for (label, len) in [
-            ("admission", ck.admission.len()),
-            ("completed", ck.completed.len()),
-            ("failed", ck.failed.len()),
-            ("retried", ck.retried.len()),
-            ("degraded", ck.degraded.len()),
-            ("splits", ck.splits.len()),
-        ] {
-            if len != n {
-                return Err(format!("checkpoint {label} holds {len} tenants, scenario has {n}"));
-            }
-        }
-        let weights: Vec<u64> = scenario.tenants.iter().map(|t| u64::from(t.weight)).collect();
-        let policy_name = resolved_policy_name(scenario, opts);
-        let mut policy = policy_by_name_with_weights(policy_name, &weights)
-            .ok_or_else(|| format!("unknown scheduling policy {policy_name}"))?;
-        policy.restore(&ck.policy_state)?;
-        let quotas: Vec<usize> = scenario.tenants.iter().map(|t| t.quota).collect();
-        let seen = ck
-            .seen
-            .iter()
-            .map(|c| {
-                Composition::try_from(c.as_slice()).map_err(|_| {
-                    format!("checkpoint composition holds {} slots, not {SLOTS_PER_DPU}", c.len())
-                })
-            })
-            .collect::<Result<_, _>>()?;
+        ck.fit(scenario, opts)?;
+        let mut policy = new_policy(scenario, opts)?;
+        policy.restore(Node::root("checkpoint.policy_state", &ck.policy_state))?;
         Ok(LoopState {
+            policy,
             gen: TrafficGen::restore(scenario, opts.load, duration_ns, &ck.traffic),
             next_id: ck.next_id,
             queue: AdmissionQueue::restore(
                 scenario.queue_capacity,
-                quotas,
+                scenario.tenants.iter().map(|t| t.quota).collect(),
                 ck.queue.clone(),
                 ck.admission.clone(),
             ),
-            policy,
             retries: ck.retries.clone(),
             splits: ck.splits.clone(),
             completed: ck.completed.clone(),
@@ -391,7 +366,7 @@ impl LoopState {
             timeline: ck.timeline,
             rounds: ck.rounds,
             vtime: ck.vtime,
-            seen,
+            seen: ck.seen.iter().copied().collect(),
             outage_cursor: ck.outage_cursor,
             active_outages: ck.active_outages.clone(),
             fault_counts: ck.fault_counts,
@@ -411,7 +386,7 @@ impl LoopState {
             load_bits: opts.load.to_bits(),
             duration_ns,
             faults: fault_label(opts),
-            channel: channel_label(opts).to_string(),
+            channel: opts.channel.label().to_string(),
             vtime: self.vtime,
             rounds: self.rounds,
             next_id: self.next_id,
@@ -426,7 +401,7 @@ impl LoopState {
             splits: self.splits.clone(),
             timeline: self.timeline,
             policy_state: self.policy.snapshot(),
-            seen: self.seen.iter().map(|c| c.to_vec()).collect(),
+            seen: self.seen.iter().copied().collect(),
             outage_cursor: self.outage_cursor,
             active_outages: self.active_outages.clone(),
             fault_counts: self.fault_counts,
@@ -476,31 +451,32 @@ pub fn run_scenario_with_checkpoints(
     run_loop(scenario, opts, duration_ns, st, every_ms, sink)
 }
 
-/// Continues a run from a [`Checkpoint`] to completion. The caller is
-/// expected to [`Checkpoint::validate`] against the run's identity
-/// first; `every_ms`/`sink` behave as in
-/// [`run_scenario_with_checkpoints`].
+/// Continues a run from a [`Checkpoint`] to completion, after checking
+/// that the run is the one that cut it ([`Checkpoint::fit`]).
+/// `every_ms`/`sink` behave as in [`run_scenario_with_checkpoints`].
 ///
 /// # Errors
 ///
-/// Propagates a [`SimError`] from composition profiling.
+/// Returns [`Checkpoint::fit`]'s message for a checkpoint of another run
+/// (nothing has been simulated then), and a [`SimError`] from composition
+/// profiling rendered as `simulation fault: …`.
 ///
 /// # Panics
 ///
-/// Panics if the checkpoint is structurally incompatible with the
-/// scenario (wrong tenant count, foreign policy state) — identity
-/// mismatches the caller should have caught via [`Checkpoint::validate`].
+/// Panics if the load multiplier is not positive; the CLI layer
+/// validates it before calling.
 pub fn resume_scenario(
     scenario: &Scenario,
     opts: &ServeOptions,
     ck: &Checkpoint,
     every_ms: u64,
     sink: &mut dyn FnMut(&Checkpoint),
-) -> Result<ServeOutcome, SimError> {
+) -> Result<ServeOutcome, String> {
     let duration_ns = resolved_duration_ns(scenario, opts);
     let st = LoopState::from_checkpoint(scenario, opts, duration_ns, ck)
-        .unwrap_or_else(|e| panic!("checkpoint does not fit the run: {e}"));
+        .map_err(|why| format!("checkpoint does not fit this run: {why}"))?;
     run_loop(scenario, opts, duration_ns, st, every_ms, sink)
+        .map_err(|err| format!("simulation fault: {err}"))
 }
 
 /// One occupied DPU's share of a dispatch round.
@@ -866,7 +842,7 @@ fn run_loop(
         duration_ns,
         n_dpus: scenario.n_dpus,
         faults: fault_label(opts),
-        channel: channel_label(opts),
+        channel: opts.channel.label(),
         tenants,
         timeline: st.timeline,
         metrics,
@@ -879,6 +855,8 @@ fn run_loop(
 
 #[cfg(test)]
 mod tests {
+    use pimulator::report::Json;
+
     use super::*;
     use crate::scenario::scenario_by_name;
 
@@ -953,14 +931,16 @@ mod tests {
     fn a_checkpoint_with_a_misshapen_composition_does_not_resume() {
         let s = scenario_by_name("tiny").unwrap();
         let mut cuts = Vec::new();
-        let out =
-            run_scenario_with_checkpoints(s, &opts(1), 1, &mut |ck| cuts.push(ck.clone())).unwrap();
-        let ck = cuts.last_mut().expect("a 2 ms run cuts at 1 ms");
+        run_scenario_with_checkpoints(s, &opts(1), 1, &mut |ck| cuts.push(ck.to_json().render()))
+            .unwrap();
+        let text = cuts.last().expect("a 2 ms run cuts at 1 ms");
+        let decode = |text: &str| Checkpoint::from_json(&Json::parse(text).unwrap());
+        let ck = decode(text).unwrap();
         assert!(!ck.seen.is_empty());
-        assert!(LoopState::from_checkpoint(s, &opts(1), out.duration_ns, ck).is_ok());
-        ck.seen[0].push(EMPTY_SLOT);
-        let err = LoopState::from_checkpoint(s, &opts(1), out.duration_ns, ck).err().unwrap();
-        assert!(err.contains("5 slots"), "{err}");
+        assert!(resume_scenario(s, &opts(1), &ck, 0, &mut |_| {}).is_ok());
+        let wide = text.replacen("\"seen\":[[", "\"seen\":[[65535,", 1);
+        let err = decode(&wide).unwrap_err();
+        assert!(err.starts_with("checkpoint.seen[0]: 5 slots"), "{err}");
     }
 
     #[test]

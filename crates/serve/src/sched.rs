@@ -6,7 +6,7 @@
 //! admission stays FIFO — and must be deterministic: same queue state in,
 //! same batch out.
 
-use pimulator::report::Json;
+use pimulator::report::{Json, Node};
 
 use crate::queue::{AdmissionQueue, Request};
 
@@ -32,10 +32,10 @@ pub trait SchedulerPolicy {
     /// # Errors
     ///
     /// Returns a message when the snapshot does not match the policy.
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        match state {
-            Json::Null => Ok(()),
-            _ => Err(format!("policy {} is stateless but the snapshot is not null", self.name())),
+    fn restore(&mut self, state: Node<'_>) -> Result<(), String> {
+        match state.optional() {
+            None => Ok(()),
+            Some(s) => s.fail(format_args!("{} keeps no state, expected null", self.name())),
         }
     }
 }
@@ -146,26 +146,13 @@ impl SchedulerPolicy for WeightedFair {
         }))
     }
 
-    fn restore(&mut self, state: &Json) -> Result<(), String> {
-        let Json::Arr(items) = state else {
-            return Err("weighted_fair snapshot must be an array of credits".into());
-        };
-        if items.len() != self.credit.len() {
-            return Err(format!(
-                "weighted_fair snapshot has {} credits for {} tenants",
-                items.len(),
-                self.credit.len()
-            ));
+    fn restore(&mut self, state: Node<'_>) -> Result<(), String> {
+        let credits: Vec<i64> = state.list(Node::int)?;
+        if credits.len() != self.credit.len() {
+            let (found, tenants) = (credits.len(), self.credit.len());
+            return state.fail(format_args!("{found} credits for {tenants} tenants"));
         }
-        for (slot, item) in self.credit.iter_mut().zip(items) {
-            *slot = match *item {
-                Json::Int(i) => i,
-                Json::UInt(u) => {
-                    i64::try_from(u).map_err(|_| "weighted_fair credit out of range".to_string())?
-                }
-                _ => return Err("weighted_fair credits must be integers".into()),
-            };
-        }
+        self.credit = credits;
         Ok(())
     }
 }
@@ -258,11 +245,11 @@ mod tests {
         let state = wf.snapshot();
         let mut q2 = q.clone();
         let mut restored = WeightedFair::new(vec![3, 1]);
-        restored.restore(&state).unwrap();
+        restored.restore(Node::root("state", &state)).unwrap();
         assert_eq!(drain(&mut restored, &mut q2, 16), drain(&mut wf, &mut q, 16));
         // Mismatched snapshots are rejected, not silently accepted.
-        assert!(WeightedFair::new(vec![1]).restore(&state).is_err());
-        assert!(restored.restore(&Json::from("nope")).is_err());
+        assert!(WeightedFair::new(vec![1]).restore(Node::root("state", &state)).is_err());
+        assert!(restored.restore(Node::root("state", &Json::from("nope"))).is_err());
     }
 
     #[test]
@@ -285,8 +272,8 @@ mod tests {
     fn stateless_policies_snapshot_null() {
         assert_eq!(Fifo.snapshot(), Json::Null);
         let mut f = Fifo;
-        assert!(f.restore(&Json::Null).is_ok());
-        assert!(f.restore(&Json::from(1u64)).is_err());
+        assert!(f.restore(Node::root("state", &Json::Null)).is_ok());
+        assert!(f.restore(Node::root("state", &Json::from(1u64))).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! lower bound of the containing bucket, which keeps them deterministic
 //! and conservative.
 
-use pimulator::report::Json;
+use pimulator::report::{Json, Node};
 
 /// Sub-buckets per octave (power of two).
 const SUBS: u64 = 4;
@@ -150,36 +150,26 @@ impl LatencyHistogram {
     ///
     /// Returns a message on a malformed snapshot (wrong shape, a bucket
     /// index out of range, or counts that do not sum to the total).
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let Json::Arr(items) = j else { return Err("histogram snapshot must be an array".into()) };
-        let uint = |j: &Json| -> Result<u64, String> {
-            match *j {
-                Json::UInt(u) => Ok(u),
-                _ => Err("histogram snapshot fields must be unsigned integers".into()),
-            }
-        };
+    pub fn from_json(j: Node<'_>) -> Result<Self, String> {
+        let items = j.list(Ok)?;
         let [total, sum_ns, max_ns, buckets @ ..] = items.as_slice() else {
-            return Err("histogram snapshot is too short".into());
+            return j.fail("a histogram starts with total, sum_ns and max_ns");
         };
         let mut h = LatencyHistogram {
-            total: uint(total)?,
-            sum_ns: uint(sum_ns)?,
-            max_ns: uint(max_ns)?,
+            total: total.int()?,
+            sum_ns: sum_ns.int()?,
+            max_ns: max_ns.int()?,
             ..LatencyHistogram::default()
         };
-        for pair in buckets {
-            let Json::Arr(p) = pair else { return Err("histogram bucket must be a pair".into()) };
-            let [idx, count] = p.as_slice() else {
-                return Err("histogram bucket must be a pair".into());
+        for bucket in buckets {
+            let [idx, count] = bucket.tuple()?;
+            let Some(slot) = h.counts.get_mut(idx.int::<usize>()?) else {
+                return idx.fail(format_args!("a histogram has {BUCKETS} buckets"));
             };
-            let idx = uint(idx)? as usize;
-            if idx >= BUCKETS {
-                return Err(format!("histogram bucket index {idx} out of range"));
-            }
-            h.counts[idx] = uint(count)?;
+            *slot = count.int()?;
         }
-        if h.counts.iter().sum::<u64>() != h.total {
-            return Err("histogram bucket counts do not sum to the total".into());
+        if h.counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c)) != Some(h.total) {
+            return j.fail("bucket counts do not sum to the total");
         }
         Ok(h)
     }
@@ -233,11 +223,8 @@ impl LatencySplit {
     /// # Errors
     ///
     /// Returns a message on a malformed snapshot.
-    pub fn from_json(j: &Json) -> Result<Self, String> {
-        let Json::Arr(phases) = j else { return Err("split snapshot must be an array".into()) };
-        let [queue, transfer, execute, total] = phases.as_slice() else {
-            return Err("split snapshot must hold four phases".into());
-        };
+    pub fn from_json(j: Node<'_>) -> Result<Self, String> {
+        let [queue, transfer, execute, total] = j.tuple()?;
         Ok(LatencySplit {
             queue: LatencyHistogram::from_json(queue)?,
             transfer: LatencyHistogram::from_json(transfer)?,
@@ -330,7 +317,8 @@ mod tests {
             s.record(v, v * 2, v * 3);
         }
         let text = s.to_json().render_pretty();
-        let back = LatencySplit::from_json(&Json::parse(&text).unwrap()).unwrap();
+        let doc = Json::parse(&text).unwrap();
+        let back = LatencySplit::from_json(Node::root("split", &doc)).unwrap();
         for (a, b) in [
             (&s.queue, &back.queue),
             (&s.transfer, &back.transfer),
@@ -349,14 +337,26 @@ mod tests {
     fn histogram_from_json_rejects_corruption() {
         let mut h = LatencyHistogram::new();
         h.record(100);
-        assert!(LatencyHistogram::from_json(&Json::Null).is_err());
-        assert!(LatencyHistogram::from_json(&Json::arr([Json::from(1u64)])).is_err());
-        // A count that disagrees with the total is caught.
-        let mut bad = h.to_json();
-        if let Json::Arr(items) = &mut bad {
-            items[0] = Json::from(99u64);
-        }
-        assert!(LatencyHistogram::from_json(&bad).is_err());
+        let decode = |j: &Json| LatencyHistogram::from_json(Node::root("h", j));
+        assert!(decode(&Json::Null).is_err());
+        assert!(decode(&Json::arr([Json::from(1u64)])).is_err());
+        // `h` renders as `[1, 100, 100, [bucket, 1]]`.
+        let edited = |edit: &dyn Fn(&mut Vec<Json>)| {
+            let mut doc = h.to_json();
+            let Json::Arr(items) = &mut doc else { panic!("a histogram renders as an array") };
+            edit(items);
+            decode(&doc).unwrap_err()
+        };
+        let pair = |idx: u64, count: u64| Json::arr([Json::from(idx), Json::from(count)]);
+        // A count that disagrees with the total is caught…
+        edited(&|items| items[0] = Json::from(99u64));
+        // …also when the counts only reach the total by wrapping around.
+        let err =
+            edited(&|items| items.splice(3.., [pair(0, u64::MAX), pair(1, 2)]).for_each(drop));
+        assert_eq!(err, "h: bucket counts do not sum to the total");
+        // A bucket past the end is named by where it sits.
+        let err = edited(&|items| items[3] = pair(BUCKETS as u64, 1));
+        assert!(err.starts_with("h[3][0]: "), "{err}");
     }
 
     #[test]

@@ -71,7 +71,7 @@ fn main() {
 
     // dpu_alloc + dpu_load
     let mut sys =
-        PimSystem::new(N_DPUS, DpuConfig::paper_baseline(N_TASKLETS), TransferConfig::paper());
+        PimSystem::new(N_DPUS, DpuConfig::paper_baseline(N_TASKLETS), ChannelConfig::paper());
     sys.load(&build_kernel()).expect("loads");
 
     // Partition and push inputs (dpu_push_xfer TO_DPU).

@@ -4,7 +4,7 @@
 use pim_bench::{experiment_by_name, run_experiment, DriverOptions};
 use pimulator::experiments::*;
 use pimulator::jobs::JobRunner;
-use pimulator::report::Json;
+use pimulator::report::Node;
 use prim_suite::DatasetSize;
 
 const N_WORKLOADS: usize = 16;
@@ -109,11 +109,8 @@ fn validation_sweep_passes_every_point_at_tiny() {
     let e = experiment_by_name("exp_validation").unwrap();
     let opts = DriverOptions { size: Some(DatasetSize::Tiny), ..DriverOptions::default() };
     let report = run_experiment(e, &opts).unwrap();
-    let Json::Obj(top) = &report.json else { panic!("document is an object") };
-    let Some((_, Json::Obj(summary))) = top.iter().find(|(k, _)| k == "summary") else {
-        panic!("document has a summary")
-    };
-    let get = |key: &str| summary.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone());
-    assert!(matches!(get("total"), Some(Json::UInt(n)) if n > 0));
-    assert_eq!(get("passed"), get("total"));
+    let summary = Node::root("exp_validation", &report.json).field("summary").unwrap();
+    let count = |key: &str| summary.field(key).and_then(Node::int::<u64>).unwrap();
+    assert!(count("total") > 0);
+    assert_eq!(count("passed"), count("total"));
 }

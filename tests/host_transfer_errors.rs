@@ -10,12 +10,12 @@
 
 use pim_asm::KernelBuilder;
 use pim_dpu::{DpuConfig, SimError};
-use pim_host::{PimSystem, TransferConfig};
+use pim_host::{ChannelConfig, PimSystem};
 
 const N_DPUS: u32 = 3;
 
 fn system() -> PimSystem {
-    PimSystem::new(N_DPUS, DpuConfig::paper_baseline(1), TransferConfig::default())
+    PimSystem::new(N_DPUS, DpuConfig::paper_baseline(1), ChannelConfig::paper())
 }
 
 #[test]

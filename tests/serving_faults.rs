@@ -16,11 +16,18 @@
 //! 4. **Degradation without deadlock** — rank outages shrink capacity
 //!    (and are visible in the `degraded` column) but the loop always
 //!    terminates, even when every rank is briefly offline.
+//! 5. **Corrupt checkpoints are refused, not run** — a real cut damaged
+//!    in one place either fails decode + fit with the path of the damage,
+//!    or is accepted unchanged; nothing is narrowed and nothing panics.
 
+mod common;
+
+use common::Damage;
 use pim_serve::{
     outcome_json, resume_scenario, run_scenario, run_scenario_with_checkpoints, scenario_by_name,
     Checkpoint, FaultSpec, ServeOptions,
 };
+use pimulator::pim_host::ChannelMode;
 use pimulator::report::Json;
 
 fn opts(threads: usize) -> ServeOptions {
@@ -47,11 +54,11 @@ fn injected_faults_surface_as_typed_errors_at_the_launch_boundary() {
     // The serving loop consumes faults at the dispatch layer, but the
     // underlying host boundary reports them as typed `SimError`s, not
     // panics — the contract the runtime's retry logic builds on.
-    use pim_host::{PimSystem, TransferConfig};
+    use pim_host::{ChannelConfig, PimSystem};
     use pimulator::pim_dpu::{DpuConfig, FaultKind, SimError};
 
     let program = pim_asm::assemble(".text\n movi r0, 7\n stop\n").unwrap();
-    let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), TransferConfig::paper());
+    let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
     sys.load(&program).unwrap();
     sys.dpu_mut(1).arm_fault(FaultKind::Stuck { timeout_ns: 500 });
     let results = sys.launch_each();
@@ -98,6 +105,7 @@ fn checkpoint_resume_matches_the_uninterrupted_run_byte_for_byte() {
         "seed=5,transient=70,stuck=20,timeout_us=800,outages=1,outage_ms=1,rank_dpus=4",
     )
     .unwrap();
+    let mut corpus: Option<(Checkpoint, ServeOptions)> = None;
     for seed in [1u64, 2, 3] {
         for policy in ["fifo", "weighted_fair"] {
             let run_opts = ServeOptions {
@@ -126,24 +134,95 @@ fn checkpoint_resume_matches_the_uninterrupted_run_byte_for_byte() {
             // Resume from *every* cut, not just a lucky one; each must
             // land on the identical final document.
             for (k, ck) in cuts.iter().enumerate() {
-                ck.validate(
-                    scenario.name,
-                    policy,
-                    seed,
-                    run_opts.load,
-                    pim_serve::resolved_duration_ns(scenario, &run_opts),
-                    &pim_serve::fault_label(&run_opts),
-                    pim_serve::channel_label(&run_opts),
-                )
-                .unwrap_or_else(|e| panic!("cut {k} fails validation: {e}"));
+                ck.fit(scenario, &run_opts).unwrap_or_else(|e| panic!("cut {k} does not fit: {e}"));
                 let resumed = resume_scenario(scenario, &run_opts, ck, 0, &mut |_| {}).unwrap();
                 assert!(
                     outcome_json(&resumed).render_pretty() == uninterrupted,
                     "seed {seed} policy {policy}: resume from cut {k} diverged"
                 );
             }
+
+            // The corruption sweep wants one cut with something of
+            // everything in it: queued, retried and peeked requests, an
+            // offline rank, and a policy with state.
+            let rich = |ck: &&Checkpoint| {
+                !ck.queue.is_empty()
+                    && !ck.retries.is_empty()
+                    && !ck.active_outages.is_empty()
+                    && ck.traffic.peeked.is_some()
+                    && ck.policy_state != Json::Null
+            };
+            corpus = corpus.or_else(|| Some((cuts.iter().find(rich)?.clone(), run_opts)));
         }
     }
+    let (ck, run_opts) = corpus.expect("some cut has everything the corruption sweep damages");
+    corrupt_checkpoints_are_refused(&ck, &run_opts);
+}
+
+/// Damages `ck`, a cut of the `faulty` run `run_opts` describes, one value
+/// at a time (see `common`); decode + fit is the reader under test.
+fn corrupt_checkpoints_are_refused(ck: &Checkpoint, run_opts: &ServeOptions) {
+    let scenario = scenario_by_name("faulty").unwrap();
+    let read = |doc: &Json| {
+        let ck = Checkpoint::from_json(doc)?;
+        ck.fit(scenario, run_opts)?;
+        Ok(ck.to_json())
+    };
+    let doc = ck.to_json();
+    common::every_number_at_max("checkpoint", &doc, &[], read);
+
+    // One past the end of what each index points into.
+    let past = |len: usize| Damage::Put(Json::UInt(len as u64));
+    let tenants = scenario.tenants.len();
+    let classes = pim_serve::kernels::request_classes().len();
+    let ranks = run_opts.faults.unwrap().n_ranks(scenario.n_dpus) as usize;
+    let mut table = vec![
+        ("checkpoint.queue[*][1]", past(tenants)),
+        ("checkpoint.queue[*][2]", past(classes)),
+        ("checkpoint.retries[*][2][1]", past(tenants)),
+        ("checkpoint.retries[*][2][2]", past(classes)),
+        ("checkpoint.traffic.peeked[1]", past(tenants)),
+        ("checkpoint.traffic.peeked[2]", past(classes)),
+        ("checkpoint.seen[*][*]", past(classes)),
+        ("checkpoint.active_outages[*][0]", past(ranks)),
+    ];
+    // Per-tenant arrays, then every fixed-arity tuple (the third level of
+    // `splits` is a histogram's `[bucket, count]` pairs).
+    for per_tenant_or_tuple in [
+        "checkpoint.admission",
+        "checkpoint.completed",
+        "checkpoint.failed",
+        "checkpoint.retried",
+        "checkpoint.degraded",
+        "checkpoint.splits",
+        "checkpoint.policy_state",
+        "checkpoint.traffic.rng",
+        "checkpoint.traffic.peeked",
+        "checkpoint.queue[*]",
+        "checkpoint.admission[*]",
+        "checkpoint.retries[*]",
+        "checkpoint.retries[*][2]",
+        "checkpoint.splits[*]",
+        "checkpoint.splits[*][*][*]",
+        "checkpoint.seen[*]",
+        "checkpoint.active_outages[*]",
+        "checkpoint.fault_counts",
+    ] {
+        table.push((per_tenant_or_tuple, Damage::Shorten));
+    }
+    for identity in [
+        "checkpoint.checkpoint",
+        "checkpoint.scenario",
+        "checkpoint.policy",
+        "checkpoint.seed",
+        "checkpoint.load_bits",
+        "checkpoint.duration_ns",
+        "checkpoint.faults",
+        "checkpoint.channel",
+    ] {
+        table.push((identity, Damage::Alter));
+    }
+    common::every_damage_is_named("checkpoint", &doc, &table, read);
 }
 
 #[test]
@@ -153,20 +232,20 @@ fn checkpoint_validation_rejects_a_different_run() {
     let mut cuts: Vec<Checkpoint> = Vec::new();
     run_scenario_with_checkpoints(scenario, &run_opts, 1, &mut |ck| cuts.push(ck.clone())).unwrap();
     let ck = cuts.first().expect("at least one cut");
-    let duration = pim_serve::resolved_duration_ns(scenario, &run_opts);
-    let label = pim_serve::fault_label(&run_opts);
-    let chan = pim_serve::channel_label(&run_opts);
-    assert!(ck.validate("faulty", "fifo", 9, 1.0, duration, &label, chan).is_ok());
-    assert!(ck.validate("faulty", "fifo", 10, 1.0, duration, &label, chan).is_err(), "wrong seed");
-    assert!(ck.validate("faulty", "fifo", 9, 2.0, duration, &label, chan).is_err(), "wrong load");
-    assert!(
-        ck.validate("faulty", "fifo", 9, 1.0, duration, "seed=1,transient=1", chan).is_err(),
-        "wrong fault campaign"
-    );
-    assert!(
-        ck.validate("faulty", "fifo", 9, 1.0, duration, &label, "overlapped").is_err(),
-        "wrong channel mode"
-    );
+    assert!(ck.fit(scenario, &run_opts).is_ok());
+    let campaign = FaultSpec::parse("seed=1,transient=1").unwrap();
+    for (field, other) in [
+        ("seed", ServeOptions { seed: 10, ..run_opts.clone() }),
+        ("load_bits", ServeOptions { load: 2.0, ..run_opts.clone() }),
+        ("faults", ServeOptions { faults: Some(campaign), ..run_opts.clone() }),
+        ("channel", ServeOptions { channel: ChannelMode::Overlapped, ..run_opts.clone() }),
+    ] {
+        let err = ck.fit(scenario, &other).unwrap_err();
+        assert!(err.starts_with(&format!("checkpoint.{field}: ")), "wrong {field}: {err}");
+        // And the entry point refuses to run it, with the same words.
+        let err = resume_scenario(scenario, &other, ck, 0, &mut |_| {}).unwrap_err();
+        assert!(err.contains(&format!("checkpoint.{field}: ")), "{err}");
+    }
 }
 
 #[test]

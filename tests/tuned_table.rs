@@ -3,10 +3,17 @@
 //! mismatched tables are rejected with typed errors naming the problem
 //! (mirroring the checkpoint `--resume` validation).
 
+// The checkpoint sweep uses all of it; this one has no tuples to shorten.
+#[allow(dead_code)]
+mod common;
+
 use std::path::PathBuf;
 
+use common::Damage;
 use pim_bench::tune::{run_tune, TuneOptions, TunedTable, TUNE_SCHEMA};
 use pim_serve::scenario_by_name;
+use pimulator::pim_dpu::MAX_TASKLETS;
+use pimulator::report::Json;
 
 fn tmp_file(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("pim-tune-test-{}", std::process::id()));
@@ -105,6 +112,40 @@ fn stale_or_mismatched_tables_are_rejected_with_typed_errors() {
     )
     .unwrap();
     assert!(TunedTable::load(&bad_mode).unwrap_err().contains("warp"));
+}
+
+#[test]
+fn corrupt_tables_are_refused_not_applied() {
+    // A real table damaged one value at a time (see `common`): whatever a
+    // run would index, allocate or divide by is in range, or the table is
+    // refused with the path of the damage.
+    let doc = run_tune(&quick(&["VA", "TS"])).unwrap().to_json();
+    let read = |doc: &Json| TunedTable::from_json(doc).map(|table| table.to_json());
+    // `speedup` is written for the reader of the file; the decoder derives it.
+    common::every_number_at_max("tuned", &doc, &["tuned.workloads[*].speedup"], read);
+
+    let put = |n: u64| Damage::Put(Json::UInt(n));
+    let past_u32 = u64::from(u32::MAX) + 1;
+    let mut table = vec![
+        ("tuned.workloads[*].tasklets", put(0)),
+        ("tuned.workloads[*].tasklets", put(u64::from(MAX_TASKLETS) + 1)),
+        // 4 tasklets, if narrowed with `as`.
+        ("tuned.workloads[*].tasklets", put(past_u32 + 4)),
+        ("tuned.workloads[*].n_dpus", put(0)),
+        ("tuned.workloads[*].n_dpus", put(past_u32 + 1)),
+    ];
+    for wall in ["tuned.workloads[*].wall_ns", "tuned.workloads[*].blocking_wall_ns"] {
+        // `1e999` parses to infinity; `null` is how NaN is written.
+        let unusable =
+            [Json::UInt(0), Json::Num(0.0), Json::Num(-1.5), Json::Num(f64::INFINITY), Json::Null];
+        table.extend(unusable.map(|bad| (wall, Damage::Put(bad))));
+    }
+    for named in
+        ["tuned.schema", "tuned.size", "tuned.workloads[*].channel", "tuned.workloads[*].policy"]
+    {
+        table.push((named, Damage::Alter));
+    }
+    common::every_damage_is_named("tuned", &doc, &table, read);
 }
 
 #[test]

@@ -24,6 +24,7 @@ use std::path::Path;
 
 use pim_dpu::{DpuConfig, SimError, MAX_TASKLETS};
 use pim_serve::kernels::{request_classes, KernelKind};
+use pimulator::experiments::DPUS_PER_RANK;
 use pimulator::jobs::JobRunner;
 use pimulator::pim_host::ChannelMode;
 use pimulator::report::{Json, Node, Table};
@@ -33,6 +34,10 @@ use crate::{size_by_label, size_label};
 
 /// Schema tag written to (and required in) a tuned table.
 pub const TUNE_SCHEMA: &str = "pim-tune/1";
+
+/// The most DPUs a table entry may ask a run to allocate: the largest
+/// machine the paper models, 20 ranks.
+const MAX_DPUS: u32 = 20 * DPUS_PER_RANK;
 
 /// One tuned configuration: the winning grid point of one workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,8 +165,8 @@ impl TunedTable {
 
     /// Parses a table document, rejecting anything that is not a
     /// well-formed [`TUNE_SCHEMA`] table whose every entry a run can use:
-    /// a known channel mode and policy, a tasklet count a DPU has, at
-    /// least one DPU, positive finite wall times.
+    /// a known channel mode and policy, a tasklet count a DPU has, a DPU
+    /// count the paper's machine has, positive finite wall times.
     ///
     /// # Errors
     ///
@@ -193,8 +198,8 @@ impl TunedTable {
                     n => return tasklets.fail(format_args!("{n} is outside 1..={MAX_TASKLETS}")),
                 },
                 n_dpus: match n_dpus.int()? {
-                    0 => return n_dpus.fail("a run needs at least one DPU"),
-                    n => n,
+                    n if (1..=MAX_DPUS).contains(&n) => n,
+                    n => return n_dpus.fail(format_args!("{n} is outside 1..={MAX_DPUS}")),
                 },
                 channel: ChannelMode::by_name(channel.str()?).or_else(|e| channel.fail(e))?,
                 policy: match pim_serve::policy_by_name(policy.str()?) {

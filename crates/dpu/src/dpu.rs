@@ -626,7 +626,7 @@ impl Dpu {
             // 3. Register-file structural block.
             if rf_block > 0 {
                 stats.record_tlp_span(issuable.len(), 1, &mut window_acc);
-                stats.idle_rf += 1.0;
+                stats.idle_rf += 1;
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
                         cycle: now,
@@ -642,8 +642,8 @@ impl Dpu {
             // per-tasklet wait reasons (paper Fig 6 categorizes by thread
             // status), then fast-forward to the next possible event.
             if issuable.is_empty() {
-                let n_sched = status.iter().filter(|s| **s == TaskletStatus::Ready).count() as f64;
-                let n_mem = status.iter().filter(|s| **s == TaskletStatus::Blocked).count() as f64;
+                let n_sched = status.iter().filter(|s| **s == TaskletStatus::Ready).count();
+                let n_mem = status.iter().filter(|s| **s == TaskletStatus::Blocked).count();
                 let mut next = u64::MAX;
                 for t in 0..n {
                     if status[t] == TaskletStatus::Ready {
@@ -656,9 +656,7 @@ impl Dpu {
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(self.cfg.max_cycles - now);
                 stats.record_tlp_span(0, span, &mut window_acc);
-                let tot = (n_sched + n_mem).max(1.0);
-                stats.idle_memory += span as f64 * n_mem / tot;
-                stats.idle_revolver += span as f64 * n_sched / tot;
+                stats.record_idle_span(span, n_sched, n_mem);
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
                         cycle: now,
@@ -825,7 +823,7 @@ impl Dpu {
                 stats.active_cycles += 1;
             } else {
                 // Every candidate stalled on a cache fill this cycle.
-                stats.idle_memory += 1.0;
+                stats.record_idle_span(1, 0, 1);
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
                         cycle: now,

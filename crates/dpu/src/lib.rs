@@ -76,5 +76,5 @@ pub use config::{
 pub use dpu::Dpu;
 pub use error::SimError;
 pub use fault::FaultKind;
-pub use stats::{DpuRunStats, IdleCause, TraceEntry};
+pub use stats::{DpuRunStats, IdleBuckets, TraceEntry};
 pub use tenancy::{colocate, ColocateError, Colocated, Tenant};

@@ -56,12 +56,8 @@
 //!    earliest wake-up with a rotate and a `trailing_zeros`
 //!    ([`ReadySet::min_at`]) where the reference loop takes a minimum over
 //!    every tasklet, and the span is booked by
-//!    [`DpuRunStats::record_idle_span`], which skips the reference
-//!    expression's two `f64` divisions exactly when their result is known
-//!    bit for bit. The hop lands on the same cycle as before: where idle
-//!    spans are split decides the low bits of the `f64` idle totals, so
-//!    no wake-up may be added, removed or moved (`DESIGN.md` §4, "Idle
-//!    hop").
+//!    [`DpuRunStats::record_idle_span`] as two integer multiply-adds
+//!    (`DESIGN.md` §4, "Idle hop").
 
 use pim_cache::Cache;
 use pim_isa::{InstrClass, Instruction};
@@ -678,7 +674,7 @@ impl Engine {
                     self.stats.active_cycles += 1;
                 } else {
                     // Every candidate stalled on a cache fill this cycle.
-                    self.stats.idle_memory += 1.0;
+                    self.stats.record_idle_span(1, 0, 1);
                     if sink.enabled() {
                         sink.emit(TraceEvent::Stall {
                             cycle: h.now,
@@ -728,7 +724,7 @@ impl Engine {
             // 3. Register-file structural block.
             if h.rf_block > 0 {
                 self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
-                self.stats.idle_rf += 1.0;
+                self.stats.idle_rf += 1;
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
                         cycle: now,

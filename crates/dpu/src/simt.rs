@@ -128,7 +128,7 @@ pub(crate) fn run_simt<S: TraceSink>(
             .sum();
         if port_block > 0 {
             stats.record_tlp_span(issuable_lanes.min(n), 1, &mut window_acc);
-            stats.idle_rf += 1.0;
+            stats.idle_rf += 1;
             if sink.enabled() {
                 sink.emit(TraceEvent::Stall {
                     cycle: now,
@@ -216,7 +216,7 @@ pub(crate) fn run_simt<S: TraceSink>(
         warps[wi].rotation = rot.wrapping_add(1);
         let Some(pc) = chosen else {
             // All groups waiting on forwarding: a pipeline stall cycle.
-            stats.idle_revolver += 1.0;
+            stats.record_idle_span(1, 1, 0);
             if sink.enabled() {
                 sink.emit(TraceEvent::Stall { cycle: now, cycles: 1, cause: StallCause::Revolver });
             }

@@ -5,20 +5,31 @@ use pim_dram::DramStats;
 use pim_isa::InstrClass;
 use pim_mmu::MmuStats;
 
-/// Why the issue stage was idle on a given cycle (paper Fig 6's non-black
-/// bars).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IdleCause {
-    /// Every live tasklet was waiting on the memory system (DMA, cache
+/// Bucket count of [`IdleBuckets`]: one per possible number of waiting
+/// tasklets (or SIMT lanes), `0..=MAX_TASKLETS`.
+const IDLE_BUCKETS: usize = crate::MAX_TASKLETS as usize + 1;
+
+/// Idle cycles split by why each waiting tasklet waited (the paper
+/// "categorize\[s\] each thread's status based on the reason for its
+/// stall"), kept exact: an idle span of `span` cycles with `tot` waiters,
+/// `n` of them for one reason, owes that reason `span · n / tot` cycles,
+/// and bucket `tot` holds the sum of the numerators `span · n`. The
+/// divisions happen once, when the record is read, so the record does not
+/// depend on where a span was cut or in which order spans were booked.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IdleBuckets {
+    /// Numerators of the tasklets waiting on the memory system (DMA, cache
     /// fill, instruction fetch).
-    Memory,
-    /// At least one tasklet was gated only by the pipeline scheduling
+    pub memory: [u64; IDLE_BUCKETS],
+    /// Numerators of the tasklets gated only by the pipeline scheduling
     /// constraint (the revolver window, or — with data forwarding — an
     /// unforwarded dependence).
-    Revolver,
-    /// The issue slot was consumed by the structural hazard at the split
-    /// even/odd register file.
-    Rf,
+    pub revolver: [u64; IDLE_BUCKETS],
+}
+
+/// `Σ num[tot] / tot` in index order: the cycles one reason is owed.
+fn owed_cycles(num: &[u64; IDLE_BUCKETS]) -> f64 {
+    (1..IDLE_BUCKETS).fold(0.0, |sum, tot| sum + num[tot] as f64 / tot as f64)
 }
 
 /// One issued instruction, captured when tracing is enabled
@@ -48,17 +59,12 @@ pub struct DpuRunStats {
     pub cycles: u64,
     /// Cycles with at least one instruction issued (Fig 6's black bar).
     pub active_cycles: u64,
-    /// Idle cycles attributed to memory waits. Fractional: on a cycle
-    /// where tasklets idle for different reasons, the cycle is split
-    /// proportionally by thread state (the paper "categorize\[s\] each
-    /// thread's status based on the reason for its stall").
-    pub idle_memory: f64,
-    /// Idle cycles attributed to the revolver/pipeline scheduling
-    /// constraint (fractional, see [`DpuRunStats::idle_memory`]).
-    pub idle_revolver: f64,
-    /// Idle cycles attributed to the even/odd register-file hazard
-    /// (fractional, see [`DpuRunStats::idle_memory`]).
-    pub idle_rf: f64,
+    /// Idle cycles attributed to memory waits and to the revolver/pipeline
+    /// scheduling constraint; read them with
+    /// [`DpuRunStats::idle_memory`] / [`DpuRunStats::idle_revolver`].
+    pub idle: IdleBuckets,
+    /// Idle cycles spent on the even/odd register-file hazard.
+    pub idle_rf: u64,
     /// Instructions executed (for SIMT: one per active lane), total.
     pub instructions: u64,
     /// Instructions executed by class (Fig 9's instruction mix).
@@ -111,8 +117,12 @@ impl DpuRunStats {
     pub fn merge(&mut self, other: &DpuRunStats) {
         self.cycles += other.cycles;
         self.active_cycles += other.active_cycles;
-        self.idle_memory += other.idle_memory;
-        self.idle_revolver += other.idle_revolver;
+        for (a, b) in self.idle.memory.iter_mut().zip(&other.idle.memory) {
+            *a += b;
+        }
+        for (a, b) in self.idle.revolver.iter_mut().zip(&other.idle.revolver) {
+            *a += b;
+        }
         self.idle_rf += other.idle_rf;
         self.instructions += other.instructions;
         for (a, b) in self.class_counts.iter_mut().zip(&other.class_counts) {
@@ -233,6 +243,21 @@ impl DpuRunStats {
         }
     }
 
+    /// Idle cycles attributed to memory waits. Fractional: on a cycle
+    /// where tasklets idle for different reasons, the cycle is split
+    /// proportionally by thread state.
+    #[must_use]
+    pub fn idle_memory(&self) -> f64 {
+        owed_cycles(&self.idle.memory)
+    }
+
+    /// Idle cycles attributed to the revolver/pipeline scheduling
+    /// constraint (fractional, see [`DpuRunStats::idle_memory`]).
+    #[must_use]
+    pub fn idle_revolver(&self) -> f64 {
+        owed_cycles(&self.idle.revolver)
+    }
+
     /// Fractions of runtime `(active, idle_memory, idle_revolver, idle_rf)`
     /// — the stacked bars of Fig 6.
     #[must_use]
@@ -243,9 +268,9 @@ impl DpuRunStats {
         let c = self.cycles as f64;
         (
             self.active_cycles as f64 / c,
-            self.idle_memory / c,
-            self.idle_revolver / c,
-            self.idle_rf / c,
+            self.idle_memory() / c,
+            self.idle_revolver() / c,
+            self.idle_rf as f64 / c,
         )
     }
 
@@ -262,32 +287,12 @@ impl DpuRunStats {
 
     /// Attributes an idle span of `span` cycles across the waiting
     /// tasklets by wait reason — `n_sched` gated by the pipeline, `n_mem`
-    /// by the memory system — as the reference loop's expression
-    ///
-    /// ```text
-    /// tot = max(n_sched + n_mem, 1)
-    /// idle_memory   += span * n_mem   / tot
-    /// idle_revolver += span * n_sched / tot
-    /// ```
-    ///
-    /// does in `f64`, bit for bit. When every waiter waits for the same
-    /// reason neither division is needed: with `span * n <= 2^53` the
-    /// product is exact, so `(span * n) / n` is exactly `span`, and the
-    /// other share is `+0.0`, which leaves a sum that is never `-0.0` as
-    /// it is.
+    /// by the memory system. The only writer of [`DpuRunStats::idle`].
     #[inline]
     pub(crate) fn record_idle_span(&mut self, span: u64, n_sched: usize, n_mem: usize) {
-        let exact = span.saturating_mul((n_sched + n_mem) as u64) <= 1 << 53;
-        match (n_sched, n_mem) {
-            (0, 1..) if exact => self.idle_memory += span as f64,
-            (1.., 0) if exact => self.idle_revolver += span as f64,
-            _ => {
-                let (n_sched, n_mem) = (n_sched as f64, n_mem as f64);
-                let tot = (n_sched + n_mem).max(1.0);
-                self.idle_memory += span as f64 * n_mem / tot;
-                self.idle_revolver += span as f64 * n_sched / tot;
-            }
-        }
+        let tot = n_sched + n_mem;
+        self.idle.memory[tot] += span * n_mem as u64;
+        self.idle.revolver[tot] += span * n_sched as u64;
     }
 
     /// [`DpuRunStats::record_tlp_span`] for a single cycle — the form the
@@ -390,9 +395,8 @@ mod tests {
         let mut s = stats();
         s.cycles = 10;
         s.active_cycles = 4;
-        s.idle_memory = 3.0;
-        s.idle_revolver = 2.0;
-        s.idle_rf = 1.0;
+        s.record_idle_span(5, 2, 3);
+        s.idle_rf = 1;
         let (a, m, r, f) = s.breakdown();
         assert!((a + m + r + f - 1.0).abs() < 1e-9);
     }
@@ -442,48 +446,84 @@ mod tests {
         }
     }
 
-    /// The reference loop's idle attribution, literally.
-    fn idle_by_the_expression(s: &mut DpuRunStats, span: u64, n_sched: f64, n_mem: f64) {
-        let tot = (n_sched + n_mem).max(1.0);
-        s.idle_memory += span as f64 * n_mem / tot;
-        s.idle_revolver += span as f64 * n_sched / tot;
+    /// A seeded stream of `(span, n_sched, n_mem)` with 0 to 24 waiters.
+    fn idle_stream(rng: &mut pim_rng::StdRng) -> Vec<(u64, usize, usize)> {
+        (0..200)
+            .map(|_| {
+                let tot = rng.gen_range(0..25usize);
+                let n_mem = rng.gen_range(0..tot + 1);
+                (rng.gen_range(1..65u64), tot - n_mem, n_mem)
+            })
+            .collect()
+    }
+
+    fn booked(spans: impl IntoIterator<Item = (u64, usize, usize)>) -> IdleBuckets {
+        let mut s = stats();
+        for (span, n_sched, n_mem) in spans {
+            s.record_idle_span(span, n_sched, n_mem);
+        }
+        s.idle
+    }
+
+    fn shuffled<T>(mut v: Vec<T>, rng: &mut pim_rng::StdRng) -> Vec<T> {
+        for i in (1..v.len()).rev() {
+            v.swap(i, rng.gen_range(0..i + 1));
+        }
+        v
     }
 
     #[test]
-    fn idle_span_attribution_is_the_two_division_expression_bit_for_bit() {
-        const EXACT: u64 = 1 << 53;
-        let spans = (1..=4096).chain([1 << 20, 1 << 40]).chain(
-            // Either side of where `span * live` stops being exact — the
-            // fast path's limit — for every `live`, and far beyond it.
-            (1..=24).flat_map(|live| [EXACT / live - 1, EXACT / live, EXACT / live + 1]),
-        );
-        let spans: Vec<u64> = spans.chain([EXACT + 1, u64::MAX / 3, u64::MAX]).collect();
-        for live in 1..=24usize {
-            for n_mem in 0..=live {
-                let n_sched = live - n_mem;
-                // Sums that already hold fractions, so the add itself rounds.
-                let (mut fast, mut slow) = (stats(), stats());
-                idle_by_the_expression(&mut fast, 7, 2.0, 1.0);
-                idle_by_the_expression(&mut slow, 7, 2.0, 1.0);
-                for &span in &spans {
-                    fast.record_idle_span(span, n_sched, n_mem);
-                    idle_by_the_expression(&mut slow, span, n_sched as f64, n_mem as f64);
-                    assert_eq!(
-                        (fast.idle_memory.to_bits(), fast.idle_revolver.to_bits()),
-                        (slow.idle_memory.to_bits(), slow.idle_revolver.to_bits()),
-                        "span {span}, {n_sched} on the pipeline, {n_mem} on memory"
-                    );
-                }
-            }
+    fn idle_record_does_not_depend_on_where_spans_are_cut_or_in_which_order() {
+        for seed in 0..16 {
+            let mut rng = pim_rng::StdRng::seed_from_u64(seed);
+            let mut stream = idle_stream(&mut rng);
+            let whole = booked(stream.iter().copied());
+            let by_cycle =
+                stream.iter().flat_map(|&(span, s, m)| (0..span).map(move |_| (1, s, m)));
+            assert_eq!(booked(by_cycle), whole, "seed {seed}: cycle by cycle");
+            // One span close to the largest a bucket can hold (24 waiters,
+            // `u64` numerators), with room left for the stream's own spans.
+            let huge = u64::MAX / 24 - 200 * 64;
+            let n_mem = rng.gen_range(0..25usize);
+            stream.insert(rng.gen_range(0..stream.len()), (huge, 24 - n_mem, n_mem));
+            let whole = booked(stream.iter().copied());
+            assert!(whole.memory[24] + whole.revolver[24] > u64::MAX / 24 * 23);
+            let cut: Vec<_> = stream
+                .iter()
+                .flat_map(|&(span, s, m)| {
+                    let at = rng.gen_range(0..span + 1);
+                    [(at, s, m), (span - at, s, m)]
+                })
+                .collect();
+            assert_eq!(booked(cut.iter().copied()), whole, "seed {seed}: every span cut");
+            assert_eq!(booked(shuffled(cut, &mut rng)), whole, "seed {seed}: cut and shuffled");
+            assert_eq!(booked(shuffled(stream, &mut rng)), whole, "seed {seed}: shuffled");
         }
-        // The limit is not slack: one cycle past it the quotient is
-        // already not the span.
-        let past = (EXACT / 3 + 1) as f64;
-        assert_ne!(past * 3.0 / 3.0, past);
-        // Nobody waiting (the `max(1.0)` arm): nothing is attributed.
-        let mut none = stats();
-        none.record_idle_span(5, 0, 0);
-        assert_eq!((none.idle_memory.to_bits(), none.idle_revolver.to_bits()), (0, 0));
+        // Nobody waiting: nothing is attributed.
+        assert_eq!(booked([(5, 0, 0)]), IdleBuckets::default());
+    }
+
+    #[test]
+    fn merge_is_commutative_and_associative() {
+        let mut rng = pim_rng::StdRng::seed_from_u64(7);
+        let [a, b, c] = [0, 1, 2].map(|_| {
+            let mut s = stats();
+            s.idle = booked(idle_stream(&mut rng));
+            s.idle_rf = rng.gen_range(0..1000u64);
+            s
+        });
+        let merged = |parts: &[&DpuRunStats]| {
+            let mut sum = stats();
+            for part in parts {
+                sum.merge(part);
+            }
+            sum
+        };
+        let idle = |s: &DpuRunStats| (s.idle.clone(), s.idle_rf);
+        assert_eq!(idle(&merged(&[&a, &b])), idle(&merged(&[&b, &a])));
+        let (ab, bc) = (merged(&[&a, &b]), merged(&[&b, &c]));
+        assert_eq!(idle(&merged(&[&ab, &c])), idle(&merged(&[&a, &bc])));
+        assert_ne!(idle(&ab), idle(&a), "the records are not empty");
     }
 
     #[test]

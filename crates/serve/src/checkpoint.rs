@@ -364,18 +364,50 @@ impl Checkpoint {
                 return misfit(key, format_args!("{len} tenants"), tenants);
             }
         }
-        // A request is `[id, tenant, ..]`, an arrival `[at, tenant, ..]`.
-        let queued = self.queue.iter().enumerate().map(|(i, r)| ("queue", i, "", r.tenant));
+        // A request is `[id, tenant, class, arrival_ns]`: its tenant is
+        // one of this run's, and it arrived before the cut — the latency
+        // split subtracts its arrival from a later clock.
+        let queued = self.queue.iter().enumerate().map(|(i, r)| ("queue", i, "", r));
         let retries = self.retries.iter().enumerate();
-        let retried = retries.map(|(i, e)| ("retries", i, "[2]", e.req.tenant));
-        if let Some((list, i, req, tenant)) = queued.chain(retried).find(|t| t.3 >= tenants) {
-            let at = format_args!("{list}[{i}]{req}[1]");
-            return misfit(at, format_args!("tenant {tenant}"), tenants);
+        for (list, i, req, r) in queued.chain(retries.map(|(i, e)| ("retries", i, "[2]", &e.req))) {
+            if r.tenant >= tenants {
+                let at = format_args!("{list}[{i}]{req}[1]");
+                return misfit(at, format_args!("tenant {}", r.tenant), tenants);
+            }
+            if r.arrival_ns > self.vtime {
+                let want = format_args!("its clock at {} ns", self.vtime);
+                let at = format_args!("{list}[{i}]{req}[3]");
+                return misfit(at, format_args!("{} ns", r.arrival_ns), want);
+            }
         }
+        // An arrival is `[at, tenant, class]`.
         if let Some(a) = self.traffic.peeked.filter(|a| a.tenant >= tenants) {
             return misfit("traffic.peeked[1]", format_args!("tenant {}", a.tenant), tenants);
         }
+        // Clocks: the loop adds spans to them unchecked, so none stands
+        // where this run could not have put it.
         let spec = opts.faults.unwrap_or_else(FaultSpec::none);
+        let horizon = spec.clock_horizon_ns(self.duration_ns);
+        let late = |at: &dyn Display, ns: u64| {
+            let want = format_args!("a clock horizon of {horizon} ns");
+            misfit(at, format_args!("{ns} ns"), want)
+        };
+        let peeked_at = self.traffic.peeked.map_or(0, |a| a.at_ns);
+        let named = [
+            ("vtime", self.vtime),
+            ("traffic.t_ns", self.traffic.t_ns),
+            ("traffic.peeked[0]", peeked_at),
+        ];
+        if let Some((key, ns)) = named.into_iter().find(|t| t.1 > horizon) {
+            return late(&key, ns);
+        }
+        let retries = self.retries.iter().enumerate();
+        let retry_at = retries.map(|(i, e)| ("retries", i, 0, e.ready_at));
+        let outages = self.active_outages.iter().enumerate();
+        let rejoin_at = outages.map(|(i, o)| ("active_outages", i, 1, o.1));
+        if let Some((list, i, field, ns)) = retry_at.chain(rejoin_at).find(|t| t.3 > horizon) {
+            return late(&format_args!("{list}[{i}][{field}]"), ns);
+        }
         let ranks = spec.n_ranks(scenario.n_dpus);
         if let Some(i) = self.active_outages.iter().position(|&(rank, _)| rank >= ranks) {
             let got = format_args!("rank {}", self.active_outages[i].0);

@@ -31,6 +31,16 @@ pub const MAX_OUTAGES: u32 = 100_000;
 /// product far inside the `u64` virtual clock.
 pub const MAX_KNOB_NS: u64 = 3_600 * 1_000_000_000;
 
+/// Most doublings of the retry back-off: attempt `a` waits
+/// `backoff_us << min(a - 1, MAX_BACKOFF_SHIFT)`.
+pub(crate) const MAX_BACKOFF_SHIFT: u32 = 20;
+
+/// Virtual time a run may spend, past its arrival window and the waits
+/// its fault spec names, dispatching what it had admitted: an hour, where
+/// the longest committed scenario drains its queue in milliseconds. Only
+/// [`FaultSpec::clock_horizon_ns`] reads it.
+const DRAIN_MARGIN_NS: u64 = MAX_KNOB_NS;
+
 /// Operator knobs of a fault campaign (parsed from the CLI `--faults`
 /// string).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +103,21 @@ impl FaultSpec {
     #[must_use]
     pub fn n_ranks(&self, n_dpus: u32) -> u32 {
         n_dpus.div_ceil(self.dpus_per_rank).max(1)
+    }
+
+    /// The latest virtual time a clock of a run of `duration_ns` under
+    /// this spec can show, ns: the arrival window, one outage, per retry a
+    /// stuck-launch time-out and the largest back-off the loop shifts to,
+    /// and the drain margin. A checkpoint with a clock past it was not
+    /// cut by such a run ([`crate::Checkpoint::fit`]).
+    #[must_use]
+    pub fn clock_horizon_ns(&self, duration_ns: u64) -> u64 {
+        let per_retry = (self.stuck_timeout_us.saturating_mul(1_000))
+            .saturating_add(self.backoff_us.saturating_mul(1_000 << MAX_BACKOFF_SHIFT));
+        duration_ns
+            .saturating_add(self.outage_ms.saturating_mul(1_000_000))
+            .saturating_add(per_retry.saturating_mul(u64::from(self.max_retries)))
+            .saturating_add(DRAIN_MARGIN_NS)
     }
 
     /// Parses the CLI `--faults` string: comma-separated `key=value`

@@ -67,7 +67,7 @@ use pimulator::report::Node;
 use pimulator::trace::JobTrace;
 
 use crate::checkpoint::{Checkpoint, RetryEntry};
-use crate::fault::{FaultPlan, FaultSpec};
+use crate::fault::{FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT};
 use crate::kernels::{
     profile_composition, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
     TASKLETS_PER_SLOT,
@@ -780,7 +780,7 @@ fn run_loop(
                     st.failed[r.tenant] += 1;
                 } else {
                     st.retried[r.tenant] += 1;
-                    let delay = backoff_ns << (attempt - 1).min(20);
+                    let delay = backoff_ns << (attempt - 1).min(MAX_BACKOFF_SHIFT);
                     st.retries.push(RetryEntry { ready_at: round_end + delay, attempt, req: *r });
                     pushed_retry = true;
                 }

@@ -4,8 +4,8 @@
 //! counts, DPU counts, and memory models, must reproduce its reference
 //! implementation bit-for-bit.
 
-use pim_dpu::DpuConfig;
-use prim_suite::{all_workloads, DatasetSize, RunConfig};
+use pim_dpu::{DpuConfig, DpuRunStats, ExecTier};
+use prim_suite::{all_workloads, extended_workloads, DatasetSize, RunConfig, WorkloadFamily};
 
 #[test]
 fn every_workload_validates_across_tasklet_counts() {
@@ -95,26 +95,46 @@ fn every_workload_matches_the_functional_oracle() {
     }
 }
 
+/// Every cycle is booked exactly once: issuing, blocked on the register
+/// file, or idle — and an idle cycle is shared among the tasklets waiting
+/// on it, so each bucket holds a whole number of cycles.
+fn assert_every_cycle_is_attributed(s: &DpuRunStats, what: &str) {
+    assert_eq!((s.idle.memory[0], s.idle.revolver[0]), (0, 0), "{what}: idle with nobody waiting");
+    let idle: u64 = (1..s.idle.memory.len())
+        .map(|tot| {
+            let num = s.idle.memory[tot] + s.idle.revolver[tot];
+            assert_eq!(num % tot as u64, 0, "{what}: bucket {tot} holds {num}");
+            num / tot as u64
+        })
+        .sum();
+    assert_eq!(s.active_cycles + s.idle_rf + idle, s.cycles, "{what}: {s:?}");
+}
+
 #[test]
 fn attribution_is_conserved_for_every_workload() {
-    for w in all_workloads() {
-        let run =
-            w.run(DatasetSize::Tiny, &RunConfig::single(DpuConfig::paper_baseline(16))).unwrap();
-        let s = &run.per_dpu[0];
-        let covered = s.active_cycles as f64 + s.idle_memory + s.idle_revolver + s.idle_rf;
-        assert!(
-            (covered - s.cycles as f64).abs() < 1e-3,
-            "{}: {} attributed vs {} cycles",
-            w.name(),
-            covered,
-            s.cycles
-        );
-        let hist: u64 = s.tlp_histogram.iter().sum();
-        assert_eq!(hist, s.cycles, "{}: TLP histogram must cover every cycle", w.name());
-        let class_sum: u64 = s.class_counts.iter().sum();
-        assert_eq!(class_sum, s.instructions, "{}: class counts must sum", w.name());
-        let per_tasklet: u64 = s.per_tasklet_instructions.iter().sum();
-        assert_eq!(per_tasklet, s.instructions, "{}: per-tasklet counts must sum", w.name());
+    for w in extended_workloads() {
+        for threads in [1, 4, 16, 24] {
+            let base = DpuConfig::paper_baseline(threads);
+            let mut cfgs = vec![("scratchpad", base.clone())];
+            if w.supports_cache_mode() {
+                cfgs.push(("caches", base.clone().with_paper_caches()));
+            }
+            if w.family() == WorkloadFamily::Dense {
+                cfgs.push(("naive", base.with_exec_tier(ExecTier::Naive)));
+            }
+            for (mode, cfg) in cfgs {
+                let what = format!("{} @{threads}t {mode}", w.name());
+                let run = w.run(DatasetSize::Tiny, &RunConfig::single(cfg)).unwrap();
+                let s = &run.per_dpu[0];
+                assert_every_cycle_is_attributed(s, &what);
+                let hist: u64 = s.tlp_histogram.iter().sum();
+                assert_eq!(hist, s.cycles, "{what}: TLP histogram must cover every cycle");
+                let class_sum: u64 = s.class_counts.iter().sum();
+                assert_eq!(class_sum, s.instructions, "{what}: class counts must sum");
+                let per_tasklet: u64 = s.per_tasklet_instructions.iter().sum();
+                assert_eq!(per_tasklet, s.instructions, "{what}: per-tasklet counts must sum");
+            }
+        }
     }
 }
 

@@ -22,8 +22,8 @@ const TIERS: [(&str, ExecTier); 3] =
 
 /// Runs one workload under `cfg` through every executor tier and asserts
 /// the per-DPU stats are identical field-for-field (via the `Debug`
-/// rendering, which covers every stat including traces and f64 idle
-/// attribution).
+/// rendering, which covers every stat including traces and the idle
+/// attribution's integer buckets).
 fn assert_loops_agree(w: &dyn Workload, mode: &str, cfg: DpuConfig) {
     let mut rendered: Vec<(&str, Vec<String>)> = Vec::new();
     for (tier_name, tier) in TIERS {
@@ -329,8 +329,8 @@ fn low_tlp_idle_hops_match_naive_reference() {
     for (mode, cfg) in legs {
         let stats = assert_tiers_agree_on(&program, &format!("low TLP [{mode}]"), &cfg)
             .expect("low-TLP kernel completes");
-        assert!(stats.idle_memory > 0.0 && stats.idle_revolver > 0.0, "{mode}: {stats:?}");
-        assert!(stats.idle_memory + stats.idle_revolver > stats.active_cycles as f64);
+        assert!(stats.idle_memory() > 0.0 && stats.idle_revolver() > 0.0, "{mode}: {stats:?}");
+        assert!(stats.idle_memory() + stats.idle_revolver() > stats.active_cycles as f64);
         assert_eq!(stats.trace.len(), cfg.trace_limit, "{mode}");
 
         // The event stream shows each attribution was reached: count the
@@ -386,8 +386,8 @@ fn cycle_limit_is_the_same_on_every_kind_of_cycle() {
 
     let cfg = DpuConfig::paper_baseline(2);
     let full = assert_tiers_agree_on(&program, "unlimited", &cfg).expect("kernel completes");
-    assert!(full.active_cycles > 0 && full.idle_rf > 0.0);
-    assert!(full.idle_revolver > 0.0 && full.idle_memory > 0.0);
+    assert!(full.active_cycles > 0 && full.idle_rf > 0);
+    assert!(full.idle_revolver() > 0.0 && full.idle_memory() > 0.0);
     for limit in 1..=full.cycles {
         let mut cfg = cfg.clone();
         cfg.max_cycles = limit;

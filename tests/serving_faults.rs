@@ -186,6 +186,19 @@ fn corrupt_checkpoints_are_refused(ck: &Checkpoint, run_opts: &ServeOptions) {
         ("checkpoint.seen[*][*]", past(classes)),
         ("checkpoint.active_outages[*][0]", past(ranks)),
     ];
+    // No clock past what the run can reach (the loop adds to them
+    // unchecked), and nothing waiting that arrived after the cut.
+    for clock in [
+        "checkpoint.vtime",
+        "checkpoint.traffic.t_ns",
+        "checkpoint.traffic.peeked[0]",
+        "checkpoint.retries[*][0]",
+        "checkpoint.active_outages[*][1]",
+        "checkpoint.queue[*][3]",
+        "checkpoint.retries[*][2][3]",
+    ] {
+        table.push((clock, Damage::Put(Json::UInt(u64::MAX))));
+    }
     // Per-tenant arrays, then every fixed-arity tuple (the third level of
     // `splits` is a histogram's `[bucket, count]` pairs).
     for per_tenant_or_tuple in [

@@ -12,6 +12,7 @@ use std::path::PathBuf;
 use common::Damage;
 use pim_bench::tune::{run_tune, TuneOptions, TunedTable, TUNE_SCHEMA};
 use pim_serve::scenario_by_name;
+use pimulator::experiments::DPUS_PER_RANK;
 use pimulator::pim_dpu::MAX_TASKLETS;
 use pimulator::report::Json;
 
@@ -133,6 +134,9 @@ fn corrupt_tables_are_refused_not_applied() {
         ("tuned.workloads[*].tasklets", put(past_u32 + 4)),
         ("tuned.workloads[*].n_dpus", put(0)),
         ("tuned.workloads[*].n_dpus", put(past_u32 + 1)),
+        // Fits the field, and is 2.5 TB of MRAM; then one past the paper's 20 ranks.
+        ("tuned.workloads[*].n_dpus", put(4_000_000_000)),
+        ("tuned.workloads[*].n_dpus", put(u64::from(20 * DPUS_PER_RANK) + 1)),
     ];
     for wall in ["tuned.workloads[*].wall_ns", "tuned.workloads[*].blocking_wall_ns"] {
         // `1e999` parses to infinity; `null` is how NaN is written.

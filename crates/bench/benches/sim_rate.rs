@@ -59,8 +59,8 @@ fn alu_kernel(iters: i32) -> pim_asm::DpuProgram {
 /// from it, consumes the word, and does ALU work in between — one `ldma`
 /// per 18 other instructions. The DMA interface is the bottleneck (one
 /// burst slot per request), so per request the engine makes 18 issue
-/// visits, 3 idle hops and 3 `MemEngine::advance` calls, the latter with up
-/// to sixteen requests live.
+/// visits, a few idle hops and one `MemEngine::advance` call (3 while the
+/// engine woke per bank event), with up to sixteen requests live.
 fn gather_kernel(iters: i32) -> pim_asm::DpuProgram {
     let mut k = KernelBuilder::new();
     let slots = k.global_zeroed("slots", 8 * 16);
@@ -89,8 +89,9 @@ fn gather_kernel(iters: i32) -> pim_asm::DpuProgram {
 }
 
 /// Back-to-back 256-byte reads (BS's probe size): with two tasklets every
-/// issue is followed by an idle hop — per request 4 issue visits, 13 idle
-/// hops and 9 `MemEngine::advance` calls, most of which finish nothing.
+/// issue is followed by an idle hop — per request 4 issue visits and one
+/// `MemEngine::advance` call (9 while the engine woke per bank event, most
+/// of them finishing nothing).
 fn dma_kernel(iters: i32) -> pim_asm::DpuProgram {
     let mut k = KernelBuilder::new();
     let bufs = k.global_zeroed("bufs", 256 * 2);
@@ -134,14 +135,17 @@ fn main() {
 
     // The DMA-bound side of the issue engine, per DMA request: the low-TLP
     // visits (idle hop, `MemEngine::advance`) that the ALU rows above never
-    // make.
+    // make, and how many times a request wakes the memory engine.
     for (name, tasklets, iters, program) in [
         ("dpu_16t_gather_kernel", 16u32, 1000, gather_kernel(1000)),
         ("dpu_2t_dma_kernel", 2, 4000, dma_kernel(4000)),
     ] {
         let requests = u64::from(tasklets) * iters;
+        let before = pim_dpu::mem_wake_ups();
         assert_eq!(launch(tasklets, &program).dma_requests, requests);
+        let wake_ups = pim_dpu::mem_wake_ups() - before;
         bench(name, 20, requests, || launch(tasklets, &program));
+        println!("{name:32} {:>12.2} wake-ups/request", wake_ups as f64 / requests as f64);
     }
 
     for name in ["VA", "GEMV", "BS"] {

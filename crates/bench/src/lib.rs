@@ -182,7 +182,7 @@ pub fn experiments() -> &'static [Experiment] {
         },
         Experiment {
             name: "exp_rank_scale",
-            title: "Rank scale: batched SoA execution of whole-rank populations",
+            title: "Rank scale: lockstep replay of whole-rank populations",
             default_size: DatasetSize::MultiDpu,
             run: run_rank_scale,
         },

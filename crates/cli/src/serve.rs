@@ -120,6 +120,8 @@ pub fn serve(args: &[String]) -> Result<(), Failure> {
         }
     }
     serve.channel = channel.unwrap_or(serve.channel);
+    pim_serve::resolved_duration_ns(scenario, &serve)
+        .map_err(|why| Failure::Run(why.to_string()))?;
 
     // Checkpoints are rendered as they are cut and written once the run
     // finishes, as `<out>/serve_<name>.ckpt<k>.json` in cut order.

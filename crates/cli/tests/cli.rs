@@ -228,6 +228,27 @@ fn serve_rejects_a_malformed_fault_spec() {
 }
 
 #[test]
+fn serve_refuses_a_run_longer_than_its_clock() {
+    // The first wrapped `ms * 1_000_000` to 448 384 ns and ran four rounds
+    // to a results document; the last is one ms past the written bound.
+    let scratch = Scratch::new("serve-long");
+    for ms in ["18446744073710", "18446744073709551615", "3153600000001"] {
+        let out = pimsim()
+            .args(["serve", "inference", "--duration-ms", ms, "--out"])
+            .arg(scratch.path("out"))
+            .output()
+            .expect("spawn pimsim");
+        assert_eq!(out.status.code(), Some(1), "--duration-ms {ms}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.lines().count() == 1 && stderr.contains("longer than the virtual clock takes"),
+            "--duration-ms {ms}: stderr: {stderr}"
+        );
+        assert!(!scratch.path("out").exists(), "--duration-ms {ms} wrote results");
+    }
+}
+
+#[test]
 fn serve_checkpoint_and_resume_reproduce_the_run_byte_for_byte() {
     let scratch = Scratch::new("serve-ckpt");
     let (dir_a, dir_b) = (scratch.path("a"), scratch.path("b"));
@@ -359,14 +380,16 @@ fn fuzz_mutate_self_check_succeeds_and_prints_a_shrunk_repro() {
         .expect("spawn pimsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    for bug in ["scoreboard", "replay"] {
+    for bug in ["scoreboard", "replay", "due"] {
         let detected = format!("mutation self-check: detected the seeded {bug} bug");
         assert!(stdout.contains(&detected), "stdout: {stdout}");
     }
-    assert_eq!(stdout.matches("shrunk repro (").count(), 2, "stdout: {stdout}");
-    // A budget of nothing generates nothing: both bugs survive.
+    assert_eq!(stdout.matches("shrunk repro (").count(), 3, "stdout: {stdout}");
+    // A budget of nothing generates nothing: every bug survives.
     let none = pimsim().args(["fuzz", "--mutate", "--budget", "0"]).output().expect("spawn pimsim");
     assert!(!none.status.success());
     let stderr = String::from_utf8_lossy(&none.stderr);
-    assert!(stderr.contains("scoreboard bug survived") && stderr.contains("replay bug survived"));
+    for bug in ["scoreboard", "replay", "due"] {
+        assert!(stderr.contains(&format!("{bug} bug survived")), "stderr: {stderr}");
+    }
 }

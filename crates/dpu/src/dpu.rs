@@ -13,7 +13,7 @@ use crate::compiled::CompiledKernel;
 use crate::config::{DpuConfig, ExecTier, MemoryMode};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
-use crate::mem::{MemEngine, Segment};
+use crate::mem::{debug_assert_on_time, MemEngine, Segment};
 use crate::sched::{CompiledDispatch, Dispatch, Engine, FastDispatch};
 use crate::stats::DpuRunStats;
 
@@ -606,6 +606,7 @@ impl Dpu {
             }
             mem.drain_done_into(&mut done_buf);
             for &(token, at) in &done_buf {
+                debug_assert_on_time(at, now);
                 let t = token as usize;
                 status[t] = TaskletStatus::Ready;
                 next_issue[t] = next_issue[t].max(at + 1);

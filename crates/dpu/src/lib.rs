@@ -76,5 +76,6 @@ pub use config::{
 pub use dpu::Dpu;
 pub use error::SimError;
 pub use fault::FaultKind;
+pub use mem::mem_wake_ups;
 pub use stats::{DpuRunStats, IdleBuckets, TraceEntry};
 pub use tenancy::{colocate, ColocateError, Colocated, Tenant};

@@ -68,7 +68,7 @@ use crate::config::MemoryMode;
 use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
-use crate::mem::{MemEngine, Segment};
+use crate::mem::{debug_assert_on_time, MemEngine, Segment};
 use crate::stats::DpuRunStats;
 
 const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
@@ -704,6 +704,7 @@ impl Engine {
                 let mut done = std::mem::take(&mut self.done_buf);
                 self.mem.drain_done_into(&mut done);
                 for &(token, at) in &done {
+                    debug_assert_on_time(at, now);
                     let t = token as usize;
                     h.blocked &= !(1 << t);
                     self.next_issue[t] = self.next_issue[t].max(at + 1);

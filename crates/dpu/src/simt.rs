@@ -25,7 +25,7 @@ use pim_trace::{StallCause, TraceEvent, TraceSink};
 use crate::dpu::{Dpu, TaskletStatus};
 use crate::error::SimError;
 use crate::exec::Effect;
-use crate::mem::{MemEngine, Segment};
+use crate::mem::{debug_assert_on_time, MemEngine, Segment};
 use crate::stats::DpuRunStats;
 
 struct Warp {
@@ -102,6 +102,7 @@ pub(crate) fn run_simt<S: TraceSink>(
             }
             mem.drain_done_into(&mut done_buf);
             for &(token, at) in &done_buf {
+                debug_assert_on_time(at, now);
                 if sink.enabled() {
                     sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: token as u32 });
                 }

@@ -8,6 +8,13 @@
 //! enqueue order keeps each run's bursts adjacent, so "oldest, first in
 //! queue on ties" picks the head of the earliest-enqueued run either way
 //! (`tests/properties.rs` drives a per-burst reference bank against this one).
+//!
+//! Time is the bank's own. Every decision is taken at *decision time* —
+//! bank free and oldest request arrived — among the requests that have
+//! arrived by then, and every retired burst is reported with the cycle its
+//! data completed, so neither depends on when, or how often, the caller
+//! advances the bank. `pim-dpu`'s memory engine relies on that to wake once
+//! per DMA request rather than once per burst.
 
 use std::collections::VecDeque;
 
@@ -266,11 +273,14 @@ impl DramBank {
         self.advance(now, |f| completed.push(f.id));
     }
 
-    /// [`DramBank::advance_to`], reporting each completed access by the tag
-    /// its [`DramBank::enqueue_run`] call carried (0 for
-    /// [`DramBank::enqueue`]).
-    pub fn advance_to_tagged(&mut self, now: u64, completed: &mut Vec<u64>) {
-        self.advance(now, |f| completed.push(f.tag));
+    /// [`DramBank::advance_to`], reporting each completed access as
+    /// `(tag, finish)`: the tag its [`DramBank::enqueue_run`] call carried
+    /// (0 for [`DramBank::enqueue`]) and the DRAM cycle its data completed.
+    /// The finish cycle is the bank's own — the same however late the call
+    /// comes — so a caller that books accesses at it may advance as rarely
+    /// as it likes.
+    pub fn advance_to_tagged(&mut self, now: u64, completed: &mut Vec<(u64, u64)>) {
+        self.advance(now, |f| completed.push((f.tag, f.finish)));
     }
 
     fn advance(&mut self, now: u64, mut retire: impl FnMut(InFlight)) {
@@ -565,9 +575,10 @@ mod tests {
             addr += chunk;
             left -= chunk;
         }
-        let mut tags = Vec::new();
-        runs.advance_to_tagged(1_000_000, &mut tags);
-        assert_eq!(tags, vec![5; 32]);
+        let mut retired = Vec::new();
+        runs.advance_to_tagged(1_000_000, &mut retired);
+        assert_eq!(retired.iter().map(|r| r.0).collect::<Vec<_>>(), vec![5; 32]);
+        assert!(retired.windows(2).all(|w| w[0].1 < w[1].1), "finish cycles ascend: {retired:?}");
         drain(&mut bursts, 1_000_000);
         assert_eq!(runs.stats(), bursts.stats());
         assert!(runs.is_idle() && runs.queue_len() == 0);

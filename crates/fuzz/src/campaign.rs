@@ -44,11 +44,13 @@ pub enum Mutant {
     Scoreboard,
     /// A lockstep follower skips the `Effect` comparison on jumps.
     Replay,
+    /// The memory engine's due cycle overshoots a request's finish.
+    Due,
 }
 
 impl Mutant {
     /// Every seeded bug, in self-check order.
-    pub const ALL: [Mutant; 2] = [Mutant::Scoreboard, Mutant::Replay];
+    pub const ALL: [Mutant; 3] = [Mutant::Scoreboard, Mutant::Replay, Mutant::Due];
 
     /// Lower-case name, as reports print it.
     #[must_use]
@@ -56,6 +58,7 @@ impl Mutant {
         match self {
             Mutant::Scoreboard => "scoreboard",
             Mutant::Replay => "replay",
+            Mutant::Due => "due",
         }
     }
 
@@ -63,6 +66,7 @@ impl Mutant {
         match self {
             Mutant::Scoreboard => pim_dpu::mutation::set_scoreboard_bug(on),
             Mutant::Replay => pim_dpu::mutation::set_replay_bug(on),
+            Mutant::Due => pim_dpu::mutation::set_due_bug(on),
         }
     }
 }

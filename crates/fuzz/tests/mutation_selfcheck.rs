@@ -1,8 +1,8 @@
-//! The harness's proof-of-usefulness: with either seeded bug armed, a
+//! The harness's proof-of-usefulness: with any of the seeded bugs armed, a
 //! small campaign must catch it and shrink the repro to a handful of
 //! instructions; the same seed with the bugs disarmed must run clean.
 //!
-//! All three live in ONE test: the bug switches are process-global, so
+//! All four live in ONE test: the bug switches are process-global, so
 //! interleaving with a parallel clean run would race. (The `pimsim fuzz
 //! --mutate` CLI path is exercised end-to-end in `crates/cli/tests`.)
 
@@ -42,6 +42,21 @@ fn the_fuzzer_catches_the_seeded_bugs_and_shrinks_them() {
     assert!(
         f.shrunk.program.instrs.len() < f.original_instrs,
         "the repro was not shrunk:\n{}",
+        pim_asm::disassemble(&f.shrunk.program)
+    );
+
+    // The due bug wakes a tasklet late wherever a loop hops to the memory
+    // engine's due cycle; the naive loop visits every cycle while another
+    // tasklet issues, so one DMA beside one computing tasklet shows it.
+    let mutated =
+        run_campaign(&CampaignOptions { mutate: Some(Mutant::Due), ..base.clone() }).unwrap();
+    assert!(mutated.mutation_detected(), "the due bug survived {} cases", mutated.generated);
+    let f = mutated.failures.first().expect("a reported failure");
+    assert_eq!(f.invariant, Invariant::NaiveFastEquality, "{}", f.detail);
+    assert!(
+        f.shrunk.program.instrs.len() <= 12,
+        "shrunk repro has {} instructions (budgeted for <= 12):\n{}",
+        f.shrunk.program.instrs.len(),
         pim_asm::disassemble(&f.shrunk.program)
     );
 

@@ -348,7 +348,8 @@ impl Checkpoint {
         same("policy", self.policy.as_str(), policy.name())?;
         same("seed", self.seed, opts.seed)?;
         same("load_bits", f64::from_bits(self.load_bits), opts.load)?;
-        same("duration_ns", self.duration_ns, resolved_duration_ns(scenario, opts))?;
+        let duration_ns = resolved_duration_ns(scenario, opts).map_err(|why| why.to_string())?;
+        same("duration_ns", self.duration_ns, duration_ns)?;
         same("faults", self.faults.as_str(), fault_label(opts).as_str())?;
         same("channel", self.channel.as_str(), opts.channel.label())?;
         let tenants = scenario.tenants.len();

@@ -31,6 +31,12 @@ pub const MAX_OUTAGES: u32 = 100_000;
 /// product far inside the `u64` virtual clock.
 pub const MAX_KNOB_NS: u64 = 3_600 * 1_000_000_000;
 
+/// Longest arrival window a run may be asked for (`--duration-ms`, or a
+/// scenario's default): a century. In nanoseconds that is a sixth of the
+/// `u64` virtual clock; the rest is left to what
+/// [`FaultSpec::clock_horizon_ns`] adds on top of it.
+pub const MAX_DURATION_NS: u64 = 100 * 365 * 24 * MAX_KNOB_NS;
+
 /// Most doublings of the retry back-off: attempt `a` waits
 /// `backoff_us << min(a - 1, MAX_BACKOFF_SHIFT)`.
 pub(crate) const MAX_BACKOFF_SHIFT: u32 = 20;

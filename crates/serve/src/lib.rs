@@ -52,8 +52,8 @@ pub use checkpoint::{Checkpoint, RetryEntry, CHECKPOINT_SCHEMA};
 pub use fault::{FaultPlan, FaultSpec, Outage};
 pub use queue::{Admission, AdmissionQueue, Request, TenantAdmission};
 pub use runtime::{
-    resume_scenario, run_scenario, run_scenario_with_checkpoints, ServeOptions, ServeOutcome,
-    TenantOutcome,
+    resolved_duration_ns, resume_scenario, run_scenario, run_scenario_with_checkpoints, RunTooLong,
+    ServeOptions, ServeOutcome, TenantOutcome,
 };
 pub use scenario::{scenario_by_name, scenarios, Scenario, TenantSpec};
 pub use sched::{policy_by_name, policy_by_name_with_weights, SchedulerPolicy};

@@ -67,7 +67,7 @@ use pimulator::report::Node;
 use pimulator::trace::JobTrace;
 
 use crate::checkpoint::{Checkpoint, RetryEntry};
-use crate::fault::{FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT};
+use crate::fault::{FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT, MAX_DURATION_NS};
 use crate::kernels::{
     profile_composition, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
     TASKLETS_PER_SLOT,
@@ -263,10 +263,33 @@ impl ServeOutcome {
     }
 }
 
+/// A run length past [`MAX_DURATION_NS`]: the virtual clock counts
+/// nanoseconds in a `u64`, and the run would wrap it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunTooLong {
+    /// The length asked for, ms.
+    pub duration_ms: u64,
+}
+
+impl std::fmt::Display for RunTooLong {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (ms, most) = (self.duration_ms, MAX_DURATION_NS / 1_000_000);
+        write!(f, "a run of {ms} ms is longer than the virtual clock takes ({most} ms at most)")
+    }
+}
+
+impl std::error::Error for RunTooLong {}
+
 /// The run length in ns after applying the scenario default.
-pub(crate) fn resolved_duration_ns(scenario: &Scenario, opts: &ServeOptions) -> u64 {
+///
+/// # Errors
+///
+/// [`RunTooLong`] when it is past [`MAX_DURATION_NS`].
+pub fn resolved_duration_ns(scenario: &Scenario, opts: &ServeOptions) -> Result<u64, RunTooLong> {
     let ms = if opts.duration_ms > 0 { opts.duration_ms } else { scenario.default_duration_ms };
-    ms * 1_000_000
+    ms.checked_mul(1_000_000)
+        .filter(|&ns| ns <= MAX_DURATION_NS)
+        .ok_or(RunTooLong { duration_ms: ms })
 }
 
 /// The policy that will run (the override, else the scenario's), sized
@@ -420,8 +443,9 @@ impl LoopState {
 ///
 /// # Panics
 ///
-/// Panics if the policy name (override or scenario default) is unknown
-/// or the load multiplier is not positive; the CLI layer validates both
+/// Panics if the policy name (override or scenario default) is unknown,
+/// the load multiplier is not positive, or the run is too long for the
+/// clock ([`resolved_duration_ns`]); the CLI layer checks all three
 /// before calling.
 pub fn run_scenario(scenario: &Scenario, opts: &ServeOptions) -> Result<ServeOutcome, SimError> {
     run_scenario_with_checkpoints(scenario, opts, 0, &mut |_| {})
@@ -446,7 +470,7 @@ pub fn run_scenario_with_checkpoints(
     every_ms: u64,
     sink: &mut dyn FnMut(&Checkpoint),
 ) -> Result<ServeOutcome, SimError> {
-    let duration_ns = resolved_duration_ns(scenario, opts);
+    let duration_ns = resolved_duration_ns(scenario, opts).unwrap_or_else(|why| panic!("{why}"));
     let st = LoopState::new(scenario, opts, duration_ns);
     run_loop(scenario, opts, duration_ns, st, every_ms, sink)
 }
@@ -472,7 +496,7 @@ pub fn resume_scenario(
     every_ms: u64,
     sink: &mut dyn FnMut(&Checkpoint),
 ) -> Result<ServeOutcome, String> {
-    let duration_ns = resolved_duration_ns(scenario, opts);
+    let duration_ns = resolved_duration_ns(scenario, opts).map_err(|why| why.to_string())?;
     let st = LoopState::from_checkpoint(scenario, opts, duration_ns, ck)
         .map_err(|why| format!("checkpoint does not fit this run: {why}"))?;
     run_loop(scenario, opts, duration_ns, st, every_ms, sink)

@@ -362,6 +362,88 @@ fn low_tlp_idle_hops_match_naive_reference() {
 }
 
 #[test]
+fn traced_stalls_tile_the_idle_time_and_agree_per_cause() {
+    // The loops cut one idle stretch at different cycles — the reference
+    // loop takes the memory engine's due cycle anew on every cycle it
+    // visits, the issue engine when it is due — so the `Stall` events of a
+    // traced run differ in number and length between them. What a trace
+    // promises is what does not depend on the cuts: the spans of each
+    // cause add up to the same cycles, they come in order without overlap,
+    // with the issuing cycles they account for the whole run, and a
+    // row-buffer command carries the cycle it issued on, not the cycle of
+    // the wake-up that drained it.
+    use pim_isa::Cond;
+    use pim_trace::{StallCause, TraceEvent};
+    let mut k = pim_asm::KernelBuilder::new();
+    let buf = k.global_zeroed("buf", 4 * 2048);
+    let [w, m, a, i, id] = k.regs(["w", "m", "a", "i", "id"]);
+    k.tasklet_slot(w, buf, 2048);
+    k.tid(id);
+    k.sll(m, id, 12);
+    k.movi(i, 5);
+    let small = k.fresh_label("small");
+    let end = k.fresh_label("end");
+    k.branch(Cond::Ne, id, 0, &small);
+    // Tasklet 0 streams 2 KB reads; the others fetch one burst at a time
+    // and compute on it (`w` and `a` share a register bank).
+    let big = k.label_here("big");
+    k.ldma(w, m, 2048);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &big);
+    k.jump(&end);
+    k.place(&small);
+    k.ldma(w, m, 64);
+    k.lw(a, w, 0);
+    k.add(a, w, a);
+    k.add(m, m, 1024);
+    k.sub(i, i, 1);
+    k.branch(Cond::Ne, i, 0, &small);
+    k.place(&end);
+    k.stop();
+    let program = k.build().expect("kernel builds");
+
+    let base = DpuConfig::paper_baseline(4);
+    for (mode, cfg) in [("scratchpad", base.clone()), ("mmu", base.with_paper_mmu())] {
+        let mut per_tier = Vec::new();
+        for (tier_name, tier) in TIERS {
+            let mut dpu =
+                pim_dpu::Dpu::new(cfg.clone().with_exec_tier(tier).with_event_trace(RING));
+            dpu.load_program(&program).unwrap();
+            let stats = dpu.launch().expect("kernel completes");
+            let trace = dpu.take_trace().expect("tracing was on");
+            assert_eq!(trace.dropped, 0, "{mode}/{tier_name}");
+            let (mut by_cause, mut idle_end, mut rows) = ([0u64; 3], 0u64, Vec::new());
+            for event in &trace.events {
+                match *event {
+                    TraceEvent::Stall { cycle, cycles, cause } => {
+                        assert!(cycle >= idle_end, "{mode}/{tier_name}: stall at {cycle} overlaps");
+                        idle_end = cycle + cycles;
+                        by_cause[StallCause::ALL.iter().position(|&c| c == cause).unwrap()] +=
+                            cycles;
+                    }
+                    TraceEvent::RowActivate { cycle, row } => rows.push((cycle, row, true)),
+                    TraceEvent::RowPrecharge { cycle, row } => rows.push((cycle, row, false)),
+                    _ => {}
+                }
+            }
+            assert!(by_cause.iter().all(|&c| c > 0), "{mode}/{tier_name}: {by_cause:?}");
+            assert_eq!(
+                by_cause.iter().sum::<u64>() + stats.active_cycles,
+                stats.cycles,
+                "{mode}/{tier_name}: {by_cause:?}"
+            );
+            rows.sort_unstable();
+            assert!(!rows.is_empty(), "{mode}/{tier_name}");
+            per_tier.push((tier_name, by_cause, rows));
+        }
+        let (reference, rest) = per_tier.split_first().unwrap();
+        for tier in rest {
+            assert_eq!((tier.1, &tier.2), (reference.1, &reference.2), "{mode}/{}", tier.0);
+        }
+    }
+}
+
+#[test]
 fn cycle_limit_is_the_same_on_every_kind_of_cycle() {
     // Sweeping `max_cycles` over every cycle of a run that has issuing
     // cycles, register-file block cycles, and revolver and DMA idle spans

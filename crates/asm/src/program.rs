@@ -188,12 +188,6 @@ impl DpuProgram {
         }
         Ok(())
     }
-
-    /// Encodes the instruction stream into binary IRAM words.
-    #[must_use]
-    pub fn encode_text(&self) -> Vec<u64> {
-        self.instrs.iter().map(Instruction::encode).collect()
-    }
 }
 
 #[cfg(test)]
@@ -278,6 +272,5 @@ mod tests {
         };
         assert_eq!(p.iram_bytes(), 60);
         assert_eq!(p.wram_bytes(), 108);
-        assert_eq!(p.encode_text().len(), 10);
     }
 }

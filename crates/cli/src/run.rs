@@ -4,6 +4,7 @@ use std::fmt::Write as _;
 
 use pim_asm::{assemble, disassemble, DpuProgram};
 use pim_dpu::{Dpu, DpuConfig, IlpFeatures, MemoryMode, MAX_TASKLETS};
+use pimulator::pim_trace::{TraceEvent, TraceSink};
 
 use crate::args::{Args, Common, Failure, Spec};
 use crate::output::emit;
@@ -20,7 +21,7 @@ pub static RUN: Spec = Spec {
     positional: "<file.s>",
     flags: &[
         ("--tasklets", "N"), // tasklets to launch (default 16, at most 24)
-        ("--trace", "N"),    // print the first N issued instructions
+        ("--trace", "N"),    // print the first N retired instructions, in issue order
         ("--cache", ""),     // cache-centric memory model (§V-D)
         ("--mmu", ""),       // MMU in front of MRAM (§V-C)
         ("--ilp", "DRSF"),   // any subset of the Fig 12 features
@@ -58,10 +59,34 @@ pub fn disasm(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-fn parse_run(args: &[String]) -> Result<(&str, DpuConfig), String> {
+/// `--trace N`: the first N `InstrRetire` events of the launch as `(cycle,
+/// tasklet, pc)`. Whether it listens is fixed for the run (the loops drain
+/// DRAM row events only into an enabled sink), so once full it goes deaf,
+/// not disabled.
+struct FirstRetired {
+    limit: usize,
+    seen: Vec<(u64, u32, u32)>,
+}
+
+impl TraceSink for FirstRetired {
+    fn enabled(&self) -> bool {
+        self.limit > 0
+    }
+
+    fn emit(&mut self, event: TraceEvent) {
+        if let TraceEvent::InstrRetire { cycle, tasklet, pc, .. } = event {
+            if self.seen.len() < self.limit {
+                self.seen.push((cycle, tasklet, pc));
+            }
+        }
+    }
+}
+
+fn parse_run(args: &[String]) -> Result<(&str, DpuConfig, usize), String> {
     let mut args = Args::new(&RUN, args);
     let path = args.positional(MISSING)?;
     let mut cfg = DpuConfig::paper_baseline(16);
+    let mut trace = 0;
     while let Some(flag) = args.flag()? {
         match flag {
             "--tasklets" => {
@@ -70,7 +95,7 @@ fn parse_run(args: &[String]) -> Result<(&str, DpuConfig), String> {
                     return Err(args.bad(format_args!("must be in 1..={MAX_TASKLETS}")));
                 }
             }
-            "--trace" => cfg.trace_limit = args.number()?,
+            "--trace" => trace = args.number()?,
             "--cache" => cfg = cfg.with_paper_caches(),
             "--mmu" => cfg = cfg.with_paper_mmu(),
             "--ilp" => {
@@ -93,18 +118,22 @@ fn parse_run(args: &[String]) -> Result<(&str, DpuConfig), String> {
             "--mmu sits on the scratchpad DMA path: it cannot be combined with --cache".to_string()
         );
     }
-    Ok((path, cfg))
+    Ok((path, cfg, trace))
 }
 
 pub fn run(args: &[String]) -> Result<(), Failure> {
-    let (path, cfg) = parse_run(args).map_err(Failure::Usage)?;
+    let (path, cfg, limit) = parse_run(args).map_err(Failure::Usage)?;
     let program = program(path)?;
     let mut dpu = Dpu::new(cfg);
     dpu.load_program(&program).map_err(|err| Failure::Run(format!("load failed: {err}")))?;
-    let stats = dpu.launch().map_err(|err| Failure::Run(format!("simulation fault: {err}")))?;
+    let mut first = FirstRetired { limit, seen: Vec::new() };
+    let stats = dpu
+        .launch_with(&mut first)
+        .map_err(|err| Failure::Run(format!("simulation fault: {err}")))?;
     let mut text = String::new();
-    for t in &stats.trace {
-        let _ = writeln!(text, "{t}");
+    for (cycle, tasklet, pc) in first.seen {
+        let instr = program.instrs[pc as usize];
+        let _ = writeln!(text, "[{cycle:>8}] t{tasklet:02} pc={pc:<5} {instr}");
     }
     let (active, mem, rev, rf) = stats.breakdown();
     let _ = writeln!(

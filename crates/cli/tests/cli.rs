@@ -231,20 +231,31 @@ fn serve_rejects_a_malformed_fault_spec() {
 fn serve_refuses_a_run_longer_than_its_clock() {
     // The first wrapped `ms * 1_000_000` to 448 384 ns and ran four rounds
     // to a results document; the last is one ms past the written bound.
+    // And a 1 ms run whose fault spec lets one request back off thirty
+    // times for 2^20 hours: it wrapped `round_end + delay` and exited 0.
     let scratch = Scratch::new("serve-long");
-    for ms in ["18446744073710", "18446744073709551615", "3153600000001"] {
+    let wraps = "seed=1,transient=1000,backoff_us=3600000000,retries=30";
+    for (ms, faults, expect) in [
+        ("18446744073710", "none", "longer than the virtual clock takes"),
+        ("18446744073709551615", "none", "longer than the virtual clock takes"),
+        ("3153600000001", "none", "longer than the virtual clock takes"),
+        ("1", wraps, "--faults: retries x (timeout_us + backoff_us << 20)"),
+    ] {
         let out = pimsim()
-            .args(["serve", "inference", "--duration-ms", ms, "--out"])
+            .args(["serve", "inference", "--duration-ms", ms, "--faults", faults, "--out"])
             .arg(scratch.path("out"))
             .output()
             .expect("spawn pimsim");
-        assert_eq!(out.status.code(), Some(1), "--duration-ms {ms}");
+        assert_eq!(out.status.code(), Some(1), "--duration-ms {ms} --faults {faults}");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.lines().count() == 1 && stderr.contains("longer than the virtual clock takes"),
-            "--duration-ms {ms}: stderr: {stderr}"
+            stderr.lines().count() == 1 && stderr.contains(expect),
+            "--duration-ms {ms} --faults {faults}: stderr: {stderr}"
         );
-        assert!(!scratch.path("out").exists(), "--duration-ms {ms} wrote results");
+        assert!(
+            !scratch.path("out").exists(),
+            "--duration-ms {ms} --faults {faults} wrote results"
+        );
     }
 }
 
@@ -336,6 +347,53 @@ fn run_rejects_malformed_and_out_of_range_flag_values() {
         assert!(stderr.contains(expect), "{flags:?}: stderr: {stderr}");
         assert!(stderr.contains("usage: pimsim run"), "{flags:?}: stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "{flags:?}: stderr: {stderr}");
+    }
+}
+
+/// `pimsim run --trace N` on a three-tasklet kernel with a DMA round trip
+/// and a mutex (`tests/data/trace_sample.s`; the `--cache` leg runs its
+/// DMA-free twin, cached mode rejecting DMA). Each `tests/data/*.txt` is
+/// the stdout of `--trace 100000` recorded from the last binary that kept
+/// the trace in `DpuRunStats`, before `--trace` moved onto a sink handed to
+/// `Dpu::launch_with`; `--trace N` printed that file's first N trace lines
+/// and its three summary lines, which is what every N is held to here.
+#[test]
+fn run_trace_prints_the_first_n_retired_instructions_byte_for_byte() {
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    for (kernel, flags, recorded) in [
+        ("trace_sample.s", &[][..], "trace_sample.plain.txt"),
+        ("trace_sample.s", &["--ilp", "DRSF"], "trace_sample.ilp.txt"),
+        ("trace_sample.s", &["--mmu"], "trace_sample.mmu.txt"),
+        ("trace_sample_nodma.s", &["--cache"], "trace_sample_nodma.cache.txt"),
+    ] {
+        let recorded = std::fs::read_to_string(data.join(recorded)).expect("read recorded stdout");
+        let lines: Vec<&str> = recorded.lines().collect();
+        let (trace, summary) = lines.split_at(lines.len() - 3);
+        for n in [0usize, 4, 100_000] {
+            let out = pimsim()
+                .arg("run")
+                .arg(data.join(kernel))
+                .args(["--tasklets", "3", "--trace", &n.to_string()])
+                .args(flags)
+                .output()
+                .expect("spawn pimsim");
+            assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+            let want: String =
+                trace.iter().take(n).chain(summary).map(|line| format!("{line}\n")).collect();
+            assert_eq!(
+                String::from_utf8_lossy(&out.stdout),
+                want,
+                "{kernel} {flags:?} --trace {n}"
+            );
+        }
+        // One line per instruction, in issue order; two share a cycle
+        // exactly where the pipeline is two-way superscalar.
+        assert!(summary[0].contains(&format!("| instructions {} |", trace.len())), "{summary:?}");
+        let cycles: Vec<u64> =
+            trace.iter().map(|line| line[1..9].trim().parse().expect("cycle column")).collect();
+        assert!(cycles.windows(2).all(|w| w[0] <= w[1]), "{kernel} {flags:?}");
+        let shared = cycles.windows(2).any(|w| w[0] == w[1]);
+        assert_eq!(shared, flags.contains(&"DRSF"), "{kernel} {flags:?}");
     }
 }
 

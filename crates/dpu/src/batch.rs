@@ -475,6 +475,31 @@ mod tests {
         (results, summary)
     }
 
+    /// The `(cycle, tasklet, pc)` of every instruction a solo launch of the
+    /// member staged with `input` retires, in issue order — what a lockstep
+    /// member's schedule is held to (`assert_batch_matches_solo`).
+    fn solo_retired(
+        cfg: &DpuConfig,
+        program: &pim_asm::DpuProgram,
+        input: u32,
+        stage: impl Fn(&mut Dpu, u32),
+    ) -> Vec<(u64, u32, u32)> {
+        struct Retired(Vec<(u64, u32, u32)>);
+        impl pim_trace::TraceSink for Retired {
+            fn emit(&mut self, event: pim_trace::TraceEvent) {
+                if let pim_trace::TraceEvent::InstrRetire { cycle, tasklet, pc, .. } = event {
+                    self.0.push((cycle, tasklet, pc));
+                }
+            }
+        }
+        let mut dpu = Dpu::new(cfg.clone());
+        dpu.load_program(program).unwrap();
+        stage(&mut dpu, input);
+        let mut retired = Retired(Vec::new());
+        dpu.launch_with(&mut retired).unwrap();
+        retired.0
+    }
+
     fn stage_mram(dpu: &mut Dpu, input: u32) {
         dpu.write_mram(0, &input.to_le_bytes());
     }
@@ -559,21 +584,19 @@ mod tests {
         // zero and nothing has been loaded), nor can the second here; log
         // index 0 is reached as the first slot of the second segment.
         const SEG: usize = SEGMENT_SLOTS;
-        let mut cfg = DpuConfig::paper_baseline(1);
-        cfg.trace_limit = 2 * SEG + 16;
+        let cfg = DpuConfig::paper_baseline(1);
         let cases = [2, 3, SEG - 1, SEG, SEG + 1, 2 * SEG - 1, 2 * SEG].map(|step| (step, false));
         for (step, short_tail) in cases.into_iter().chain([(SEG + 7, true), (5, true)]) {
             let program = diverge_at_step(step, short_tail);
             for inputs in [[0, 0, 6], [6, 0, 6], [0, 6, 0]] {
                 let what = format!("step {step}, inputs {inputs:?}");
-                let (results, summary) =
-                    assert_batch_matches_solo(&cfg, &program, &inputs, stage_wram);
+                let (_, summary) = assert_batch_matches_solo(&cfg, &program, &inputs, stage_wram);
                 let odd_one = if inputs[0] == inputs[1] { 2 } else { 1 };
                 assert_eq!(summary.followed, 2, "{what}: {summary}");
                 assert_eq!(summary.left.len(), 1, "{what}: {summary}");
                 let at = summary.left[0];
-                let issued = &results[0].as_ref().unwrap().trace[step];
-                assert_eq!((at.dpu, at.cycle, at.pc), (odd_one, issued.cycle, issued.pc), "{what}");
+                let (cycle, _, pc) = solo_retired(&cfg, &program, inputs[0], stage_wram)[step];
+                assert_eq!((at.dpu, at.cycle, at.pc), (odd_one, cycle, pc), "{what}");
             }
         }
     }
@@ -666,15 +689,14 @@ mod tests {
         "#,
         )
         .unwrap();
-        let mut cfg = DpuConfig::paper_baseline(4).with_ilp(crate::IlpFeatures::all());
-        cfg.trace_limit = 64;
-        let (results, _) = assert_batch_matches_solo(&cfg, &program, &[0, 0, 5, 9], stage_wram);
-        for r in &results {
-            let trace = &r.as_ref().unwrap().trace;
-            let first = trace.iter().position(|e| e.pc == 2).expect("the branch issued");
-            let (a, b) = (&trace[first], &trace[first + 1]);
-            assert_eq!((a.tasklet, b.tasklet, b.pc), (0, 1, 2), "{a} / {b}");
-            assert_eq!(a.cycle, b.cycle, "both branches issue in the divergence cycle");
+        let cfg = DpuConfig::paper_baseline(4).with_ilp(crate::IlpFeatures::all());
+        let inputs = [0, 0, 5, 9];
+        assert_batch_matches_solo(&cfg, &program, &inputs, stage_wram);
+        for input in inputs {
+            let retired = solo_retired(&cfg, &program, input, stage_wram);
+            let first = retired.iter().position(|e| e.2 == 2).expect("the branch issued");
+            let ((cycle, t0, _), b) = (retired[first], retired[first + 1]);
+            assert_eq!((t0, b), (0, (cycle, 1, 2)), "both branches issue in the divergence cycle");
         }
     }
 

@@ -191,9 +191,6 @@ pub struct DpuConfig {
     pub max_cycles: u64,
     /// Window (in cycles) for the TLP-over-time trace (paper Fig 8: 10,000).
     pub tlp_window: u64,
-    /// Collect the first N issued instructions into
-    /// [`crate::DpuRunStats::trace`] for debugging (0 disables tracing).
-    pub trace_limit: usize,
     /// Capacity of the structured event ring buffer (`pim-trace`): the DPU
     /// retains the most recent N [`pim_trace::TraceEvent`]s of a launch,
     /// readable through [`crate::Dpu::take_trace`]. 0 (the default) keeps
@@ -236,7 +233,6 @@ impl DpuConfig {
             mram_bw_scale: 1.0,
             max_cycles: 20_000_000_000,
             tlp_window: 10_000,
-            trace_limit: 0,
             event_trace_capacity: 0,
             oracle_check: false,
             exec_tier: ExecTier::Compiled,

@@ -60,9 +60,6 @@ pub struct Dpu {
     pub(crate) tid_base: Vec<u32>,
     /// Structured event ring, present when `cfg.event_trace_capacity > 0`.
     trace: Option<RingSink>,
-    /// One-shot injected fault consumed by the next launch (see
-    /// [`crate::fault`]); `None` in normal operation.
-    armed_fault: Option<crate::fault::FaultKind>,
     /// Launch-time artifacts (decoded side tables + block-compiled op
     /// table), built on first use after [`Dpu::load_program`] and reused
     /// across every relaunch of the same program. Shared with the issue
@@ -90,29 +87,8 @@ impl Dpu {
             entry: Vec::new(),
             tid_base: Vec::new(),
             trace,
-            armed_fault: None,
             kernel_cache: None,
         }
-    }
-
-    /// Arms a one-shot injected fault: the next launch through a host
-    /// launch path fails with the kind's typed [`SimError`] instead of
-    /// running the kernel. Overwrites any previously armed fault.
-    pub fn arm_fault(&mut self, kind: crate::fault::FaultKind) {
-        self.armed_fault = Some(kind);
-    }
-
-    /// Takes (and disarms) the armed fault, if any. The host launch
-    /// boundary calls this before dispatching a kernel; faults are
-    /// one-shot so a retry of the same DPU can succeed.
-    pub fn take_armed_fault(&mut self) -> Option<crate::fault::FaultKind> {
-        self.armed_fault.take()
-    }
-
-    /// The currently armed fault, if any (not consumed).
-    #[must_use]
-    pub fn armed_fault(&self) -> Option<crate::fault::FaultKind> {
-        self.armed_fault
     }
 
     /// Takes the structured events retained by the last launch, or `None`
@@ -363,36 +339,38 @@ impl Dpu {
     /// Returns a [`SimError`] if the kernel faults or exceeds the cycle
     /// limit.
     pub fn launch(&mut self) -> Result<DpuRunStats, SimError> {
+        let Some(mut ring) = self.trace.take() else { return self.launch_with(&mut NullSink) };
+        let result = self.launch_with(&mut ring);
+        self.trace = Some(ring);
+        result
+    }
+
+    /// [`Dpu::launch`] with the run's structured events going to the
+    /// caller's `sink` instead of the DPU's own ring: every retired
+    /// instruction, DMA, stall and — into an enabled sink — DRAM row event,
+    /// in simulated order. The statistics do not depend on the sink.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dpu::launch`].
+    pub fn launch_with<S: TraceSink>(&mut self, sink: &mut S) -> Result<DpuRunStats, SimError> {
         if self.program.is_none() {
             return Err(SimError::NoProgram);
         }
         self.rearm();
         let mut mem = self.mem_engine();
+        mem.set_row_event_recording(sink.enabled());
         // The oracle snapshot must see the post-reset, pre-run state.
         let oracle = self.build_oracle();
-        let result = if let Some(mut ring) = self.trace.take() {
-            mem.set_row_event_recording(true);
-            let r = if self.cfg.simt.is_some() {
-                crate::simt::run_simt(self, mem, &mut ring)
-            } else {
-                self.run_scalar(mem, &mut ring)
-            };
-            self.trace = Some(ring);
-            r
+        let stats = if self.cfg.simt.is_some() {
+            crate::simt::run_simt(self, mem, sink)
         } else {
-            let mut sink = NullSink;
-            if self.cfg.simt.is_some() {
-                crate::simt::run_simt(self, mem, &mut sink)
-            } else {
-                self.run_scalar(mem, &mut sink)
-            }
-        };
-        if result.is_ok() {
-            if let Some(oracle) = oracle {
-                self.check_against_oracle(oracle)?;
-            }
+            self.run_scalar(mem, sink)
+        }?;
+        if let Some(oracle) = oracle {
+            self.check_against_oracle(oracle)?;
         }
-        result
+        Ok(stats)
     }
 
     /// Re-arms per-launch architectural state: register files, PCs, tasklet-id
@@ -695,17 +673,9 @@ impl Dpu {
                     if !out.hit {
                         status[t] = TaskletStatus::Blocked;
                         let line = out.fill_line.expect("miss has a fill");
-                        let bytes = ic.config().line_bytes;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram: line,
-                                bytes,
-                                write: false,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: line, bytes, write: false }], now);
+                        let fill =
+                            Segment { addr: line, bytes: ic.config().line_bytes, write: false };
+                        mem.issue_traced(sink, t as u64, &[fill], now, false);
                         continue;
                     }
                 }
@@ -732,16 +702,7 @@ impl Dpu {
                                 if let Some(wb) = out.writeback_line {
                                     segs.push(Segment { addr: wb, bytes: line_bytes, write: true });
                                 }
-                                if sink.enabled() {
-                                    sink.emit(TraceEvent::DmaBegin {
-                                        cycle: now,
-                                        tasklet: t as u32,
-                                        mram: segs[0].addr,
-                                        bytes: segs.iter().map(|s| s.bytes).sum(),
-                                        write: false,
-                                    });
-                                }
-                                mem.issue(t as u64, &segs, now);
+                                mem.issue_traced(sink, t as u64, &segs, now, false);
                                 continue;
                             }
                         }
@@ -749,37 +710,11 @@ impl Dpu {
                 }
                 // Register-file structural hazard (even/odd banks).
                 let hazard = if unified_rf { 0 } else { u64::from(instr.rf_hazard_cycles()) };
-                if stats.trace.len() < self.cfg.trace_limit {
-                    stats.trace.push(crate::stats::TraceEntry {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        text: instr.to_string(),
-                    });
-                }
                 let effect = self.state.execute(t as u32, &instr)?;
                 stats.count_instruction(instr.class(), t as u32);
                 if sink.enabled() {
-                    sink.emit(TraceEvent::InstrRetire {
-                        cycle: now,
-                        tasklet: t as u32,
-                        pc,
-                        class: instr.class(),
-                    });
-                    match instr {
-                        Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                            acquired: effect != Effect::AcquireRetry,
-                        }),
-                        Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
-                            cycle: now,
-                            tasklet: t as u32,
-                            bit: self.state.operand(t as u32, bit),
-                        }),
-                        _ => {}
-                    }
+                    let class = instr.class();
+                    self.state.trace_retire(sink, now, t as u32, pc, class, &instr, effect);
                 }
                 next_issue[t] = now + gap;
                 if fwd {
@@ -800,16 +735,8 @@ impl Dpu {
                     Effect::Dma { mram, len, write } => {
                         self.state.pc[t] = pc + 1;
                         status[t] = TaskletStatus::Blocked;
-                        if sink.enabled() {
-                            sink.emit(TraceEvent::DmaBegin {
-                                cycle: now,
-                                tasklet: t as u32,
-                                mram,
-                                bytes: len,
-                                write,
-                            });
-                        }
-                        mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
+                        let seg = Segment { addr: mram, bytes: len, write };
+                        mem.issue_traced(sink, t as u64, &[seg], now, false);
                     }
                 }
                 issued += 1;
@@ -835,12 +762,6 @@ impl Dpu {
             }
             now += 1;
         }
-        stats.cycles = now;
-        stats.dram = *mem.bank().stats();
-        stats.mmu = mem.mmu().map(|m| *m.stats());
-        stats.icache = icache.map(|c| *c.stats());
-        stats.dcache = dcache.map(|c| *c.stats());
-        stats.dma_requests = mem.requests_issued;
-        Ok(stats)
+        Ok(stats.seal(now, &mem, icache, dcache))
     }
 }

@@ -101,30 +101,6 @@ pub enum SimError {
         /// Human-readable description of the first divergence.
         detail: String,
     },
-    /// An injected transient execution fault (fault-injection campaigns,
-    /// [`crate::fault::FaultKind::Transient`]): the launch aborted before
-    /// the kernel produced results and may be retried.
-    InjectedFault {
-        /// The DPU that faulted.
-        dpu: u32,
-    },
-    /// An injected hang ([`crate::fault::FaultKind::Stuck`]): the DPU
-    /// never stopped and the host watchdog fired after `timeout_ns`.
-    DpuStuck {
-        /// The DPU that hung.
-        dpu: u32,
-        /// The watchdog timeout that fired, ns.
-        timeout_ns: u64,
-    },
-    /// The DPU's whole rank went offline mid-run
-    /// ([`crate::fault::FaultKind::RankOffline`]) — every DPU it contains
-    /// fails together until the rank rejoins.
-    RankOffline {
-        /// The DPU whose launch observed the outage.
-        dpu: u32,
-        /// The offline rank.
-        rank: u32,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -164,15 +140,6 @@ impl fmt::Display for SimError {
             ),
             SimError::OracleDivergence { detail } => {
                 write!(f, "functional-oracle divergence: {detail}")
-            }
-            SimError::InjectedFault { dpu } => {
-                write!(f, "DPU {dpu}: injected transient execution fault")
-            }
-            SimError::DpuStuck { dpu, timeout_ns } => {
-                write!(f, "DPU {dpu}: stuck — watchdog fired after {timeout_ns} ns")
-            }
-            SimError::RankOffline { dpu, rank } => {
-                write!(f, "DPU {dpu}: rank {rank} is offline")
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Architectural state and functional (execute-at-issue) instruction
 //! semantics, shared by the scalar and SIMT front-ends.
 
-use pim_isa::{AddressSpace, Instruction, MemLayout, Operand, Reg, Width};
+use pim_isa::{AddressSpace, InstrClass, Instruction, MemLayout, Operand, Reg, Width};
+use pim_trace::{TraceEvent, TraceSink};
 
 use crate::error::SimError;
 
@@ -82,6 +83,38 @@ impl ArchState {
         match op {
             Operand::Reg(r) => self.reg(tasklet, r),
             Operand::Imm(i) => i as u32,
+        }
+    }
+
+    /// What a retired instruction emits into an enabled `sink`: its
+    /// `InstrRetire`, then the barrier event of an `acquire` / `release`.
+    /// The caller — any of the three loops — brings its own cycle, tasklet,
+    /// pc, class and effect, and has executed `instr` on this state.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn trace_retire<S: TraceSink>(
+        &self,
+        sink: &mut S,
+        cycle: u64,
+        tasklet: u32,
+        pc: u32,
+        class: InstrClass,
+        instr: &Instruction,
+        effect: Effect,
+    ) {
+        sink.emit(TraceEvent::InstrRetire { cycle, tasklet, pc, class });
+        match *instr {
+            Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
+                cycle,
+                tasklet,
+                bit: self.operand(tasklet, bit),
+                acquired: effect != Effect::AcquireRetry,
+            }),
+            Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
+                cycle,
+                tasklet,
+                bit: self.operand(tasklet, bit),
+            }),
+            _ => {}
         }
     }
 

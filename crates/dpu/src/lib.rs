@@ -60,7 +60,6 @@ pub mod config;
 pub mod dpu;
 pub mod error;
 mod exec;
-pub mod fault;
 mod mem;
 #[cfg(feature = "mutation-hooks")]
 pub mod mutation;
@@ -75,7 +74,6 @@ pub use config::{
 };
 pub use dpu::Dpu;
 pub use error::SimError;
-pub use fault::FaultKind;
 pub use mem::mem_wake_ups;
-pub use stats::{DpuRunStats, IdleBuckets, TraceEntry};
+pub use stats::{DpuRunStats, IdleBuckets};
 pub use tenancy::{colocate, ColocateError, Colocated, Tenant};

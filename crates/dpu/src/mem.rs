@@ -275,13 +275,42 @@ impl MemEngine {
         &mut self.requests[i]
     }
 
+    /// [`MemEngine::issue`], announced to an enabled `sink`: where every
+    /// loop's `DmaBegin` is built. A request reads as one transfer from its
+    /// first segment's address — a cache fill with the victim's writeback
+    /// is the fill — unless `per_segment`, for the SIMT coalescer, whose
+    /// merged ranges are a transfer each.
+    #[inline]
+    pub(crate) fn issue_traced<S: TraceSink>(
+        &mut self,
+        sink: &mut S,
+        token: Token,
+        segments: &[Segment],
+        now: u64,
+        per_segment: bool,
+    ) {
+        if sink.enabled() {
+            let tasklet = token as u32;
+            let mut begin = |mram, bytes, write| {
+                sink.emit(TraceEvent::DmaBegin { cycle: now, tasklet, mram, bytes, write });
+            };
+            if per_segment {
+                segments.iter().for_each(|s| begin(s.addr, s.bytes, s.write));
+            } else {
+                let first = segments[0];
+                begin(first.addr, segments.iter().map(|s| s.bytes).sum(), first.write);
+            }
+        }
+        self.issue(token, segments, now);
+    }
+
     /// Issues a request of one or more MRAM segments at core cycle `now`.
     /// Addresses are virtual when an MMU is configured.
     ///
     /// Allocation-free on every path but a TLB miss, which moves the pooled
     /// segment buffer into the request for the duration of the walk:
     /// translated segments and page-table reads go through scratch buffers.
-    pub(crate) fn issue(&mut self, token: Token, segments: &[Segment], now: u64) {
+    fn issue(&mut self, token: Token, segments: &[Segment], now: u64) {
         debug_assert!(!segments.is_empty());
         // The bank takes the decisions up to `now` before it sees the new
         // bursts (they may arrive at `now` itself when there is no setup

@@ -6,7 +6,7 @@
 //! the issuable set, honour a register-file structural block, attribute and
 //! fast-forward idle spans, then issue up to `ways` instructions
 //! round-robin. The issue body is split into [`Engine::pre_issue`] (pc
-//! bounds, I/D-cache fills, trace entry) → [`Dispatch::execute`] →
+//! bounds, I/D-cache fills) → [`Dispatch::execute`] →
 //! [`Engine::retire`] (scoreboard, effect, wake-up refresh), and all
 //! scheduling state — including the in-cycle issue cursor — lives in the
 //! [`Engine`] struct, so a run can be cloned and resumed mid-cycle.
@@ -60,7 +60,7 @@
 //!    (`DESIGN.md` §4, "Idle hop").
 
 use pim_cache::Cache;
-use pim_isa::{InstrClass, Instruction};
+use pim_isa::InstrClass;
 use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
@@ -258,7 +258,6 @@ struct Hot {
     fwd_load: u64,
     iram_base: u32,
     max_cycles: u64,
-    trace_limit: usize,
     live: usize,
     /// Tasklets waiting on the memory system (DMA or cache fill).
     blocked: u32,
@@ -303,7 +302,6 @@ pub(crate) struct Checkpoint {
     engine: Engine,
     pcs: Vec<u32>,
     timeline_len: usize,
-    trace_len: usize,
 }
 
 impl Checkpoint {
@@ -328,10 +326,9 @@ impl Checkpoint {
     ) -> ((u64, u32), Result<DpuRunStats, SimError>) {
         let mut engine = self.engine.clone();
         debug_assert!(engine.icache.is_none() && engine.dcache.is_none());
-        // The append-only statistics the checkpoint left out: their
-        // prefixes are still in the live engine.
+        // The append-only statistic the checkpoint left out: its prefix
+        // is still in the live engine.
         engine.stats.tlp_timeline = live.stats.tlp_timeline[..self.timeline_len].to_vec();
-        engine.stats.trace = live.stats.trace[..self.trace_len].to_vec();
         state.pc.copy_from_slice(&self.pcs);
         // Re-stepping covers at most one segment: the general
         // instantiation serves, and `run` picks its own for the rest.
@@ -402,7 +399,6 @@ impl Engine {
                 fwd_load: u64::from(cfg.forward_load_latency),
                 iram_base: dpu.iram_backing_base(),
                 max_cycles: cfg.max_cycles,
-                trace_limit: cfg.trace_limit,
                 live: n,
                 blocked: 0,
                 now: 0,
@@ -427,19 +423,14 @@ impl Engine {
     }
 
     /// Whether this launch is the plain pipeline — one issue way, no
-    /// operand forwarding, scratchpad memory, no instruction trace — which
-    /// is every launch of the paper baseline. The issue body is compiled
-    /// twice from one source ([`Engine::pre_issue`] and [`Engine::retire`]
-    /// take `const PLAIN: bool`): the `PLAIN` instantiation drops those
-    /// four per-launch constants out of the per-instruction path, the
-    /// other serves every configuration. Fixed for the life of the engine.
+    /// operand forwarding, scratchpad memory — which is every launch of
+    /// the paper baseline. The issue body is compiled twice from one
+    /// source ([`Engine::pre_issue`] and [`Engine::retire`] take `const
+    /// PLAIN: bool`): the `PLAIN` instantiation drops those three
+    /// per-launch constants out of the per-instruction path, the other
+    /// serves every configuration. Fixed for the life of the engine.
     fn is_plain(&self) -> bool {
-        let h = &self.hot;
-        h.ways == 1
-            && !h.fwd
-            && h.trace_limit == 0
-            && self.icache.is_none()
-            && self.dcache.is_none()
+        self.hot.ways == 1 && !self.hot.fwd && self.icache.is_none() && self.dcache.is_none()
     }
 
     /// Drives the run to completion from wherever the engine stands
@@ -476,14 +467,7 @@ impl Engine {
 
     /// Seals the statistics of a finished run.
     pub(crate) fn finish(self) -> DpuRunStats {
-        let mut stats = self.stats;
-        stats.cycles = self.hot.now;
-        stats.dram = *self.mem.bank().stats();
-        stats.mmu = self.mem.mmu().map(|m| *m.stats());
-        stats.icache = self.icache.map(|c| *c.stats());
-        stats.dcache = self.dcache.map(|c| *c.stats());
-        stats.dma_requests = self.mem.requests_issued;
-        stats
+        self.stats.seal(self.hot.now, &self.mem, self.icache, self.dcache)
     }
 
     /// Runs at most `slots` issue slots of the shared schedule on the
@@ -538,15 +522,13 @@ impl Engine {
     /// Freezes the engine at a segment boundary, `pcs` being the program
     /// counters there.
     pub(crate) fn checkpoint(&mut self, pcs: &[u32]) -> Checkpoint {
-        // Without the two append-only statistics, so that a checkpoint
-        // costs the same however long the run already is.
+        // Without the append-only statistic, so that a checkpoint costs
+        // the same however long the run already is.
         let timeline = std::mem::take(&mut self.stats.tlp_timeline);
-        let trace = std::mem::take(&mut self.stats.trace);
         let engine = self.clone();
-        let (timeline_len, trace_len) = (timeline.len(), trace.len());
+        let timeline_len = timeline.len();
         self.stats.tlp_timeline = timeline;
-        self.stats.trace = trace;
-        Checkpoint { engine, pcs: pcs.to_vec(), timeline_len, trace_len }
+        Checkpoint { engine, pcs: pcs.to_vec(), timeline_len }
     }
 
     /// `ready_at` for a Ready tasklet about to run `pc`: its issue window,
@@ -622,7 +604,7 @@ impl Engine {
                                 Segment { addr: line, bytes: ic.config().line_bytes, write: false };
                             h.blocked |= 1 << t;
                             self.ready_set.place(h.now, t, u64::MAX);
-                            issue_fill(&mut self.mem, sink, h.now, t, &[fill]);
+                            self.mem.issue_traced(sink, t as u64, &[fill], h.now, false);
                             continue;
                         }
                     }
@@ -654,19 +636,12 @@ impl Engine {
                                     h.blocked |= 1 << t;
                                     self.ready_set.place(h.now, t, u64::MAX);
                                     self.skip_dcache[t] = true;
-                                    issue_fill(&mut self.mem, sink, h.now, t, &segs[..n_segs]);
+                                    let segs = &segs[..n_segs];
+                                    self.mem.issue_traced(sink, t as u64, segs, h.now, false);
                                     continue;
                                 }
                             }
                         }
-                    }
-                    if !PLAIN && self.stats.trace.len() < h.trace_limit {
-                        self.stats.trace.push(crate::stats::TraceEntry {
-                            cycle: h.now,
-                            tasklet: t as u32,
-                            pc,
-                            text: kernel.instrs[pc as usize].to_string(),
-                        });
                     }
                     return Ok(Some((t, pc)));
                 }
@@ -792,26 +767,8 @@ impl Engine {
         let op = &kernel.ops[pc as usize];
         self.stats.count_instruction_idx(op.class_idx as usize, t as u32);
         if sink.enabled() {
-            sink.emit(TraceEvent::InstrRetire {
-                cycle: now,
-                tasklet: t as u32,
-                pc,
-                class: InstrClass::ALL[op.class_idx as usize],
-            });
-            match kernel.instrs[pc as usize] {
-                Instruction::Acquire { bit } => sink.emit(TraceEvent::BarrierAcquire {
-                    cycle: now,
-                    tasklet: t as u32,
-                    bit: state.operand(t as u32, bit),
-                    acquired: effect != Effect::AcquireRetry,
-                }),
-                Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
-                    cycle: now,
-                    tasklet: t as u32,
-                    bit: state.operand(t as u32, bit),
-                }),
-                _ => {}
-            }
+            let class = InstrClass::ALL[op.class_idx as usize];
+            state.trace_retire(sink, now, t as u32, pc, class, &kernel.instrs[pc as usize], effect);
         }
         let fwd = !PLAIN && h.fwd;
         self.next_issue[t] = now + h.gap;
@@ -835,16 +792,8 @@ impl Engine {
                 state.pc[t] = pc + 1;
                 runnable = false;
                 h.blocked |= 1 << t;
-                if sink.enabled() {
-                    sink.emit(TraceEvent::DmaBegin {
-                        cycle: now,
-                        tasklet: t as u32,
-                        mram,
-                        bytes: len,
-                        write,
-                    });
-                }
-                self.mem.issue(t as u64, &[Segment { addr: mram, bytes: len, write }], now);
+                let seg = Segment { addr: mram, bytes: len, write };
+                self.mem.issue_traced(sink, t as u64, &[seg], now, false);
             }
         }
         // Refresh the wakeup entry for the new PC / issue window.
@@ -861,27 +810,6 @@ impl Engine {
             h.pending_lo = 0;
         }
     }
-}
-
-/// Blocks tasklet `t` on a cache fill: the request (line fill, plus the
-/// victim's writeback when dirty) goes to the memory engine.
-fn issue_fill<S: TraceSink>(
-    mem: &mut MemEngine,
-    sink: &mut S,
-    now: u64,
-    t: usize,
-    segs: &[Segment],
-) {
-    if sink.enabled() {
-        sink.emit(TraceEvent::DmaBegin {
-            cycle: now,
-            tasklet: t as u32,
-            mram: segs[0].addr,
-            bytes: segs.iter().map(|s| s.bytes).sum(),
-            write: false,
-        });
-    }
-    mem.issue(t as u64, segs, now);
 }
 
 #[cfg(test)]

@@ -267,41 +267,10 @@ pub(crate) fn run_simt<S: TraceSink>(
         dma_segments.clear();
         let mut dma_lane_requests = 0usize;
         for &l in &active {
-            if stats.trace.len() < cfg.trace_limit {
-                stats.trace.push(crate::stats::TraceEntry {
-                    cycle: now,
-                    tasklet: l as u32,
-                    pc,
-                    text: instr.to_string(),
-                });
-            }
             let effect = dpu.state.execute(l as u32, &instr)?;
             stats.count_instruction(d.class, l as u32);
             if sink.enabled() {
-                sink.emit(TraceEvent::InstrRetire {
-                    cycle: now,
-                    tasklet: l as u32,
-                    pc,
-                    class: d.class,
-                });
-                match instr {
-                    pim_isa::Instruction::Acquire { bit } => {
-                        sink.emit(TraceEvent::BarrierAcquire {
-                            cycle: now,
-                            tasklet: l as u32,
-                            bit: dpu.state.operand(l as u32, bit),
-                            acquired: effect != Effect::AcquireRetry,
-                        });
-                    }
-                    pim_isa::Instruction::Release { bit } => {
-                        sink.emit(TraceEvent::BarrierRelease {
-                            cycle: now,
-                            tasklet: l as u32,
-                            bit: dpu.state.operand(l as u32, bit),
-                        });
-                    }
-                    _ => {}
-                }
+                dpu.state.trace_retire(sink, now, l as u32, pc, d.class, &instr, effect);
             }
             if let Some(rd) = d.dst {
                 let lat = if d.is_load { fwd_load } else { fwd_alu };
@@ -338,33 +307,13 @@ pub(crate) fn run_simt<S: TraceSink>(
                     }
                 }
                 warps[wi].pending_mem = 1;
-                if sink.enabled() {
-                    for s in &merged {
-                        sink.emit(TraceEvent::DmaBegin {
-                            cycle: now,
-                            tasklet: wi as u32,
-                            mram: s.addr,
-                            bytes: s.bytes,
-                            write: s.write,
-                        });
-                    }
-                }
-                mem.issue(wi as u64, &merged, now);
+                mem.issue_traced(sink, wi as u64, &merged, now, true);
             } else {
                 // One engine request per lane: per-request setup is paid
                 // for every scalar transfer, as in the uncoalesced design.
                 warps[wi].pending_mem = dma_lane_requests;
                 for s in dma_segments.drain(..) {
-                    if sink.enabled() {
-                        sink.emit(TraceEvent::DmaBegin {
-                            cycle: now,
-                            tasklet: wi as u32,
-                            mram: s.addr,
-                            bytes: s.bytes,
-                            write: s.write,
-                        });
-                    }
-                    mem.issue(wi as u64, &[s], now);
+                    mem.issue_traced(sink, wi as u64, &[s], now, true);
                 }
             }
         }
@@ -375,9 +324,5 @@ pub(crate) fn run_simt<S: TraceSink>(
         stats.active_cycles += 1;
         now += 1;
     }
-    stats.cycles = now;
-    stats.dram = *mem.bank().stats();
-    stats.mmu = mem.mmu().map(|m| *m.stats());
-    stats.dma_requests = mem.requests_issued;
-    Ok(stats)
+    Ok(stats.seal(now, &mem, None, None))
 }

@@ -1,9 +1,11 @@
 //! Run statistics: everything the paper's characterization figures read.
 
-use pim_cache::CacheStats;
+use pim_cache::{Cache, CacheStats};
 use pim_dram::DramStats;
 use pim_isa::InstrClass;
 use pim_mmu::MmuStats;
+
+use crate::mem::MemEngine;
 
 /// Bucket count of [`IdleBuckets`]: one per possible number of waiting
 /// tasklets (or SIMT lanes), `0..=MAX_TASKLETS`.
@@ -30,26 +32,6 @@ pub struct IdleBuckets {
 /// `Σ num[tot] / tot` in index order: the cycles one reason is owed.
 fn owed_cycles(num: &[u64; IDLE_BUCKETS]) -> f64 {
     (1..IDLE_BUCKETS).fold(0.0, |sum, tot| sum + num[tot] as f64 / tot as f64)
-}
-
-/// One issued instruction, captured when tracing is enabled
-/// ([`crate::DpuConfig::trace_limit`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
-    /// Core cycle of issue.
-    pub cycle: u64,
-    /// Issuing tasklet (for SIMT: the lane).
-    pub tasklet: u32,
-    /// Program counter (instruction index) of the issued instruction.
-    pub pc: u32,
-    /// Disassembled instruction text.
-    pub text: String,
-}
-
-impl std::fmt::Display for TraceEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{:>8}] t{:02} pc={:<5} {}", self.cycle, self.tasklet, self.pc, self.text)
-    }
 }
 
 /// Statistics collected over one kernel execution on one DPU.
@@ -93,9 +75,6 @@ pub struct DpuRunStats {
     pub mmu: Option<MmuStats>,
     /// DMA requests issued.
     pub dma_requests: u64,
-    /// The first [`crate::DpuConfig::trace_limit`] issued instructions
-    /// (empty when tracing is disabled).
-    pub trace: Vec<TraceEntry>,
     /// Core frequency the run was clocked at, for time conversion.
     pub freq_mhz: u32,
     /// Peak scalar-instruction throughput (1 scalar, 2 superscalar, warp
@@ -168,12 +147,29 @@ impl DpuRunStats {
             _ => {}
         }
         self.dma_requests += other.dma_requests;
-        self.trace.extend(other.trace.iter().cloned());
         if self.freq_mhz == 0 {
             self.freq_mhz = other.freq_mhz;
             self.max_ipc = other.max_ipc;
             self.interface_bytes_per_cycle = other.interface_bytes_per_cycle;
         }
+    }
+
+    /// Seals a finished run: the final clock, and what the memory system
+    /// and the caches (cache-centric mode) counted on the way.
+    pub(crate) fn seal(
+        mut self,
+        cycles: u64,
+        mem: &MemEngine,
+        icache: Option<Cache>,
+        dcache: Option<Cache>,
+    ) -> Self {
+        self.cycles = cycles;
+        self.dram = *mem.bank().stats();
+        self.mmu = mem.mmu().map(|m| *m.stats());
+        self.icache = icache.map(|c| *c.stats());
+        self.dcache = dcache.map(|c| *c.stats());
+        self.dma_requests = mem.requests_issued;
+        self
     }
 
     /// Records one executed instruction of the given class for `tasklet`.

@@ -5,6 +5,7 @@
 use pim_asm::{assemble, Barrier, KernelBuilder, Mutex};
 use pim_dpu::{Dpu, DpuConfig, IlpFeatures, SimtConfig};
 use pim_isa::{AluOp, Cond};
+use pim_trace::{RingSink, TraceEvent};
 
 /// A kernel of `n` independent ALU instructions per tasklet, then stop.
 fn independent_alu_kernel(n: usize) -> pim_asm::DpuProgram {
@@ -490,25 +491,33 @@ fn mram_bandwidth_scaling_speeds_memory_bound_kernels() {
 }
 
 #[test]
-fn instruction_trace_captures_the_first_issues() {
+fn launch_with_hands_retired_instructions_to_the_callers_sink() {
     let program = assemble(".text\n movi r0, 1\n add r1, r0, 2\n stop\n").unwrap();
-    let mut cfg = DpuConfig::paper_baseline(2);
-    cfg.trace_limit = 4;
-    let mut dpu = Dpu::new(cfg);
-    dpu.load_program(&program).unwrap();
-    let stats = dpu.launch().unwrap();
-    assert_eq!(stats.trace.len(), 4, "trace capped at the limit");
-    assert_eq!(stats.trace[0].pc, 0);
-    assert_eq!(stats.trace[0].text, "movi r0, 1");
-    // Entries are in issue order and the display is readable.
-    for w in stats.trace.windows(2) {
-        assert!(w[0].cycle <= w[1].cycle);
-    }
-    assert!(stats.trace[0].to_string().contains("movi"));
-    // Tracing off by default.
     let mut dpu = Dpu::new(DpuConfig::paper_baseline(2));
     dpu.load_program(&program).unwrap();
-    assert!(dpu.launch().unwrap().trace.is_empty());
+    let mut ring = RingSink::new(64);
+    let stats = dpu.launch_with(&mut ring).unwrap();
+    let retired: Vec<(u64, u32)> = ring
+        .take()
+        .events
+        .iter()
+        .filter_map(|e| match *e {
+            TraceEvent::InstrRetire { cycle, pc, .. } => Some((cycle, pc)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retired.len() as u64, stats.instructions, "one event per instruction");
+    assert_eq!(retired[0].1, 0);
+    assert_eq!(program.instrs[0].to_string(), "movi r0, 1");
+    // Events arrive in issue order.
+    for w in retired.windows(2) {
+        assert!(w[0].0 <= w[1].0);
+    }
+    // Tracing is off by default: `launch` keeps no events, and the sink
+    // made no difference to the run.
+    let plain = dpu.launch().unwrap();
+    assert!(dpu.take_trace().is_none());
+    assert_eq!(format!("{plain:?}"), format!("{stats:?}"));
 }
 
 #[test]

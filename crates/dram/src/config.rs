@@ -75,13 +75,6 @@ impl DramConfig {
     pub fn row_of(&self, addr: u32) -> u32 {
         addr / self.row_bytes
     }
-
-    /// Peak data-bus bandwidth of the bank in bytes per DRAM cycle
-    /// (one burst every `t_ccd` cycles under row-hit streaming).
-    #[must_use]
-    pub fn peak_bytes_per_cycle(&self) -> f64 {
-        f64::from(self.burst_bytes) / self.t_ccd as f64
-    }
 }
 
 impl Default for DramConfig {
@@ -122,12 +115,5 @@ mod tests {
         assert_eq!(c.row_of(0), 0);
         assert_eq!(c.row_of(1023), 0);
         assert_eq!(c.row_of(1024), 1);
-    }
-
-    #[test]
-    fn peak_bandwidth() {
-        let c = DramConfig::ddr4_2400();
-        // 64 B / 4 cycles = 16 B/cycle at 1200 MHz ≈ 19.2 GB/s bank-level.
-        assert!((c.peak_bytes_per_cycle() - 16.0).abs() < f64::EPSILON);
     }
 }

@@ -485,111 +485,42 @@ impl PimSystem {
     /// (§II-B: no inter-DPU datapath) and lockstep is byte-identical to
     /// per-DPU launches; results are collected in DPU order.
     ///
-    /// Faults armed via [`Dpu::arm_fault`] are consumed up front: every
-    /// armed slot is taken (one-shot), the lowest-indexed one is returned
-    /// as its typed error, and nothing is simulated — no DPU's memory
-    /// changes and the timeline records no launch. Use
-    /// [`PimSystem::launch_each`] to run the healthy DPUs regardless.
-    ///
     /// # Errors
     ///
     /// Propagates the [`SimError`] of the lowest-indexed faulting DPU.
     pub fn launch_all(&mut self) -> Result<LaunchReport, SimError> {
-        let mut armed = None;
-        for (i, dpu) in self.dpus.iter_mut().enumerate() {
-            if let Some(kind) = dpu.take_armed_fault() {
-                armed.get_or_insert(kind.into_error(i as u32));
-            }
-        }
-        if let Some(err) = armed {
-            return Err(err);
-        }
+        let n_workers = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(self.dpus.len());
+        let batches: Vec<_> = if n_workers <= 1 {
+            vec![pim_dpu::run_batch(&mut self.dpus)]
+        } else {
+            let chunk_len = self.dpus.len().div_ceil(n_workers);
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = self
+                    .dpus
+                    .chunks_mut(chunk_len)
+                    .map(|chunk| scope.spawn(|| pim_dpu::run_batch(chunk)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("DPU simulation thread panicked"))
+                    .collect()
+            })
+        };
         let mut results = Vec::with_capacity(self.dpus.len());
         let mut lockstep = LockstepSummary::default();
-        for (chunk, summary) in self.on_workers(|chunk, _| pim_dpu::run_batch(chunk)) {
+        for (chunk, summary) in batches {
             lockstep.absorb(&summary, results.len() as u32);
             results.extend(chunk);
         }
         let per_dpu = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let kernel_ns = per_dpu.iter().map(DpuRunStats::time_ns).fold(0.0f64, f64::max);
-        self.charge_kernel(kernel_ns);
-        Ok(LaunchReport { per_dpu, kernel_ns, lockstep })
-    }
-
-    /// Launches every DPU and returns a per-DPU `Result` instead of
-    /// short-circuiting on the first failure — the launch path a
-    /// fault-tolerant runtime needs: one faulted device must not hide the
-    /// results of the healthy ones (`pim-serve` re-dispatches the failed
-    /// slice and keeps the rest).
-    ///
-    /// The kernel time charged to the timeline is the max over the
-    /// *successful* launches (a DPU that faulted at the launch boundary
-    /// never ran); faults armed via [`Dpu::arm_fault`] surface here as
-    /// their typed [`SimError`] carrying the faulting DPU's index. Always
-    /// launches DPU by DPU (never in lockstep) so each device's armed-fault
-    /// slot is checked individually.
-    pub fn launch_each(&mut self) -> Vec<Result<DpuRunStats, SimError>> {
-        let results: Vec<_> = self
-            .on_workers(|chunk, base| {
-                chunk
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(i, dpu)| launch_one(dpu, base + i as u32))
-                    .collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        let kernel_ns = results
-            .iter()
-            .filter_map(|r| r.as_ref().ok())
-            .map(DpuRunStats::time_ns)
-            .fold(0.0f64, f64::max);
-        self.charge_kernel(kernel_ns);
-        results
-    }
-
-    /// Books one launch of `kernel_ns` on the timeline and the channel.
-    fn charge_kernel(&mut self, kernel_ns: f64) {
         self.timeline.kernel_ns += kernel_ns;
         self.timeline.launches += 1;
         self.channel.kernel(kernel_ns);
         self.sync_wall();
-    }
-
-    /// Splits the set into contiguous chunks over at most
-    /// `available_parallelism` worker threads and runs `work(chunk, index
-    /// of the chunk's first DPU)` on each; the outputs come back in DPU
-    /// order.
-    fn on_workers<T: Send>(&mut self, work: impl Fn(&mut [Dpu], u32) -> T + Sync) -> Vec<T> {
-        let n_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(self.dpus.len());
-        if n_workers <= 1 {
-            return vec![work(&mut self.dpus, 0)];
-        }
-        let chunk_len = self.dpus.len().div_ceil(n_workers);
-        let work = &work;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .dpus
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(ci, chunk)| scope.spawn(move || work(chunk, (ci * chunk_len) as u32)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("DPU simulation thread panicked")).collect()
-        })
-    }
-}
-
-/// Launches one DPU, surfacing an armed [`pim_dpu::FaultKind`] as its typed
-/// error carrying the global DPU index `idx` — the host-side fault
-/// injection boundary. Taking the fault disarms the DPU (one-shot), and a
-/// faulted launch simulates no cycles.
-fn launch_one(dpu: &mut Dpu, idx: u32) -> Result<DpuRunStats, SimError> {
-    match dpu.take_armed_fault() {
-        Some(kind) => Err(kind.into_error(idx)),
-        None => dpu.launch(),
+        Ok(LaunchReport { per_dpu, kernel_ns, lockstep })
     }
 }
 
@@ -719,56 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn armed_fault_fails_only_its_dpu_in_launch_each() {
-        let program = sum_kernel(64);
-        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
-        sys.load(&program).unwrap();
-        let data = vec![0u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data, &data, &data]);
-        sys.dpu_mut(2).arm_fault(pim_dpu::FaultKind::Transient);
-        let results = sys.launch_each();
-        assert_eq!(results.len(), 4);
-        for (i, r) in results.iter().enumerate() {
-            if i == 2 {
-                assert_eq!(r.as_ref().unwrap_err(), &SimError::InjectedFault { dpu: 2 });
-            } else {
-                assert!(r.is_ok(), "dpu {i}: {r:?}");
-            }
-        }
-        assert_eq!(sys.timeline().launches, 1);
-        assert!(sys.timeline().kernel_ns > 0.0, "healthy DPUs still charge kernel time");
-        // One-shot: the fault was consumed, the next launch succeeds.
-        assert!(sys.launch_each().iter().all(Result::is_ok));
-    }
-
-    #[test]
-    fn launch_all_surfaces_armed_faults_before_running_anything() {
-        let program = sum_kernel(64);
-        let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), ChannelConfig::paper());
-        sys.load(&program).unwrap();
-        let data = vec![1u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data, &data, &data]);
-        let images = |sys: &PimSystem| -> Vec<(Vec<u8>, Vec<u8>)> {
-            (0..4).map(|d| (sys.dpu(d).read_wram(0, 1024), sys.dpu(d).read_mram(0, 1024))).collect()
-        };
-        let before = images(&sys);
-        sys.dpu_mut(3).arm_fault(pim_dpu::FaultKind::RankOffline { rank: 0 });
-        sys.dpu_mut(1).arm_fault(pim_dpu::FaultKind::Stuck { timeout_ns: 9 });
-        // The lowest-indexed fault is the one reported…
-        let err = sys.launch_all().unwrap_err();
-        assert_eq!(err, SimError::DpuStuck { dpu: 1, timeout_ns: 9 });
-        // …every armed slot was consumed by the failed launch…
-        assert!((0..4).all(|d| sys.dpu(d).armed_fault().is_none()));
-        // …and no DPU, healthy or not, ran: the kernel would have written
-        // `sum` and the timeline would show a launch.
-        assert!(images(&sys) == before, "a faulted launch_all must simulate nothing");
-        assert_eq!(sys.timeline().launches, 0);
-        assert_eq!(sys.timeline().kernel_ns, 0.0);
-        assert!(sys.launch_all().is_ok());
-        assert!(images(&sys) != before);
-    }
-
-    #[test]
     #[should_panic(expected = "one chunk per DPU")]
     fn mismatched_chunks_panic() {
         let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
@@ -834,7 +715,7 @@ mod tests {
     }
 
     #[test]
-    fn launch_all_matches_launch_each_on_a_twin_system() {
+    fn launch_all_matches_per_dpu_launches_on_a_twin_system() {
         // An odd population, so the worker chunks (and with them the
         // lockstep groups) are uneven.
         let n = 7u32;
@@ -851,7 +732,7 @@ mod tests {
         };
 
         let mut each = twin();
-        let want: Vec<DpuRunStats> = each.launch_each().into_iter().map(Result::unwrap).collect();
+        let want: Vec<DpuRunStats> = (0..n).map(|d| each.dpu_mut(d).launch().unwrap()).collect();
         let mut all = twin();
         let got = all.launch_all().unwrap();
 
@@ -859,7 +740,10 @@ mod tests {
         for (g, w) in got.per_dpu.iter().zip(&want) {
             assert_eq!(format!("{g:?}"), format!("{w:?}"));
         }
-        assert_eq!(all.timeline(), each.timeline());
+        // One launch, charged at the slowest DPU's kernel time.
+        let slowest = want.iter().map(DpuRunStats::time_ns).fold(0.0f64, f64::max);
+        assert_eq!(got.kernel_ns, slowest);
+        assert_eq!((all.timeline().launches, all.timeline().kernel_ns), (1, slowest));
         assert_eq!(all.pull_from_symbol("sum"), each.pull_from_symbol("sum"));
         // Same program, same trip counts: nobody leaves a shared schedule.
         assert_eq!(got.lockstep.members(), n);

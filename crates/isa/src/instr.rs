@@ -565,12 +565,6 @@ impl Instruction {
         rf_conflict_cycles(&self.srcs())
     }
 
-    /// Whether this is a control-transfer instruction.
-    #[must_use]
-    pub fn is_control(&self) -> bool {
-        self.class() == InstrClass::Control
-    }
-
     /// Whether this instruction blocks the tasklet on the memory system
     /// (DMA transfers in the baseline scratchpad-centric model).
     #[must_use]

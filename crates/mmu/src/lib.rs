@@ -86,17 +86,6 @@ impl PageTable {
         PageTable { map: (0..pages).collect() }
     }
 
-    /// A mapping built from an explicit page array (`map[vpn] = ppn`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the map is empty.
-    #[must_use]
-    pub fn from_map(map: Vec<u32>) -> Self {
-        assert!(!map.is_empty(), "page table must map at least one page");
-        PageTable { map }
-    }
-
     /// A deterministic non-trivial permutation of `pages` pages, useful for
     /// proving that translation is actually applied (tests) while remaining
     /// reproducible.

@@ -9,13 +9,32 @@
 //! wall-clock or thread timing, so a faulty run is as byte-reproducible
 //! as a healthy one and a resumed run redraws the identical faults.
 //!
-//! The fault kinds are exactly [`pimulator::pim_dpu::FaultKind`] — the same typed
-//! errors the `pim-host` launch boundary produces when a fault is armed
-//! on a device, so the policy layer tolerates precisely what the
-//! hardware boundary can emit.
+//! A fault is a [`FaultKind`] tag the loop reads off the plan and prices
+//! itself — a lost round, a watchdog timeout, a rank's worth of requests
+//! back in the retry queue. No DPU is launched to fail: a drawn fault
+//! never reaches `pim-host`, and no launch returns an error for it.
 
 use pim_rng::{Below, StdRng};
-use pimulator::pim_dpu::FaultKind;
+
+/// What went wrong with one occupied DPU in one round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A transient execution fault: the round's work on the DPU is lost
+    /// and a retry may succeed.
+    Transient,
+    /// A hang: the DPU never stops and the host watchdog fires after
+    /// `timeout_ns` — the round costs the full timeout.
+    Stuck {
+        /// Watchdog timeout, ns.
+        timeout_ns: u64,
+    },
+    /// The DPU's whole rank is offline; everything placed on it fails
+    /// until the rank rejoins.
+    RankOffline {
+        /// The offline rank.
+        rank: u32,
+    },
+}
 
 /// Golden-ratio increment decorrelating per-round fault streams.
 const ROUND_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -36,6 +55,12 @@ pub const MAX_KNOB_NS: u64 = 3_600 * 1_000_000_000;
 /// `u64` virtual clock; the rest is left to what
 /// [`FaultSpec::clock_horizon_ns`] adds on top of it.
 pub const MAX_DURATION_NS: u64 = 100 * 365 * 24 * MAX_KNOB_NS;
+
+/// Latest [`FaultSpec::clock_horizon_ns`] a run may have: half the `u64`
+/// virtual clock. The loop adds a span to a clock before it compares, so
+/// every sum it forms under an admitted spec stays inside the other half;
+/// a horizon that saturated is past this bound like any other.
+pub const MAX_HORIZON_NS: u64 = u64::MAX / 2;
 
 /// Most doublings of the retry back-off: attempt `a` waits
 /// `backoff_us << min(a - 1, MAX_BACKOFF_SHIFT)`.

@@ -49,7 +49,7 @@ pub mod slo;
 pub mod traffic;
 
 pub use checkpoint::{Checkpoint, RetryEntry, CHECKPOINT_SCHEMA};
-pub use fault::{FaultPlan, FaultSpec, Outage};
+pub use fault::{FaultKind, FaultPlan, FaultSpec, Outage};
 pub use queue::{Admission, AdmissionQueue, Request, TenantAdmission};
 pub use runtime::{
     resolved_duration_ns, resume_scenario, run_scenario, run_scenario_with_checkpoints, RunTooLong,

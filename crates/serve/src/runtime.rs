@@ -60,14 +60,16 @@
 use std::collections::BTreeSet;
 
 use pimulator::jobs::JobRunner;
-use pimulator::pim_dpu::{DpuConfig, FaultKind, SimError};
+use pimulator::pim_dpu::{DpuConfig, SimError};
 use pimulator::pim_host::{ChannelMode, ExecutionTimeline, TransferConfig};
 use pimulator::pim_trace::MetricsSink;
 use pimulator::report::Node;
 use pimulator::trace::JobTrace;
 
 use crate::checkpoint::{Checkpoint, RetryEntry};
-use crate::fault::{FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT, MAX_DURATION_NS};
+use crate::fault::{
+    FaultKind, FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT, MAX_DURATION_NS, MAX_HORIZON_NS,
+};
 use crate::kernels::{
     profile_composition, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
     TASKLETS_PER_SLOT,
@@ -263,18 +265,40 @@ impl ServeOutcome {
     }
 }
 
-/// A run length past [`MAX_DURATION_NS`]: the virtual clock counts
-/// nanoseconds in a `u64`, and the run would wrap it.
+/// A run the virtual clock cannot hold: it counts nanoseconds in a `u64`,
+/// and the run could wrap it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunTooLong {
-    /// The length asked for, ms.
-    pub duration_ms: u64,
+pub enum RunTooLong {
+    /// The arrival window is past [`MAX_DURATION_NS`].
+    Window {
+        /// The length asked for, ms.
+        duration_ms: u64,
+    },
+    /// The waits the fault spec names, on top of the window, put
+    /// [`FaultSpec::clock_horizon_ns`] past [`MAX_HORIZON_NS`].
+    Horizon {
+        /// The horizon, ns (`u64::MAX` when the sum saturated).
+        horizon_ns: u64,
+    },
 }
 
 impl std::fmt::Display for RunTooLong {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let (ms, most) = (self.duration_ms, MAX_DURATION_NS / 1_000_000);
-        write!(f, "a run of {ms} ms is longer than the virtual clock takes ({most} ms at most)")
+        match *self {
+            RunTooLong::Window { duration_ms: ms } => {
+                let most = MAX_DURATION_NS / 1_000_000;
+                write!(
+                    f,
+                    "a run of {ms} ms is longer than the virtual clock takes ({most} ms at most)"
+                )
+            }
+            RunTooLong::Horizon { horizon_ns } => write!(
+                f,
+                "--faults: retries x (timeout_us + backoff_us << {MAX_BACKOFF_SHIFT}) on top of \
+                 outage_ms and the run length lets a clock reach {horizon_ns} ns; the virtual \
+                 clock takes {MAX_HORIZON_NS} ns"
+            ),
+        }
     }
 }
 
@@ -284,12 +308,19 @@ impl std::error::Error for RunTooLong {}
 ///
 /// # Errors
 ///
-/// [`RunTooLong`] when it is past [`MAX_DURATION_NS`].
+/// [`RunTooLong`] when it is past [`MAX_DURATION_NS`], or when the fault
+/// spec's clock horizon for it is past [`MAX_HORIZON_NS`].
 pub fn resolved_duration_ns(scenario: &Scenario, opts: &ServeOptions) -> Result<u64, RunTooLong> {
     let ms = if opts.duration_ms > 0 { opts.duration_ms } else { scenario.default_duration_ms };
-    ms.checked_mul(1_000_000)
+    let ns = ms
+        .checked_mul(1_000_000)
         .filter(|&ns| ns <= MAX_DURATION_NS)
-        .ok_or(RunTooLong { duration_ms: ms })
+        .ok_or(RunTooLong::Window { duration_ms: ms })?;
+    let horizon_ns = opts.faults.unwrap_or_else(FaultSpec::none).clock_horizon_ns(ns);
+    if horizon_ns > MAX_HORIZON_NS {
+        return Err(RunTooLong::Horizon { horizon_ns });
+    }
+    Ok(ns)
 }
 
 /// The policy that will run (the override, else the scenario's), sized
@@ -941,6 +972,25 @@ mod tests {
             run_scenario(s, &ServeOptions { policy: Some("weighted_fair".into()), ..opts(1) })
                 .unwrap();
         assert_eq!(out.policy, "weighted_fair");
+    }
+
+    #[test]
+    fn a_fault_spec_whose_waits_could_wrap_the_clock_is_refused_with_its_run() {
+        let s = scenario_by_name("tiny").unwrap();
+        let run = |retries: u32| {
+            let text = format!(
+                "transient=1000,timeout_us=3600000000,backoff_us=3600000000,retries={retries}"
+            );
+            let faults = Some(FaultSpec::parse(&text).unwrap());
+            resolved_duration_ns(s, &ServeOptions { faults, duration_ms: 1, ..opts(1) })
+        };
+        // Two hour-long waits shifted 20 bits fit the bound, three do not,
+        // and thirty saturate the sum: what used to run and wrap.
+        assert_eq!(run(2), Ok(1_000_000));
+        assert!(matches!(run(3), Err(RunTooLong::Horizon { horizon_ns }) if horizon_ns < u64::MAX));
+        assert_eq!(run(30), Err(RunTooLong::Horizon { horizon_ns: u64::MAX }));
+        let line = run(30).unwrap_err().to_string();
+        assert!(line.contains("backoff_us") && line.contains("retries") && !line.contains('\n'));
     }
 
     #[test]

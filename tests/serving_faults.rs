@@ -50,27 +50,6 @@ fn empty_fault_spec_is_byte_identical_to_no_spec() {
 }
 
 #[test]
-fn injected_faults_surface_as_typed_errors_at_the_launch_boundary() {
-    // The serving loop consumes faults at the dispatch layer, but the
-    // underlying host boundary reports them as typed `SimError`s, not
-    // panics — the contract the runtime's retry logic builds on.
-    use pim_host::{ChannelConfig, PimSystem};
-    use pimulator::pim_dpu::{DpuConfig, FaultKind, SimError};
-
-    let program = pim_asm::assemble(".text\n movi r0, 7\n stop\n").unwrap();
-    let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
-    sys.load(&program).unwrap();
-    sys.dpu_mut(1).arm_fault(FaultKind::Stuck { timeout_ns: 500 });
-    let results = sys.launch_each();
-    assert!(results[0].is_ok() && results[2].is_ok());
-    assert_eq!(
-        results[1].as_ref().unwrap_err(),
-        &SimError::DpuStuck { dpu: 1, timeout_ns: 500 },
-        "an armed fault must fail its own DPU, typed, without poisoning neighbours"
-    );
-}
-
-#[test]
 fn every_admitted_request_ends_exactly_once() {
     let scenario = scenario_by_name("faulty").unwrap();
     for seed in [1u64, 7, 42] {

@@ -4,8 +4,8 @@
 //! study of the paper's evaluation ([`experiments`]), execution through
 //! the parallel [`JobRunner`] ([`run_experiment`]), and per-experiment
 //! formatting into an [`ExpReport`] — the human-readable table plus the
-//! machine-readable JSON document. The [`tune`] module holds the
-//! autotuner sweep and its table format.
+//! machine-readable JSON document, both from one [`Cols`] list per table.
+//! The [`tune`] module holds the autotuner sweep and its table format.
 //!
 //! This crate parses no command line and writes no file: `pimsim exp`,
 //! `pimsim trace` and `pimsim tune` (crate `pim-cli`) are the front door.
@@ -19,9 +19,10 @@ use pim_dpu::{DpuConfig, ExecTier, SimError};
 use pim_isa::InstrClass;
 use pimulator::experiments as exp;
 use pimulator::jobs::{JobRunner, SimJob};
-use pimulator::report::{pct, speedup, Json, Table};
+use pimulator::report::Show::{Fixed, Ms, Pct, Text, Us, X};
+use pimulator::report::{pct, speedup, Cols, Json};
 use pimulator::trace::JobTrace;
-use prim_suite::DatasetSize;
+use prim_suite::{DatasetSize, RunConfig};
 
 /// The dataset size a `--size` value or a document's `size` field names.
 #[must_use]
@@ -281,116 +282,75 @@ fn header(ctx: &ExpContext) -> String {
 /// The JSON document of an experiment: `experiment`, `size`, `rows`, then
 /// the experiment's `extra` top-level fields.
 fn json_doc(ctx: &ExpContext, rows: Json, extra: Vec<(&str, Json)>) -> Json {
-    let mut pairs = vec![
-        ("experiment".to_string(), Json::from(ctx.exp.name)),
-        ("size".to_string(), Json::from(size_label(ctx.size))),
-        ("rows".to_string(), rows),
-    ];
-    for (k, v) in extra {
-        pairs.push((k.to_string(), v));
-    }
-    Json::Obj(pairs)
+    let name = Json::from(ctx.exp.name);
+    let head = [("experiment", name), ("size", Json::from(size_label(ctx.size))), ("rows", rows)];
+    Json::obj(head.into_iter().chain(extra))
+}
+
+/// The report of a table experiment: its header line over the table of
+/// `rows`, and the document of their objects followed by `extra`.
+fn tabled<'r, R: ?Sized + 'static>(
+    ctx: &ExpContext,
+    cols: &Cols<R>,
+    rows: impl IntoIterator<Item = &'r R>,
+    extra: Vec<(&str, Json)>,
+) -> ExpReport {
+    let (table, json) = cols.tabulate(rows);
+    ExpReport { text: header(ctx) + &table.render(), json: json_doc(ctx, Json::Arr(json), extra) }
 }
 
 // ---------------------------------------------------------------------
-// Per-experiment table + JSON formatting
+// Per-experiment columns
 // ---------------------------------------------------------------------
 
 fn run_fig05(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig05_utilization(&ctx.rt, ctx.size, &PAPER_THREADS)?;
-    let mut t = Table::new(&["workload", "threads", "compute util", "mem read util"]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![
-            r.workload.clone(),
-            r.threads.to_string(),
-            pct(r.compute_util),
-            pct(r.mem_util),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("threads", Json::from(r.threads)),
-            ("compute_util", Json::from(r.compute_util)),
-            ("mem_read_util", Json::from(r.mem_util)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let cols = Cols::<exp::UtilRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("threads", "threads", Text, |r| r.threads)
+        .col("compute_util", "compute util", Pct, |r| r.compute_util)
+        .col("mem_read_util", "mem read util", Pct, |r| r.mem_util);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
+}
+
+type Share = fn(&exp::BreakdownRow) -> f64;
+/// The Fig 6 runtime shares: JSON key, header, field.
+const SHARES: [(&str, &str, Share); 4] = [
+    ("active", "active", |b| b.active),
+    ("idle_memory", "idle(mem)", |b| b.idle_memory),
+    ("idle_revolver", "idle(revolver)", |b| b.idle_revolver),
+    ("idle_rf", "idle(RF)", |b| b.idle_rf),
+];
+
+/// Fig 6's columns, which are also each Fig 12 row's `breakdown` object.
+fn breakdown_cols() -> Cols<exp::BreakdownRow> {
+    let ids = Cols::<exp::BreakdownRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("threads", "threads", Text, |r| r.threads);
+    SHARES.into_iter().fold(ids, |cols, (key, header, share)| cols.col(key, header, Pct, share))
 }
 
 fn run_fig06(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig06_breakdown(&ctx.rt, ctx.size, &PAPER_THREADS)?;
-    let mut t =
-        Table::new(&["workload", "threads", "active", "idle(mem)", "idle(revolver)", "idle(RF)"]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![
-            r.workload.clone(),
-            r.threads.to_string(),
-            pct(r.active),
-            pct(r.idle_memory),
-            pct(r.idle_revolver),
-            pct(r.idle_rf),
-        ]);
-        json_rows.push(breakdown_json(&r));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
-}
-
-fn breakdown_json(r: &exp::BreakdownRow) -> Json {
-    Json::obj([
-        ("workload", Json::from(r.workload.clone())),
-        ("threads", Json::from(r.threads)),
-        ("active", Json::from(r.active)),
-        ("idle_memory", Json::from(r.idle_memory)),
-        ("idle_revolver", Json::from(r.idle_revolver)),
-        ("idle_rf", Json::from(r.idle_rf)),
-    ])
+    Ok(tabled(ctx, &breakdown_cols(), &rows, vec![]))
 }
 
 fn run_fig07(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig07_tlp_histogram(&ctx.rt, ctx.size, 16)?;
     // Bin exactly as the paper plots: 0 / 1 / 2 / 3 / 4 / 5-8 / 9-16.
-    let bins: &[(usize, usize, &str)] = &[
-        (0, 0, "0"),
-        (1, 1, "1"),
-        (2, 2, "2"),
-        (3, 3, "3"),
-        (4, 4, "4"),
-        (5, 8, "5-8"),
-        (9, 16, "9-16"),
-    ];
-    let mut hdr = vec!["workload"];
-    hdr.extend(bins.iter().map(|b| b.2));
-    hdr.push("avg issuable");
-    let mut t = Table::new(&hdr);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        let mut cells = vec![r.workload.clone()];
-        let mut binned = Vec::new();
-        for (lo, hi, label) in bins {
-            let f: f64 = r.fractions.iter().skip(*lo).take(hi - lo + 1).sum();
-            cells.push(pct(f));
-            binned.push(((*label).to_string(), Json::from(f)));
-        }
-        cells.push(format!("{:.2}", r.mean));
-        t.row_owned(cells);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("bins", Json::Obj(binned)),
-            ("fractions", Json::arr(r.fractions.iter().map(|&f| Json::from(f)))),
-            ("mean_issuable", Json::from(r.mean)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let bins = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 8), (9, 16)];
+    let bins = bins.into_iter().fold(Cols::new(), |cols, (lo, hi)| {
+        let label = if lo == hi { lo.to_string() } else { format!("{lo}-{hi}") };
+        cols.col(&label, &label, Pct, move |r: &exp::TlpHistRow| -> f64 {
+            r.fractions.iter().skip(lo).take(hi - lo + 1).sum()
+        })
+    });
+    let cols = Cols::<exp::TlpHistRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .nest("bins", bins)
+        .key("fractions", |r| Json::arr(r.fractions.iter().map(|&f| Json::from(f))))
+        .col("mean_issuable", "avg issuable", Fixed(2), |r| r.mean);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_fig08(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -423,30 +383,14 @@ fn run_fig08(ctx: &ExpContext) -> Result<ExpReport, SimError> {
 
 fn run_fig09(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig09_instr_mix(&ctx.rt, ctx.size, &PAPER_THREADS)?;
-    let mut hdr = vec!["workload".to_string(), "threads".to_string()];
-    hdr.extend(InstrClass::ALL.iter().map(|c| c.label().to_string()));
-    let hdr_refs: Vec<&str> = hdr.iter().map(String::as_str).collect();
-    let mut t = Table::new(&hdr_refs);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        let mut cells = vec![r.workload.clone(), r.threads.to_string()];
-        cells.extend(r.fractions.iter().map(|f| pct(*f)));
-        t.row_owned(cells);
-        let mix: Vec<(String, Json)> = InstrClass::ALL
-            .iter()
-            .zip(r.fractions)
-            .map(|(c, f)| (c.label().to_string(), Json::from(f)))
-            .collect();
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("threads", Json::from(r.threads)),
-            ("mix", Json::Obj(mix)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let mix = InstrClass::ALL.iter().enumerate().fold(Cols::new(), |cols, (i, c)| {
+        cols.col(c.label(), c.label(), Pct, move |r: &exp::MixRow| r.fractions[i])
+    });
+    let cols = Cols::<exp::MixRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("threads", "threads", Text, |r| r.threads)
+        .nest("mix", mix);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_fig10(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -454,218 +398,113 @@ fn run_fig10(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     // smoke datasets only split 4 ways.
     let dpus: &[u32] = if ctx.size == DatasetSize::Tiny { &[1, 2, 4] } else { &[1, 16, 64] };
     let rows = exp::fig10_strong_scaling(&ctx.rt, ctx.size, dpus, 16)?;
-    let mut t =
-        Table::new(&["workload", "DPUs", "CPU->DPU", "kernel", "DPU->CPU", "total ms", "speedup"]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        let total = r.to_dpu_ns + r.kernel_ns + r.from_dpu_ns;
-        t.row_owned(vec![
-            r.workload.clone(),
-            r.n_dpus.to_string(),
-            pct(r.to_dpu_ns / total),
-            pct(r.kernel_ns / total),
-            pct(r.from_dpu_ns / total),
-            format!("{:.3}", total / 1e6),
-            speedup(r.speedup),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("n_dpus", Json::from(r.n_dpus)),
-            ("to_dpu_ns", Json::from(r.to_dpu_ns)),
-            ("kernel_ns", Json::from(r.kernel_ns)),
-            ("from_dpu_ns", Json::from(r.from_dpu_ns)),
-            ("speedup", Json::from(r.speedup)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let total = |r: &exp::ScalingRow| r.to_dpu_ns + r.kernel_ns + r.from_dpu_ns;
+    let cols = Cols::<exp::ScalingRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("n_dpus", "DPUs", Text, |r| r.n_dpus)
+        .cell("CPU->DPU", Pct, move |r| r.to_dpu_ns / total(r))
+        .cell("kernel", Pct, move |r| r.kernel_ns / total(r))
+        .cell("DPU->CPU", Pct, move |r| r.from_dpu_ns / total(r))
+        .cell("total ms", Ms(3), total)
+        .key("to_dpu_ns", |r| r.to_dpu_ns)
+        .key("kernel_ns", |r| r.kernel_ns)
+        .key("from_dpu_ns", |r| r.from_dpu_ns)
+        .col("speedup", "speedup", X, |r| r.speedup);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_fig11(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig11_simt(&ctx.rt, ctx.size, 16)?;
-    let mut t = Table::new(&["design point", "IPC", "speedup vs Base"]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![r.label.clone(), format!("{:.2}", r.ipc), speedup(r.speedup)]);
-        json_rows.push(Json::obj([
-            ("design", Json::from(r.label)),
-            ("ipc", Json::from(r.ipc)),
-            ("speedup", Json::from(r.speedup)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let cols = Cols::<exp::SimtRow>::new()
+        .col("design", "design point", Text, |r| r.label.clone())
+        .col("ipc", "IPC", Fixed(2), |r| r.ipc)
+        .col("speedup", "speedup vs Base", X, |r| r.speedup);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_fig12(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig12_ilp_ablation(&ctx.rt, ctx.size, 16)?;
-    let mut t = Table::new(&[
-        "workload",
-        "design",
-        "speedup",
-        "active",
-        "idle(mem)",
-        "idle(revolver)",
-        "idle(RF)",
-    ]);
-    let (mut sum, mut max_speedup, mut n) = (0.0f64, 1.0f64, 0u32);
-    for r in &rows {
-        if r.label == "Base+DRSF" {
-            max_speedup = max_speedup.max(r.speedup);
-            sum += r.speedup;
-            n += 1;
-        }
-    }
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![
-            r.workload.clone(),
-            r.label.clone(),
-            speedup(r.speedup),
-            pct(r.breakdown.active),
-            pct(r.breakdown.idle_memory),
-            pct(r.breakdown.idle_revolver),
-            pct(r.breakdown.idle_rf),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("design", Json::from(r.label)),
-            ("speedup", Json::from(r.speedup)),
-            ("breakdown", breakdown_json(&r.breakdown)),
-        ]));
-    }
-    let avg = sum / f64::from(n.max(1));
-    let text = header(ctx)
-        + &t.render()
-        + &format!(
-            "\nBase+DRSF speedup: avg {} / max {}  (paper: avg 2.7x, max 6.2x)\n",
-            speedup(avg),
-            speedup(max_speedup)
-        );
-    let summary = Json::obj([
-        ("avg_drsf_speedup", Json::from(avg)),
-        ("max_drsf_speedup", Json::from(max_speedup)),
-    ]);
-    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![("summary", summary)]) })
+    let breakdown = breakdown_cols();
+    let cols = Cols::<exp::AblationRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("design", "design", Text, |r| r.label.clone())
+        .col("speedup", "speedup", X, |r| r.speedup)
+        .key("breakdown", move |r| breakdown.json(&r.breakdown));
+    let cols = SHARES.into_iter().fold(cols, |cols, (_, header, share)| {
+        cols.cell(header, Pct, move |r| share(&r.breakdown))
+    });
+    let drsf: Vec<f64> =
+        rows.iter().filter(|r| r.label == "Base+DRSF").map(|r| r.speedup).collect();
+    let avg = drsf.iter().sum::<f64>() / drsf.len().max(1) as f64;
+    let max = drsf.iter().fold(1.0f64, |m, &s| m.max(s));
+    let summary =
+        Json::obj([("avg_drsf_speedup", Json::from(avg)), ("max_drsf_speedup", Json::from(max))]);
+    let mut report = tabled(ctx, &cols, &rows, vec![("summary", summary)]);
+    let _ = writeln!(
+        report.text,
+        "\nBase+DRSF speedup: avg {} / max {}  (paper: avg 2.7x, max 6.2x)",
+        speedup(avg),
+        speedup(max)
+    );
+    Ok(report)
 }
 
 fn run_fig13(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let scales = [1.0, 2.0, 3.0, 4.0];
     let rows = exp::fig13_mram_scaling(&ctx.rt, ctx.size, 16, &scales)?;
-    let mut t = Table::new(&["workload", "design", "x1", "x2", "x3", "x4"]);
-    let mut json_rows = Vec::new();
     // One table row per (workload, design) group of `scales.len()` points.
-    for group in rows.chunks(scales.len()) {
-        let mut cells = vec![group[0].workload.clone(), group[0].config.clone()];
-        cells.extend(group.iter().map(|r| speedup(r.speedup)));
-        t.row_owned(cells);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(group[0].workload.clone())),
-            ("design", Json::from(group[0].config.clone())),
-            (
-                "speedups",
-                Json::Obj(
-                    group
-                        .iter()
-                        .map(|r| (format!("x{}", r.scale as u32), Json::from(r.speedup)))
-                        .collect(),
-                ),
-            ),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let speedups = scales.iter().enumerate().fold(Cols::new(), |cols, (i, &s)| {
+        let label = format!("x{}", s as u32);
+        cols.col(&label, &label, X, move |g: &[exp::BwScaleRow]| g[i].speedup)
+    });
+    let cols = Cols::<[exp::BwScaleRow]>::new()
+        .col("workload", "workload", Text, |g| g[0].workload.clone())
+        .col("design", "design", Text, |g| g[0].config.clone())
+        .nest("speedups", speedups);
+    Ok(tabled(ctx, &cols, rows.chunks(scales.len()), vec![]))
 }
 
 fn run_fig15(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig15_cache_vs_scratchpad(&ctx.rt, ctx.size, &PAPER_THREADS)?;
-    let mut t = Table::new(&["workload", "threads", "cache time / scratchpad time"]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![r.workload.clone(), r.threads.to_string(), pct(r.normalized_time)]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("threads", Json::from(r.threads)),
-            ("cache_over_scratchpad_time", Json::from(r.normalized_time)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let cols = Cols::<exp::CacheVsRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("threads", "threads", Text, |r| r.threads)
+        .col("cache_over_scratchpad_time", "cache time / scratchpad time", Pct, |r| {
+            r.normalized_time
+        });
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_fig16(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::fig16_bytes_read(&ctx.rt, ctx.size, &PAPER_THREADS)?;
-    let mut t = Table::new(&[
-        "workload",
-        "threads",
-        "scratchpad bytes",
-        "cache bytes",
-        "ratio",
-        "scratchpad ms",
-        "cache ms",
-    ]);
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![
-            r.workload.clone(),
-            r.threads.to_string(),
-            r.scratchpad_bytes.to_string(),
-            r.cache_bytes.to_string(),
-            format!("{:.2}x", r.scratchpad_bytes as f64 / r.cache_bytes.max(1) as f64),
-            format!("{:.3}", r.scratchpad_ns / 1e6),
-            format!("{:.3}", r.cache_ns / 1e6),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("threads", Json::from(r.threads)),
-            ("scratchpad_bytes", Json::from(r.scratchpad_bytes)),
-            ("cache_bytes", Json::from(r.cache_bytes)),
-            ("scratchpad_ns", Json::from(r.scratchpad_ns)),
-            ("cache_ns", Json::from(r.cache_ns)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let cols = Cols::<exp::BytesReadRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("threads", "threads", Text, |r| r.threads)
+        .col("scratchpad_bytes", "scratchpad bytes", Text, |r| r.scratchpad_bytes)
+        .col("cache_bytes", "cache bytes", Text, |r| r.cache_bytes)
+        .cell("ratio", X, |r| r.scratchpad_bytes as f64 / r.cache_bytes.max(1) as f64)
+        .col("scratchpad_ns", "scratchpad ms", Ms(3), |r| r.scratchpad_ns)
+        .col("cache_ns", "cache ms", Ms(3), |r| r.cache_ns);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_mmu(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let rows = exp::mmu_overhead(&ctx.rt, ctx.size, 16)?;
-    let mut t = Table::new(&["workload", "overhead", "TLB hit rate"]);
-    let (mut sum, mut max) = (0.0f64, 0.0f64);
-    for r in &rows {
-        sum += r.overhead;
-        max = max.max(r.overhead);
-    }
-    let n = rows.len() as f64;
-    let mut json_rows = Vec::new();
-    for r in rows {
-        t.row_owned(vec![r.workload.clone(), pct(r.overhead), pct(r.tlb_hit_rate)]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(r.workload)),
-            ("overhead", Json::from(r.overhead)),
-            ("tlb_hit_rate", Json::from(r.tlb_hit_rate)),
-        ]));
-    }
-    let text = header(ctx)
-        + &t.render()
-        + &format!(
-            "\naverage overhead {} / max {}  (paper: avg 0.8%, max 14.1%)\n",
-            pct(sum / n),
-            pct(max)
-        );
-    let summary =
-        Json::obj([("avg_overhead", Json::from(sum / n)), ("max_overhead", Json::from(max))]);
-    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![("summary", summary)]) })
+    let cols = Cols::<exp::MmuRow>::new()
+        .col("workload", "workload", Text, |r| r.workload.clone())
+        .col("overhead", "overhead", Pct, |r| r.overhead)
+        .col("tlb_hit_rate", "TLB hit rate", Pct, |r| r.tlb_hit_rate);
+    let avg = rows.iter().map(|r| r.overhead).sum::<f64>() / rows.len() as f64;
+    let max = rows.iter().fold(0.0f64, |m, r| m.max(r.overhead));
+    let summary = Json::obj([("avg_overhead", Json::from(avg)), ("max_overhead", Json::from(max))]);
+    let mut report = tabled(ctx, &cols, &rows, vec![("summary", summary)]);
+    let _ = writeln!(
+        report.text,
+        "\naverage overhead {} / max {}  (paper: avg 0.8%, max 14.1%)",
+        pct(avg),
+        pct(max)
+    );
+    Ok(report)
 }
 
 fn run_multi_tenant(ctx: &ExpContext) -> Result<ExpReport, SimError> {
@@ -727,7 +566,7 @@ fn run_multi_tenant(ctx: &ExpContext) -> Result<ExpReport, SimError> {
 }
 
 fn run_serving(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    use pim_serve::{run_scenario, scenario_by_name, ServeOptions};
+    use pim_serve::{run_scenario, scenario_by_name, ServeOptions, ServeOutcome};
 
     // Sweep the load multiplier across the saturation point of the demo
     // scenario: throughput should plateau once the rank saturates while
@@ -735,61 +574,29 @@ fn run_serving(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     // produced entirely from cycle-level composition profiles.
     let scenario = scenario_by_name("demo").expect("demo scenario exists");
     let duration_ms: u64 = if ctx.size == DatasetSize::Tiny { 2 } else { 20 };
-    let loads = [0.25, 0.5, 1.0, 2.0, 4.0];
-    let mut t = Table::new(&[
-        "load",
-        "offered",
-        "admitted",
-        "rejected",
-        "completed",
-        "rps",
-        "p50_us",
-        "p99_us",
-    ]);
-    let mut json_rows = Vec::new();
-    for &load in &loads {
-        let opts = ServeOptions {
-            duration_ms,
-            load,
-            threads: Some(ctx.rt.workers()),
-            ..ServeOptions::default()
-        };
-        let out = run_scenario(scenario, &opts)?;
-        let (p50, p95, p99) = out.aggregate_latency().total.slo_triple();
-        t.row_owned(vec![
-            format!("{load}"),
-            out.offered().to_string(),
-            out.admitted().to_string(),
-            out.rejected().to_string(),
-            out.completed().to_string(),
-            format!("{:.0}", out.throughput_rps()),
-            format!("{:.1}", p50 as f64 / 1000.0),
-            format!("{:.1}", p99 as f64 / 1000.0),
-        ]);
-        json_rows.push(Json::obj([
-            ("load", Json::from(load)),
-            ("offered", Json::UInt(out.offered())),
-            ("admitted", Json::UInt(out.admitted())),
-            ("rejected", Json::UInt(out.rejected())),
-            ("completed", Json::UInt(out.completed())),
-            ("throughput_rps", Json::from(out.throughput_rps())),
-            ("p50_ns", Json::UInt(p50)),
-            ("p95_ns", Json::UInt(p95)),
-            ("p99_ns", Json::UInt(p99)),
-        ]));
+    let threads = Some(ctx.rt.workers());
+    let mut rows = Vec::new();
+    for load in [0.25, 0.5, 1.0, 2.0, 4.0] {
+        let opts = ServeOptions { duration_ms, load, threads, ..ServeOptions::default() };
+        rows.push((load, run_scenario(scenario, &opts)?));
     }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(
-            ctx,
-            Json::Arr(json_rows),
-            vec![("scenario", Json::from(scenario.name)), ("duration_ms", Json::UInt(duration_ms))],
-        ),
-    })
+    let slo = |r: &(f64, ServeOutcome)| r.1.aggregate_latency().total.slo_triple();
+    let cols = Cols::<(f64, ServeOutcome)>::new()
+        .col("load", "load", Text, |r| r.0)
+        .col("offered", "offered", Text, |r| r.1.offered())
+        .col("admitted", "admitted", Text, |r| r.1.admitted())
+        .col("rejected", "rejected", Text, |r| r.1.rejected())
+        .col("completed", "completed", Text, |r| r.1.completed())
+        .col("throughput_rps", "rps", Fixed(0), |r| r.1.throughput_rps())
+        .col("p50_ns", "p50_us", Us, move |r| slo(r).0)
+        .key("p95_ns", move |r| slo(r).1)
+        .col("p99_ns", "p99_us", Us, move |r| slo(r).2);
+    let extra = vec![("scenario", Json::from(scenario.name)), ("duration_ms", duration_ms.into())];
+    Ok(tabled(ctx, &cols, &rows, extra))
 }
 
 fn run_serving_faults(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    use pim_serve::{run_scenario, scenario_by_name, FaultSpec, ServeOptions};
+    use pim_serve::{run_scenario, scenario_by_name, FaultSpec, ServeOptions, ServeOutcome};
 
     // Sweep fault campaigns over the faulty scenario at fixed load: a
     // clean baseline, a transient-retry regime, a stuck-DPU regime, and
@@ -804,64 +611,33 @@ fn run_serving_faults(ctx: &ExpContext) -> Result<ExpReport, SimError> {
         ("stuck", "seed=9,stuck=25,timeout_us=2000"),
         ("rank_outage", "seed=9,outages=2,outage_ms=1,rank_dpus=4"),
     ];
-    let mut t = Table::new(&[
-        "campaign",
-        "admitted",
-        "completed",
-        "failed",
-        "retried",
-        "degraded",
-        "rps",
-        "p99_us",
-    ]);
-    let mut json_rows = Vec::new();
+    let threads = Some(ctx.rt.workers());
+    let mut rows = Vec::new();
     for (label, spec_text) in campaigns {
         let spec = FaultSpec::parse(spec_text).expect("campaign spec parses");
-        let opts = ServeOptions {
-            duration_ms,
-            threads: Some(ctx.rt.workers()),
-            faults: Some(spec),
-            ..ServeOptions::default()
-        };
+        let opts = ServeOptions { duration_ms, threads, faults: Some(spec), ..Default::default() };
         let out = run_scenario(scenario, &opts)?;
         debug_assert_eq!(out.admitted(), out.completed() + out.failed());
-        let (_, _, p99) = out.aggregate_latency().total.slo_triple();
-        t.row_owned(vec![
-            label.to_string(),
-            out.admitted().to_string(),
-            out.completed().to_string(),
-            out.failed().to_string(),
-            out.retried().to_string(),
-            out.degraded().to_string(),
-            format!("{:.0}", out.throughput_rps()),
-            format!("{:.1}", p99 as f64 / 1000.0),
-        ]);
-        json_rows.push(Json::obj([
-            ("campaign", Json::from(label)),
-            ("faults", Json::from(spec.label())),
-            ("offered", Json::UInt(out.offered())),
-            ("admitted", Json::UInt(out.admitted())),
-            ("completed", Json::UInt(out.completed())),
-            ("failed", Json::UInt(out.failed())),
-            ("retried", Json::UInt(out.retried())),
-            ("degraded", Json::UInt(out.degraded())),
-            ("throughput_rps", Json::from(out.throughput_rps())),
-            ("p99_ns", Json::UInt(p99)),
-        ]));
+        rows.push((label, spec, out));
     }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(
-            ctx,
-            Json::Arr(json_rows),
-            vec![("scenario", Json::from(scenario.name)), ("duration_ms", Json::UInt(duration_ms))],
-        ),
-    })
+    let cols = Cols::<(&str, FaultSpec, ServeOutcome)>::new()
+        .col("campaign", "campaign", Text, |r| r.0)
+        .key("faults", |r| r.1.label())
+        .key("offered", |r| r.2.offered())
+        .col("admitted", "admitted", Text, |r| r.2.admitted())
+        .col("completed", "completed", Text, |r| r.2.completed())
+        .col("failed", "failed", Text, |r| r.2.failed())
+        .col("retried", "retried", Text, |r| r.2.retried())
+        .col("degraded", "degraded", Text, |r| r.2.degraded())
+        .col("throughput_rps", "rps", Fixed(0), |r| r.2.throughput_rps())
+        .col("p99_ns", "p99_us", Us, |r| r.2.aggregate_latency().total.slo_triple().2);
+    let extra = vec![("scenario", Json::from(scenario.name)), ("duration_ms", duration_ms.into())];
+    Ok(tabled(ctx, &cols, &rows, extra))
 }
 
 fn run_transfer_study(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    use pimulator::pim_host::ChannelMode;
-    use prim_suite::{workload_by_name, RunConfig};
+    use pimulator::pim_host::{ChannelMode, ExecutionTimeline};
+    use prim_suite::workload_by_name;
 
     // The transfer-bound slice of the suite: host payloads dominate (or
     // rival) kernel time, so the channel mode is the knob that moves the
@@ -891,66 +667,37 @@ fn run_transfer_study(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     }
     let runs = ctx.rt.map(&cases, |_, c| {
         let w = workload_by_name(c.workload).expect("study workload exists");
-        let cfg = DpuConfig::paper_baseline(c.tasklets);
-        let rc =
-            if c.n_dpus == 1 { RunConfig::single(cfg) } else { RunConfig::multi(c.n_dpus, cfg) };
-        let run = w.run(ctx.size, &rc.with_channel(c.mode))?;
-        Ok(run.timeline)
+        let rc = RunConfig::multi(c.n_dpus, DpuConfig::paper_baseline(c.tasklets));
+        Ok(w.run(ctx.size, &rc.with_channel(c.mode))?.timeline)
     });
 
-    let mut t = Table::new(&[
-        "workload",
-        "tasklets",
-        "dpus",
-        "channel",
-        "to_ms",
-        "kernel_ms",
-        "from_ms",
-        "wall_ms",
-        "vs blocking",
-    ]);
-    let mut json_rows = Vec::new();
+    // Each row carries the wall of its workload's blocking row: the grid
+    // emits blocking first per workload, so it is set before the v2 rows.
+    let mut rows = Vec::new();
     let mut blocking_wall = 0.0f64;
-    for (c, tl) in cases.iter().zip(runs) {
+    for (c, tl) in cases.into_iter().zip(runs) {
         let tl = tl?;
-        let wall = tl.wall_ns();
-        // The grid emits blocking first per workload, so the baseline is
-        // always set before the v2 rows of the same workload render.
         if c.mode == ChannelMode::Blocking {
-            blocking_wall = wall;
+            blocking_wall = tl.wall_ns();
         }
-        t.row_owned(vec![
-            c.workload.to_string(),
-            c.tasklets.to_string(),
-            c.n_dpus.to_string(),
-            c.mode.label().to_string(),
-            format!("{:.4}", tl.to_dpu_ns / 1e6),
-            format!("{:.4}", tl.kernel_ns / 1e6),
-            format!("{:.4}", tl.from_dpu_ns / 1e6),
-            format!("{:.4}", wall / 1e6),
-            format!("{:.2}x", blocking_wall / wall),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(c.workload)),
-            ("tasklets", Json::from(c.tasklets)),
-            ("n_dpus", Json::from(c.n_dpus)),
-            ("channel", Json::from(c.mode.label())),
-            ("to_dpu_ns", Json::from(tl.to_dpu_ns)),
-            ("kernel_ns", Json::from(tl.kernel_ns)),
-            ("from_dpu_ns", Json::from(tl.from_dpu_ns)),
-            ("wall_ns", Json::from(wall)),
-            ("speedup_vs_blocking", Json::from(blocking_wall / wall)),
-        ]));
+        rows.push((c, tl, blocking_wall));
     }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![("tuned", Json::from(ctx.tuned.is_some()))]),
-    })
+    let cols = Cols::<(Case, ExecutionTimeline, f64)>::new()
+        .col("workload", "workload", Text, |r| r.0.workload)
+        .col("tasklets", "tasklets", Text, |r| r.0.tasklets)
+        .col("n_dpus", "dpus", Text, |r| r.0.n_dpus)
+        .col("channel", "channel", Text, |r| r.0.mode.label())
+        .col("to_dpu_ns", "to_ms", Ms(4), |r| r.1.to_dpu_ns)
+        .col("kernel_ns", "kernel_ms", Ms(4), |r| r.1.kernel_ns)
+        .col("from_dpu_ns", "from_ms", Ms(4), |r| r.1.from_dpu_ns)
+        .col("wall_ns", "wall_ms", Ms(4), |r| r.1.wall_ns())
+        .col("speedup_vs_blocking", "vs blocking", X, |r| r.2 / r.1.wall_ns());
+    Ok(tabled(ctx, &cols, &rows, vec![("tuned", Json::from(ctx.tuned.is_some()))]))
 }
 
 fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     let mut text = header(ctx);
-    let (rows, lockstep) = exp::exp_rank_scale(&ctx.rt, ctx.size)?;
+    let (rows, lockstep) = exp::exp_rank_scale(&ctx.rt, ctx.size, exp::DEFAULT_RANK_BATCH)?;
     // Out of band: the summary depends on the host's thread count, the
     // document must not. CI's rank-scale smoke reads this line.
     eprintln!("lockstep: {lockstep}");
@@ -1048,82 +795,63 @@ fn run_sim_rate(ctx: &ExpContext) -> Result<ExpReport, SimError> {
 }
 
 fn run_sparse_nn(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    use prim_suite::{workload_by_name, RunConfig};
+    use prim_suite::workload_by_name;
 
     // The extension families under a tasklet sweep plus one strong-scaled
     // point: sparse BSR exercises the irregular-gather DMA path, the
     // quantized NN kernels exercise chained launches with host staging.
-    struct Case {
+    struct Row {
         workload: &'static str,
+        family: &'static str,
         threads: u32,
         n_dpus: u32,
+        instructions: u64,
+        cycles: u64,
+        dma_requests: u64,
+        bytes_read: u64,
     }
     const FAMILY: &[&str] = &["SpMV-BSR", "SpMM-BSR", "MLP-Q", "ATTN"];
+    // (workload, threads, DPUs)
     let mut cases = Vec::new();
     for &w in FAMILY {
         for t in [1u32, 8, 16] {
-            cases.push(Case { workload: w, threads: t, n_dpus: 1 });
+            cases.push((w, t, 1));
         }
-        cases.push(Case { workload: w, threads: 16, n_dpus: 4 });
+        cases.push((w, 16, 4));
     }
-    let measured: Vec<Result<(u64, u64, u64, u64), SimError>> = ctx.rt.map(&cases, |_, c| {
-        let w = workload_by_name(c.workload).expect("workload exists");
-        let cfg = DpuConfig::paper_baseline(c.threads);
-        let run_cfg =
-            if c.n_dpus == 1 { RunConfig::single(cfg) } else { RunConfig::multi(c.n_dpus, cfg) };
-        let run = w.run(ctx.size, &run_cfg)?;
+    let rows = ctx.rt.map(&cases, |_, &(workload, threads, n_dpus)| {
+        let w = workload_by_name(workload).expect("workload exists");
+        let run = w.run(ctx.size, &RunConfig::multi(n_dpus, DpuConfig::paper_baseline(threads)))?;
         // Like the figure sweeps, a validation miss is a bug, not data.
         run.validation.as_ref().expect("extension outputs are bit-exact against the reference");
-        let instructions: u64 = run.per_dpu.iter().map(|s| s.instructions).sum();
-        let cycles: u64 = run.per_dpu.iter().map(|s| s.cycles).max().unwrap_or(0);
-        let dma: u64 = run.per_dpu.iter().map(|s| s.dma_requests).sum();
-        let bytes: u64 = run.per_dpu.iter().map(|s| s.dram.bytes_read).sum();
-        Ok((instructions, cycles, dma, bytes))
+        Ok(Row {
+            workload,
+            family: w.family().label(),
+            threads,
+            n_dpus,
+            instructions: run.per_dpu.iter().map(|s| s.instructions).sum(),
+            cycles: run.per_dpu.iter().map(|s| s.cycles).max().unwrap_or(0),
+            dma_requests: run.per_dpu.iter().map(|s| s.dma_requests).sum(),
+            bytes_read: run.per_dpu.iter().map(|s| s.dram.bytes_read).sum(),
+        })
     });
-    let mut t = Table::new(&[
-        "workload",
-        "family",
-        "threads",
-        "dpus",
-        "instructions",
-        "cycles",
-        "dma reqs",
-        "rd B/req",
-    ]);
-    let mut json_rows = Vec::new();
-    for (c, m) in cases.iter().zip(measured) {
-        let (instructions, cycles, dma, bytes) = m?;
-        let family = workload_by_name(c.workload).expect("workload exists").family();
-        t.row_owned(vec![
-            c.workload.to_string(),
-            family.label().to_string(),
-            c.threads.to_string(),
-            c.n_dpus.to_string(),
-            instructions.to_string(),
-            cycles.to_string(),
-            dma.to_string(),
-            format!("{:.1}", bytes as f64 / dma.max(1) as f64),
-        ]);
-        json_rows.push(Json::obj([
-            ("workload", Json::from(c.workload)),
-            ("family", Json::from(family.label())),
-            ("threads", Json::from(c.threads)),
-            ("dpus", Json::from(c.n_dpus)),
-            ("instructions", Json::UInt(instructions)),
-            ("cycles", Json::UInt(cycles)),
-            ("dma_requests", Json::UInt(dma)),
-            ("mram_bytes_read", Json::UInt(bytes)),
-            ("validated", Json::Bool(true)),
-        ]));
-    }
-    Ok(ExpReport {
-        text: header(ctx) + &t.render(),
-        json: json_doc(ctx, Json::Arr(json_rows), vec![]),
-    })
+    let rows = rows.into_iter().collect::<Result<Vec<_>, SimError>>()?;
+    let cols = Cols::<Row>::new()
+        .col("workload", "workload", Text, |r| r.workload)
+        .col("family", "family", Text, |r| r.family)
+        .col("threads", "threads", Text, |r| r.threads)
+        .col("dpus", "dpus", Text, |r| r.n_dpus)
+        .col("instructions", "instructions", Text, |r| r.instructions)
+        .col("cycles", "cycles", Text, |r| r.cycles)
+        .col("dma_requests", "dma reqs", Text, |r| r.dma_requests)
+        .key("mram_bytes_read", |r| r.bytes_read)
+        .cell("rd B/req", Fixed(1), |r| r.bytes_read as f64 / r.dma_requests.max(1) as f64)
+        .key("validated", |_| true);
+    Ok(tabled(ctx, &cols, &rows, vec![]))
 }
 
 fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    use prim_suite::{all_workloads, workload_by_name, RunConfig};
+    use prim_suite::{all_workloads, workload_by_name};
 
     // The full cross-product the paper validates (§III-C), as independent
     // cases fanned out over the worker pool. Unlike the figure sweeps,
@@ -1161,9 +889,7 @@ fn run_validation(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     }
     let verdicts: Vec<Option<String>> = ctx.rt.map(&cases, |_, c| {
         let w = workload_by_name(&c.workload).expect("workload exists");
-        let cfg = DpuConfig::paper_baseline(c.threads);
-        let run_cfg =
-            if c.n_dpus == 1 { RunConfig::single(cfg) } else { RunConfig::multi(c.n_dpus, cfg) };
+        let run_cfg = RunConfig::multi(c.n_dpus, DpuConfig::paper_baseline(c.threads));
         let tag = if c.n_dpus == 1 {
             format!("{} {:?} @{}t", c.workload, c.size, c.threads)
         } else {

@@ -27,7 +27,8 @@ use pim_serve::kernels::{request_classes, KernelKind};
 use pimulator::experiments::DPUS_PER_RANK;
 use pimulator::jobs::JobRunner;
 use pimulator::pim_host::ChannelMode;
-use pimulator::report::{Json, Node, Table};
+use pimulator::report::Show::{Ms, Text, X};
+use pimulator::report::{Cols, Json, Node};
 use prim_suite::{extended_workloads, workload_by_name, DatasetSize, RunConfig};
 
 use crate::{size_by_label, size_label};
@@ -110,11 +111,7 @@ impl TunedTable {
                     continue;
                 };
                 let score = u64::from(t.share) * u64::from(*weight);
-                let better = match &best {
-                    None => true,
-                    Some((_, s)) => score > *s,
-                };
-                if better {
+                if best.is_none_or(|(_, s)| score > s) {
                     best = Some((entry, score));
                 }
             }
@@ -136,30 +133,11 @@ impl TunedTable {
     /// Renders the table document.
     #[must_use]
     pub fn to_json(&self) -> Json {
+        let cols = columns();
         Json::obj([
             ("schema", Json::from(TUNE_SCHEMA)),
             ("size", Json::from(size_label(self.size))),
-            (
-                "workloads",
-                Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|e| {
-                            Json::obj([
-                                ("workload", Json::from(e.workload.as_str())),
-                                ("family", Json::from(e.family.as_str())),
-                                ("tasklets", Json::from(e.tasklets)),
-                                ("n_dpus", Json::from(e.n_dpus)),
-                                ("channel", Json::from(e.channel.label())),
-                                ("policy", Json::from(e.policy.as_str())),
-                                ("wall_ns", Json::from(e.wall_ns)),
-                                ("blocking_wall_ns", Json::from(e.blocking_wall_ns)),
-                                ("speedup", Json::from(e.speedup())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("workloads", Json::arr(self.entries.iter().map(|e| cols.json(e)))),
         ])
     }
 
@@ -274,11 +252,7 @@ struct GridPoint {
 /// legacy baseline is always present.
 fn grid(quick: bool, multi_dpu: bool) -> Vec<GridPoint> {
     let tasklets: &[u32] = if quick { &[8, 16] } else { &[4, 8, 16] };
-    let dpus: &[u32] = match (quick, multi_dpu) {
-        (_, false) => &[1],
-        (true, true) => &[1, 4],
-        (false, true) => &[1, 4],
-    };
+    let dpus: &[u32] = if multi_dpu { &[1, 4] } else { &[1] };
     let modes: &[ChannelMode] = if quick {
         &[ChannelMode::Blocking, ChannelMode::Overlapped]
     } else {
@@ -299,22 +273,18 @@ fn grid(quick: bool, multi_dpu: bool) -> Vec<GridPoint> {
 ///
 /// # Errors
 ///
-/// Returns the first unknown workload name as `Err(String)`, or
-/// propagates a simulation fault as `Ok(Err(SimError))`-collapsed —
-/// both render as a failed run.
+/// Returns a message naming the first unknown workload (before anything
+/// is simulated), or the first workload whose sweep faulted and the
+/// fault.
 pub fn run_tune(opts: &TuneOptions) -> Result<TunedTable, String> {
+    // Canonicalize up front so unknown names fail before any simulation
+    // runs.
+    let canonical = |n: &String| match workload_by_name(n) {
+        Some(w) => Ok(w.name().to_string()),
+        None => Err(format!("unknown workload `{n}` (see `pimsim list`)")),
+    };
     let names: Vec<String> = match &opts.workloads {
-        Some(list) => {
-            // Canonicalize up front so unknown names fail before any
-            // simulation runs.
-            let mut canonical = Vec::with_capacity(list.len());
-            for n in list {
-                let w = workload_by_name(n)
-                    .ok_or_else(|| format!("unknown workload `{n}` (see `pimsim list`)"))?;
-                canonical.push(w.name().to_string());
-            }
-            canonical
-        }
+        Some(list) => list.iter().map(canonical).collect::<Result<_, _>>()?,
         None => extended_workloads().iter().map(|w| w.name().to_string()).collect(),
     };
 
@@ -333,12 +303,7 @@ pub fn run_tune(opts: &TuneOptions) -> Result<TunedTable, String> {
     let runner = JobRunner::new(opts.threads);
     let walls: Vec<Result<f64, SimError>> = runner.map(&cases, |_, c| {
         let w = workload_by_name(&c.workload).expect("workload exists");
-        let cfg = DpuConfig::paper_baseline(c.point.tasklets);
-        let rc = if c.point.n_dpus == 1 {
-            RunConfig::single(cfg)
-        } else {
-            RunConfig::multi(c.point.n_dpus, cfg)
-        };
+        let rc = RunConfig::multi(c.point.n_dpus, DpuConfig::paper_baseline(c.point.tasklets));
         let run = w.run(opts.size, &rc.with_channel(c.point.channel))?;
         run.validation.as_ref().expect("tuned runs stay bit-exact against the reference");
         Ok(run.timeline.wall_ns())
@@ -353,12 +318,9 @@ pub fn run_tune(opts: &TuneOptions) -> Result<TunedTable, String> {
             if c.workload != *name {
                 continue;
             }
-            let wall = match wall {
-                Ok(w) => *w,
-                Err(e) => return Err(format!("{name}: simulation fault: {e}")),
-            };
+            let wall = *wall.as_ref().map_err(|e| format!("{name}: simulation fault: {e}"))?;
             // Strict `<` keeps the earliest grid point on ties.
-            if best.as_ref().is_none() || wall < best.as_ref().unwrap().1 {
+            if best.is_none_or(|(_, b)| wall < b) {
                 best = Some((c.point, wall));
             }
             if c.point.channel == ChannelMode::Blocking && best_blocking.is_none_or(|b| wall < b) {
@@ -380,31 +342,25 @@ pub fn run_tune(opts: &TuneOptions) -> Result<TunedTable, String> {
     Ok(TunedTable { size: opts.size, entries })
 }
 
+/// The columns of a tuned table: its document's `workloads` entries and
+/// its printed rows.
+fn columns() -> Cols<TunedEntry> {
+    Cols::<TunedEntry>::new()
+        .col("workload", "workload", Text, |e| e.workload.clone())
+        .col("family", "family", Text, |e| e.family.clone())
+        .col("tasklets", "tasklets", Text, |e| e.tasklets)
+        .col("n_dpus", "dpus", Text, |e| e.n_dpus)
+        .col("channel", "channel", Text, |e| e.channel.label())
+        .col("policy", "policy", Text, |e| e.policy.clone())
+        .col("wall_ns", "wall_ms", Ms(4), |e| e.wall_ns)
+        .key("blocking_wall_ns", |e| e.blocking_wall_ns)
+        .col("speedup", "vs blocking", X, TunedEntry::speedup)
+}
+
 /// Renders the human-readable table.
 #[must_use]
 pub fn tune_table_text(table: &TunedTable) -> String {
-    let mut t = Table::new(&[
-        "workload",
-        "family",
-        "tasklets",
-        "dpus",
-        "channel",
-        "policy",
-        "wall_ms",
-        "vs blocking",
-    ]);
-    for e in &table.entries {
-        t.row_owned(vec![
-            e.workload.clone(),
-            e.family.clone(),
-            e.tasklets.to_string(),
-            e.n_dpus.to_string(),
-            e.channel.label().to_string(),
-            e.policy.clone(),
-            format!("{:.4}", e.wall_ns / 1e6),
-            format!("{:.2}x", e.speedup()),
-        ]);
-    }
+    let (t, _) = columns().tabulate(&table.entries);
     format!("== pimsim tune ({} size) ==\n{}", size_label(table.size), t.render())
 }
 

@@ -874,12 +874,9 @@ fn rank_kernel() -> pim_asm::DpuProgram {
 }
 
 /// The rank sweep's DPU configuration: the paper baseline at 8 tasklets
-/// with the shrunken MRAM bank. `_batch_dpus` is ignored — it used to
-/// select the lockstep driver, which `PimSystem::launch_all` now takes
-/// whenever the DPUs are compatible; the parameter stays because
-/// `benchmark/` compiles against this signature.
+/// with the shrunken MRAM bank.
 #[must_use]
-pub fn rank_config(_batch_dpus: u32) -> DpuConfig {
+pub fn rank_config() -> DpuConfig {
     let mut cfg = DpuConfig::paper_baseline(RANK_TASKLETS);
     cfg.layout.mram_bytes = RANK_MRAM_BYTES;
     cfg
@@ -907,7 +904,10 @@ struct RankShard {
 /// [`rank_config`] with the kernel loaded and DPU `base + i`'s
 /// deterministic input window written to MRAM. Used by the sweep's shards
 /// and by the `pim-bench` `rank` synthetic, which stages once and times
-/// repeated launches. `_batch_dpus` is ignored, as in [`rank_config`].
+/// repeated launches. `_batch_dpus` is ignored: it used to select the
+/// lockstep driver, which `PimSystem::launch_all` now takes whenever the
+/// DPUs are compatible. It stays because `benchmark/` (`cases.rs`,
+/// `probes.rs`) calls this with three arguments.
 ///
 /// # Errors
 ///
@@ -918,8 +918,7 @@ pub fn rank_population(
     _batch_dpus: u32,
 ) -> Result<pim_host::PimSystem, SimError> {
     let program = rank_kernel();
-    let mut sys =
-        pim_host::PimSystem::new(n_dpus, rank_config(0), pim_host::ChannelConfig::paper());
+    let mut sys = pim_host::PimSystem::new(n_dpus, rank_config(), pim_host::ChannelConfig::paper());
     sys.load(&program)?;
     for i in 0..n_dpus {
         let bytes: Vec<u8> = rank_input(base + i).iter().flat_map(|w| w.to_le_bytes()).collect();
@@ -949,45 +948,28 @@ fn run_rank_shard(shard: RankShard) -> Result<RankShardOut, SimError> {
     Ok(((report.total_instructions(), cycles, report.kernel_ns, checksum), report.lockstep))
 }
 
-/// Rank-scale sweep at the default shard length ([`DEFAULT_RANK_BATCH`]),
-/// with what the lockstep driver did over the whole sweep. The summary is
-/// diagnostic: unlike the rows it depends on how launches were split over
-/// host threads, so it goes into no results document.
-///
-/// # Errors
-///
-/// Propagates the first simulation fault.
-pub fn exp_rank_scale(
-    rt: &JobRunner,
-    size: DatasetSize,
-) -> Result<(Vec<RankScaleRow>, LockstepSummary), SimError> {
-    rank_scale_sweep(rt, size, DEFAULT_RANK_BATCH)
-}
-
 /// Rank-scale sweep: simulates whole-rank DPU populations (up to the
 /// paper's 20 ranks = 2,560 DPUs at `MultiDpu`), sharding the population
-/// into systems of `batch_dpus` DPUs over the job engine (0 = the default,
-/// [`DEFAULT_RANK_BATCH`]); each system's `launch_all` runs its compatible
-/// DPUs in lockstep. `batch_dpus` is the shard length and nothing else.
+/// into systems of `shard_len` DPUs ([`DEFAULT_RANK_BATCH`] in the
+/// experiment) over the job engine; each system's `launch_all` runs its
+/// compatible DPUs in lockstep. Returns the rows and what the lockstep
+/// driver did over the whole sweep.
 ///
 /// Rows are byte-identical across worker counts and shard lengths (pinned
 /// by `tests/determinism.rs`): lockstep group boundaries are
 /// timing-invisible, and every reported quantity is simulated, aggregated
-/// with order-independent folds.
+/// with order-independent folds. The summary is diagnostic: it depends on
+/// how launches were split over host threads, so it goes into no results
+/// document.
 ///
 /// # Errors
 ///
 /// Propagates the first simulation fault, in shard order.
-pub fn exp_rank_scale_with(
-    rt: &JobRunner,
-    size: DatasetSize,
-    batch_dpus: u32,
-) -> Result<Vec<RankScaleRow>, SimError> {
-    let shard_len = if batch_dpus > 0 { batch_dpus } else { DEFAULT_RANK_BATCH };
-    rank_scale_sweep(rt, size, shard_len).map(|(rows, _)| rows)
-}
-
-fn rank_scale_sweep(
+///
+/// # Panics
+///
+/// Panics if `shard_len` is 0.
+pub fn exp_rank_scale(
     rt: &JobRunner,
     size: DatasetSize,
     shard_len: u32,
@@ -1065,11 +1047,12 @@ mod tests {
     #[test]
     fn rank_scale_rows_are_shard_length_invariant() {
         let rt = JobRunner::new(Some(2));
-        let batched = exp_rank_scale_with(&rt, DatasetSize::Tiny, 32).unwrap();
-        let (per_dpu, lockstep) = exp_rank_scale(&rt, DatasetSize::Tiny).unwrap();
+        let (batched, _) = exp_rank_scale(&rt, DatasetSize::Tiny, 32).unwrap();
+        let (per_dpu, lockstep) =
+            exp_rank_scale(&rt, DatasetSize::Tiny, DEFAULT_RANK_BATCH).unwrap();
         assert_eq!(lockstep.members(), 3 * DPUS_PER_RANK);
         assert!(lockstep.left.is_empty(), "the rank kernel never diverges: {lockstep}");
-        let odd = exp_rank_scale_with(&rt, DatasetSize::Tiny, 7).unwrap();
+        let (odd, _) = exp_rank_scale(&rt, DatasetSize::Tiny, 7).unwrap();
         assert_eq!(batched.len(), 2);
         assert_eq!(batched[0].dpus, DPUS_PER_RANK);
         assert_eq!(batched[1].dpus, 2 * DPUS_PER_RANK);

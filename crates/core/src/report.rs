@@ -4,9 +4,11 @@
 //! The JSON side is deliberately dependency-free: experiments emit a
 //! [`Json`] tree (object keys keep insertion order, floats use Rust's
 //! shortest-round-trip formatting) so that `results/<name>.json` is
-//! byte-reproducible across runs and worker counts.
+//! byte-reproducible across runs and worker counts. A table that is
+//! written both ways declares its columns once, as a [`Cols`] list.
 
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// A simple left-padded text table.
 ///
@@ -16,7 +18,7 @@ use std::fmt::Write as _;
 /// use pimulator::report::Table;
 ///
 /// let mut t = Table::new(&["workload", "ipc"]);
-/// t.row(&["VA", "0.93"]);
+/// t.row_owned(vec!["VA".to_string(), "0.93".to_string()]);
 /// let s = t.render();
 /// assert!(s.contains("workload"));
 /// assert!(s.contains("VA"));
@@ -34,16 +36,6 @@ impl Table {
         Table { header: header.iter().map(ToString::to_string).collect(), rows: Vec::new() }
     }
 
-    /// Appends a row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row width differs from the header width.
-    pub fn row(&mut self, cells: &[&str]) {
-        assert_eq!(cells.len(), self.header.len(), "row width must match header");
-        self.rows.push(cells.iter().map(ToString::to_string).collect());
-    }
-
     /// Appends a row of already-owned cells.
     ///
     /// # Panics
@@ -57,7 +49,6 @@ impl Table {
     /// Renders the table with aligned columns.
     #[must_use]
     pub fn render(&self) -> String {
-        let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
@@ -77,8 +68,164 @@ impl Table {
         for row in &self.rows {
             emit(&mut out, row);
         }
-        let _ = ncols;
         out
+    }
+}
+
+/// How a [`Cols`] column shows its value in a table cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Show {
+    /// As written: a string as is, an integer in decimal, a double by
+    /// `Display` (`0.25` → `0.25`, `1.0` → `1`).
+    Text,
+    /// A fraction as a percentage, [`pct`].
+    Pct,
+    /// A ratio, [`speedup`].
+    X,
+    /// A number with this many decimals.
+    Fixed(usize),
+    /// Nanoseconds as milliseconds with this many decimals.
+    Ms(usize),
+    /// Nanoseconds as microseconds with one decimal.
+    Us,
+}
+
+impl Show {
+    /// The cell of `value` under this rule.
+    fn cell(self, value: &Json) -> String {
+        let x = match *value {
+            Json::Num(x) => x,
+            Json::UInt(u) => u as f64,
+            Json::Int(i) => i as f64,
+            _ => f64::NAN,
+        };
+        match self {
+            Show::Text => match value {
+                Json::Str(s) => s.clone(),
+                Json::Num(x) => x.to_string(),
+                other => other.render(),
+            },
+            Show::Pct => pct(x),
+            Show::X => speedup(x),
+            Show::Fixed(d) => format!("{x:.d$}"),
+            Show::Ms(d) => format!("{:.d$}", x / 1e6),
+            Show::Us => format!("{:.1}", x / 1e3),
+        }
+    }
+}
+
+/// The columns of a table that is written twice — as text and as one JSON
+/// object per row — declared once. A column has a JSON key, a table
+/// header, or both, over one accessor: the table shows the headed columns
+/// and the object holds the keyed ones, each side in list order.
+///
+/// ```
+/// use pimulator::report::{Cols, Show};
+///
+/// struct Row { workload: &'static str, ipc: f64, cycles: u64 }
+/// let cols = Cols::<Row>::new()
+///     .col("workload", "workload", Show::Text, |r| r.workload)
+///     .col("ipc", "IPC", Show::Fixed(2), |r| r.ipc)
+///     .key("cycles", |r| r.cycles);
+/// let (table, json) = cols.tabulate(&[Row { workload: "VA", ipc: 0.931, cycles: 7 }]);
+/// assert_eq!(table.render().lines().nth(2), Some("VA        0.93  "));
+/// assert_eq!(json[0].render(), r#"{"workload":"VA","ipc":0.931,"cycles":7}"#);
+/// ```
+pub struct Cols<R: ?Sized>(Vec<Col<R>>);
+
+/// One column of a [`Cols`] list.
+struct Col<R: ?Sized> {
+    key: Option<String>,
+    header: Option<String>,
+    show: Show,
+    get: Rc<dyn Fn(&R) -> Json>,
+}
+
+impl<R: ?Sized> Default for Cols<R> {
+    fn default() -> Self {
+        Cols(Vec::new())
+    }
+}
+
+impl<R: ?Sized + 'static> Cols<R> {
+    /// An empty list.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Not generic over the accessor, so it is compiled once per row type.
+    fn push(
+        mut self,
+        key: Option<&str>,
+        header: Option<&str>,
+        show: Show,
+        get: Rc<dyn Fn(&R) -> Json>,
+    ) -> Self {
+        let (key, header) = (key.map(str::to_string), header.map(str::to_string));
+        self.0.push(Col { key, header, show, get });
+        self
+    }
+
+    /// A column in both the table and the document.
+    #[must_use]
+    pub fn col<J: Into<Json>>(
+        self,
+        key: &str,
+        header: &str,
+        show: Show,
+        get: impl Fn(&R) -> J + 'static,
+    ) -> Self {
+        self.push(Some(key), Some(header), show, Rc::new(move |r: &R| get(r).into()))
+    }
+
+    /// A column in the document only.
+    #[must_use]
+    pub fn key<J: Into<Json>>(self, key: &str, get: impl Fn(&R) -> J + 'static) -> Self {
+        self.push(Some(key), None, Show::Text, Rc::new(move |r: &R| get(r).into()))
+    }
+
+    /// A column in the table only.
+    #[must_use]
+    pub fn cell<J: Into<Json>>(
+        self,
+        header: &str,
+        show: Show,
+        get: impl Fn(&R) -> J + 'static,
+    ) -> Self {
+        self.push(None, Some(header), show, Rc::new(move |r: &R| get(r).into()))
+    }
+
+    /// `cols` as one document column, their object under `key`, whose
+    /// headed columns join the table here.
+    #[must_use]
+    pub fn nest(mut self, key: &str, cols: Cols<R>) -> Self {
+        for c in cols.0.iter().filter(|c| c.header.is_some()) {
+            let get = Rc::clone(&c.get);
+            self.0.push(Col { key: None, header: c.header.clone(), show: c.show, get });
+        }
+        self.key(key, move |r| cols.json(r))
+    }
+
+    /// The table of `rows` and the object of each.
+    pub fn tabulate<'r>(&self, rows: impl IntoIterator<Item = &'r R>) -> (Table, Vec<Json>) {
+        let header = self.0.iter().filter_map(|c| c.header.clone()).collect();
+        let mut table = Table { header, rows: Vec::new() };
+        let json = rows
+            .into_iter()
+            .map(|row| {
+                let headed = self.0.iter().filter(|c| c.header.is_some());
+                table.rows.push(headed.map(|c| c.show.cell(&(c.get)(row))).collect());
+                self.json(row)
+            })
+            .collect();
+        (table, json)
+    }
+
+    /// The object of one row.
+    #[must_use]
+    pub fn json(&self, row: &R) -> Json {
+        Json::Obj(self.0.iter().filter_map(|c| Some((c.key.clone()?, (c.get)(row)))).collect())
     }
 }
 
@@ -666,11 +813,15 @@ pub fn speedup(x: f64) -> String {
 mod tests {
     use super::*;
 
+    fn cells(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(ToString::to_string).collect()
+    }
+
     #[test]
     fn renders_aligned_columns() {
         let mut t = Table::new(&["a", "bbbb"]);
-        t.row(&["xxxxx", "1"]);
-        t.row(&["y", "22"]);
+        t.row_owned(cells(&["xxxxx", "1"]));
+        t.row_owned(cells(&["y", "22"]));
         let s = t.render();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -682,13 +833,58 @@ mod tests {
     #[should_panic(expected = "row width")]
     fn mismatched_row_panics() {
         let mut t = Table::new(&["a", "b"]);
-        t.row(&["only one"]);
+        t.row_owned(cells(&["only one"]));
     }
 
     #[test]
     fn formatters() {
         assert_eq!(pct(0.5), "50.0%");
         assert_eq!(speedup(2.6), "2.60x");
+    }
+
+    #[test]
+    fn key_only_and_header_only_columns_interleave_in_order() {
+        let inner = Cols::<(u64, f64)>::new()
+            .col("x1", "x1", Show::X, |r| r.1)
+            .key("hidden", |r| r.0)
+            .cell("x2", Show::X, |r| 2.0 * r.1);
+        let cols = Cols::<(u64, f64)>::new()
+            .key("a", |r| r.0)
+            .cell("B", Show::Text, |r| r.0 + 1)
+            .col("c", "C", Show::Pct, |r| r.1)
+            .nest("group", inner)
+            .cell("D", Show::Fixed(3), |r| r.1)
+            .key("e", |_| "last");
+        let (table, json) = cols.tabulate(&[(7, 0.5)]);
+        let mut want = Table::new(&["B", "C", "x1", "x2", "D"]);
+        want.row_owned(cells(&["8", "50.0%", "0.50x", "1.00x", "0.500"]));
+        assert_eq!(table.render(), want.render());
+        let obj = r#"{"a":7,"c":0.5,"group":{"x1":0.5,"hidden":7},"e":"last"}"#;
+        assert_eq!(json.iter().map(Json::render).collect::<Vec<_>>(), [obj]);
+        assert_eq!(cols.json(&(7, 0.5)).render(), obj);
+    }
+
+    #[test]
+    fn each_display_rule_renders_what_its_format_string_did() {
+        let x = 1234.5678;
+        let ns = 1_234_567u64;
+        let cases: [(Show, Json, String); 12] = [
+            (Show::Text, Json::from(0.25), format!("{}", 0.25)),
+            (Show::Text, Json::from(1.0), format!("{}", 1.0)),
+            (Show::Text, Json::from(ns), ns.to_string()),
+            (Show::Text, Json::from(-3i64), (-3).to_string()),
+            (Show::Text, Json::from("BS"), "BS".to_string()),
+            (Show::Pct, Json::from(0.1234), format!("{:.1}%", 0.1234 * 100.0)),
+            (Show::X, Json::from(x), format!("{x:.2}x")),
+            (Show::Fixed(0), Json::from(x), format!("{x:.0}")),
+            (Show::Fixed(2), Json::from(x), format!("{x:.2}")),
+            (Show::Ms(3), Json::from(x * 1e3), format!("{:.3}", x * 1e3 / 1e6)),
+            (Show::Ms(4), Json::from(ns), format!("{:.4}", ns as f64 / 1e6)),
+            (Show::Us, Json::from(ns), format!("{:.1}", ns as f64 / 1000.0)),
+        ];
+        for (show, value, want) in cases {
+            assert_eq!(show.cell(&value), want, "{show:?} of {value:?}");
+        }
     }
 
     #[test]

@@ -59,59 +59,58 @@ pub use scenario::{scenario_by_name, scenarios, Scenario, TenantSpec};
 pub use sched::{policy_by_name, policy_by_name_with_weights, SchedulerPolicy};
 pub use slo::{LatencyHistogram, LatencySplit};
 
-use pimulator::report::{Json, Table};
+use pimulator::report::Show::{Fixed, Text, Us};
+use pimulator::report::{Cols, Json};
 use slo::LatencyHistogram as Hist;
 
-/// The `{p50,p95,p99}` object of one histogram (`total` additionally
-/// gets mean/max in [`outcome_json`]).
-fn pcts_json(h: &Hist) -> Json {
-    let (p50, p95, p99) = h.slo_triple();
-    Json::obj([
-        ("p50_ns", Json::UInt(p50)),
-        ("p95_ns", Json::UInt(p95)),
-        ("p99_ns", Json::UInt(p99)),
-    ])
+/// The `{p50,p95,p99}` columns of the histogram `hist` finds in a tenant;
+/// `headed`, they are also the table's latency columns.
+fn slo_cols(headed: bool, hist: fn(&TenantOutcome) -> &Hist) -> Cols<TenantOutcome> {
+    let names = [("p50_ns", "p50_us"), ("p95_ns", "p95_us"), ("p99_ns", "p99_us")];
+    names.into_iter().enumerate().fold(Cols::new(), |cols, (i, (key, header))| {
+        let get = move |t: &TenantOutcome| <[u64; 3]>::from(hist(t).slo_triple())[i];
+        if headed {
+            cols.col(key, header, Us, get)
+        } else {
+            cols.key(key, get)
+        }
+    })
+}
+
+/// The per-tenant columns: the `tenants` entries of [`outcome_json`] and
+/// the rows of [`outcome_table`].
+fn tenant_cols() -> Cols<TenantOutcome> {
+    let total = slo_cols(true, |t| &t.latency.total)
+        .key("mean_ns", |t| t.latency.total.mean_ns())
+        .key("max_ns", |t| t.latency.total.max_ns());
+    let latency = Cols::new()
+        .nest("queue", slo_cols(false, |t| &t.latency.queue))
+        .nest("transfer", slo_cols(false, |t| &t.latency.transfer))
+        .nest("execute", slo_cols(false, |t| &t.latency.execute))
+        .nest("total", total);
+    Cols::<TenantOutcome>::new()
+        .col("name", "tenant", Text, |t| t.name)
+        .key("share", |t| t.share)
+        .key("weight", |t| t.weight)
+        .col("offered", "offered", Text, |t| t.admission.offered)
+        .col("admitted", "admitted", Text, |t| t.admission.admitted)
+        .key("rejected_capacity", |t| t.admission.rejected_capacity)
+        .key("rejected_quota", |t| t.admission.rejected_quota)
+        .cell("rejected", Text, |t| t.admission.rejected())
+        .col("completed", "completed", Text, |t| t.completed)
+        .col("failed", "failed", Text, |t| t.failed)
+        .col("retried", "retried", Text, |t| t.retried)
+        .col("degraded", "degraded", Text, |t| t.degraded)
+        .col("throughput_rps", "rps", Fixed(0), |t| t.throughput_rps)
+        .nest("latency", latency)
 }
 
 /// Renders one serving outcome as the deterministic results document
 /// written to `results/serve_<scenario>.json`.
 #[must_use]
 pub fn outcome_json(out: &ServeOutcome) -> Json {
-    let tenants = out.tenants.iter().map(|t| {
-        let (p50, p95, p99) = t.latency.total.slo_triple();
-        Json::obj([
-            ("name", Json::from(t.name)),
-            ("share", Json::UInt(u64::from(t.share))),
-            ("weight", Json::UInt(u64::from(t.weight))),
-            ("offered", Json::UInt(t.admission.offered)),
-            ("admitted", Json::UInt(t.admission.admitted)),
-            ("rejected_capacity", Json::UInt(t.admission.rejected_capacity)),
-            ("rejected_quota", Json::UInt(t.admission.rejected_quota)),
-            ("completed", Json::UInt(t.completed)),
-            ("failed", Json::UInt(t.failed)),
-            ("retried", Json::UInt(t.retried)),
-            ("degraded", Json::UInt(t.degraded)),
-            ("throughput_rps", Json::from(t.throughput_rps)),
-            (
-                "latency",
-                Json::obj([
-                    ("queue", pcts_json(&t.latency.queue)),
-                    ("transfer", pcts_json(&t.latency.transfer)),
-                    ("execute", pcts_json(&t.latency.execute)),
-                    (
-                        "total",
-                        Json::obj([
-                            ("p50_ns", Json::UInt(p50)),
-                            ("p95_ns", Json::UInt(p95)),
-                            ("p99_ns", Json::UInt(p99)),
-                            ("mean_ns", Json::from(t.latency.total.mean_ns())),
-                            ("max_ns", Json::UInt(t.latency.total.max_ns())),
-                        ]),
-                    ),
-                ]),
-            ),
-        ])
-    });
+    let cols = tenant_cols();
+    let tenants = out.tenants.iter().map(|t| cols.json(t));
     let mut top = vec![
         ("serve", Json::from(out.scenario)),
         ("seed", Json::UInt(out.seed)),
@@ -161,38 +160,7 @@ pub fn outcome_json(out: &ServeOutcome) -> Json {
 /// stdout.
 #[must_use]
 pub fn outcome_table(out: &ServeOutcome) -> String {
-    let mut t = Table::new(&[
-        "tenant",
-        "offered",
-        "admitted",
-        "rejected",
-        "completed",
-        "failed",
-        "retried",
-        "degraded",
-        "rps",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-    ]);
-    let us = |ns: u64| format!("{:.1}", ns as f64 / 1000.0);
-    for ten in &out.tenants {
-        let (p50, p95, p99) = ten.latency.total.slo_triple();
-        t.row_owned(vec![
-            ten.name.to_string(),
-            ten.admission.offered.to_string(),
-            ten.admission.admitted.to_string(),
-            ten.admission.rejected().to_string(),
-            ten.completed.to_string(),
-            ten.failed.to_string(),
-            ten.retried.to_string(),
-            ten.degraded.to_string(),
-            format!("{:.0}", ten.throughput_rps),
-            us(p50),
-            us(p95),
-            us(p99),
-        ]);
-    }
+    let (t, _) = tenant_cols().tabulate(&out.tenants);
     // Like the JSON key, the channel tag only appears for v2 modes.
     let channel =
         if out.channel == "blocking" { String::new() } else { format!(" channel={}", out.channel) };

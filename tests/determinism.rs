@@ -26,22 +26,22 @@ fn rank_scale_rows_are_identical_across_thread_counts_and_batch_sizes() {
     // The rank sweep shards thousands of DPUs into systems whose launches
     // run in lockstep groups, and folds shard rows with order-independent
     // operations, so its *simulated* quantities must be byte-identical
-    // however the host parallelizes — worker counts, shard lengths
-    // (0 = the default) and uneven shard splits all land on the same rows.
+    // however the host parallelizes — worker counts, shard lengths and
+    // uneven shard splits all land on the same rows.
     let render = |rows: &[exp::RankScaleRow]| format!("{rows:#?}");
-    let (rows, _) =
-        exp::exp_rank_scale(&JobRunner::new(Some(1)), DatasetSize::Tiny).expect("rank sweep runs");
-    let baseline = render(&rows);
+    let sweep = |threads: usize, shard_len: u32| {
+        exp::exp_rank_scale(&JobRunner::new(Some(threads)), DatasetSize::Tiny, shard_len)
+            .expect("rank sweep runs")
+    };
+    let baseline = render(&sweep(1, exp::DEFAULT_RANK_BATCH).0);
     for threads in [4, 8] {
-        let (rows, lockstep) =
-            exp::exp_rank_scale(&JobRunner::new(Some(threads)), DatasetSize::Tiny).unwrap();
+        let (rows, lockstep) = sweep(threads, exp::DEFAULT_RANK_BATCH);
         assert_eq!(baseline, render(&rows), "rank rows differ at --threads {threads}");
         assert!(lockstep.left.is_empty(), "the rank kernel never diverges: {lockstep}");
     }
-    let rt = JobRunner::new(Some(4));
-    for batch in [0, 7, 32] {
-        let rows = exp::exp_rank_scale_with(&rt, DatasetSize::Tiny, batch).unwrap();
-        assert_eq!(baseline, render(&rows), "rank rows differ at shard length {batch}");
+    for shard_len in [7, 32] {
+        let (rows, _) = sweep(4, shard_len);
+        assert_eq!(baseline, render(&rows), "rank rows differ at shard length {shard_len}");
     }
 }
 

@@ -1,42 +1,85 @@
-//! Golden-snapshot tests: the committed `results/golden/*.json` documents
-//! must regenerate **byte-identically** — same simulation results, same
-//! float shortest-round-trip rendering, same key order — regardless of
-//! worker count (the job engine restores job order) or host.
+//! Golden-snapshot tests: every experiment's Tiny-size output must
+//! regenerate **byte-identically** — same simulation results, same table
+//! text, same float shortest-round-trip rendering, same key order —
+//! regardless of worker count (the job engine restores job order) or host.
+//! `results/golden/<name>.txt` pins the text `pimsim exp` prints and
+//! `results/golden/<name>.json`, where committed, the document it writes.
 //!
-//! If a change legitimately shifts the numbers, regenerate with:
+//! If a change legitimately shifts the output, regenerate with:
 //!
 //! ```text
 //! cargo run --release -p pim-cli --bin pimsim -- \
-//!     exp <name> --size tiny --json --out results/golden
+//!     exp <name> --size tiny --out results/golden > results/golden/<name>.txt
 //! ```
 //!
-//! and review the diff like any other code change.
+//! This also writes `results/golden/<name>.json`: delete it again unless
+//! that experiment already had one committed. Review the diff like any
+//! other code change.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use pim_bench::{experiment_by_name, run_experiment, DriverOptions};
+use pim_bench::{experiment_by_name, experiments, run_experiment, DriverOptions};
 use prim_suite::DatasetSize;
 
-fn check_golden(name: &str) {
+/// Experiments with no text golden: `exp_sim_rate` prints wall-clock rates.
+const UNPINNED: [&str; 1] = ["exp_sim_rate"];
+
+fn golden(name: &str, ext: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/golden/{name}.{ext}"))
+}
+
+/// Where `got` first departs from `want`: the line number and both lines.
+fn first_difference(want: &str, got: &str) -> String {
+    let (mut want_lines, mut got_lines) = (want.lines(), got.lines());
+    for line in 1.. {
+        match (want_lines.next(), got_lines.next()) {
+            (None, None) => break,
+            (w, g) if w != g => {
+                return format!("line {line}: golden {w:?}, regenerated {g:?}");
+            }
+            _ => {}
+        }
+    }
+    "the line endings differ".to_string()
+}
+
+/// Regenerates experiment `name` and describes each committed golden its
+/// output departs from. The `.txt` must exist; the `.json` must too when
+/// `json_required`, and is compared only where it exists otherwise.
+fn moved_goldens(name: &str, json_required: bool) -> Vec<String> {
     let e = experiment_by_name(name).unwrap_or_else(|| panic!("unknown experiment {name}"));
     let opts = DriverOptions {
         size: Some(DatasetSize::Tiny),
         threads: Some(2),
         ..DriverOptions::default()
     };
-    let report = run_experiment(e, &opts).unwrap_or_else(|e| panic!("{name} faulted: {e}"));
-    let got = report.json.render_pretty();
+    let report = run_experiment(e, &opts).unwrap_or_else(|err| panic!("{name} faulted: {err}"));
+    let (txt, json) = (golden(name, "txt"), golden(name, "json"));
+    assert!(txt.exists(), "{name} has no text golden {}", txt.display());
+    assert!(!json_required || json.exists(), "{name} has no JSON golden {}", json.display());
+    let mut moved = Vec::new();
+    for (path, got) in [(txt, report.text), (json, report.json.render_pretty())] {
+        let Ok(want) = std::fs::read_to_string(&path) else { continue };
+        if got != want {
+            moved.push(format!("{}: {}", path.display(), first_difference(&want, &got)));
+        }
+    }
+    moved
+}
 
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("results/golden").join(format!("{name}.json"));
-    let want = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("golden {} unreadable: {e}", path.display()));
+fn assert_unmoved(moved: &[String]) {
     assert!(
-        got == want,
-        "{name}: regeneration is not byte-identical to {} — if the change is intended, \
-         regenerate the golden (see this file's header) and review the diff",
-        path.display()
+        moved.is_empty(),
+        "regeneration is not byte-identical — if the change is intended, regenerate the \
+         goldens (see this file's header) and review the diff:\n{}",
+        moved.join("\n")
     );
+}
+
+/// For the experiments whose `.json` golden is committed: both goldens are
+/// required.
+fn check_golden(name: &str) {
+    assert_unmoved(&moved_goldens(name, true));
 }
 
 #[test]
@@ -67,6 +110,18 @@ fn exp_sparse_nn_regenerates_byte_identically() {
 #[test]
 fn exp_transfer_study_regenerates_byte_identically() {
     check_golden("exp_transfer_study");
+}
+
+/// The experiments with a committed `.json` have a test of their own above;
+/// this covers the text of the rest.
+#[test]
+fn every_experiment_regenerates_its_goldens() {
+    let moved: Vec<String> = experiments()
+        .iter()
+        .filter(|e| !UNPINNED.contains(&e.name) && !golden(e.name, "json").exists())
+        .flat_map(|e| moved_goldens(e.name, false))
+        .collect();
+    assert_unmoved(&moved);
 }
 
 #[test]

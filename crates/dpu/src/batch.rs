@@ -34,13 +34,13 @@
 //! membership). The differential tests (`tests/loop_differential.rs`) and
 //! the pim-fuzz gauntlet's `batch` invariant pin this.
 //!
-//! Everything lockstep does not model — SIMT front-ends, the naive
-//! reference loop, event tracing, cache-centric mode (fill timing depends
-//! on per-DPU load/store addresses, which the `Effect` comparison does not
-//! witness, and the re-derivation could not reproduce), non-uniform entry
-//! points, singleton runs — goes to [`Dpu::launch`] per member, so
-//! [`run_batch`] is total over any population; its [`LockstepSummary`]
-//! says which members went which way.
+//! Everything lockstep does not model — SIMT (a warp issue logs no steps),
+//! the naive reference loop, event tracing, cache-centric mode (fill
+//! timing depends on per-DPU load/store addresses, which the `Effect`
+//! comparison does not witness, and the re-derivation could not
+//! reproduce), non-uniform entry points, singleton runs — goes to
+//! [`Dpu::launch`] per member, so [`run_batch`] is total over any
+//! population; its [`LockstepSummary`] says which members went which way.
 
 use pim_trace::NullSink;
 

@@ -28,10 +28,7 @@
 //! and the same error precedence. The unit tests at the bottom run every op
 //! shape (including each error path) through both and compare.
 
-use pim_isa::{
-    AddressSpace, AluOp, Cond, DecodedInstr, DecodedProgram, InstrClass, Instruction, Operand,
-    Width,
-};
+use pim_isa::{AddressSpace, AluOp, Cond, DecodedInstr, InstrClass, Instruction, Operand, Width};
 
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
@@ -106,14 +103,12 @@ impl CompiledOp {
 /// A program compiled once per [`crate::Dpu::load_program`] and reused
 /// across every relaunch (and shared with lockstep batches through an
 /// `Arc`): the original instruction stream (trace text, event emission,
-/// the interpreter dispatch), the decoded side table (the SIMT
-/// front-end), and the flat threaded-code op table.
+/// the interpreter dispatch) and the flat threaded-code op table, which
+/// every scheduling fact is read from.
 #[derive(Debug)]
 pub(crate) struct CompiledKernel {
     /// The instruction stream as loaded.
     pub instrs: Vec<Instruction>,
-    /// Decoded per-PC side table (SIMT front-end).
-    pub decoded: DecodedProgram,
     /// Flat per-PC op table.
     pub ops: Vec<CompiledOp>,
 }
@@ -122,11 +117,7 @@ impl CompiledKernel {
     /// Compiles an instruction stream: lowers each instruction into the
     /// op table, in program order.
     pub(crate) fn compile(instrs: &[Instruction]) -> Self {
-        CompiledKernel {
-            instrs: instrs.to_vec(),
-            decoded: DecodedProgram::decode(instrs),
-            ops: instrs.iter().map(compile_op).collect(),
-        }
+        CompiledKernel { instrs: instrs.to_vec(), ops: instrs.iter().map(compile_op).collect() }
     }
 }
 
@@ -827,10 +818,9 @@ mod tests {
         ];
         let k = CompiledKernel::compile(&instrs);
         assert_eq!(k.ops.len(), instrs.len());
-        assert_eq!(k.decoded.len(), instrs.len());
         for (pc, instr) in instrs.iter().enumerate() {
             let op = &k.ops[pc];
-            let d = k.decoded.get(pc as u32).unwrap();
+            let d = DecodedInstr::new(instr);
             assert_eq!(op.src_mask, d.src_mask, "pc {pc}");
             assert_eq!(op.dst(), d.dst, "pc {pc}");
             assert_eq!(op.rf_hazard, d.rf_hazard, "pc {pc}");

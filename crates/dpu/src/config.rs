@@ -128,7 +128,8 @@ impl Default for DmaConfig {
     }
 }
 
-/// Which scalar executor runs a launch. All tiers produce byte-identical
+/// Which executor runs a launch, scalar or SIMT (the SIMT front-end is an
+/// issue policy of both cycle loops). All tiers produce byte-identical
 /// simulated statistics by construction — the tier is purely a
 /// simulator-speed switch, pinned by the differential suites and the
 /// pim-fuzz gauntlet.
@@ -137,7 +138,8 @@ pub enum ExecTier {
     /// The reference per-cycle loop: re-derives every scheduling fact from
     /// the [`pim_isa::Instruction`] enum each cycle, advances the memory
     /// engine every iteration. Slow; exists so the other tiers have a
-    /// simple executor to be differentially tested against.
+    /// simple executor to be differentially tested against. Under SIMT it
+    /// issues warps through the same front-end step as the engine.
     Naive,
     /// The issue engine (pre-extracted scheduling facts, event-driven
     /// tasklet wakeup, allocation-free steady state) executing each
@@ -201,9 +203,9 @@ pub struct DpuConfig {
     /// WRAM/MRAM state differs (differential testing; scratchpad-centric
     /// runs only — the oracle does not model the flat cached space).
     pub oracle_check: bool,
-    /// Which scalar executor runs launches (see [`ExecTier`]). Defaults to
-    /// [`ExecTier::Compiled`]; simulated counts are byte-identical across
-    /// tiers.
+    /// Which executor runs launches, SIMT ones included (see
+    /// [`ExecTier`]). Defaults to [`ExecTier::Compiled`]; simulated counts
+    /// are byte-identical across tiers.
     pub exec_tier: ExecTier,
 }
 
@@ -239,7 +241,7 @@ impl DpuConfig {
         }
     }
 
-    /// Selects the scalar executor tier (see [`ExecTier`]).
+    /// Selects the executor tier (see [`ExecTier`]).
     /// [`ExecTier::Naive`] is the one way to ask for the reference loop.
     #[must_use]
     pub fn with_exec_tier(mut self, tier: ExecTier) -> Self {

@@ -1,5 +1,7 @@
-//! The simulated DPU: program/data loading, launch, and the cycle-level
-//! scalar pipeline front-end (the SIMT front-end lives in `crate::simt`).
+//! The simulated DPU: program/data loading, launch, and the reference
+//! cycle loop ([`ExecTier::Naive`]). A launch runs on that loop or on the
+//! issue engine (`crate::sched`), and a SIMT configuration is an issue
+//! policy of both (`crate::simt`), not a loop of its own.
 
 use std::sync::Arc;
 
@@ -15,11 +17,12 @@ use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{debug_assert_on_time, MemEngine, Segment};
 use crate::sched::{CompiledDispatch, Dispatch, Engine, FastDispatch};
+use crate::simt::{bits, Warps};
 use crate::stats::DpuRunStats;
 
-/// Execution status of one tasklet.
+/// Execution status of one tasklet (or SIMT lane) in the reference loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TaskletStatus {
+enum TaskletStatus {
     /// Schedulable (possibly gated by the revolver window or a dependence).
     Ready,
     /// Waiting on the memory engine (DMA, cache fill, instruction fill).
@@ -60,10 +63,10 @@ pub struct Dpu {
     pub(crate) tid_base: Vec<u32>,
     /// Structured event ring, present when `cfg.event_trace_capacity > 0`.
     trace: Option<RingSink>,
-    /// Launch-time artifacts (decoded side tables + block-compiled op
-    /// table), built on first use after [`Dpu::load_program`] and reused
-    /// across every relaunch of the same program. Shared with the issue
-    /// engine (and its lockstep clones) through the `Arc`.
+    /// Launch-time artifacts (the block-compiled op table), built on first
+    /// use after [`Dpu::load_program`] and reused across every relaunch of
+    /// the same program. Shared with the issue engine (and its lockstep
+    /// clones) through the `Arc`.
     kernel_cache: Option<Arc<CompiledKernel>>,
 }
 
@@ -155,11 +158,10 @@ impl Dpu {
         Ok(())
     }
 
-    /// The launch-time artifacts for the loaded program — decoded side
-    /// tables and the block-compiled op table — building them on first use
-    /// and reusing the cached `Arc` on every relaunch (chained multi-launch
-    /// kernels compile once per [`Dpu::load_program`], not once per
-    /// launch).
+    /// The launch-time artifacts for the loaded program — the
+    /// block-compiled op table — building them on first use and reusing
+    /// the cached `Arc` on every relaunch (chained multi-launch kernels
+    /// compile once per [`Dpu::load_program`], not once per launch).
     ///
     /// # Panics
     ///
@@ -362,10 +364,11 @@ impl Dpu {
         mem.set_row_event_recording(sink.enabled());
         // The oracle snapshot must see the post-reset, pre-run state.
         let oracle = self.build_oracle();
-        let stats = if self.cfg.simt.is_some() {
-            crate::simt::run_simt(self, mem, sink)
-        } else {
-            self.run_scalar(mem, sink)
+        // Every tier, scalar or SIMT, times the launch byte-identically.
+        let stats = match self.cfg.exec_tier {
+            ExecTier::Naive => self.run_scalar_naive(mem, sink),
+            ExecTier::Fast => self.run_engine::<FastDispatch, S>(mem, sink),
+            ExecTier::Compiled => self.run_engine::<CompiledDispatch, S>(mem, sink),
         }?;
         if let Some(oracle) = oracle {
             self.check_against_oracle(oracle)?;
@@ -463,39 +466,10 @@ impl Dpu {
         }
     }
 
-    /// Result-forwarding latency of an instruction (data-forwarding mode).
-    fn forward_latency(&self, instr: &Instruction) -> u64 {
-        match instr {
-            Instruction::Load { .. } => u64::from(self.cfg.forward_load_latency),
-            _ => u64::from(self.cfg.forward_alu_latency),
-        }
-    }
-
     /// The MRAM address backing the instruction stream in cache-centric
     /// mode (timing only; 256 KB below the top of the bank).
     pub(crate) fn iram_backing_base(&self) -> u32 {
         self.cfg.layout.mram_bytes - 256 * 1024
-    }
-
-    /// The scalar (baseline / ILP-extended) cycle loop. Generic over the
-    /// trace sink so the `NullSink` instantiation compiles the event
-    /// emission away entirely.
-    ///
-    /// Dispatches on [`DpuConfig::exec_tier`]: the issue engine
-    /// ([`Engine`]) under the block-compiled dispatch (the default) or the
-    /// interpreter dispatch, or the per-cycle reference loop the
-    /// differential tests pin the engine against. All three produce
-    /// byte-identical timing and statistics.
-    fn run_scalar<S: TraceSink>(
-        &mut self,
-        mem: MemEngine,
-        sink: &mut S,
-    ) -> Result<DpuRunStats, SimError> {
-        match self.cfg.exec_tier {
-            ExecTier::Naive => self.run_scalar_naive(mem, sink),
-            ExecTier::Fast => self.run_engine::<FastDispatch, S>(mem, sink),
-            ExecTier::Compiled => self.run_engine::<CompiledDispatch, S>(mem, sink),
-        }
     }
 
     /// One launch on the issue engine under dispatch `D`.
@@ -516,6 +490,9 @@ impl Dpu {
     /// deliberately close to the original loop so the differential tests
     /// pin the issue engine's timing against an independent computation
     /// of the same schedule. Slow; only differential tests should run it.
+    ///
+    /// Under SIMT it scans lanes as tasklets and issues one warp per cycle
+    /// through the front-end the engine calls too ([`Warps::issue`]).
     #[allow(clippy::too_many_lines)]
     fn run_scalar_naive<S: TraceSink>(
         &mut self,
@@ -524,10 +501,13 @@ impl Dpu {
     ) -> Result<DpuRunStats, SimError> {
         const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
         let n = self.cfg.n_tasklets as usize;
-        let program = self.program.clone().expect("checked in launch");
-        let n_instrs = program.instrs.len() as u32;
-        let fwd = self.cfg.ilp.data_forwarding;
+        let kernel = self.kernel_artifacts();
+        let program = &kernel.instrs;
+        let n_instrs = program.len() as u32;
         let unified_rf = self.cfg.ilp.unified_rf;
+        let mut warps = self.cfg.simt.map(|_| Warps::new(&self.cfg, !unified_rf));
+        // SIMT forwards per PC group, at issue.
+        let fwd = self.cfg.ilp.data_forwarding && warps.is_none();
         let ways = self.cfg.issue_ways() as usize;
         let gap: u64 = if fwd { 1 } else { u64::from(self.cfg.revolver_cycles) };
 
@@ -537,7 +517,6 @@ impl Dpu {
                 (Some(Cache::new(icache)), Some(Cache::new(dcache)))
             }
         };
-        let cached = icache.is_some();
         let iram_base = self.iram_backing_base();
 
         let mut stats = self.new_stats();
@@ -553,21 +532,16 @@ impl Dpu {
         let mut rr: usize = 0;
         let mut issuable: Vec<usize> = Vec::with_capacity(n);
 
-        // True when tasklet `t`'s next instruction has all operands
-        // forwarded (always true without data forwarding).
+        // The cycle all of tasklet `t`'s operands at `pc` are forwarded by
+        // (0 without data forwarding).
         let deps_ready_at = |t: usize, pc: u32, reg_ready: &[u64]| -> u64 {
-            if !fwd {
-                return 0;
-            }
-            match program.instrs.get(pc as usize) {
-                Some(i) => i
-                    .srcs()
-                    .iter()
-                    .map(|r| reg_ready[t * NREGS + r.index() as usize])
-                    .max()
-                    .unwrap_or(0),
-                None => 0,
-            }
+            let Some(instr) = program.get(pc as usize).filter(|_| fwd) else { return 0 };
+            instr
+                .srcs()
+                .iter()
+                .map(|r| reg_ready[t * NREGS + r.index() as usize])
+                .max()
+                .unwrap_or(0)
         };
 
         loop {
@@ -585,11 +559,16 @@ impl Dpu {
             mem.drain_done_into(&mut done_buf);
             for &(token, at) in &done_buf {
                 debug_assert_on_time(at, now);
-                let t = token as usize;
-                status[t] = TaskletStatus::Ready;
-                next_issue[t] = next_issue[t].max(at + 1);
+                // The last of a SIMT warp's requests wakes its lanes.
+                let woken = warps.as_mut().map_or(1 << token, |w| w.complete(token));
+                for t in bits(woken) {
+                    if status[t] == TaskletStatus::Blocked {
+                        status[t] = TaskletStatus::Ready;
+                        next_issue[t] = next_issue[t].max(at + 1);
+                    }
+                }
                 if sink.enabled() {
-                    sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
+                    sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: token as u32 });
                 }
             }
             // 2. Issuable set.
@@ -651,7 +630,24 @@ impl Dpu {
                 continue;
             }
             stats.record_tlp_span(issuable.len(), 1, &mut window_acc);
-            // 5. Issue up to `ways` instructions, round-robin.
+            // 5. Issue one warp (SIMT) ...
+            if let Some(warps) = warps.as_mut() {
+                let ready = issuable.iter().fold(0u32, |set, &t| set | 1 << t);
+                let state = &mut self.state;
+                let w = warps.issue::<FastDispatch, S>(
+                    ready, now, &kernel, state, &mut stats, &mut mem, sink,
+                )?;
+                for t in bits(w.lanes) {
+                    next_issue[t] = now + 1;
+                    status[t] = if w.dma { TaskletStatus::Blocked } else { TaskletStatus::Ready };
+                }
+                bits(w.stopped).for_each(|t| status[t] = TaskletStatus::Stopped);
+                live -= w.stopped.count_ones() as usize;
+                rf_block = w.rf_block;
+                now += 1;
+                continue;
+            }
+            // ... or up to `ways` instructions, round-robin.
             let start = issuable.iter().position(|&t| t >= rr).unwrap_or(0);
             let mut issued = 0usize;
             for k in 0..issuable.len() {
@@ -679,8 +675,8 @@ impl Dpu {
                         continue;
                     }
                 }
-                let instr = program.instrs[pc as usize];
-                if cached && instr.is_dma() {
+                let instr = program[pc as usize];
+                if dcache.is_some() && instr.is_dma() {
                     return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
                 }
                 // Data access through the D-cache (cache-centric mode).
@@ -719,8 +715,11 @@ impl Dpu {
                 next_issue[t] = now + gap;
                 if fwd {
                     if let Some(rd) = instr.dst() {
-                        reg_ready[t * NREGS + rd.index() as usize] =
-                            now + self.forward_latency(&instr);
+                        let lat = match instr {
+                            Instruction::Load { .. } => self.cfg.forward_load_latency,
+                            _ => self.cfg.forward_alu_latency,
+                        };
+                        reg_ready[t * NREGS + rd.index() as usize] = now + u64::from(lat);
                     }
                 }
                 match effect {

@@ -88,8 +88,8 @@ impl ArchState {
 
     /// What a retired instruction emits into an enabled `sink`: its
     /// `InstrRetire`, then the barrier event of an `acquire` / `release`.
-    /// The caller — any of the three loops — brings its own cycle, tasklet,
-    /// pc, class and effect, and has executed `instr` on this state.
+    /// The caller — either loop, or the SIMT step — brings its own cycle,
+    /// tasklet, pc, class and effect, and has executed `instr` on this state.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_retire<S: TraceSink>(
         &self,

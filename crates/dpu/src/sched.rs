@@ -1,11 +1,13 @@
-//! The DPU issue engine: the one optimized implementation of the scalar
-//! issue stage (14-stage revolver, even/odd RF hazard, blocking DMA
-//! wake-up — paper §III, Table I).
+//! The DPU issue engine: the one optimized implementation of the issue
+//! stage (14-stage revolver, even/odd RF hazard, blocking DMA wake-up —
+//! paper §III, Table I).
 //!
 //! Every cycle runs the same five steps: drain memory completions, build
 //! the issuable set, honour a register-file structural block, attribute and
-//! fast-forward idle spans, then issue up to `ways` instructions
-//! round-robin. The issue body is split into [`Engine::pre_issue`] (pc
+//! fast-forward idle spans ([`Engine::next_cycle`]), then issue up to
+//! `ways` instructions round-robin — or, under SIMT, one warp through the
+//! front-end both loops share ([`Engine::run_warps`], `crate::simt`). The
+//! scalar issue body is split into [`Engine::pre_issue`] (pc
 //! bounds, I/D-cache fills) → [`Dispatch::execute`] →
 //! [`Engine::retire`] (scoreboard, effect, wake-up refresh), and all
 //! scheduling state — including the in-cycle issue cursor — lives in the
@@ -69,6 +71,7 @@ use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{debug_assert_on_time, MemEngine, Segment};
+use crate::simt::{bits, Warps};
 use crate::stats::DpuRunStats;
 
 const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
@@ -353,7 +356,7 @@ impl Checkpoint {
     }
 }
 
-/// The complete scheduling state of one scalar run.
+/// The complete scheduling state of one run.
 #[derive(Clone)]
 pub(crate) struct Engine {
     hot: Hot,
@@ -366,6 +369,8 @@ pub(crate) struct Engine {
     window_acc: (u64, u64),
     icache: Option<Cache>,
     dcache: Option<Cache>,
+    /// The SIMT front-end, when the launch has one.
+    warps: Option<Warps>,
     mem: MemEngine,
     stats: DpuRunStats,
     done_buf: Vec<(u64, u64)>,
@@ -376,7 +381,8 @@ impl Engine {
     pub(crate) fn new(dpu: &Dpu, mem: MemEngine) -> Self {
         let cfg = &dpu.cfg;
         let n = cfg.n_tasklets as usize;
-        let fwd = cfg.ilp.data_forwarding;
+        // SIMT forwards per PC group, at issue ([`Warps::issue`]).
+        let fwd = cfg.ilp.data_forwarding && cfg.simt.is_none();
         let (icache, dcache) = match cfg.memory_mode {
             MemoryMode::Scratchpad => (None, None),
             MemoryMode::Cached { icache, dcache } => {
@@ -416,6 +422,7 @@ impl Engine {
             window_acc: (0, 0),
             icache,
             dcache,
+            warps: cfg.simt.map(|_| Warps::new(cfg, rf_hazards)),
             mem,
             stats: dpu.new_stats(),
             done_buf: Vec::with_capacity(n),
@@ -441,7 +448,9 @@ impl Engine {
         state: &mut ArchState,
         sink: &mut S,
     ) -> Result<DpuRunStats, SimError> {
-        if self.is_plain() {
+        if self.warps.is_some() {
+            self.run_warps::<D, S>(kernel, state, sink)
+        } else if self.is_plain() {
             self.run_as::<true, D, S>(kernel, state, sink)
         } else {
             self.run_as::<false, D, S>(kernel, state, sink)
@@ -570,7 +579,6 @@ impl Engine {
         sink: &mut S,
     ) -> Result<Option<(usize, u32)>, SimError> {
         let ways = if PLAIN { 1 } else { h.ways };
-        let fwd = !PLAIN && h.fwd;
         loop {
             if h.in_cycle {
                 // 5. Issue up to `ways` instructions, round-robin.
@@ -662,6 +670,30 @@ impl Engine {
                 self.ready_set.advance(h.now);
                 h.in_cycle = false;
             }
+            let Some(issuable) = self.next_cycle::<PLAIN, S>(h, kernel, state, sink)? else {
+                return Ok(None);
+            };
+            let lo_mask = (1u32 << h.rr) - 1;
+            h.pending_hi = issuable & !lo_mask;
+            h.pending_lo = issuable & lo_mask;
+            h.issued = 0;
+            h.in_cycle = true;
+        }
+    }
+
+    /// Steps 1-4: moves the clock to the next cycle with an issuable
+    /// tasklet, books its TLP and returns the issuable set — `None` once
+    /// every tasklet has stopped, [`SimError::CycleLimit`] at the limit.
+    #[inline(always)]
+    fn next_cycle<const PLAIN: bool, S: TraceSink>(
+        &mut self,
+        h: &mut Hot,
+        kernel: &CompiledKernel,
+        state: &ArchState,
+        sink: &mut S,
+    ) -> Result<Option<u32>, SimError> {
+        let fwd = !PLAIN && h.fwd;
+        loop {
             if h.live == 0 {
                 return Ok(None);
             }
@@ -680,13 +712,19 @@ impl Engine {
                 self.mem.drain_done_into(&mut done);
                 for &(token, at) in &done {
                     debug_assert_on_time(at, now);
-                    let t = token as usize;
-                    h.blocked &= !(1 << t);
-                    self.next_issue[t] = self.next_issue[t].max(at + 1);
-                    let wake = self.earliest_issue(fwd, &kernel.ops, t, state.pc[t]);
-                    self.ready_set.place(now, t, wake);
+                    // The last of a SIMT warp's requests wakes its lanes.
+                    let woken = match self.warps.as_mut().filter(|_| !PLAIN) {
+                        Some(warps) => warps.complete(token) & h.blocked,
+                        None => 1 << token,
+                    };
+                    for t in bits(woken) {
+                        h.blocked &= !(1 << t);
+                        self.next_issue[t] = self.next_issue[t].max(at + 1);
+                        let wake = self.earliest_issue(fwd, &kernel.ops, t, state.pc[t]);
+                        self.ready_set.place(now, t, wake);
+                    }
                     if sink.enabled() {
-                        sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: t as u32 });
+                        sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: token as u32 });
                     }
                 }
                 self.done_buf = done;
@@ -742,12 +780,36 @@ impl Engine {
                 continue;
             }
             self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
-            let lo_mask = (1u32 << h.rr) - 1;
-            h.pending_hi = issuable & !lo_mask;
-            h.pending_lo = issuable & lo_mask;
-            h.issued = 0;
-            h.in_cycle = true;
+            return Ok(Some(issuable));
         }
+    }
+
+    /// [`Engine::run`] for a SIMT launch: each cycle with an issuable lane
+    /// issues one warp ([`Warps::issue`]), booked in the lanes' state.
+    fn run_warps<D: Dispatch, S: TraceSink>(
+        mut self,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        sink: &mut S,
+    ) -> Result<DpuRunStats, SimError> {
+        let mut hot = self.hot;
+        while let Some(ready) = self.next_cycle::<false, S>(&mut hot, kernel, state, sink)? {
+            let (now, warps) = (hot.now, self.warps.as_mut().expect("a SIMT launch has warps"));
+            let (stats, mem) = (&mut self.stats, &mut self.mem);
+            let w = warps.issue::<D, S>(ready, now, kernel, state, stats, mem, sink)?;
+            for t in bits(w.lanes | w.stopped) {
+                self.next_issue[t] = now + 1;
+                let waits = w.dma || w.stopped >> t & 1 != 0;
+                self.ready_set.place(now, t, if waits { u64::MAX } else { now + 1 });
+            }
+            hot.live -= w.stopped.count_ones() as usize;
+            hot.blocked |= if w.dma { w.lanes } else { 0 };
+            hot.rf_block = w.rf_block;
+            hot.now = now + 1;
+            self.ready_set.advance(hot.now);
+        }
+        self.hot = hot;
+        Ok(self.finish())
     }
 
     /// Books the instruction [`Engine::pre_issue`] handed out, now that it

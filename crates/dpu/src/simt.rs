@@ -1,4 +1,5 @@
-//! The SIMT vector front-end (paper §V-A, Fig 11).
+//! The SIMT vector front-end (paper §V-A, Fig 11): an issue policy of the
+//! two cycle loops, not a loop of its own.
 //!
 //! `warp_width` consecutive tasklets are grouped into a warp that issues one
 //! instruction per cycle over the vector lanes. Control divergence is
@@ -19,310 +20,248 @@
 //! larger memory-engine requests (amortizing per-request setup and keeping
 //! the DRAM row open), and scratchpad accesses falling in the same 64 B
 //! segment share one port slot instead of serializing per lane.
+//!
+//! Both loops — the issue engine and the reference loop — keep one lane
+//! per tasklet under one rule: **the lanes of a warp carry the warp's
+//! state**. Every live lane shares its warp's issue window, and every live
+//! lane of a warp with DMA in flight waits on memory, so the loops'
+//! issuable set, TLP count, idle attribution and idle fast-forward compute
+//! per lane what a per-warp loop would. Only the issue step differs:
+//! [`Warps::issue`], called by both loops, which book its [`Issued`] in
+//! their lane state. A request's token is its warp's index.
 
+use pim_isa::InstrClass;
 use pim_trace::{StallCause, TraceEvent, TraceSink};
 
-use crate::dpu::{Dpu, TaskletStatus};
+use crate::compiled::{CompiledKernel, F_LOAD, F_STORE};
+use crate::config::{DpuConfig, SimtConfig};
 use crate::error::SimError;
-use crate::exec::Effect;
-use crate::mem::{debug_assert_on_time, MemEngine, Segment};
+use crate::exec::{ArchState, Effect};
+use crate::mem::{MemEngine, Segment};
+use crate::sched::Dispatch;
 use crate::stats::DpuRunStats;
 
-struct Warp {
-    /// Lane → tasklet index range.
-    lanes: std::ops::Range<usize>,
-    /// Warp blocked on outstanding memory requests.
-    pending_mem: usize,
-    /// Earliest cycle the warp may issue again.
-    next_issue: u64,
-    /// Rotation counter for fair PC-group selection.
-    rotation: usize,
+const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
+
+/// What one warp issue did to the warp's lanes; nothing, on a stall.
+#[derive(Default)]
+pub(crate) struct Issued {
+    /// The warp's live lanes that did not stop; they wait for the next cycle
+    /// or, when `dma`, on memory.
+    pub lanes: u32,
+    /// Lanes that executed `stop` (their stop cycle is booked).
+    pub stopped: u32,
+    /// Whether the warp now waits on memory.
+    pub dma: bool,
+    /// Issue-stage block: split RF banks, WRAM port slots past the first.
+    pub rf_block: u64,
 }
 
-/// Runs the loaded kernel under the SIMT front-end.
-pub(crate) fn run_simt<S: TraceSink>(
-    dpu: &mut Dpu,
-    mut mem: MemEngine,
-    sink: &mut S,
-) -> Result<DpuRunStats, SimError> {
-    const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
-    let cfg = dpu.cfg.clone();
-    let simt = cfg.simt.expect("run_simt requires a SIMT config");
-    let width = simt.warp_width as usize;
-    let n = cfg.n_tasklets as usize;
-    // Cached launch artifacts: the instruction stream and decoded side
-    // table are built once per program load, not once per launch.
-    let kernel = dpu.kernel_artifacts();
-    let decoded = &kernel.decoded;
-    let n_instrs = kernel.instrs.len() as u32;
-    let unified_rf = cfg.ilp.unified_rf;
-    let fwd_alu = u64::from(cfg.forward_alu_latency);
-    let fwd_load = u64::from(cfg.forward_load_latency);
+/// The SIMT front-end of one launch: configuration, per-warp issue state,
+/// the per-lane forwarding scoreboard, and scratch buffers reused so that
+/// the steady state performs no heap allocation.
+#[derive(Clone)]
+pub(crate) struct Warps {
+    simt: SimtConfig,
+    n: usize,
+    width: usize,
+    rf_hazards: bool,
+    fwd_alu: u64,
+    fwd_load: u64,
+    /// Round-robin cursor: the first lane past the warp picked last.
+    rr: usize,
+    /// Memory requests in flight, per warp.
+    pending: Vec<u32>,
+    /// Rotation counter for fair PC-group selection, per warp.
+    rotation: Vec<usize>,
+    /// Forwarding scoreboard, flattened: register `r` of lane `l` is ready
+    /// at `reg_ready[l * NREGS + r]`.
+    reg_ready: Vec<u64>,
+    pcs: Vec<u32>,
+    segments: Vec<Segment>,
+    slots: Vec<u32>,
+}
 
-    let mut warps: Vec<Warp> = (0..n)
-        .step_by(width)
-        .map(|lo| Warp {
-            lanes: lo..(lo + width).min(n),
-            pending_mem: 0,
-            next_issue: 0,
-            rotation: 0,
-        })
-        .collect();
-    let mut status = vec![TaskletStatus::Ready; n];
-    // Forwarding scoreboard, flattened: lane `l`, register `r` lives at
-    // `reg_ready[l * NREGS + r]` (one allocation, cache-friendly rows).
-    let mut reg_ready = vec![0u64; n * NREGS];
-    let mut stats = dpu.new_stats();
-    let mut window_acc = (0u64, 0u64);
-    let mut live = n;
-    let mut now: u64 = 0;
-    let mut port_block: u64 = 0;
-    let mut rr = 0usize;
-    // Scratch buffers reused across iterations so the steady-state loop
-    // performs no heap allocation.
-    let mut issuable: Vec<usize> = Vec::with_capacity(warps.len());
-    let mut pcs: Vec<u32> = Vec::with_capacity(width);
-    let mut active: Vec<usize> = Vec::with_capacity(width);
-    let mut seg_slots: Vec<u32> = Vec::with_capacity(width);
-    let mut dma_segments: Vec<Segment> = Vec::with_capacity(width);
-    let mut merged: Vec<Segment> = Vec::with_capacity(width);
-    let mut done_buf: Vec<(u64, u64)> = Vec::with_capacity(warps.len());
+impl Warps {
+    /// The front-end of a launch under `cfg`, which must configure SIMT.
+    /// `rf_hazards`: whether same-bank source pairs cost issue slots.
+    pub(crate) fn new(cfg: &DpuConfig, rf_hazards: bool) -> Self {
+        let simt = cfg.simt.expect("a SIMT configuration");
+        let n = cfg.n_tasklets as usize;
+        let width = simt.warp_width as usize;
+        let warps = n.div_ceil(width);
+        Warps {
+            simt,
+            n,
+            width,
+            rf_hazards,
+            fwd_alu: u64::from(cfg.forward_alu_latency),
+            fwd_load: u64::from(cfg.forward_load_latency),
+            rr: 0,
+            pending: vec![0; warps],
+            rotation: vec![0; warps],
+            reg_ready: vec![0; n * NREGS],
+            pcs: Vec::with_capacity(width),
+            segments: Vec::with_capacity(width),
+            slots: Vec::with_capacity(width),
+        }
+    }
 
-    loop {
-        if live == 0 {
-            break;
+    /// The lanes of warp `w`, as a mask.
+    fn lanes(&self, w: usize) -> u32 {
+        let (lo, hi) = (w * self.width, ((w + 1) * self.width).min(self.n));
+        ((1u32 << hi) - 1) & !((1u32 << lo) - 1)
+    }
+
+    /// A completion of one of warp `token`'s requests: the warp's lanes
+    /// when it was the last in flight, else none.
+    pub(crate) fn complete(&mut self, token: u64) -> u32 {
+        let w = token as usize;
+        self.pending[w] -= 1;
+        if self.pending[w] == 0 {
+            self.lanes(w)
+        } else {
+            0
         }
-        if now >= cfg.max_cycles {
-            return Err(SimError::CycleLimit { limit: cfg.max_cycles });
-        }
-        if now >= mem.due() {
-            mem.advance(now);
-            if sink.enabled() {
-                mem.drain_row_events(sink);
-            }
-            mem.drain_done_into(&mut done_buf);
-            for &(token, at) in &done_buf {
-                debug_assert_on_time(at, now);
-                if sink.enabled() {
-                    sink.emit(TraceEvent::DmaEnd { cycle: at, tasklet: token as u32 });
-                }
-                let w = &mut warps[token as usize];
-                w.pending_mem -= 1;
-                if w.pending_mem == 0 {
-                    w.next_issue = w.next_issue.max(at + 1);
-                }
-            }
-        }
-        // Issuable warps (live lanes, no outstanding memory, past gap).
-        issuable.clear();
-        issuable.extend((0..warps.len()).filter(|&wi| {
-            let w = &warps[wi];
-            w.pending_mem == 0
-                && now >= w.next_issue
-                && w.lanes.clone().any(|l| status[l] == TaskletStatus::Ready)
-        }));
-        let issuable_lanes: usize = issuable
-            .iter()
-            .map(|&wi| {
-                warps[wi].lanes.clone().filter(|&l| status[l] == TaskletStatus::Ready).count()
-            })
-            .sum();
-        if port_block > 0 {
-            stats.record_tlp_span(issuable_lanes.min(n), 1, &mut window_acc);
-            stats.idle_rf += 1;
-            if sink.enabled() {
-                sink.emit(TraceEvent::Stall {
-                    cycle: now,
-                    cycles: 1,
-                    cause: StallCause::RegisterFile,
-                });
-            }
-            port_block -= 1;
-            now += 1;
-            continue;
-        }
-        if issuable.is_empty() {
-            // Fractional attribution by lane state, as in the scalar loop.
-            let mut lanes_sched = 0usize;
-            let mut lanes_mem = 0usize;
-            let mut next = u64::MAX;
-            for w in &warps {
-                let live = w.lanes.clone().filter(|&l| status[l] == TaskletStatus::Ready).count();
-                if w.pending_mem == 0 && live > 0 {
-                    lanes_sched += live;
-                    next = next.min(w.next_issue);
-                } else if live > 0 {
-                    lanes_mem += live;
-                }
-            }
-            next = next.min(mem.due());
-            let next = if next == u64::MAX || next <= now { now + 1 } else { next };
-            let span = next - now;
-            stats.record_tlp_span(0, span, &mut window_acc);
-            stats.record_idle_span(span, lanes_sched, lanes_mem);
-            if sink.enabled() {
-                sink.emit(TraceEvent::Stall {
-                    cycle: now,
-                    cycles: span,
-                    cause: if lanes_mem >= lanes_sched {
-                        StallCause::Memory
-                    } else {
-                        StallCause::Revolver
-                    },
-                });
-            }
-            now = next;
-            continue;
-        }
-        stats.record_tlp_span(issuable_lanes.min(n), 1, &mut window_acc);
-        // Pick one warp round-robin.
-        let wi = *issuable.iter().find(|&&wi| wi >= rr).unwrap_or(&issuable[0]);
-        rr = wi + 1;
-        // Fair rotation among the distinct PC groups whose operands are
-        // forwarded; fall back to a pipeline stall if none is ready.
-        pcs.clear();
-        pcs.extend(
-            warps[wi]
-                .lanes
-                .clone()
-                .filter(|&l| status[l] == TaskletStatus::Ready)
-                .map(|l| dpu.state.pc[l]),
-        );
-        pcs.sort_unstable();
-        pcs.dedup();
-        let group_ready = |pc: u32, dpu: &Dpu, reg_ready: &[u64]| -> bool {
-            let Some(d) = decoded.get(pc) else {
-                return true; // fault surfaces at execution
-            };
-            warps[wi]
-                .lanes
-                .clone()
-                .filter(|&l| status[l] == TaskletStatus::Ready && dpu.state.pc[l] == pc)
-                .all(|l| {
-                    let mut mask = d.src_mask;
-                    while mask != 0 {
-                        let r = mask.trailing_zeros() as usize;
-                        if reg_ready[l * NREGS + r] > now {
-                            return false;
-                        }
-                        mask &= mask - 1;
-                    }
-                    true
-                })
+    }
+
+    /// Issues one warp at cycle `now` out of the loop's `issuable` lanes:
+    /// the warp of the first one at or after the round-robin cursor, and of
+    /// its PC groups the first, in rotation order, whose operands are all
+    /// forwarded. The group's lanes execute through `D`, their DMA goes to
+    /// `mem` (coalesced under `+AC`), and the cycle is booked active. With
+    /// no group forwarded, the cycle is a pipeline stall, booked as
+    /// Revolver idle time. The cursor and the rotation advance either way.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::PcOutOfRange`] or a lane's execution fault.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn issue<D: Dispatch, S: TraceSink>(
+        &mut self,
+        issuable: u32,
+        now: u64,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        stats: &mut DpuRunStats,
+        mem: &mut MemEngine,
+        sink: &mut S,
+    ) -> Result<Issued, SimError> {
+        let ahead = issuable & !((1u32 << self.rr) - 1);
+        let w = (if ahead != 0 { ahead } else { issuable }).trailing_zeros() as usize / self.width;
+        // The warp is issuable, so all its live lanes are.
+        let live = issuable & self.lanes(w);
+        self.rr = ((w + 1) * self.width).min(self.n);
+
+        self.pcs.clear();
+        self.pcs.extend(bits(live).map(|l| state.pc[l]));
+        self.pcs.sort_unstable();
+        self.pcs.dedup();
+        let rot = self.rotation[w];
+        self.rotation[w] = rot.wrapping_add(1);
+        let group =
+            |pc: u32| bits(live).filter(|&l| state.pc[l] == pc).fold(0u32, |m, l| m | 1 << l);
+        let forwarded = |pc: u32| match kernel.ops.get(pc as usize) {
+            // A pc out of range faults at execution.
+            None => true,
+            Some(op) => bits(group(pc)).all(|l| {
+                let row = &self.reg_ready[l * NREGS..(l + 1) * NREGS];
+                bits(op.src_mask).all(|r| row[r] <= now)
+            }),
         };
-        let rot = warps[wi].rotation;
-        let chosen = (0..pcs.len())
-            .map(|k| pcs[(rot + k) % pcs.len()])
-            .find(|&pc| group_ready(pc, dpu, &reg_ready));
-        warps[wi].rotation = rot.wrapping_add(1);
-        let Some(pc) = chosen else {
-            // All groups waiting on forwarding: a pipeline stall cycle.
+        let len = self.pcs.len();
+        let Some(pc) = (0..len).map(|k| self.pcs[(rot + k) % len]).find(|&pc| forwarded(pc)) else {
             stats.record_idle_span(1, 1, 0);
             if sink.enabled() {
                 sink.emit(TraceEvent::Stall { cycle: now, cycles: 1, cause: StallCause::Revolver });
             }
-            now += 1;
-            continue;
+            return Ok(Issued::default());
         };
-        if pc >= n_instrs {
-            let lane = warps[wi]
-                .lanes
-                .clone()
-                .find(|&l| dpu.state.pc[l] == pc)
-                .unwrap_or(warps[wi].lanes.start);
-            return Err(SimError::PcOutOfRange { pc, tasklet: lane as u32 });
-        }
-        let instr = kernel.instrs[pc as usize];
-        let d = *decoded.get(pc).expect("pc bounds-checked above");
-        active.clear();
-        active.extend(
-            warps[wi]
-                .lanes
-                .clone()
-                .filter(|&l| status[l] == TaskletStatus::Ready && dpu.state.pc[l] == pc),
-        );
-        // Structural hazards: split RF banks, and the scratchpad port for
-        // vector loads/stores (one slot per 64 B segment with coalescing,
-        // one per active lane without).
-        let mut hazard = if unified_rf { 0 } else { u64::from(d.rf_hazard) };
-        if matches!(instr, pim_isa::Instruction::Load { .. } | pim_isa::Instruction::Store { .. }) {
-            let slots = if simt.coalescing {
-                // Coalesced accesses occupy one slot per group of
-                // `wram_ports` distinct 64 B segments (banked WRAM).
-                seg_slots.clear();
-                seg_slots.extend(
-                    active
-                        .iter()
-                        .filter_map(|&l| dpu.state.ls_addr(l as u32, &instr).map(|(a, _)| a / 64)),
+        let active = group(pc);
+        let Some(op) = kernel.ops.get(pc as usize) else {
+            return Err(SimError::PcOutOfRange { pc, tasklet: active.trailing_zeros() });
+        };
+
+        let mut rf_block = if self.rf_hazards { u64::from(op.rf_hazard) } else { 0 };
+        if op.flags & (F_LOAD | F_STORE) != 0 {
+            let slots = if self.simt.coalescing {
+                // One slot per `wram_ports` distinct 64 B segments (banked
+                // WRAM).
+                self.slots.clear();
+                self.slots.extend(
+                    bits(active)
+                        .map(|l| state.regs[l][op.b as usize].wrapping_add(op.imm as u32) / 64),
                 );
-                seg_slots.sort_unstable();
-                seg_slots.dedup();
-                (seg_slots.len() as u32).div_ceil(simt.wram_ports.max(1)).max(1) as usize
+                self.slots.sort_unstable();
+                self.slots.dedup();
+                (self.slots.len() as u32).div_ceil(self.simt.wram_ports.max(1)).max(1)
             } else {
-                active.len()
+                active.count_ones()
             };
-            hazard += slots as u64 - 1;
+            rf_block += u64::from(slots) - 1;
         }
-        // Execute over the active lanes; gather DMA segments.
-        dma_segments.clear();
-        let mut dma_lane_requests = 0usize;
-        for &l in &active {
-            let effect = dpu.state.execute(l as u32, &instr)?;
-            stats.count_instruction(d.class, l as u32);
+
+        self.segments.clear();
+        let mut stopped = 0u32;
+        for l in bits(active) {
+            let effect = D::execute(kernel, state, l as u32, pc)?;
+            stats.count_instruction_idx(op.class_idx as usize, l as u32);
             if sink.enabled() {
-                dpu.state.trace_retire(sink, now, l as u32, pc, d.class, &instr, effect);
+                let class = InstrClass::ALL[op.class_idx as usize];
+                let instr = &kernel.instrs[pc as usize];
+                state.trace_retire(sink, now, l as u32, pc, class, instr, effect);
             }
-            if let Some(rd) = d.dst {
-                let lat = if d.is_load { fwd_load } else { fwd_alu };
-                reg_ready[l * NREGS + rd as usize] = now + lat;
+            if let Some(rd) = op.dst() {
+                let lat = if op.is_load() { self.fwd_load } else { self.fwd_alu };
+                self.reg_ready[l * NREGS + rd as usize] = now + lat;
             }
             match effect {
-                Effect::Advance => dpu.state.pc[l] = pc + 1,
-                Effect::Jump(t) => dpu.state.pc[l] = t,
+                Effect::Advance => state.pc[l] = pc + 1,
+                Effect::Jump(target) => state.pc[l] = target,
                 Effect::AcquireRetry => {}
                 Effect::Stop => {
-                    status[l] = TaskletStatus::Stopped;
+                    stopped |= 1 << l;
                     stats.tasklet_stop_cycle[l] = now;
-                    live -= 1;
                 }
                 Effect::Dma { mram, len, write } => {
-                    dpu.state.pc[l] = pc + 1;
-                    dma_segments.push(Segment { addr: mram, bytes: len, write });
-                    dma_lane_requests += 1;
+                    state.pc[l] = pc + 1;
+                    self.segments.push(Segment { addr: mram, bytes: len, write });
                 }
             }
         }
-        if !dma_segments.is_empty() {
-            if simt.coalescing {
-                // Merge touching ranges of the same direction.
-                dma_segments.sort_by_key(|s| (s.write, s.addr));
-                merged.clear();
-                for s in dma_segments.drain(..) {
-                    match merged.last_mut() {
-                        Some(prev) if prev.write == s.write && s.addr <= prev.addr + prev.bytes => {
-                            let end = (s.addr + s.bytes).max(prev.addr + prev.bytes);
-                            prev.bytes = end - prev.addr;
-                        }
-                        _ => merged.push(s),
-                    }
+        let dma = !self.segments.is_empty();
+        if dma && self.simt.coalescing {
+            // Merge touching ranges of the same direction into one request.
+            self.segments.sort_by_key(|s| (s.write, s.addr));
+            self.segments.dedup_by(|s, prev| {
+                let touches = prev.write == s.write && s.addr <= prev.addr + prev.bytes;
+                if touches {
+                    prev.bytes = (s.addr + s.bytes).max(prev.addr + prev.bytes) - prev.addr;
                 }
-                warps[wi].pending_mem = 1;
-                mem.issue_traced(sink, wi as u64, &merged, now, true);
-            } else {
-                // One engine request per lane: per-request setup is paid
-                // for every scalar transfer, as in the uncoalesced design.
-                warps[wi].pending_mem = dma_lane_requests;
-                for s in dma_segments.drain(..) {
-                    mem.issue_traced(sink, wi as u64, &[s], now, true);
-                }
+                touches
+            });
+            self.pending[w] = 1;
+            mem.issue_traced(sink, w as u64, &self.segments, now, true);
+        } else if dma {
+            // One engine request per lane: per-request setup is paid for
+            // every scalar transfer, as in the uncoalesced design.
+            self.pending[w] = self.segments.len() as u32;
+            for s in &self.segments {
+                mem.issue_traced(sink, w as u64, std::slice::from_ref(s), now, true);
             }
-        }
-        warps[wi].next_issue = now + 1;
-        if hazard > 0 {
-            port_block = hazard;
         }
         stats.active_cycles += 1;
-        now += 1;
+        Ok(Issued { lanes: live & !stopped, stopped, dma, rf_block })
     }
-    Ok(stats.seal(now, &mem, None, None))
+}
+
+/// The set bits of `mask`, lowest first.
+pub(crate) fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
 }

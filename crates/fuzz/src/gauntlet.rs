@@ -5,8 +5,7 @@
 //!    `pim-ref` interpreter byte-for-byte.
 //! 2. **Naive/fast equality** — the optimized cycle loop's full
 //!    [`pim_dpu::DpuRunStats`] (cycles, idle attribution, mixes, traces)
-//!    is identical to the naive per-cycle reference loop's (scalar and
-//!    ILP modes; SIMT has a single implementation).
+//!    is identical to the naive per-cycle reference loop's, in every mode.
 //! 3. **Compiled/fast equality** — the block-compiled threaded-code loop
 //!    (the default tier, exercised by the primary run) and the decoded
 //!    fast loop produce identical stats and memory images.
@@ -265,66 +264,62 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
     }
 
     // Invariant 2: the naive per-cycle loop times identically.
-    if case.mode.has_naive_loop() {
-        let naive = match run_once(case, case.config().with_exec_tier(ExecTier::Naive)) {
-            Ok(r) => r,
-            Err(e) => {
-                return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::NaiveFastEquality,
-                    detail: format!("naive loop faulted where the fast loop ran clean: {e}"),
-                });
-            }
-        };
-        if naive.stats_debug != fast.stats_debug {
+    let naive = match run_once(case, case.config().with_exec_tier(ExecTier::Naive)) {
+        Ok(r) => r,
+        Err(e) => {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::NaiveFastEquality,
-                detail: format!(
-                    "stats diverged (fast {} vs naive {} cycles): {}",
-                    fast.cycles,
-                    naive.cycles,
-                    first_line_diff(&fast.stats_debug, &naive.stats_debug)
-                ),
+                detail: format!("naive loop faulted where the fast loop ran clean: {e}"),
             });
         }
+    };
+    if naive.stats_debug != fast.stats_debug {
+        return CheckOutcome::Fail(Failure {
+            invariant: Invariant::NaiveFastEquality,
+            detail: format!(
+                "stats diverged (fast {} vs naive {} cycles): {}",
+                fast.cycles,
+                naive.cycles,
+                first_line_diff(&fast.stats_debug, &naive.stats_debug)
+            ),
+        });
     }
 
     // Invariant 3: the decoded fast loop agrees with the block-compiled
     // loop (the default tier, so the primary run above is compiled). The
     // memory comparison matters here: the two loops share the scheduler
     // shape but execute through different instruction implementations.
-    if case.mode.has_naive_loop() {
-        let fastloop = match run_once(case, case.config().with_exec_tier(ExecTier::Fast)) {
-            Ok(r) => r,
-            Err(e) => {
-                return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::CompiledFastEquality,
-                    detail: format!("fast loop faulted where the compiled loop ran clean: {e}"),
-                });
-            }
-        };
-        if fastloop.stats_debug != fast.stats_debug {
+    let fastloop = match run_once(case, case.config().with_exec_tier(ExecTier::Fast)) {
+        Ok(r) => r,
+        Err(e) => {
+            return CheckOutcome::Fail(Failure {
+                invariant: Invariant::CompiledFastEquality,
+                detail: format!("fast loop faulted where the compiled loop ran clean: {e}"),
+            });
+        }
+    };
+    if fastloop.stats_debug != fast.stats_debug {
+        return CheckOutcome::Fail(Failure {
+            invariant: Invariant::CompiledFastEquality,
+            detail: format!(
+                "stats diverged (compiled {} vs fast {} cycles): {}",
+                fast.cycles,
+                fastloop.cycles,
+                first_line_diff(&fast.stats_debug, &fastloop.stats_debug)
+            ),
+        });
+    }
+    for (name, got, want) in
+        [("WRAM", &fastloop.wram, &fast.wram), ("MRAM", &fastloop.mram, &fast.mram)]
+    {
+        if let Some(at) = first_diff(got, want) {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::CompiledFastEquality,
                 detail: format!(
-                    "stats diverged (compiled {} vs fast {} cycles): {}",
-                    fast.cycles,
-                    fastloop.cycles,
-                    first_line_diff(&fast.stats_debug, &fastloop.stats_debug)
+                    "{name} diverged at {at:#x}: fast {:#04x}, compiled {:#04x}",
+                    got[at], want[at]
                 ),
             });
-        }
-        for (name, got, want) in
-            [("WRAM", &fastloop.wram, &fast.wram), ("MRAM", &fastloop.mram, &fast.mram)]
-        {
-            if let Some(at) = first_diff(got, want) {
-                return CheckOutcome::Fail(Failure {
-                    invariant: Invariant::CompiledFastEquality,
-                    detail: format!(
-                        "{name} diverged at {at:#x}: fast {:#04x}, compiled {:#04x}",
-                        got[at], want[at]
-                    ),
-                });
-            }
         }
     }
 

@@ -5,9 +5,10 @@
 //!
 //! The repo carries three independent executors that must agree on every
 //! program — the timing-free `pim-ref` oracle, the naive per-cycle
-//! reference loop, and the optimized pre-decoded fast loop (plus the SIMT
-//! front-end) — and the interesting divergences hide in exactly the
-//! corners fixed test suites do not reach: duplicate-source register-file
+//! reference loop, and the optimized issue engine (both cycle loops run
+//! the SIMT front-end as an issue policy) — and the interesting
+//! divergences hide in exactly the corners fixed test suites do not
+//! reach: duplicate-source register-file
 //! hazards, DMA bursts against a busy memory engine, barrier/mutex
 //! interleavings at odd tasklet counts. This crate closes that gap with
 //! four cooperating pieces:
@@ -100,13 +101,6 @@ impl ExecMode {
         };
         cfg.max_cycles = 50_000_000;
         cfg
-    }
-
-    /// Whether the mode has a naive-loop timing reference (the SIMT
-    /// front-end has a single implementation).
-    #[must_use]
-    pub fn has_naive_loop(self) -> bool {
-        !matches!(self, ExecMode::Simt)
     }
 }
 

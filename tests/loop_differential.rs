@@ -6,10 +6,12 @@
 //! block-compiled threaded-code loop — must be *timing-invisible*: every
 //! simulated quantity — cycle counts, idle attribution, instruction mixes,
 //! the trace itself — has to match what the straightforward
-//! scan-everything-every-cycle loop computes. [`ExecTier`] keeps all three
-//! loops alive so this suite can assert full `DpuRunStats` equality over
-//! the whole extended PrIM suite (naive × fast × compiled, across tasklet
-//! counts and pipeline modes).
+//! scan-everything-every-cycle loop computes. [`ExecTier`] keeps both
+//! loops and both dispatches alive so this suite can assert full
+//! `DpuRunStats` equality over the whole extended PrIM suite (naive × fast
+//! × compiled, across tasklet counts and pipeline modes, SIMT included: it
+//! is an issue policy of both loops). `results/golden/simt_stats.txt`
+//! anchors SIMT timing itself, which both loops share.
 
 use pim_dpu::{DpuConfig, ExecTier, IlpFeatures};
 use prim_suite::{all_workloads, extended_workloads, DatasetSize, RunConfig, Workload};
@@ -66,6 +68,20 @@ fn ilp_loop_matches_naive_reference() {
         for n in TASKLETS {
             let cfg = DpuConfig::paper_baseline(n).with_ilp(IlpFeatures::all());
             assert_loops_agree(w.as_ref(), "ilp", cfg);
+        }
+    }
+}
+
+#[test]
+fn simt_loop_matches_naive_reference() {
+    use pim_dpu::SimtConfig;
+    for w in all_workloads() {
+        for n in TASKLETS {
+            for coalescing in [false, true] {
+                let simt = SimtConfig { coalescing, ..SimtConfig::default() };
+                let mode = if coalescing { "simt+ac" } else { "simt" };
+                assert_loops_agree(w.as_ref(), mode, DpuConfig::paper_baseline(n).with_simt(simt));
+            }
         }
     }
 }
@@ -554,12 +570,79 @@ fn event_tracing_is_invisible_to_both_loops() {
     }
 }
 
+/// SIMT's timing anchor, one line per case: workload, tasklets, mode,
+/// cycles, instructions, DMA requests and the FNV-1a-64 of the run's
+/// `DpuRunStats` `Debug` rendering.
+const SIMT_GOLDEN: &str = "results/golden/simt_stats.txt";
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every workload under SIMT and SIMT+AC at 1, 8, 16 and 24 tasklets, and
+/// under SIMT+AC with every ILP feature at 16 (the front-end honours the
+/// unified register file and the 700 MHz clock, and ignores forwarding and
+/// superscalar issue), rendered as [`SIMT_GOLDEN`] holds it. A case that
+/// faults has no line.
+fn simt_stats_table() -> String {
+    use pim_dpu::SimtConfig;
+    let simt = SimtConfig::default();
+    let ac = SimtConfig { coalescing: true, ..simt };
+    let mut cases: Vec<(u32, &str, DpuConfig)> = Vec::new();
+    for n in [1, 8, 16, 24] {
+        cases.push((n, "simt", DpuConfig::paper_baseline(n).with_simt(simt)));
+        cases.push((n, "simt+ac", DpuConfig::paper_baseline(n).with_simt(ac)));
+    }
+    let ilp = DpuConfig::paper_baseline(16).with_ilp(IlpFeatures::all()).with_simt(ac);
+    cases.push((16, "simt+ac+ilp", ilp));
+    let mut table = String::new();
+    for w in all_workloads() {
+        for (n, mode, cfg) in &cases {
+            let Ok(out) = w.run(DatasetSize::Tiny, &RunConfig::single(cfg.clone())) else {
+                continue;
+            };
+            let [stats] = &out.per_dpu[..] else { panic!("{}: one DPU", w.name()) };
+            let hash = fnv1a64(format!("{stats:?}").as_bytes());
+            table += &format!(
+                "{} {n} {mode} {} {} {} {hash:016x}\n",
+                w.name(),
+                stats.cycles,
+                stats.instructions,
+                stats.dma_requests
+            );
+        }
+    }
+    table
+}
+
+#[test]
+fn simt_stats_match_the_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SIMT_GOLDEN);
+    let want = std::fs::read_to_string(&path).expect("the SIMT golden is committed");
+    let got = simt_stats_table();
+    for (line, (w, g)) in want.lines().zip(got.lines()).enumerate() {
+        assert_eq!(w, g, "{SIMT_GOLDEN} line {}: SIMT timing moved", line + 1);
+    }
+    assert_eq!(want.lines().count(), got.lines().count(), "{SIMT_GOLDEN}: cases differ");
+}
+
+/// Rewrites [`SIMT_GOLDEN`] from this build:
+/// `cargo test --release --test loop_differential -- --ignored write_simt_golden`.
+/// Only for a change that is meant to move SIMT timing; review the diff.
+#[test]
+#[ignore = "rewrites a committed golden"]
+fn write_simt_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SIMT_GOLDEN);
+    std::fs::write(path, simt_stats_table()).expect("golden is writable");
+}
+
 #[test]
 fn simt_divergent_programs_are_sink_invisible_and_match_the_oracle() {
-    // The SIMT front-end has no naive loop, so its leg of the cross
-    // product is {NullSink, RingSink} on a program with real divergence:
-    // lane-parity split paths plus tid-dependent loop trip counts, so
-    // warps fracture and reconverge repeatedly.
+    // {naive, compiled} x {NullSink, RingSink} on a program with real
+    // divergence: lane-parity split paths plus tid-dependent loop trip
+    // counts, so warps fracture and reconverge repeatedly.
     use pim_asm::KernelBuilder;
     use pim_dpu::{Dpu, SimtConfig};
     use pim_isa::{AluOp, Cond};
@@ -601,9 +684,16 @@ fn simt_divergent_programs_are_sink_invisible_and_match_the_oracle() {
         (format!("{stats:#?}"), dpu.read_wram(0, 64 * 1024))
     };
     let (plain_stats, plain_wram) = run(cfg.clone());
-    let (traced_stats, traced_wram) = run(cfg.with_event_trace(RING));
-    assert_eq!(plain_stats, traced_stats, "RingSink perturbed SIMT stats");
-    assert_eq!(plain_wram, traced_wram, "RingSink perturbed SIMT memory");
+    let naive = cfg.clone().with_exec_tier(ExecTier::Naive);
+    for (leg, cfg) in [
+        ("compiled+ring", cfg.with_event_trace(RING)),
+        ("naive+null", naive.clone()),
+        ("naive+ring", naive.with_event_trace(RING)),
+    ] {
+        let (stats, wram) = run(cfg);
+        assert_eq!(plain_stats, stats, "{leg}: SIMT stats diverge from compiled+null");
+        assert_eq!(plain_wram, wram, "{leg}: SIMT memory diverges from compiled+null");
+    }
 
     let mut oracle = RefInterpreter::new(&program, N);
     oracle.run(1_000_000).expect("oracle completes");

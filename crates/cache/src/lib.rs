@@ -160,18 +160,69 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
+    /// The geometry's divisions, done once.
+    geo: Geometry,
     lines: Vec<Line>, // sets × ways, row-major by set
     use_clock: u64,
     stats: CacheStats,
+}
+
+/// Address arithmetic of a [`CacheConfig`], computed once per cache: the
+/// set count, and shifts and masks for whichever of the line size and the
+/// set count is a power of two (the paper's 48-set I-cache keeps one
+/// division and one remainder per access).
+#[derive(Debug, Clone, Copy)]
+struct Geometry {
+    sets: u32,
+    /// `log2(line_bytes)`, when the line size is a power of two.
+    line_shift: Option<u32>,
+    /// `log2(sets)`, when the set count is a power of two.
+    set_shift: Option<u32>,
+    /// Whether the set index is XOR-folded (hashed and a power of two).
+    fold: bool,
+}
+
+impl Geometry {
+    fn new(cfg: &CacheConfig) -> Self {
+        let sets = cfg.sets();
+        let log2 = |n: u32| n.is_power_of_two().then(|| n.trailing_zeros());
+        let set_shift = log2(sets);
+        Geometry {
+            sets,
+            line_shift: log2(cfg.line_bytes),
+            set_shift,
+            fold: cfg.hashed_index && set_shift.is_some(),
+        }
+    }
+
+    /// The line index of `addr`: `addr / line_bytes`.
+    #[inline]
+    fn line(&self, addr: u32, line_bytes: u32) -> u32 {
+        match self.line_shift {
+            Some(k) => addr >> k,
+            None => addr / line_bytes,
+        }
+    }
+
+    /// `(line / sets, line % sets)`.
+    #[inline]
+    fn split(&self, line: u32) -> (u32, u32) {
+        match self.set_shift {
+            Some(k) => (line >> k, line & (self.sets - 1)),
+            None => (line / self.sets, line % self.sets),
+        }
+    }
 }
 
 impl Cache {
     /// Creates an empty (all-invalid) cache.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        let n = (cfg.sets() * cfg.ways) as usize;
+        let geo = Geometry::new(&cfg);
+        let n = (geo.sets * cfg.ways) as usize;
         Cache {
             cfg,
+            geo,
             lines: vec![Line { tag: 0, valid: false, dirty: false, last_use: 0 }; n],
             use_clock: 0,
             stats: CacheStats::default(),
@@ -190,38 +241,37 @@ impl Cache {
         &self.stats
     }
 
-    fn set_of(&self, addr: u32) -> u32 {
-        let sets = self.cfg.sets();
-        let line = addr / self.cfg.line_bytes;
-        if self.cfg.hashed_index && sets.is_power_of_two() {
+    /// The `(set, tag)` of `addr`.
+    #[inline]
+    fn locate(&self, addr: u32) -> (u32, u32) {
+        let (tag, low) = self.geo.split(self.geo.line(addr, self.cfg.line_bytes));
+        let set = if self.geo.fold {
             // Two-level XOR fold: large power-of-two strides perturb the
             // index at every level, not just the first.
-            (line ^ (line / sets) ^ (line / sets / sets)) % sets
+            let (above, tag_low) = self.geo.split(tag);
+            low ^ tag_low ^ self.geo.split(above).1
         } else {
-            line % sets
-        }
+            low
+        };
+        (set, tag)
     }
 
-    fn tag_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes / self.cfg.sets()
-    }
-
-    /// Inverse of `set_of`: the line index of a resident (tag, set) pair.
+    /// Inverse of `locate`: the line index of a resident (tag, set) pair.
     fn line_of(&self, tag: u32, set: u32) -> u32 {
-        let sets = self.cfg.sets();
-        let low = if self.cfg.hashed_index && sets.is_power_of_two() {
-            set ^ (tag % sets) ^ ((tag / sets) % sets)
+        let low = if self.geo.fold {
+            let (above, tag_low) = self.geo.split(tag);
+            set ^ tag_low ^ self.geo.split(above).1
         } else {
             set
         };
-        tag * sets + low
+        tag * self.geo.sets + low
     }
 
     /// Looks up `addr` without changing any state (no LRU update, no fill).
     #[must_use]
     pub fn probe(&self, addr: u32) -> bool {
-        let set = self.set_of(addr) as usize;
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.locate(addr);
+        let set = set as usize;
         let ways = self.cfg.ways as usize;
         self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.tag == tag)
     }
@@ -234,8 +284,8 @@ impl Cache {
     /// of the returned fill/writeback.
     pub fn access(&mut self, addr: u32, write: bool) -> AccessOutcome {
         self.use_clock += 1;
-        let set = self.set_of(addr) as usize;
-        let tag = self.tag_of(addr);
+        let (set, tag) = self.locate(addr);
+        let set = set as usize;
         let ways = self.cfg.ways as usize;
         let base = set * ways;
         // Hit?
@@ -277,7 +327,7 @@ impl Cache {
     /// Writes back and invalidates every line; returns the addresses of the
     /// dirty lines that were written back.
     pub fn flush(&mut self) -> Vec<u32> {
-        let sets = self.cfg.sets();
+        let sets = self.geo.sets;
         let ways = self.cfg.ways as usize;
         let mut dirty = Vec::new();
         for set in 0..sets {

@@ -22,16 +22,69 @@
 //! argument. Inlined, `alu_add_ri` is the register bounds checks, a load,
 //! an `add` and a store.
 //!
-//! Correctness bar: every op function must be *observationally identical*
-//! to [`ArchState::execute`] on the same state — same register/memory
-//! writes, same [`Effect`], same [`SimError`] variant with the same fields,
-//! and the same error precedence. The unit tests at the bottom run every op
-//! shape (including each error path) through both and compare.
+//! One word per instruction: an op function returns a `u64` holding the
+//! next pc in its low half and a kind in its high half — [`ADVANCE`],
+//! [`JUMP`], [`RETRY`] (a failed `acquire`; the pc is its own), [`STOP`],
+//! [`DMA`] or [`FAULT`] — so the issue engine writes the pc of an
+//! advance or a jump without matching on an [`Effect`], and everything the
+//! word leaves out is read back on the cold path: the transfer of a DMA
+//! from the registers it read ([`CompiledKernel::dma`]; a DMA writes no
+//! register), and the error of a fault from the interpreter.
+//!
+//! Faults are the interpreter's. An op function checks everything it can
+//! fail on before it writes anything, exactly as [`ArchState::execute`]
+//! does, and on a failed check returns [`FAULT`] with the state untouched;
+//! [`CompiledKernel::fault`] then runs the same `(tasklet, pc)` through
+//! the interpreter, whose [`SimError`] — variant, fields and precedence —
+//! is therefore the op's by construction. This module builds none. The
+//! unit tests at the bottom run every op shape (each failing one
+//! included) through both and compare the writes, the word and its
+//! decoded effect.
 
 use pim_isa::{AddressSpace, AluOp, Cond, DecodedInstr, InstrClass, Instruction, Operand, Width};
 
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
+use crate::mem::Segment;
+
+/// Word kind: fall through; the low half is `pc + 1`.
+pub(crate) const ADVANCE: u64 = 0;
+/// Word kind: control transfer; the low half is the target.
+pub(crate) const JUMP: u64 = 1 << 32;
+/// Word kind: `acquire` found the bit taken and busy-waits; the low half
+/// is the pc itself. The last kind that leaves the tasklet runnable.
+pub(crate) const RETRY: u64 = 2 << 32;
+/// Word kind: the tasklet terminated (the pc stays on the `stop`).
+pub(crate) const STOP: u64 = 3 << 32;
+/// Word kind: a DMA was issued (the copy is done) and the tasklet blocks;
+/// the low half is `pc + 1`.
+pub(crate) const DMA: u64 = 4 << 32;
+/// Word kind: the instruction faults and wrote nothing.
+pub(crate) const FAULT: u64 = 5 << 32;
+/// The kind half of a word.
+pub(crate) const KIND: u64 = !0 << 32;
+
+#[inline(always)]
+fn advance(pc: u32) -> u64 {
+    ADVANCE | u64::from(pc + 1)
+}
+
+#[inline(always)]
+fn jump(target: u32) -> u64 {
+    JUMP | u64::from(target)
+}
+
+/// The word of an `effect` the interpreter computed for the instruction at
+/// `pc`.
+pub(crate) fn word_of(effect: Effect, pc: u32) -> u64 {
+    match effect {
+        Effect::Advance => advance(pc),
+        Effect::Jump(target) => jump(target),
+        Effect::AcquireRetry => RETRY | u64::from(pc),
+        Effect::Stop => STOP,
+        Effect::Dma { .. } => DMA | u64::from(pc + 1),
+    }
+}
 
 /// `flags` bit: blocking MRAM↔WRAM DMA.
 pub(crate) const F_DMA: u8 = 1 << 0;
@@ -43,8 +96,9 @@ pub(crate) const F_STORE: u8 = 1 << 2;
 pub(crate) const F_DST: u8 = 1 << 3;
 
 /// A monomorphic op function: executes one pre-lowered instruction for
-/// `tasklet` at `pc`, reading operands out of its [`CompiledOp`].
-pub(crate) type OpFn = fn(&mut ArchState, u32, u32, &CompiledOp) -> Result<Effect, SimError>;
+/// `tasklet` at `pc`, reading operands out of its [`CompiledOp`], and
+/// returns its word.
+pub(crate) type OpFn = fn(&mut ArchState, u32, u32, &CompiledOp) -> u64;
 
 /// One instruction, lowered to a direct-threaded table entry.
 ///
@@ -119,6 +173,72 @@ impl CompiledKernel {
     pub(crate) fn compile(instrs: &[Instruction]) -> Self {
         CompiledKernel { instrs: instrs.to_vec(), ops: instrs.iter().map(compile_op).collect() }
     }
+
+    /// Executes the instruction at `pc` for `tasklet`: one indexed load and
+    /// one indirect call. Returns the op's word.
+    #[inline(always)]
+    pub(crate) fn step(&self, state: &mut ArchState, tasklet: u32, pc: u32) -> u64 {
+        let op = &self.ops[pc as usize];
+        (op.exec)(state, tasklet, pc, op)
+    }
+
+    /// What `word`, just returned for `tasklet` by the instruction at `pc`,
+    /// means as an [`Effect`] — or, for a [`FAULT`], the interpreter's
+    /// error.
+    pub(crate) fn effect(
+        &self,
+        state: &mut ArchState,
+        tasklet: u32,
+        pc: u32,
+        word: u64,
+    ) -> Result<Effect, SimError> {
+        Ok(match word & KIND {
+            ADVANCE => Effect::Advance,
+            JUMP => Effect::Jump(word as u32),
+            RETRY => Effect::AcquireRetry,
+            STOP => Effect::Stop,
+            DMA => {
+                let Segment { addr, bytes, write } = self.dma(state, tasklet, pc);
+                Effect::Dma { mram: addr, len: bytes, write }
+            }
+            _ => return Err(self.fault(state, tasklet, pc)),
+        })
+    }
+
+    /// The transfer of the DMA at `pc` that `tasklet` just issued, read back
+    /// out of the registers it read: a DMA writes none.
+    #[cold]
+    pub(crate) fn dma(&self, state: &ArchState, tasklet: u32, pc: u32) -> Segment {
+        match self.instrs[pc as usize] {
+            Instruction::Ldma { mram, len, .. } => Segment {
+                addr: state.reg(tasklet, mram),
+                bytes: state.operand(tasklet, len),
+                write: false,
+            },
+            Instruction::Sdma { mram, len, .. } => Segment {
+                addr: state.reg(tasklet, mram),
+                bytes: state.operand(tasklet, len),
+                write: true,
+            },
+            ref other => unreachable!("`{other}` returned a DMA word"),
+        }
+    }
+
+    /// The error of the instruction at `pc` whose op returned [`FAULT`] for
+    /// `tasklet`: the interpreter's, run on the same state at the same pc.
+    /// The op wrote nothing, so neither does the interpreter.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn fault(&self, state: &mut ArchState, tasklet: u32, pc: u32) -> SimError {
+        let t = tasklet as usize;
+        let own_pc = std::mem::replace(&mut state.pc[t], pc);
+        let run = state.execute(tasklet, &self.instrs[pc as usize]);
+        state.pc[t] = own_pc;
+        match run {
+            Err(e) => e,
+            Ok(effect) => unreachable!("the op at pc {pc} faulted, the interpreter got {effect:?}"),
+        }
+    }
 }
 
 #[inline(always)]
@@ -134,16 +254,16 @@ fn setr(s: &mut ArchState, t: u32, r: u8, v: u32) {
 macro_rules! alu_fns {
     ($($rr:ident $ri:ident $variant:ident),* $(,)?) => {
         $(
-            fn $rr(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+            fn $rr(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let a = rg(s, t, op.b);
                 let b = rg(s, t, op.c);
                 setr(s, t, op.a, AluOp::$variant.eval(a, b));
-                Ok(Effect::Advance)
+                advance(pc)
             }
-            fn $ri(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+            fn $ri(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let a = rg(s, t, op.b);
                 setr(s, t, op.a, AluOp::$variant.eval(a, op.imm as u32));
-                Ok(Effect::Advance)
+                advance(pc)
             }
         )*
     };
@@ -202,36 +322,26 @@ fn alu_fn(op: AluOp, reg_operand: bool) -> OpFn {
     }
 }
 
-/// Alignment + WRAM-bounds check shared by the load/store op functions.
-/// Mirrors `ArchState::check_ls` exactly, including error precedence.
+/// Whether a `bytes`-wide load/store at `addr` is aligned and inside the
+/// load/store space: the checks of `ArchState::check_ls`.
 #[inline(always)]
-fn check_ls(s: &ArchState, addr: u32, bytes: u32, tasklet: u32, pc: u32) -> Result<(), SimError> {
-    if !addr.is_multiple_of(bytes) {
-        return Err(SimError::Unaligned { addr, align: bytes, tasklet, pc });
-    }
-    if u64::from(addr) + u64::from(bytes) > u64::from(s.ls_space) {
-        return Err(SimError::OutOfBounds {
-            space: AddressSpace::Wram,
-            addr,
-            len: bytes,
-            tasklet,
-            pc,
-        });
-    }
-    Ok(())
+fn ls_ok(s: &ArchState, addr: u32, bytes: u32) -> bool {
+    addr.is_multiple_of(bytes) && u64::from(addr) + u64::from(bytes) <= u64::from(s.ls_space)
 }
 
 macro_rules! load_fns {
     ($($name:ident $bytes:literal |$s:ident, $a:ident| $read:expr),* $(,)?) => {
         $(
-            fn $name(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+            fn $name(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-                check_ls(s, addr, $bytes, t, pc)?;
+                if !ls_ok(s, addr, $bytes) {
+                    return FAULT;
+                }
                 let $a = addr as usize;
                 let $s = &*s;
                 let v = $read;
                 setr(s, t, op.a, v);
-                Ok(Effect::Advance)
+                advance(pc)
             }
         )*
     };
@@ -245,71 +355,52 @@ load_fns!(
     load_w 4 |s, a| u32::from_le_bytes([s.wram[a], s.wram[a + 1], s.wram[a + 2], s.wram[a + 3]]),
 );
 
-fn store_b(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn store_b(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    check_ls(s, addr, 1, t, pc)?;
+    if !ls_ok(s, addr, 1) {
+        return FAULT;
+    }
     let v = rg(s, t, op.a);
     s.wram[addr as usize] = v as u8;
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-fn store_h(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn store_h(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    check_ls(s, addr, 2, t, pc)?;
+    if !ls_ok(s, addr, 2) {
+        return FAULT;
+    }
     let v = rg(s, t, op.a);
     let a = addr as usize;
     s.wram[a..a + 2].copy_from_slice(&(v as u16).to_le_bytes());
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-fn store_w(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn store_w(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    check_ls(s, addr, 4, t, pc)?;
+    if !ls_ok(s, addr, 4) {
+        return FAULT;
+    }
     let v = rg(s, t, op.a);
     let a = addr as usize;
     s.wram[a..a + 4].copy_from_slice(&v.to_le_bytes());
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-/// DMA validation + functional copy, shared by the four DMA op functions.
-/// Mirrors the `Ldma`/`Sdma` arm of `ArchState::execute` exactly,
-/// including the error precedence (length, alignment, WRAM bounds, MRAM
-/// bounds).
+/// DMA validation + functional copy, shared by the four DMA op functions:
+/// the checks of the `Ldma`/`Sdma` arm of `ArchState::execute` (length,
+/// alignment, WRAM bounds, MRAM bounds), then the copy.
 #[inline(always)]
-fn dma_common(
-    s: &mut ArchState,
-    t: u32,
-    pc: u32,
-    w: u32,
-    m: u32,
-    l: i32,
-    write: bool,
-) -> Result<Effect, SimError> {
+fn dma_common(s: &mut ArchState, pc: u32, w: u32, m: u32, l: i32, write: bool) -> u64 {
     if l <= 0 {
-        return Err(SimError::BadDmaLength { len: l, tasklet: t, pc });
+        return FAULT;
     }
     let l = l as u32;
-    if !w.is_multiple_of(4) || !m.is_multiple_of(4) || !l.is_multiple_of(4) {
-        let addr = if !w.is_multiple_of(4) { w } else { m };
-        return Err(SimError::Unaligned { addr, align: 4, tasklet: t, pc });
-    }
-    if u64::from(w) + u64::from(l) > u64::from(s.ls_space) {
-        return Err(SimError::OutOfBounds {
-            space: AddressSpace::Wram,
-            addr: w,
-            len: l,
-            tasklet: t,
-            pc,
-        });
-    }
-    if !s.layout.contains(AddressSpace::Mram, m, l) {
-        return Err(SimError::OutOfBounds {
-            space: AddressSpace::Mram,
-            addr: m,
-            len: l,
-            tasklet: t,
-            pc,
-        });
+    if !(w | m | l).is_multiple_of(4)
+        || u64::from(w) + u64::from(l) > u64::from(s.ls_space)
+        || !s.layout.contains(AddressSpace::Mram, m, l)
+    {
+        return FAULT;
     }
     let (wi, mi, li) = (w as usize, m as usize, l as usize);
     if write {
@@ -317,47 +408,47 @@ fn dma_common(
     } else {
         s.wram[wi..wi + li].copy_from_slice(&s.mram[mi..mi + li]);
     }
-    Ok(Effect::Dma { mram: m, len: l, write })
+    DMA | u64::from(pc + 1)
 }
 
-fn ldma_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn ldma_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let (w, m, l) = (rg(s, t, op.a), rg(s, t, op.b), rg(s, t, op.c) as i32);
-    dma_common(s, t, pc, w, m, l, false)
+    dma_common(s, pc, w, m, l, false)
 }
 
-fn ldma_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn ldma_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let (w, m) = (rg(s, t, op.a), rg(s, t, op.b));
-    dma_common(s, t, pc, w, m, op.imm, false)
+    dma_common(s, pc, w, m, op.imm, false)
 }
 
-fn sdma_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn sdma_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let (w, m, l) = (rg(s, t, op.a), rg(s, t, op.b), rg(s, t, op.c) as i32);
-    dma_common(s, t, pc, w, m, l, true)
+    dma_common(s, pc, w, m, l, true)
 }
 
-fn sdma_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn sdma_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let (w, m) = (rg(s, t, op.a), rg(s, t, op.b));
-    dma_common(s, t, pc, w, m, op.imm, true)
+    dma_common(s, pc, w, m, op.imm, true)
 }
 
 macro_rules! branch_fns {
     ($($rr:ident $ri:ident $variant:ident),* $(,)?) => {
         $(
-            fn $rr(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+            fn $rr(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let a = rg(s, t, op.b);
                 let b = rg(s, t, op.c);
                 if Cond::$variant.eval(a, b) {
-                    Ok(Effect::Jump(op.target))
+                    jump(op.target)
                 } else {
-                    Ok(Effect::Advance)
+                    advance(pc)
                 }
             }
-            fn $ri(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+            fn $ri(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let a = rg(s, t, op.b);
                 if Cond::$variant.eval(a, op.imm as u32) {
-                    Ok(Effect::Jump(op.target))
+                    jump(op.target)
                 } else {
-                    Ok(Effect::Advance)
+                    advance(pc)
                 }
             }
         )*
@@ -390,74 +481,73 @@ fn branch_fn(cond: Cond, reg_operand: bool) -> OpFn {
     }
 }
 
-fn op_movi(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn op_movi(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     setr(s, t, op.a, op.imm as u32);
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-fn op_tid(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn op_tid(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let rebased = t - s.tid_base[t as usize];
     setr(s, t, op.a, rebased);
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-fn op_jump(_s: &mut ArchState, _t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
-    Ok(Effect::Jump(op.target))
+fn op_jump(_s: &mut ArchState, _t: u32, _pc: u32, op: &CompiledOp) -> u64 {
+    jump(op.target)
 }
 
-fn op_jal(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn op_jal(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     setr(s, t, op.a, pc + 1);
-    Ok(Effect::Jump(op.target))
+    jump(op.target)
 }
 
-fn op_jr(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
-    Ok(Effect::Jump(rg(s, t, op.b)))
+fn op_jr(s: &mut ArchState, t: u32, _pc: u32, op: &CompiledOp) -> u64 {
+    jump(rg(s, t, op.b))
 }
 
 #[inline(always)]
-fn acquire_common(s: &mut ArchState, t: u32, pc: u32, bit: u32) -> Result<Effect, SimError> {
-    let slot =
-        s.atomic.get_mut(bit as usize).ok_or(SimError::BadAtomicBit { bit, tasklet: t, pc })?;
-    if *slot {
-        Ok(Effect::AcquireRetry)
-    } else {
-        *slot = true;
-        Ok(Effect::Advance)
+fn acquire_common(s: &mut ArchState, pc: u32, bit: u32) -> u64 {
+    match s.atomic.get_mut(bit as usize) {
+        None => FAULT,
+        Some(slot) if *slot => RETRY | u64::from(pc),
+        Some(slot) => {
+            *slot = true;
+            advance(pc)
+        }
     }
 }
 
 #[inline(always)]
-fn release_common(s: &mut ArchState, t: u32, pc: u32, bit: u32) -> Result<Effect, SimError> {
-    let slot =
-        s.atomic.get_mut(bit as usize).ok_or(SimError::BadAtomicBit { bit, tasklet: t, pc })?;
+fn release_common(s: &mut ArchState, pc: u32, bit: u32) -> u64 {
+    let Some(slot) = s.atomic.get_mut(bit as usize) else { return FAULT };
     *slot = false;
-    Ok(Effect::Advance)
+    advance(pc)
 }
 
-fn acquire_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn acquire_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let bit = rg(s, t, op.b);
-    acquire_common(s, t, pc, bit)
+    acquire_common(s, pc, bit)
 }
 
-fn acquire_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
-    acquire_common(s, t, pc, op.imm as u32)
+fn acquire_i(s: &mut ArchState, _t: u32, pc: u32, op: &CompiledOp) -> u64 {
+    acquire_common(s, pc, op.imm as u32)
 }
 
-fn release_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
+fn release_r(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     let bit = rg(s, t, op.b);
-    release_common(s, t, pc, bit)
+    release_common(s, pc, bit)
 }
 
-fn release_i(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> Result<Effect, SimError> {
-    release_common(s, t, pc, op.imm as u32)
+fn release_i(s: &mut ArchState, _t: u32, pc: u32, op: &CompiledOp) -> u64 {
+    release_common(s, pc, op.imm as u32)
 }
 
-fn op_stop(_s: &mut ArchState, _t: u32, _pc: u32, _op: &CompiledOp) -> Result<Effect, SimError> {
-    Ok(Effect::Stop)
+fn op_stop(_s: &mut ArchState, _t: u32, _pc: u32, _op: &CompiledOp) -> u64 {
+    STOP
 }
 
-fn op_nop(_s: &mut ArchState, _t: u32, _pc: u32, _op: &CompiledOp) -> Result<Effect, SimError> {
-    Ok(Effect::Advance)
+fn op_nop(_s: &mut ArchState, _t: u32, pc: u32, _op: &CompiledOp) -> u64 {
+    advance(pc)
 }
 
 /// Lowers one instruction into its table entry.
@@ -634,12 +724,16 @@ mod tests {
         s
     }
 
-    /// Every instruction shape (including every error path) must behave
-    /// identically through the compiled op function and the interpreter.
+    /// Every instruction shape must behave identically through the compiled
+    /// op function and the interpreter: the same writes, a [`FAULT`] word
+    /// exactly where the interpreter errs (with nothing written), otherwise
+    /// the word of the interpreter's effect — and decoded, the same effect
+    /// or error.
     fn assert_compiled_matches(instr: &Instruction, prep: impl Fn(&mut ArchState)) {
-        let op = compile_op(instr);
+        let kernel = CompiledKernel::compile(&[*instr; 8]);
         for t in 0..4u32 {
             for pc in [0u32, 7] {
+                let what = format!("{instr} (t={t}, pc={pc})");
                 let mut want_state = state();
                 prep(&mut want_state);
                 want_state.pc[t as usize] = pc;
@@ -648,14 +742,19 @@ mod tests {
                 let mut got_state = state();
                 prep(&mut got_state);
                 got_state.pc[t as usize] = pc;
-                let got = (op.exec)(&mut got_state, t, pc, &op);
-
-                assert_eq!(got, want, "effect/error mismatch for {instr} (t={t}, pc={pc})");
+                let word = kernel.step(&mut got_state, t, pc);
                 assert_eq!(
                     format!("{got_state:?}"),
                     format!("{want_state:?}"),
-                    "state mismatch for {instr} (t={t}, pc={pc})"
+                    "state mismatch for {what}"
                 );
+                match want {
+                    Ok(effect) => assert_eq!(word, word_of(effect, pc), "word of {what}"),
+                    Err(_) => assert_eq!(word & KIND, FAULT, "word of {what}"),
+                }
+                let got = kernel.effect(&mut got_state, t, pc, word);
+                assert_eq!(got, want, "effect/error mismatch for {what}");
+                assert_eq!(got_state.pc[t as usize], pc, "{what}: the decode restores the pc");
             }
         }
     }

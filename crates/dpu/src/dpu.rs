@@ -710,7 +710,8 @@ impl Dpu {
                 stats.count_instruction(instr.class(), t as u32);
                 if sink.enabled() {
                     let class = instr.class();
-                    self.state.trace_retire(sink, now, t as u32, pc, class, &instr, effect);
+                    let retried = effect == Effect::AcquireRetry;
+                    self.state.trace_retire(sink, now, t as u32, pc, class, &instr, retried);
                 }
                 next_issue[t] = now + gap;
                 if fwd {

@@ -89,7 +89,8 @@ impl ArchState {
     /// What a retired instruction emits into an enabled `sink`: its
     /// `InstrRetire`, then the barrier event of an `acquire` / `release`.
     /// The caller — either loop, or the SIMT step — brings its own cycle,
-    /// tasklet, pc, class and effect, and has executed `instr` on this state.
+    /// tasklet, pc and class, whether an `acquire` `retried` (found its bit
+    /// taken), and has executed `instr` on this state.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn trace_retire<S: TraceSink>(
         &self,
@@ -99,7 +100,7 @@ impl ArchState {
         pc: u32,
         class: InstrClass,
         instr: &Instruction,
-        effect: Effect,
+        retried: bool,
     ) {
         sink.emit(TraceEvent::InstrRetire { cycle, tasklet, pc, class });
         match *instr {
@@ -107,7 +108,7 @@ impl ArchState {
                 cycle,
                 tasklet,
                 bit: self.operand(tasklet, bit),
-                acquired: effect != Effect::AcquireRetry,
+                acquired: !retried,
             }),
             Instruction::Release { bit } => sink.emit(TraceEvent::BarrierRelease {
                 cycle,

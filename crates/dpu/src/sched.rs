@@ -8,9 +8,11 @@
 //! `ways` instructions round-robin — or, under SIMT, one warp through the
 //! front-end both loops share ([`Engine::run_warps`], `crate::simt`). The
 //! scalar issue body is split into [`Engine::pre_issue`] (pc
-//! bounds, I/D-cache fills) → [`Dispatch::execute`] →
-//! [`Engine::retire`] (scoreboard, effect, wake-up refresh), and all
-//! scheduling state — including the in-cycle issue cursor — lives in the
+//! bounds, I/D-cache fills) → [`Dispatch::step`], which returns the op's
+//! word (`crate::compiled`) → [`Engine::retire`] (scoreboard, the pc the
+//! word carries, wake-up refresh, and the end of the cycle when its last
+//! way issued), and all scheduling state — including the in-cycle issue
+//! cursor that two-way issue and cache stalls need — lives in the
 //! [`Engine`] struct, so a run can be cloned and resumed mid-cycle.
 //! [`Engine::run`] drives one DPU to completion. The lockstep driver
 //! (`crate::batch`) runs the leader's engine one logged segment at a time
@@ -42,10 +44,11 @@
 //!    the tasklet under its wake-up cycle on a 64-slot timing wheel and a
 //!    clock advance folds the slot of the new cycle into the set — O(1)
 //!    per simulated cycle where the reference loop scans every tasklet;
-//! 3. the issuable set is a bitmask (`MAX_TASKLETS = 24`): the TLP
-//!    histogram takes a popcount, round-robin selection walks set bits
-//!    with `trailing_zeros`, visiting tasklets in the reference order, and
-//!    a second mask of blocked tasklets makes the idle attribution two
+//! 3. the issuable set is a bitmask (`MAX_TASKLETS = 24`): the TLP count
+//!    is a popcount, booked once per run of cycles with equal counts
+//!    ([`Engine::book_tlp`]), round-robin selection walks set bits with
+//!    `trailing_zeros`, visiting tasklets in the reference order, and a
+//!    second mask of blocked tasklets makes the idle attribution two
 //!    popcounts;
 //! 4. the memory path is event-driven too: `MemEngine::advance` runs only
 //!    from the engine's cached due cycle on (`MemEngine::due` — before it
@@ -65,7 +68,9 @@ use pim_cache::Cache;
 use pim_isa::InstrClass;
 use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
 
-use crate::compiled::{CompiledKernel, CompiledOp, F_LOAD, F_STORE};
+use crate::compiled::{
+    word_of, CompiledKernel, CompiledOp, DMA, FAULT, F_LOAD, F_STORE, KIND, RETRY, STOP,
+};
 use crate::config::MemoryMode;
 use crate::dpu::Dpu;
 use crate::error::SimError;
@@ -80,12 +85,21 @@ const NREGS: usize = pim_isa::NUM_GP_REGS as usize;
 /// engine takes every scheduling fact from the op table either way; the
 /// two implementations differ only in the execute step.
 pub(crate) trait Dispatch {
+    /// Executes the instruction at `pc` for `tasklet` and returns its word
+    /// (`crate::compiled`): what the engine's issue body retires.
+    fn step(kernel: &CompiledKernel, state: &mut ArchState, tasklet: u32, pc: u32) -> u64;
+
+    /// [`Dispatch::step`], decoded: the effect, or the interpreter's fault.
+    /// What the SIMT step and the lockstep followers compare and book.
     fn execute(
         kernel: &CompiledKernel,
         state: &mut ArchState,
         tasklet: u32,
         pc: u32,
-    ) -> Result<Effect, SimError>;
+    ) -> Result<Effect, SimError> {
+        let word = Self::step(kernel, state, tasklet, pc);
+        kernel.effect(state, tasklet, pc, word)
+    }
 }
 
 /// [`crate::ExecTier::Compiled`]: one indexed load and one indirect call
@@ -94,14 +108,8 @@ pub(crate) struct CompiledDispatch;
 
 impl Dispatch for CompiledDispatch {
     #[inline(always)]
-    fn execute(
-        kernel: &CompiledKernel,
-        state: &mut ArchState,
-        tasklet: u32,
-        pc: u32,
-    ) -> Result<Effect, SimError> {
-        let op = &kernel.ops[pc as usize];
-        (op.exec)(state, tasklet, pc, op)
+    fn step(kernel: &CompiledKernel, state: &mut ArchState, tasklet: u32, pc: u32) -> u64 {
+        kernel.step(state, tasklet, pc)
     }
 }
 
@@ -110,6 +118,11 @@ impl Dispatch for CompiledDispatch {
 pub(crate) struct FastDispatch;
 
 impl Dispatch for FastDispatch {
+    #[inline(always)]
+    fn step(kernel: &CompiledKernel, state: &mut ArchState, tasklet: u32, pc: u32) -> u64 {
+        Self::execute(kernel, state, tasklet, pc).map_or(FAULT, |effect| word_of(effect, pc))
+    }
+
     #[inline(always)]
     fn execute(
         kernel: &CompiledKernel,
@@ -120,6 +133,11 @@ impl Dispatch for FastDispatch {
         state.execute(tasklet, &kernel.instrs[pc as usize])
     }
 }
+
+/// Entries of a per-tasklet array indexed by a bit of a tasklet mask, so
+/// that such an index is in bounds by the array's type (`MAX_TASKLETS` ≤
+/// 32).
+const LANES: usize = u32::BITS as usize;
 
 /// Slots on the timing wheel: a wake-up fewer than this many cycles ahead
 /// is filed under its own cycle.
@@ -146,8 +164,8 @@ const WHEEL_SLOTS: u64 = 64;
 #[derive(Clone)]
 struct ReadySet {
     /// Exact earliest issue cycle per tasklet; `u64::MAX` while blocked or
-    /// stopped.
-    ready_at: Vec<u64>,
+    /// stopped, and for every entry past the launch's tasklets.
+    ready_at: [u64; LANES],
     ready: u32,
     wheel: [u32; WHEEL_SLOTS as usize],
     occupied: u64,
@@ -157,8 +175,10 @@ struct ReadySet {
 impl ReadySet {
     /// `n` tasklets, all issuable at cycle 0.
     fn new(n: usize) -> Self {
+        let mut ready_at = [u64::MAX; LANES];
+        ready_at[..n].fill(0);
         ReadySet {
-            ready_at: vec![0; n],
+            ready_at,
             ready: (1 << n) - 1,
             wheel: [0; WHEEL_SLOTS as usize],
             occupied: 0,
@@ -248,7 +268,8 @@ impl ReadySet {
 }
 
 /// The engine's per-cycle scalars: configuration-derived constants, the
-/// clock and round-robin state, and the in-cycle issue cursor.
+/// clock and round-robin state, the TLP run under way, and — for two-way
+/// issue and cache stalls — the in-cycle issue cursor.
 #[derive(Clone, Copy)]
 struct Hot {
     fwd: bool,
@@ -267,8 +288,13 @@ struct Hot {
     now: u64,
     rf_block: u64,
     rr: usize,
-    // In-cycle issue cursor: candidates at or above `rr` (`pending_hi`)
-    // go first, then the wrap-around (`pending_lo`).
+    /// The TLP run under way: `tlp_run` cycles, not yet booked, each with
+    /// `tlp_n` issuable tasklets ([`Engine::book_tlp`]).
+    tlp_n: u32,
+    tlp_run: u64,
+    // In-cycle issue cursor, which the `PLAIN` instantiation never opens
+    // (its one way closes the cycle in `retire`): candidates at or above
+    // `rr` (`pending_hi`) go first, then the wrap-around (`pending_lo`).
     in_cycle: bool,
     pending_hi: u32,
     pending_lo: u32,
@@ -340,7 +366,7 @@ impl Checkpoint {
             let slot = (step.tasklet as usize, step.pc);
             let handed = engine.pre_issue::<false, _>(&mut hot, kernel, state, &mut NullSink);
             debug_assert_eq!(handed, Ok(Some(slot)), "the log is the schedule");
-            engine.retire::<false, _>(&mut hot, kernel, state, &mut NullSink, slot, step.effect);
+            engine.retire_effect(&mut hot, kernel, state, slot, step.effect);
         }
         let slot = match engine.pre_issue::<false, _>(&mut hot, kernel, state, &mut NullSink) {
             Ok(Some(slot)) => slot,
@@ -348,7 +374,7 @@ impl Checkpoint {
         };
         let at = (hot.now, slot.1);
         let run = own.and_then(|effect| {
-            engine.retire::<false, _>(&mut hot, kernel, state, &mut NullSink, slot, effect);
+            engine.retire_effect(&mut hot, kernel, state, slot, effect);
             engine.hot = hot;
             engine.run::<CompiledDispatch, _>(kernel, state, &mut NullSink)
         });
@@ -361,7 +387,7 @@ impl Checkpoint {
 pub(crate) struct Engine {
     hot: Hot,
     ready_set: ReadySet,
-    next_issue: Vec<u64>,
+    next_issue: [u64; LANES],
     /// Forwarding scoreboard, flattened: register `r` of tasklet `t` is
     /// ready at `reg_ready[t * NREGS + r]`.
     reg_ready: Vec<u64>,
@@ -410,13 +436,15 @@ impl Engine {
                 now: 0,
                 rf_block: 0,
                 rr: 0,
+                tlp_n: 0,
+                tlp_run: 0,
                 in_cycle: false,
                 pending_hi: 0,
                 pending_lo: 0,
                 issued: 0,
             },
             ready_set: ReadySet::new(n),
-            next_issue: vec![0; n],
+            next_issue: [0; LANES],
             reg_ready: vec![0; n * NREGS],
             skip_dcache: vec![false; n],
             window_acc: (0, 0),
@@ -434,8 +462,9 @@ impl Engine {
     /// the paper baseline. The issue body is compiled twice from one
     /// source ([`Engine::pre_issue`] and [`Engine::retire`] take `const
     /// PLAIN: bool`): the `PLAIN` instantiation drops those three
-    /// per-launch constants out of the per-instruction path, the other
-    /// serves every configuration. Fixed for the life of the engine.
+    /// per-launch constants out of the per-instruction path and, its one
+    /// way never stalling, keeps no in-cycle cursor; the other serves
+    /// every configuration. Fixed for the life of the engine.
     fn is_plain(&self) -> bool {
         self.hot.ways == 1 && !self.hot.fwd && self.icache.is_none() && self.dcache.is_none()
     }
@@ -467,16 +496,22 @@ impl Engine {
         while let Some(slot @ (t, pc)) =
             self.pre_issue::<PLAIN, S>(&mut hot, kernel, state, sink)?
         {
-            let effect = D::execute(kernel, state, t as u32, pc)?;
-            self.retire::<PLAIN, S>(&mut hot, kernel, state, sink, slot, effect);
+            let word = D::step(kernel, state, t as u32, pc);
+            if word >= FAULT {
+                return Err(kernel.fault(state, t as u32, pc));
+            }
+            let dma = |s: &ArchState| kernel.dma(s, t as u32, pc);
+            self.retire::<PLAIN, S>(&mut hot, kernel, state, sink, slot, word, dma);
         }
         self.hot = hot;
         Ok(self.finish())
     }
 
-    /// Seals the statistics of a finished run.
-    pub(crate) fn finish(self) -> DpuRunStats {
-        self.stats.seal(self.hot.now, &self.mem, self.icache, self.dcache)
+    /// Seals the statistics of a finished run, booking the TLP run left.
+    pub(crate) fn finish(mut self) -> DpuRunStats {
+        let Hot { tlp_n, tlp_run, now, .. } = self.hot;
+        self.stats.record_tlp_span(tlp_n as usize, tlp_run, &mut self.window_acc);
+        self.stats.seal(now, &self.mem, self.icache, self.dcache)
     }
 
     /// Runs at most `slots` issue slots of the shared schedule on the
@@ -516,13 +551,14 @@ impl Engine {
                     Ok(None) => break SegmentEnd::Finished,
                     Err(e) => break SegmentEnd::Halted(e),
                 };
-            match CompiledDispatch::execute(kernel, state, t as u32, pc) {
-                Ok(effect) => {
-                    log.push(Step { tasklet: t as u32, pc, effect });
-                    self.retire::<PLAIN, _>(&mut hot, kernel, state, &mut NullSink, slot, effect);
-                }
+            let word = kernel.step(state, t as u32, pc);
+            let effect = match kernel.effect(state, t as u32, pc, word) {
+                Ok(effect) => effect,
                 Err(e) => break SegmentEnd::Faulted(e, slot),
-            }
+            };
+            log.push(Step { tasklet: t as u32, pc, effect });
+            let dma = |s: &ArchState| kernel.dma(s, t as u32, pc);
+            self.retire::<PLAIN, _>(&mut hot, kernel, state, &mut NullSink, slot, word, dma);
         };
         self.hot = hot;
         end
@@ -561,7 +597,7 @@ impl Engine {
 
     /// Advances the schedule to the next instruction that is ready to
     /// execute and returns its `(tasklet, pc)`, or `None` once every
-    /// tasklet has stopped. The caller executes it and reports the effect
+    /// tasklet has stopped. The caller executes it and reports the word
     /// through [`Engine::retire`] before calling again.
     ///
     /// # Errors
@@ -569,7 +605,11 @@ impl Engine {
     /// [`SimError::CycleLimit`], [`SimError::PcOutOfRange`] or
     /// [`SimError::DmaInCachedMode`]; the run is over.
     ///
-    /// `PLAIN` may be set only when [`Engine::is_plain`] holds.
+    /// `PLAIN` may be set only when [`Engine::is_plain`] holds. Its one
+    /// way issues the first issuable tasklet at or after the round-robin
+    /// cursor — one mask and one `trailing_zeros` — and `retire` closes the
+    /// cycle; the general instantiation opens an in-cycle cursor over the
+    /// same order, which survives cache stalls and a second way.
     #[inline(always)]
     fn pre_issue<const PLAIN: bool, S: TraceSink>(
         &mut self,
@@ -578,11 +618,11 @@ impl Engine {
         state: &ArchState,
         sink: &mut S,
     ) -> Result<Option<(usize, u32)>, SimError> {
-        let ways = if PLAIN { 1 } else { h.ways };
         loop {
-            if h.in_cycle {
-                // 5. Issue up to `ways` instructions, round-robin.
-                while h.issued < ways {
+            if !PLAIN && h.in_cycle {
+                // 5. Issue up to `ways` instructions, round-robin (`retire`
+                // closes the cycle when the last way issues).
+                loop {
                     let t = if h.pending_hi != 0 {
                         let t = h.pending_hi.trailing_zeros() as usize;
                         h.pending_hi &= h.pending_hi - 1;
@@ -602,8 +642,8 @@ impl Engine {
                         return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
                     };
                     // Instruction fetch through the I-cache (cache-centric
-                    // mode; the plain pipeline has neither cache).
-                    if let Some(ic) = self.icache.as_mut().filter(|_| !PLAIN) {
+                    // mode).
+                    if let Some(ic) = self.icache.as_mut() {
                         let fetch_addr = h.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
                         let out = ic.access(fetch_addr, false);
                         if !out.hit {
@@ -617,7 +657,7 @@ impl Engine {
                         }
                     }
                     // Data access through the D-cache (cache-centric mode).
-                    if let Some(dc) = self.dcache.as_mut().filter(|_| !PLAIN) {
+                    if let Some(dc) = self.dcache.as_mut() {
                         if op.is_dma() {
                             return Err(SimError::DmaInCachedMode { pc, tasklet: t as u32 });
                         }
@@ -653,10 +693,10 @@ impl Engine {
                     }
                     return Ok(Some((t, pc)));
                 }
+                // The candidates left all stalled on a cache fill.
                 if h.issued > 0 {
                     self.stats.active_cycles += 1;
                 } else {
-                    // Every candidate stalled on a cache fill this cycle.
                     self.stats.record_idle_span(1, 0, 1);
                     if sink.enabled() {
                         sink.emit(TraceEvent::Stall {
@@ -673,17 +713,26 @@ impl Engine {
             let Some(issuable) = self.next_cycle::<PLAIN, S>(h, kernel, state, sink)? else {
                 return Ok(None);
             };
-            let lo_mask = (1u32 << h.rr) - 1;
-            h.pending_hi = issuable & !lo_mask;
-            h.pending_lo = issuable & lo_mask;
+            let ahead = issuable & !((1u32 << h.rr) - 1);
+            if PLAIN {
+                let t = (if ahead != 0 { ahead } else { issuable }).trailing_zeros() as usize;
+                let pc = state.pc[t];
+                if pc as usize >= kernel.ops.len() {
+                    return Err(SimError::PcOutOfRange { pc, tasklet: t as u32 });
+                }
+                return Ok(Some((t, pc)));
+            }
+            h.pending_hi = ahead;
+            h.pending_lo = issuable & !ahead;
             h.issued = 0;
             h.in_cycle = true;
         }
     }
 
     /// Steps 1-4: moves the clock to the next cycle with an issuable
-    /// tasklet, books its TLP and returns the issuable set — `None` once
-    /// every tasklet has stopped, [`SimError::CycleLimit`] at the limit.
+    /// tasklet, books its TLP into the run under way and returns the
+    /// issuable set — `None` once every tasklet has stopped,
+    /// [`SimError::CycleLimit`] at the limit.
     #[inline(always)]
     fn next_cycle<const PLAIN: bool, S: TraceSink>(
         &mut self,
@@ -734,10 +783,9 @@ impl Engine {
             // the reference loop into one compare, and the ready set holds
             // the outcome of that compare for every tasklet.
             let issuable = self.ready_set.ready;
-            let n_issuable = issuable.count_ones() as usize;
             // 3. Register-file structural block.
             if h.rf_block > 0 {
-                self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
+                self.book_tlp(h, issuable.count_ones(), 1);
                 self.stats.idle_rf += 1;
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
@@ -762,7 +810,7 @@ impl Engine {
                 let next = self.ready_set.min_at(now).min(self.mem.due());
                 let next = if next == u64::MAX || next <= now { now + 1 } else { next };
                 let span = (next - now).min(h.max_cycles - now);
-                self.stats.record_tlp_span(0, span, &mut self.window_acc);
+                self.book_tlp(h, 0, span);
                 self.stats.record_idle_span(span, n_sched, n_mem);
                 if sink.enabled() {
                     sink.emit(TraceEvent::Stall {
@@ -779,9 +827,25 @@ impl Engine {
                 self.ready_set.advance(h.now);
                 continue;
             }
-            self.stats.record_tlp_cycle(n_issuable, &mut self.window_acc);
+            self.book_tlp(h, issuable.count_ones(), 1);
             return Ok(Some(issuable));
         }
+    }
+
+    /// Books `span` cycles with `n` issuable tasklets into the TLP run
+    /// under way, and the run into the statistics when `n` ends it
+    /// ([`Engine::finish`] books the last). The histogram and timeline are
+    /// the same however the cycles are cut, so a run of equal counts costs
+    /// one compare a cycle where a booking costs a histogram write and the
+    /// window accounting.
+    #[inline(always)]
+    fn book_tlp(&mut self, h: &mut Hot, n: u32, span: u64) {
+        if n != h.tlp_n {
+            self.stats.record_tlp_span(h.tlp_n as usize, h.tlp_run, &mut self.window_acc);
+            h.tlp_n = n;
+            h.tlp_run = 0;
+        }
+        h.tlp_run += span;
     }
 
     /// [`Engine::run`] for a SIMT launch: each cycle with an issuable lane
@@ -813,9 +877,13 @@ impl Engine {
     }
 
     /// Books the instruction [`Engine::pre_issue`] handed out, now that it
-    /// executed with `effect`: instruction mix, issue window, forwarding
-    /// scoreboard, pc / status / DMA, and the tasklet's wake-up entry.
+    /// executed with `word` (never a [`FAULT`]): instruction mix, issue
+    /// window, forwarding scoreboard, pc / status / DMA (whose transfer
+    /// `dma` reads back), the tasklet's wake-up entry — and, when this was
+    /// the cycle's last way, the cycle: it was active, and the clock moves
+    /// on.
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn retire<const PLAIN: bool, S: TraceSink>(
         &mut self,
         h: &mut Hot,
@@ -823,14 +891,16 @@ impl Engine {
         state: &mut ArchState,
         sink: &mut S,
         (t, pc): (usize, u32),
-        effect: Effect,
+        word: u64,
+        dma: impl FnOnce(&ArchState) -> Segment,
     ) {
         let now = h.now;
         let op = &kernel.ops[pc as usize];
         self.stats.count_instruction_idx(op.class_idx as usize, t as u32);
         if sink.enabled() {
             let class = InstrClass::ALL[op.class_idx as usize];
-            state.trace_retire(sink, now, t as u32, pc, class, &kernel.instrs[pc as usize], effect);
+            let (instr, retried) = (&kernel.instrs[pc as usize], word & KIND == RETRY);
+            state.trace_retire(sink, now, t as u32, pc, class, instr, retried);
         }
         let fwd = !PLAIN && h.fwd;
         self.next_issue[t] = now + h.gap;
@@ -840,37 +910,65 @@ impl Engine {
                 self.reg_ready[t * NREGS + rd as usize] = now + lat;
             }
         }
-        let mut runnable = true;
-        match effect {
-            Effect::Advance => state.pc[t] = pc + 1,
-            Effect::Jump(target) => state.pc[t] = target,
-            Effect::AcquireRetry => {}
-            Effect::Stop => {
-                runnable = false;
+        // Refresh the wakeup entry for the new PC / issue window.
+        let wake = if word < STOP {
+            // Advance, jump or a retried `acquire`: runnable at the pc the
+            // word carries.
+            state.pc[t] = word as u32;
+            self.earliest_issue(fwd, &kernel.ops, t, state.pc[t])
+        } else {
+            if word & KIND == DMA {
+                state.pc[t] = word as u32;
+                h.blocked |= 1 << t;
+                self.mem.issue_traced(sink, t as u64, &[dma(state)], now, false);
+            } else {
                 self.stats.tasklet_stop_cycle[t] = now;
                 h.live -= 1;
             }
-            Effect::Dma { mram, len, write } => {
-                state.pc[t] = pc + 1;
-                runnable = false;
-                h.blocked |= 1 << t;
-                let seg = Segment { addr: mram, bytes: len, write };
-                self.mem.issue_traced(sink, t as u64, &[seg], now, false);
-            }
-        }
-        // Refresh the wakeup entry for the new PC / issue window.
-        let wake =
-            if runnable { self.earliest_issue(fwd, &kernel.ops, t, state.pc[t]) } else { u64::MAX };
+            u64::MAX
+        };
         self.ready_set.place(now, t, wake);
-        h.issued += 1;
         h.rr = t + 1;
-        if h.rf_hazards && op.rf_hazard > 0 {
+        let rf_blocks = h.rf_hazards && op.rf_hazard > 0;
+        if rf_blocks {
             // The split register file (even/odd banks) blocks the issue
             // stage: no further candidate issues this cycle.
             h.rf_block = u64::from(op.rf_hazard);
-            h.pending_hi = 0;
-            h.pending_lo = 0;
         }
+        let last_way = PLAIN || {
+            h.issued += 1;
+            if rf_blocks {
+                h.pending_hi = 0;
+                h.pending_lo = 0;
+            }
+            h.issued == h.ways || h.pending_hi | h.pending_lo == 0
+        };
+        if last_way {
+            self.stats.active_cycles += 1;
+            h.now = now + 1;
+            self.ready_set.advance(h.now);
+            h.in_cycle = false;
+        }
+    }
+
+    /// [`Engine::retire`] of an effect the leader logged, or a member
+    /// computed on its own: what [`Checkpoint::diverge`] re-steps with, on
+    /// a state whose registers may be ahead — so a DMA's transfer comes
+    /// from the effect, not from them.
+    fn retire_effect(
+        &mut self,
+        h: &mut Hot,
+        kernel: &CompiledKernel,
+        state: &mut ArchState,
+        slot: (usize, u32),
+        effect: Effect,
+    ) {
+        let dma = |_: &ArchState| match effect {
+            Effect::Dma { mram, len, write } => Segment { addr: mram, bytes: len, write },
+            other => unreachable!("{other:?} issued a DMA"),
+        };
+        let word = word_of(effect, slot.1);
+        self.retire::<false, _>(h, kernel, state, &mut NullSink, slot, word, dma);
     }
 }
 

@@ -209,7 +209,8 @@ impl Warps {
             if sink.enabled() {
                 let class = InstrClass::ALL[op.class_idx as usize];
                 let instr = &kernel.instrs[pc as usize];
-                state.trace_retire(sink, now, l as u32, pc, class, instr, effect);
+                let retried = effect == Effect::AcquireRetry;
+                state.trace_retire(sink, now, l as u32, pc, class, instr, retried);
             }
             if let Some(rd) = op.dst() {
                 let lat = if op.is_load() { self.fwd_load } else { self.fwd_alu };

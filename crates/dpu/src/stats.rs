@@ -47,7 +47,8 @@ pub struct DpuRunStats {
     pub idle: IdleBuckets,
     /// Idle cycles spent on the even/odd register-file hazard.
     pub idle_rf: u64,
-    /// Instructions executed (for SIMT: one per active lane), total.
+    /// Instructions executed (for SIMT: one per active lane), total: the
+    /// sum of [`DpuRunStats::class_counts`], taken when the run is sealed.
     pub instructions: u64,
     /// Instructions executed by class (Fig 9's instruction mix).
     pub class_counts: [u64; 6],
@@ -154,8 +155,9 @@ impl DpuRunStats {
         }
     }
 
-    /// Seals a finished run: the final clock, and what the memory system
-    /// and the caches (cache-centric mode) counted on the way.
+    /// Seals a finished run: the final clock, the instruction total, and
+    /// what the memory system and the caches (cache-centric mode) counted
+    /// on the way.
     pub(crate) fn seal(
         mut self,
         cycles: u64,
@@ -164,6 +166,7 @@ impl DpuRunStats {
         dcache: Option<Cache>,
     ) -> Self {
         self.cycles = cycles;
+        self.instructions = self.class_counts.iter().sum();
         self.dram = *mem.bank().stats();
         self.mmu = mem.mmu().map(|m| *m.stats());
         self.icache = icache.map(|c| *c.stats());
@@ -182,7 +185,6 @@ impl DpuRunStats {
     /// index pre-computed (the block-compiled executor stores it in the op
     /// table so the hot path skips the class scan). Identical accounting.
     pub(crate) fn count_instruction_idx(&mut self, idx: usize, tasklet: u32) {
-        self.instructions += 1;
         self.class_counts[idx] += 1;
         self.per_tasklet_instructions[tasklet as usize] += 1;
     }
@@ -291,23 +293,11 @@ impl DpuRunStats {
         self.idle.revolver[tot] += span * n_sched as u64;
     }
 
-    /// [`DpuRunStats::record_tlp_span`] for a single cycle — the form the
-    /// issue engine calls once per visited cycle. Same integer sums and the
-    /// same `f32` division at the flush, so the timeline is bit-identical.
-    #[inline(always)]
-    pub(crate) fn record_tlp_cycle(&mut self, issuable: usize, window_acc: &mut (u64, u64)) {
-        self.tlp_histogram[issuable] += 1;
-        let (filled, sum) = window_acc;
-        *filled += 1;
-        *sum += issuable as u64;
-        if *filled == self.tlp_window {
-            self.tlp_timeline.push(*sum as f32 / self.tlp_window as f32);
-            *window_acc = (0, 0);
-        }
-    }
-
-    /// Internal accounting helper: records `span` cycles with `issuable`
-    /// issuable tasklets into the histogram and timeline accumulator.
+    /// Records `span` cycles with `issuable` issuable tasklets into the
+    /// histogram and the timeline accumulator. The reference loop books
+    /// each visited cycle, the issue engine each run of cycles with equal
+    /// counts: the same integer sums and the same `f32` division at each
+    /// flush however the cycles are cut, so the timeline is bit-identical.
     pub(crate) fn record_tlp_span(
         &mut self,
         issuable: usize,
@@ -362,6 +352,7 @@ mod tests {
         s.count_instruction(InstrClass::Arithmetic, 0);
         s.count_instruction(InstrClass::Arithmetic, 1);
         s.count_instruction(InstrClass::Dma, 0);
+        s.instructions = s.class_counts.iter().sum();
         assert_eq!(s.instructions, 3);
         assert!((s.class_fraction(InstrClass::Arithmetic) - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.per_tasklet_instructions, vec![2, 1, 0, 0]);
@@ -412,8 +403,9 @@ mod tests {
     #[test]
     fn span_form_matches_the_one_cycle_form_across_window_edges() {
         // Spans that stay inside a window (the one-compare path), end
-        // exactly on its edge, cross it and cover several windows, against
-        // the same cycles recorded one at a time.
+        // exactly on its edge, cross it and cover several windows — the
+        // engine's runs — against the same cycles recorded one at a time,
+        // as the reference loop does.
         for seed in 0..8 {
             let mut rng = pim_rng::StdRng::seed_from_u64(seed);
             let (mut span, mut cycle) = (stats(), stats());
@@ -432,7 +424,7 @@ mod tests {
                 short += u32::from(len > 0 && len < to_edge);
                 span.record_tlp_span(issuable, len, &mut span_acc);
                 for _ in 0..len {
-                    cycle.record_tlp_cycle(issuable, &mut cycle_acc);
+                    cycle.record_tlp_span(issuable, 1, &mut cycle_acc);
                 }
                 assert_eq!(span_acc, cycle_acc);
                 assert_eq!(span.tlp_timeline, cycle.tlp_timeline);
@@ -520,21 +512,5 @@ mod tests {
         let (ab, bc) = (merged(&[&a, &b]), merged(&[&b, &c]));
         assert_eq!(idle(&merged(&[&ab, &c])), idle(&merged(&[&a, &bc])));
         assert_ne!(idle(&ab), idle(&a), "the records are not empty");
-    }
-
-    #[test]
-    fn one_cycle_form_matches_the_span_form() {
-        // 57 cycles over a 10-cycle window: five flushes and a remainder.
-        let (mut cycle, mut span) = (stats(), stats());
-        let (mut cycle_acc, mut span_acc) = ((0, 0), (0, 0));
-        for c in 0..57usize {
-            let issuable = c * 7 % 5;
-            cycle.record_tlp_cycle(issuable, &mut cycle_acc);
-            span.record_tlp_span(issuable, 1, &mut span_acc);
-        }
-        assert_eq!(cycle.tlp_timeline.len(), 5);
-        assert_eq!(cycle.tlp_timeline, span.tlp_timeline);
-        assert_eq!(cycle.tlp_histogram, span.tlp_histogram);
-        assert_eq!(cycle_acc, span_acc);
     }
 }

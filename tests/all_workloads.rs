@@ -180,3 +180,104 @@ fn every_workload_validates_under_simt() {
         }
     }
 }
+
+const STAGING_GOLDEN: &str = "results/golden/prim_staging.txt";
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Every registered workload at `Tiny` on 1 DPU × 16 tasklets; on 4 DPUs ×
+/// 8 tasklets over the blocking and the overlapped channel where it
+/// strong-scales; and on 1 cached DPU where it has a cache-centric kernel —
+/// rendered as [`STAGING_GOLDEN`] holds it. A line holds the timeline's four
+/// `f64`s as hex bits, `launches`, the FNV-1a-64 of the host push/pull event
+/// sequence (from a second run with an event trace, so the order, size and
+/// timing of every transfer is pinned) and the FNV-1a-64 of each DPU's
+/// `Debug`-rendered stats.
+fn staging_table() -> String {
+    use pim_host::ChannelMode;
+    use pim_trace::TraceEvent;
+    let mut table = String::new();
+    for w in extended_workloads() {
+        let mut cases = vec![("1x16", RunConfig::single(DpuConfig::paper_baseline(16)))];
+        if w.supports_multi_dpu() {
+            for (label, mode) in [
+                ("4x8-blocking", ChannelMode::Blocking),
+                ("4x8-overlapped", ChannelMode::Overlapped),
+            ] {
+                cases.push((
+                    label,
+                    RunConfig::multi(4, DpuConfig::paper_baseline(8)).with_channel(mode),
+                ));
+            }
+        }
+        if w.supports_cache_mode() {
+            cases.push((
+                "1x16-cached",
+                RunConfig::single(DpuConfig::paper_baseline(16).with_paper_caches()),
+            ));
+        }
+        for (label, rc) in cases {
+            let run = w
+                .run(DatasetSize::Tiny, &rc)
+                .unwrap_or_else(|e| panic!("{} [{label}] faulted: {e}", w.name()));
+            run.assert_valid();
+            let mut traced_rc = rc.clone();
+            traced_rc.dpu = traced_rc.dpu.with_event_trace(64);
+            let traced = w.run(DatasetSize::Tiny, &traced_rc).unwrap();
+            let mut host = String::new();
+            for e in &traced.trace.expect("traced run keeps its trace").host {
+                let (dir, at_ns, ns, bytes) = match *e {
+                    TraceEvent::HostPush { at_ns, ns, bytes } => ("push", at_ns, ns, bytes),
+                    TraceEvent::HostPull { at_ns, ns, bytes } => ("pull", at_ns, ns, bytes),
+                    ref other => panic!("{}: non-host event {other:?} in the host trace", w.name()),
+                };
+                host += &format!("{dir} {:016x} {:016x} {bytes}\n", at_ns.to_bits(), ns.to_bits());
+            }
+            let t = run.timeline;
+            let dpus: Vec<String> = run
+                .per_dpu
+                .iter()
+                .map(|s| format!("{:016x}", fnv1a64(format!("{s:?}").as_bytes())))
+                .collect();
+            table += &format!(
+                "{} {label} {:016x} {:016x} {:016x} {:016x} {} {:016x} {}\n",
+                w.name(),
+                t.to_dpu_ns.to_bits(),
+                t.kernel_ns.to_bits(),
+                t.from_dpu_ns.to_bits(),
+                t.end_ns.to_bits(),
+                t.launches,
+                fnv1a64(host.as_bytes()),
+                dpus.join(",")
+            );
+        }
+    }
+    table
+}
+
+/// Host staging — where each buffer lives, how it is split across DPUs,
+/// and the order and size of every transfer — regenerates exactly.
+#[test]
+fn staging_matches_the_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(STAGING_GOLDEN);
+    let want = std::fs::read_to_string(&path).expect("the staging golden is committed");
+    let got = staging_table();
+    for (line, (w, g)) in want.lines().zip(got.lines()).enumerate() {
+        assert_eq!(w, g, "{STAGING_GOLDEN} line {}: host staging moved", line + 1);
+    }
+    assert_eq!(want.lines().count(), got.lines().count(), "{STAGING_GOLDEN}: cases differ");
+}
+
+/// Rewrites [`STAGING_GOLDEN`] from this build:
+/// `cargo test --release --test all_workloads -- --ignored write_staging_golden`.
+/// Only for a change that is meant to move host staging; review the diff.
+#[test]
+#[ignore = "rewrites a committed golden"]
+fn write_staging_golden() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(STAGING_GOLDEN);
+    std::fs::write(path, staging_table()).expect("golden is writable");
+}

@@ -8,7 +8,7 @@ use pim_asm::KernelBuilder;
 use pim_cache::{Cache, CacheConfig};
 use pim_dpu::{Dpu, DpuConfig};
 use pim_dram::{Access, DramBank, DramConfig};
-use pim_isa::{AluOp, Cond, Instruction};
+use pim_isa::{AluOp, Cond};
 use pim_serve::traffic::TrafficGen;
 use pim_serve::{run_scenario, scenario_by_name, ServeOptions};
 use prim_suite::{workload_by_name, DatasetSize, RunConfig};
@@ -216,14 +216,4 @@ fn main() {
     let opts = ServeOptions { seed: 1, duration_ms: 1000, threads: Some(1), ..Default::default() };
     let rounds = run_scenario(saturate, &opts).unwrap().rounds;
     bench("serve_saturate_1s", 5, rounds, || run_scenario(saturate, &opts).unwrap().rounds);
-
-    let instr = Instruction::Alu {
-        op: AluOp::Add,
-        rd: pim_isa::Reg::r(1),
-        ra: pim_isa::Reg::r(2),
-        rb: pim_isa::Operand::Imm(42),
-    };
-    bench("isa_encode_decode", 1_000_000, 0, || {
-        Instruction::decode(std::hint::black_box(instr.encode())).unwrap()
-    });
 }

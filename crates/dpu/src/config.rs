@@ -158,8 +158,6 @@ pub enum ExecTier {
 pub struct DpuConfig {
     /// Core frequency in MHz (Table I: 350).
     pub freq_mhz: u32,
-    /// Pipeline depth in stages (Table I: 14).
-    pub pipeline_depth: u32,
     /// Revolver scheduling constraint: minimum cycles between consecutive
     /// dispatches of the same tasklet (Table I: 11).
     pub revolver_cycles: u32,
@@ -220,7 +218,6 @@ impl DpuConfig {
         );
         DpuConfig {
             freq_mhz: 350,
-            pipeline_depth: 14,
             revolver_cycles: 11,
             n_tasklets,
             layout: MemLayout::default(),
@@ -387,7 +384,6 @@ mod tests {
     fn baseline_matches_table_i() {
         let c = DpuConfig::paper_baseline(16);
         assert_eq!(c.freq_mhz, 350);
-        assert_eq!(c.pipeline_depth, 14);
         assert_eq!(c.revolver_cycles, 11);
         assert_eq!(c.layout.wram_bytes, 64 * 1024);
         assert_eq!(c.max_ipc(), 1);

@@ -264,18 +264,8 @@ impl PimSystem {
 
     /// Parallel CPU→DPU transfer into MRAM (`dpu_push_xfer(TO_DPU)`):
     /// `chunks[i]` is written to DPU `i` at `addr`. Takes the time of the
-    /// largest chunk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` does not have one entry per DPU.
-    pub fn push_to_mram(&mut self, addr: u32, chunks: &[&[u8]]) {
-        self.try_push_to_mram(addr, chunks).expect("one chunk per DPU");
-    }
-
-    /// Fallible [`PimSystem::push_to_mram`]: a mis-sized batch (e.g. a
-    /// scheduler packing fewer tenants than DPUs) surfaces as
-    /// [`SimError::ChunkCountMismatch`] instead of aborting the process.
+    /// largest chunk. A mis-sized batch (e.g. a scheduler packing fewer
+    /// tenants than DPUs) is an error, not an abort.
     ///
     /// # Errors
     ///
@@ -309,17 +299,6 @@ impl PimSystem {
 
     /// Single-DPU CPU→DPU transfer into MRAM (serial; accumulates its own
     /// transfer time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dpu` is out of range; use
-    /// [`PimSystem::try_copy_to_mram`] where the index is not statically
-    /// known to be valid.
-    pub fn copy_to_mram(&mut self, dpu: u32, addr: u32, data: &[u8]) {
-        self.try_copy_to_mram(dpu, addr, data).expect("DPU index in range");
-    }
-
-    /// Fallible [`PimSystem::copy_to_mram`].
     ///
     /// # Errors
     ///
@@ -364,18 +343,6 @@ impl PimSystem {
 
     /// Single-DPU CPU←DPU transfer out of MRAM.
     ///
-    /// # Panics
-    ///
-    /// Panics if `dpu` is out of range; use
-    /// [`PimSystem::try_copy_from_mram`] where the index is not statically
-    /// known to be valid.
-    #[must_use]
-    pub fn copy_from_mram(&mut self, dpu: u32, addr: u32, len: u32) -> Vec<u8> {
-        self.try_copy_from_mram(dpu, addr, len).expect("DPU index in range")
-    }
-
-    /// Fallible [`PimSystem::copy_from_mram`].
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range.
@@ -398,16 +365,6 @@ impl PimSystem {
     /// (`dpu_push_xfer` against a host variable, like `size_per_dpu` in
     /// the paper's Fig 2(a)).
     ///
-    /// # Panics
-    ///
-    /// Panics if `chunks` does not have one entry per DPU or the symbol is
-    /// unknown.
-    pub fn push_to_symbol(&mut self, name: &str, chunks: &[&[u8]]) {
-        self.try_push_to_symbol(name, chunks).expect("one chunk per DPU");
-    }
-
-    /// Fallible [`PimSystem::push_to_symbol`].
-    ///
     /// # Errors
     ///
     /// Returns [`SimError::ChunkCountMismatch`] unless `chunks` has exactly
@@ -415,8 +372,8 @@ impl PimSystem {
     ///
     /// # Panics
     ///
-    /// Still panics if the symbol is unknown on some DPU (a programming
-    /// error, not a batch-sizing error).
+    /// Panics if the symbol is unknown on some DPU (a programming error,
+    /// not a batch-sizing error).
     pub fn try_push_to_symbol(&mut self, name: &str, chunks: &[&[u8]]) -> Result<(), SimError> {
         self.check_chunks(chunks.len())?;
         let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
@@ -570,7 +527,7 @@ mod tests {
             .map(|d| (0..count).flat_map(|i| (d * 1000 + i as i32).to_le_bytes()).collect())
             .collect();
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        sys.push_to_mram(0, &refs);
+        sys.try_push_to_mram(0, &refs).unwrap();
         let report = sys.launch_all().unwrap();
         assert_eq!(report.per_dpu.len(), 4);
         let sums = sys.pull_from_symbol("sum");
@@ -587,7 +544,7 @@ mod tests {
         let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![0u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data]);
+        sys.try_push_to_mram(0, &[&data, &data]).unwrap();
         sys.launch_all().unwrap();
         let _ = sys.pull_from_symbol("sum");
         let t = sys.timeline();
@@ -606,7 +563,7 @@ mod tests {
         sys.load(&program).unwrap();
         let small = vec![0u8; 64];
         let big = vec![0u8; 64 * 1024];
-        sys.push_to_mram(0, &[&small, &big]);
+        sys.try_push_to_mram(0, &[&small, &big]).unwrap();
         let expected = TransferConfig::paper().to_dpu_ns(64 * 1024);
         assert!((sys.timeline().to_dpu_ns - expected).abs() < 1e-9);
     }
@@ -617,7 +574,7 @@ mod tests {
         let mut sys = PimSystem::new(1, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![0u8; 4096];
-        sys.push_to_mram(0, &[&data]);
+        sys.try_push_to_mram(0, &[&data]).unwrap();
         let up = sys.timeline().to_dpu_ns;
         let _ = sys.pull_from_mram(0, 4096);
         let down = sys.timeline().from_dpu_ns;
@@ -642,7 +599,7 @@ mod tests {
         let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![1u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data]);
+        sys.try_push_to_mram(0, &[&data, &data]).unwrap();
         let report = sys.launch_all().unwrap();
         let max = report.per_dpu.iter().map(DpuRunStats::time_ns).fold(0.0, f64::max);
         assert!((report.kernel_ns - max).abs() < 1e-9);
@@ -650,10 +607,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one chunk per DPU")]
-    fn mismatched_chunks_panic() {
+    fn mismatched_chunks_are_an_error() {
         let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), ChannelConfig::paper());
-        sys.push_to_mram(0, &[&[0u8; 4] as &[u8]]);
+        let err = sys.try_push_to_mram(0, &[&[0u8; 4] as &[u8]]).unwrap_err();
+        assert!(matches!(err, SimError::ChunkCountMismatch { chunks: 1, n_dpus: 2 }));
     }
 
     /// A program whose only job is to own a WRAM symbol of a given size.
@@ -684,7 +641,7 @@ mod tests {
         let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
         let data = vec![2u8; 64 * 4];
-        sys.push_to_mram(0, &[&data, &data, &data]);
+        sys.try_push_to_mram(0, &[&data, &data, &data]).unwrap();
         // Identical inputs → identical times on every DPU: the tie must
         // resolve to index 0, not whichever the iterator yields last.
         let report = sys.launch_all().unwrap();
@@ -699,7 +656,7 @@ mod tests {
         let chunks: Vec<Vec<u8>> =
             (0..3u8).map(|d| (0..=255u8).map(|i| d.wrapping_mul(i)).collect()).collect();
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        sys.push_to_mram(0, &refs);
+        sys.try_push_to_mram(0, &refs).unwrap();
         sys.launch_all().unwrap();
         let mram = sys.pull_from_mram(0, 256);
         let t_after_alloc = sys.timeline().from_dpu_ns;
@@ -727,7 +684,7 @@ mod tests {
         let twin = || {
             let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(2), ChannelConfig::paper());
             sys.load(&program).unwrap();
-            sys.push_to_mram(0, &refs);
+            sys.try_push_to_mram(0, &refs).unwrap();
             sys
         };
 
@@ -769,7 +726,7 @@ mod tests {
         let counts: Vec<[u8; 4]> =
             (0..8).map(|d| if d == 5 { 9u32 } else { 4 }.to_le_bytes()).collect();
         let refs: Vec<&[u8]> = counts.iter().map(|c| c.as_slice()).collect();
-        sys.push_to_symbol("count", &refs);
+        sys.try_push_to_symbol("count", &refs).unwrap();
         let report = sys.launch_all().unwrap();
         let left: Vec<u32> = report.lockstep.left.iter().map(|d| d.dpu).collect();
         // (On a host with a worker thread per DPU nobody shares a schedule.)
@@ -789,7 +746,7 @@ mod tests {
         sys.load(&program).unwrap();
         let a: Vec<u8> = (0..64).flat_map(|i: i32| i.to_le_bytes()).collect();
         let b: Vec<u8> = (0..64).flat_map(|i: i32| (i + 9).to_le_bytes()).collect();
-        sys.push_to_mram(0, &[&a, &b]);
+        sys.try_push_to_mram(0, &[&a, &b]).unwrap();
         sys.launch_all().unwrap();
         let _ = sys.pull_from_symbol("sum");
         *sys.timeline()
@@ -827,7 +784,7 @@ mod tests {
                 crate::ChannelConfig { rank_dpus: 4, ..crate::ChannelConfig::with_mode(mode) };
             let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), cfg);
             sys.load(&program).unwrap();
-            sys.push_to_mram(0, &chunks);
+            sys.try_push_to_mram(0, &chunks).unwrap();
             sys.timeline().to_dpu_ns
         };
         let blocking = mk(crate::ChannelMode::Blocking);
@@ -846,7 +803,7 @@ mod tests {
             let cfg = crate::ChannelConfig::with_mode(mode);
             let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), cfg);
             sys.load(&program).unwrap();
-            sys.push_to_mram(0, &refs);
+            sys.try_push_to_mram(0, &refs).unwrap();
             prices.push(sys.timeline().to_dpu_ns);
         }
         assert_eq!(prices[0], prices[1]);
@@ -876,7 +833,7 @@ mod tests {
             .map(|d| (0..64).flat_map(|i| (d * 100 + i).to_le_bytes()).collect())
             .collect();
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
-        sys.push_to_mram(0, &refs);
+        sys.try_push_to_mram(0, &refs).unwrap();
         let report = sys.launch_all().unwrap();
         assert_eq!(report.per_dpu.len(), n as usize);
         for (d, bytes) in sys.pull_from_symbol("sum").iter().enumerate() {

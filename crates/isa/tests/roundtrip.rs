@@ -1,5 +1,5 @@
-//! Randomized property tests (seeded, dependency-free): every constructible
-//! instruction encodes and decodes back to itself.
+//! Randomized property tests (seeded, dependency-free) over every
+//! constructible instruction.
 
 use pim_isa::{AluOp, Cond, Instruction, Operand, Reg, Width};
 use pim_rng::StdRng;
@@ -92,26 +92,6 @@ fn arb_instruction(rng: &mut StdRng) -> Instruction {
                 Operand::Imm(rng.gen_range(0i32..256))
             },
         },
-    }
-}
-
-#[test]
-fn encode_decode_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0x1547_0001);
-    for _ in 0..4096 {
-        let instr = arb_instruction(&mut rng);
-        let word = instr.encode();
-        let back = Instruction::decode(word).expect("decode of encoded word");
-        assert_eq!(back, instr, "round trip failed for {instr:?}");
-    }
-}
-
-#[test]
-fn decode_never_panics() {
-    let mut rng = StdRng::seed_from_u64(0x1547_0002);
-    for _ in 0..65_536 {
-        // Arbitrary bit patterns must either decode cleanly or error.
-        let _ = Instruction::decode(rng.next_u64());
     }
 }
 

@@ -12,9 +12,10 @@
 //!    the original uses them) — and, where the §V-D case study needs it, a
 //!    **cache-centric variant** operating on the flat DRAM-backed address
 //!    space with plain loads/stores;
-//! 2. **host orchestration**: data partitioning across DPUs, transfers, and
-//!    (for multi-kernel workloads such as BFS or the SCANs) the launch
-//!    loop with inter-DPU communication through the host;
+//! 2. **host orchestration** through one staging type, `common::Stage`: data
+//!    partitioning across DPUs, transfers, and (for multi-kernel workloads
+//!    such as BFS or the SCANs) the launch loop with inter-DPU
+//!    communication through the host;
 //! 3. a seeded **dataset generator** for the paper's Table II
 //!    configurations (plus a `Tiny` size for fast tests);
 //! 4. a pure-Rust **reference implementation** used to validate every

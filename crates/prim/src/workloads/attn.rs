@@ -14,13 +14,17 @@
 //! Everything is integer arithmetic (shift-based softmax approximation),
 //! so the pure-Rust reference validates bit-exactly.
 
+use std::ops::Range;
+
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, validate_words, Params};
+use crate::common::{
+    chunk_range, emit_tasklet_rows, from_bytes, region, to_bytes, validate_words, Params, Stage,
+    REGION_SKEW,
+};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
 /// Softmax-approx temperature shift: score gaps are scaled by `2^-4`.
@@ -71,13 +75,7 @@ fn kernel(n_tasklets: u32, d: u32) -> (DpuProgram, Params) {
     k.ldma(p, m, d as i32);
     k.place(&q_ready);
     bar.wait(&mut k, [m, p, v]);
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last0 = k.fresh_label("not_last0");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last0);
-    k.mov(re, rows);
-    k.place(&not_last0);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     k.branch(Cond::Geu, r, re, &exit);
     let s_loop = k.label_here("s_loop");
     k.mul(m, r, d as i32);
@@ -116,13 +114,7 @@ fn kernel(n_tasklets: u32, d: u32) -> (DpuProgram, Params) {
     k.sw(v, p, 0);
     k.add(p, p, 4);
     k.branch(Cond::Ltu, p, m, &zero_loop);
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last1 = k.fresh_label("not_last1");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last1);
-    k.mov(re, rows);
-    k.place(&not_last1);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     let reduce = k.fresh_label("reduce");
     k.branch(Cond::Geu, r, re, &reduce);
     let av_loop = k.label_here("av_loop");
@@ -199,13 +191,7 @@ fn kernel(n_tasklets: u32, d: u32) -> (DpuProgram, Params) {
     k.ldma(p, m, ((d + 2) * 4) as i32);
     k.place(&nb_ready);
     bar.wait(&mut k, [m, p, v]);
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last2 = k.fresh_label("not_last2");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last2);
-    k.mov(re, rows);
-    k.place(&not_last2);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     k.branch(Cond::Geu, r, re, &exit);
     k.movi(w, (nbg + d * 4) as i32);
     k.lw(w, w, 0); // den
@@ -261,7 +247,6 @@ impl Workload for Attn {
         false
     }
 
-    #[allow(clippy::too_many_lines)]
     fn run(&self, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
         let (l, d) = datasets::attn(size);
         let mut rng = StdRng::seed_from_u64(0x4154_544e);
@@ -270,91 +255,57 @@ impl Workload for Attn {
         let vm: Vec<i8> = (0..l * d).map(|_| rng.gen_range(-8..8) as i8).collect();
         let expect = reference(&qv, &km, &vm, l, d);
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, d as u32);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|dd| chunk_range(l, n_dpus, dd)).collect();
-        let skew = crate::common::REGION_SKEW;
-        let max_band = bands.iter().map(std::ops::Range::len).max().unwrap_or(1);
-        let q_base = 0u32;
-        let q_cap = (d as u32).div_ceil(8) * 8 + skew;
-        let kv_cap = ((max_band * d) as u32).div_ceil(8) * 8 + skew;
-        let k_base = q_base + q_cap;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, d as u32))?;
+        let bands: Vec<Range<usize>> = (0..n_dpus).map(|i| chunk_range(l, n_dpus, i)).collect();
+        let max_band = bands.iter().map(Range::len).max().unwrap_or(1);
+        let (q_base, k_base) = (0u32, region(d as u32));
+        let kv_cap = region((max_band * d) as u32);
         let v_base = k_base + kv_cap;
         let s_base = v_base + kv_cap;
-        let s_cap = (max_band as u32 * 4).div_ceil(8) * 8 + skew;
-        let p_base = s_base + s_cap;
-        let p_cap = ((d + 2) as u32 * 4) + skew;
-        let o_base = p_base + p_cap;
+        let p_base = s_base + region(max_band as u32 * 4);
+        let o_base = p_base + (d + 2) as u32 * 4 + REGION_SKEW;
         let enc = |v: &[i8]| -> Vec<u8> { v.iter().map(|&x| x as u8).collect() };
-        sys.broadcast_to_mram(q_base, &enc(&qv));
-        let k_chunks: Vec<Vec<u8>> =
-            bands.iter().map(|bd| enc(&km[bd.start * d..bd.end * d])).collect();
-        let v_chunks: Vec<Vec<u8>> =
-            bands.iter().map(|bd| enc(&vm[bd.start * d..bd.end * d])).collect();
-        sys.push_to_mram(k_base, &k_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.push_to_mram(v_base, &v_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let mut per_dpu: Vec<pim_dpu::DpuRunStats> = Vec::new();
-        let merge_launch = |per_dpu: &mut Vec<pim_dpu::DpuRunStats>,
-                            report: Vec<pim_dpu::DpuRunStats>| {
-            if per_dpu.is_empty() {
-                *per_dpu = report;
-            } else {
-                for (a, b) in per_dpu.iter_mut().zip(&report) {
-                    a.merge(b);
-                }
+        st.broadcast(q_base, &enc(&qv));
+        st.scatter(k_base, |i| enc(&km[bands[i].start * d..bands[i].end * d]))?;
+        st.scatter(v_base, |i| enc(&vm[bands[i].start * d..bands[i].end * d]))?;
+        let values = |stage: u32, maxs: u32| {
+            let bands = &bands;
+            move |i: usize| {
+                let rows = if stage == 2 { d as u32 } else { bands[i].len() as u32 };
+                [
+                    ("stage", stage),
+                    ("rows", rows),
+                    ("maxs", maxs),
+                    ("q_base", q_base),
+                    ("k_base", k_base),
+                    ("v_base", v_base),
+                    ("s_base", s_base),
+                    ("p_base", p_base),
+                    ("o_base", o_base),
+                ]
             }
         };
-        let push_params = |sys: &mut PimSystem, stage: u32, maxs: u32| {
-            let pbs: Vec<Vec<u8>> = bands
-                .iter()
-                .map(|bd| {
-                    let rows = if stage == 2 { d as u32 } else { bd.len() as u32 };
-                    params.bytes(&[
-                        ("stage", stage),
-                        ("rows", rows),
-                        ("maxs", maxs),
-                        ("q_base", q_base),
-                        ("k_base", k_base),
-                        ("v_base", v_base),
-                        ("s_base", s_base),
-                        ("p_base", p_base),
-                        ("o_base", o_base),
-                    ])
-                })
-                .collect();
-            sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        };
         // Launch 1: QK^T score bands; host gathers and takes the max.
-        push_params(&mut sys, 0, 0);
-        let report = sys.launch_all()?;
-        merge_launch(&mut per_dpu, report.per_dpu);
+        st.params(values(0, 0))?;
+        st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| bd.len() as u32 * 4).collect();
-        let scores: Vec<i32> = crate::common::parallel_pull_words(&mut sys, s_base, &lens)
-            .into_iter()
-            .flatten()
-            .collect();
+        let scores = st.gather(s_base, &lens);
         let maxs = *scores.iter().max().expect("non-empty scores");
         // Launch 2: softmax-approx weights + AV partials; host sums.
-        push_params(&mut sys, 1, maxs as u32);
-        let report = sys.launch_all()?;
-        merge_launch(&mut per_dpu, report.per_dpu);
-        let part_lens: Vec<u32> = vec![(d + 1) as u32 * 4; n_dpus];
-        let parts = crate::common::parallel_pull_words(&mut sys, p_base, &part_lens);
+        st.params(values(1, maxs as u32))?;
+        st.launch()?;
         let mut nb = vec![0i32; d + 2];
-        for p in &parts {
-            for (i, v) in p.iter().enumerate() {
-                nb[i] = nb[i].wrapping_add(*v);
+        for p in st.pull(p_base, (d + 1) as u32 * 4) {
+            for (i, v) in from_bytes(p).into_iter().enumerate() {
+                nb[i] = nb[i].wrapping_add(v);
             }
         }
         // Launch 3: broadcast summed num/den, normalize on-DPU.
-        sys.broadcast_to_mram(p_base, &crate::common::to_bytes(&nb));
-        push_params(&mut sys, 2, 0);
-        let report = sys.launch_all()?;
-        merge_launch(&mut per_dpu, report.per_dpu);
-        let got: Vec<i32> = from_bytes(&sys.copy_from_mram(0, o_base, d as u32 * 4));
-        Ok(crate::common::finish_run(&mut sys, per_dpu, validate_words("ATTN", &got, &expect)))
+        st.broadcast(p_base, &to_bytes(&nb));
+        st.params(values(2, 0))?;
+        st.launch()?;
+        let got = st.copy_from(0, o_base, d as u32 * 4)?;
+        Ok(st.finish(validate_words("ATTN", &got, &expect)))
     }
 }
 

@@ -8,13 +8,14 @@
 //! frontiers and re-broadcasts them — the per-level inter-DPU
 //! communication that makes BFS scale sub-linearly in the paper's Fig 10.
 
+use std::ops::Range;
+
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{from_bytes, to_bytes, validate_words, Params};
+use crate::common::{region, to_bytes, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Owned vertices processed per staging block (and the owned-range
@@ -320,12 +321,9 @@ impl Workload for Bfs {
             "vertex count must split into {VBLOCK}-aligned bands"
         );
         let owned = vtotal / n_dpus;
-        let (program, params) = kernel(rc.dpu.n_tasklets, vtotal as u32, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, vtotal as u32, rc.cached()))?;
         // Per-DPU CSR slices (rowptr rebased) and level arrays.
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|d| d * owned..(d + 1) * owned).collect();
+        let bands: Vec<Range<usize>> = (0..n_dpus).map(|d| d * owned..(d + 1) * owned).collect();
         let rp_slices: Vec<Vec<i32>> = bands
             .iter()
             .map(|b| {
@@ -337,69 +335,35 @@ impl Workload for Bfs {
             .iter()
             .map(|b| g.colidx[g.rowptr[b.start] as usize..g.rowptr[b.end] as usize].to_vec())
             .collect();
-        let rp_cap = ((owned + 1) as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let col_cap =
-            (col_slices.iter().map(|s| s.len().max(1)).max().unwrap() as u32 * 4).div_ceil(8) * 8
-                + crate::common::REGION_SKEW;
-        let lvl_cap = (owned as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let (rp_base, col_base, level_base) = (0u32, rp_cap, rp_cap + col_cap);
-        let flat_base = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            program.heap_base.div_ceil(64) * 64
-        } else {
-            0
-        };
-        let stage = |sys: &mut PimSystem, base: u32, chunks: &[Vec<u8>]| {
-            if rc.cached() {
-                sys.dpu_mut(0).write_wram(flat_base + base, &chunks[0]);
-            } else {
-                sys.push_to_mram(base, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            }
-        };
-        stage(&mut sys, rp_base, &rp_slices.iter().map(|s| to_bytes(s)).collect::<Vec<_>>());
-        stage(&mut sys, col_base, &col_slices.iter().map(|s| to_bytes(s)).collect::<Vec<_>>());
-        stage(
-            &mut sys,
-            level_base,
-            &(0..n_dpus).map(|_| to_bytes(&vec![-1i32; owned])).collect::<Vec<_>>(),
-        );
-        let _ = lvl_cap;
+        let col_off = region((owned + 1) as u32 * 4);
+        let level_off =
+            col_off + region(col_slices.iter().map(|s| s.len().max(1)).max().unwrap() as u32 * 4);
+        st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
+        st.scatter(col_off, |d| to_bytes(&col_slices[d]))?;
+        st.scatter(level_off, |_| to_bytes(&vec![-1i32; owned]))?;
+        let bases = [0, col_off, level_off].map(|off| st.addr(off));
         // Level-synchronous host loop.
         let front_words = vtotal / 32;
         let mut in_front = vec![0u32; front_words];
         in_front[0] = 1; // vertex 0
         let mut depth: u32 = 0;
-        let mut per_dpu: Vec<pim_dpu::DpuRunStats> = Vec::new();
-        // Per-level frontier readback reuses one buffer across iterations.
-        let mut nexts: Vec<Vec<u8>> = Vec::new();
         loop {
             let front_bytes: Vec<u8> = in_front.iter().flat_map(|w| w.to_le_bytes()).collect();
-            sys.broadcast_to_symbol("in_front", &front_bytes);
-            let pbs: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| {
-                    params.bytes(&[
-                        ("depth", depth),
-                        ("owned", owned as u32),
-                        ("vs", (d * owned) as u32),
-                        ("rp_base", flat_base + rp_base),
-                        ("col_base", flat_base + col_base),
-                        ("level_base", flat_base + level_base),
-                    ])
-                })
-                .collect();
-            sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            let report = sys.launch_all()?;
-            if per_dpu.is_empty() {
-                per_dpu = report.per_dpu;
-            } else {
-                for (acc, s) in per_dpu.iter_mut().zip(&report.per_dpu) {
-                    acc.merge(s);
-                }
-            }
+            st.broadcast_symbol("in_front", &front_bytes);
+            st.params(|d| {
+                [
+                    ("depth", depth),
+                    ("owned", owned as u32),
+                    ("vs", (d * owned) as u32),
+                    ("rp_base", bases[0]),
+                    ("col_base", bases[1]),
+                    ("level_base", bases[2]),
+                ]
+            })?;
+            st.launch()?;
             // OR the per-DPU next frontiers on the host.
-            sys.pull_from_symbol_into("next_front", &mut nexts);
             let mut merged = vec![0u32; front_words];
-            for nf in &nexts {
+            for nf in st.pull_symbol("next_front") {
                 for (w, c) in merged.iter_mut().zip(nf.chunks_exact(4)) {
                     *w |= u32::from_le_bytes(c.try_into().expect("4B word"));
                 }
@@ -411,20 +375,8 @@ impl Workload for Bfs {
             depth += 1;
             assert!(depth as usize <= vtotal, "BFS failed to converge");
         }
-        // Gather levels.
-        let got: Vec<i32> = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(flat_base + level_base, owned as u32 * 4))
-        } else {
-            crate::common::parallel_pull_words(
-                &mut sys,
-                level_base,
-                &vec![owned as u32 * 4; n_dpus],
-            )
-            .into_iter()
-            .flatten()
-            .collect()
-        };
-        Ok(crate::common::finish_run(&mut sys, per_dpu, validate_words("BFS", &got, &expect)))
+        let got = st.gather(level_off, &vec![owned as u32 * 4; n_dpus]);
+        Ok(st.finish(validate_words("BFS", &got, &expect)))
     }
 }
 

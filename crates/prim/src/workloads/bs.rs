@@ -12,12 +12,11 @@
 
 use pim_asm::{DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
 use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, to_bytes, validate_words, Params,
+    chunk_range, emit_tasklet_byte_range, region, to_bytes, validate_words, Params, Stage,
 };
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
@@ -161,53 +160,28 @@ impl Workload for Bs {
         let expect: Vec<i32> =
             queries.iter().map(|q| arr.partition_point(|v| v < q) as i32).collect();
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let arr_bytes = (n as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let qcap = (chunk_range(n_queries, n_dpus, 0).len() as u32 * 4).div_ceil(8) * 8
-            + crate::common::REGION_SKEW;
-        let (arr_base, q_base, out_base) = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base, &to_bytes(&arr));
-            dpu.write_wram(base + arr_bytes, &to_bytes(&queries));
-            dpu.write_wram(base + arr_bytes + qcap, &vec![0u8; n_queries * 4]);
-            (base, base + arr_bytes, base + arr_bytes + qcap)
-        } else {
-            // The sorted array is broadcast; queries are partitioned.
-            sys.broadcast_to_mram(0, &to_bytes(&arr));
-            let chunks: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| to_bytes(&queries[chunk_range(n_queries, n_dpus, d)]))
-                .collect();
-            sys.push_to_mram(arr_bytes, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            (0, arr_bytes, arr_bytes + qcap)
-        };
-        let param_bytes: Vec<Vec<u8>> = (0..n_dpus)
-            .map(|d| {
-                params.bytes(&[
-                    ("n_elems", n as u32),
-                    ("qbytes", chunk_range(n_queries, n_dpus, d).len() as u32 * 4),
-                    ("arr_base", arr_base),
-                    ("q_base", q_base),
-                    ("out_base", out_base),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &param_bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
+        let arr_cap = region(n as u32 * 4);
+        let qcap = region(chunk_range(n_queries, n_dpus, 0).len() as u32 * 4);
+        let (arr_base, q_base, out_base) = (st.addr(0), st.addr(arr_cap), st.addr(arr_cap + qcap));
+        // The sorted array is broadcast; queries are partitioned.
+        st.broadcast(0, &to_bytes(&arr));
+        st.scatter_words(arr_cap, &queries)?;
+        st.zeroed(arr_cap + qcap, n_queries as u32 * 4);
+        st.params(|d| {
+            [
+                ("n_elems", n as u32),
+                ("qbytes", chunk_range(n_queries, n_dpus, d).len() as u32 * 4),
+                ("arr_base", arr_base),
+                ("q_base", q_base),
+                ("out_base", out_base),
+            ]
+        })?;
+        st.launch()?;
         let lens: Vec<u32> =
             (0..n_dpus).map(|d| chunk_range(n_queries, n_dpus, d).len() as u32 * 4).collect();
-        let got: Vec<i32> = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(out_base, lens[0]))
-        } else {
-            crate::common::parallel_pull_words(&mut sys, out_base, &lens)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate_words("BS", &got, &expect)))
+        let got = st.gather(arr_cap + qcap, &lens);
+        Ok(st.finish(validate_words("BS", &got, &expect)))
     }
 }
 

@@ -5,11 +5,12 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
-use pim_isa::{AluOp, Cond};
+use pim_isa::Cond;
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, to_bytes, validate_words, Params};
+use crate::common::{
+    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
+};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// The GEMV workload.
@@ -44,13 +45,7 @@ fn kernel(n_tasklets: u32, cols: u32, max_rows: u32, flat: bool) -> (DpuProgram,
         k.add(rb, rb, rowbuf as i32);
     }
     // Contiguous row range.
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(rs, m, t);
-    k.add(re, rs, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, rows);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, rows, t, [m, rs, re], n_tasklets);
     let done = k.fresh_label("done");
     k.branch(Cond::Geu, rs, re, &done);
     k.mov(r, rs);
@@ -130,57 +125,29 @@ impl Workload for Gemv {
             .collect();
         let n_dpus = rc.n_dpus as usize;
         let max_rows = chunk_range(rows, n_dpus, 0).len() as u32;
-        let (program, params) = kernel(rc.dpu.n_tasklets, cols as u32, max_rows, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let a_cap = (max_rows * cols as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let x_cap = (cols as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let (a_base, x_base, y_base) = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base, &to_bytes(&a));
-            dpu.write_wram(base + a_cap, &to_bytes(&x));
-            dpu.write_wram(base + a_cap + x_cap, &vec![0u8; rows * 4]);
-            (base, base + a_cap, base + a_cap + x_cap)
-        } else {
-            let chunks: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| {
-                    let r = chunk_range(rows, n_dpus, d);
-                    to_bytes(&a[r.start * cols..r.end * cols])
-                })
-                .collect();
-            sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            sys.broadcast_to_mram(a_cap, &to_bytes(&x));
-            (0, a_cap, a_cap + x_cap)
-        };
-        let pbs: Vec<Vec<u8>> = (0..n_dpus)
-            .map(|d| {
-                params.bytes(&[
-                    ("rows", chunk_range(rows, n_dpus, d).len() as u32),
-                    ("a_base", a_base),
-                    ("x_base", x_base),
-                    ("y_base", y_base),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32, max_rows, rc.cached()))?;
+        let a_cap = region(max_rows * cols as u32 * 4);
+        let x_cap = region(cols as u32 * 4);
+        let (a_base, x_base, y_base) = (st.addr(0), st.addr(a_cap), st.addr(a_cap + x_cap));
+        st.scatter(0, |d| {
+            let r = chunk_range(rows, n_dpus, d);
+            to_bytes(&a[r.start * cols..r.end * cols])
+        })?;
+        st.broadcast(a_cap, &to_bytes(&x));
+        st.zeroed(a_cap + x_cap, rows as u32 * 4);
+        st.params(|d| {
+            [
+                ("rows", chunk_range(rows, n_dpus, d).len() as u32),
+                ("a_base", a_base),
+                ("x_base", x_base),
+                ("y_base", y_base),
+            ]
+        })?;
+        st.launch()?;
         let lens: Vec<u32> =
             (0..n_dpus).map(|d| chunk_range(rows, n_dpus, d).len() as u32 * 4).collect();
-        let got: Vec<i32> = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(y_base, lens[0]))
-        } else {
-            crate::common::parallel_pull_words(&mut sys, y_base, &lens)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("GEMV", &got, &expect),
-        ))
+        let got = st.gather(a_cap + x_cap, &lens);
+        Ok(st.finish(validate_words("GEMV", &got, &expect)))
     }
 }
 

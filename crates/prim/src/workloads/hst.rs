@@ -11,12 +11,11 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
 use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, to_bytes, validate_words, Params,
+    chunk_range, emit_tasklet_byte_range, from_bytes, validate_words, Params, Stage,
 };
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
@@ -176,40 +175,20 @@ fn run_hst(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Worklo
         expect[(v >> SHIFT) as usize] += 1;
     }
     let n_dpus = rc.n_dpus as usize;
-    let (program, params) = kernel(rc.dpu.n_tasklets, bins as u32, rc.cached(), flavour);
-    let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-    sys.load(&program)?;
-    let in_base = if rc.cached() {
-        assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-        let base = program.heap_base.div_ceil(64) * 64;
-        sys.dpu_mut(0).write_wram(base, &to_bytes(&input));
-        base
-    } else {
-        let chunks: Vec<Vec<u8>> =
-            (0..n_dpus).map(|d| to_bytes(&input[chunk_range(n, n_dpus, d)])).collect();
-        sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        0
-    };
-    let param_bytes: Vec<Vec<u8>> = (0..n_dpus)
-        .map(|d| {
-            params.bytes(&[
-                ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
-                ("in_base", in_base),
-            ])
-        })
-        .collect();
-    sys.push_to_symbol("params", &param_bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
-    let report = sys.launch_all()?;
+    let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, bins as u32, rc.cached(), flavour))?;
+    let in_base = st.addr(0);
+    st.scatter_words(0, &input)?;
+    st.params(|d| [("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4), ("in_base", in_base)])?;
+    st.launch()?;
     // Host-side cross-DPU reduction of the histograms.
-    let hists = sys.pull_from_symbol("hist");
     let mut got = vec![0i32; bins];
-    for h in &hists {
+    for h in st.pull_symbol("hist") {
         for (g, v) in got.iter_mut().zip(from_bytes(h)) {
             *g += v;
         }
     }
     let name = if flavour == Flavour::Small { "HST-S" } else { "HST-L" };
-    Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate_words(name, &got, &expect)))
+    Ok(st.finish(validate_words(name, &got, &expect)))
 }
 
 impl Workload for HstS {

@@ -13,11 +13,12 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond, Reg};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, to_bytes, validate_words, Params};
+use crate::common::{
+    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
+};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Weight-row staging chunk, in words.
@@ -62,13 +63,7 @@ fn emit_layer(
 ) {
     let LayerRegs { rows, t, r, re, c, m, p, xp, acc, va, vx, wb } = *rg;
     // Row range for this tasklet.
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, rows);
-    k.place(&not_last);
+    emit_tasklet_rows(k, rows, t, [m, r, re], n_tasklets);
     let done = k.fresh_label("layer_done");
     k.branch(Cond::Geu, r, re, &done);
     let row_loop = k.label_here("row_loop");
@@ -258,41 +253,23 @@ impl Mlp {
         layers: usize,
         rc: &RunConfig,
     ) -> Result<WorkloadRun, SimError> {
-        let (program, params) = kernel(rc.dpu.n_tasklets, cols as u32, layers as u32, rc.cached());
-        let mut sys = PimSystem::new(1, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let w_bytes = (cols * cols * 4) as u32;
-        let x_cap = (cols as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
+        let mut st =
+            Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32, layers as u32, rc.cached()))?;
+        let x_off = (cols * cols * 4) as u32 * layers as u32;
+        let y_off = x_off + region(cols as u32 * 4);
         let all_w: Vec<u8> = weights.iter().flat_map(|w| to_bytes(w)).collect();
-        let (w_base, x_base, y_base) = if rc.cached() {
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base, &all_w);
-            dpu.write_wram(base + w_bytes * layers as u32, &to_bytes(x));
-            dpu.write_wram(base + w_bytes * layers as u32 + x_cap, &vec![0u8; cols * 4]);
-            (base, base + w_bytes * layers as u32, base + w_bytes * layers as u32 + x_cap)
-        } else {
-            sys.broadcast_to_mram(0, &all_w);
-            sys.broadcast_to_mram(w_bytes * layers as u32, &to_bytes(x));
-            (0, w_bytes * layers as u32, w_bytes * layers as u32 + x_cap)
-        };
-        let pb = params.bytes(&[
-            ("rows", cols as u32),
-            ("w_base", w_base),
-            ("x_base", x_base),
-            ("y_base", y_base),
-        ]);
-        sys.push_to_symbol("params", &[pb.as_slice()]);
-        let report = sys.launch_all()?;
-        let got = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(y_base, cols as u32 * 4))
-        } else {
-            from_bytes(&sys.copy_from_mram(0, y_base, cols as u32 * 4))
-        };
-        Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate_words("MLP", &got, expect)))
+        st.broadcast(0, &all_w);
+        st.broadcast(x_off, &to_bytes(x));
+        st.zeroed(y_off, cols as u32 * 4);
+        let (w_base, x_base, y_base) = (st.addr(0), st.addr(x_off), st.addr(y_off));
+        st.params(|_| {
+            [("rows", cols as u32), ("w_base", w_base), ("x_base", x_base), ("y_base", y_base)]
+        })?;
+        st.launch()?;
+        let got = st.gather(y_off, &[cols as u32 * 4]);
+        Ok(st.finish(validate_words("MLP", &got, expect)))
     }
 
-    #[allow(clippy::needless_range_loop)] // layer index also selects weight bases
     fn run_multi(
         &self,
         weights: &[Vec<i32>],
@@ -303,62 +280,36 @@ impl Mlp {
         rc: &RunConfig,
     ) -> Result<WorkloadRun, SimError> {
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, cols as u32, 1, false);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32, 1, false))?;
         // Per-DPU row chunks of every layer's weights, packed contiguously.
         let max_rows = chunk_range(cols, n_dpus, 0).len();
         let w_chunk_bytes = (max_rows * cols * 4) as u32;
-        for l in 0..layers {
-            let chunks: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| {
-                    let r = chunk_range(cols, n_dpus, d);
-                    to_bytes(&weights[l][r.start * cols..r.end * cols])
-                })
-                .collect();
-            sys.push_to_mram(
-                l as u32 * w_chunk_bytes,
-                &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-            );
+        for (l, w) in weights.iter().enumerate() {
+            st.scatter(l as u32 * w_chunk_bytes, |d| {
+                let r = chunk_range(cols, n_dpus, d);
+                to_bytes(&w[r.start * cols..r.end * cols])
+            })?;
         }
         let x_base = layers as u32 * w_chunk_bytes;
-        let x_cap = (cols as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let y_base = x_base + x_cap;
+        let y_base = x_base + region(cols as u32 * 4);
+        let lens: Vec<u32> =
+            (0..n_dpus).map(|d| chunk_range(cols, n_dpus, d).len() as u32 * 4).collect();
         let mut act = x.to_vec();
-        let mut per_dpu: Vec<pim_dpu::DpuRunStats> = Vec::new();
-        // Per-layer activation readback reuses one buffer across layers.
-        let mut pull_scratch: Vec<Vec<u8>> = Vec::new();
         for l in 0..layers {
-            sys.broadcast_to_mram(x_base, &to_bytes(&act));
-            let pbs: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| {
-                    params.bytes(&[
-                        ("rows", chunk_range(cols, n_dpus, d).len() as u32),
-                        ("w_base", l as u32 * w_chunk_bytes),
-                        ("x_base", x_base),
-                        ("y_base", y_base),
-                    ])
-                })
-                .collect();
-            sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            let report = sys.launch_all()?;
-            if per_dpu.is_empty() {
-                per_dpu = report.per_dpu;
-            } else {
-                for (a, b) in per_dpu.iter_mut().zip(&report.per_dpu) {
-                    a.merge(b);
-                }
-            }
+            st.broadcast(x_base, &to_bytes(&act));
+            st.params(|d| {
+                [
+                    ("rows", chunk_range(cols, n_dpus, d).len() as u32),
+                    ("w_base", l as u32 * w_chunk_bytes),
+                    ("x_base", x_base),
+                    ("y_base", y_base),
+                ]
+            })?;
+            st.launch()?;
             // Gather this layer's activations with one parallel pull.
-            let lens: Vec<u32> =
-                (0..n_dpus).map(|d| chunk_range(cols, n_dpus, d).len() as u32 * 4).collect();
-            act =
-                crate::common::parallel_pull_words_into(&mut sys, y_base, &lens, &mut pull_scratch)
-                    .into_iter()
-                    .flatten()
-                    .collect();
+            act = st.gather(y_base, &lens);
         }
-        Ok(crate::common::finish_run(&mut sys, per_dpu, validate_words("MLP", &act, expect)))
+        Ok(st.finish(validate_words("MLP", &act, expect)))
     }
 }
 

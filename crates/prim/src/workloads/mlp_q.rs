@@ -12,13 +12,14 @@
 //! and requantize is `clamp(relu(acc) >> shift, 0, 127)` — all integer
 //! ops, so the pure-Rust reference is bit-exact.
 
+use std::ops::Range;
+
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, validate_words, Params};
+use crate::common::{chunk_range, emit_tasklet_rows, region, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
 /// Requantization shift: activations stay in `0..=127`.
@@ -64,13 +65,7 @@ fn kernel(n_tasklets: u32, cols: u32) -> (DpuProgram, Params) {
     k.ldma(p, m, cols as i32);
     k.place(&x_ready);
     bar.wait(&mut k, [m, p, v]);
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, rows);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     k.branch(Cond::Geu, r, re, &exit);
     let row_loop = k.label_here("row_loop");
     // Stage the i8 weight row.
@@ -105,13 +100,7 @@ fn kernel(n_tasklets: u32, cols: u32) -> (DpuProgram, Params) {
     params.load(&mut k, sh, "shift");
     // One group = 4 rows = one packed output word.
     k.alu(AluOp::Srl, rows, rows, 2);
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last1 = k.fresh_label("not_last1");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last1);
-    k.mov(re, rows);
-    k.place(&not_last1);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     k.branch(Cond::Geu, r, re, &exit);
     let g_loop = k.label_here("g_loop");
     k.mul(m, r, 16);
@@ -184,71 +173,42 @@ impl Workload for MlpQ {
         let x0: Vec<u8> = (0..cols).map(|_| rng.gen_range(0..16) as u8).collect();
         let expect: Vec<i32> =
             reference(&weights, &x0, layers, cols).iter().map(|&b| i32::from(b)).collect();
-        let (program, params) = kernel(rc.dpu.n_tasklets, cols as u32);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|d| chunk_range(cols, n_dpus, d)).collect();
-        let skew = crate::common::REGION_SKEW;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32))?;
+        let bands: Vec<Range<usize>> = (0..n_dpus).map(|d| chunk_range(cols, n_dpus, d)).collect();
         // Per-DPU weight bands of every layer, packed contiguously.
-        let max_rows = bands.iter().map(std::ops::Range::len).max().unwrap_or(1);
-        let w_chunk = ((max_rows * cols) as u32).div_ceil(8) * 8 + skew;
+        let max_rows = bands.iter().map(Range::len).max().unwrap_or(1);
+        let w_chunk = region((max_rows * cols) as u32);
         let x_base = layers as u32 * w_chunk;
-        let x_cap = (cols as u32).div_ceil(8) * 8 + skew;
-        let y_base = x_base + x_cap;
-        let y_cap = (max_rows as u32 * 4).div_ceil(8) * 8 + skew;
-        let q_base = y_base + y_cap;
+        let y_base = x_base + region(cols as u32);
+        let q_base = y_base + region(max_rows as u32 * 4);
         for (l, w) in weights.iter().enumerate() {
-            let chunks: Vec<Vec<u8>> = bands
-                .iter()
-                .map(|bd| w[bd.start * cols..bd.end * cols].iter().map(|&v| v as u8).collect())
-                .collect();
-            sys.push_to_mram(
-                l as u32 * w_chunk,
-                &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>(),
-            );
+            st.scatter(l as u32 * w_chunk, |d| {
+                w[bands[d].start * cols..bands[d].end * cols].iter().map(|&v| v as u8).collect()
+            })?;
         }
+        let lens: Vec<u32> = bands.iter().map(|bd| bd.len() as u32).collect();
         let mut act = x0.clone();
-        let mut per_dpu: Vec<pim_dpu::DpuRunStats> = Vec::new();
-        let mut pull_scratch: Vec<Vec<u8>> = Vec::new();
         for l in 0..layers {
-            sys.broadcast_to_mram(x_base, &act);
+            st.broadcast(x_base, &act);
             for stage in 0..2u32 {
-                let pbs: Vec<Vec<u8>> = bands
-                    .iter()
-                    .map(|bd| {
-                        params.bytes(&[
-                            ("stage", stage),
-                            ("rows", bd.len() as u32),
-                            ("w_base", l as u32 * w_chunk),
-                            ("x_base", x_base),
-                            ("y_base", y_base),
-                            ("q_base", q_base),
-                            ("shift", SHIFT),
-                        ])
-                    })
-                    .collect();
-                sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-                let report = sys.launch_all()?;
-                if per_dpu.is_empty() {
-                    per_dpu = report.per_dpu;
-                } else {
-                    for (a, b) in per_dpu.iter_mut().zip(&report.per_dpu) {
-                        a.merge(b);
-                    }
-                }
+                st.params(|d| {
+                    [
+                        ("stage", stage),
+                        ("rows", bands[d].len() as u32),
+                        ("w_base", l as u32 * w_chunk),
+                        ("x_base", x_base),
+                        ("y_base", y_base),
+                        ("q_base", q_base),
+                        ("shift", SHIFT),
+                    ]
+                })?;
+                st.launch()?;
             }
             // Host staging: gather each DPU's packed activations, re-feed.
-            let lens: Vec<u32> = bands.iter().map(|bd| bd.len() as u32).collect();
-            act =
-                crate::common::parallel_pull_words_into(&mut sys, q_base, &lens, &mut pull_scratch)
-                    .into_iter()
-                    .flatten()
-                    .flat_map(i32::to_le_bytes)
-                    .collect();
+            act = st.gather(q_base, &lens).into_iter().flat_map(i32::to_le_bytes).collect();
         }
         let got: Vec<i32> = act.iter().map(|&b| i32::from(b)).collect();
-        Ok(crate::common::finish_run(&mut sys, per_dpu, validate_words("MLP-Q", &got, &expect)))
+        Ok(st.finish(validate_words("MLP-Q", &got, &expect)))
     }
 }
 

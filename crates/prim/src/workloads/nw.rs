@@ -16,11 +16,10 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{from_bytes, to_bytes, validate_words, Params};
+use crate::common::{region, to_bytes, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Sub-block edge in cells.
@@ -313,39 +312,20 @@ impl Nw {
     ) -> Result<WorkloadRun, SimError> {
         let n = a.len();
         assert_eq!(n as u32 % B, 0, "sequence length must be a multiple of {B}");
-        let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached());
-        let mut sys = PimSystem::new(1, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let h0 = boundary_matrix(n);
         let h_bytes = (h0.len() * 4) as u32;
-        let seq_cap = (n as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let (h_base, a_base, b_base) = if rc.cached() {
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base, &to_bytes(&h0));
-            dpu.write_wram(base + h_bytes, &to_bytes(a));
-            dpu.write_wram(base + h_bytes + seq_cap, &to_bytes(b));
-            (base, base + h_bytes, base + h_bytes + seq_cap)
-        } else {
-            sys.broadcast_to_mram(0, &to_bytes(&h0));
-            sys.broadcast_to_mram(h_bytes, &to_bytes(a));
-            sys.broadcast_to_mram(h_bytes + seq_cap, &to_bytes(b));
-            (0, h_bytes, h_bytes + seq_cap)
-        };
-        let pb = params.bytes(&[
-            ("n", n as u32),
-            ("h_base", h_base),
-            ("a_base", a_base),
-            ("b_base", b_base),
-        ]);
-        sys.push_to_symbol("params", &[pb.as_slice()]);
-        let report = sys.launch_all()?;
-        let got = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(h_base, h_bytes))
-        } else {
-            from_bytes(&sys.copy_from_mram(0, h_base, h_bytes))
-        };
-        Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate_words("NW", &got, expect)))
+        let b_off = h_bytes + region(n as u32 * 4);
+        st.broadcast(0, &to_bytes(&h0));
+        st.broadcast(h_bytes, &to_bytes(a));
+        st.broadcast(b_off, &to_bytes(b));
+        let (h_base, a_base, b_base) = (st.addr(0), st.addr(h_bytes), st.addr(b_off));
+        st.params(|_| {
+            [("n", n as u32), ("h_base", h_base), ("a_base", a_base), ("b_base", b_base)]
+        })?;
+        st.launch()?;
+        let got = st.gather(0, &[h_bytes]);
+        Ok(st.finish(validate_words("NW", &got, expect)))
     }
 
     /// Host-level anti-diagonal wavefront over `D×D` super-blocks, one DPU
@@ -365,16 +345,12 @@ impl Nw {
             "sequence length must split into {B}-aligned bands across DPUs"
         );
         let lb = n / d; // super-block edge
-        let (program, params) = kernel(rc.dpu.n_tasklets, false);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, false))?;
         let w = n + 1;
         let mut h = boundary_matrix(n);
         let blk_w = lb + 1;
         let blk_bytes = (blk_w * blk_w * 4) as u32;
-        let seq_cap = (lb as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let (h_base, a_base, b_base) = (0u32, blk_bytes, blk_bytes + seq_cap);
-        let mut per_dpu: Vec<pim_dpu::DpuRunStats> = Vec::new();
+        let (h_base, a_base, b_base) = (0u32, blk_bytes, blk_bytes + region(lb as u32 * 4));
         for diag in 0..(2 * d - 1) {
             // Blocks (ti, diag-ti) on this diagonal, one per DPU.
             let lo = diag.saturating_sub(d - 1);
@@ -387,32 +363,19 @@ impl Nw {
                 for i in 0..blk_w {
                     sub.extend_from_slice(&h[(r0 + i) * w + c0..(r0 + i) * w + c0 + blk_w]);
                 }
-                sys.copy_to_mram(slot as u32, h_base, &to_bytes(&sub));
-                sys.copy_to_mram(slot as u32, a_base, &to_bytes(&a[r0..r0 + lb]));
-                sys.copy_to_mram(slot as u32, b_base, &to_bytes(&b[c0..c0 + lb]));
+                st.copy_to(slot, h_base, &to_bytes(&sub))?;
+                st.copy_to(slot, a_base, &to_bytes(&a[r0..r0 + lb]))?;
+                st.copy_to(slot, b_base, &to_bytes(&b[c0..c0 + lb]))?;
             }
-            for slot in 0..d {
+            st.params_in_place(|slot| {
                 let nval = if slot < blocks.len() { lb as u32 } else { 0 };
-                let pb = params.bytes(&[
-                    ("n", nval),
-                    ("h_base", h_base),
-                    ("a_base", a_base),
-                    ("b_base", b_base),
-                ]);
-                sys.dpu_mut(slot as u32).write_wram_symbol("params", &pb);
-            }
-            let report = sys.launch_all()?;
-            if per_dpu.is_empty() {
-                per_dpu = report.per_dpu;
-            } else {
-                for (acc, s) in per_dpu.iter_mut().zip(&report.per_dpu) {
-                    acc.merge(s);
-                }
-            }
+                [("n", nval), ("h_base", h_base), ("a_base", a_base), ("b_base", b_base)]
+            });
+            st.launch()?;
             // Pull interiors back into the host matrix.
             for (slot, &(ti, tj)) in blocks.iter().enumerate() {
                 let (r0, c0) = (ti * lb, tj * lb);
-                let sub = from_bytes(&sys.copy_from_mram(slot as u32, h_base, blk_bytes));
+                let sub = st.copy_from(slot, h_base, blk_bytes)?;
                 for i in 1..blk_w {
                     for j in 1..blk_w {
                         h[(r0 + i) * w + (c0 + j)] = sub[i * blk_w + j];
@@ -420,7 +383,7 @@ impl Nw {
                 }
             }
         }
-        Ok(crate::common::finish_run(&mut sys, per_dpu, validate_words("NW", &h, expect)))
+        Ok(st.finish(validate_words("NW", &h, expect)))
     }
 }
 

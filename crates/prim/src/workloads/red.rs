@@ -7,11 +7,10 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, to_bytes, validate_words, Params};
+use crate::common::{chunk_range, emit_tasklet_byte_range, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -106,42 +105,20 @@ impl Workload for Red {
         let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
         let expect: i32 = input.iter().fold(0i32, |a, b| a.wrapping_add(*b));
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        // Stage each DPU's chunk.
-        let in_base = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            sys.dpu_mut(0).write_wram(base, &to_bytes(&input));
-            base
-        } else {
-            let chunks: Vec<Vec<u8>> =
-                (0..n_dpus).map(|d| to_bytes(&input[chunk_range(n, n_dpus, d)])).collect();
-            sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            0
-        };
-        let param_bytes: Vec<Vec<u8>> = (0..n_dpus)
-            .map(|d| {
-                params.bytes(&[
-                    ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
-                    ("in_base", in_base),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &param_bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
+        let in_base = st.addr(0);
+        st.scatter_words(0, &input)?;
+        st.params(|d| {
+            [("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4), ("in_base", in_base)]
+        })?;
+        st.launch()?;
         // Host-side final reduction across DPUs.
-        let results = sys.pull_from_symbol("result");
-        let got = results
+        let got = st
+            .pull_symbol("result")
             .iter()
             .map(|b| i32::from_le_bytes(b.as_slice().try_into().expect("4-byte result")))
             .fold(0i32, |a, b| a.wrapping_add(b));
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("RED", &[got], &[expect]),
-        ))
+        Ok(st.finish(validate_words("RED", &[got], &[expect])))
     }
 }
 

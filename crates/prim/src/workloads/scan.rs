@@ -15,13 +15,10 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, to_bytes, validate_words, Params,
-};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -239,73 +236,41 @@ fn run_scan(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Workl
         expect.push(acc);
     }
     let n_dpus = rc.n_dpus as usize;
-    let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached(), flavour);
-    let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-    sys.load(&program)?;
-    let cap_bytes =
-        (chunk_range(n, n_dpus, 0).len() as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-    let (in_base, out_base) = if rc.cached() {
-        assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-        let base = program.heap_base.div_ceil(64) * 64;
-        sys.dpu_mut(0).write_wram(base, &to_bytes(&input));
-        sys.dpu_mut(0).write_wram(base + cap_bytes, &vec![0u8; n * 4]);
-        (base, base + cap_bytes)
-    } else {
-        let chunks: Vec<Vec<u8>> =
-            (0..n_dpus).map(|d| to_bytes(&input[chunk_range(n, n_dpus, d)])).collect();
-        sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        (0, cap_bytes)
-    };
-    let push_params = |sys: &mut PimSystem, mode: u32, bases: &[u32]| {
-        let bytes: Vec<Vec<u8>> = (0..n_dpus)
-            .map(|d| {
-                params.bytes(&[
-                    ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
-                    ("in_base", in_base),
-                    ("out_base", out_base),
-                    ("mode", mode),
-                    ("base_add", bases[d]),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached(), flavour))?;
+    let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
+    let (in_base, out_base) = (st.addr(0), st.addr(cap));
+    st.scatter_words(0, &input)?;
+    st.zeroed(cap, n as u32 * 4);
+    let values = |mode: u32, bases: Vec<u32>| {
+        move |d: usize| {
+            [
+                ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
+                ("in_base", in_base),
+                ("out_base", out_base),
+                ("mode", mode),
+                ("base_add", bases[d]),
+            ]
+        }
     };
     // Launch 1: local scan (SSA) / reduce (RSS) publishing per-DPU totals.
-    push_params(
-        &mut sys,
-        if n_dpus == 1 && flavour == Flavour::Rss { 1 } else { 0 },
-        &vec![0; n_dpus],
-    );
-    let mut report = sys.launch_all()?;
+    // A single-DPU SSA is complete after it (mode 0 includes the add pass).
+    st.params(values(u32::from(n_dpus == 1 && flavour == Flavour::Rss), vec![0; n_dpus]))?;
+    st.launch()?;
     if n_dpus > 1 {
         // Host-side exclusive scan of the per-DPU totals, then launch 2.
-        let totals = sys.pull_from_symbol("dpu_total");
         let mut bases = Vec::with_capacity(n_dpus);
         let mut run = 0i32;
-        for t in &totals {
+        for t in st.pull_symbol("dpu_total") {
             bases.push(run as u32);
             run = run.wrapping_add(i32::from_le_bytes(t.as_slice().try_into().expect("4B")));
         }
-        push_params(&mut sys, 1, &bases);
-        let second = sys.launch_all()?;
-        for (a, b) in report.per_dpu.iter_mut().zip(&second.per_dpu) {
-            a.merge(b);
-        }
-    } else if flavour == Flavour::Ssa {
-        // Single-DPU SSA completed in one launch (mode 0 includes the add
-        // pass); nothing further.
+        st.params(values(1, bases))?;
+        st.launch()?;
     }
     let lens: Vec<u32> = (0..n_dpus).map(|d| chunk_range(n, n_dpus, d).len() as u32 * 4).collect();
-    let got: Vec<i32> = if rc.cached() {
-        from_bytes(&sys.dpu(0).read_wram(out_base, lens[0]))
-    } else {
-        crate::common::parallel_pull_words(&mut sys, out_base, &lens)
-            .into_iter()
-            .flatten()
-            .collect()
-    };
+    let got = st.gather(cap, &lens);
     let name = if flavour == Flavour::Ssa { "SCAN-SSA" } else { "SCAN-RSS" };
-    Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate_words(name, &got, &expect)))
+    Ok(st.finish(validate_words(name, &got, &expect)))
 }
 
 impl Workload for ScanSsa {

@@ -11,11 +11,11 @@
 
 use pim_asm::{DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
-use pim_isa::{AluOp, Cond};
+use pim_isa::Cond;
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, validate_words, Params};
+use super::spmv_bsr::stage_bsr;
+use crate::common::{emit_tasklet_rows, validate_words, Params, Stage};
 use crate::datasets::bsr;
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
@@ -50,13 +50,7 @@ fn kernel(n_tasklets: u32, b: u32, n_rhs: u32) -> (DpuProgram, Params) {
     k.mul(cb, t, panel as i32);
     k.add(cb, cb, c_buf as i32);
     // Contiguous block-row range.
-    k.alu(AluOp::Div, m, brows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, brows);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, brows, t, [m, r, re], n_tasklets);
     let done = k.fresh_label("done");
     k.branch(Cond::Geu, r, re, &done);
 
@@ -154,74 +148,22 @@ impl Workload for SpmmBsr {
         let mut rng = StdRng::seed_from_u64(0x4253_4d4e);
         let bmat: Vec<i32> = (0..a.cols() * n_rhs).map(|_| rng.gen_range(-6..6)).collect();
         let expect = bsr::spmm_reference(&a, &bmat, n_rhs);
-        let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, block as u32, n_rhs as u32);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|d| chunk_range(block_rows, n_dpus, d)).collect();
-        let rp_slices: Vec<Vec<i32>> = bands
-            .iter()
-            .map(|bd| {
-                let base = a.rowptr[bd.start];
-                a.rowptr[bd.start..=bd.end].iter().map(|v| v - base).collect()
-            })
-            .collect();
-        let blk_slices: Vec<std::ops::Range<usize>> =
-            bands.iter().map(|bd| a.rowptr[bd.start] as usize..a.rowptr[bd.end] as usize).collect();
-        let skew = crate::common::REGION_SKEW;
-        let rp_cap =
-            (rp_slices.iter().map(Vec::len).max().unwrap_or(1) as u32 * 4).div_ceil(8) * 8 + skew;
-        let col_cap = (blk_slices.iter().map(|s| s.len().max(1)).max().unwrap_or(1) as u32 * 4)
-            .div_ceil(8)
-            * 8
-            + skew;
-        let val_cap = col_cap.saturating_sub(skew) * (block * block) as u32 + skew;
-        let b_cap = ((a.cols() * n_rhs) as u32 * 4).div_ceil(8) * 8 + skew;
-        let rp_base = 0u32;
-        let col_base = rp_cap;
-        let val_base = col_base + col_cap;
-        let b_base = val_base + val_cap;
-        let c_base = b_base + b_cap;
-        let rp_chunks: Vec<Vec<u8>> =
-            rp_slices.iter().map(|s| crate::common::to_bytes(s)).collect();
-        let col_chunks: Vec<Vec<u8>> =
-            blk_slices.iter().map(|s| crate::common::to_bytes(&a.colidx[s.clone()])).collect();
-        let val_chunks: Vec<Vec<u8>> = blk_slices
-            .iter()
-            .map(|s| {
-                crate::common::to_bytes(&a.vals[s.start * block * block..s.end * block * block])
-            })
-            .collect();
-        sys.push_to_mram(rp_base, &rp_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.push_to_mram(col_base, &col_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.push_to_mram(val_base, &val_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.broadcast_to_mram(b_base, &crate::common::to_bytes(&bmat));
-        let pbs: Vec<Vec<u8>> = bands
-            .iter()
-            .map(|bd| {
-                params.bytes(&[
-                    ("brows", bd.len() as u32),
-                    ("rp_base", rp_base),
-                    ("col_base", col_base),
-                    ("val_base", val_base),
-                    ("b_base", b_base),
-                    ("c_base", c_base),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, block as u32, n_rhs as u32))?;
+        let (bands, offs) = stage_bsr(&mut st, &a, &bmat)?;
+        st.params(|d| {
+            [
+                ("brows", bands[d].len() as u32),
+                ("rp_base", offs[0]),
+                ("col_base", offs[1]),
+                ("val_base", offs[2]),
+                ("b_base", offs[3]),
+                ("c_base", offs[4]),
+            ]
+        })?;
+        st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| (bd.len() * block * n_rhs) as u32 * 4).collect();
-        let got: Vec<i32> = crate::common::parallel_pull_words(&mut sys, c_base, &lens)
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("SpMM-BSR", &got, &expect),
-        ))
+        let got = st.gather(offs[4], &lens);
+        Ok(st.finish(validate_words("SpMM-BSR", &got, &expect)))
     }
 }
 

@@ -5,13 +5,16 @@
 //! workload (Fig 5): the gather `x[col]` is a random 4-byte access that the
 //! scratchpad model must fetch with a tiny DMA per non-zero.
 
+use std::ops::Range;
+
 use pim_asm::{DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, to_bytes, validate_words, Params};
+use crate::common::{
+    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
+};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Non-zeros staged per chunk (columns and values separately).
@@ -103,13 +106,7 @@ fn kernel(n_tasklets: u32, flat: bool) -> (DpuProgram, Params) {
         params.load(&mut k, vb, "val_base");
     }
     // Contiguous row range.
-    k.alu(AluOp::Div, m, rows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, rows);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, rows, t, [m, r, re], n_tasklets);
     let done = k.fresh_label("done");
     k.branch(Cond::Geu, r, re, &done);
     k.mov(ystart, r);
@@ -249,12 +246,9 @@ impl Workload for Spmv {
         let x: Vec<i32> = (0..cols).map(|_| rng.gen_range(-10..10)).collect();
         let expect = reference(&m, &x);
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         // Per-DPU row bands with rebased rowptr slices.
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|d| chunk_range(rows, n_dpus, d)).collect();
+        let bands: Vec<Range<usize>> = (0..n_dpus).map(|d| chunk_range(rows, n_dpus, d)).collect();
         let rp_slices: Vec<Vec<i32>> = bands
             .iter()
             .map(|b| {
@@ -262,79 +256,35 @@ impl Workload for Spmv {
                 m.rowptr[b.start..=b.end].iter().map(|v| v - base).collect()
             })
             .collect();
-        let nnz_slices: Vec<std::ops::Range<usize>> =
+        let nnz_slices: Vec<Range<usize>> =
             bands.iter().map(|b| m.rowptr[b.start] as usize..m.rowptr[b.end] as usize).collect();
-        let rp_cap = (rp_slices.iter().map(Vec::len).max().unwrap_or(1) as u32 * 4).div_ceil(8) * 8
-            + crate::common::REGION_SKEW;
-        let nnz_cap = (nnz_slices.iter().map(|s| s.len().max(1)).max().unwrap_or(1) as u32 * 4)
-            .div_ceil(8)
-            * 8
-            + crate::common::REGION_SKEW;
-        let x_cap = (cols as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let rp_base = 0u32;
-        let col_base = rp_cap;
-        let val_base = col_base + nnz_cap;
-        let x_base = val_base + nnz_cap;
-        let y_base = x_base + x_cap;
-        if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base + rp_base, &to_bytes(&rp_slices[0]));
-            dpu.write_wram(base + col_base, &to_bytes(&m.colidx));
-            dpu.write_wram(base + val_base, &to_bytes(&m.vals));
-            dpu.write_wram(base + x_base, &to_bytes(&x));
-            dpu.write_wram(base + y_base, &vec![0u8; rows * 4]);
-            let pb = params.bytes(&[
-                ("rows", rows as u32),
-                ("rp_base", base + rp_base),
-                ("col_base", base + col_base),
-                ("val_base", base + val_base),
-                ("x_base", base + x_base),
-                ("y_base", base + y_base),
-            ]);
-            sys.push_to_symbol("params", &[pb.as_slice()]);
-        } else {
-            let rp_chunks: Vec<Vec<u8>> = rp_slices.iter().map(|s| to_bytes(s)).collect();
-            let col_chunks: Vec<Vec<u8>> =
-                nnz_slices.iter().map(|s| to_bytes(&m.colidx[s.clone()])).collect();
-            let val_chunks: Vec<Vec<u8>> =
-                nnz_slices.iter().map(|s| to_bytes(&m.vals[s.clone()])).collect();
-            sys.push_to_mram(rp_base, &rp_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            sys.push_to_mram(col_base, &col_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            sys.push_to_mram(val_base, &val_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            sys.broadcast_to_mram(x_base, &to_bytes(&x));
-            let pbs: Vec<Vec<u8>> = bands
-                .iter()
-                .map(|b| {
-                    params.bytes(&[
-                        ("rows", b.len() as u32),
-                        ("rp_base", rp_base),
-                        ("col_base", col_base),
-                        ("val_base", val_base),
-                        ("x_base", x_base),
-                        ("y_base", y_base),
-                    ])
-                })
-                .collect();
-            sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        }
-        let report = sys.launch_all()?;
+        let rp_cap = region(rp_slices.iter().map(Vec::len).max().unwrap_or(1) as u32 * 4);
+        let nnz_cap =
+            region(nnz_slices.iter().map(|s| s.len().max(1)).max().unwrap_or(1) as u32 * 4);
+        let col_off = rp_cap;
+        let val_off = col_off + nnz_cap;
+        let x_off = val_off + nnz_cap;
+        let y_off = x_off + region(cols as u32 * 4);
+        st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
+        st.scatter(col_off, |d| to_bytes(&m.colidx[nnz_slices[d].clone()]))?;
+        st.scatter(val_off, |d| to_bytes(&m.vals[nnz_slices[d].clone()]))?;
+        st.broadcast(x_off, &to_bytes(&x));
+        st.zeroed(y_off, rows as u32 * 4);
+        let bases = [0, col_off, val_off, x_off, y_off].map(|off| st.addr(off));
+        st.params(|d| {
+            [
+                ("rows", bands[d].len() as u32),
+                ("rp_base", bases[0]),
+                ("col_base", bases[1]),
+                ("val_base", bases[2]),
+                ("x_base", bases[3]),
+                ("y_base", bases[4]),
+            ]
+        })?;
+        st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|b| b.len() as u32 * 4).collect();
-        let got: Vec<i32> = if rc.cached() {
-            let base = program.heap_base.div_ceil(64) * 64;
-            from_bytes(&sys.dpu(0).read_wram(y_base + base, lens[0]))
-        } else {
-            crate::common::parallel_pull_words(&mut sys, y_base, &lens)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("SpMV", &got, &expect),
-        ))
+        let got = st.gather(y_off, &lens);
+        Ok(st.finish(validate_words("SpMV", &got, &expect)))
     }
 }
 

@@ -9,14 +9,17 @@
 //! across tasklets and banded across DPUs, mirroring the CSR layout so
 //! the two SpMVs are directly comparable in Fig-5-style breakdowns.
 
+use std::ops::Range;
+
 use pim_asm::{DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
-use pim_isa::{AluOp, Cond};
+use pim_isa::Cond;
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, validate_words, Params};
-use crate::datasets::bsr;
+use crate::common::{
+    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage, REGION_SKEW,
+};
+use crate::datasets::bsr::{self, Bsr};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
 /// The SpMV-BSR workload.
@@ -49,13 +52,7 @@ fn kernel(n_tasklets: u32, b: u32) -> (DpuProgram, Params) {
     k.mul(yb, t, (b * 4) as i32);
     k.add(yb, yb, y_buf as i32);
     // Contiguous block-row range (last tasklet absorbs the remainder).
-    k.alu(AluOp::Div, m, brows, n_tasklets as i32);
-    k.mul(r, m, t);
-    k.add(re, r, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(re, brows);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, brows, t, [m, r, re], n_tasklets);
     let done = k.fresh_label("done");
     k.branch(Cond::Geu, r, re, &done);
 
@@ -150,77 +147,60 @@ impl Workload for SpmvBsr {
         let mut rng = StdRng::seed_from_u64(0x4253_5257);
         let x: Vec<i32> = (0..a.cols()).map(|_| rng.gen_range(-10..10)).collect();
         let expect = bsr::spmv_reference(&a, &x);
-        let n_dpus = rc.n_dpus as usize;
-        let b = block as u32;
-        let (program, params) = kernel(rc.dpu.n_tasklets, b);
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        // Per-DPU block-row bands with rebased rowptr slices.
-        let bands: Vec<std::ops::Range<usize>> =
-            (0..n_dpus).map(|d| chunk_range(block_rows, n_dpus, d)).collect();
-        let rp_slices: Vec<Vec<i32>> = bands
-            .iter()
-            .map(|bd| {
-                let base = a.rowptr[bd.start];
-                a.rowptr[bd.start..=bd.end].iter().map(|v| v - base).collect()
-            })
-            .collect();
-        let blk_slices: Vec<std::ops::Range<usize>> =
-            bands.iter().map(|bd| a.rowptr[bd.start] as usize..a.rowptr[bd.end] as usize).collect();
-        let skew = crate::common::REGION_SKEW;
-        let rp_cap =
-            (rp_slices.iter().map(Vec::len).max().unwrap_or(1) as u32 * 4).div_ceil(8) * 8 + skew;
-        let col_cap = (blk_slices.iter().map(|s| s.len().max(1)).max().unwrap_or(1) as u32 * 4)
-            .div_ceil(8)
-            * 8
-            + skew;
-        let val_cap = col_cap.saturating_sub(skew) * b * b + skew;
-        let x_cap = (a.cols() as u32 * 4).div_ceil(8) * 8 + skew;
-        let rp_base = 0u32;
-        let col_base = rp_cap;
-        let val_base = col_base + col_cap;
-        let x_base = val_base + val_cap;
-        let y_base = x_base + x_cap;
-        let rp_chunks: Vec<Vec<u8>> =
-            rp_slices.iter().map(|s| crate::common::to_bytes(s)).collect();
-        let col_chunks: Vec<Vec<u8>> =
-            blk_slices.iter().map(|s| crate::common::to_bytes(&a.colidx[s.clone()])).collect();
-        let val_chunks: Vec<Vec<u8>> = blk_slices
-            .iter()
-            .map(|s| {
-                crate::common::to_bytes(&a.vals[s.start * block * block..s.end * block * block])
-            })
-            .collect();
-        sys.push_to_mram(rp_base, &rp_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.push_to_mram(col_base, &col_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.push_to_mram(val_base, &val_chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        sys.broadcast_to_mram(x_base, &crate::common::to_bytes(&x));
-        let pbs: Vec<Vec<u8>> = bands
-            .iter()
-            .map(|bd| {
-                params.bytes(&[
-                    ("brows", bd.len() as u32),
-                    ("rp_base", rp_base),
-                    ("col_base", col_base),
-                    ("val_base", val_base),
-                    ("x_base", x_base),
-                    ("y_base", y_base),
-                ])
-            })
-            .collect();
-        sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, block as u32))?;
+        let (bands, offs) = stage_bsr(&mut st, &a, &x)?;
+        st.params(|d| {
+            [
+                ("brows", bands[d].len() as u32),
+                ("rp_base", offs[0]),
+                ("col_base", offs[1]),
+                ("val_base", offs[2]),
+                ("x_base", offs[3]),
+                ("y_base", offs[4]),
+            ]
+        })?;
+        st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| (bd.len() * block) as u32 * 4).collect();
-        let got: Vec<i32> = crate::common::parallel_pull_words(&mut sys, y_base, &lens)
-            .into_iter()
-            .flatten()
-            .collect();
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("SpMV-BSR", &got, &expect),
-        ))
+        let got = st.gather(offs[4], &lens);
+        Ok(st.finish(validate_words("SpMV-BSR", &got, &expect)))
     }
+}
+
+/// Stages a BSR matrix banded by block rows across the stage's DPUs —
+/// rebased `rowptr` slices, then `colidx` and the tile payloads, each in
+/// its own region — and broadcasts the dense operand after them. Returns
+/// the per-DPU bands and the offsets of `rowptr`, `colidx`, the tiles, the
+/// dense operand and the output region.
+pub(super) fn stage_bsr(
+    st: &mut Stage,
+    a: &Bsr,
+    dense: &[i32],
+) -> Result<(Vec<Range<usize>>, [u32; 5]), SimError> {
+    let n_dpus = st.n_dpus();
+    let tile = a.block * a.block;
+    let bands: Vec<Range<usize>> =
+        (0..n_dpus).map(|d| chunk_range(a.block_rows, n_dpus, d)).collect();
+    let rp_slices: Vec<Vec<i32>> = bands
+        .iter()
+        .map(|bd| {
+            let base = a.rowptr[bd.start];
+            a.rowptr[bd.start..=bd.end].iter().map(|v| v - base).collect()
+        })
+        .collect();
+    let blk_slices: Vec<Range<usize>> =
+        bands.iter().map(|bd| a.rowptr[bd.start] as usize..a.rowptr[bd.end] as usize).collect();
+    let col_off = region(rp_slices.iter().map(Vec::len).max().unwrap_or(1) as u32 * 4);
+    let col_cap = region(blk_slices.iter().map(|s| s.len().max(1)).max().unwrap_or(1) as u32 * 4);
+    let val_off = col_off + col_cap;
+    let dense_off = val_off + col_cap.saturating_sub(REGION_SKEW) * tile as u32 + REGION_SKEW;
+    let out_off = dense_off + region(dense.len() as u32 * 4);
+    st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
+    st.scatter(col_off, |d| to_bytes(&a.colidx[blk_slices[d].clone()]))?;
+    st.scatter(val_off, |d| {
+        to_bytes(&a.vals[blk_slices[d].start * tile..blk_slices[d].end * tile])
+    })?;
+    st.broadcast(dense_off, &to_bytes(dense));
+    Ok((bands, [0, col_off, val_off, dense_off, out_off]))
 }
 
 #[cfg(test)]

@@ -8,11 +8,10 @@
 
 use pim_asm::{DpuProgram, KernelBuilder, Mutex};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{emit_tasklet_byte_range, from_bytes, to_bytes, validate_words, Params};
+use crate::common::{emit_tasklet_byte_range, to_bytes, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Tile edge in words (16×16 words = 1 KB per tile buffer).
@@ -181,59 +180,36 @@ impl Workload for Trns {
         // Row bands must stay tile-aligned.
         assert_eq!(rows % (TILE as usize * n_dpus.max(1)), 0, "rows must split into tiles");
         let band = rows / n_dpus;
-        let (program, params) = if rc.cached() {
-            kernel_flat(rc.dpu.n_tasklets)
-        } else {
-            kernel_scratchpad(rc.dpu.n_tasklets)
-        };
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let kernel = if rc.cached() { kernel_flat } else { kernel_scratchpad };
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets))?;
         let band_bytes = (band * cols * 4) as u32;
-        let (in_base, out_base) = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            sys.dpu_mut(0).write_wram(base, &to_bytes(&input));
-            sys.dpu_mut(0).write_wram(base + band_bytes, &vec![0u8; rows * cols * 4]);
-            (base, base + band_bytes)
-        } else {
-            let chunks: Vec<Vec<u8>> = (0..n_dpus)
-                .map(|d| to_bytes(&input[d * band * cols..(d + 1) * band * cols]))
-                .collect();
-            sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            (0, band_bytes)
-        };
+        let (in_base, out_base) = (st.addr(0), st.addr(band_bytes));
+        st.scatter(0, |d| to_bytes(&input[d * band * cols..(d + 1) * band * cols]))?;
+        st.zeroed(band_bytes, band_bytes);
         // Each DPU transposes its band: output is cols × band.
         let tiles_x = cols as u32 / TILE;
         let ntiles = (band as u32 / TILE) * tiles_x;
-        let pb = params.bytes(&[
-            ("rows", band as u32),
-            ("cols", cols as u32),
-            ("in_base", in_base),
-            ("out_base", out_base),
-            ("ntiles", ntiles),
-            ("tiles_x", tiles_x),
-        ]);
-        sys.push_to_symbol("params", &vec![pb.as_slice(); n_dpus]);
-        let report = sys.launch_all()?;
+        st.params(|_| {
+            [
+                ("rows", band as u32),
+                ("cols", cols as u32),
+                ("in_base", in_base),
+                ("out_base", out_base),
+                ("ntiles", ntiles),
+                ("tiles_x", tiles_x),
+            ]
+        })?;
+        st.launch()?;
         // Reassemble: DPU d's output column c covers out[c][d*band..(d+1)*band].
-        let pulled: Vec<Vec<i32>> = if rc.cached() {
-            vec![from_bytes(&sys.dpu(0).read_wram(out_base, (rows * cols * 4) as u32))]
-        } else {
-            crate::common::parallel_pull_words(&mut sys, out_base, &vec![band_bytes; n_dpus])
-        };
         let mut got = vec![0i32; rows * cols];
-        for (d, part) in pulled.iter().enumerate() {
-            for c in 0..cols {
-                for r in 0..band {
-                    got[c * rows + d * band + r] = part[c * band + r];
-                }
+        for (d, part) in st.pull(band_bytes, band_bytes).iter().enumerate() {
+            for (i, word) in part.chunks_exact(4).enumerate() {
+                let (c, r) = (i / band, i % band);
+                got[c * rows + d * band + r] =
+                    i32::from_le_bytes(word.try_into().expect("4B word"));
             }
         }
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("TRNS", &got, &expect),
-        ))
+        Ok(st.finish(validate_words("TRNS", &got, &expect)))
     }
 }
 

@@ -7,13 +7,16 @@
 //! iterations against WRAM-resident data (the paper groups TS with the
 //! workloads whose bottleneck is issue bandwidth, not memory).
 
+use std::ops::Range;
+
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, to_bytes, validate_words, Params};
+use crate::common::{
+    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
+};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Candidate positions processed per staging block.
@@ -54,13 +57,7 @@ fn kernel(n_tasklets: u32, qlen: u32, flat: bool) -> (DpuProgram, Params) {
     }
 
     // Contiguous position range per tasklet.
-    k.alu(AluOp::Div, m, npos, n_tasklets as i32);
-    k.mul(start, m, t);
-    k.add(end, start, m);
-    let not_last = k.fresh_label("not_last");
-    k.branch(Cond::Ne, t, n_tasklets as i32 - 1, &not_last);
-    k.mov(end, npos);
-    k.place(&not_last);
+    emit_tasklet_rows(&mut k, npos, t, [m, start, end], n_tasklets);
 
     k.movi(best, i32::MAX);
     k.movi(besti, -1);
@@ -184,60 +181,25 @@ impl Workload for Ts {
             }
         }
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, qlen as u32, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, qlen as u32, rc.cached()))?;
         // Each DPU gets its position range plus the qlen-1 overlap tail.
-        let series_base = 0u32;
-        let qcap = (qlen as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-        let query_base_off = |slice_words: usize| {
-            (slice_words as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW
-        };
-        let slices: Vec<(usize, usize)> = (0..n_dpus)
-            .map(|d| {
-                let r = chunk_range(npos, n_dpus, d);
-                (r.start, r.end - r.start)
-            })
-            .collect();
-        let max_slice = slices.iter().map(|(_, l)| l + qlen - 1).max().unwrap_or(0);
-        let q_base = query_base_off(max_slice);
-        let chunks: Vec<Vec<u8>> =
-            slices.iter().map(|&(s, l)| to_bytes(&series[s..s + l + qlen - 1])).collect();
-        if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            let dpu = sys.dpu_mut(0);
-            dpu.write_wram(base, &chunks[0]);
-            dpu.write_wram(base + q_base, &to_bytes(&query));
-            let pb = params.bytes(&[
-                ("npos", npos as u32),
-                ("pos_base", 0),
-                ("series_base", base),
-                ("query_base", base + q_base),
-            ]);
-            sys.push_to_symbol("params", &[pb.as_slice()]);
-        } else {
-            sys.push_to_mram(series_base, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            sys.broadcast_to_mram(q_base, &to_bytes(&query));
-            let pbs: Vec<Vec<u8>> = slices
-                .iter()
-                .map(|&(s, l)| {
-                    params.bytes(&[
-                        ("npos", l as u32),
-                        ("pos_base", s as u32),
-                        ("series_base", series_base),
-                        ("query_base", q_base),
-                    ])
-                })
-                .collect();
-            sys.push_to_symbol("params", &pbs.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        }
-        let _ = qcap;
-        let report = sys.launch_all()?;
+        let slices: Vec<Range<usize>> = (0..n_dpus).map(|d| chunk_range(npos, n_dpus, d)).collect();
+        let q_off = region(slices.iter().map(|r| r.len() + qlen - 1).max().unwrap_or(0) as u32 * 4);
+        let (series_base, q_base) = (st.addr(0), st.addr(q_off));
+        st.scatter(0, |d| to_bytes(&series[slices[d].start..slices[d].end + qlen - 1]))?;
+        st.broadcast(q_off, &to_bytes(&query));
+        st.params(|d| {
+            [
+                ("npos", slices[d].len() as u32),
+                ("pos_base", slices[d].start as u32),
+                ("series_base", series_base),
+                ("query_base", q_base),
+            ]
+        })?;
+        st.launch()?;
         // Host-side fold across DPUs (ascending order keeps earliest ties).
-        let bests = sys.pull_from_symbol("best");
         let (mut gmin, mut gidx) = (i32::MAX, -1i32);
-        for b in &bests {
+        for b in st.pull_symbol("best") {
             let d = i32::from_le_bytes(b[0..4].try_into().expect("8-byte best"));
             let i = i32::from_le_bytes(b[4..8].try_into().expect("8-byte best"));
             if d < gmin {
@@ -245,11 +207,7 @@ impl Workload for Ts {
                 gidx = i;
             }
         }
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("TS", &[gmin, gidx], &[emin, eidx]),
-        ))
+        Ok(st.finish(validate_words("TS", &[gmin, gidx], &[emin, eidx])))
     }
 }
 

@@ -11,12 +11,11 @@
 
 use pim_asm::{Barrier, DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
 use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, to_bytes, validate_words, Params,
+    chunk_range, emit_tasklet_byte_range, from_bytes, region, validate_words, Params, Stage,
 };
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
@@ -200,55 +199,30 @@ impl Workload for Uni {
             }
         }
         let n_dpus = rc.n_dpus as usize;
-        let (program, params) = kernel(rc.dpu.n_tasklets, rc.cached());
-        let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-        sys.load(&program)?;
-        let cap_bytes = (chunk_range(n, n_dpus, 0).len() as u32 * 4).div_ceil(8) * 8
-            + crate::common::REGION_SKEW;
-        let (in_base, out_base) = if rc.cached() {
-            assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
-            let base = program.heap_base.div_ceil(64) * 64;
-            sys.dpu_mut(0).write_wram(base, &to_bytes(&input));
-            sys.dpu_mut(0).write_wram(base + cap_bytes, &vec![0u8; n * 4]);
-            (base, base + cap_bytes)
-        } else {
-            let chunks: Vec<Vec<u8>> =
-                (0..n_dpus).map(|d| to_bytes(&input[chunk_range(n, n_dpus, d)])).collect();
-            sys.push_to_mram(0, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>());
-            (0, cap_bytes)
-        };
-        let param_bytes: Vec<Vec<u8>> = (0..n_dpus)
-            .map(|d| {
-                // The host hands each DPU its predecessor element — the
-                // inter-DPU handoff.
-                let prev =
-                    if d == 0 { NO_PREV } else { input[chunk_range(n, n_dpus, d - 1).end - 1] };
-                params.bytes(&[
-                    ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
-                    ("in_base", in_base),
-                    ("out_base", out_base),
-                    ("prev", prev as u32),
-                ])
-            })
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
+        let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
+        let (in_base, out_base) = (st.addr(0), st.addr(cap));
+        st.scatter_words(0, &input)?;
+        st.zeroed(cap, n as u32 * 4);
+        st.params(|d| {
+            // The host hands each DPU its predecessor element — the
+            // inter-DPU handoff.
+            let prev = if d == 0 { NO_PREV } else { input[chunk_range(n, n_dpus, d - 1).end - 1] };
+            [
+                ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
+                ("in_base", in_base),
+                ("out_base", out_base),
+                ("prev", prev as u32),
+            ]
+        })?;
+        st.launch()?;
+        let lens: Vec<u32> = st
+            .pull_symbol("counts")
+            .iter()
+            .map(|c| from_bytes(c).iter().sum::<i32>() as u32 * 4)
             .collect();
-        sys.push_to_symbol("params", &param_bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
-        let report = sys.launch_all()?;
-        let counts = sys.pull_from_symbol("counts");
-        let lens: Vec<u32> =
-            counts.iter().map(|c| from_bytes(c).iter().sum::<i32>() as u32 * 4).collect();
-        let got: Vec<i32> = if rc.cached() {
-            from_bytes(&sys.dpu(0).read_wram(out_base, lens[0]))
-        } else {
-            crate::common::parallel_pull_words(&mut sys, out_base, &lens)
-                .into_iter()
-                .flatten()
-                .collect()
-        };
-        Ok(crate::common::finish_run(
-            &mut sys,
-            report.per_dpu,
-            validate_words("UNI", &got, &expect),
-        ))
+        let got = st.gather(cap, &lens);
+        Ok(st.finish(validate_words("UNI", &got, &expect)))
     }
 }
 

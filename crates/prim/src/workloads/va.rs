@@ -4,11 +4,10 @@
 
 use pim_asm::{DpuProgram, KernelBuilder};
 use pim_dpu::SimError;
-use pim_host::PimSystem;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, to_bytes, Params};
+use crate::common::{chunk_range, from_bytes, region, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Per-tasklet staging block, in bytes (256 elements).
@@ -129,83 +128,35 @@ impl Workload for Va {
         let a: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
         let b: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
         let expect: Vec<i32> = a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)).collect();
-        if rc.cached() {
-            run_flat(&a, &b, &expect, rc)
+        let n_dpus = rc.n_dpus as usize;
+        let kernel = if rc.cached() { kernel_flat } else { kernel_scratchpad };
+        let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets))?;
+        // Uniform MRAM regions sized for the largest chunk; the flat buffers
+        // sit back to back.
+        let cap = if rc.cached() {
+            n as u32 * 4
         } else {
-            run_scratchpad(&a, &b, &expect, rc)
-        }
-    }
-}
-
-fn run_scratchpad(
-    a: &[i32],
-    b: &[i32],
-    expect: &[i32],
-    rc: &RunConfig,
-) -> Result<WorkloadRun, SimError> {
-    let n = a.len();
-    let n_dpus = rc.n_dpus as usize;
-    let (program, params) = kernel_scratchpad(rc.dpu.n_tasklets);
-    let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
-    sys.load(&program)?;
-    // Uniform MRAM layout sized for the largest chunk.
-    let cap_bytes =
-        (chunk_range(n, n_dpus, 0).len() as u32 * 4).div_ceil(8) * 8 + crate::common::REGION_SKEW;
-    let (a_base, b_base, c_base) = (0u32, cap_bytes, 2 * cap_bytes);
-    let chunks_a: Vec<Vec<u8>> =
-        (0..n_dpus).map(|d| to_bytes(&a[chunk_range(n, n_dpus, d)])).collect();
-    let chunks_b: Vec<Vec<u8>> =
-        (0..n_dpus).map(|d| to_bytes(&b[chunk_range(n, n_dpus, d)])).collect();
-    let param_bytes: Vec<Vec<u8>> = (0..n_dpus)
-        .map(|d| {
-            params.bytes(&[
+            region(chunk_range(n, n_dpus, 0).len() as u32 * 4)
+        };
+        let (a_base, b_base, c_base) = (st.addr(0), st.addr(cap), st.addr(2 * cap));
+        st.scatter_words(0, &a)?;
+        st.scatter_words(cap, &b)?;
+        st.zeroed(2 * cap, n as u32 * 4);
+        st.params(|d| {
+            [
                 ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
                 ("a_base", a_base),
                 ("b_base", b_base),
                 ("c_base", c_base),
-            ])
-        })
-        .collect();
-    sys.push_to_mram(a_base, &chunks_a.iter().map(Vec::as_slice).collect::<Vec<_>>());
-    sys.push_to_mram(b_base, &chunks_b.iter().map(Vec::as_slice).collect::<Vec<_>>());
-    sys.push_to_symbol("params", &param_bytes.iter().map(Vec::as_slice).collect::<Vec<_>>());
-    let report = sys.launch_all()?;
-    let pulled = sys.pull_from_mram(c_base, cap_bytes);
-    let mut got: Vec<i32> = Vec::with_capacity(n);
-    for (d, bytes) in pulled.iter().enumerate() {
-        let len = chunk_range(n, n_dpus, d).len();
-        got.extend(&from_bytes(bytes)[..len]);
+            ]
+        })?;
+        st.launch()?;
+        let mut got: Vec<i32> = Vec::with_capacity(n);
+        for (d, bytes) in st.pull(2 * cap, cap).iter().enumerate() {
+            got.extend(&from_bytes(bytes)[..chunk_range(n, n_dpus, d).len()]);
+        }
+        Ok(st.finish(validate_words("VA", &got, &expect)))
     }
-    Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate(&got, expect)))
-}
-
-fn run_flat(a: &[i32], b: &[i32], expect: &[i32], rc: &RunConfig) -> Result<WorkloadRun, SimError> {
-    assert_eq!(rc.n_dpus, 1, "the cache-centric case study runs on a single DPU");
-    let n = a.len() as u32;
-    let (program, params) = kernel_flat(rc.dpu.n_tasklets);
-    let mut sys = PimSystem::new(1, rc.dpu.clone(), rc.xfer);
-    sys.load(&program)?;
-    let a_base = program.heap_base.div_ceil(64) * 64;
-    let b_base = a_base + n * 4;
-    let c_base = b_base + n * 4;
-    let dpu = sys.dpu_mut(0);
-    dpu.write_wram(a_base, &to_bytes(a));
-    dpu.write_wram(b_base, &to_bytes(b));
-    dpu.write_wram(c_base, &vec![0u8; n as usize * 4]);
-    let pbytes = params.bytes(&[
-        ("nbytes", n * 4),
-        ("a_base", a_base),
-        ("b_base", b_base),
-        ("c_base", c_base),
-    ]);
-    sys.push_to_symbol("params", &[pbytes.as_slice()]);
-    let report = sys.launch_all()?;
-    let got = from_bytes(&sys.dpu(0).read_wram(c_base, n * 4));
-    Ok(crate::common::finish_run(&mut sys, report.per_dpu, validate(&got, expect)))
-}
-
-fn validate(got: &[i32], expect: &[i32]) -> Result<(), String> {
-    crate::common::validate_words("VA", got, expect)
 }
 
 #[cfg(test)]

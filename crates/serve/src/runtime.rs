@@ -694,7 +694,7 @@ fn run_loop(
         // Packing fills DPUs in healthy order, so the occupied ones are
         // exactly the first `ceil(batch / SLOTS_PER_DPU)`. Each resolves
         // its profile position here, once. Parallel transfers charge the
-        // largest per-DPU chunk (as `push_to_mram` does).
+        // largest per-DPU chunk (as `try_push_to_mram` does).
         dpus.clear();
         let (mut to_bytes, mut from_bytes) = (0u64, 0u64);
         for requests in batch.chunks(SLOTS_PER_DPU) {

@@ -65,14 +65,14 @@ fn build_kernel() -> DpuProgram {
     k.build().expect("kernel builds")
 }
 
-fn main() {
+fn main() -> Result<(), SimError> {
     let a: Vec<i32> = (0..N as i32).collect();
     let b: Vec<i32> = (0..N as i32).map(|x| 10 * x).collect();
 
     // dpu_alloc + dpu_load
     let mut sys =
         PimSystem::new(N_DPUS, DpuConfig::paper_baseline(N_TASKLETS), ChannelConfig::paper());
-    sys.load(&build_kernel()).expect("loads");
+    sys.load(&build_kernel())?;
 
     // Partition and push inputs (dpu_push_xfer TO_DPU).
     let per = N / N_DPUS as usize;
@@ -82,12 +82,12 @@ fn main() {
         (0..N_DPUS as usize).map(|d| to_bytes(&a[d * per..(d + 1) * per])).collect();
     let chunks_b: Vec<Vec<u8>> =
         (0..N_DPUS as usize).map(|d| to_bytes(&b[d * per..(d + 1) * per])).collect();
-    sys.push_to_mram(0, &chunks_a.iter().map(Vec::as_slice).collect::<Vec<_>>());
-    sys.push_to_mram(nbytes, &chunks_b.iter().map(Vec::as_slice).collect::<Vec<_>>());
+    sys.try_push_to_mram(0, &chunks_a.iter().map(Vec::as_slice).collect::<Vec<_>>())?;
+    sys.try_push_to_mram(nbytes, &chunks_b.iter().map(Vec::as_slice).collect::<Vec<_>>())?;
     sys.broadcast_to_symbol("nbytes", &nbytes.to_le_bytes());
 
     // dpu_launch (synchronous)
-    let report = sys.launch_all().expect("kernel runs");
+    let report = sys.launch_all()?;
 
     // Pull C back (dpu_push_xfer FROM_DPU) and check.
     let pulled = sys.pull_from_mram(2 * nbytes, nbytes);
@@ -111,4 +111,5 @@ fn main() {
         s.ipc(),
         s.mram_read_utilization() * 100.0
     );
+    Ok(())
 }

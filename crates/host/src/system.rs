@@ -446,9 +446,15 @@ impl PimSystem {
     ///
     /// Propagates the [`SimError`] of the lowest-indexed faulting DPU.
     pub fn launch_all(&mut self) -> Result<LaunchReport, SimError> {
-        let n_workers = std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get)
-            .min(self.dpus.len());
+        // A one-DPU launch has one worker whatever the core count, so it
+        // skips the query (which reads cgroup files on every call).
+        let n_workers = if self.dpus.len() <= 1 {
+            self.dpus.len()
+        } else {
+            std::thread::available_parallelism()
+                .map_or(1, std::num::NonZeroUsize::get)
+                .min(self.dpus.len())
+        };
         let batches: Vec<_> = if n_workers <= 1 {
             vec![pim_dpu::run_batch(&mut self.dpus)]
         } else {

@@ -10,12 +10,19 @@
 //!
 //! A DPU's *composition* is the vector of request classes occupying its
 //! slots. Execution cost is obtained by cycle-level simulation of the
-//! co-located image once per distinct composition and memoized: rounds
-//! re-use profiles, and only first-seen compositions pay for simulation
-//! (those simulations are what `--threads` parallelizes).
+//! co-located image and memoized at two levels: a run's
+//! [`CompositionCache`] holds the profiles that run has used, and beneath
+//! it a process-wide memo keyed on the full [`DpuConfig`] and the
+//! canonical composition holds every profile any run of the process has
+//! simulated. Only compositions the process has never simulated under an
+//! equal config pay for simulation (those simulations are what
+//! `--threads` parallelizes); traced profiling bypasses the memo so it
+//! always yields its event trace ([`memoized_profiles`]).
 
 use std::collections::btree_map::{BTreeMap, Entry};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
+use pimulator::jobs::JobRunner;
 use pimulator::pim_asm::{KernelBuilder, LinkOptions};
 use pimulator::pim_dpu::{colocate, Colocated, DpuConfig, SimError, Tenant};
 use pimulator::pim_host::{ChannelConfig, PimSystem};
@@ -384,7 +391,8 @@ pub struct CompositionProfile {
 
 /// Cycle-simulates one composition on a single-DPU system and returns
 /// its profile (plus the harvested event trace when `trace_capacity` is
-/// non-zero). Inputs are staged and outputs pulled through the fallible
+/// non-zero). It simulates on every call; [`memoized_profiles`] is the
+/// memoized path. Inputs are staged and outputs pulled through the fallible
 /// transfer API — a serving batch must never abort the process on a
 /// routing bug.
 ///
@@ -485,6 +493,78 @@ impl CompositionCache {
     }
 }
 
+/// One profile result: the profile and, for a traced simulation, its
+/// event trace.
+pub type ProfileResult = Result<(CompositionProfile, Option<JobTrace>), SimError>;
+
+/// The process-wide profile memo: one table per distinct [`DpuConfig`]
+/// (compared with `==`; a scan, as a process sees only a handful), each
+/// from canonical composition to the profile simulated under that config.
+type ProfileMemo = Vec<(DpuConfig, BTreeMap<Composition, CompositionProfile>)>;
+
+static PROFILE_MEMO: Mutex<ProfileMemo> = Mutex::new(Vec::new());
+
+/// The memo, locked. A profile is inserted whole or not at all, so a
+/// panic elsewhere while the lock was held leaves nothing half-written.
+fn profile_memo() -> MutexGuard<'static, ProfileMemo> {
+    PROFILE_MEMO.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The memoized profile of `comp` under `cfg`, if the process has one.
+fn memo_lookup(
+    memo: &ProfileMemo,
+    cfg: &DpuConfig,
+    comp: &Composition,
+) -> Option<CompositionProfile> {
+    memo.iter().find(|(c, _)| c == cfg).and_then(|(_, table)| table.get(comp)).cloned()
+}
+
+/// Profiles `comps` under `cfg`, in order, simulating only what the
+/// process has not simulated before. Compositions in the process-wide
+/// memo are read from it; the rest go to [`profile_composition`] through
+/// the order-preserving `runner`, and each success is memoized (errors
+/// never are). The lock is taken for the lookups and for the inserts,
+/// never across a simulation. A traced call (`trace_capacity > 0`)
+/// neither reads nor writes the memo, so every composition is simulated
+/// and returns its trace. A memo hit carries no trace.
+pub fn memoized_profiles(
+    comps: &[Composition],
+    cfg: &DpuConfig,
+    trace_capacity: usize,
+    runner: &JobRunner,
+) -> Vec<ProfileResult> {
+    if trace_capacity > 0 {
+        return runner.map(comps, |_, comp| profile_composition(comp, cfg, trace_capacity));
+    }
+    let mut results: Vec<Option<ProfileResult>> = {
+        let memo = profile_memo();
+        comps.iter().map(|comp| memo_lookup(&memo, cfg, comp).map(|p| Ok((p, None)))).collect()
+    };
+    let misses: Vec<Composition> =
+        comps.iter().zip(&results).filter(|(_, r)| r.is_none()).map(|(&comp, _)| comp).collect();
+    if !misses.is_empty() {
+        let profiled = runner.map(&misses, |_, comp| profile_composition(comp, cfg, 0));
+        {
+            let mut memo = profile_memo();
+            let at = memo.iter().position(|(c, _)| c == cfg).unwrap_or_else(|| {
+                memo.push((cfg.clone(), BTreeMap::new()));
+                memo.len() - 1
+            });
+            let table = &mut memo[at].1;
+            for (comp, res) in misses.iter().zip(&profiled) {
+                if let Ok((profile, _)) = res {
+                    table.entry(*comp).or_insert_with(|| profile.clone());
+                }
+            }
+        }
+        let empty = results.iter_mut().filter(|r| r.is_none());
+        for (slot, res) in empty.zip(profiled) {
+            *slot = Some(res);
+        }
+    }
+    results.into_iter().flatten().collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -537,6 +617,78 @@ mod tests {
         assert_eq!((cache.position(&a), cache.position(&b)), (Some(0), Some(1)));
         assert_eq!(cache.profile(0).makespan_ns, 10.0);
         assert_eq!(cache.profile(1).makespan_ns, 20.0);
+    }
+
+    /// A [`composition_label`] parsed back into its composition.
+    fn composition_of(label: &str) -> Composition {
+        let mut comp = [EMPTY_SLOT; SLOTS_PER_DPU];
+        for (slot, name) in comp.iter_mut().zip(label.split('+')) {
+            *slot = if name == "--" { EMPTY_SLOT } else { class_index(name).unwrap() };
+        }
+        comp
+    }
+
+    fn bits(p: &CompositionProfile) -> (Vec<u64>, u64) {
+        (p.slot_exec_ns.iter().map(|ns| ns.to_bits()).collect(), p.makespan_ns.to_bits())
+    }
+
+    /// Asserts that the memo holds, for every one of `comps` under `cfg`,
+    /// exactly what a fresh simulation returns.
+    fn assert_memo_matches_profiling(cfg: &DpuConfig, comps: &[Composition]) {
+        let memoized: Vec<_> = {
+            let memo = profile_memo();
+            comps.iter().map(|comp| memo_lookup(&memo, cfg, comp)).collect()
+        };
+        for (comp, memoized) in comps.iter().zip(memoized) {
+            let memoized = memoized.expect("every profiled composition is memoized");
+            let (fresh, _) = profile_composition(comp, cfg, 0).unwrap();
+            assert_eq!(bits(&memoized), bits(&fresh), "{}", composition_label(comp));
+        }
+    }
+
+    #[test]
+    fn the_memo_holds_what_profiling_returns_under_each_config_apart() {
+        use crate::runtime::{run_scenario, ServeOptions};
+        let tiny = *crate::scenario::scenario_by_name("tiny").unwrap();
+        let plain = DpuConfig::paper_baseline(SLOTS_PER_DPU as u32 * TASKLETS_PER_SLOT);
+        let mmu = plain.clone().with_paper_mmu();
+        let opts = |trace_capacity| ServeOptions {
+            threads: Some(2),
+            trace_capacity,
+            ..ServeOptions::default()
+        };
+        let mut reached = Vec::new();
+        for (cfg, with_mmu) in [(&plain, false), (&mmu, true)] {
+            let scenario = crate::scenario::Scenario { mmu: with_mmu, ..tiny };
+            // A traced run bypasses the memo and names every composition
+            // the scenario reaches; the untraced run memoizes them.
+            let traced = run_scenario(&scenario, &opts(64)).unwrap();
+            run_scenario(&scenario, &opts(0)).unwrap();
+            let comps: Vec<Composition> =
+                traced.traces.iter().map(|t| composition_of(&t.label)).collect();
+            assert_eq!(comps.len(), traced.distinct_compositions);
+            assert_memo_matches_profiling(cfg, &comps);
+            reached.push(comps);
+        }
+        // The key is the whole config, not a proxy for it: the plain
+        // config at twice the clock shares `mmu: None` with the plain one,
+        // yet gets a table and profiles of its own.
+        let faster = DpuConfig { freq_mhz: 2 * plain.freq_mhz, ..plain.clone() };
+        let fast = memoized_profiles(&reached[0], &faster, 0, &JobRunner::new(Some(2)));
+        assert!(fast.iter().all(|r| matches!(r, Ok((_, None)))));
+        assert_memo_matches_profiling(&faster, &reached[0]);
+        let memo = profile_memo();
+        let table = |cfg: &DpuConfig| memo.iter().position(|(c, _)| c == cfg).unwrap();
+        let tables = [table(&plain), table(&mmu), table(&faster)];
+        assert!(tables[0] != tables[1] && tables[0] != tables[2] && tables[1] != tables[2]);
+        let some_differ = |a: &DpuConfig, b: &DpuConfig, comps: &[Composition]| {
+            comps.iter().filter(|comp| reached[0].contains(comp)).any(|comp| {
+                bits(&memo_lookup(&memo, a, comp).unwrap())
+                    != bits(&memo_lookup(&memo, b, comp).unwrap())
+            })
+        };
+        assert!(some_differ(&plain, &faster, &reached[0]), "the clock must change some profile");
+        assert!(some_differ(&plain, &mmu, &reached[1]), "the MMU must cost something somewhere");
     }
 
     #[test]

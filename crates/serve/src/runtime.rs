@@ -6,11 +6,14 @@
 //! *round* — ready retries first, then a batch drained by the scheduling
 //! policy, packed onto the slots of the currently *healthy* DPUs. Each
 //! round's cost comes from cycle-level simulation of its per-DPU
-//! compositions, memoized in a [`CompositionCache`]; only first-seen
-//! compositions are simulated, and those simulations are the one thing
-//! `--threads` parallelizes (via the order-preserving
-//! [`JobRunner::map`]), so results are byte-identical at any worker
-//! count.
+//! compositions, memoized per run in a [`CompositionCache`] and per
+//! process beneath it ([`memoized_profiles`]); a run's first-seen
+//! compositions are read from the process memo where an earlier run
+//! simulated them under an equal config, and only the rest are
+//! simulated. Those simulations are the one thing `--threads`
+//! parallelizes (via the order-preserving [`JobRunner::map`]), so
+//! results are byte-identical at any worker count and whatever the
+//! process memo holds.
 //!
 //! ## The round's data layout
 //!
@@ -71,7 +74,7 @@ use crate::fault::{
     FaultKind, FaultPlan, FaultSpec, MAX_BACKOFF_SHIFT, MAX_DURATION_NS, MAX_HORIZON_NS,
 };
 use crate::kernels::{
-    profile_composition, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
+    memoized_profiles, request_classes, Composition, CompositionCache, EMPTY_SLOT, SLOTS_PER_DPU,
     TASKLETS_PER_SLOT,
 };
 use crate::queue::{AdmissionQueue, Request, TenantAdmission};
@@ -721,16 +724,16 @@ fn run_loop(
             idle_profiled = true;
         }
 
-        // Simulate first-seen compositions, in sorted order on the
-        // order-preserving runner so threading cannot reorder results.
+        // Profile first-seen compositions, in sorted order on the
+        // order-preserving runner so threading cannot reorder results;
+        // those the process memo already holds are not simulated again.
         // `seen` tracks every key ever cached so a resumed run (which
-        // re-simulates on demand) still reports the uninterrupted
+        // profiles on demand) still reports the uninterrupted
         // distinct-composition count.
         if !missing.is_empty() {
             missing.sort_unstable();
             missing.dedup();
-            let profiled = runner
-                .map(&missing, |_, comp| profile_composition(comp, &cfg, opts.trace_capacity));
+            let profiled = memoized_profiles(&missing, &cfg, opts.trace_capacity, &runner);
             for (comp, res) in missing.drain(..).zip(profiled) {
                 let (profile, trace) = res?;
                 st.seen.insert(comp);
@@ -936,9 +939,11 @@ mod tests {
 
     #[test]
     fn worker_count_does_not_change_the_outcome() {
+        // Traced, so both runs bypass the process-wide profile memo and
+        // simulate every composition at their own worker count.
         let s = scenario_by_name("tiny").unwrap();
-        let a = run_scenario(s, &opts(1)).unwrap();
-        let b = run_scenario(s, &opts(4)).unwrap();
+        let a = run_scenario(s, &ServeOptions { trace_capacity: 1, ..opts(1) }).unwrap();
+        let b = run_scenario(s, &ServeOptions { trace_capacity: 1, ..opts(4) }).unwrap();
         assert_eq!(a.completed(), b.completed());
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.timeline, b.timeline);

@@ -50,7 +50,9 @@ fn faulty_serving_json_is_byte_identical_across_thread_counts() {
     // Fault draws are keyed on (spec seed, round index) and outages are
     // pre-drawn, so even a campaign exercising all three failure modes —
     // transient, stuck, rank-offline — must render byte-identical
-    // results JSON at any worker count.
+    // results JSON at any worker count. The runs are traced, which
+    // bypasses the process-wide profile memo, so each one simulates every
+    // composition it reaches at its own worker count.
     use pim_serve::{outcome_json, run_scenario, scenario_by_name, FaultSpec, ServeOptions};
 
     let scenario = scenario_by_name("faulty").unwrap();
@@ -58,14 +60,19 @@ fn faulty_serving_json_is_byte_identical_across_thread_counts() {
         "seed=8,transient=70,stuck=25,timeout_us=900,outages=1,outage_ms=1,rank_dpus=4",
     )
     .unwrap();
-    let doc = |threads: usize| {
-        let opts =
-            ServeOptions { threads: Some(threads), faults: Some(spec), ..ServeOptions::default() };
+    let doc = |threads: usize, trace_capacity: usize| {
+        let opts = ServeOptions {
+            threads: Some(threads),
+            faults: Some(spec),
+            trace_capacity,
+            ..ServeOptions::default()
+        };
         outcome_json(&run_scenario(scenario, &opts).unwrap()).render_pretty()
     };
-    let reference = doc(1);
+    let reference = doc(1, 1);
+    assert!(doc(1, 0) == reference, "faulty serve diverged once memoized");
     for threads in [4usize, 8] {
-        assert!(doc(threads) == reference, "faulty serve diverged at --threads {threads}");
+        assert!(doc(threads, 1) == reference, "faulty serve diverged at --threads {threads}");
     }
 }
 

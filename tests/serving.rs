@@ -8,13 +8,78 @@ fn opts(threads: usize) -> ServeOptions {
     ServeOptions { threads: Some(threads), ..ServeOptions::default() }
 }
 
+// The profile memo is process-wide, so every test in this binary shares
+// it. A traced run is the cold reference: it neither reads nor writes the
+// memo, so it simulates every composition it reaches. The worker-count
+// tests compare traced runs, so the parallel legs really profile in
+// parallel instead of reading what an earlier run left in the memo.
+
+/// `opts(threads)`, traced so the run simulates every composition.
+fn cold(threads: usize) -> ServeOptions {
+    ServeOptions { trace_capacity: 1, ..opts(threads) }
+}
+
 #[test]
 fn serving_json_is_byte_identical_across_worker_counts() {
     let scenario = scenario_by_name("tiny").unwrap();
-    let reference = outcome_json(&run_scenario(scenario, &opts(1)).unwrap()).render_pretty();
+    let doc = |o: &ServeOptions| outcome_json(&run_scenario(scenario, o).unwrap()).render_pretty();
+    let reference = doc(&cold(1));
+    assert!(doc(&opts(1)) == reference, "serve tiny diverged once memoized");
     for threads in [4usize, 8] {
-        let got = outcome_json(&run_scenario(scenario, &opts(threads)).unwrap()).render_pretty();
+        let got = doc(&cold(threads));
         assert!(got == reference, "serve tiny at --threads {threads} diverged from the serial run");
+    }
+}
+
+#[test]
+fn a_warm_profile_memo_is_invisible_in_the_results() {
+    let scenario = scenario_by_name("demo").unwrap();
+    let run = |trace_capacity| {
+        let o = ServeOptions { seed: 5, duration_ms: 10, trace_capacity, ..opts(2) };
+        run_scenario(scenario, &o).unwrap()
+    };
+    let cold = run(64);
+    let reference = outcome_json(&cold).render_pretty();
+    // The first untraced run fills the memo; the second finds it warm.
+    for out in [run(0), run(0)] {
+        assert!(outcome_json(&out).render_pretty() == reference, "a memoized run diverged");
+        assert_eq!(
+            (out.distinct_compositions, out.composition_lookups),
+            (cold.distinct_compositions, cold.composition_lookups),
+            "the per-run counts keep their meaning under a warm memo"
+        );
+    }
+}
+
+#[test]
+fn a_memo_warmed_at_four_workers_serves_a_serial_run_unchanged() {
+    let scenario = scenario_by_name("demo").unwrap();
+    let run = |threads, trace_capacity| {
+        let o = ServeOptions { seed: 6, duration_ms: 10, trace_capacity, ..opts(threads) };
+        outcome_json(&run_scenario(scenario, &o).unwrap()).render_pretty()
+    };
+    let cold = run(1, 64);
+    let warmed = run(4, 0);
+    let serial = run(1, 0);
+    assert!(warmed == cold, "--threads 4 diverged from the cold serial run");
+    assert!(serial == cold, "--threads 1 on a warm memo diverged from the cold serial run");
+}
+
+#[test]
+fn a_traced_run_after_a_warm_memo_still_gets_every_trace() {
+    let scenario = scenario_by_name("demo").unwrap();
+    let run = |trace_capacity| {
+        let o = ServeOptions { seed: 7, duration_ms: 10, trace_capacity, ..opts(2) };
+        run_scenario(scenario, &o).unwrap()
+    };
+    let cold = run(64);
+    let _ = run(0);
+    let warm = run(64);
+    assert_eq!(warm.traces.len(), warm.distinct_compositions);
+    assert_eq!(warm.traces.len(), cold.traces.len());
+    for (w, c) in warm.traces.iter().zip(&cold.traces) {
+        assert_eq!(w.label, c.label);
+        assert!(w.trace == c.trace, "{}: the trace changed once the memo was warm", w.label);
     }
 }
 
@@ -25,10 +90,12 @@ fn extension_scenarios_are_byte_identical_across_worker_counts() {
     // like every other scenario.
     for name in ["sparse", "inference"] {
         let scenario = scenario_by_name(name).unwrap();
-        let reference = outcome_json(&run_scenario(scenario, &opts(1)).unwrap()).render_pretty();
+        let doc =
+            |o: &ServeOptions| outcome_json(&run_scenario(scenario, o).unwrap()).render_pretty();
+        let reference = doc(&cold(1));
+        assert!(doc(&opts(1)) == reference, "serve {name} diverged once memoized");
         for threads in [4usize, 8] {
-            let got =
-                outcome_json(&run_scenario(scenario, &opts(threads)).unwrap()).render_pretty();
+            let got = doc(&cold(threads));
             assert!(
                 got == reference,
                 "serve {name} at --threads {threads} diverged from the serial run"

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 use pim_fuzz::campaign::{run_campaign, CampaignOptions, CampaignReport, Mutant};
 use pimulator::report::Json;
 
-use crate::args::{Args, Common, Failure, Spec, JSON, OUT_FILE};
+use crate::args::{Args, Common, Failure, Spec, JSON, OUT_FILE, THREADS};
 use crate::output::{emit, finish, write_with_parents};
 
 pub static SPEC: Spec = Spec {
@@ -18,9 +18,9 @@ pub static SPEC: Spec = Spec {
     flags: &[
         ("--seed", "N"),     // campaign master seed (default 0)
         ("--budget", "N"),   // programs to generate (default 96)
-        ("--jobs", "N"),     // worker threads; never affects results
         ("--corpus", "DIR"), // replay this corpus first; write repros here
         ("--mutate", ""),    // arm each seeded bug in turn (self-check)
+        THREADS,             // worker threads; never affects results
         JSON,                // print the JSON document to stdout instead of the table
         OUT_FILE,            // where the JSON report is written (nowhere by default)
     ],
@@ -36,12 +36,12 @@ fn parse(args: &[String]) -> Result<(CampaignOptions, bool, Common), String> {
         match flag {
             "--seed" => campaign.seed = args.number()?,
             "--budget" => campaign.budget = args.number()?,
-            "--jobs" => campaign.jobs = Some(args.at_least_one()?),
             "--corpus" => campaign.corpus = Some(args.path()?),
             "--mutate" => mutate = true,
             _ => common.take(&mut args)?,
         }
     }
+    campaign.jobs = common.threads;
     Ok((campaign, mutate, common))
 }
 
@@ -130,7 +130,7 @@ mod tests {
         assert_eq!((o.seed, o.budget), (0, 96));
         assert!(o.jobs.is_none() && o.corpus.is_none() && !mutate && !c.json && c.out.is_none());
 
-        let line = "--seed 7 --budget 12 --jobs 3 --corpus c --mutate --json --out r/fuzz.json";
+        let line = "--seed 7 --budget 12 --threads 3 --corpus c --mutate --json --out r/fuzz.json";
         let args: Vec<&str> = line.split(' ').collect();
         let (o, mutate, c) = parse(&strings(&args)).unwrap();
         assert_eq!((o.seed, o.budget, o.jobs), (7, 12, Some(3)));
@@ -141,7 +141,8 @@ mod tests {
 
     #[test]
     fn bad_flags_are_rejected() {
-        for bad in [&["--frobnicate"][..], &["--seed"], &["--budget", "many"], &["--jobs", "0"]] {
+        for bad in [&["--frobnicate"][..], &["--seed"], &["--budget", "many"], &["--threads", "0"]]
+        {
             assert!(parse(&strings(bad)).is_err(), "{bad:?}");
         }
     }

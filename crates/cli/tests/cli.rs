@@ -416,7 +416,7 @@ fn fuzz_out_creates_missing_parent_dirs() {
     let scratch = Scratch::new("fuzz-out");
     let out_path = scratch.path("x/y/fuzz.json");
     let st = pimsim()
-        .args(["fuzz", "--seed", "3", "--budget", "4", "--jobs", "2", "--json", "--out"])
+        .args(["fuzz", "--seed", "3", "--budget", "4", "--threads", "2", "--json", "--out"])
         .arg(&out_path)
         .output()
         .expect("spawn pimsim");
@@ -433,7 +433,7 @@ fn fuzz_out_creates_missing_parent_dirs() {
 #[test]
 fn fuzz_mutate_self_check_succeeds_and_prints_a_shrunk_repro() {
     let out = pimsim()
-        .args(["fuzz", "--mutate", "--seed", "1", "--budget", "256", "--jobs", "2"])
+        .args(["fuzz", "--mutate", "--seed", "1", "--budget", "256", "--threads", "2"])
         .output()
         .expect("spawn pimsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));

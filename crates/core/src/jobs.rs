@@ -147,8 +147,10 @@ pub struct SimJobOutput {
     pub per_dpu: Vec<DpuRunStats>,
     /// End-to-end transfer/kernel/transfer breakdown.
     pub timeline: ExecutionTimeline,
-    /// Structured event trace, present when the runner ran with
-    /// [`JobRunner::with_trace`] (or the job's config enabled tracing).
+    /// Structured event trace, present when the job's config enabled
+    /// tracing (`event_trace_capacity`). A runner built with
+    /// [`JobRunner::collecting_traces`] moves it into its collector, so
+    /// that runner's outputs carry none.
     pub trace: Option<SystemTrace>,
 }
 
@@ -157,11 +159,10 @@ pub struct SimJobOutput {
 #[derive(Debug, Clone)]
 pub struct JobRunner {
     workers: usize,
-    /// Per-DPU event-ring capacity applied to every job when tracing.
-    trace_capacity: Option<usize>,
-    /// Shared sink harvesting labelled traces out of experiment code that
-    /// only looks at stats (see [`JobRunner::collecting_traces`]).
-    trace_sink: Option<Arc<Mutex<Vec<JobTrace>>>>,
+    /// When tracing: the per-DPU event-ring capacity applied to every job,
+    /// and the shared sink harvesting labelled traces out of experiment
+    /// code that only looks at stats (see [`JobRunner::collecting_traces`]).
+    trace: Option<(usize, Arc<Mutex<Vec<JobTrace>>>)>,
 }
 
 impl JobRunner {
@@ -169,11 +170,7 @@ impl JobRunner {
     /// Worker counts are clamped to at least 1.
     #[must_use]
     pub fn new(workers: Option<usize>) -> Self {
-        JobRunner {
-            workers: workers.unwrap_or_else(default_workers).max(1),
-            trace_capacity: None,
-            trace_sink: None,
-        }
+        JobRunner { workers: workers.unwrap_or_else(default_workers).max(1), trace: None }
     }
 
     /// A single-worker runner: jobs execute one by one on the caller's
@@ -181,27 +178,19 @@ impl JobRunner {
     /// checked for bit-identical output.
     #[must_use]
     pub fn serial() -> Self {
-        JobRunner { workers: 1, trace_capacity: None, trace_sink: None }
+        JobRunner { workers: 1, trace: None }
     }
 
     /// Enables structured event tracing: every job runs with a per-DPU
-    /// event ring of `capacity` entries, and its [`SimJobOutput::trace`] is
-    /// populated. Capacity 0 disables tracing again.
-    #[must_use]
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = (capacity > 0).then_some(capacity);
-        self
-    }
-
-    /// Like [`JobRunner::with_trace`], but additionally moves every job's
-    /// trace out of its [`SimJobOutput`] into a shared collector, labelled
-    /// with [`SimJob::label`]. Experiment code that only reads stats can
-    /// then run unmodified while the driver harvests the traces afterwards
-    /// with [`JobRunner::collected_traces`]. Clones share the collector.
+    /// event ring of `capacity` entries, and its trace moves out of its
+    /// [`SimJobOutput`] into a shared collector, labelled with
+    /// [`SimJob::label`]. Experiment code that only reads stats can then
+    /// run unmodified while the driver harvests the traces afterwards with
+    /// [`JobRunner::collected_traces`]. Clones share the collector.
+    /// Capacity 0 disables tracing again.
     #[must_use]
     pub fn collecting_traces(mut self, capacity: usize) -> Self {
-        self = self.with_trace(capacity);
-        self.trace_sink = self.trace_capacity.map(|_| Arc::new(Mutex::new(Vec::new())));
+        self.trace = (capacity > 0).then(|| (capacity, Arc::default()));
         self
     }
 
@@ -209,9 +198,9 @@ impl JobRunner {
     /// (within a batch, in job order).
     #[must_use]
     pub fn collected_traces(&self) -> Vec<JobTrace> {
-        self.trace_sink
-            .as_ref()
-            .map_or_else(Vec::new, |s| std::mem::take(&mut *s.lock().expect("trace sink poisoned")))
+        self.trace.as_ref().map_or_else(Vec::new, |(_, s)| {
+            std::mem::take(&mut *s.lock().expect("trace sink poisoned"))
+        })
     }
 
     /// The worker cap.
@@ -264,23 +253,21 @@ impl JobRunner {
     /// (independent of which worker hit a fault first, to keep error
     /// reporting deterministic too).
     pub fn run_sims(&self, jobs: &[SimJob]) -> Result<Vec<SimJobOutput>, SimError> {
-        if let Some(capacity) = self.trace_capacity {
+        if let Some((capacity, sink)) = &self.trace {
             let traced: Vec<SimJob> = jobs
                 .iter()
                 .map(|job| {
                     let mut job = job.clone();
-                    job.run.dpu.event_trace_capacity = capacity;
+                    job.run.dpu.event_trace_capacity = *capacity;
                     job
                 })
                 .collect();
             let mut outs: Vec<SimJobOutput> =
                 self.map(&traced, |_, job| job.execute()).into_iter().collect::<Result<_, _>>()?;
-            if let Some(sink) = &self.trace_sink {
-                let mut sink = sink.lock().expect("trace sink poisoned");
-                for (job, out) in traced.iter().zip(outs.iter_mut()) {
-                    if let Some(trace) = out.trace.take() {
-                        sink.push(JobTrace { label: job.label(), trace });
-                    }
+            let mut sink = sink.lock().expect("trace sink poisoned");
+            for (job, out) in traced.iter().zip(outs.iter_mut()) {
+                if let Some(trace) = out.trace.take() {
+                    sink.push(JobTrace { label: job.label(), trace });
                 }
             }
             return Ok(outs);
@@ -340,13 +327,6 @@ mod tests {
         assert_eq!(outs.len(), 3);
         assert!(outs.iter().all(|o| o.stats.instructions > 0));
         assert_eq!(outs[2].per_dpu.len(), 2);
-    }
-
-    #[test]
-    fn with_trace_populates_outputs() {
-        let rt = JobRunner::serial().with_trace(256);
-        let outs = rt.run_sims(&[SimJob::single("RED", DatasetSize::Tiny, baseline(2))]).unwrap();
-        assert!(outs[0].trace.as_ref().is_some_and(|t| t.event_count() > 0));
     }
 
     #[test]

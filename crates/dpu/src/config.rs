@@ -9,6 +9,19 @@ use pim_mmu::MmuConfig;
 /// Maximum hardware tasklets per DPU.
 pub const MAX_TASKLETS: u32 = 24;
 
+/// Revolver scheduling constraint: minimum cycles between consecutive
+/// dispatches of the same tasklet (Table I: 11). A property of the
+/// pipeline, not a knob; data forwarding (`D`) replaces it.
+pub const REVOLVER_CYCLES: u32 = 11;
+
+/// Cycles after issue at which an ALU result can be forwarded (effective
+/// only with [`IlpFeatures::data_forwarding`]).
+pub const FORWARD_ALU_LATENCY: u32 = 3;
+
+/// Cycles after issue at which a WRAM load result can be forwarded
+/// (effective only with [`IlpFeatures::data_forwarding`]).
+pub const FORWARD_LOAD_LATENCY: u32 = 4;
+
 /// ILP-enhancing microarchitecture features (paper §V-B, Fig 12).
 ///
 /// The features are *additive* in the paper's ablation:
@@ -18,7 +31,8 @@ pub struct IlpFeatures {
     /// **D** — data forwarding: replaces the revolver gap with true
     /// dependence checking. Independent same-tasklet instructions may
     /// dispatch back-to-back; dependent ones wait for the producer's
-    /// forwarding point.
+    /// forwarding point, [`FORWARD_ALU_LATENCY`] or
+    /// [`FORWARD_LOAD_LATENCY`] cycles after its issue.
     pub data_forwarding: bool,
     /// **R** — unified register file with doubled read bandwidth: removes
     /// the even/odd structural hazard.
@@ -107,15 +121,17 @@ pub enum MemoryMode {
 /// DMA-engine parameters.
 ///
 /// The engine interface — not the DRAM bank — is what limits MRAM-to-WRAM
-/// bandwidth to the 600–700 MB/s the paper measures (§V-B notes bank-level
-/// bandwidth is much higher; the interface is "simply a design point pursued
-/// by UPMEM-PIM architects").
+/// bandwidth (§V-B notes bank-level bandwidth is much higher; the interface
+/// is "simply a design point pursued by UPMEM-PIM architects").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaConfig {
     /// Peak interface throughput in bytes per core cycle. The default of
-    /// 2.0 B/cycle at 350 MHz equals the 700 MB/s theoretical maximum; bank
-    /// timing overheads bring the achieved rate to the ≈600 MB/s that prior
-    /// work measured on real hardware (Fig 5 caption).
+    /// 2.0 B/cycle at 350 MHz is the 700 MB/s theoretical maximum, and the
+    /// model reaches it: a stream of sequential 2 KB `ldma`s achieves
+    /// 700 MB/s with two or more tasklets, whose transfers hide each other's
+    /// setup and bank latency, and 652 MB/s with one. Bank timing is hidden
+    /// behind the interface, so the ≈600 MB/s that prior work measured on
+    /// real hardware (Fig 5 caption) is not reproduced (ROADMAP item 3).
     pub interface_bytes_per_cycle: f64,
     /// Fixed per-request engine setup latency in core cycles. Makes small
     /// DMA transfers proportionally expensive, as on the real device.
@@ -158,20 +174,12 @@ pub enum ExecTier {
 pub struct DpuConfig {
     /// Core frequency in MHz (Table I: 350).
     pub freq_mhz: u32,
-    /// Revolver scheduling constraint: minimum cycles between consecutive
-    /// dispatches of the same tasklet (Table I: 11).
-    pub revolver_cycles: u32,
     /// Number of tasklets launched.
     pub n_tasklets: u32,
     /// Memory capacities (Table I: 24 KB / 64 KB / 64 MB, 256 atomic bits).
     pub layout: MemLayout,
     /// ILP feature set (all off for the baseline).
     pub ilp: IlpFeatures,
-    /// Cycles after issue at which an ALU result can be forwarded
-    /// (effective only with `ilp.data_forwarding`).
-    pub forward_alu_latency: u32,
-    /// Cycles after issue at which a WRAM load result can be forwarded.
-    pub forward_load_latency: u32,
     /// SIMT extension; `None` for the baseline scalar pipeline.
     pub simt: Option<SimtConfig>,
     /// Scratchpad-centric (baseline) or cache-centric memory model.
@@ -218,12 +226,9 @@ impl DpuConfig {
         );
         DpuConfig {
             freq_mhz: 350,
-            revolver_cycles: 11,
             n_tasklets,
             layout: MemLayout::default(),
             ilp: IlpFeatures::default(),
-            forward_alu_latency: 3,
-            forward_load_latency: 4,
             simt: None,
             memory_mode: MemoryMode::Scratchpad,
             mmu: None,
@@ -362,7 +367,6 @@ impl DpuConfig {
                 "the MMU case study applies to the baseline DMA path"
             );
         }
-        assert!(self.revolver_cycles >= 1);
         assert!(self.mram_bw_scale > 0.0);
         // A zero-length window never fills: the TLP timeline would flush
         // (and divide by) nothing, forever.
@@ -384,7 +388,7 @@ mod tests {
     fn baseline_matches_table_i() {
         let c = DpuConfig::paper_baseline(16);
         assert_eq!(c.freq_mhz, 350);
-        assert_eq!(c.revolver_cycles, 11);
+        assert_eq!((REVOLVER_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY), (11, 3, 4));
         assert_eq!(c.layout.wram_bytes, 64 * 1024);
         assert_eq!(c.max_ipc(), 1);
         c.assert_valid();

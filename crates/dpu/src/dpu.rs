@@ -12,7 +12,9 @@ use pim_mmu::{Mmu, PageTable};
 use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledKernel;
-use crate::config::{DpuConfig, ExecTier, MemoryMode};
+use crate::config::{
+    DpuConfig, ExecTier, MemoryMode, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES,
+};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{debug_assert_on_time, MemEngine, Segment};
@@ -509,7 +511,7 @@ impl Dpu {
         // SIMT forwards per PC group, at issue.
         let fwd = self.cfg.ilp.data_forwarding && warps.is_none();
         let ways = self.cfg.issue_ways() as usize;
-        let gap: u64 = if fwd { 1 } else { u64::from(self.cfg.revolver_cycles) };
+        let gap: u64 = if fwd { 1 } else { u64::from(REVOLVER_CYCLES) };
 
         let (mut icache, mut dcache) = match self.cfg.memory_mode {
             MemoryMode::Scratchpad => (None, None),
@@ -717,8 +719,8 @@ impl Dpu {
                 if fwd {
                     if let Some(rd) = instr.dst() {
                         let lat = match instr {
-                            Instruction::Load { .. } => self.cfg.forward_load_latency,
-                            _ => self.cfg.forward_alu_latency,
+                            Instruction::Load { .. } => FORWARD_LOAD_LATENCY,
+                            _ => FORWARD_ALU_LATENCY,
                         };
                         reg_ready[t * NREGS + rd.index() as usize] = now + u64::from(lat);
                     }

@@ -70,7 +70,8 @@ pub mod tenancy;
 
 pub use batch::{run_batch, Divergence, Ineligible, LockstepSummary};
 pub use config::{
-    DmaConfig, DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, MAX_TASKLETS,
+    DmaConfig, DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, FORWARD_ALU_LATENCY,
+    FORWARD_LOAD_LATENCY, MAX_TASKLETS, REVOLVER_CYCLES,
 };
 pub use dpu::Dpu;
 pub use error::SimError;

@@ -34,7 +34,7 @@ use pim_isa::InstrClass;
 use pim_trace::{StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::{CompiledKernel, F_LOAD, F_STORE};
-use crate::config::{DpuConfig, SimtConfig};
+use crate::config::{DpuConfig, SimtConfig, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{MemEngine, Segment};
@@ -66,8 +66,6 @@ pub(crate) struct Warps {
     n: usize,
     width: usize,
     rf_hazards: bool,
-    fwd_alu: u64,
-    fwd_load: u64,
     /// Round-robin cursor: the first lane past the warp picked last.
     rr: usize,
     /// Memory requests in flight, per warp.
@@ -95,8 +93,6 @@ impl Warps {
             n,
             width,
             rf_hazards,
-            fwd_alu: u64::from(cfg.forward_alu_latency),
-            fwd_load: u64::from(cfg.forward_load_latency),
             rr: 0,
             pending: vec![0; warps],
             rotation: vec![0; warps],
@@ -213,8 +209,8 @@ impl Warps {
                 state.trace_retire(sink, now, l as u32, pc, class, instr, retried);
             }
             if let Some(rd) = op.dst() {
-                let lat = if op.is_load() { self.fwd_load } else { self.fwd_alu };
-                self.reg_ready[l * NREGS + rd as usize] = now + lat;
+                let lat = if op.is_load() { FORWARD_LOAD_LATENCY } else { FORWARD_ALU_LATENCY };
+                self.reg_ready[l * NREGS + rd as usize] = now + u64::from(lat);
             }
             match effect {
                 Effect::Advance => state.pc[l] = pc + 1,

@@ -2,7 +2,7 @@
 //! the shared job engine, with deterministic results at any worker count.
 //!
 //! Determinism is load-bearing (CI compares reports byte-for-byte across
-//! `--jobs` values), so the campaign is structured as serial decisions
+//! `--threads` values), so the campaign is structured as serial decisions
 //! around parallel execution: every random draw — case seeds, contexts,
 //! focus cells — happens serially on the master RNG *before* a batch is
 //! handed to [`pimulator::jobs::JobRunner::map`] (which restores item

@@ -276,24 +276,6 @@ fn load_use_kernel(lines_per_tasklet: u32, tasklets: u32, filler: u32) -> pim_as
 }
 
 #[test]
-fn far_wakeups_match_naive_reference() {
-    // A load-to-use forwarding latency of 64 cycles or more files the
-    // consumer beyond the engine's 64-slot timing wheel (its overflow
-    // list); no shipped configuration reaches that, so pin it here, with
-    // both sides of the boundary.
-    for n in TASKLETS {
-        let program = load_use_kernel(8, n, 0);
-        for latency in [63, 64, 65, 200] {
-            let mut cfg = DpuConfig::paper_baseline(n).with_ilp(IlpFeatures::all());
-            cfg.forward_load_latency = latency;
-            let stats = assert_tiers_agree_on(&program, &format!("fwd_load={latency} x{n}"), &cfg)
-                .expect("load-use kernel completes");
-            assert!(stats.cycles > 8 * u64::from(latency), "the loads' consumers waited");
-        }
-    }
-}
-
-#[test]
 fn low_tlp_idle_hops_match_naive_reference() {
     // Three tasklets cannot cover the 11-cycle revolver, so the run is
     // mostly idle hops, and the kernel walks them through the three ways

@@ -73,7 +73,7 @@ fn every_corpus_entry_passes_the_conformance_gauntlet() {
 #[test]
 fn corpus_replay_is_deterministic_across_worker_counts() {
     // Replays (and the campaign report built from them) must be
-    // byte-identical whatever `--jobs` says: worker count is a throughput
+    // byte-identical whatever `--threads` says: worker count is a throughput
     // knob, never an input to the results.
     let base =
         CampaignOptions { budget: 8, corpus: Some(corpus_dir()), ..CampaignOptions::smoke(0xC0DE) };

@@ -789,7 +789,7 @@ fn run_sim_rate(ctx: &ExpContext) -> Result<ExpReport, SimError> {
     }
     let _ = writeln!(
         text,
-        "(paper's PIMulator: ~3 KIPS; `cargo bench -p pim-bench` is the developer stopwatch)"
+        "(paper's PIMulator: ~3 KIPS; `bash benchmark/run.sh` is the developer stopwatch)"
     );
     Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![]) })
 }

@@ -13,7 +13,7 @@
 //! that ordered list — output is bit-identical at any worker count.
 
 use crate::jobs::{JobRunner, SimJob, SimJobOutput};
-use pim_dpu::{DpuConfig, IlpFeatures, LockstepSummary, SimError, SimtConfig};
+use pim_dpu::{DpuConfig, IlpFeatures, LockstepSummary, SimError, SimtConfig, TLP_WINDOW};
 use pim_isa::InstrClass;
 use prim_suite::{all_workloads, DatasetSize};
 
@@ -178,7 +178,7 @@ pub fn fig07_tlp_histogram(
 pub struct TlpTimelineRow {
     /// Workload name.
     pub workload: String,
-    /// Cycles per window.
+    /// Cycles per window ([`TLP_WINDOW`]).
     pub window: u64,
     /// Mean issuable tasklets per window.
     pub series: Vec<f32>,
@@ -204,7 +204,7 @@ pub fn fig08_tlp_timeline(
         .zip(outs)
         .map(|(job, o)| TlpTimelineRow {
             workload: job.workload.clone(),
-            window: o.stats.tlp_window,
+            window: TLP_WINDOW,
             series: o.stats.tlp_timeline,
         })
         .collect())
@@ -336,8 +336,8 @@ pub fn fig11_simt(
     size: DatasetSize,
     threads: u32,
 ) -> Result<Vec<SimtRow>, SimError> {
-    let simt = SimtConfig { coalescing: false, ..SimtConfig::default() };
-    let simt_ac = SimtConfig { coalescing: true, ..SimtConfig::default() };
+    let simt = SimtConfig { coalescing: false };
+    let simt_ac = SimtConfig { coalescing: true };
     let points: Vec<(&str, DpuConfig)> = vec![
         ("Base", baseline(threads)),
         ("SIMT", baseline(threads).with_simt(simt)),

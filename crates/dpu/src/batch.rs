@@ -716,14 +716,15 @@ mod tests {
 
     #[test]
     fn checkpoints_carry_the_tlp_timeline_across_segments() {
-        // A window short enough that the timeline grows inside every
-        // segment: a member leaving in the third one must get the first
-        // two segments' windows back from the leader.
-        let mut cfg = DpuConfig::paper_baseline(1);
-        cfg.tlp_window = 64;
-        let program = diverge_at_step(2 * SEGMENT_SLOTS + 9, false);
+        // One tasklet issues every 11 cycles, so a segment spans about 4.5
+        // windows and the timeline grows inside every segment: a member
+        // leaving in the third one must get the first two segments'
+        // windows back from the leader.
+        let cfg = DpuConfig::paper_baseline(1);
+        let program = diverge_at_step(2 * SEGMENT_SLOTS + SEGMENT_SLOTS / 2, false);
         let (results, _) = assert_batch_matches_solo(&cfg, &program, &[0, 3], stage_wram);
-        assert!(results[1].as_ref().unwrap().tlp_timeline.len() > 2 * SEGMENT_SLOTS * 11 / 64);
+        let windows = results[1].as_ref().unwrap().tlp_timeline.len();
+        assert!(windows > 2 * SEGMENT_SLOTS * 11 / crate::TLP_WINDOW as usize);
     }
 
     #[test]

@@ -22,6 +22,36 @@ pub const FORWARD_ALU_LATENCY: u32 = 3;
 /// (effective only with [`IlpFeatures::data_forwarding`]).
 pub const FORWARD_LOAD_LATENCY: u32 = 4;
 
+/// Peak DMA-interface throughput in bytes per core cycle (Table I: 2.0).
+///
+/// The engine interface — not the DRAM bank — is what limits MRAM-to-WRAM
+/// bandwidth (§V-B notes bank-level bandwidth is much higher; the interface
+/// is "simply a design point pursued by UPMEM-PIM architects"). 2.0
+/// B/cycle at 350 MHz is the 700 MB/s theoretical maximum, and the model
+/// reaches it: a stream of sequential 2 KB `ldma`s achieves 700 MB/s with
+/// two or more tasklets, whose transfers hide each other's setup and bank
+/// latency, and 652 MB/s with one. Bank timing is hidden behind the
+/// interface, so the ≈600 MB/s that prior work measured on real hardware
+/// (Fig 5 caption) is not reproduced (ROADMAP item 3).
+pub const DMA_INTERFACE_BYTES_PER_CYCLE: f64 = 2.0;
+
+/// Fixed per-request DMA-engine setup latency in core cycles. Makes small
+/// DMA transfers proportionally expensive, as on the real device.
+pub const DMA_SETUP_CYCLES: u32 = 24;
+
+/// Window, in cycles, of the TLP-over-time trace (paper Fig 8: 10,000).
+pub const TLP_WINDOW: u64 = 10_000;
+
+/// SIMT vector width: tasklets grouped per warp (paper §V-A: 16).
+pub const WARP_WIDTH: u32 = 16;
+
+/// Scratchpad bank groups available to the SIMT vector unit: with the
+/// coalescer, a warp's loads/stores to `k` distinct 64 B segments occupy
+/// `ceil(k / SIMT_WRAM_PORTS)` port slots (a vector design point
+/// provisions banked WRAM bandwidth); without it every lane's access
+/// serializes individually.
+pub const SIMT_WRAM_PORTS: u32 = 4;
+
 /// ILP-enhancing microarchitecture features (paper §V-B, Fig 12).
 ///
 /// The features are *additive* in the paper's ablation:
@@ -77,27 +107,14 @@ impl IlpFeatures {
     }
 }
 
-/// SIMT vector-processing extension (paper §V-A, Fig 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// SIMT vector-processing extension (paper §V-A, Fig 11): warps of
+/// [`WARP_WIDTH`] lanes over [`SIMT_WRAM_PORTS`] scratchpad bank groups.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimtConfig {
-    /// Vector width: tasklets grouped per warp (paper: 16).
-    pub warp_width: u32,
     /// Enable the memory address coalescer (`+AC`), merging the grouped
     /// scalar accesses that fall in the same burst/stream into fewer memory
     /// transactions.
     pub coalescing: bool,
-    /// Scratchpad bank groups available to the vector unit: with the
-    /// coalescer, a warp's loads/stores to `k` distinct 64 B segments
-    /// occupy `ceil(k / wram_ports)` port slots (a vector design point
-    /// provisions banked WRAM bandwidth); without it every lane's access
-    /// serializes individually.
-    pub wram_ports: u32,
-}
-
-impl Default for SimtConfig {
-    fn default() -> Self {
-        SimtConfig { warp_width: 16, coalescing: false, wram_ports: 4 }
-    }
 }
 
 /// How loads/stores are backed (paper §V-D).
@@ -116,32 +133,6 @@ pub enum MemoryMode {
         /// Data-cache geometry (paper: 64 KB, 8-way).
         dcache: CacheConfig,
     },
-}
-
-/// DMA-engine parameters.
-///
-/// The engine interface — not the DRAM bank — is what limits MRAM-to-WRAM
-/// bandwidth (§V-B notes bank-level bandwidth is much higher; the interface
-/// is "simply a design point pursued by UPMEM-PIM architects").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DmaConfig {
-    /// Peak interface throughput in bytes per core cycle. The default of
-    /// 2.0 B/cycle at 350 MHz is the 700 MB/s theoretical maximum, and the
-    /// model reaches it: a stream of sequential 2 KB `ldma`s achieves
-    /// 700 MB/s with two or more tasklets, whose transfers hide each other's
-    /// setup and bank latency, and 652 MB/s with one. Bank timing is hidden
-    /// behind the interface, so the ≈600 MB/s that prior work measured on
-    /// real hardware (Fig 5 caption) is not reproduced (ROADMAP item 3).
-    pub interface_bytes_per_cycle: f64,
-    /// Fixed per-request engine setup latency in core cycles. Makes small
-    /// DMA transfers proportionally expensive, as on the real device.
-    pub setup_cycles: u32,
-}
-
-impl Default for DmaConfig {
-    fn default() -> Self {
-        DmaConfig { interface_bytes_per_cycle: 2.0, setup_cycles: 24 }
-    }
 }
 
 /// Which executor runs a launch, scalar or SIMT (the SIMT front-end is an
@@ -172,8 +163,6 @@ pub enum ExecTier {
 /// Full configuration of one simulated DPU (paper Table I defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpuConfig {
-    /// Core frequency in MHz (Table I: 350).
-    pub freq_mhz: u32,
     /// Number of tasklets launched.
     pub n_tasklets: u32,
     /// Memory capacities (Table I: 24 KB / 64 KB / 64 MB, 256 atomic bits).
@@ -187,18 +176,12 @@ pub struct DpuConfig {
     /// MMU in front of MRAM (DMA) accesses; `None` for the MMU-less
     /// baseline.
     pub mmu: Option<MmuConfig>,
-    /// DRAM bank configuration.
-    pub dram: DramConfig,
-    /// DMA engine configuration.
-    pub dma: DmaConfig,
     /// MRAM-bandwidth scaling factor (Fig 13's ×1–×4, Fig 11's 4×/16×):
     /// multiplies both the DRAM frequency and the DMA interface rate.
     pub mram_bw_scale: f64,
     /// Abort the simulation after this many core cycles (guards against
     /// deadlocked kernels).
     pub max_cycles: u64,
-    /// Window (in cycles) for the TLP-over-time trace (paper Fig 8: 10,000).
-    pub tlp_window: u64,
     /// Capacity of the structured event ring buffer (`pim-trace`): the DPU
     /// retains the most recent N [`pim_trace::TraceEvent`]s of a launch,
     /// readable through [`crate::Dpu::take_trace`]. 0 (the default) keeps
@@ -225,18 +208,14 @@ impl DpuConfig {
             "n_tasklets must be in 1..={MAX_TASKLETS}"
         );
         DpuConfig {
-            freq_mhz: 350,
             n_tasklets,
             layout: MemLayout::default(),
             ilp: IlpFeatures::default(),
             simt: None,
             memory_mode: MemoryMode::Scratchpad,
             mmu: None,
-            dram: DramConfig::ddr4_2400(),
-            dma: DmaConfig::default(),
             mram_bw_scale: 1.0,
             max_cycles: 20_000_000_000,
-            tlp_window: 10_000,
             event_trace_capacity: 0,
             oracle_check: false,
             exec_tier: ExecTier::Compiled,
@@ -265,11 +244,10 @@ impl DpuConfig {
         self
     }
 
-    /// Applies an ILP feature set, including the frequency doubling of `F`.
+    /// Applies an ILP feature set; its `F` doubles [`DpuConfig::freq_mhz`].
     #[must_use]
     pub fn with_ilp(mut self, ilp: IlpFeatures) -> Self {
         self.ilp = ilp;
-        self.freq_mhz = if ilp.double_frequency { 700 } else { 350 };
         self
     }
 
@@ -307,6 +285,16 @@ impl DpuConfig {
         self
     }
 
+    /// Core frequency in MHz: Table I's 350, or 700 with the `F` feature.
+    #[must_use]
+    pub fn freq_mhz(&self) -> u32 {
+        if self.ilp.double_frequency {
+            700
+        } else {
+            350
+        }
+    }
+
     /// Issue width of the pipeline (2 with the `S` feature, 1 otherwise).
     #[must_use]
     pub fn issue_ways(&self) -> u32 {
@@ -322,8 +310,8 @@ impl DpuConfig {
     /// the baseline; Fig 11: 16 for SIMT designs).
     #[must_use]
     pub fn max_ipc(&self) -> u32 {
-        if let Some(simt) = &self.simt {
-            simt.warp_width
+        if self.simt.is_some() {
+            WARP_WIDTH
         } else {
             self.issue_ways()
         }
@@ -332,14 +320,14 @@ impl DpuConfig {
     /// DRAM-clock cycles per core cycle after bandwidth scaling.
     #[must_use]
     pub fn dram_per_core_ratio(&self) -> f64 {
-        (self.dram.freq_mhz * self.mram_bw_scale) / f64::from(self.freq_mhz)
+        (DramConfig::ddr4_2400().freq_mhz * self.mram_bw_scale) / f64::from(self.freq_mhz())
     }
 
     /// Effective DMA interface rate in bytes per core cycle after bandwidth
     /// scaling.
     #[must_use]
     pub fn interface_rate(&self) -> f64 {
-        self.dma.interface_bytes_per_cycle * self.mram_bw_scale
+        DMA_INTERFACE_BYTES_PER_CYCLE * self.mram_bw_scale
     }
 
     /// Validates internal consistency (e.g. SIMT requires the scratchpad
@@ -354,12 +342,11 @@ impl DpuConfig {
             (1..=MAX_TASKLETS).contains(&self.n_tasklets),
             "n_tasklets must be in 1..={MAX_TASKLETS}"
         );
-        if let Some(simt) = self.simt {
+        if self.simt.is_some() {
             assert!(
                 matches!(self.memory_mode, MemoryMode::Scratchpad),
                 "the SIMT case study uses the scratchpad-centric memory model"
             );
-            assert!(simt.warp_width >= 1, "warp width must be at least 1");
         }
         if self.mmu.is_some() {
             assert!(
@@ -368,9 +355,6 @@ impl DpuConfig {
             );
         }
         assert!(self.mram_bw_scale > 0.0);
-        // A zero-length window never fills: the TLP timeline would flush
-        // (and divide by) nothing, forever.
-        assert!(self.tlp_window >= 1, "tlp_window must be at least 1 cycle");
     }
 }
 
@@ -387,8 +371,10 @@ mod tests {
     #[test]
     fn baseline_matches_table_i() {
         let c = DpuConfig::paper_baseline(16);
-        assert_eq!(c.freq_mhz, 350);
+        assert_eq!(c.freq_mhz(), 350);
         assert_eq!((REVOLVER_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY), (11, 3, 4));
+        assert_eq!((DMA_INTERFACE_BYTES_PER_CYCLE, DMA_SETUP_CYCLES), (2.0, 24));
+        assert_eq!((TLP_WINDOW, WARP_WIDTH, SIMT_WRAM_PORTS), (10_000, 16, 4));
         assert_eq!(c.layout.wram_bytes, 64 * 1024);
         assert_eq!(c.max_ipc(), 1);
         c.assert_valid();
@@ -405,7 +391,7 @@ mod tests {
     #[test]
     fn f_feature_doubles_frequency() {
         let c = DpuConfig::paper_baseline(16).with_ilp(IlpFeatures::all());
-        assert_eq!(c.freq_mhz, 700);
+        assert_eq!(c.freq_mhz(), 700);
         assert_eq!(c.issue_ways(), 2);
         // Memory becomes relatively slower: fewer DRAM cycles per core cycle.
         assert!(c.dram_per_core_ratio() < DpuConfig::paper_baseline(16).dram_per_core_ratio());
@@ -430,7 +416,7 @@ mod tests {
     fn default_interface_rate_is_700_mbps() {
         let c = DpuConfig::paper_baseline(16);
         // 2 B/cycle × 350 MHz = 700 MB/s.
-        let mbps = c.interface_rate() * f64::from(c.freq_mhz);
+        let mbps = c.interface_rate() * f64::from(c.freq_mhz());
         assert!((mbps - 700.0).abs() < 1e-9);
     }
 
@@ -438,14 +424,6 @@ mod tests {
     #[should_panic(expected = "scratchpad-centric")]
     fn simt_with_caches_is_invalid() {
         let c = DpuConfig::paper_baseline(16).with_paper_caches().with_simt(SimtConfig::default());
-        c.assert_valid();
-    }
-
-    #[test]
-    #[should_panic(expected = "tlp_window")]
-    fn zero_tlp_window_is_invalid() {
-        let mut c = DpuConfig::paper_baseline(2);
-        c.tlp_window = 0;
         c.assert_valid();
     }
 

@@ -7,13 +7,15 @@ use std::sync::Arc;
 
 use pim_asm::DpuProgram;
 use pim_cache::Cache;
+use pim_dram::DramConfig;
 use pim_isa::{AddressSpace, Instruction};
 use pim_mmu::{Mmu, PageTable};
 use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledKernel;
 use crate::config::{
-    DpuConfig, ExecTier, MemoryMode, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES,
+    DpuConfig, ExecTier, MemoryMode, DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY,
+    REVOLVER_CYCLES, TLP_WINDOW,
 };
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
@@ -399,11 +401,11 @@ impl Dpu {
             Mmu::new(mc, PageTable::identity(pages))
         });
         MemEngine::new(
-            self.cfg.dram.scaled(self.cfg.mram_bw_scale),
+            DramConfig::ddr4_2400().scaled(self.cfg.mram_bw_scale),
             mmu,
             self.cfg.dram_per_core_ratio(),
             self.cfg.interface_rate(),
-            self.cfg.dma.setup_cycles,
+            DMA_SETUP_CYCLES,
         )
     }
 
@@ -458,10 +460,10 @@ impl Dpu {
         DpuRunStats {
             tlp_histogram: vec![0; self.cfg.n_tasklets as usize + 1],
             tlp_timeline: Vec::new(),
-            tlp_window: self.cfg.tlp_window,
+            tlp_window: TLP_WINDOW,
             per_tasklet_instructions: vec![0; self.cfg.n_tasklets as usize],
             tasklet_stop_cycle: vec![0; self.cfg.n_tasklets as usize],
-            freq_mhz: self.cfg.freq_mhz,
+            freq_mhz: self.cfg.freq_mhz(),
             max_ipc: self.cfg.max_ipc(),
             interface_bytes_per_cycle: self.cfg.interface_rate(),
             ..DpuRunStats::default()

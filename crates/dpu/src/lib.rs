@@ -70,11 +70,11 @@ pub mod tenancy;
 
 pub use batch::{run_batch, Divergence, Ineligible, LockstepSummary};
 pub use config::{
-    DmaConfig, DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, FORWARD_ALU_LATENCY,
-    FORWARD_LOAD_LATENCY, MAX_TASKLETS, REVOLVER_CYCLES,
+    DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, DMA_INTERFACE_BYTES_PER_CYCLE,
+    DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, MAX_TASKLETS, REVOLVER_CYCLES,
+    SIMT_WRAM_PORTS, TLP_WINDOW, WARP_WIDTH,
 };
 pub use dpu::Dpu;
 pub use error::SimError;
-pub use mem::mem_wake_ups;
 pub use stats::{DpuRunStats, IdleBuckets};
 pub use tenancy::{colocate, ColocateError, Colocated, Tenant};

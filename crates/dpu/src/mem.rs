@@ -37,24 +37,9 @@
 //! path hashes, and requests finishing in one `advance` report in issue
 //! order.
 
-use std::cell::Cell;
-
 use pim_dram::{Access, DramBank, DramConfig, RowEventKind};
 use pim_mmu::Mmu;
 use pim_trace::{TraceEvent, TraceSink};
-
-thread_local! {
-    static WAKE_UPS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// How many times the cycle loops on this thread have woken a memory
-/// engine (`MemEngine::advance` calls) since the thread started — a
-/// diagnostic for benches, read before and after a launch; the loops'
-/// results do not depend on it.
-#[must_use]
-pub fn mem_wake_ups() -> u64 {
-    WAKE_UPS.with(Cell::get)
-}
 
 /// A caller-chosen identifier reported back when a request completes.
 pub(crate) type Token = u64;
@@ -420,7 +405,6 @@ impl MemEngine {
     /// does not depend on how many earlier calls there were, as long as
     /// none came later than `due` allowed.
     pub(crate) fn advance(&mut self, now: u64) {
-        WAKE_UPS.with(|n| n.set(n.get() + 1));
         self.settle(now);
         // Most calls finish one request of several: look first and
         // rewrite the list only when a request goes.

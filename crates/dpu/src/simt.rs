@@ -1,7 +1,7 @@
 //! The SIMT vector front-end (paper §V-A, Fig 11): an issue policy of the
 //! two cycle loops, not a loop of its own.
 //!
-//! `warp_width` consecutive tasklets are grouped into a warp that issues one
+//! [`WARP_WIDTH`] consecutive tasklets are grouped into a warp that issues one
 //! instruction per cycle over the vector lanes. Control divergence is
 //! handled with per-lane PCs: the scheduler rotates fairly among the
 //! distinct PC groups present in a warp (a progress-guaranteeing
@@ -34,7 +34,9 @@ use pim_isa::InstrClass;
 use pim_trace::{StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::{CompiledKernel, F_LOAD, F_STORE};
-use crate::config::{DpuConfig, SimtConfig, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY};
+use crate::config::{
+    DpuConfig, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, SIMT_WRAM_PORTS, WARP_WIDTH,
+};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{MemEngine, Segment};
@@ -57,14 +59,17 @@ pub(crate) struct Issued {
     pub rf_block: u64,
 }
 
+/// Lanes per warp, as an index width.
+const WIDTH: usize = WARP_WIDTH as usize;
+
 /// The SIMT front-end of one launch: configuration, per-warp issue state,
 /// the per-lane forwarding scoreboard, and scratch buffers reused so that
 /// the steady state performs no heap allocation.
 #[derive(Clone)]
 pub(crate) struct Warps {
-    simt: SimtConfig,
+    /// Whether the address coalescer (`+AC`) is on.
+    coalescing: bool,
     n: usize,
-    width: usize,
     rf_hazards: bool,
     /// Round-robin cursor: the first lane past the warp picked last.
     rr: usize,
@@ -86,26 +91,24 @@ impl Warps {
     pub(crate) fn new(cfg: &DpuConfig, rf_hazards: bool) -> Self {
         let simt = cfg.simt.expect("a SIMT configuration");
         let n = cfg.n_tasklets as usize;
-        let width = simt.warp_width as usize;
-        let warps = n.div_ceil(width);
+        let warps = n.div_ceil(WIDTH);
         Warps {
-            simt,
+            coalescing: simt.coalescing,
             n,
-            width,
             rf_hazards,
             rr: 0,
             pending: vec![0; warps],
             rotation: vec![0; warps],
             reg_ready: vec![0; n * NREGS],
-            pcs: Vec::with_capacity(width),
-            segments: Vec::with_capacity(width),
-            slots: Vec::with_capacity(width),
+            pcs: Vec::with_capacity(WIDTH),
+            segments: Vec::with_capacity(WIDTH),
+            slots: Vec::with_capacity(WIDTH),
         }
     }
 
     /// The lanes of warp `w`, as a mask.
     fn lanes(&self, w: usize) -> u32 {
-        let (lo, hi) = (w * self.width, ((w + 1) * self.width).min(self.n));
+        let (lo, hi) = (w * WIDTH, ((w + 1) * WIDTH).min(self.n));
         ((1u32 << hi) - 1) & !((1u32 << lo) - 1)
     }
 
@@ -144,10 +147,10 @@ impl Warps {
         sink: &mut S,
     ) -> Result<Issued, SimError> {
         let ahead = issuable & !((1u32 << self.rr) - 1);
-        let w = (if ahead != 0 { ahead } else { issuable }).trailing_zeros() as usize / self.width;
+        let w = (if ahead != 0 { ahead } else { issuable }).trailing_zeros() as usize / WIDTH;
         // The warp is issuable, so all its live lanes are.
         let live = issuable & self.lanes(w);
-        self.rr = ((w + 1) * self.width).min(self.n);
+        self.rr = ((w + 1) * WIDTH).min(self.n);
 
         self.pcs.clear();
         self.pcs.extend(bits(live).map(|l| state.pc[l]));
@@ -180,9 +183,9 @@ impl Warps {
 
         let mut rf_block = if self.rf_hazards { u64::from(op.rf_hazard) } else { 0 };
         if op.flags & (F_LOAD | F_STORE) != 0 {
-            let slots = if self.simt.coalescing {
-                // One slot per `wram_ports` distinct 64 B segments (banked
-                // WRAM).
+            let slots = if self.coalescing {
+                // One slot per `SIMT_WRAM_PORTS` distinct 64 B segments
+                // (banked WRAM).
                 self.slots.clear();
                 self.slots.extend(
                     bits(active)
@@ -190,7 +193,7 @@ impl Warps {
                 );
                 self.slots.sort_unstable();
                 self.slots.dedup();
-                (self.slots.len() as u32).div_ceil(self.simt.wram_ports.max(1)).max(1)
+                (self.slots.len() as u32).div_ceil(SIMT_WRAM_PORTS).max(1)
             } else {
                 active.count_ones()
             };
@@ -227,7 +230,7 @@ impl Warps {
             }
         }
         let dma = !self.segments.is_empty();
-        if dma && self.simt.coalescing {
+        if dma && self.coalescing {
             // Merge touching ranges of the same direction into one request.
             self.segments.sort_by_key(|s| (s.write, s.addr));
             self.segments.dedup_by(|s, prev| {

@@ -5,6 +5,7 @@ use pim_dram::DramStats;
 use pim_isa::InstrClass;
 use pim_mmu::MmuStats;
 
+use crate::config::TLP_WINDOW;
 use crate::mem::MemEngine;
 
 /// Bucket count of [`IdleBuckets`]: one per possible number of waiting
@@ -60,10 +61,11 @@ pub struct DpuRunStats {
     /// `tlp_histogram[k]` = cycles on which exactly `k` tasklets were
     /// issuable (Fig 7).
     pub tlp_histogram: Vec<u64>,
-    /// Average issuable-tasklet count per window of
-    /// [`DpuRunStats::tlp_window`] cycles (Fig 8's TLP-over-time trace).
+    /// Average issuable-tasklet count per window of [`TLP_WINDOW`] cycles
+    /// (Fig 8's TLP-over-time trace).
     pub tlp_timeline: Vec<f32>,
-    /// Window length of the timeline, in cycles.
+    /// Window length of the timeline, in cycles: [`TLP_WINDOW`], echoed
+    /// for reports like `freq_mhz`.
     pub tlp_window: u64,
     /// DRAM bank statistics (bytes read feed Fig 16 and Fig 5's bandwidth
     /// axis).
@@ -128,9 +130,6 @@ impl DpuRunStats {
             *a += b;
         }
         self.tlp_timeline.extend_from_slice(&other.tlp_timeline);
-        if self.tlp_window == 0 {
-            self.tlp_window = other.tlp_window;
-        }
         self.dram.merge(&other.dram);
         match (&mut self.icache, &other.icache) {
             (Some(a), Some(b)) => a.merge(b),
@@ -150,6 +149,7 @@ impl DpuRunStats {
         self.dma_requests += other.dma_requests;
         if self.freq_mhz == 0 {
             self.freq_mhz = other.freq_mhz;
+            self.tlp_window = other.tlp_window;
             self.max_ipc = other.max_ipc;
             self.interface_bytes_per_cycle = other.interface_bytes_per_cycle;
         }
@@ -308,21 +308,21 @@ impl DpuRunStats {
         // Timeline: accumulate (cycles, issuable-cycles) and flush whole
         // windows.
         let (ref mut filled, ref mut sum) = *window_acc;
-        // `filled < tlp_window` between calls: a span that leaves the
+        // `filled < TLP_WINDOW` between calls: a span that leaves the
         // window open only accumulates.
-        if span < self.tlp_window - *filled {
+        if span < TLP_WINDOW - *filled {
             *filled += span;
             *sum += span * issuable as u64;
             return;
         }
         let mut remaining = span;
         while remaining > 0 {
-            let take = remaining.min(self.tlp_window - *filled);
+            let take = remaining.min(TLP_WINDOW - *filled);
             *filled += take;
             *sum += take * issuable as u64;
             remaining -= take;
-            if *filled == self.tlp_window {
-                self.tlp_timeline.push(*sum as f32 / self.tlp_window as f32);
+            if *filled == TLP_WINDOW {
+                self.tlp_timeline.push(*sum as f32 / TLP_WINDOW as f32);
                 *filled = 0;
                 *sum = 0;
             }
@@ -337,7 +337,6 @@ mod tests {
     fn stats() -> DpuRunStats {
         DpuRunStats {
             tlp_histogram: vec![0; 25],
-            tlp_window: 10,
             per_tasklet_instructions: vec![0; 4],
             max_ipc: 1,
             freq_mhz: 350,
@@ -392,11 +391,12 @@ mod tests {
     fn tlp_span_recording_and_windows() {
         let mut s = stats();
         let mut acc = (0, 0);
-        s.record_tlp_span(4, 15, &mut acc); // fills one window (avg 4), 5 left
-        s.record_tlp_span(0, 5, &mut acc); // completes second window: (5*4+5*0)/10 = 2
+        let half = TLP_WINDOW / 2;
+        s.record_tlp_span(4, 3 * half, &mut acc); // fills one window (avg 4), half left
+        s.record_tlp_span(0, half, &mut acc); // completes the second: (half*4 + half*0)/window = 2
         assert_eq!(s.tlp_timeline, vec![4.0, 2.0]);
-        assert_eq!(s.tlp_histogram[4], 15);
-        assert_eq!(s.tlp_histogram[0], 5);
+        assert_eq!(s.tlp_histogram[4], 3 * half);
+        assert_eq!(s.tlp_histogram[0], half);
         assert!((s.mean_issuable() - 3.0).abs() < 1e-9);
     }
 
@@ -413,12 +413,12 @@ mod tests {
             let mut short = 0;
             for _ in 0..2000 {
                 let issuable = rng.gen_range(0..25usize);
-                let to_edge = span.tlp_window - span_acc.0;
+                let to_edge = TLP_WINDOW - span_acc.0;
                 let len = match rng.gen_range(0..6u32) {
                     0 => to_edge - 1,
                     1 => to_edge,
                     2 => to_edge + 1,
-                    3 => rng.gen_range(0..4 * span.tlp_window),
+                    3 => rng.gen_range(0..4 * TLP_WINDOW),
                     _ => rng.gen_range(0..4u64),
                 };
                 short += u32::from(len > 0 && len < to_edge);

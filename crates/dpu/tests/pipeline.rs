@@ -263,10 +263,7 @@ fn simt_runs_lockstep_and_beats_scalar_on_data_parallel_code() {
     let program = k.build().unwrap();
 
     let scalar = run(DpuConfig::paper_baseline(n), &program);
-    let mut dpu = Dpu::new(
-        DpuConfig::paper_baseline(n)
-            .with_simt(SimtConfig { coalescing: true, ..SimtConfig::default() }),
-    );
+    let mut dpu = Dpu::new(DpuConfig::paper_baseline(n).with_simt(SimtConfig { coalescing: true }));
     dpu.load_program(&program).unwrap();
     let simt = dpu.launch().unwrap();
     // Functional: data[t] = 50 * t.
@@ -301,10 +298,8 @@ fn simt_intra_warp_lock_makes_progress() {
     mtx.unlock(&mut k);
     k.stop();
     let program = k.build().unwrap();
-    let mut dpu = Dpu::new(
-        DpuConfig::paper_baseline(n)
-            .with_simt(SimtConfig { coalescing: false, ..SimtConfig::default() }),
-    );
+    let mut dpu =
+        Dpu::new(DpuConfig::paper_baseline(n).with_simt(SimtConfig { coalescing: false }));
     dpu.load_program(&program).unwrap();
     dpu.launch().unwrap();
     let out = dpu.read_wram_symbol("counter");
@@ -326,10 +321,7 @@ fn simt_coalescing_reduces_memory_requests() {
     k.stop();
     let program = k.build().unwrap();
     let mk = |coalescing| {
-        let mut dpu = Dpu::new(
-            DpuConfig::paper_baseline(n)
-                .with_simt(SimtConfig { coalescing, ..SimtConfig::default() }),
-        );
+        let mut dpu = Dpu::new(DpuConfig::paper_baseline(n).with_simt(SimtConfig { coalescing }));
         dpu.load_program(&program).unwrap();
         dpu.launch().unwrap()
     };

@@ -43,5 +43,6 @@ pub mod xfer;
 
 pub use system::{ExecutionTimeline, LaunchReport, PimSystem};
 pub use xfer::{
-    Channel, ChannelConfig, ChannelError, ChannelMode, TransferConfig, DEFAULT_RANK_DPUS,
+    from_dpu_ns, to_dpu_ns, Channel, ChannelConfig, ChannelError, ChannelMode, DEFAULT_RANK_DPUS,
+    FROM_DPU_GBPS, TO_DPU_GBPS,
 };

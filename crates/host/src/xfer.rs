@@ -1,11 +1,11 @@
 //! The CPU↔DPU channel model.
 //!
-//! One model, three modes. A [`ChannelConfig`] is the paper's §III-A
-//! fixed per-direction bandwidths ([`TransferConfig`], Table I), a
-//! [`ChannelMode`] and the rank geometry; [`Channel`] is the virtual-time
-//! engine that prices each operation under it. The modes ladder the
-//! software transfer tricks of the pathfinding literature ("UPMEM
-//! Unleashed", arXiv:2510.15927):
+//! One model, three modes. Every mode prices bytes at the paper's §III-A
+//! fixed per-direction bandwidths ([`TO_DPU_GBPS`] / [`FROM_DPU_GBPS`],
+//! Table I); a [`ChannelConfig`] is a [`ChannelMode`] and the rank
+//! geometry, and [`Channel`] is the virtual-time engine that prices each
+//! operation under it. The modes ladder the software transfer tricks of
+//! the pathfinding literature ("UPMEM Unleashed", arXiv:2510.15927):
 //!
 //! * [`ChannelMode::Blocking`] — what the paper measures and every golden
 //!   is pinned to: each transfer blocks the host at per-DPU bandwidth and
@@ -33,17 +33,9 @@ use std::fmt;
 pub const DEFAULT_RANK_DPUS: u32 = 64;
 
 /// A typed rejection of an invalid channel configuration — hand-edited
-/// configs must fail loudly at construction, not poison every later
-/// latency with NaN/∞.
+/// configs must fail loudly at construction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelError {
-    /// A per-direction bandwidth was NaN, infinite, zero, or negative.
-    BadBandwidth {
-        /// Which direction was rejected (`"to_dpu"` / `"from_dpu"`).
-        direction: &'static str,
-        /// The offending value, GB/s.
-        gbps: f64,
-    },
     /// `rank_dpus` was zero — a rank must hold at least one DPU.
     EmptyRank,
     /// A channel-mode name that is not `blocking`/`broadcast`/`overlapped`.
@@ -53,9 +45,6 @@ pub enum ChannelError {
 impl fmt::Display for ChannelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChannelError::BadBandwidth { direction, gbps } => {
-                write!(f, "invalid {direction} bandwidth {gbps} GB/s (must be finite and > 0)")
-            }
             ChannelError::EmptyRank => write!(f, "rank_dpus must be at least 1"),
             ChannelError::UnknownMode(name) => {
                 write!(f, "unknown channel mode '{name}' (expected blocking|broadcast|overlapped)")
@@ -66,79 +55,29 @@ impl fmt::Display for ChannelError {
 
 impl std::error::Error for ChannelError {}
 
-/// The fixed per-direction bandwidths of the channel (paper Table I):
-/// the `xfer` pair inside every [`ChannelConfig`].
+/// CPU→DPU bandwidth in GB/s per DPU (Table I: 0.296).
 ///
-/// The asymmetry is real and load-bearing: the paper observes that UPMEM
-/// implements CPU→DPU with asynchronous AVX writes but CPU←DPU with
-/// synchronous AVX reads, making read-back ~4.7× slower per byte.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransferConfig {
-    /// CPU→DPU bandwidth in GB/s per DPU (Table I: 0.296).
-    pub to_dpu_gbps: f64,
-    /// CPU←DPU bandwidth in GB/s per DPU (Table I: 0.063).
-    pub from_dpu_gbps: f64,
+/// The asymmetry with [`FROM_DPU_GBPS`] is real and load-bearing: the
+/// paper observes that UPMEM implements CPU→DPU with asynchronous AVX
+/// writes but CPU←DPU with synchronous AVX reads, making read-back ~4.7×
+/// slower per byte.
+pub const TO_DPU_GBPS: f64 = 0.296;
+
+/// CPU←DPU bandwidth in GB/s per DPU (Table I: 0.063).
+pub const FROM_DPU_GBPS: f64 = 0.063;
+
+/// Nanoseconds to move `bytes` to one DPU (1 GB/s ≡ 1 byte/ns).
+/// `bytes = 0` is a valid no-op transfer costing 0 ns.
+#[must_use]
+pub fn to_dpu_ns(bytes: u64) -> f64 {
+    bytes as f64 / TO_DPU_GBPS
 }
 
-impl TransferConfig {
-    /// The paper's measured constants.
-    #[must_use]
-    pub fn paper() -> Self {
-        TransferConfig { to_dpu_gbps: 0.296, from_dpu_gbps: 0.063 }
-    }
-
-    /// Validated constructor: rejects non-finite, zero, or negative
-    /// bandwidths with a typed [`ChannelError`] instead of silently
-    /// producing NaN/∞ latencies downstream. `bytes = 0` transfers remain
-    /// valid (they cost 0 ns); the *bandwidths* are what a hand-edited
-    /// config can get wrong.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::BadBandwidth`] naming the offending
-    /// direction.
-    pub fn try_new(to_dpu_gbps: f64, from_dpu_gbps: f64) -> Result<Self, ChannelError> {
-        let cfg = TransferConfig { to_dpu_gbps, from_dpu_gbps };
-        cfg.validate()?;
-        Ok(cfg)
-    }
-
-    /// Re-checks the bandwidth invariants of [`TransferConfig::try_new`]
-    /// (the fields are public for struct-update ergonomics, so a config
-    /// can be corrupted after construction).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::BadBandwidth`] naming the offending
-    /// direction.
-    pub fn validate(&self) -> Result<(), ChannelError> {
-        for (direction, gbps) in [("to_dpu", self.to_dpu_gbps), ("from_dpu", self.from_dpu_gbps)] {
-            if !gbps.is_finite() || gbps <= 0.0 {
-                return Err(ChannelError::BadBandwidth { direction, gbps });
-            }
-        }
-        Ok(())
-    }
-
-    /// Nanoseconds to move `bytes` to one DPU (1 GB/s ≡ 1 byte/ns).
-    /// `bytes = 0` is a valid no-op transfer costing 0 ns.
-    #[must_use]
-    pub fn to_dpu_ns(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.to_dpu_gbps
-    }
-
-    /// Nanoseconds to move `bytes` back from one DPU.
-    /// `bytes = 0` is a valid no-op transfer costing 0 ns.
-    #[must_use]
-    pub fn from_dpu_ns(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.from_dpu_gbps
-    }
-}
-
-impl Default for TransferConfig {
-    fn default() -> Self {
-        Self::paper()
-    }
+/// Nanoseconds to move `bytes` back from one DPU.
+/// `bytes = 0` is a valid no-op transfer costing 0 ns.
+#[must_use]
+pub fn from_dpu_ns(bytes: u64) -> f64 {
+    bytes as f64 / FROM_DPU_GBPS
 }
 
 /// How the channel prices and schedules transfers (see module docs).
@@ -192,12 +131,10 @@ impl fmt::Display for ChannelMode {
     }
 }
 
-/// The full channel model: bandwidth constants, scheduling mode, and the
-/// rank geometry the broadcast and overlapped modes exploit.
+/// The channel model's settings: the scheduling mode and the rank
+/// geometry the broadcast and overlapped modes exploit.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
-    /// Per-direction bandwidth constants (Table I).
-    pub xfer: TransferConfig,
     /// Transfer scheduling mode.
     pub mode: ChannelMode,
     /// DPUs per rank (per-rank channels move in parallel in the
@@ -211,11 +148,7 @@ impl ChannelConfig {
     /// golden snapshot is pinned to.
     #[must_use]
     pub fn paper() -> Self {
-        ChannelConfig {
-            xfer: TransferConfig::paper(),
-            mode: ChannelMode::Blocking,
-            rank_dpus: DEFAULT_RANK_DPUS,
-        }
+        ChannelConfig { mode: ChannelMode::Blocking, rank_dpus: DEFAULT_RANK_DPUS }
     }
 
     /// Paper constants, [`ChannelMode::Broadcast`].
@@ -241,16 +174,11 @@ impl ChannelConfig {
     /// # Errors
     ///
     /// Returns the [`ChannelError`] of the first violated invariant.
-    pub fn try_new(
-        xfer: TransferConfig,
-        mode: ChannelMode,
-        rank_dpus: u32,
-    ) -> Result<Self, ChannelError> {
-        xfer.validate()?;
+    pub fn try_new(mode: ChannelMode, rank_dpus: u32) -> Result<Self, ChannelError> {
         if rank_dpus == 0 {
             return Err(ChannelError::EmptyRank);
         }
-        Ok(ChannelConfig { xfer, mode, rank_dpus })
+        Ok(ChannelConfig { mode, rank_dpus })
     }
 }
 
@@ -355,7 +283,7 @@ impl Channel {
     pub fn push(&mut self, bytes_per_dpu: &[u64]) -> f64 {
         debug_assert_eq!(bytes_per_dpu.len(), self.n_dpus as usize, "one payload size per DPU");
         let max = bytes_per_dpu.iter().copied().max().unwrap_or(0);
-        let ns = self.cfg.xfer.to_dpu_ns(max);
+        let ns = to_dpu_ns(max);
         match self.cfg.mode {
             ChannelMode::Blocking => self.host_ns += ns,
             ChannelMode::Broadcast => self.advance_sync(ns),
@@ -366,7 +294,7 @@ impl Channel {
                         continue;
                     }
                     let start = self.rank_free_ns[r].max(self.host_ns);
-                    self.rank_free_ns[r] = start + self.cfg.xfer.to_dpu_ns(rank_max);
+                    self.rank_free_ns[r] = start + to_dpu_ns(rank_max);
                 }
             }
         }
@@ -375,7 +303,7 @@ impl Channel {
 
     /// Prices a CPU→DPU push of `bytes` to a single DPU.
     pub fn push_one(&mut self, dpu: u32, bytes: u64) -> f64 {
-        let ns = self.cfg.xfer.to_dpu_ns(bytes);
+        let ns = to_dpu_ns(bytes);
         match self.cfg.mode {
             ChannelMode::Blocking => self.host_ns += ns,
             ChannelMode::Broadcast => self.advance_sync(ns),
@@ -402,7 +330,7 @@ impl Channel {
     pub fn broadcast(&mut self, bytes: u64) -> f64 {
         match self.cfg.mode {
             ChannelMode::Blocking => {
-                let ns = self.cfg.xfer.to_dpu_ns(bytes);
+                let ns = to_dpu_ns(bytes);
                 self.host_ns += ns;
                 ns
             }
@@ -410,13 +338,13 @@ impl Channel {
                 let ranks = self.rank_free_ns.len();
                 let mut worst = 0.0f64;
                 for r in 0..ranks {
-                    worst = worst.max(self.cfg.xfer.to_dpu_ns(bytes) / self.rank_population(r));
+                    worst = worst.max(to_dpu_ns(bytes) / self.rank_population(r));
                 }
                 if self.cfg.mode == ChannelMode::Broadcast {
                     self.advance_sync(worst);
                 } else if bytes > 0 {
                     for r in 0..ranks {
-                        let t = self.cfg.xfer.to_dpu_ns(bytes) / self.rank_population(r);
+                        let t = to_dpu_ns(bytes) / self.rank_population(r);
                         let start = self.rank_free_ns[r].max(self.host_ns);
                         self.rank_free_ns[r] = start + t;
                     }
@@ -449,7 +377,7 @@ impl Channel {
         if self.cfg.mode == ChannelMode::Overlapped {
             self.host_ns = self.wall_ns();
         }
-        let ns = self.cfg.xfer.from_dpu_ns(max_bytes);
+        let ns = from_dpu_ns(max_bytes);
         self.advance_sync(ns);
         ns
     }
@@ -461,38 +389,25 @@ mod tests {
 
     #[test]
     fn paper_constants() {
-        let t = TransferConfig::paper();
-        assert!((t.to_dpu_gbps - 0.296).abs() < 1e-12);
-        assert!((t.from_dpu_gbps - 0.063).abs() < 1e-12);
+        assert_eq!((TO_DPU_GBPS, FROM_DPU_GBPS), (0.296, 0.063));
     }
 
     #[test]
     fn asymmetry_read_back_slower() {
-        let t = TransferConfig::paper();
-        assert!(t.from_dpu_ns(1024) > 4.0 * t.to_dpu_ns(1024));
+        assert!(from_dpu_ns(1024) > 4.0 * to_dpu_ns(1024));
     }
 
     #[test]
     fn time_scales_linearly_with_bytes() {
-        let t = TransferConfig::paper();
-        assert!((t.to_dpu_ns(2048) - 2.0 * t.to_dpu_ns(1024)).abs() < 1e-9);
+        assert!((to_dpu_ns(2048) - 2.0 * to_dpu_ns(1024)).abs() < 1e-9);
         // 296 MB at 0.296 GB/s = 1 s.
-        assert!((t.to_dpu_ns(296_000_000) - 1e9).abs() < 1.0);
+        assert!((to_dpu_ns(296_000_000) - 1e9).abs() < 1.0);
     }
 
     #[test]
-    fn try_new_rejects_bad_bandwidths_and_keeps_zero_bytes_valid() {
-        assert!(TransferConfig::try_new(0.296, 0.063).is_ok());
-        for (to, from) in [(0.0, 0.063), (0.296, 0.0), (-1.0, 0.063), (f64::NAN, 0.063)] {
-            let err = TransferConfig::try_new(to, from).unwrap_err();
-            assert!(matches!(err, ChannelError::BadBandwidth { .. }), "{to}/{from}: {err}");
-        }
-        let err = TransferConfig::try_new(0.296, f64::INFINITY).unwrap_err();
-        assert_eq!(err, ChannelError::BadBandwidth { direction: "from_dpu", gbps: f64::INFINITY });
-        // bytes = 0 is a valid no-op transfer, not a config error.
-        let t = TransferConfig::paper();
-        assert_eq!(t.to_dpu_ns(0), 0.0);
-        assert_eq!(t.from_dpu_ns(0), 0.0);
+    fn zero_bytes_cost_nothing() {
+        assert_eq!(to_dpu_ns(0), 0.0);
+        assert_eq!(from_dpu_ns(0), 0.0);
     }
 
     #[test]
@@ -509,13 +424,11 @@ mod tests {
 
     #[test]
     fn channel_config_validation() {
-        assert!(ChannelConfig::try_new(TransferConfig::paper(), ChannelMode::Broadcast, 64).is_ok());
+        assert!(ChannelConfig::try_new(ChannelMode::Broadcast, 64).is_ok());
         assert_eq!(
-            ChannelConfig::try_new(TransferConfig::paper(), ChannelMode::Blocking, 0).unwrap_err(),
+            ChannelConfig::try_new(ChannelMode::Blocking, 0).unwrap_err(),
             ChannelError::EmptyRank
         );
-        let bad = TransferConfig { to_dpu_gbps: 0.0, ..TransferConfig::paper() };
-        assert!(ChannelConfig::try_new(bad, ChannelMode::Blocking, 64).is_err());
         assert_eq!(ChannelConfig::default().mode, ChannelMode::Blocking);
     }
 
@@ -533,17 +446,15 @@ mod tests {
         let chunks = [4096u64, 1024, 4096, 64];
         let (sum, wall) = round_trip(ChannelMode::Blocking, 4, &chunks, 500.0);
         assert!((wall - sum).abs() < 1e-9, "blocking wall == serial sum");
-        let t = TransferConfig::paper();
-        assert!((sum - (t.to_dpu_ns(4096) + 500.0 + t.from_dpu_ns(4096))).abs() < 1e-9);
+        assert!((sum - (to_dpu_ns(4096) + 500.0 + from_dpu_ns(4096))).abs() < 1e-9);
     }
 
     #[test]
     fn overlap_hides_pushes_under_kernels_but_never_pulls() {
         let chunks = [8192u64; 4];
-        let t = TransferConfig::paper();
         let (sum, wall) = round_trip(ChannelMode::Overlapped, 4, &chunks, 100_000.0);
         // The push fits under the kernel entirely; the pull cannot hide.
-        assert!((wall - (100_000.0 + t.from_dpu_ns(8192))).abs() < 1e-9);
+        assert!((wall - (100_000.0 + from_dpu_ns(8192))).abs() < 1e-9);
         assert!(wall < sum);
     }
 
@@ -552,21 +463,19 @@ mod tests {
         // Kernel shorter than the push: the pull barrier exposes the
         // remaining transfer time; wall == push + pull.
         let chunks = [65536u64; 2];
-        let t = TransferConfig::paper();
         let (_, wall) = round_trip(ChannelMode::Overlapped, 2, &chunks, 10.0);
-        assert!((wall - (t.to_dpu_ns(65536) + t.from_dpu_ns(65536))).abs() < 1e-9);
+        assert!((wall - (to_dpu_ns(65536) + from_dpu_ns(65536))).abs() < 1e-9);
     }
 
     #[test]
     fn broadcast_splits_across_the_rank() {
         let cfg = ChannelConfig { rank_dpus: 8, ..ChannelConfig::broadcast() };
         let mut ch = Channel::new(cfg, 8);
-        let t = TransferConfig::paper();
         let ns = ch.broadcast(8192);
-        assert!((ns - t.to_dpu_ns(8192) / 8.0).abs() < 1e-9);
+        assert!((ns - to_dpu_ns(8192) / 8.0).abs() < 1e-9);
         // Blocking prices the same broadcast at the full per-DPU cost.
         let mut legacy = Channel::new(ChannelConfig { rank_dpus: 8, ..ChannelConfig::paper() }, 8);
-        assert!((legacy.broadcast(8192) - t.to_dpu_ns(8192)).abs() < 1e-9);
+        assert!((legacy.broadcast(8192) - to_dpu_ns(8192)).abs() < 1e-9);
     }
 
     #[test]
@@ -574,23 +483,21 @@ mod tests {
         // 10 DPUs at rank_dpus=8: the 2-DPU tail rank is the slowest.
         let cfg = ChannelConfig { rank_dpus: 8, ..ChannelConfig::broadcast() };
         let mut ch = Channel::new(cfg, 10);
-        let t = TransferConfig::paper();
-        assert!((ch.broadcast(8192) - t.to_dpu_ns(8192) / 2.0).abs() < 1e-9);
+        assert!((ch.broadcast(8192) - to_dpu_ns(8192) / 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn overlapped_pushes_queue_on_their_rank_channel() {
         let cfg = ChannelConfig { rank_dpus: 4, ..ChannelConfig::overlapped() };
         let mut ch = Channel::new(cfg, 4);
-        let t = TransferConfig::paper();
         ch.push(&[4096; 4]);
         ch.push(&[4096; 4]);
         // No kernel ran: both pushes are in flight back-to-back.
-        assert!((ch.wall_ns() - 2.0 * t.to_dpu_ns(4096)).abs() < 1e-9);
+        assert!((ch.wall_ns() - 2.0 * to_dpu_ns(4096)).abs() < 1e-9);
         assert_eq!(ch.host_ns(), 0.0);
         // The pull barriers on both, then adds its own synchronous time.
         let from = ch.pull(64);
-        assert!((ch.wall_ns() - (2.0 * t.to_dpu_ns(4096) + from)).abs() < 1e-9);
+        assert!((ch.wall_ns() - (2.0 * to_dpu_ns(4096) + from)).abs() < 1e-9);
         assert_eq!(ch.host_ns(), ch.wall_ns());
     }
 

@@ -181,8 +181,7 @@ mod tests {
     #[test]
     fn gemv_runs_under_simt() {
         // The Fig 11 configuration: 16 tasklets = one 16-wide warp.
-        let cfg = DpuConfig::paper_baseline(16)
-            .with_simt(SimtConfig { coalescing: true, ..SimtConfig::default() });
+        let cfg = DpuConfig::paper_baseline(16).with_simt(SimtConfig { coalescing: true });
         let run = Gemv.run(DatasetSize::Tiny, &RunConfig::single(cfg)).unwrap();
         run.assert_valid();
         assert_eq!(run.per_dpu[0].max_ipc, 16);

@@ -671,9 +671,9 @@ mod tests {
             reached.push(comps);
         }
         // The key is the whole config, not a proxy for it: the plain
-        // config at twice the clock shares `mmu: None` with the plain one,
-        // yet gets a table and profiles of its own.
-        let faster = DpuConfig { freq_mhz: 2 * plain.freq_mhz, ..plain.clone() };
+        // config at twice the MRAM bandwidth shares `mmu: None` with the
+        // plain one, yet gets a table and profiles of its own.
+        let faster = plain.clone().with_mram_bw_scale(2.0);
         let fast = memoized_profiles(&reached[0], &faster, 0, &JobRunner::new(Some(2)));
         assert!(fast.iter().all(|r| matches!(r, Ok((_, None)))));
         assert_memo_matches_profiling(&faster, &reached[0]);
@@ -687,7 +687,10 @@ mod tests {
                     != bits(&memo_lookup(&memo, b, comp).unwrap())
             })
         };
-        assert!(some_differ(&plain, &faster, &reached[0]), "the clock must change some profile");
+        assert!(
+            some_differ(&plain, &faster, &reached[0]),
+            "the bandwidth must change some profile"
+        );
         assert!(some_differ(&plain, &mmu, &reached[1]), "the MMU must cost something somewhere");
     }
 

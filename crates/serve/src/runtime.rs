@@ -64,7 +64,7 @@ use std::collections::BTreeSet;
 
 use pimulator::jobs::JobRunner;
 use pimulator::pim_dpu::{DpuConfig, SimError};
-use pimulator::pim_host::{ChannelMode, ExecutionTimeline, TransferConfig};
+use pimulator::pim_host::{from_dpu_ns, to_dpu_ns, ChannelMode, ExecutionTimeline};
 use pimulator::pim_trace::MetricsSink;
 use pimulator::report::Node;
 use pimulator::trace::JobTrace;
@@ -594,7 +594,6 @@ fn run_loop(
     if scenario.mmu {
         cfg = cfg.with_paper_mmu();
     }
-    let xfer = TransferConfig::paper();
     let runner = JobRunner::new(opts.threads);
     let mut cache = CompositionCache::new();
     let mut traces: Vec<JobTrace> = Vec::new();
@@ -751,8 +750,8 @@ fn run_loop(
         // The round's cost: the transfers above, and a kernel phase as
         // long as the slowest DPU's makespan — or the watchdog timeout,
         // if a DPU hung.
-        let to_ns = xfer.to_dpu_ns(to_bytes);
-        let from_ns = xfer.from_dpu_ns(from_bytes);
+        let to_ns = to_dpu_ns(to_bytes);
+        let from_ns = from_dpu_ns(from_bytes);
         let exec_max_ns = dpus.iter().map(|d| profile_of(d).makespan_ns).fold(0.0f64, f64::max);
 
         // Draw this round's faults over the occupied DPUs (global ids);

@@ -21,10 +21,7 @@ fn main() {
 
     // §V-A: SIMT vector processing on GEMV.
     let t0 = time_of("GEMV", base.clone());
-    let t1 = time_of(
-        "GEMV",
-        base.clone().with_simt(SimtConfig { coalescing: true, ..SimtConfig::default() }),
-    );
+    let t1 = time_of("GEMV", base.clone().with_simt(SimtConfig { coalescing: true }));
     println!("§V-A  SIMT+AC on GEMV          : {:.2}x speedup", t0 / t1);
 
     // §V-B: the ILP feature ladder on a compute-bound workload.

@@ -166,8 +166,7 @@ fn every_workload_validates_under_simt() {
     use pim_dpu::SimtConfig;
     for w in all_workloads() {
         for coalescing in [false, true] {
-            let cfg = DpuConfig::paper_baseline(16)
-                .with_simt(SimtConfig { coalescing, ..SimtConfig::default() });
+            let cfg = DpuConfig::paper_baseline(16).with_simt(SimtConfig { coalescing });
             let run = w
                 .run(DatasetSize::Tiny, &RunConfig::single(cfg))
                 .unwrap_or_else(|e| panic!("{} SIMT(ac={coalescing}) faulted: {e}", w.name()));

@@ -124,8 +124,7 @@ fn caches_beat_scratchpads_on_bs_and_both_modes_validate() {
 fn simt_coalescing_cuts_memory_requests_on_gemv() {
     let gemv = workload_by_name("GEMV").unwrap();
     let mk = |coalescing| {
-        let cfg = DpuConfig::paper_baseline(16)
-            .with_simt(SimtConfig { coalescing, ..SimtConfig::default() });
+        let cfg = DpuConfig::paper_baseline(16).with_simt(SimtConfig { coalescing });
         let run = gemv.run(DatasetSize::Tiny, &RunConfig::single(cfg)).unwrap();
         run.assert_valid();
         run.merged()

@@ -78,7 +78,7 @@ fn simt_loop_matches_naive_reference() {
     for w in all_workloads() {
         for n in TASKLETS {
             for coalescing in [false, true] {
-                let simt = SimtConfig { coalescing, ..SimtConfig::default() };
+                let simt = SimtConfig { coalescing };
                 let mode = if coalescing { "simt+ac" } else { "simt" };
                 assert_loops_agree(w.as_ref(), mode, DpuConfig::paper_baseline(n).with_simt(simt));
             }
@@ -571,7 +571,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 fn simt_stats_table() -> String {
     use pim_dpu::SimtConfig;
     let simt = SimtConfig::default();
-    let ac = SimtConfig { coalescing: true, ..simt };
+    let ac = SimtConfig { coalescing: true };
     let mut cases: Vec<(u32, &str, DpuConfig)> = Vec::new();
     for n in [1, 8, 16, 24] {
         cases.push((n, "simt", DpuConfig::paper_baseline(n).with_simt(simt)));

@@ -81,8 +81,7 @@ fn every_timing_configuration_computes_the_same_result() {
             ("ilp-all", DpuConfig::paper_baseline(n_tasklets).with_ilp(IlpFeatures::all())),
             (
                 "simt",
-                DpuConfig::paper_baseline(n_tasklets)
-                    .with_simt(SimtConfig { coalescing: true, ..SimtConfig::default() }),
+                DpuConfig::paper_baseline(n_tasklets).with_simt(SimtConfig { coalescing: true }),
             ),
             ("mmu", DpuConfig::paper_baseline(n_tasklets).with_paper_mmu()),
             ("cached", DpuConfig::paper_baseline(n_tasklets).with_paper_caches()),

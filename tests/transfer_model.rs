@@ -6,7 +6,7 @@
 //! 1. **Legacy identity** — under [`ChannelMode::Blocking`] (the default
 //!    everywhere) every workload's timeline must be *bitwise* the serial
 //!    v1 sum: `wall == to + kernel + from`, with each phase priced by the
-//!    bare [`TransferConfig`] formulas. An explicit
+//!    bare [`pim_host::to_dpu_ns`] / [`pim_host::from_dpu_ns`] formulas. An explicit
 //!    `with_channel(Blocking)` run must be indistinguishable from a
 //!    default run.
 //! 2. **Mode invariants on real workloads** — the v2 modes may only
@@ -16,11 +16,12 @@
 //!    through [`Channel`] engines in lockstep, one per mode, checking
 //!    the ordering and conservation laws the modes promise.
 //!
-//! Also pins the [`TransferConfig`] construction-time validation (typed
-//! rejection of bad bandwidths; zero-byte transfers stay valid).
+//! Also pins the [`ChannelConfig`] construction-time validation (typed
+//! rejection of an empty rank and unknown modes; zero-byte transfers stay
+//! valid).
 
 use pim_dpu::DpuConfig;
-use pim_host::{Channel, ChannelConfig, ChannelError, ChannelMode, TransferConfig};
+use pim_host::{to_dpu_ns, Channel, ChannelConfig, ChannelError, ChannelMode};
 use pim_rng::StdRng;
 use prim_suite::{extended_workloads, DatasetSize, RunConfig};
 
@@ -165,12 +166,8 @@ fn seeded_shapes_obey_the_mode_ordering_laws() {
         let n_dpus = rng.gen_range(1..2 * rank_dpus + 9);
         let ops = random_ops(&mut rng, n_dpus);
 
-        let xfer = TransferConfig::paper();
         let mk = |mode| {
-            Channel::new(
-                ChannelConfig::try_new(xfer, mode, rank_dpus).expect("valid config"),
-                n_dpus,
-            )
+            Channel::new(ChannelConfig::try_new(mode, rank_dpus).expect("valid config"), n_dpus)
         };
         let mut blocking = mk(ChannelMode::Blocking);
         let mut broadcast = mk(ChannelMode::Broadcast);
@@ -202,7 +199,7 @@ fn seeded_shapes_obey_the_mode_ordering_laws() {
                     );
                     assert!(
                         broadcast_charge * f64::from(n_dpus.min(rank_dpus))
-                            <= xfer.to_dpu_ns(*bytes) * f64::from(n_dpus) + EPS,
+                            <= to_dpu_ns(*bytes) * f64::from(n_dpus) + EPS,
                         "seed {seed}: broadcast exceeds the per-DPU sum"
                     );
                     assert_eq!(broadcast_charge, overlapped_charge, "seed {seed}");
@@ -247,23 +244,10 @@ fn seeded_shapes_obey_the_mode_ordering_laws() {
 }
 
 #[test]
-fn bandwidth_validation_rejects_garbage_with_typed_errors() {
-    // Bad bandwidths fail at construction, naming the direction.
+fn channel_validation_rejects_garbage_with_typed_errors() {
+    // Rank geometry is validated at construction.
     assert_eq!(
-        TransferConfig::try_new(0.0, 0.063).unwrap_err(),
-        ChannelError::BadBandwidth { direction: "to_dpu", gbps: 0.0 }
-    );
-    assert_eq!(
-        TransferConfig::try_new(0.296, -2.5).unwrap_err(),
-        ChannelError::BadBandwidth { direction: "from_dpu", gbps: -2.5 }
-    );
-    assert!(matches!(
-        TransferConfig::try_new(f64::NAN, 0.063).unwrap_err(),
-        ChannelError::BadBandwidth { direction: "to_dpu", .. }
-    ));
-    // Rank geometry is validated too.
-    assert_eq!(
-        ChannelConfig::try_new(TransferConfig::paper(), ChannelMode::Overlapped, 0).unwrap_err(),
+        ChannelConfig::try_new(ChannelMode::Overlapped, 0).unwrap_err(),
         ChannelError::EmptyRank
     );
     // Unknown mode names are typed rejections, not panics.

@@ -109,7 +109,7 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
 ///
 /// Returns an [`AsmError`] describing the first syntax, symbol, or link
 /// problem encountered.
-pub fn assemble_with(src: &str, opts: &LinkOptions) -> Result<DpuProgram, AsmError> {
+pub(crate) fn assemble_with(src: &str, opts: &LinkOptions) -> Result<DpuProgram, AsmError> {
     let mut lines = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
         let stripped = strip_comment(raw);

@@ -166,12 +166,6 @@ impl KernelBuilder {
         self.free_regs.push(r);
     }
 
-    /// Number of registers currently allocated.
-    #[must_use]
-    pub fn regs_in_use(&self) -> usize {
-        self.reg_names.len()
-    }
-
     // ------------------------------------------------------------------
     // Labels
     // ------------------------------------------------------------------
@@ -238,7 +232,7 @@ impl KernelBuilder {
     }
 
     /// Reserves a named WRAM buffer initialized with the given words.
-    pub fn global_words(&mut self, name: &str, words: &[i32]) -> u32 {
+    pub(crate) fn global_words(&mut self, name: &str, words: &[i32]) -> u32 {
         let addr = self.global_zeroed(name, words.len() as u32 * 4);
         for (i, w) in words.iter().enumerate() {
             let b = w.to_le_bytes();
@@ -512,9 +506,7 @@ mod tests {
         let b = k.reg("b");
         assert_ne!(a, b);
         assert_eq!(k.reg("a"), a, "same name returns same register");
-        assert_eq!(k.regs_in_use(), 2);
         k.release_reg("a");
-        assert_eq!(k.regs_in_use(), 1);
         let c = k.reg("c");
         assert_eq!(c, a, "released register is reused");
     }

@@ -60,12 +60,12 @@
 //! assert_eq!(program.instrs.len(), 4);
 //! ```
 
-pub mod asm_text;
+pub(crate) mod asm_text;
 pub mod builder;
 pub mod program;
 pub mod rt;
 
-pub use asm_text::{assemble, assemble_with, disassemble, AsmError};
+pub use asm_text::{assemble, disassemble, AsmError};
 pub use builder::{BuildError, KernelBuilder, LabelId};
 pub use program::{DpuProgram, LinkError, LinkOptions, Symbol};
 pub use rt::{Barrier, HeapAllocator, Mutex, Semaphore};

@@ -34,7 +34,7 @@ pub fn size_by_label(label: &str) -> Option<DatasetSize> {
 
 /// The inverse of [`size_by_label`].
 #[must_use]
-pub fn size_label(size: DatasetSize) -> &'static str {
+pub(crate) fn size_label(size: DatasetSize) -> &'static str {
     match size {
         DatasetSize::Tiny => "tiny",
         DatasetSize::SingleDpu => "single",
@@ -43,7 +43,7 @@ pub fn size_label(size: DatasetSize) -> &'static str {
 }
 
 /// The thread counts the paper sweeps (shown as 1/4/16 in the figures).
-pub const PAPER_THREADS: [u32; 3] = [1, 4, 16];
+pub(crate) const PAPER_THREADS: [u32; 3] = [1, 4, 16];
 
 /// Everything an experiment needs at run time.
 #[derive(Debug)]

@@ -207,7 +207,7 @@ impl TunedTable {
 
 /// The derived scheduler policy of one workload (see the module docs).
 #[must_use]
-pub fn derived_policy(workload: &str) -> &'static str {
+pub(crate) fn derived_policy(workload: &str) -> &'static str {
     let kind = request_classes()
         .iter()
         .find(|c| c.workload.eq_ignore_ascii_case(workload))
@@ -281,7 +281,7 @@ pub fn run_tune(opts: &TuneOptions) -> Result<TunedTable, String> {
     // runs.
     let canonical = |n: &String| match workload_by_name(n) {
         Some(w) => Ok(w.name().to_string()),
-        None => Err(format!("unknown workload `{n}` (see `pimsim list`)")),
+        None => Err(format!("unknown workload `{n}`")),
     };
     let names: Vec<String> = match &opts.workloads {
         Some(list) => list.iter().map(canonical).collect::<Result<_, _>>()?,

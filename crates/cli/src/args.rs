@@ -13,7 +13,7 @@ use pimulator::prim_suite::DatasetSize;
 
 /// Why a subcommand did not succeed. `main` owns the exit codes.
 #[derive(Debug)]
-pub enum Failure {
+pub(crate) enum Failure {
     /// The command line is wrong: printed with the usage line, exit 2.
     Usage(String),
     /// The run failed (simulation fault, I/O, a failed check): exit 1.
@@ -21,19 +21,19 @@ pub enum Failure {
 }
 
 /// A flag and the placeholder of its value (`""` for a switch).
-pub type Flag = (&'static str, &'static str);
+pub(crate) type Flag = (&'static str, &'static str);
 
-pub const SIZE: Flag = ("--size", "tiny|single|multi");
-pub const THREADS: Flag = ("--threads", "N");
-pub const JSON: Flag = ("--json", "");
-pub const OUT_DIR: Flag = ("--out", "DIR");
-pub const OUT_FILE: Flag = ("--out", "FILE");
-pub const TRACE: Flag = ("--trace", "FILE");
-pub const TUNED: Flag = ("--tuned", "FILE");
+pub(crate) const SIZE: Flag = ("--size", "tiny|single|multi");
+pub(crate) const THREADS: Flag = ("--threads", "N");
+pub(crate) const JSON: Flag = ("--json", "");
+pub(crate) const OUT_DIR: Flag = ("--out", "DIR");
+pub(crate) const OUT_FILE: Flag = ("--out", "FILE");
+pub(crate) const TRACE: Flag = ("--trace", "FILE");
+pub(crate) const TUNED: Flag = ("--tuned", "FILE");
 
 /// A subcommand's command-line shape.
 #[derive(Debug)]
-pub struct Spec {
+pub(crate) struct Spec {
     /// The subcommand, as typed after `pimsim`.
     pub name: &'static str,
     /// Placeholder of the leading positional argument (`""` for none).
@@ -44,7 +44,7 @@ pub struct Spec {
 
 impl Spec {
     /// `pimsim <sub> <positional> [--flag VALUE] …`
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let mut line = format!("pimsim {}", self.name);
         if !self.positional.is_empty() {
             line.push(' ');
@@ -61,7 +61,7 @@ impl Spec {
 /// A cursor over one subcommand's arguments. Every error is a usage
 /// message.
 #[derive(Debug)]
-pub struct Args<'a> {
+pub(crate) struct Args<'a> {
     spec: &'static Spec,
     rest: std::slice::Iter<'a, String>,
     /// The flag [`Args::flag`] returned last; values are read for it.
@@ -69,17 +69,17 @@ pub struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    pub fn new(spec: &'static Spec, args: &'a [String]) -> Self {
+    pub(crate) fn new(spec: &'static Spec, args: &'a [String]) -> Self {
         Args { spec, rest: args.iter(), current: ("", "") }
     }
 
     /// The leading positional argument; `missing` says what to type.
-    pub fn positional(&mut self, missing: &str) -> Result<&'a str, String> {
+    pub(crate) fn positional(&mut self, missing: &str) -> Result<&'a str, String> {
         self.rest.next().map(String::as_str).ok_or_else(|| missing.to_string())
     }
 
     /// Advances to the next flag, which must be in the spec's list.
-    pub fn flag(&mut self) -> Result<Option<&'static str>, String> {
+    pub(crate) fn flag(&mut self) -> Result<Option<&'static str>, String> {
         let Some(arg) = self.rest.next() else { return Ok(None) };
         let known = self.spec.flags.iter().find(|(flag, _)| flag == arg).ok_or_else(|| {
             let expected: Vec<&str> = self.spec.flags.iter().map(|f| f.0).collect();
@@ -91,18 +91,18 @@ impl<'a> Args<'a> {
     }
 
     /// An error about the current flag.
-    pub fn bad(&self, what: impl std::fmt::Display) -> String {
+    pub(crate) fn bad(&self, what: impl std::fmt::Display) -> String {
         format!("{}: {what}", self.current.0)
     }
 
     /// The error for a value outside the alternatives the flag's
     /// placeholder spells out.
-    pub fn unknown(&self, what: &str, v: &str) -> String {
+    pub(crate) fn unknown(&self, what: &str, v: &str) -> String {
         self.bad(format_args!("unknown {what} `{v}` (expected {})", self.current.1))
     }
 
     /// The current flag's value.
-    pub fn value(&mut self) -> Result<&'a str, String> {
+    pub(crate) fn value(&mut self) -> Result<&'a str, String> {
         let (flag, placeholder) = self.current;
         self.rest
             .next()
@@ -110,17 +110,17 @@ impl<'a> Args<'a> {
             .ok_or_else(|| format!("{flag} needs a value ({placeholder})"))
     }
 
-    pub fn path(&mut self) -> Result<PathBuf, String> {
+    pub(crate) fn path(&mut self) -> Result<PathBuf, String> {
         self.value().map(PathBuf::from)
     }
 
-    pub fn number<T: FromStr>(&mut self) -> Result<T, String> {
+    pub(crate) fn number<T: FromStr>(&mut self) -> Result<T, String> {
         let v = self.value()?;
         v.parse().map_err(|_| self.bad(format_args!("`{v}` is not a number")))
     }
 
     /// A number that must be at least 1: worker counts, cadences.
-    pub fn at_least_one<T: FromStr + PartialOrd + From<u8>>(&mut self) -> Result<T, String> {
+    pub(crate) fn at_least_one<T: FromStr + PartialOrd + From<u8>>(&mut self) -> Result<T, String> {
         let n: T = self.number()?;
         if n < T::from(1) {
             return Err(self.bad("must be at least 1"));
@@ -132,7 +132,7 @@ impl<'a> Args<'a> {
 /// The flags more than one subcommand takes. A subcommand lists the ones
 /// it accepts in its [`Spec`] and falls through to [`Common::take`].
 #[derive(Debug, Default)]
-pub struct Common {
+pub(crate) struct Common {
     pub size: Option<DatasetSize>,
     pub threads: Option<usize>,
     /// Print the JSON document to stdout instead of the table.
@@ -150,7 +150,7 @@ impl Common {
     ///
     /// Panics if a [`Spec`] lists a flag that neither its subcommand nor
     /// this function parses.
-    pub fn take(&mut self, args: &mut Args) -> Result<(), String> {
+    pub(crate) fn take(&mut self, args: &mut Args) -> Result<(), String> {
         match args.current.0 {
             "--size" => {
                 let v = args.value()?;
@@ -168,7 +168,7 @@ impl Common {
     }
 
     /// Parses a command line made only of the positional and shared flags.
-    pub fn parse<'a>(
+    pub(crate) fn parse<'a>(
         spec: &'static Spec,
         args: &'a [String],
         missing: &str,
@@ -184,7 +184,7 @@ impl Common {
 }
 
 #[cfg(test)]
-pub fn strings(args: &[&str]) -> Vec<String> {
+pub(crate) fn strings(args: &[&str]) -> Vec<String> {
     args.iter().map(ToString::to_string).collect()
 }
 

@@ -12,7 +12,7 @@ use pimulator::trace::JobTrace;
 use crate::args::{Common, Failure, Spec, JSON, OUT_DIR, OUT_FILE, SIZE, THREADS, TRACE, TUNED};
 use crate::output::{emit, finish, listing};
 
-pub static EXP: Spec = Spec {
+pub(crate) static EXP: Spec = Spec {
     name: "exp",
     positional: "<name|--list>",
     flags: &[
@@ -28,14 +28,14 @@ pub static EXP: Spec = Spec {
 /// The `exp` run with tracing forced: `--out` names the trace file
 /// (default `results/<name>.trace.json`), the per-job retention summary is
 /// printed instead of the table, and no results document is written.
-pub static TRACE_ONLY: Spec =
+pub(crate) static TRACE_ONLY: Spec =
     Spec { name: "trace", positional: "<name>", flags: &[SIZE, THREADS, OUT_FILE] };
 
-pub fn exp(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn exp(args: &[String]) -> Result<(), Failure> {
     run(&EXP, args, false)
 }
 
-pub fn trace(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn trace(args: &[String]) -> Result<(), Failure> {
     run(&TRACE_ONLY, args, true)
 }
 

@@ -12,7 +12,7 @@ use pimulator::report::Json;
 use crate::args::{Args, Common, Failure, Spec, JSON, OUT_FILE, THREADS};
 use crate::output::{emit, finish, write_with_parents};
 
-pub static SPEC: Spec = Spec {
+pub(crate) static SPEC: Spec = Spec {
     name: "fuzz",
     positional: "",
     flags: &[
@@ -45,7 +45,7 @@ fn parse(args: &[String]) -> Result<(CampaignOptions, bool, Common), String> {
     Ok((campaign, mutate, common))
 }
 
-pub fn fuzz(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn fuzz(args: &[String]) -> Result<(), Failure> {
     let (campaign, mutate, common) = parse(args).map_err(Failure::Usage)?;
     let mutants: Vec<Option<Mutant>> =
         if mutate { Mutant::ALL.into_iter().map(Some).collect() } else { vec![None] };

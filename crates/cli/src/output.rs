@@ -12,7 +12,7 @@ use crate::args::{Common, Failure};
 /// Writes `contents` to `path`, creating any missing parent directories
 /// first (so `--out results/nested/dir` and `--trace a/b/trace.json` work
 /// on a fresh checkout).
-pub fn write_with_parents(path: &Path, contents: &str) -> Result<(), Failure> {
+pub(crate) fn write_with_parents(path: &Path, contents: &str) -> Result<(), Failure> {
     let write = || {
         if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent)?;
@@ -24,18 +24,18 @@ pub fn write_with_parents(path: &Path, contents: &str) -> Result<(), Failure> {
 
 /// Prints to stdout, tolerating a closed pipe (`pimsim exp … | head`):
 /// losing stdout mid-table is the downstream reader's choice, not a fault.
-pub fn emit(text: &str) {
+pub(crate) fn emit(text: &str) {
     let _ = std::io::stdout().lock().write_all(text.as_bytes());
 }
 
 /// The `--list` form of a registry, also shown under an unknown name.
-pub fn listing(rows: impl IntoIterator<Item = (&'static str, &'static str)>) -> String {
+pub(crate) fn listing(rows: impl IntoIterator<Item = (&'static str, &'static str)>) -> String {
     rows.into_iter().map(|(name, title)| format!("{name:26} {title}\n")).collect()
 }
 
 /// Says where a file went, unless stdout carries JSON someone is parsing
 /// and stderr should stay quiet.
-pub fn wrote(common: &Common, path: &Path) {
+pub(crate) fn wrote(common: &Common, path: &Path) {
     if !common.json {
         eprintln!("wrote {}", path.display());
     }
@@ -45,7 +45,7 @@ pub fn wrote(common: &Common, path: &Path) {
 /// `traces` there and records the path under `"trace"` in `doc`; then
 /// prints `text` (or, under `--json`, the document) and writes the
 /// document to `path`.
-pub fn finish(
+pub(crate) fn finish(
     common: &Common,
     mut doc: Json,
     text: &str,

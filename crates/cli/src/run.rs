@@ -10,13 +10,13 @@ use crate::args::{Args, Common, Failure, Spec};
 use crate::output::emit;
 
 /// Check and assemble; print the footprint and the symbol map.
-pub static ASM: Spec = Spec { name: "asm", positional: "<file.s>", flags: &[] };
+pub(crate) static ASM: Spec = Spec { name: "asm", positional: "<file.s>", flags: &[] };
 
 /// Assemble, then print the round-trip listing.
-pub static DISASM: Spec = Spec { name: "disasm", positional: "<file.s>", flags: &[] };
+pub(crate) static DISASM: Spec = Spec { name: "disasm", positional: "<file.s>", flags: &[] };
 
 /// Assemble and simulate on one DPU.
-pub static RUN: Spec = Spec {
+pub(crate) static RUN: Spec = Spec {
     name: "run",
     positional: "<file.s>",
     flags: &[
@@ -36,7 +36,7 @@ fn program(path: &str) -> Result<DpuProgram, Failure> {
     assemble(&src).map_err(|err| Failure::Run(format!("{path}: {err}")))
 }
 
-pub fn asm(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn asm(args: &[String]) -> Result<(), Failure> {
     let (path, _) = Common::parse(&ASM, args, MISSING).map_err(Failure::Usage)?;
     let program = program(path)?;
     let mut text = format!(
@@ -53,7 +53,7 @@ pub fn asm(args: &[String]) -> Result<(), Failure> {
     Ok(())
 }
 
-pub fn disasm(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn disasm(args: &[String]) -> Result<(), Failure> {
     let (path, _) = Common::parse(&DISASM, args, MISSING).map_err(Failure::Usage)?;
     emit(&disassemble(&program(path)?));
     Ok(())
@@ -121,7 +121,7 @@ fn parse_run(args: &[String]) -> Result<(&str, DpuConfig, usize), String> {
     Ok((path, cfg, trace))
 }
 
-pub fn run(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn run(args: &[String]) -> Result<(), Failure> {
     let (path, cfg, limit) = parse_run(args).map_err(Failure::Usage)?;
     let program = program(path)?;
     let mut dpu = Dpu::new(cfg);

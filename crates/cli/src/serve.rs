@@ -10,7 +10,7 @@ use pimulator::report::Json;
 use crate::args::{Args, Common, Failure, Spec, JSON, OUT_DIR, THREADS, TRACE, TUNED};
 use crate::output::{emit, finish, listing, write_with_parents, wrote};
 
-pub static SPEC: Spec = Spec {
+pub(crate) static SPEC: Spec = Spec {
     name: "serve",
     positional: "<scenario|--list>",
     flags: &[
@@ -96,7 +96,7 @@ fn registry() -> String {
     listing(pim_serve::scenarios().iter().map(|s| (s.name, s.title)))
 }
 
-pub fn serve(args: &[String]) -> Result<(), Failure> {
+pub(crate) fn serve(args: &[String]) -> Result<(), Failure> {
     let mut args = Args::new(&SPEC, args);
     let name =
         args.positional("which scenario? (try `pimsim serve --list`)").map_err(Failure::Usage)?;

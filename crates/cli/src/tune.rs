@@ -4,11 +4,12 @@
 use std::path::Path;
 
 use pim_bench::tune::{run_tune, tune_table_text, TuneOptions, TunedTable};
+use pimulator::prim_suite::{extended_workloads, workload_by_name};
 
 use crate::args::{Args, Common, Failure, Spec, JSON, OUT_FILE, SIZE, THREADS};
-use crate::output::finish;
+use crate::output::{finish, listing};
 
-pub static SPEC: Spec = Spec {
+pub(crate) static SPEC: Spec = Spec {
     name: "tune",
     positional: "",
     flags: &[
@@ -38,6 +39,9 @@ fn parse(args: &[String]) -> Result<(TuneOptions, Common), String> {
                 if names.is_empty() {
                     return Err(args.bad("needs at least one name"));
                 }
+                if let Some(n) = names.iter().find(|n| workload_by_name(n).is_none()) {
+                    return Err(format!("unknown workload `{n}`; available:\n{}", registry()));
+                }
                 opts.workloads = Some(names);
             }
             _ => common.take(&mut args)?,
@@ -48,7 +52,12 @@ fn parse(args: &[String]) -> Result<(TuneOptions, Common), String> {
     Ok((opts, common))
 }
 
-pub fn tune(args: &[String]) -> Result<(), Failure> {
+/// Every workload `--workloads` accepts, one per line with its family.
+fn registry() -> String {
+    listing(extended_workloads().iter().map(|w| (w.name(), w.family().label()))).trim_end().into()
+}
+
+pub(crate) fn tune(args: &[String]) -> Result<(), Failure> {
     let (opts, common) = parse(args).map_err(Failure::Usage)?;
     let table = run_tune(&opts).map_err(Failure::Run)?;
     let path = common.out.as_deref().unwrap_or(Path::new("results/tuned.json"));
@@ -85,5 +94,8 @@ mod tests {
         assert_eq!(c.out.as_deref(), Some(Path::new("x.json")));
         let err = parse(&strings(&["--workloads", " , "])).unwrap_err();
         assert_eq!(err, "--workloads: needs at least one name");
+        let err = parse(&strings(&["--workloads", "VA,NOPE"])).unwrap_err();
+        assert!(err.starts_with("unknown workload `NOPE`; available:\n"), "{err}");
+        assert!(err.contains("\nSpMV-BSR "), "{err}");
     }
 }

@@ -110,6 +110,19 @@ fn unknown_scenario_exits_nonzero_and_lists_alternatives() {
 }
 
 #[test]
+fn tune_unknown_workload_is_a_usage_error_that_lists_alternatives() {
+    let out = pimsim().args(["tune", "--workloads", "NOPE"]).output().expect("spawn pimsim");
+    assert_eq!(out.status.code(), Some(2), "`pimsim tune --workloads NOPE` is a usage error");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown workload `NOPE`"), "stderr: {stderr}");
+    assert!(!stderr.contains("pimsim list"), "names no missing subcommand: {stderr}");
+    for w in pimulator::prim_suite::extended_workloads() {
+        assert!(stderr.contains(w.name()), "should list {}: {stderr}", w.name());
+    }
+    assert!(stderr.contains("usage: pimsim tune"), "stderr: {stderr}");
+}
+
+#[test]
 fn serve_writes_the_results_document() {
     let scratch = Scratch::new("serve-out");
     let out_dir = scratch.path("nested/results");

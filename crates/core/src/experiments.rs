@@ -876,7 +876,7 @@ fn rank_kernel() -> pim_asm::DpuProgram {
 /// The rank sweep's DPU configuration: the paper baseline at 8 tasklets
 /// with the shrunken MRAM bank.
 #[must_use]
-pub fn rank_config() -> DpuConfig {
+pub(crate) fn rank_config() -> DpuConfig {
     let mut cfg = DpuConfig::paper_baseline(RANK_TASKLETS);
     cfg.layout.mram_bytes = RANK_MRAM_BYTES;
     cfg
@@ -901,7 +901,8 @@ struct RankShard {
 }
 
 /// Builds a fully staged rank-sweep population: `n_dpus` DPUs under
-/// [`rank_config`] with the kernel loaded and DPU `base + i`'s
+/// the sweep's configuration (the paper baseline at 8 tasklets with the
+/// shrunken MRAM bank) with the kernel loaded and DPU `base + i`'s
 /// deterministic input window written to MRAM. Used by the sweep's shards
 /// and by the `pim-bench` `rank` synthetic, which stages once and times
 /// repeated launches. `_batch_dpus` is ignored: it used to select the

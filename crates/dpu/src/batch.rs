@@ -60,7 +60,7 @@ const SEGMENT_SLOTS: usize = 4096;
 
 /// Why a DPU was launched on its own rather than in a lockstep group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Ineligible {
+pub(crate) enum Ineligible {
     /// A SIMT front-end is configured.
     Simt,
     /// [`ExecTier::Naive`]: the reference loop, not the issue engine.
@@ -77,7 +77,7 @@ pub enum Ineligible {
 
 impl Ineligible {
     /// Every reason, in [`LockstepSummary`] order.
-    pub const ALL: [Ineligible; 5] = [
+    pub(crate) const ALL: [Ineligible; 5] = [
         Ineligible::Simt,
         Ineligible::NaiveTier,
         Ineligible::EventTrace,
@@ -87,7 +87,7 @@ impl Ineligible {
 
     /// Short lower-case label.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Ineligible::Simt => "simt",
             Ineligible::NaiveTier => "naive tier",
@@ -125,13 +125,13 @@ pub struct LockstepSummary {
 impl LockstepSummary {
     /// Members launched on their own for reason `why`.
     #[must_use]
-    pub fn ineligible(&self, why: Ineligible) -> u32 {
+    pub(crate) fn ineligible(&self, why: Ineligible) -> u32 {
         self.ineligible[why as usize]
     }
 
     /// Members launched on their own, for whatever reason.
     #[must_use]
-    pub fn ineligible_total(&self) -> u32 {
+    pub(crate) fn ineligible_total(&self) -> u32 {
         self.ineligible.iter().sum()
     }
 
@@ -245,11 +245,9 @@ fn first_disagreement(
     log: &[Step],
     leader_fault: Option<(usize, u32)>,
 ) -> Option<(usize, Result<Effect, SimError>)> {
-    #[cfg(feature = "mutation-hooks")]
     let replay_bug = crate::mutation::replay_bug();
     for (k, step) in log.iter().enumerate() {
         let own = CompiledDispatch::execute(kernel, state, step.tasklet, step.pc);
-        #[cfg(feature = "mutation-hooks")]
         if replay_bug
             && (matches!(step.effect, Effect::Jump(_)) || matches!(own, Ok(Effect::Jump(_))))
         {

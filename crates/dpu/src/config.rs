@@ -297,7 +297,7 @@ impl DpuConfig {
 
     /// Issue width of the pipeline (2 with the `S` feature, 1 otherwise).
     #[must_use]
-    pub fn issue_ways(&self) -> u32 {
+    pub(crate) fn issue_ways(&self) -> u32 {
         if self.ilp.superscalar {
             2
         } else {
@@ -319,14 +319,14 @@ impl DpuConfig {
 
     /// DRAM-clock cycles per core cycle after bandwidth scaling.
     #[must_use]
-    pub fn dram_per_core_ratio(&self) -> f64 {
+    pub(crate) fn dram_per_core_ratio(&self) -> f64 {
         (DramConfig::ddr4_2400().freq_mhz * self.mram_bw_scale) / f64::from(self.freq_mhz())
     }
 
     /// Effective DMA interface rate in bytes per core cycle after bandwidth
     /// scaling.
     #[must_use]
-    pub fn interface_rate(&self) -> f64 {
+    pub(crate) fn interface_rate(&self) -> f64 {
         DMA_INTERFACE_BYTES_PER_CYCLE * self.mram_bw_scale
     }
 

@@ -61,14 +61,13 @@ pub mod dpu;
 pub mod error;
 mod exec;
 mod mem;
-#[cfg(feature = "mutation-hooks")]
 pub mod mutation;
 mod sched;
 mod simt;
 pub mod stats;
 pub mod tenancy;
 
-pub use batch::{run_batch, Divergence, Ineligible, LockstepSummary};
+pub use batch::{run_batch, Divergence, LockstepSummary};
 pub use config::{
     DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, DMA_INTERFACE_BYTES_PER_CYCLE,
     DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, MAX_TASKLETS, REVOLVER_CYCLES,

@@ -91,7 +91,6 @@ fn tag(slot: u64, is_walk: bool) -> u64 {
 pub(crate) fn debug_assert_on_time(at: u64, now: u64) {
     if cfg!(debug_assertions) && at != now {
         // The seeded due bug is late on purpose, and is the fuzzer's to find.
-        #[cfg(feature = "mutation-hooks")]
         if crate::mutation::due_bug() {
             return;
         }
@@ -149,10 +148,7 @@ impl MemEngine {
         assert!(ratio > 0.0 && iface_rate > 0.0);
         let burst_occupancy = (f64::from(dram.burst_bytes) / iface_rate).ceil() as u64;
         // Seeded bug for the mutation self-check, sampled once per launch.
-        #[cfg(feature = "mutation-hooks")]
         let bound_tail = burst_occupancy * (1 + u64::from(crate::mutation::due_bug()));
-        #[cfg(not(feature = "mutation-hooks"))]
-        let bound_tail = burst_occupancy;
         MemEngine {
             bank: DramBank::new(dram),
             mmu,

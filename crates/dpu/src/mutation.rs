@@ -1,4 +1,4 @@
-//! Fault-injection hooks for mutation self-checks (feature-gated).
+//! Fault-injection hooks for mutation self-checks.
 //!
 //! A conformance fuzzer is only trustworthy if it demonstrably catches the
 //! class of bug it exists for. This module provides three seeded bugs, each
@@ -22,10 +22,10 @@
 //!   `debug_assert_on_time` at the loops' drain sites stands down while
 //!   the bug is armed, so the campaign and not the assertion reports it.)
 //!
-//! All switches default to off; builds with `mutation-hooks` enabled but
-//! the switches untouched behave identically to builds without the
-//! feature (each flag is read once per launch or per replayed segment,
-//! outside the hot loops).
+//! The hooks are compiled into every build and all switches default to
+//! off, so a run that never flips one simulates exactly as if the hooks
+//! were absent. Each flag is read once per launch or per replayed segment,
+//! outside the hot loops.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -43,7 +43,7 @@ pub fn set_scoreboard_bug(on: bool) {
 
 /// Whether the seeded scoreboard bug is currently armed.
 #[must_use]
-pub fn scoreboard_bug() -> bool {
+pub(crate) fn scoreboard_bug() -> bool {
     SCOREBOARD_BUG.load(Ordering::SeqCst)
 }
 
@@ -56,7 +56,7 @@ pub fn set_replay_bug(on: bool) {
 
 /// Whether the seeded replay bug is currently armed.
 #[must_use]
-pub fn replay_bug() -> bool {
+pub(crate) fn replay_bug() -> bool {
     REPLAY_BUG.load(Ordering::SeqCst)
 }
 
@@ -69,6 +69,6 @@ pub fn set_due_bug(on: bool) {
 
 /// Whether the seeded due bug is currently armed.
 #[must_use]
-pub fn due_bug() -> bool {
+pub(crate) fn due_bug() -> bool {
     DUE_BUG.load(Ordering::SeqCst)
 }

@@ -399,7 +399,6 @@ impl Engine {
         // Seeded bug for the mutation self-check, sampled here and nowhere
         // else: every optimized run, solo or lockstep, starts from this
         // constructor, so `fuzz --mutate` arms all of them or none.
-        #[cfg(feature = "mutation-hooks")]
         let rf_hazards = rf_hazards && !crate::mutation::scoreboard_bug();
         Engine {
             hot: Hot {

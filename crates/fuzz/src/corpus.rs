@@ -21,7 +21,7 @@ use crate::{ExecMode, FuzzCase};
 use pim_asm::assemble;
 
 /// First line of every corpus entry.
-pub const HEADER: &str = "; pim-fuzz corpus v1";
+pub(crate) const HEADER: &str = "; pim-fuzz corpus v1";
 
 /// One parsed corpus entry.
 #[derive(Debug, Clone)]
@@ -63,20 +63,9 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Renders a seed entry. The `; launches:` line is emitted only for
-/// chained cases, so single-launch entries keep the historical format.
-#[must_use]
-pub fn render_seed(seed: u64, tasklets: u32, mode: ExecMode, launches: u32) -> String {
-    let chain = if launches > 1 { format!("; launches: {launches}\n") } else { String::new() };
-    format!(
-        "{HEADER}\n; kind: seed\n; seed: {seed:#x}\n; tasklets: {tasklets}\n; mode: {}\n{chain}",
-        mode.as_str()
-    )
-}
-
 /// Renders a minimized-repro program entry (header + disassembly).
 #[must_use]
-pub fn render_repro(case: &FuzzCase, invariant: &str) -> String {
+pub(crate) fn render_repro(case: &FuzzCase, invariant: &str) -> String {
     let chain = if case.launch_count() > 1 {
         format!("; launches: {}\n", case.launch_count())
     } else {
@@ -92,7 +81,7 @@ pub fn render_repro(case: &FuzzCase, invariant: &str) -> String {
 
 /// Content-addressed filename for a rendered repro entry.
 #[must_use]
-pub fn repro_filename(text: &str, invariant: &str) -> String {
+pub(crate) fn repro_filename(text: &str, invariant: &str) -> String {
     format!("repro-{invariant}-{:016x}.corpus", fnv1a(text.as_bytes()))
 }
 
@@ -106,7 +95,7 @@ fn header_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 ///
 /// Reports a missing/garbled header, an unknown kind or mode, or
 /// unparseable numeric fields.
-pub fn parse_entry(text: &str) -> Result<CorpusEntry, String> {
+pub(crate) fn parse_entry(text: &str) -> Result<CorpusEntry, String> {
     if text.lines().next().map(str::trim) != Some(HEADER) {
         return Err(format!("missing `{HEADER}` header line"));
     }
@@ -224,6 +213,17 @@ pub fn load_dir(dir: &Path) -> Result<Vec<(String, CorpusEntry)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Renders a seed entry, the input of the `parse_entry` round trips.
+    /// The `; launches:` line is emitted only for chained cases, so
+    /// single-launch entries keep the historical format.
+    fn render_seed(seed: u64, tasklets: u32, mode: ExecMode, launches: u32) -> String {
+        let chain = if launches > 1 { format!("; launches: {launches}\n") } else { String::new() };
+        format!(
+            "{HEADER}\n; kind: seed\n; seed: {seed:#x}\n; tasklets: {tasklets}\n; mode: {}\n{chain}",
+            mode.as_str()
+        )
+    }
 
     #[test]
     fn seed_entries_round_trip() {

@@ -46,7 +46,7 @@ impl HazardKind {
 
 /// How hard a run drove the MRAM engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemPressure {
+pub(crate) enum MemPressure {
     /// No DMA at all.
     Idle,
     /// At most a couple of transfers per tasklet.
@@ -57,12 +57,12 @@ pub enum MemPressure {
 
 impl MemPressure {
     /// All pressures, in reporting order.
-    pub const ALL: [MemPressure; 3] =
+    pub(crate) const ALL: [MemPressure; 3] =
         [MemPressure::Idle, MemPressure::Streaming, MemPressure::Burst];
 
     /// Buckets a run's observed DMA request count.
     #[must_use]
-    pub fn classify(dma_requests: u64, tasklets: u32) -> Self {
+    pub(crate) fn classify(dma_requests: u64, tasklets: u32) -> Self {
         if dma_requests == 0 {
             MemPressure::Idle
         } else if dma_requests <= 2 * u64::from(tasklets) {
@@ -74,7 +74,7 @@ impl MemPressure {
 
     /// Stable lowercase name.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MemPressure::Idle => "idle",
             MemPressure::Streaming => "streaming",
@@ -86,7 +86,7 @@ impl MemPressure {
 /// Tasklet-count bucket (the revolver behaves qualitatively differently
 /// under-, at-, and over-subscribed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TaskletBucket {
+pub(crate) enum TaskletBucket {
     /// One tasklet: no interleaving at all.
     Single,
     /// 2–4: the revolver is under-subscribed.
@@ -97,12 +97,12 @@ pub enum TaskletBucket {
 
 impl TaskletBucket {
     /// All buckets, in reporting order.
-    pub const ALL: [TaskletBucket; 3] =
+    pub(crate) const ALL: [TaskletBucket; 3] =
         [TaskletBucket::Single, TaskletBucket::Few, TaskletBucket::Many];
 
     /// Buckets a tasklet count.
     #[must_use]
-    pub fn classify(tasklets: u32) -> Self {
+    pub(crate) fn classify(tasklets: u32) -> Self {
         match tasklets {
             0 | 1 => TaskletBucket::Single,
             2..=4 => TaskletBucket::Few,
@@ -112,7 +112,7 @@ impl TaskletBucket {
 
     /// Stable name.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             TaskletBucket::Single => "1",
             TaskletBucket::Few => "2-4",
@@ -126,7 +126,7 @@ impl TaskletBucket {
 /// small scattered transfers of gather-style kernels (the sparse BSR
 /// family's `x[colidx]` loads).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum DmaShape {
+pub(crate) enum DmaShape {
     /// No DMA at all.
     None,
     /// Large, regular transfers.
@@ -138,15 +138,15 @@ pub enum DmaShape {
 
 /// Average read-bytes-per-request at or below which a run's DMA traffic
 /// counts as a gather (one or two 8-byte beats per request).
-pub const GATHER_BYTES_PER_REQ: u64 = 16;
+pub(crate) const GATHER_BYTES_PER_REQ: u64 = 16;
 
 impl DmaShape {
     /// All shapes, in reporting order.
-    pub const ALL: [DmaShape; 3] = [DmaShape::None, DmaShape::Bulk, DmaShape::Gather];
+    pub(crate) const ALL: [DmaShape; 3] = [DmaShape::None, DmaShape::Bulk, DmaShape::Gather];
 
     /// Buckets a run's DMA request count and DRAM read traffic.
     #[must_use]
-    pub fn classify(dma_requests: u64, dram_bytes_read: u64) -> Self {
+    pub(crate) fn classify(dma_requests: u64, dram_bytes_read: u64) -> Self {
         if dma_requests == 0 {
             DmaShape::None
         } else if dram_bytes_read / dma_requests <= GATHER_BYTES_PER_REQ {
@@ -158,7 +158,7 @@ impl DmaShape {
 
     /// Stable lowercase name.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DmaShape::None => "none",
             DmaShape::Bulk => "bulk",
@@ -170,7 +170,7 @@ impl DmaShape {
 /// How many launches a case chained (WRAM/MRAM persist across launches;
 /// the NN-inference workloads stage multi-kernel pipelines this way).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChainDepth {
+pub(crate) enum ChainDepth {
     /// One launch.
     Single,
     /// Two or more launches of the same loaded program.
@@ -179,11 +179,11 @@ pub enum ChainDepth {
 
 impl ChainDepth {
     /// All depths, in reporting order.
-    pub const ALL: [ChainDepth; 2] = [ChainDepth::Single, ChainDepth::Chained];
+    pub(crate) const ALL: [ChainDepth; 2] = [ChainDepth::Single, ChainDepth::Chained];
 
     /// Buckets a case's launch count.
     #[must_use]
-    pub fn classify(launches: u32) -> Self {
+    pub(crate) fn classify(launches: u32) -> Self {
         if launches > 1 {
             ChainDepth::Chained
         } else {
@@ -193,7 +193,7 @@ impl ChainDepth {
 
     /// Stable lowercase name.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             ChainDepth::Single => "single",
             ChainDepth::Chained => "chained",
@@ -204,7 +204,7 @@ impl ChainDepth {
 /// Classifies one decoded instruction's hazard kind from decoded facts
 /// alone (see the module docs for why duplicates are recoverable).
 #[must_use]
-pub fn instr_hazard(d: &DecodedInstr) -> HazardKind {
+pub(crate) fn instr_hazard(d: &DecodedInstr) -> HazardKind {
     if d.rf_hazard == 0 {
         return HazardKind::None;
     }
@@ -271,7 +271,7 @@ pub fn class_hazard_reachable(class: InstrClass, hz: HazardKind) -> bool {
 
 /// Number of reachable (class × hazard) cells.
 #[must_use]
-pub fn reachable_class_hazard_cells() -> u32 {
+pub(crate) fn reachable_class_hazard_cells() -> u32 {
     let mut n = 0;
     for class in InstrClass::ALL {
         for hz in HazardKind::ALL {
@@ -301,7 +301,12 @@ impl CoverageMap {
 
     /// Records one case: every static instruction of `decoded`, crossed
     /// with the run's memory pressure and tasklet bucket.
-    pub fn record_program(&mut self, decoded: &DecodedProgram, tasklets: u32, mem: MemPressure) {
+    pub(crate) fn record_program(
+        &mut self,
+        decoded: &DecodedProgram,
+        tasklets: u32,
+        mem: MemPressure,
+    ) {
         let mi = MemPressure::ALL.iter().position(|&m| m == mem).expect("mem in ALL");
         let bucket = TaskletBucket::classify(tasklets);
         let bi = TaskletBucket::ALL.iter().position(|&b| b == bucket).expect("bucket in ALL");
@@ -315,7 +320,7 @@ impl CoverageMap {
 
     /// Records one case's DMA shape × chain depth cell (one hit per case,
     /// unlike the per-instruction class × hazard grid).
-    pub fn record_shape(&mut self, shape: DmaShape, depth: ChainDepth) {
+    pub(crate) fn record_shape(&mut self, shape: DmaShape, depth: ChainDepth) {
         let si = DmaShape::ALL.iter().position(|&s| s == shape).expect("shape in ALL");
         let di = ChainDepth::ALL.iter().position(|&d| d == depth).expect("depth in ALL");
         self.shape_hits[si][di] += 1;
@@ -323,7 +328,7 @@ impl CoverageMap {
 
     /// Hit count of one (DMA shape × chain depth) cell.
     #[must_use]
-    pub fn shape_hits(&self, shape: DmaShape, depth: ChainDepth) -> u64 {
+    pub(crate) fn shape_hits(&self, shape: DmaShape, depth: ChainDepth) -> u64 {
         let si = DmaShape::ALL.iter().position(|&s| s == shape).expect("shape in ALL");
         let di = ChainDepth::ALL.iter().position(|&d| d == depth).expect("depth in ALL");
         self.shape_hits[si][di]
@@ -332,7 +337,7 @@ impl CoverageMap {
     /// The unhit (DMA shape × chain depth) cells, in reporting order. All
     /// six cells are reachable (a chained program may issue no DMA).
     #[must_use]
-    pub fn unhit_shape_chain(&self) -> Vec<(DmaShape, ChainDepth)> {
+    pub(crate) fn unhit_shape_chain(&self) -> Vec<(DmaShape, ChainDepth)> {
         let mut out = Vec::new();
         for shape in DmaShape::ALL {
             for depth in ChainDepth::ALL {
@@ -347,7 +352,7 @@ impl CoverageMap {
     /// Picks a shape focus for the next batch: a random unhit (shape ×
     /// depth) cell, or `None` once the grid is saturated.
     #[must_use]
-    pub fn pick_shape_focus(&self, rng: &mut StdRng) -> Option<(DmaShape, ChainDepth)> {
+    pub(crate) fn pick_shape_focus(&self, rng: &mut StdRng) -> Option<(DmaShape, ChainDepth)> {
         let unhit = self.unhit_shape_chain();
         if unhit.is_empty() {
             None
@@ -365,7 +370,7 @@ impl CoverageMap {
     /// Total hits in one (class × hazard) cell, summed over the dynamic
     /// axes.
     #[must_use]
-    pub fn class_hazard_hits(&self, class: InstrClass, hz: HazardKind) -> u64 {
+    pub(crate) fn class_hazard_hits(&self, class: InstrClass, hz: HazardKind) -> u64 {
         self.hits[class_idx(class)][hazard_idx(hz)].iter().flatten().sum()
     }
 
@@ -385,7 +390,7 @@ impl CoverageMap {
 
     /// The reachable-but-unhit (class × hazard) cells, in reporting order.
     #[must_use]
-    pub fn unhit_class_hazard(&self) -> Vec<(InstrClass, HazardKind)> {
+    pub(crate) fn unhit_class_hazard(&self) -> Vec<(InstrClass, HazardKind)> {
         let mut out = Vec::new();
         for class in InstrClass::ALL {
             for hz in HazardKind::ALL {
@@ -400,7 +405,7 @@ impl CoverageMap {
     /// Picks a generation focus: a random unhit reachable cell, or `None`
     /// once the projection is saturated (unfocused exploration then).
     #[must_use]
-    pub fn pick_focus(&self, rng: &mut StdRng) -> Option<(InstrClass, HazardKind)> {
+    pub(crate) fn pick_focus(&self, rng: &mut StdRng) -> Option<(InstrClass, HazardKind)> {
         let unhit = self.unhit_class_hazard();
         if unhit.is_empty() {
             None
@@ -411,7 +416,7 @@ impl CoverageMap {
 
     /// Hit count of a fully-qualified cell.
     #[must_use]
-    pub fn cell_hits(
+    pub(crate) fn cell_hits(
         &self,
         class: InstrClass,
         hz: HazardKind,
@@ -510,7 +515,7 @@ impl CoverageMap {
 
     /// Human-readable DMA shape × chain depth matrix.
     #[must_use]
-    pub fn shape_table(&self) -> Table {
+    pub(crate) fn shape_table(&self) -> Table {
         let mut t = Table::new(&["dma shape", "single", "chained"]);
         for shape in DmaShape::ALL {
             t.row_owned(vec![

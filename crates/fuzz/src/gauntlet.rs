@@ -35,12 +35,12 @@ use crate::coverage::{ChainDepth, DmaShape, MemPressure};
 
 /// Step bound for the oracle interpreter — far above any generated
 /// program, so hitting it means a runaway case, not a slow one.
-pub const ORACLE_MAX_STEPS: u64 = 10_000_000;
+pub(crate) const ORACLE_MAX_STEPS: u64 = 10_000_000;
 
 /// WRAM bytes compared between executors (the whole scratchpad).
-pub const WRAM_COMPARE: u32 = 64 * 1024;
+pub(crate) const WRAM_COMPARE: u32 = 64 * 1024;
 /// MRAM bytes compared between executors (covers every generated window).
-pub const MRAM_COMPARE: u32 = 128 * 1024;
+pub(crate) const MRAM_COMPARE: u32 = 128 * 1024;
 
 /// Ring capacity used for the sink-invisibility run.
 const RING_CAPACITY: usize = 1 << 16;
@@ -112,18 +112,14 @@ pub struct Failure {
 /// Facts about a passing run the campaign feeds back into coverage.
 #[derive(Debug)]
 pub struct PassInfo {
-    /// Fast-loop cycle count (summed across chained launches).
-    pub cycles: u64,
-    /// DMA requests issued (exact, from the merged run stats).
-    pub dma_requests: u64,
     /// Memory-pressure bucket of the run.
-    pub mem: MemPressure,
+    pub(crate) mem: MemPressure,
     /// DMA-shape bucket (bulk vs gather) of the run.
-    pub shape: DmaShape,
+    pub(crate) shape: DmaShape,
     /// Launch-chain bucket (single vs chained) of the case.
-    pub chain: ChainDepth,
+    pub(crate) chain: ChainDepth,
     /// Event-derived counters from the traced run.
-    pub metrics: MetricsSink,
+    pub(crate) metrics: MetricsSink,
 }
 
 /// Outcome of running one case through the gauntlet.
@@ -444,8 +440,6 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         metrics.absorb(&trace.events);
     }
     CheckOutcome::Pass(Box::new(PassInfo {
-        cycles: fast.cycles,
-        dma_requests: fast.dma_requests,
         mem: MemPressure::classify(fast.dma_requests, case.tasklets),
         shape: DmaShape::classify(fast.dma_requests, fast.dram_bytes),
         chain: ChainDepth::classify(case.launch_count()),
@@ -477,7 +471,7 @@ mod tests {
         let case = generate(3, &gen_opts(4));
         match run_gauntlet(&case) {
             CheckOutcome::Pass(info) => {
-                assert!(info.cycles > 0);
+                assert!(run_once(&case, case.config()).unwrap().cycles > 0);
                 assert!(info.metrics.get("instr_retired") > 0);
             }
             other => panic!("expected pass, got {other:?}"),
@@ -512,7 +506,10 @@ mod tests {
                 // Three launches retire strictly more work than one.
                 let solo = FuzzCase { launches: 1, ..case.clone() };
                 match run_gauntlet(&solo) {
-                    CheckOutcome::Pass(solo_info) => assert!(info.cycles > solo_info.cycles),
+                    CheckOutcome::Pass(_) => {
+                        let cycles = |c: &FuzzCase| run_once(c, c.config()).unwrap().cycles;
+                        assert!(cycles(&case) > cycles(&solo));
+                    }
                     other => panic!("solo leg should pass, got {other:?}"),
                 }
             }

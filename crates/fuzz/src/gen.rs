@@ -22,11 +22,11 @@ use pim_isa::{AluOp, Cond, InstrClass};
 use pim_rng::StdRng;
 
 /// Per-tasklet private WRAM slab size in bytes.
-pub const SLAB_BYTES: i32 = 256;
+pub(crate) const SLAB_BYTES: i32 = 256;
 /// Per-tasklet private MRAM window stride in bytes.
-pub const MRAM_WINDOW: i32 = 1024;
+pub(crate) const MRAM_WINDOW: i32 = 1024;
 /// Base MRAM address of the first tasklet's window.
-pub const MRAM_BASE: i32 = 4096;
+pub(crate) const MRAM_BASE: i32 = 4096;
 
 /// Commutative-associative operators safe for cross-tasklet accumulation:
 /// the final shared value is a fold independent of update order.

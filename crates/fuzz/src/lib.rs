@@ -132,7 +132,7 @@ impl FuzzCase {
     /// Effective launch count — a zero (e.g. from a hand-edited corpus
     /// file) still means one launch.
     #[must_use]
-    pub fn launch_count(&self) -> u32 {
+    pub(crate) fn launch_count(&self) -> u32 {
         self.launches.max(1)
     }
 }

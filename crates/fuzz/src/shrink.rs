@@ -19,7 +19,7 @@ use crate::FuzzCase;
 use pim_isa::Instruction;
 
 /// Default gauntlet-evaluation budget for one shrink.
-pub const DEFAULT_SHRINK_EVALS: u32 = 400;
+pub(crate) const DEFAULT_SHRINK_EVALS: u32 = 400;
 
 /// Remaps one branch target across the removal of `[lo, hi)`.
 fn remap_target(t: u32, lo: u32, hi: u32) -> u32 {

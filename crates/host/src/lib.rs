@@ -43,6 +43,6 @@ pub mod xfer;
 
 pub use system::{ExecutionTimeline, LaunchReport, PimSystem};
 pub use xfer::{
-    from_dpu_ns, to_dpu_ns, Channel, ChannelConfig, ChannelError, ChannelMode, DEFAULT_RANK_DPUS,
-    FROM_DPU_GBPS, TO_DPU_GBPS,
+    from_dpu_ns, to_dpu_ns, Channel, ChannelConfig, ChannelError, ChannelMode, FROM_DPU_GBPS,
+    TO_DPU_GBPS,
 };

@@ -30,7 +30,7 @@
 use std::fmt;
 
 /// Default DPUs per rank: UPMEM DIMMs carry 8 chips × 8 DPUs per rank.
-pub const DEFAULT_RANK_DPUS: u32 = 64;
+pub(crate) const DEFAULT_RANK_DPUS: u32 = 64;
 
 /// A typed rejection of an invalid channel configuration — hand-edited
 /// configs must fail loudly at construction.
@@ -302,7 +302,7 @@ impl Channel {
     }
 
     /// Prices a CPU→DPU push of `bytes` to a single DPU.
-    pub fn push_one(&mut self, dpu: u32, bytes: u64) -> f64 {
+    pub(crate) fn push_one(&mut self, dpu: u32, bytes: u64) -> f64 {
         let ns = to_dpu_ns(bytes);
         match self.cfg.mode {
             ChannelMode::Blocking => self.host_ns += ns,

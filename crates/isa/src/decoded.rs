@@ -9,7 +9,6 @@
 //! answers all of them with flat-array lookups.
 
 use crate::instr::{InstrClass, Instruction};
-use crate::reg::rf_conflict_cycles;
 
 /// Everything the issue/scoreboard path needs to know about one
 /// instruction, pre-computed from the [`Instruction`] enum.
@@ -182,23 +181,22 @@ impl BlockMap {
     }
 }
 
-/// Debug-build check that a decoded entry agrees with the enum-derived
-/// facts (used by the differential tests).
-#[must_use]
-pub fn decoded_matches(d: &DecodedInstr, instr: &Instruction) -> bool {
-    d.src_mask == instr.src_mask()
-        && d.dst == instr.dst().map(|r| r.index())
-        && u32::from(d.rf_hazard) == rf_conflict_cycles(&instr.srcs())
-        && d.class == instr.class()
-        && d.is_dma == instr.is_dma()
-        && d.is_load == matches!(instr, Instruction::Load { .. })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instr::{AluOp, Cond, Operand, Width};
-    use crate::reg::Reg;
+    use crate::reg::{rf_conflict_cycles, Reg};
+
+    /// The decoder's oracle: a decoded entry agrees with the facts the
+    /// enum derives.
+    fn decoded_matches(d: &DecodedInstr, instr: &Instruction) -> bool {
+        d.src_mask == instr.src_mask()
+            && d.dst == instr.dst().map(|r| r.index())
+            && u32::from(d.rf_hazard) == rf_conflict_cycles(&instr.srcs())
+            && d.class == instr.class()
+            && d.is_dma == instr.is_dma()
+            && d.is_load == matches!(instr, Instruction::Load { .. })
+    }
 
     fn sample_instrs() -> Vec<Instruction> {
         vec![

@@ -251,7 +251,7 @@ pub enum Operand {
 impl Operand {
     /// The register, if this operand is a register.
     #[must_use]
-    pub fn as_reg(self) -> Option<Reg> {
+    pub(crate) fn as_reg(self) -> Option<Reg> {
         match self {
             Operand::Reg(r) => Some(r),
             Operand::Imm(_) => None,

@@ -86,20 +86,6 @@ impl PageTable {
         PageTable { map: (0..pages).collect() }
     }
 
-    /// A deterministic non-trivial permutation of `pages` pages, useful for
-    /// proving that translation is actually applied (tests) while remaining
-    /// reproducible.
-    #[must_use]
-    pub fn permuted(pages: u32, seed: u32) -> Self {
-        // Feistel-like involution-free permutation: reverse within blocks.
-        let mut map: Vec<u32> = (0..pages).collect();
-        let block = 8.max((seed % 64) + 2);
-        for chunk in map.chunks_mut(block as usize) {
-            chunk.reverse();
-        }
-        PageTable { map }
-    }
-
     /// Number of mapped pages.
     #[must_use]
     pub fn pages(&self) -> u32 {
@@ -235,11 +221,6 @@ impl Mmu {
         }
     }
 
-    /// Invalidate the whole TLB (e.g. between co-located tenants).
-    pub fn flush_tlb(&mut self) {
-        self.tlb.clear();
-    }
-
     /// The MRAM addresses of the page-table entries read while walking for
     /// `vpn`, one per level, each 4 bytes, laid out as a radix tree under
     /// [`MmuConfig::table_base`].
@@ -273,6 +254,20 @@ impl fmt::Display for Mmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PageTable {
+        /// A deterministic non-trivial permutation of `pages` pages, which
+        /// proves that translation is actually applied.
+        fn permuted(pages: u32, seed: u32) -> Self {
+            // Feistel-like involution-free permutation: reverse within blocks.
+            let mut map: Vec<u32> = (0..pages).collect();
+            let block = 8.max((seed % 64) + 2);
+            for chunk in map.chunks_mut(block as usize) {
+                chunk.reverse();
+            }
+            PageTable { map }
+        }
+    }
 
     fn mmu_identity() -> Mmu {
         Mmu::new(MmuConfig::paper(), PageTable::identity(16 * 1024))
@@ -343,14 +338,6 @@ mod tests {
         let mut seen: Vec<u32> = (0..1000).map(|v| table.lookup(v).unwrap()).collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..1000).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn flush_empties_tlb() {
-        let mut m = mmu_identity();
-        m.translate(0);
-        m.flush_tlb();
-        assert!(!m.translate(0).tlb_hit);
     }
 
     #[test]

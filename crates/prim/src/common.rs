@@ -18,7 +18,7 @@ use crate::{RunConfig, WorkloadRun};
 /// (`A[x]`, `B[x]`, `C[x]` all landing in one set thrashes even an 8-way cache);
 /// real allocators break this alignment with header/metadata padding, and
 /// this constant plays that role.
-pub const REGION_SKEW: u32 = 192;
+pub(crate) const REGION_SKEW: u32 = 192;
 
 /// The span a `bytes`-long buffer takes in a workload's layout: rounded up
 /// to the 8-byte DMA granule, plus [`REGION_SKEW`] before the next buffer.
@@ -51,7 +51,7 @@ pub fn from_bytes(bytes: &[u8]) -> Vec<i32> {
 ///
 /// Panics if `parts == 0` or `idx >= parts`.
 #[must_use]
-pub fn chunk_range(total: usize, parts: usize, idx: usize) -> Range<usize> {
+pub(crate) fn chunk_range(total: usize, parts: usize, idx: usize) -> Range<usize> {
     assert!(parts > 0 && idx < parts);
     let base = total / parts;
     let rem = total % parts;
@@ -66,7 +66,7 @@ pub fn chunk_range(total: usize, parts: usize, idx: usize) -> Range<usize> {
 /// tasklet's share (word-aligned; the last tasklet absorbs the tail).
 ///
 /// Clobbers `start` and `end`; `nbytes` and `t` are read-only.
-pub fn emit_tasklet_byte_range(
+pub(crate) fn emit_tasklet_byte_range(
     k: &mut KernelBuilder,
     nbytes: Reg,
     t: Reg,
@@ -116,7 +116,7 @@ pub(crate) fn emit_tasklet_rows(
 ///
 /// Returns a description of the first mismatching element (or a length
 /// mismatch).
-pub fn validate_words(name: &str, got: &[i32], expect: &[i32]) -> Result<(), String> {
+pub(crate) fn validate_words(name: &str, got: &[i32], expect: &[i32]) -> Result<(), String> {
     if got.len() != expect.len() {
         return Err(format!(
             "{name}: length mismatch, got {} words, expected {}",
@@ -137,7 +137,7 @@ pub fn validate_words(name: &str, got: &[i32], expect: &[i32]) -> Result<(), Str
 /// living in the WRAM symbol `"params"`, mirroring how PrIM host code sets
 /// scalars like `size_per_dpu` before launch (paper Fig 2(a), line 18-20).
 #[derive(Debug, Clone)]
-pub struct Params {
+pub(crate) struct Params {
     offsets: BTreeMap<String, u32>,
     order: Vec<String>,
 }
@@ -145,7 +145,7 @@ pub struct Params {
 impl Params {
     /// Declares the parameter block in the kernel (allocates the WRAM
     /// global and records each name's offset).
-    pub fn define(k: &mut KernelBuilder, names: &[&str]) -> Self {
+    pub(crate) fn define(k: &mut KernelBuilder, names: &[&str]) -> Self {
         let base = k.global_zeroed("params", names.len() as u32 * 4);
         let mut offsets = BTreeMap::new();
         let mut order = Vec::with_capacity(names.len());
@@ -161,7 +161,7 @@ impl Params {
     /// # Panics
     ///
     /// Panics if the parameter was not declared.
-    pub fn load(&self, k: &mut KernelBuilder, dst: Reg, name: &str) {
+    pub(crate) fn load(&self, k: &mut KernelBuilder, dst: Reg, name: &str) {
         let addr = *self.offsets.get(name).unwrap_or_else(|| panic!("unknown parameter `{name}`"));
         k.movi(dst, addr as i32);
         k.lw(dst, dst, 0);
@@ -173,7 +173,7 @@ impl Params {
     ///
     /// Panics if `values` does not provide every declared parameter.
     #[must_use]
-    pub fn bytes(&self, values: &[(&str, u32)]) -> Vec<u8> {
+    pub(crate) fn bytes(&self, values: &[(&str, u32)]) -> Vec<u8> {
         let map: BTreeMap<&str, u32> = values.iter().copied().collect();
         assert_eq!(map.len(), self.order.len(), "must set every parameter exactly once");
         self.order
@@ -223,7 +223,10 @@ impl Stage {
     /// # Panics
     ///
     /// Panics on a cache-centric run of more than one DPU.
-    pub fn new(rc: &RunConfig, (program, params): (DpuProgram, Params)) -> Result<Self, SimError> {
+    pub(crate) fn new(
+        rc: &RunConfig,
+        (program, params): (DpuProgram, Params),
+    ) -> Result<Self, SimError> {
         let cached = rc.cached();
         if cached {
             assert_eq!(rc.n_dpus, 1, "cache-centric runs are single-DPU");
@@ -236,13 +239,13 @@ impl Stage {
 
     /// Number of DPUs in the run.
     #[must_use]
-    pub fn n_dpus(&self) -> usize {
+    pub(crate) fn n_dpus(&self) -> usize {
         self.sys.n_dpus() as usize
     }
 
     /// The address the kernel sees for buffer offset `off`.
     #[must_use]
-    pub fn addr(&self, off: u32) -> u32 {
+    pub(crate) fn addr(&self, off: u32) -> u32 {
         self.base + off
     }
 
@@ -252,7 +255,11 @@ impl Stage {
     /// # Errors
     ///
     /// Never in practice: the stage builds one chunk per DPU.
-    pub fn scatter(&mut self, off: u32, chunk: impl Fn(usize) -> Vec<u8>) -> Result<(), SimError> {
+    pub(crate) fn scatter(
+        &mut self,
+        off: u32,
+        chunk: impl Fn(usize) -> Vec<u8>,
+    ) -> Result<(), SimError> {
         if self.cached {
             self.sys.dpu_mut(0).write_wram(self.base + off, &chunk(0));
             return Ok(());
@@ -267,14 +274,14 @@ impl Stage {
     /// # Errors
     ///
     /// As [`Stage::scatter`].
-    pub fn scatter_words(&mut self, off: u32, words: &[i32]) -> Result<(), SimError> {
+    pub(crate) fn scatter_words(&mut self, off: u32, words: &[i32]) -> Result<(), SimError> {
         let n_dpus = self.n_dpus();
         self.scatter(off, |d| to_bytes(&words[chunk_range(words.len(), n_dpus, d)]))
     }
 
     /// Stages the same bytes on every DPU at `off`: one broadcast, or one
     /// write in place on a cached run.
-    pub fn broadcast(&mut self, off: u32, data: &[u8]) {
+    pub(crate) fn broadcast(&mut self, off: u32, data: &[u8]) {
         if self.cached {
             self.sys.dpu_mut(0).write_wram(self.base + off, data);
         } else {
@@ -284,7 +291,7 @@ impl Stage {
 
     /// Reserves a zero-filled `len`-byte output region at `off`. MRAM
     /// starts zeroed; the flat space is grown to cover it.
-    pub fn zeroed(&mut self, off: u32, len: u32) {
+    pub(crate) fn zeroed(&mut self, off: u32, len: u32) {
         if self.cached {
             self.sys.dpu_mut(0).write_wram(self.base + off, &vec![0u8; len as usize]);
         }
@@ -304,7 +311,7 @@ impl Stage {
     /// # Errors
     ///
     /// Never in practice: the stage builds one block per DPU.
-    pub fn params<const N: usize>(
+    pub(crate) fn params<const N: usize>(
         &mut self,
         values: impl Fn(usize) -> [(&'static str, u32); N],
     ) -> Result<(), SimError> {
@@ -314,7 +321,7 @@ impl Stage {
 
     /// Writes DPU `d`'s parameter block, `values(d)`, in place, pricing no
     /// transfer.
-    pub fn params_in_place<const N: usize>(
+    pub(crate) fn params_in_place<const N: usize>(
         &mut self,
         values: impl Fn(usize) -> [(&'static str, u32); N],
     ) {
@@ -324,7 +331,7 @@ impl Stage {
     }
 
     /// Broadcasts `data` into the WRAM symbol `name` of every DPU.
-    pub fn broadcast_symbol(&mut self, name: &str, data: &[u8]) {
+    pub(crate) fn broadcast_symbol(&mut self, name: &str, data: &[u8]) {
         self.sys.broadcast_to_symbol(name, data);
     }
 
@@ -333,7 +340,7 @@ impl Stage {
     /// # Errors
     ///
     /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range.
-    pub fn copy_to(&mut self, dpu: usize, off: u32, data: &[u8]) -> Result<(), SimError> {
+    pub(crate) fn copy_to(&mut self, dpu: usize, off: u32, data: &[u8]) -> Result<(), SimError> {
         self.sys.try_copy_to_mram(dpu as u32, off, data)
     }
 
@@ -342,7 +349,12 @@ impl Stage {
     /// # Errors
     ///
     /// Returns [`SimError::BadDpuIndex`] when `dpu` is out of range.
-    pub fn copy_from(&mut self, dpu: usize, off: u32, len: u32) -> Result<Vec<i32>, SimError> {
+    pub(crate) fn copy_from(
+        &mut self,
+        dpu: usize,
+        off: u32,
+        len: u32,
+    ) -> Result<Vec<i32>, SimError> {
         Ok(from_bytes(&self.sys.try_copy_from_mram(dpu as u32, off, len)?))
     }
 
@@ -352,7 +364,7 @@ impl Stage {
     /// # Errors
     ///
     /// Propagates the [`SimError`] of the lowest-indexed faulting DPU.
-    pub fn launch(&mut self) -> Result<(), SimError> {
+    pub(crate) fn launch(&mut self) -> Result<(), SimError> {
         let report = self.sys.launch_all()?;
         if self.per_dpu.is_empty() {
             self.per_dpu = report.per_dpu;
@@ -366,14 +378,14 @@ impl Stage {
 
     /// Reads the WRAM symbol `name` back from every DPU in one parallel
     /// transfer.
-    pub fn pull_symbol(&mut self, name: &str) -> &[Vec<u8>] {
+    pub(crate) fn pull_symbol(&mut self, name: &str) -> &[Vec<u8>] {
         self.sys.pull_from_symbol_into(name, &mut self.scratch);
         &self.scratch
     }
 
     /// Reads `len` bytes at `off` back from every DPU: one parallel pull,
     /// or a read of the one DPU's flat space on a cached run.
-    pub fn pull(&mut self, off: u32, len: u32) -> &[Vec<u8>] {
+    pub(crate) fn pull(&mut self, off: u32, len: u32) -> &[Vec<u8>] {
         if self.cached {
             self.scratch = vec![self.sys.dpu(0).read_wram(self.base + off, len)];
         } else {
@@ -386,7 +398,7 @@ impl Stage {
     /// concatenated in DPU order: one [`Stage::pull`] of the largest length
     /// (the SDK pads every DPU to it), each DPU's part trimmed to its own.
     /// Nothing moves when every length is 0.
-    pub fn gather(&mut self, off: u32, lens_bytes: &[u32]) -> Vec<i32> {
+    pub(crate) fn gather(&mut self, off: u32, lens_bytes: &[u32]) -> Vec<i32> {
         let max = lens_bytes.iter().copied().max().unwrap_or(0);
         if max == 0 {
             return Vec::new();
@@ -405,7 +417,7 @@ impl Stage {
     /// Ends the run: the timeline, the merged per-DPU statistics, the
     /// event trace (when the DPUs record one) and the validation result.
     #[must_use]
-    pub fn finish(mut self, validation: Result<(), String>) -> WorkloadRun {
+    pub(crate) fn finish(mut self, validation: Result<(), String>) -> WorkloadRun {
         let trace = self.sys.take_trace();
         WorkloadRun { timeline: *self.sys.timeline(), per_dpu: self.per_dpu, validation, trace }
     }

@@ -6,11 +6,11 @@
 
 use crate::DatasetSize;
 
-pub mod bsr;
+pub(crate) mod bsr;
 
 /// Elements for the streaming workloads, per Table II.
 #[must_use]
-pub fn elements(size: DatasetSize, single: usize, multi: usize) -> usize {
+pub(crate) fn elements(size: DatasetSize, single: usize, multi: usize) -> usize {
     match size {
         DatasetSize::Tiny => 2048,
         DatasetSize::SingleDpu => single,
@@ -20,31 +20,31 @@ pub fn elements(size: DatasetSize, single: usize, multi: usize) -> usize {
 
 /// VA: 1M / 4M elements.
 #[must_use]
-pub fn va(size: DatasetSize) -> usize {
+pub(crate) fn va(size: DatasetSize) -> usize {
     elements(size, 1 << 20, 4 << 20)
 }
 
 /// RED, SEL, UNI: 512K / 2M elements.
 #[must_use]
-pub fn red_sel_uni(size: DatasetSize) -> usize {
+pub(crate) fn red_sel_uni(size: DatasetSize) -> usize {
     elements(size, 512 << 10, 2 << 20)
 }
 
 /// SCAN-RSS / SCAN-SSA: 256K / 1M elements.
 #[must_use]
-pub fn scan(size: DatasetSize) -> usize {
+pub(crate) fn scan(size: DatasetSize) -> usize {
     elements(size, 256 << 10, 1 << 20)
 }
 
 /// HST-S / HST-L: (elements, bins) = 128K/512K elements, 256 bins.
 #[must_use]
-pub fn hst(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn hst(size: DatasetSize) -> (usize, usize) {
     (elements(size, 128 << 10, 512 << 10), 256)
 }
 
 /// TRNS: total elements 128K / 256K, as a (rows, cols) matrix.
 #[must_use]
-pub fn trns(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn trns(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (64, 32),
         DatasetSize::SingleDpu => (512, 256), // 128K elements
@@ -54,7 +54,7 @@ pub fn trns(size: DatasetSize) -> (usize, usize) {
 
 /// BS: (sorted elements, queries) = 32K/4K and 128K/16K.
 #[must_use]
-pub fn bs(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn bs(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (1024, 64),
         DatasetSize::SingleDpu => (32 << 10, 4 << 10),
@@ -64,7 +64,7 @@ pub fn bs(size: DatasetSize) -> (usize, usize) {
 
 /// GEMV: (rows, cols) = 2K×64 and 8K×64.
 #[must_use]
-pub fn gemv(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn gemv(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (128, 64),
         DatasetSize::SingleDpu => (2048, 64),
@@ -74,7 +74,7 @@ pub fn gemv(size: DatasetSize) -> (usize, usize) {
 
 /// MLP: (layers, neurons) = 3×256 and 3×1K.
 #[must_use]
-pub fn mlp(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn mlp(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (3, 64),
         DatasetSize::SingleDpu => (3, 256),
@@ -84,7 +84,7 @@ pub fn mlp(size: DatasetSize) -> (usize, usize) {
 
 /// TS: (series length, query length) = 2K/64 and 64K/64.
 #[must_use]
-pub fn ts(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn ts(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (512, 64),
         DatasetSize::SingleDpu => (2048, 64),
@@ -94,7 +94,7 @@ pub fn ts(size: DatasetSize) -> (usize, usize) {
 
 /// NW: sequence length 256 / 512.
 #[must_use]
-pub fn nw(size: DatasetSize) -> usize {
+pub(crate) fn nw(size: DatasetSize) -> usize {
     match size {
         DatasetSize::Tiny => 64,
         DatasetSize::SingleDpu => 256,
@@ -104,7 +104,7 @@ pub fn nw(size: DatasetSize) -> usize {
 
 /// BFS: (vertices, edges) = 2K/15K and 16K/120K.
 #[must_use]
-pub fn bfs(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn bfs(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (256, 1024),
         DatasetSize::SingleDpu => (2 << 10, 15_000),
@@ -114,7 +114,7 @@ pub fn bfs(size: DatasetSize) -> (usize, usize) {
 
 /// SpMV: (rows, cols, non-zeros) = 12K²/80519 and 14K²/316740.
 #[must_use]
-pub fn spmv(size: DatasetSize) -> (usize, usize, usize) {
+pub(crate) fn spmv(size: DatasetSize) -> (usize, usize, usize) {
     match size {
         DatasetSize::Tiny => (512, 512, 2048),
         DatasetSize::SingleDpu => (12 << 10, 12 << 10, 80_519),
@@ -129,7 +129,7 @@ pub fn spmv(size: DatasetSize) -> (usize, usize, usize) {
 /// paper's Table II, so sizes are chosen to match the dense SpMV's
 /// footprint at each tier.
 #[must_use]
-pub fn spmv_bsr(size: DatasetSize) -> (usize, usize, usize, usize) {
+pub(crate) fn spmv_bsr(size: DatasetSize) -> (usize, usize, usize, usize) {
     match size {
         DatasetSize::Tiny => (64, 64, 4, 256),
         DatasetSize::SingleDpu => (1536, 1536, 8, 1280),
@@ -139,7 +139,7 @@ pub fn spmv_bsr(size: DatasetSize) -> (usize, usize, usize, usize) {
 
 /// SpMM-BSR: (block rows, block cols, block edge, stored blocks, rhs cols).
 #[must_use]
-pub fn spmm_bsr(size: DatasetSize) -> (usize, usize, usize, usize, usize) {
+pub(crate) fn spmm_bsr(size: DatasetSize) -> (usize, usize, usize, usize, usize) {
     match size {
         DatasetSize::Tiny => (48, 48, 4, 192, 8),
         DatasetSize::SingleDpu => (768, 768, 8, 768, 16),
@@ -150,14 +150,14 @@ pub fn spmm_bsr(size: DatasetSize) -> (usize, usize, usize, usize, usize) {
 /// MLP-Q: (layers, neurons) for the quantized chained-kernel MLP —
 /// same shapes as the dense MLP so the two are directly comparable.
 #[must_use]
-pub fn mlp_q(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn mlp_q(size: DatasetSize) -> (usize, usize) {
     mlp(size)
 }
 
 /// ATTN: (sequence length, head dimension) for single-query decode
 /// attention over an `L×D` K/V cache.
 #[must_use]
-pub fn attn(size: DatasetSize) -> (usize, usize) {
+pub(crate) fn attn(size: DatasetSize) -> (usize, usize) {
     match size {
         DatasetSize::Tiny => (128, 32),
         DatasetSize::SingleDpu => (512, 64),

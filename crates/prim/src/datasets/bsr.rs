@@ -18,7 +18,7 @@ use pim_rng::StdRng;
 
 /// A block-sparse matrix with `i32` tile payloads.
 #[derive(Debug, Clone)]
-pub struct Bsr {
+pub(crate) struct Bsr {
     /// Number of block rows (the matrix has `block_rows * block` rows).
     pub block_rows: usize,
     /// Number of block columns.
@@ -34,21 +34,15 @@ pub struct Bsr {
 }
 
 impl Bsr {
-    /// Number of stored tiles.
-    #[must_use]
-    pub fn nnzb(&self) -> usize {
-        self.colidx.len()
-    }
-
     /// Rows of the expanded (element-granularity) matrix.
     #[must_use]
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.block_rows * self.block
     }
 
     /// Columns of the expanded matrix.
     #[must_use]
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.block_cols * self.block
     }
 }
@@ -66,7 +60,13 @@ impl Bsr {
 ///
 /// Panics if `nnzb` exceeds the `block_rows * block_cols` capacity.
 #[must_use]
-pub fn generate(block_rows: usize, block_cols: usize, block: usize, nnzb: usize, seed: u64) -> Bsr {
+pub(crate) fn generate(
+    block_rows: usize,
+    block_cols: usize,
+    block: usize,
+    nnzb: usize,
+    seed: u64,
+) -> Bsr {
     assert!(nnzb <= block_rows * block_cols, "nnzb exceeds block capacity");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut per_row = vec![0usize; block_rows];
@@ -101,7 +101,7 @@ pub fn generate(block_rows: usize, block_cols: usize, block: usize, nnzb: usize,
 /// Reference `y = A·x` with wrapping `i32` arithmetic (bit-exact against
 /// the DPU kernels even under overflow).
 #[must_use]
-pub fn spmv_reference(a: &Bsr, x: &[i32]) -> Vec<i32> {
+pub(crate) fn spmv_reference(a: &Bsr, x: &[i32]) -> Vec<i32> {
     let b = a.block;
     let mut y = vec![0i32; a.rows()];
     for br in 0..a.block_rows {
@@ -122,7 +122,7 @@ pub fn spmv_reference(a: &Bsr, x: &[i32]) -> Vec<i32> {
 
 /// Reference `C = A·B` for a dense row-major `B` with `n_rhs` columns.
 #[must_use]
-pub fn spmm_reference(a: &Bsr, bmat: &[i32], n_rhs: usize) -> Vec<i32> {
+pub(crate) fn spmm_reference(a: &Bsr, bmat: &[i32], n_rhs: usize) -> Vec<i32> {
     let b = a.block;
     let mut out = vec![0i32; a.rows() * n_rhs];
     for br in 0..a.block_rows {
@@ -155,8 +155,8 @@ mod tests {
         assert_eq!(a.rowptr, b.rowptr);
         assert_eq!(a.colidx, b.colidx);
         assert_eq!(a.vals, b.vals);
-        assert_eq!(a.nnzb(), 64);
-        assert_eq!(*a.rowptr.last().unwrap() as usize, a.nnzb());
+        assert_eq!(a.colidx.len(), 64);
+        assert_eq!(*a.rowptr.last().unwrap() as usize, a.colidx.len());
         assert_eq!(a.vals.len(), 64 * 16);
         for br in 0..a.block_rows {
             let span = &a.colidx[a.rowptr[br] as usize..a.rowptr[br + 1] as usize];

@@ -43,8 +43,8 @@
 //! ```
 
 pub mod common;
-pub mod datasets;
-pub mod workloads;
+pub(crate) mod datasets;
+pub(crate) mod workloads;
 
 use pim_dpu::{DpuConfig, DpuRunStats, MemoryMode, SimError};
 use pim_host::{ChannelConfig, ChannelMode, ExecutionTimeline};

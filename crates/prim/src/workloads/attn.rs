@@ -32,7 +32,7 @@ const TEMP_SHIFT: i32 = 4;
 
 /// The ATTN workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Attn;
+pub(crate) struct Attn;
 
 /// Builds the three-stage kernel, specialized on the head dimension `d`.
 #[allow(clippy::too_many_lines)]

@@ -28,7 +28,7 @@ const N_MUTEXES: u32 = 64;
 
 /// The BFS workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Bfs;
+pub(crate) struct Bfs;
 
 #[allow(clippy::too_many_lines)]
 fn kernel(n_tasklets: u32, vtotal: u32, flat: bool) -> (DpuProgram, Params) {

@@ -28,7 +28,7 @@ const PROBE: u32 = 256;
 
 /// The BS workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Bs;
+pub(crate) struct Bs;
 
 fn kernel(n_tasklets: u32, flat: bool) -> (DpuProgram, Params) {
     let mut k = KernelBuilder::new();

@@ -15,7 +15,7 @@ use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// The GEMV workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Gemv;
+pub(crate) struct Gemv;
 
 /// Computes `y = A·x` for `A: rows×cols` row-major. `max_rows` sizes the
 /// shared WRAM output staging.

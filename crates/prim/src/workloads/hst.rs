@@ -28,11 +28,11 @@ const N_MUTEXES: u32 = 64;
 
 /// The HST-S (private histograms) workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HstS;
+pub(crate) struct HstS;
 
 /// The HST-L (shared, mutex-guarded histogram) workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct HstL;
+pub(crate) struct HstL;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flavour {

@@ -26,7 +26,7 @@ const CHUNK: u32 = 256;
 
 /// The MLP workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Mlp;
+pub(crate) struct Mlp;
 
 struct LayerRegs {
     rows: Reg,

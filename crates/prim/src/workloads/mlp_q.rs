@@ -27,7 +27,7 @@ const SHIFT: u32 = 6;
 
 /// The MLP-Q workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MlpQ;
+pub(crate) struct MlpQ;
 
 /// Builds the two-stage kernel, specialized on the layer width `cols`.
 ///

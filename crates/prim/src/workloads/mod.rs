@@ -6,21 +6,21 @@
 //! orchestration, a seeded dataset generator, and a reference
 //! implementation that validates the simulated output.
 
-pub mod attn;
-pub mod bfs;
-pub mod bs;
-pub mod gemv;
-pub mod hst;
-pub mod mlp;
-pub mod mlp_q;
-pub mod nw;
-pub mod red;
-pub mod scan;
-pub mod sel;
-pub mod spmm_bsr;
-pub mod spmv;
-pub mod spmv_bsr;
-pub mod trns;
-pub mod ts;
-pub mod uni;
-pub mod va;
+pub(crate) mod attn;
+pub(crate) mod bfs;
+pub(crate) mod bs;
+pub(crate) mod gemv;
+pub(crate) mod hst;
+pub(crate) mod mlp;
+pub(crate) mod mlp_q;
+pub(crate) mod nw;
+pub(crate) mod red;
+pub(crate) mod scan;
+pub(crate) mod sel;
+pub(crate) mod spmm_bsr;
+pub(crate) mod spmv;
+pub(crate) mod spmv_bsr;
+pub(crate) mod trns;
+pub(crate) mod ts;
+pub(crate) mod uni;
+pub(crate) mod va;

@@ -30,7 +30,7 @@ const MISMATCH: i32 = -1;
 
 /// The NW workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Nw;
+pub(crate) struct Nw;
 
 #[allow(clippy::too_many_lines)]
 fn kernel(n_tasklets: u32, flat: bool) -> (DpuProgram, Params) {

@@ -17,7 +17,7 @@ const BLOCK: u32 = 1024;
 
 /// The RED workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Red;
+pub(crate) struct Red;
 
 fn kernel(n_tasklets: u32, flat: bool) -> (DpuProgram, Params) {
     let mut k = KernelBuilder::new();

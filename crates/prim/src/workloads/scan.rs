@@ -32,11 +32,11 @@ enum Flavour {
 
 /// The SCAN-SSA workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScanSsa;
+pub(crate) struct ScanSsa;
 
 /// The SCAN-RSS workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ScanRss;
+pub(crate) struct ScanRss;
 
 /// Builds the kernel. Modes (the `mode` parameter):
 /// * SSA: `0` = local scan + tasklet-offset add + publish total;

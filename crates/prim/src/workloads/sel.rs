@@ -22,7 +22,7 @@ const BLOCK: u32 = 1024;
 
 /// The SEL workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Sel;
+pub(crate) struct Sel;
 
 /// The predicate: keep odd values.
 fn keep(v: i32) -> bool {

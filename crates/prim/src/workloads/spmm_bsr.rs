@@ -21,7 +21,7 @@ use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, Workload
 
 /// The SpMM-BSR workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpmmBsr;
+pub(crate) struct SpmmBsr;
 
 /// Builds the kernel, specialized on tile edge `b` and `n_rhs`.
 fn kernel(n_tasklets: u32, b: u32, n_rhs: u32) -> (DpuProgram, Params) {

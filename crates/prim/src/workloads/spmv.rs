@@ -24,7 +24,7 @@ const YBLOCK: u32 = 128;
 
 /// The SpMV workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Spmv;
+pub(crate) struct Spmv;
 
 /// A CSR matrix with `i32` values.
 #[derive(Debug, Clone)]

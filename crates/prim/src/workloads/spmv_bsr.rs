@@ -24,7 +24,7 @@ use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, Workload
 
 /// The SpMV-BSR workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpmvBsr;
+pub(crate) struct SpmvBsr;
 
 /// Builds the kernel, specialized on the tile edge `b`.
 fn kernel(n_tasklets: u32, b: u32) -> (DpuProgram, Params) {

@@ -19,7 +19,7 @@ const TILE: u32 = 16;
 
 /// The TRNS workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Trns;
+pub(crate) struct Trns;
 
 /// Scratchpad kernel: dynamic tile queue + tiled transpose through WRAM.
 fn kernel_scratchpad(n_tasklets: u32) -> (DpuProgram, Params) {

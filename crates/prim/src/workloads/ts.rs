@@ -24,7 +24,7 @@ const POS_BLOCK: u32 = 192;
 
 /// The TS workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Ts;
+pub(crate) struct Ts;
 
 #[allow(clippy::too_many_lines)]
 fn kernel(n_tasklets: u32, qlen: u32, flat: bool) -> (DpuProgram, Params) {

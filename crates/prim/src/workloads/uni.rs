@@ -26,7 +26,7 @@ const NO_PREV: i32 = i32::MAX;
 
 /// The UNI workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Uni;
+pub(crate) struct Uni;
 
 fn kernel(n_tasklets: u32, flat: bool) -> (DpuProgram, Params) {
     let mut k = KernelBuilder::new();

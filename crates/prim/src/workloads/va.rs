@@ -15,7 +15,7 @@ const BLOCK: u32 = 1024;
 
 /// The VA workload.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Va;
+pub(crate) struct Va;
 
 /// Scratchpad kernel: tasklets grab blocks round-robin, stage A and B via
 /// DMA, add in place, and DMA the result to C.

@@ -34,7 +34,7 @@ use crate::traffic::{Arrival, TrafficState};
 /// channel-mode identity field joined the document (v1 checkpoints are
 /// rejected with a schema error rather than silently resumed under the
 /// wrong transfer model).
-pub const CHECKPOINT_SCHEMA: &str = "pim-serve-checkpoint/2";
+pub(crate) const CHECKPOINT_SCHEMA: &str = "pim-serve-checkpoint/2";
 
 /// One pending retry: a request that failed `attempt` times and
 /// re-enters dispatch once virtual time reaches `ready_at`.

@@ -227,7 +227,7 @@ impl FaultSpec {
 
 /// One scheduled whole-rank outage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Outage {
+pub(crate) struct Outage {
     /// Virtual time the rank drops offline, ns.
     pub at_ns: u64,
     /// Virtual time it rejoins, ns.
@@ -280,13 +280,13 @@ impl FaultPlan {
 
     /// The rank containing DPU `dpu`.
     #[must_use]
-    pub fn rank_of(&self, dpu: u32) -> u32 {
+    pub(crate) fn rank_of(&self, dpu: u32) -> u32 {
         dpu / self.spec.dpus_per_rank
     }
 
     /// The pre-drawn outage schedule, sorted by onset.
     #[must_use]
-    pub fn outages(&self) -> &[Outage] {
+    pub(crate) fn outages(&self) -> &[Outage] {
         &self.outages
     }
 
@@ -298,7 +298,12 @@ impl FaultPlan {
     /// on the round index and the occupied set — not on wall-clock,
     /// threads, or how the loop got here (a resumed run redraws
     /// identically).
-    pub fn round_faults(&self, round: u64, occupied: &[u32], faults: &mut Vec<(u32, FaultKind)>) {
+    pub(crate) fn round_faults(
+        &self,
+        round: u64,
+        occupied: &[u32],
+        faults: &mut Vec<(u32, FaultKind)>,
+    ) {
         faults.clear();
         let (transient, stuck) =
             (u64::from(self.spec.transient_per_mille), u64::from(self.spec.stuck_per_mille));

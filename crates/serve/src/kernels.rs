@@ -11,13 +11,13 @@
 //! A DPU's *composition* is the vector of request classes occupying its
 //! slots. Execution cost is obtained by cycle-level simulation of the
 //! co-located image and memoized at two levels: a run's
-//! [`CompositionCache`] holds the profiles that run has used, and beneath
+//! `CompositionCache` holds the profiles that run has used, and beneath
 //! it a process-wide memo keyed on the full [`DpuConfig`] and the
 //! canonical composition holds every profile any run of the process has
 //! simulated. Only compositions the process has never simulated under an
 //! equal config pay for simulation (those simulations are what
 //! `--threads` parallelizes); traced profiling bypasses the memo so it
-//! always yields its event trace ([`memoized_profiles`]).
+//! always yields its event trace (`memoized_profiles`).
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -37,10 +37,10 @@ pub const SLOTS_PER_DPU: usize = 4;
 pub const TASKLETS_PER_SLOT: u32 = 4;
 
 /// WRAM partition size per slot (4 × 16 KB fills the 64 KB scratchpad).
-pub const SLOT_WRAM_BYTES: u32 = 16 * 1024;
+pub(crate) const SLOT_WRAM_BYTES: u32 = 16 * 1024;
 
 /// MRAM staging region per slot (inputs land at `slot * SLOT_MRAM_BYTES`).
-pub const SLOT_MRAM_BYTES: u32 = 1 << 20;
+pub(crate) const SLOT_MRAM_BYTES: u32 = 1 << 20;
 
 /// Sentinel class for an unoccupied slot.
 pub const EMPTY_SLOT: u16 = u16::MAX;
@@ -237,7 +237,7 @@ pub fn request_classes() -> &'static [RequestClass] {
 /// Resolves a PrIM workload name (case-insensitive, as
 /// `prim_suite::workload_by_name`) to its class index.
 #[must_use]
-pub fn class_index(workload: &str) -> Option<u16> {
+pub(crate) fn class_index(workload: &str) -> Option<u16> {
     request_classes()
         .iter()
         .position(|c| c.workload.eq_ignore_ascii_case(workload))
@@ -391,7 +391,7 @@ pub struct CompositionProfile {
 
 /// Cycle-simulates one composition on a single-DPU system and returns
 /// its profile (plus the harvested event trace when `trace_capacity` is
-/// non-zero). It simulates on every call; [`memoized_profiles`] is the
+/// non-zero). It simulates on every call; `memoized_profiles` is the
 /// memoized path. Inputs are staged and outputs pulled through the fallible
 /// transfer API — a serving batch must never abort the process on a
 /// routing bug.
@@ -441,7 +441,7 @@ pub fn profile_composition(
 
 /// A human-readable label for a composition (`"BS+TS+--+VA"`).
 #[must_use]
-pub fn composition_label(comp: &[u16]) -> String {
+pub(crate) fn composition_label(comp: &[u16]) -> String {
     let classes = request_classes();
     comp.iter()
         .map(|&c| if c == EMPTY_SLOT { "--" } else { classes[c as usize].workload })
@@ -451,7 +451,7 @@ pub fn composition_label(comp: &[u16]) -> String {
 
 /// One DPU's composition in the fixed-width form the dispatch round
 /// works in: the class of each slot, [`EMPTY_SLOT`] where idle.
-pub type Composition = [u16; SLOTS_PER_DPU];
+pub(crate) type Composition = [u16; SLOTS_PER_DPU];
 
 /// The memoization table: profiles in first-seen order, plus an index
 /// from *canonical* (sorted) composition to profile position. A round
@@ -459,7 +459,7 @@ pub type Composition = [u16; SLOTS_PER_DPU];
 /// on, so per-request reads are a slice index, not a map walk. `BTreeMap`
 /// keeps iteration (and any reporting derived from it) deterministic.
 #[derive(Debug, Clone, Default)]
-pub struct CompositionCache {
+pub(crate) struct CompositionCache {
     index: BTreeMap<Composition, usize>,
     profiles: Vec<CompositionProfile>,
 }
@@ -467,19 +467,19 @@ pub struct CompositionCache {
 impl CompositionCache {
     /// An empty cache.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CompositionCache::default()
     }
 
     /// The position of `canon`'s profile, if it has been profiled.
     #[must_use]
-    pub fn position(&self, canon: &Composition) -> Option<usize> {
+    pub(crate) fn position(&self, canon: &Composition) -> Option<usize> {
         self.index.get(canon).copied()
     }
 
     /// Memoizes `profile` for `canon` (a composition already cached keeps
     /// its profile and its position).
-    pub fn insert(&mut self, canon: Composition, profile: CompositionProfile) {
+    pub(crate) fn insert(&mut self, canon: Composition, profile: CompositionProfile) {
         if let Entry::Vacant(slot) = self.index.entry(canon) {
             slot.insert(self.profiles.len());
             self.profiles.push(profile);
@@ -488,14 +488,14 @@ impl CompositionCache {
 
     /// The profile at a position returned by [`CompositionCache::position`].
     #[must_use]
-    pub fn profile(&self, position: usize) -> &CompositionProfile {
+    pub(crate) fn profile(&self, position: usize) -> &CompositionProfile {
         &self.profiles[position]
     }
 }
 
 /// One profile result: the profile and, for a traced simulation, its
 /// event trace.
-pub type ProfileResult = Result<(CompositionProfile, Option<JobTrace>), SimError>;
+pub(crate) type ProfileResult = Result<(CompositionProfile, Option<JobTrace>), SimError>;
 
 /// The process-wide profile memo: one table per distinct [`DpuConfig`]
 /// (compared with `==`; a scan, as a process sees only a handful), each
@@ -527,7 +527,7 @@ fn memo_lookup(
 /// never across a simulation. A traced call (`trace_capacity > 0`)
 /// neither reads nor writes the memo, so every composition is simulated
 /// and returns its trace. A memo hit carries no trace.
-pub fn memoized_profiles(
+pub(crate) fn memoized_profiles(
     comps: &[Composition],
     cfg: &DpuConfig,
     trace_capacity: usize,

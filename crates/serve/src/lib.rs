@@ -48,15 +48,15 @@ pub mod sched;
 pub mod slo;
 pub mod traffic;
 
-pub use checkpoint::{Checkpoint, RetryEntry, CHECKPOINT_SCHEMA};
-pub use fault::{FaultKind, FaultPlan, FaultSpec, Outage};
+pub use checkpoint::{Checkpoint, RetryEntry};
+pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use queue::{Admission, AdmissionQueue, Request, TenantAdmission};
 pub use runtime::{
     resolved_duration_ns, resume_scenario, run_scenario, run_scenario_with_checkpoints, RunTooLong,
     ServeOptions, ServeOutcome, TenantOutcome,
 };
 pub use scenario::{scenario_by_name, scenarios, Scenario, TenantSpec};
-pub use sched::{policy_by_name, policy_by_name_with_weights, SchedulerPolicy};
+pub use sched::{policy_by_name, SchedulerPolicy};
 pub use slo::{LatencyHistogram, LatencySplit};
 
 use pimulator::report::Show::{Fixed, Text, Us};

@@ -101,7 +101,7 @@ impl AdmissionQueue {
 
     /// Offers one request; the quota check runs first so a full queue
     /// never masks a tenant that is also over quota.
-    pub fn offer(&mut self, req: Request) -> Admission {
+    pub(crate) fn offer(&mut self, req: Request) -> Admission {
         let s = &mut self.stats[req.tenant];
         s.offered += 1;
         if self.queued[req.tenant] >= self.quotas[req.tenant] {
@@ -126,7 +126,7 @@ impl AdmissionQueue {
     }
 
     /// Removes and returns the oldest queued request matching `pred`.
-    pub fn pop_first_where(&mut self, pred: impl Fn(&Request) -> bool) -> Option<Request> {
+    pub(crate) fn pop_first_where(&mut self, pred: impl Fn(&Request) -> bool) -> Option<Request> {
         let idx = self.queue.iter().position(pred)?;
         let req = self.queue.remove(idx)?;
         self.queued[req.tenant] -= 1;
@@ -153,7 +153,7 @@ impl AdmissionQueue {
 
     /// Queued requests of one tenant.
     #[must_use]
-    pub fn queued_of(&self, tenant: usize) -> usize {
+    pub(crate) fn queued_of(&self, tenant: usize) -> usize {
         self.queued[tenant]
     }
 

@@ -1,13 +1,13 @@
 //! The serving runtime: a deterministic virtual-time event loop.
 //!
 //! One run is a pure function of `(scenario, options)`. Arrivals stream
-//! from the seeded [`TrafficGen`]; the loop then alternates between
+//! from the seeded `TrafficGen`; the loop then alternates between
 //! admitting arrivals whose timestamp has passed and dispatching one
 //! *round* — ready retries first, then a batch drained by the scheduling
 //! policy, packed onto the slots of the currently *healthy* DPUs. Each
 //! round's cost comes from cycle-level simulation of its per-DPU
-//! compositions, memoized per run in a [`CompositionCache`] and per
-//! process beneath it ([`memoized_profiles`]); a run's first-seen
+//! compositions, memoized per run in a `CompositionCache` and per
+//! process beneath it (`memoized_profiles`); a run's first-seen
 //! compositions are read from the process memo where an earlier run
 //! simulated them under an equal config, and only the rest are
 //! simulated. Those simulations are the one thing `--threads`
@@ -20,7 +20,7 @@
 //! A round touches only fixed-width, loop-owned state: the batch, its
 //! retry-attempt counts, one `DpuRound` record per occupied DPU, the
 //! healthy set and the drawn faults all live in buffers allocated once
-//! and reused, a composition is a `[u16; SLOTS_PER_DPU]` ([`Composition`]),
+//! and reused, a composition is a `[u16; SLOTS_PER_DPU]` (`Composition`),
 //! and each occupied DPU resolves its profile to a cache *position* once
 //! — the per-request loop then reads `profile(position)` and a per-DPU
 //! fault verdict. In the steady state (no first-seen composition, no
@@ -40,7 +40,7 @@
 //! ## Faults, retries, elastic capacity
 //!
 //! With a [`FaultSpec`], each round draws per-DPU faults from a stream
-//! keyed on the round index (see [`FaultPlan::round_faults`]) and walks
+//! keyed on the round index (see `FaultPlan::round_faults`) and walks
 //! a pre-drawn rank-outage schedule. A faulted request is retried with
 //! exponential virtual-time backoff up to the spec's budget, then
 //! counted `failed`; an offline rank shrinks the healthy set, so the

@@ -42,7 +42,7 @@ pub trait SchedulerPolicy {
 
 /// Strict arrival order.
 #[derive(Debug, Default)]
-pub struct Fifo;
+pub(crate) struct Fifo;
 
 impl SchedulerPolicy for Fifo {
     fn name(&self) -> &'static str {
@@ -60,7 +60,7 @@ impl SchedulerPolicy for Fifo {
 /// compositions uniform, which maximizes composition-profile reuse — the
 /// serving analogue of transfer batching.
 #[derive(Debug, Default)]
-pub struct SizeClass;
+pub(crate) struct SizeClass;
 
 impl SchedulerPolicy for SizeClass {
     fn name(&self) -> &'static str {
@@ -86,7 +86,7 @@ impl SchedulerPolicy for SizeClass {
 /// per scheduled request, so under saturation completed-request shares
 /// converge to the weight ratio regardless of arrival shares.
 #[derive(Debug)]
-pub struct WeightedFair {
+pub(crate) struct WeightedFair {
     weights: Vec<u64>,
     credit: Vec<i64>,
 }
@@ -94,7 +94,7 @@ pub struct WeightedFair {
 impl WeightedFair {
     /// Creates the policy for tenants with the given weights.
     #[must_use]
-    pub fn new(weights: Vec<u64>) -> Self {
+    pub(crate) fn new(weights: Vec<u64>) -> Self {
         let n = weights.len();
         WeightedFair { weights, credit: vec![0; n] }
     }
@@ -159,7 +159,7 @@ impl SchedulerPolicy for WeightedFair {
 
 /// Resolves a policy by registry name, sized for `weights.len()` tenants.
 #[must_use]
-pub fn policy_by_name_with_weights(
+pub(crate) fn policy_by_name_with_weights(
     name: &str,
     weights: &[u64],
 ) -> Option<Box<dyn SchedulerPolicy>> {

@@ -88,7 +88,7 @@ impl LatencyHistogram {
 
     /// Largest exact sample, ns.
     #[must_use]
-    pub fn max_ns(&self) -> u64 {
+    pub(crate) fn max_ns(&self) -> u64 {
         self.max_ns
     }
 

@@ -40,10 +40,10 @@ fn gap_ns(rng: &mut StdRng, gap_scale: f64) -> u64 {
     ((gap_scale * (geometric + uniform)) as u64).max(1)
 }
 
-/// The resumable state of a [`TrafficGen`], captured mid-stream by
-/// [`TrafficGen::state`]: the raw RNG words, the generator's clock, and
+/// The resumable state of a `TrafficGen`, captured mid-stream by
+/// `TrafficGen::state`: the raw RNG words, the generator's clock, and
 /// the one arrival drawn ahead for peeking. A generator rebuilt from this
-/// via [`TrafficGen::restore`] emits the exact remaining schedule.
+/// via `TrafficGen::restore` emits the exact remaining schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficState {
     /// xoshiro256** state words ([`StdRng::state`]).
@@ -148,7 +148,7 @@ impl ArrivalTables {
 /// draws is tabulated at construction, so a draw is four raw RNG steps
 /// and two short table walks.
 #[derive(Debug, Clone)]
-pub struct TrafficGen {
+pub(crate) struct TrafficGen {
     tables: ArrivalTables,
     rng: StdRng,
     t_ns: u64,
@@ -164,7 +164,7 @@ impl TrafficGen {
     /// Panics if `load` is not positive or a mix names an unknown
     /// workload.
     #[must_use]
-    pub fn new(scenario: &Scenario, seed: u64, load: f64, duration_ns: u64) -> Self {
+    pub(crate) fn new(scenario: &Scenario, seed: u64, load: f64, duration_ns: u64) -> Self {
         let start =
             TrafficState { rng: StdRng::seed_from_u64(seed).state(), t_ns: 0, peeked: None };
         let mut gen = TrafficGen::restore(scenario, load, duration_ns, &start);
@@ -179,7 +179,12 @@ impl TrafficGen {
     /// Panics if `load` is not positive or a mix names an unknown
     /// workload.
     #[must_use]
-    pub fn restore(scenario: &Scenario, load: f64, duration_ns: u64, state: &TrafficState) -> Self {
+    pub(crate) fn restore(
+        scenario: &Scenario,
+        load: f64,
+        duration_ns: u64,
+        state: &TrafficState,
+    ) -> Self {
         TrafficGen {
             tables: ArrivalTables::new(scenario, load, duration_ns),
             rng: StdRng::from_state(state.rng),
@@ -190,33 +195,24 @@ impl TrafficGen {
 
     /// Snapshots the generator for a checkpoint.
     #[must_use]
-    pub fn state(&self) -> TrafficState {
+    pub(crate) fn state(&self) -> TrafficState {
         TrafficState { rng: self.rng.state(), t_ns: self.t_ns, peeked: self.peeked }
     }
 
     /// The next arrival, without consuming it (`None` once the schedule
     /// is exhausted).
     #[must_use]
-    pub fn peek(&self) -> Option<Arrival> {
+    pub(crate) fn peek(&self) -> Option<Arrival> {
         self.peeked
     }
 
-    /// Consumes and returns the next arrival.
-    pub fn next_arrival(&mut self) -> Option<Arrival> {
-        let out = self.peeked.take();
-        if out.is_some() {
-            self.peeked = self.tables.draw(&mut self.rng, &mut self.t_ns);
-        }
-        out
-    }
-
     /// Consumes every arrival due at or before `now_ns`, in order,
-    /// handing each to `sink` — [`TrafficGen::next_arrival`] in a loop,
-    /// but with the generator state held in locals across the whole run
-    /// of arrivals instead of stored and reloaded around each one (under
-    /// overload a dispatch round admits tens of arrivals at once).
+    /// handing each to `sink`. It draws what consuming them one at a time
+    /// would, but holds the generator state in locals across the whole run
+    /// of arrivals instead of storing and reloading it around each one
+    /// (under overload a dispatch round admits tens of arrivals at once).
     #[inline]
-    pub fn drain_due(&mut self, now_ns: u64, mut sink: impl FnMut(Arrival)) {
+    pub(crate) fn drain_due(&mut self, now_ns: u64, mut sink: impl FnMut(Arrival)) {
         let (mut rng, mut t_ns, mut next) = (self.rng.clone(), self.t_ns, self.peeked);
         while let Some(a) = next {
             if a.at_ns > now_ns {
@@ -229,7 +225,7 @@ impl TrafficGen {
     }
 }
 
-/// Generates the full arrival schedule eagerly — [`TrafficGen`] drained
+/// Generates the full arrival schedule eagerly — `TrafficGen` drained
 /// into a `Vec`.
 ///
 /// # Panics
@@ -245,7 +241,7 @@ pub fn generate(scenario: &Scenario, seed: u64, load: f64, duration_ns: u64) -> 
 
 /// Turns an arrival into an admission-queue request with a stable id.
 #[must_use]
-pub fn to_request(id: u64, a: Arrival) -> Request {
+pub(crate) fn to_request(id: u64, a: Arrival) -> Request {
     Request { id, tenant: a.tenant, class: a.class, arrival_ns: a.at_ns }
 }
 
@@ -253,6 +249,18 @@ pub fn to_request(id: u64, a: Arrival) -> Request {
 mod tests {
     use super::*;
     use crate::scenario::{scenario_by_name, scenarios};
+
+    impl TrafficGen {
+        /// Consumes and returns the next arrival: the one-at-a-time draw
+        /// that [`TrafficGen::drain_due`] is checked against.
+        fn next_arrival(&mut self) -> Option<Arrival> {
+            let out = self.peeked.take();
+            if out.is_some() {
+                self.peeked = self.tables.draw(&mut self.rng, &mut self.t_ns);
+            }
+            out
+        }
+    }
 
     /// The arrival draw as it was before the tables: every
     /// scenario-constant recomputed per arrival, bounds sampled through

@@ -9,7 +9,7 @@ use pimulator::report::Json;
 
 /// How one value of a document is damaged.
 #[derive(Debug)]
-pub enum Damage {
+pub(crate) enum Damage {
     /// Overwritten with this value.
     Put(Json),
     /// An array loses its last element, and then all of them.
@@ -77,7 +77,7 @@ fn fits(path: &str, pattern: &str) -> bool {
 /// refuse the document, or hand back exactly what it was given: a value
 /// narrowed on the way in shows as a difference. `derived` names values
 /// the writer computes from others and the reader therefore ignores.
-pub fn every_number_at_max(
+pub(crate) fn every_number_at_max(
     root: &str,
     doc: &Json,
     derived: &[&str],
@@ -99,7 +99,7 @@ pub fn every_number_at_max(
 /// pattern. The reader must refuse every such document with a message
 /// that opens with the path of the damaged value, and every row must
 /// find something to damage.
-pub fn every_damage_is_named(
+pub(crate) fn every_damage_is_named(
     root: &str,
     doc: &Json,
     table: &[(&str, Damage)],

@@ -93,23 +93,14 @@ fn split_label(line: &str) -> (Option<&str>, &str) {
     (None, line)
 }
 
-/// Assembles source text with default link options.
+/// Assembles source text, placing the data image at WRAM address 0, with
+/// default link options.
 ///
 /// # Errors
 ///
 /// Returns an [`AsmError`] describing the first syntax, symbol, or link
 /// problem encountered.
 pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
-    assemble_with(src, &LinkOptions::default())
-}
-
-/// Assembles source text with explicit link options.
-///
-/// # Errors
-///
-/// Returns an [`AsmError`] describing the first syntax, symbol, or link
-/// problem encountered.
-pub(crate) fn assemble_with(src: &str, opts: &LinkOptions) -> Result<DpuProgram, AsmError> {
     let mut lines = Vec::new();
     for (idx, raw) in src.lines().enumerate() {
         let stripped = strip_comment(raw);
@@ -191,17 +182,15 @@ pub(crate) fn assemble_with(src: &str, opts: &LinkOptions) -> Result<DpuProgram,
         }
     }
 
-    let heap_base = (opts.wram_base + wram.len() as u32).div_ceil(8) * 8;
+    let heap_base = (wram.len() as u32).div_ceil(8) * 8;
     let program = DpuProgram {
         instrs,
         wram_init: wram,
-        wram_base: opts.wram_base,
         symbols: data_symbols,
         heap_base,
-        atomic_base: 0,
-        atomic_bits_used: 0,
+        ..DpuProgram::default()
     };
-    program.validate(opts)?;
+    program.validate(&LinkOptions::default())?;
     Ok(program)
 }
 

@@ -409,11 +409,8 @@ impl KernelBuilder {
     ///
     /// Returns a [`BuildError`] for unresolved labels, exhausted atomic
     /// bits, or link-time validation failures.
-    /// Note: a builder constructed with [`KernelBuilder::with_partition`]
-    /// places its image at its own `wram_base`; `opts.wram_base` is ignored
-    /// on this path (it applies to the textual-assembler flow).
     pub fn build_with(mut self, opts: &LinkOptions) -> Result<DpuProgram, BuildError> {
-        if self.atomic_base + self.next_atomic_bit > opts.layout.atomic_bits {
+        if self.atomic_base + self.next_atomic_bit > pim_isa::layout::ATOMIC_BITS {
             return Err(BuildError::AtomicBitsExhausted);
         }
         for (at, label) in &self.fixups {

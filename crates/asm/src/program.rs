@@ -4,7 +4,8 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use pim_isa::{AddressSpace, Instruction, MemLayout, Operand};
+use pim_isa::layout::{ATOMIC_BITS, IRAM_INSTRS, WRAM_BYTES};
+use pim_isa::{AddressSpace, Instruction, Operand};
 
 /// A named location in one of the DPU's address spaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,13 +27,9 @@ pub struct Symbol {
 /// cache-centric DPU model then backs with DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkOptions {
-    /// Memory capacities to check against.
-    pub layout: MemLayout,
     /// Permit the WRAM data image to exceed the physical WRAM capacity
     /// (cache-centric mode re-maps it onto DRAM).
     pub allow_wram_overflow: bool,
-    /// Base WRAM byte address at which the data image is placed.
-    pub wram_base: u32,
 }
 
 /// An error detected while finalizing a program.
@@ -107,7 +104,7 @@ pub struct DpuProgram {
     /// The instruction stream, loaded at IRAM index 0; execution of every
     /// tasklet begins at index 0.
     pub instrs: Vec<Instruction>,
-    /// Initial WRAM contents, loaded at [`LinkOptions::wram_base`].
+    /// Initial WRAM contents, loaded at `wram_base`.
     pub wram_init: Vec<u8>,
     /// Base WRAM address of `wram_init`.
     pub wram_base: u32,
@@ -143,23 +140,23 @@ impl DpuProgram {
         self.wram_base + self.wram_init.len() as u32
     }
 
-    /// Validates the program against the capacities and encoding limits in
-    /// `opts`. Run by [`crate::KernelBuilder::build`] and [`crate::assemble`];
+    /// Validates the program against the memory capacities of
+    /// [`pim_isa::layout`] (WRAM relaxable through `opts`) and the encoding
+    /// limits. Run by [`crate::KernelBuilder::build`] and [`crate::assemble`];
     /// call directly when constructing programs by hand.
     ///
     /// # Errors
     ///
     /// Returns the first [`LinkError`] found.
     pub fn validate(&self, opts: &LinkOptions) -> Result<(), LinkError> {
-        let cap = opts.layout.iram_instrs();
-        if self.instrs.len() as u32 > cap {
-            return Err(LinkError::IramOverflow { instrs: self.instrs.len(), capacity: cap });
-        }
-        if !opts.allow_wram_overflow && self.wram_bytes() > opts.layout.wram_bytes {
-            return Err(LinkError::WramOverflow {
-                bytes: self.wram_bytes(),
-                capacity: opts.layout.wram_bytes,
+        if self.instrs.len() as u32 > IRAM_INSTRS {
+            return Err(LinkError::IramOverflow {
+                instrs: self.instrs.len(),
+                capacity: IRAM_INSTRS,
             });
+        }
+        if !opts.allow_wram_overflow && self.wram_bytes() > WRAM_BYTES {
+            return Err(LinkError::WramOverflow { bytes: self.wram_bytes(), capacity: WRAM_BYTES });
         }
         let n = self.instrs.len() as u32;
         for (at, i) in self.instrs.iter().enumerate() {
@@ -179,7 +176,7 @@ impl DpuProgram {
                 }
                 Instruction::Acquire { bit: Operand::Imm(b) }
                 | Instruction::Release { bit: Operand::Imm(b) }
-                    if !(0..i64::from(opts.layout.atomic_bits)).contains(&i64::from(b)) =>
+                    if !(0..i64::from(ATOMIC_BITS)).contains(&i64::from(b)) =>
                 {
                     return Err(LinkError::BadAtomicBit { at, bit: b });
                 }
@@ -222,7 +219,7 @@ mod tests {
             ..DpuProgram::default()
         };
         assert!(matches!(p.validate(&LinkOptions::default()), Err(LinkError::WramOverflow { .. })));
-        let relaxed = LinkOptions { allow_wram_overflow: true, ..LinkOptions::default() };
+        let relaxed = LinkOptions { allow_wram_overflow: true };
         assert!(p.validate(&relaxed).is_ok());
     }
 

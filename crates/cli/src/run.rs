@@ -113,7 +113,7 @@ fn parse_run(args: &[String]) -> Result<(&str, DpuConfig, usize), String> {
             other => unreachable!("`{other}` is in RUN's flag list but nothing parses it"),
         }
     }
-    if cfg.mmu.is_some() && cfg.memory_mode != MemoryMode::Scratchpad {
+    if cfg.mmu && cfg.memory_mode != MemoryMode::Scratchpad {
         return Err(
             "--mmu sits on the scratchpad DMA path: it cannot be combined with --cache".to_string()
         );

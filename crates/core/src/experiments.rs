@@ -701,11 +701,8 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
         k.sub(i, i, 1);
         k.branch(Cond::Ne, i, 0, &top);
         k.stop();
-        k.build_with(&pim_asm::LinkOptions {
-            allow_wram_overflow: true,
-            ..pim_asm::LinkOptions::default()
-        })
-        .expect("mem tenant builds")
+        k.build_with(&pim_asm::LinkOptions { allow_wram_overflow: true })
+            .expect("mem tenant builds")
     };
     // A TS-like tenant: a long MAC loop, compute-bound.
     let compute_tenant = |base: u32, bit: u32, big: bool| {
@@ -722,11 +719,8 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
         k.sub(i, i, 1);
         k.branch(Cond::Ne, i, 0, &top);
         k.stop();
-        k.build_with(&pim_asm::LinkOptions {
-            allow_wram_overflow: true,
-            ..pim_asm::LinkOptions::default()
-        })
-        .expect("compute tenant builds")
+        k.build_with(&pim_asm::LinkOptions { allow_wram_overflow: true })
+            .expect("compute tenant builds")
     };
 
     let run_alone = |p: &pim_asm::DpuProgram, n: u32| -> Result<u64, SimError> {
@@ -741,7 +735,6 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
 
     let merged = colocate(
         &[Tenant { program: &mem, n_tasklets: 8 }, Tenant { program: &compute, n_tasklets: 8 }],
-        &pim_isa::MemLayout::default(),
         false,
     )
     .expect("small tenants co-locate");
@@ -762,7 +755,6 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
             Tenant { program: &big_mem, n_tasklets: 8 },
             Tenant { program: &big_compute, n_tasklets: 8 },
         ],
-        &pim_isa::MemLayout::default(),
         false,
     )
     .expect_err("combined 80 KB cannot fit the 64 KB scratchpad");
@@ -771,7 +763,6 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
             Tenant { program: &big_mem, n_tasklets: 8 },
             Tenant { program: &big_compute, n_tasklets: 8 },
         ],
-        &pim_isa::MemLayout::default(),
         true,
     )
     .is_ok();
@@ -878,7 +869,7 @@ fn rank_kernel() -> pim_asm::DpuProgram {
 #[must_use]
 pub(crate) fn rank_config() -> DpuConfig {
     let mut cfg = DpuConfig::paper_baseline(RANK_TASKLETS);
-    cfg.layout.mram_bytes = RANK_MRAM_BYTES;
+    cfg.mram_bytes = RANK_MRAM_BYTES;
     cfg
 }
 

@@ -41,7 +41,7 @@
 //! included) through both and compare the writes, the word and its
 //! decoded effect.
 
-use pim_isa::{AddressSpace, AluOp, Cond, DecodedInstr, InstrClass, Instruction, Operand, Width};
+use pim_isa::{AluOp, Cond, DecodedInstr, InstrClass, Instruction, Operand, Width};
 
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
@@ -326,7 +326,7 @@ fn alu_fn(op: AluOp, reg_operand: bool) -> OpFn {
 /// load/store space: the checks of `ArchState::check_ls`.
 #[inline(always)]
 fn ls_ok(s: &ArchState, addr: u32, bytes: u32) -> bool {
-    addr.is_multiple_of(bytes) && u64::from(addr) + u64::from(bytes) <= u64::from(s.ls_space)
+    addr.is_multiple_of(bytes) && u64::from(addr) + u64::from(bytes) <= s.wram.len() as u64
 }
 
 macro_rules! load_fns {
@@ -397,8 +397,8 @@ fn dma_common(s: &mut ArchState, pc: u32, w: u32, m: u32, l: i32, write: bool) -
     }
     let l = l as u32;
     if !(w | m | l).is_multiple_of(4)
-        || u64::from(w) + u64::from(l) > u64::from(s.ls_space)
-        || !s.layout.contains(AddressSpace::Mram, m, l)
+        || u64::from(w) + u64::from(l) > s.wram.len() as u64
+        || u64::from(m) + u64::from(l) > s.mram.len() as u64
     {
         return FAULT;
     }
@@ -699,15 +699,14 @@ fn compile_op(instr: &Instruction) -> CompiledOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_isa::{MemLayout, Reg};
+    use pim_isa::Reg;
 
     fn state() -> ArchState {
         // A small MRAM keeps the per-case state clones (and the Debug
         // renderings compared below) cheap; every address these tests
-        // touch fits in 64 KB, and both sides see the same layout so the
+        // touch fits in 64 KB, and both sides see the same bank so the
         // bounds checks stay equivalent.
-        let layout = MemLayout { mram_bytes: 64 * 1024, ..MemLayout::default() };
-        let mut s = ArchState::new(layout, 4, 64 * 1024);
+        let mut s = ArchState::new(4, 64 * 1024);
         // Non-trivial starting material so op results are distinguishable.
         for t in 0..4usize {
             for r in 0..24usize {

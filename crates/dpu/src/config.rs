@@ -1,10 +1,8 @@
 //! DPU configuration: the baseline microarchitecture of Table I plus every
 //! extension knob used by the paper's case studies.
 
-use pim_cache::CacheConfig;
 use pim_dram::DramConfig;
-use pim_isa::MemLayout;
-use pim_mmu::MmuConfig;
+use pim_isa::layout::MRAM_BYTES;
 
 /// Maximum hardware tasklets per DPU.
 pub const MAX_TASKLETS: u32 = 24;
@@ -126,13 +124,11 @@ pub enum MemoryMode {
     /// The **cache-centric** model: loads/stores address a flat,
     /// DRAM-backed space through an on-demand data cache; instruction
     /// fetch goes through an instruction cache; DMA instructions are
-    /// rejected (programs are authored for the flat space).
-    Cached {
-        /// Instruction-cache geometry (paper: 24 KB, 8-way).
-        icache: CacheConfig,
-        /// Data-cache geometry (paper: 64 KB, 8-way).
-        dcache: CacheConfig,
-    },
+    /// rejected (programs are authored for the flat space). Both caches
+    /// have the paper's geometry, [`pim_cache::CacheConfig::paper_icache`]
+    /// (24 KB, 8-way) and [`pim_cache::CacheConfig::paper_dcache`]
+    /// (64 KB, 8-way).
+    Cached,
 }
 
 /// Which executor runs a launch, scalar or SIMT (the SIMT front-end is an
@@ -161,21 +157,27 @@ pub enum ExecTier {
 }
 
 /// Full configuration of one simulated DPU (paper Table I defaults).
+///
+/// Timing and memory geometry are Table I's and live as constants
+/// (here and in [`pim_isa::layout`]); these fields are the case studies'
+/// design choices and the simulator's own switches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpuConfig {
     /// Number of tasklets launched.
     pub n_tasklets: u32,
-    /// Memory capacities (Table I: 24 KB / 64 KB / 64 MB, 256 atomic bits).
-    pub layout: MemLayout,
+    /// MRAM bank capacity in bytes (Table I: 64 MB,
+    /// [`pim_isa::layout::MRAM_BYTES`]). The one memory size a caller
+    /// changes: a many-DPU sweep shrinks the bank to fit host memory.
+    pub mram_bytes: u32,
     /// ILP feature set (all off for the baseline).
     pub ilp: IlpFeatures,
     /// SIMT extension; `None` for the baseline scalar pipeline.
     pub simt: Option<SimtConfig>,
     /// Scratchpad-centric (baseline) or cache-centric memory model.
     pub memory_mode: MemoryMode,
-    /// MMU in front of MRAM (DMA) accesses; `None` for the MMU-less
-    /// baseline.
-    pub mmu: Option<MmuConfig>,
+    /// The paper's MMU ([`pim_mmu::MmuConfig::paper`]) in front of MRAM
+    /// (DMA) accesses; `false` for the MMU-less baseline.
+    pub mmu: bool,
     /// MRAM-bandwidth scaling factor (Fig 13's ×1–×4, Fig 11's 4×/16×):
     /// multiplies both the DRAM frequency and the DMA interface rate.
     pub mram_bw_scale: f64,
@@ -209,11 +211,11 @@ impl DpuConfig {
         );
         DpuConfig {
             n_tasklets,
-            layout: MemLayout::default(),
+            mram_bytes: MRAM_BYTES,
             ilp: IlpFeatures::default(),
             simt: None,
             memory_mode: MemoryMode::Scratchpad,
-            mmu: None,
+            mmu: false,
             mram_bw_scale: 1.0,
             max_cycles: 20_000_000_000,
             event_trace_capacity: 0,
@@ -262,17 +264,14 @@ impl DpuConfig {
     /// cache geometries.
     #[must_use]
     pub fn with_paper_caches(mut self) -> Self {
-        self.memory_mode = MemoryMode::Cached {
-            icache: CacheConfig::paper_icache(),
-            dcache: CacheConfig::paper_dcache(),
-        };
+        self.memory_mode = MemoryMode::Cached;
         self
     }
 
     /// Adds the paper's §V-C MMU in front of MRAM accesses.
     #[must_use]
     pub fn with_paper_mmu(mut self) -> Self {
-        self.mmu = Some(MmuConfig::paper());
+        self.mmu = true;
         self
     }
 
@@ -348,7 +347,7 @@ impl DpuConfig {
                 "the SIMT case study uses the scratchpad-centric memory model"
             );
         }
-        if self.mmu.is_some() {
+        if self.mmu {
             assert!(
                 matches!(self.memory_mode, MemoryMode::Scratchpad),
                 "the MMU case study applies to the baseline DMA path"
@@ -367,6 +366,7 @@ impl Default for DpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_isa::layout::{ATOMIC_BITS, IRAM_INSTRS, WRAM_BYTES};
 
     #[test]
     fn baseline_matches_table_i() {
@@ -375,7 +375,11 @@ mod tests {
         assert_eq!((REVOLVER_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY), (11, 3, 4));
         assert_eq!((DMA_INTERFACE_BYTES_PER_CYCLE, DMA_SETUP_CYCLES), (2.0, 24));
         assert_eq!((TLP_WINDOW, WARP_WIDTH, SIMT_WRAM_PORTS), (10_000, 16, 4));
-        assert_eq!(c.layout.wram_bytes, 64 * 1024);
+        assert_eq!(
+            (IRAM_INSTRS, WRAM_BYTES, MRAM_BYTES, ATOMIC_BITS),
+            (4096, 64 * 1024, 64 * 1024 * 1024, 256)
+        );
+        assert_eq!(c.mram_bytes, MRAM_BYTES);
         assert_eq!(c.max_ipc(), 1);
         c.assert_valid();
     }

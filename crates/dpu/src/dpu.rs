@@ -6,10 +6,11 @@
 use std::sync::Arc;
 
 use pim_asm::DpuProgram;
-use pim_cache::Cache;
+use pim_cache::{Cache, CacheConfig};
 use pim_dram::DramConfig;
+use pim_isa::layout::{IRAM_INSTRS, WRAM_BYTES};
 use pim_isa::{AddressSpace, Instruction};
-use pim_mmu::{Mmu, PageTable};
+use pim_mmu::{Mmu, MmuConfig, PageTable};
 use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink};
 
 use crate::compiled::CompiledKernel;
@@ -84,8 +85,7 @@ impl Dpu {
     #[must_use]
     pub fn new(cfg: DpuConfig) -> Self {
         cfg.assert_valid();
-        let ls_space = cfg.layout.wram_bytes;
-        let state = ArchState::new(cfg.layout, cfg.n_tasklets, ls_space);
+        let state = ArchState::new(cfg.n_tasklets, cfg.mram_bytes);
         let trace = (cfg.event_trace_capacity > 0).then(|| RingSink::new(cfg.event_trace_capacity));
         Dpu {
             cfg,
@@ -124,8 +124,8 @@ impl Dpu {
     /// Returns [`SimError::OutOfBounds`] if the instruction stream exceeds
     /// IRAM or the data image does not fit the load/store-addressable space.
     pub fn load_program(&mut self, program: &DpuProgram) -> Result<(), SimError> {
-        let cached = matches!(self.cfg.memory_mode, MemoryMode::Cached { .. });
-        if !cached && program.instrs.len() as u32 > self.cfg.layout.iram_instrs() {
+        let cached = self.cfg.memory_mode == MemoryMode::Cached;
+        if !cached && program.instrs.len() as u32 > IRAM_INSTRS {
             // The hardware linker would refuse this; hand-built programs
             // can reach here without passing `DpuProgram::validate`. The
             // cache-centric model is exempt: its I-cache turns IRAM into a
@@ -138,10 +138,9 @@ impl Dpu {
                 pc: 0,
             });
         }
-        if let MemoryMode::Cached { .. } = self.cfg.memory_mode {
+        if cached {
             // The flat space grows to cover the image.
-            let need = program.wram_bytes().max(self.cfg.layout.wram_bytes);
-            self.ensure_flat_space(need);
+            self.ensure_flat_space(program.wram_bytes().max(WRAM_BYTES));
         }
         let base = program.wram_base as usize;
         let end = base + program.wram_init.len();
@@ -213,7 +212,6 @@ impl Dpu {
         let rounded = bytes.div_ceil(64) * 64;
         if (self.state.wram.len() as u32) < rounded {
             self.state.wram.resize(rounded as usize, 0);
-            self.state.ls_space = rounded;
         }
     }
 
@@ -258,7 +256,7 @@ impl Dpu {
     ///
     /// Panics if the range exceeds WRAM in scratchpad mode.
     pub fn write_wram(&mut self, addr: u32, data: &[u8]) {
-        if let MemoryMode::Cached { .. } = self.cfg.memory_mode {
+        if self.cfg.memory_mode == MemoryMode::Cached {
             self.ensure_flat_space(addr + data.len() as u32);
         }
         let a = addr as usize;
@@ -396,9 +394,9 @@ impl Dpu {
 
     /// A fresh memory engine for one launch.
     pub(crate) fn mem_engine(&self) -> MemEngine {
-        let mmu = self.cfg.mmu.map(|mc| {
-            let pages = self.cfg.layout.mram_bytes / mc.page_bytes;
-            Mmu::new(mc, PageTable::identity(pages))
+        let mmu = self.cfg.mmu.then(|| {
+            let mc = MmuConfig::paper();
+            Mmu::new(mc, PageTable::identity(self.cfg.mram_bytes / mc.page_bytes))
         });
         MemEngine::new(
             DramConfig::ddr4_2400().scaled(self.cfg.mram_bw_scale),
@@ -409,6 +407,18 @@ impl Dpu {
         )
     }
 
+    /// Fresh instruction and data caches for one launch: the paper's
+    /// geometries in cache-centric mode, none in scratchpad mode.
+    pub(crate) fn caches(&self) -> (Option<Cache>, Option<Cache>) {
+        match self.cfg.memory_mode {
+            MemoryMode::Scratchpad => (None, None),
+            MemoryMode::Cached => (
+                Some(Cache::new(CacheConfig::paper_icache())),
+                Some(Cache::new(CacheConfig::paper_dcache())),
+            ),
+        }
+    }
+
     /// Snapshots the pre-run state into a `pim-ref` interpreter when the
     /// oracle check is enabled (scratchpad-centric runs only: the oracle
     /// does not model the flat cached space).
@@ -417,10 +427,9 @@ impl Dpu {
             return None;
         }
         let program = self.program.as_ref().expect("checked in launch");
-        let mut oracle =
-            pim_ref::RefInterpreter::with_layout(program, self.cfg.layout, self.cfg.n_tasklets);
+        let mut oracle = pim_ref::RefInterpreter::new(program, self.cfg.n_tasklets);
         oracle.wram.copy_from_slice(&self.state.wram);
-        oracle.mram.copy_from_slice(&self.state.mram);
+        oracle.mram.clone_from(&self.state.mram);
         for t in 0..self.cfg.n_tasklets as usize {
             oracle.set_entry(t as u32, self.state.pc[t], self.state.tid_base[t]);
         }
@@ -473,7 +482,7 @@ impl Dpu {
     /// The MRAM address backing the instruction stream in cache-centric
     /// mode (timing only; 256 KB below the top of the bank).
     pub(crate) fn iram_backing_base(&self) -> u32 {
-        self.cfg.layout.mram_bytes - 256 * 1024
+        self.cfg.mram_bytes - 256 * 1024
     }
 
     /// One launch on the issue engine under dispatch `D`.
@@ -515,12 +524,7 @@ impl Dpu {
         let ways = self.cfg.issue_ways() as usize;
         let gap: u64 = if fwd { 1 } else { u64::from(REVOLVER_CYCLES) };
 
-        let (mut icache, mut dcache) = match self.cfg.memory_mode {
-            MemoryMode::Scratchpad => (None, None),
-            MemoryMode::Cached { icache, dcache } => {
-                (Some(Cache::new(icache)), Some(Cache::new(dcache)))
-            }
-        };
+        let (mut icache, mut dcache) = self.caches();
         let iram_base = self.iram_backing_base();
 
         let mut stats = self.new_stats();

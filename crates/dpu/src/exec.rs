@@ -1,7 +1,8 @@
 //! Architectural state and functional (execute-at-issue) instruction
 //! semantics, shared by the scalar and SIMT front-ends.
 
-use pim_isa::{AddressSpace, InstrClass, Instruction, MemLayout, Operand, Reg, Width};
+use pim_isa::layout::{ATOMIC_BITS, WRAM_BYTES};
+use pim_isa::{AddressSpace, InstrClass, Instruction, Operand, Reg, Width};
 use pim_trace::{TraceEvent, TraceSink};
 
 use crate::error::SimError;
@@ -31,10 +32,12 @@ pub(crate) enum Effect {
 }
 
 /// The DPU's architectural state: memories and per-tasklet register files.
+/// Every bounds check reads the length of the memory it checks.
 #[derive(Debug, Clone)]
 pub(crate) struct ArchState {
-    /// Scratchpad contents. In cache-centric mode this is the *flat* data
-    /// space (may exceed the physical 64 KB WRAM).
+    /// Scratchpad contents: the load/store-addressable space. In
+    /// cache-centric mode this is the *flat* data space (may exceed the
+    /// physical 64 KB WRAM).
     pub wram: Vec<u8>,
     /// Per-bank DRAM contents.
     pub mram: Vec<u8>,
@@ -47,24 +50,19 @@ pub(crate) struct ArchState {
     /// Per-tasklet tasklet-id rebase (multi-tenant co-location: each tenant
     /// observes ids `0..n`). Zero for single-tenant runs.
     pub tid_base: Vec<u32>,
-    /// Physical memory capacities (bounds checking).
-    pub layout: MemLayout,
-    /// Size of the load/store-addressable space (WRAM capacity in
-    /// scratchpad mode; the flat-space size in cache-centric mode).
-    pub ls_space: u32,
 }
 
 impl ArchState {
-    pub(crate) fn new(layout: MemLayout, n_tasklets: u32, ls_space: u32) -> Self {
+    /// Zeroed memories: Table I's WRAM and atomic region, an
+    /// `mram_bytes` bank.
+    pub(crate) fn new(n_tasklets: u32, mram_bytes: u32) -> Self {
         ArchState {
-            wram: vec![0; ls_space as usize],
-            mram: vec![0; layout.mram_bytes as usize],
-            atomic: vec![false; layout.atomic_bits as usize],
+            wram: vec![0; WRAM_BYTES as usize],
+            mram: vec![0; mram_bytes as usize],
+            atomic: vec![false; ATOMIC_BITS as usize],
             regs: vec![[0; 24]; n_tasklets as usize],
             pc: vec![0; n_tasklets as usize],
             tid_base: vec![0; n_tasklets as usize],
-            layout,
-            ls_space,
         }
     }
 
@@ -139,7 +137,7 @@ impl ArchState {
         if !addr.is_multiple_of(bytes) {
             return Err(SimError::Unaligned { addr, align: bytes, tasklet, pc });
         }
-        if u64::from(addr) + u64::from(bytes) > u64::from(self.ls_space) {
+        if u64::from(addr) + u64::from(bytes) > self.wram.len() as u64 {
             return Err(SimError::OutOfBounds {
                 space: AddressSpace::Wram,
                 addr,
@@ -231,7 +229,7 @@ impl ArchState {
                     let addr = if !w.is_multiple_of(4) { w } else { m };
                     return Err(SimError::Unaligned { addr, align: 4, tasklet, pc });
                 }
-                if u64::from(w) + u64::from(l) > u64::from(self.ls_space) {
+                if u64::from(w) + u64::from(l) > self.wram.len() as u64 {
                     return Err(SimError::OutOfBounds {
                         space: AddressSpace::Wram,
                         addr: w,
@@ -240,7 +238,7 @@ impl ArchState {
                         pc,
                     });
                 }
-                if !self.layout.contains(AddressSpace::Mram, m, l) {
+                if u64::from(m) + u64::from(l) > self.mram.len() as u64 {
                     return Err(SimError::OutOfBounds {
                         space: AddressSpace::Mram,
                         addr: m,
@@ -308,7 +306,7 @@ mod tests {
     use pim_isa::{AluOp, Cond};
 
     fn state() -> ArchState {
-        ArchState::new(MemLayout::default(), 2, 64 * 1024)
+        ArchState::new(2, pim_isa::layout::MRAM_BYTES)
     }
 
     #[test]

@@ -71,7 +71,7 @@ use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
 use crate::compiled::{
     word_of, CompiledKernel, CompiledOp, DMA, FAULT, F_LOAD, F_STORE, KIND, RETRY, STOP,
 };
-use crate::config::{MemoryMode, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES};
+use crate::config::{FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES};
 use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
@@ -389,12 +389,7 @@ impl Engine {
         let n = cfg.n_tasklets as usize;
         // SIMT forwards per PC group, at issue ([`Warps::issue`]).
         let fwd = cfg.ilp.data_forwarding && cfg.simt.is_none();
-        let (icache, dcache) = match cfg.memory_mode {
-            MemoryMode::Scratchpad => (None, None),
-            MemoryMode::Cached { icache, dcache } => {
-                (Some(Cache::new(icache)), Some(Cache::new(dcache)))
-            }
-        };
+        let (icache, dcache) = dpu.caches();
         let rf_hazards = !cfg.ilp.unified_rf;
         // Seeded bug for the mutation self-check, sampled here and nowhere
         // else: every optimized run, solo or lockstep, starts from this

@@ -22,7 +22,8 @@ use std::error::Error;
 use std::fmt;
 
 use pim_asm::DpuProgram;
-use pim_isa::{Instruction, MemLayout};
+use pim_isa::layout::{IRAM_INSTRS, WRAM_BYTES};
+use pim_isa::Instruction;
 
 /// One co-located tenant: a partition-built program plus the tasklets it
 /// receives.
@@ -146,7 +147,6 @@ impl Colocated {
 /// Returns a [`ColocateError`] when the tenants cannot share the DPU.
 pub fn colocate(
     tenants: &[Tenant<'_>],
-    layout: &MemLayout,
     allow_wram_overflow: bool,
 ) -> Result<Colocated, ColocateError> {
     assert!(!tenants.is_empty(), "colocate needs at least one tenant");
@@ -172,15 +172,12 @@ pub fn colocate(
         }
     }
     let footprint = tenants.iter().map(|t| t.program.wram_bytes()).max().unwrap_or(0);
-    if !allow_wram_overflow && footprint > layout.wram_bytes {
-        return Err(ColocateError::WramOverflow { bytes: footprint, capacity: layout.wram_bytes });
+    if !allow_wram_overflow && footprint > WRAM_BYTES {
+        return Err(ColocateError::WramOverflow { bytes: footprint, capacity: WRAM_BYTES });
     }
     let total_instrs: usize = tenants.iter().map(|t| t.program.instrs.len()).sum();
-    if total_instrs as u32 > layout.iram_instrs() {
-        return Err(ColocateError::IramOverflow {
-            instrs: total_instrs,
-            capacity: layout.iram_instrs(),
-        });
+    if total_instrs as u32 > IRAM_INSTRS {
+        return Err(ColocateError::IramOverflow { instrs: total_instrs, capacity: IRAM_INSTRS });
     }
     // Merge: concatenate text (shifting targets), union the WRAM images,
     // prefix symbols with `t{i}.`.
@@ -250,7 +247,6 @@ mod tests {
         let b = tenant_kernel(1024, 8, 200);
         let merged = colocate(
             &[Tenant { program: &a, n_tasklets: 2 }, Tenant { program: &b, n_tasklets: 3 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap();
@@ -273,7 +269,6 @@ mod tests {
         let b = tenant_kernel(0, 8, 2); // same partition!
         let err = colocate(
             &[Tenant { program: &a, n_tasklets: 1 }, Tenant { program: &b, n_tasklets: 1 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap_err();
@@ -286,7 +281,6 @@ mod tests {
         let b = tenant_kernel(1024, 0, 2); // same atomic bits
         let err = colocate(
             &[Tenant { program: &a, n_tasklets: 1 }, Tenant { program: &b, n_tasklets: 1 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap_err();
@@ -306,15 +300,10 @@ mod tests {
             let p = k.reg("p");
             k.movi(p, buf as i32);
             k.stop();
-            k.build_with(&pim_asm::LinkOptions {
-                allow_wram_overflow: true,
-                ..pim_asm::LinkOptions::default()
-            })
-            .unwrap()
+            k.build_with(&pim_asm::LinkOptions { allow_wram_overflow: true }).unwrap()
         };
         let err = colocate(
             &[Tenant { program: &a, n_tasklets: 1 }, Tenant { program: &b, n_tasklets: 1 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap_err();
@@ -322,7 +311,6 @@ mod tests {
         // The cache-centric escape hatch: the flat space absorbs it.
         assert!(colocate(
             &[Tenant { program: &a, n_tasklets: 1 }, Tenant { program: &b, n_tasklets: 1 }],
-            &MemLayout::default(),
             true,
         )
         .is_ok());
@@ -334,7 +322,6 @@ mod tests {
         let b = tenant_kernel(1024, 8, 2);
         let err = colocate(
             &[Tenant { program: &a, n_tasklets: 16 }, Tenant { program: &b, n_tasklets: 16 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap_err();
@@ -357,7 +344,6 @@ mod tests {
         let b = mk(1024, 0);
         let merged = colocate(
             &[Tenant { program: &a, n_tasklets: 1 }, Tenant { program: &b, n_tasklets: 1 }],
-            &MemLayout::default(),
             false,
         )
         .unwrap();

@@ -40,11 +40,7 @@ fn counting_tenant_with(
     k.sw(v, p, 0);
     k.place(&done);
     k.stop();
-    k.build_with(&pim_asm::LinkOptions {
-        allow_wram_overflow: relaxed,
-        ..pim_asm::LinkOptions::default()
-    })
-    .unwrap()
+    k.build_with(&pim_asm::LinkOptions { allow_wram_overflow: relaxed }).unwrap()
 }
 
 #[test]
@@ -53,7 +49,6 @@ fn colocated_tenants_compute_independently() {
     let b = counting_tenant(4096, 8, 10);
     let merged = colocate(
         &[Tenant { program: &a, n_tasklets: 6 }, Tenant { program: &b, n_tasklets: 10 }],
-        &pim_isa::MemLayout::default(),
         false,
     )
     .unwrap();
@@ -117,7 +112,6 @@ fn colocation_beats_time_slicing_for_complementary_tenants() {
     // Co-locate 8+8 tasklets.
     let merged = colocate(
         &[Tenant { program: &mem, n_tasklets: 8 }, Tenant { program: &comp, n_tasklets: 8 }],
-        &pim_isa::MemLayout::default(),
         false,
     )
     .unwrap();
@@ -141,12 +135,11 @@ fn colocation_works_under_the_cache_centric_model() {
     let b = counting_tenant_with(80 * 1024, 8, 4, true); // beyond 64 KB WRAM
     let merged = colocate(
         &[Tenant { program: &a, n_tasklets: 4 }, Tenant { program: &b, n_tasklets: 4 }],
-        &pim_isa::MemLayout::default(),
         true,
     )
     .unwrap();
     let cfg = DpuConfig::paper_baseline(8).with_paper_caches();
-    assert!(matches!(cfg.memory_mode, MemoryMode::Cached { .. }));
+    assert_eq!(cfg.memory_mode, MemoryMode::Cached);
     let mut dpu = Dpu::new(cfg);
     dpu.load_colocated(&merged).unwrap();
     dpu.launch().unwrap();

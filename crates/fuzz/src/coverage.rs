@@ -361,12 +361,6 @@ impl CoverageMap {
         }
     }
 
-    /// Number of cases recorded.
-    #[must_use]
-    pub fn cases(&self) -> u64 {
-        self.cases
-    }
-
     /// Total hits in one (class × hazard) cell, summed over the dynamic
     /// axes.
     #[must_use]
@@ -532,6 +526,13 @@ impl CoverageMap {
 mod tests {
     use super::*;
     use pim_isa::{AluOp, Instruction, Operand, Reg};
+
+    impl CoverageMap {
+        /// Number of cases recorded.
+        pub(crate) fn cases(&self) -> u64 {
+            self.cases
+        }
+    }
 
     fn decoded(instrs: &[Instruction]) -> DecodedProgram {
         DecodedProgram::decode(instrs)

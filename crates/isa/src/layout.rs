@@ -10,14 +10,45 @@
 //! * **MRAM** — the 64 MB DRAM bank, reachable only through DMA;
 //! * the **atomic region** — 256 single-bit cells backing
 //!   `acquire`/`release`.
+//!
+//! These capacities are one design point (Table I), so they are constants,
+//! not configuration. A memory's bounds checks read the length of the
+//! vector that backs it; only the MRAM bank is ever allocated smaller than
+//! [`MRAM_BYTES`] (a many-DPU sweep shrinks it to fit host memory).
+//!
+//! # Example
+//!
+//! ```
+//! use pim_isa::layout::{ATOMIC_BITS, IRAM_INSTRS, MRAM_BYTES, WRAM_BYTES};
+//!
+//! assert_eq!(IRAM_INSTRS, 4096);
+//! assert_eq!(WRAM_BYTES, 64 * 1024);
+//! assert_eq!(MRAM_BYTES, 64 * 1024 * 1024);
+//! assert_eq!(ATOMIC_BITS, 256);
+//! ```
 
 use std::fmt;
+
+/// IRAM capacity in bytes (Table I: 24 KB).
+pub const IRAM_BYTES: u32 = 24 * 1024;
 
 /// Architectural size of one encoded instruction in IRAM, in bytes.
 ///
 /// The real device packs 48-bit instructions; IRAM capacity accounting uses
 /// this size even though the simulator's in-memory encoding is 64-bit.
 pub const IRAM_INSTR_BYTES: u32 = 6;
+
+/// The number of whole instructions that fit in IRAM (4096).
+pub const IRAM_INSTRS: u32 = IRAM_BYTES / IRAM_INSTR_BYTES;
+
+/// WRAM (scratchpad) capacity in bytes (Table I: 64 KB).
+pub const WRAM_BYTES: u32 = 64 * 1024;
+
+/// MRAM (per-bank DRAM) capacity in bytes (Table I: 64 MB).
+pub const MRAM_BYTES: u32 = 64 * 1024 * 1024;
+
+/// Number of atomic bits (Table I: 256).
+pub const ATOMIC_BITS: u32 = 256;
 
 /// One of the DPU's physically distinct address spaces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,98 +74,9 @@ impl fmt::Display for AddressSpace {
     }
 }
 
-/// The capacities of a DPU's memories (paper Table I defaults).
-///
-/// # Example
-///
-/// ```
-/// use pim_isa::MemLayout;
-///
-/// let m = MemLayout::default();
-/// assert_eq!(m.wram_bytes, 64 * 1024);
-/// assert_eq!(m.mram_bytes, 64 * 1024 * 1024);
-/// assert_eq!(m.iram_instrs(), 4096);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemLayout {
-    /// IRAM capacity in bytes (default 24 KB).
-    pub iram_bytes: u32,
-    /// WRAM (scratchpad) capacity in bytes (default 64 KB).
-    pub wram_bytes: u32,
-    /// MRAM (per-bank DRAM) capacity in bytes (default 64 MB).
-    pub mram_bytes: u32,
-    /// Number of atomic bits (default 256).
-    pub atomic_bits: u32,
-}
-
-impl MemLayout {
-    /// The number of whole instructions that fit in IRAM.
-    #[must_use]
-    pub fn iram_instrs(&self) -> u32 {
-        self.iram_bytes / IRAM_INSTR_BYTES
-    }
-
-    /// Checks that a byte access of `len` bytes starting at `addr` lies
-    /// entirely inside the given address space.
-    #[must_use]
-    pub fn contains(&self, space: AddressSpace, addr: u32, len: u32) -> bool {
-        let size = match space {
-            AddressSpace::Iram => self.iram_bytes,
-            AddressSpace::Wram => self.wram_bytes,
-            AddressSpace::Mram => self.mram_bytes,
-            AddressSpace::Atomic => self.atomic_bits.div_ceil(8),
-        };
-        u64::from(addr) + u64::from(len) <= u64::from(size)
-    }
-}
-
-impl Default for MemLayout {
-    fn default() -> Self {
-        MemLayout {
-            iram_bytes: 24 * 1024,
-            wram_bytes: 64 * 1024,
-            mram_bytes: 64 * 1024 * 1024,
-            atomic_bits: 256,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_matches_table_i() {
-        let m = MemLayout::default();
-        assert_eq!(m.iram_bytes, 24 * 1024);
-        assert_eq!(m.wram_bytes, 64 * 1024);
-        assert_eq!(m.mram_bytes, 64 * 1024 * 1024);
-        assert_eq!(m.atomic_bits, 256);
-        assert_eq!(m.iram_instrs(), 4096);
-    }
-
-    #[test]
-    fn contains_is_end_exclusive() {
-        let m = MemLayout::default();
-        assert!(m.contains(AddressSpace::Wram, 0, 64 * 1024));
-        assert!(!m.contains(AddressSpace::Wram, 1, 64 * 1024));
-        assert!(m.contains(AddressSpace::Wram, 64 * 1024 - 4, 4));
-        assert!(!m.contains(AddressSpace::Wram, 64 * 1024, 1));
-    }
-
-    #[test]
-    fn contains_handles_overflowing_ranges() {
-        let m = MemLayout::default();
-        assert!(!m.contains(AddressSpace::Mram, u32::MAX, 16));
-    }
-
-    #[test]
-    fn atomic_region_is_bit_addressed() {
-        let m = MemLayout::default();
-        // 256 bits = 32 bytes.
-        assert!(m.contains(AddressSpace::Atomic, 0, 32));
-        assert!(!m.contains(AddressSpace::Atomic, 0, 33));
-    }
 
     #[test]
     fn display_names() {

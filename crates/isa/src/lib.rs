@@ -40,5 +40,5 @@ pub mod reg;
 
 pub use decoded::{BlockMap, DecodedInstr, DecodedProgram};
 pub use instr::{AluOp, Cond, InstrClass, Instruction, Operand, Width};
-pub use layout::{AddressSpace, MemLayout};
+pub use layout::AddressSpace;
 pub use reg::{Reg, RegBank, NUM_GP_REGS};

@@ -97,7 +97,7 @@ impl RunConfig {
     /// Whether the DPUs run the cache-centric memory model.
     #[must_use]
     pub fn cached(&self) -> bool {
-        matches!(self.dpu.memory_mode, MemoryMode::Cached { .. })
+        self.dpu.memory_mode == MemoryMode::Cached
     }
 }
 

@@ -10,7 +10,8 @@
 //! byte for byte. Differential tests exploit exactly that.
 
 use pim_asm::DpuProgram;
-use pim_isa::{Instruction, MemLayout, Operand, Reg, Width};
+use pim_isa::layout::{ATOMIC_BITS, MRAM_BYTES, WRAM_BYTES};
+use pim_isa::{Instruction, Operand, Reg, Width};
 
 /// The reference interpreter for one DPU.
 ///
@@ -32,7 +33,6 @@ pub struct RefInterpreter {
     /// Per-tasklet tasklet-id rebase (multi-tenant co-location).
     pub tid_base: Vec<u32>,
     done: Vec<bool>,
-    layout: MemLayout,
 }
 
 /// What one interpreted step did (internal scheduling signal).
@@ -46,33 +46,27 @@ enum Step {
 }
 
 impl RefInterpreter {
-    /// Builds an interpreter with the default memory layout, loading the
-    /// program's WRAM image at its `wram_base`.
-    #[must_use]
-    pub fn new(program: &DpuProgram, n_tasklets: u32) -> Self {
-        Self::with_layout(program, MemLayout::default(), n_tasklets)
-    }
-
-    /// Builds an interpreter with an explicit memory layout.
+    /// Builds an interpreter with the Table I memories, loading the
+    /// program's WRAM image at its `wram_base`. Bounds checks read the
+    /// memories' lengths, so a caller may swap in a smaller MRAM image.
     ///
     /// # Panics
     ///
-    /// Panics if the program's WRAM image does not fit the layout.
+    /// Panics if the program's WRAM image does not fit WRAM.
     #[must_use]
-    pub fn with_layout(program: &DpuProgram, layout: MemLayout, n_tasklets: u32) -> Self {
-        let mut wram = vec![0u8; layout.wram_bytes as usize];
+    pub fn new(program: &DpuProgram, n_tasklets: u32) -> Self {
+        let mut wram = vec![0u8; WRAM_BYTES as usize];
         let base = program.wram_base as usize;
         wram[base..base + program.wram_init.len()].copy_from_slice(&program.wram_init);
         RefInterpreter {
             instrs: program.instrs.clone(),
             wram,
-            mram: vec![0u8; layout.mram_bytes as usize],
-            atomic: vec![false; layout.atomic_bits as usize],
+            mram: vec![0u8; MRAM_BYTES as usize],
+            atomic: vec![false; ATOMIC_BITS as usize],
             regs: vec![[0; 24]; n_tasklets as usize],
             pc: vec![0; n_tasklets as usize],
             tid_base: vec![0; n_tasklets as usize],
             done: vec![false; n_tasklets as usize],
-            layout,
         }
     }
 
@@ -319,7 +313,6 @@ impl RefInterpreter {
         if u64::from(addr) + u64::from(bytes) > self.wram.len() as u64 {
             return Err(format!("tasklet {t} pc {pc}: WRAM access at {addr} out of bounds"));
         }
-        let _ = self.layout; // bounds come from the allocated vectors
         Ok(())
     }
 }

@@ -23,10 +23,10 @@ use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use pimulator::jobs::JobRunner;
-use pimulator::pim_asm::{KernelBuilder, LinkOptions};
+use pimulator::pim_asm::KernelBuilder;
 use pimulator::pim_dpu::{colocate, Colocated, DpuConfig, SimError, Tenant};
 use pimulator::pim_host::{ChannelConfig, PimSystem};
-use pimulator::pim_isa::{Cond, MemLayout};
+use pimulator::pim_isa::Cond;
 use pimulator::trace::JobTrace;
 
 /// Request slots per DPU: four co-located tenants of four tasklets each
@@ -358,7 +358,7 @@ fn slot_program(class: Option<&RequestClass>, slot: usize) -> pimulator::pim_asm
             k.stop();
         }
     }
-    k.build_with(&LinkOptions::default()).expect("proxy request kernel builds")
+    k.build().expect("proxy request kernel builds")
 }
 
 /// Merges the slot programs of one composition into a loadable image.
@@ -377,7 +377,7 @@ pub fn colocate_composition(comp: &[u16]) -> Colocated {
         .collect();
     let tenants: Vec<Tenant<'_>> =
         programs.iter().map(|p| Tenant { program: p, n_tasklets: TASKLETS_PER_SLOT }).collect();
-    colocate(&tenants, &MemLayout::default(), false).expect("serving slots co-locate")
+    colocate(&tenants, false).expect("serving slots co-locate")
 }
 
 /// The memoized cost of one composition.
@@ -569,6 +569,7 @@ pub(crate) fn memoized_profiles(
 mod tests {
     use super::*;
     use pimulator::pim_dpu::MAX_TASKLETS;
+    use pimulator::pim_isa::layout;
 
     #[test]
     fn class_table_covers_all_prim_workloads() {
@@ -671,7 +672,7 @@ mod tests {
             reached.push(comps);
         }
         // The key is the whole config, not a proxy for it: the plain
-        // config at twice the MRAM bandwidth shares `mmu: None` with the
+        // config at twice the MRAM bandwidth shares `mmu: false` with the
         // plain one, yet gets a table and profiles of its own.
         let faster = plain.clone().with_mram_bw_scale(2.0);
         let fast = memoized_profiles(&reached[0], &faster, 0, &JobRunner::new(Some(2)));
@@ -697,8 +698,8 @@ mod tests {
     #[test]
     fn slot_geometry_fits_the_hardware() {
         assert!(SLOTS_PER_DPU as u32 * TASKLETS_PER_SLOT <= MAX_TASKLETS);
-        assert!(SLOTS_PER_DPU as u32 * SLOT_WRAM_BYTES <= MemLayout::default().wram_bytes);
-        assert!(SLOTS_PER_DPU as u32 * SLOT_MRAM_BYTES <= MemLayout::default().mram_bytes);
+        assert!(SLOTS_PER_DPU as u32 * SLOT_WRAM_BYTES <= layout::WRAM_BYTES);
+        assert!(SLOTS_PER_DPU as u32 * SLOT_MRAM_BYTES <= layout::MRAM_BYTES);
     }
 
     #[test]

@@ -139,12 +139,6 @@ impl AdmissionQueue {
         self.queue.front()
     }
 
-    /// Queued requests overall.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Whether nothing is queued.
     #[must_use]
     pub fn is_empty(&self) -> bool {
@@ -167,6 +161,13 @@ impl AdmissionQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl AdmissionQueue {
+        /// Queued requests overall.
+        pub(crate) fn len(&self) -> usize {
+            self.queue.len()
+        }
+    }
 
     fn req(id: u64, tenant: usize) -> Request {
         Request { id, tenant, class: 0, arrival_ns: id }

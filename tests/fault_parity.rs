@@ -12,6 +12,7 @@
 
 use pim_asm::assemble;
 use pim_dpu::{run_batch, Dpu, DpuConfig, ExecTier, SimError, SimtConfig};
+use pim_isa::layout::{ATOMIC_BITS, MRAM_BYTES};
 use pim_isa::AddressSpace;
 
 /// The faulting instruction's pc: the prologue below is six instructions.
@@ -123,6 +124,20 @@ const CASES: &[(&str, Case)] = &[
         },
     ),
     (
+        "dma crossing the end of MRAM",
+        Case {
+            body: "sdma r5, r2, 64",
+            good: MRAM_BYTES - 64,
+            bad: MRAM_BYTES - 32,
+            expect: |e| {
+                matches!(
+                    e,
+                    SimError::OutOfBounds { space: AddressSpace::Mram, len: 64, pc: PC, .. }
+                )
+            },
+        },
+    ),
+    (
         "atomic bit on acquire",
         Case {
             body: "acquire r2\nrelease r2",
@@ -138,6 +153,15 @@ const CASES: &[(&str, Case)] = &[
             good: 3,
             bad: 100_000,
             expect: |e| matches!(e, SimError::BadAtomicBit { bit: 100_000, pc: PC, .. }),
+        },
+    ),
+    (
+        "atomic bit at the edge",
+        Case {
+            body: "acquire r2\nrelease r2",
+            good: ATOMIC_BITS - 1,
+            bad: ATOMIC_BITS,
+            expect: |e| matches!(e, SimError::BadAtomicBit { bit: ATOMIC_BITS, pc: PC, .. }),
         },
     ),
 ];

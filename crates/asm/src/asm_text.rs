@@ -26,6 +26,7 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
+use pim_isa::layout::WRAM_BYTES;
 use pim_isa::{AddressSpace, AluOp, Cond, Instruction, Operand, Reg, Width};
 
 use crate::program::{DpuProgram, LinkOptions, Symbol};
@@ -137,17 +138,24 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
                 }
             }
             Section::Data => {
-                let size = data_directive_size(l, data_len)?;
+                // In u64, where neither step can wrap; the image is then
+                // checked against WRAM here, before pass 2 allocates it.
+                let addr = u64::from(data_len).next_multiple_of(u64::from(data_align(l)?));
+                let size = data_directive_size(l)?;
+                let end = addr + size;
+                if end > u64::from(WRAM_BYTES) {
+                    return Err(err(format!(
+                        "data image reaches {end} bytes, past the {WRAM_BYTES}-byte WRAM"
+                    )));
+                }
                 if let Some(label) = l.label {
-                    let addr = align_for(l.rest, data_len);
-                    if data_symbols
-                        .insert(label.to_string(), Symbol { addr, size, space: AddressSpace::Wram })
-                        .is_some()
-                    {
+                    let (addr, size) = (addr as u32, size as u32);
+                    let symbol = Symbol { addr, size, space: AddressSpace::Wram };
+                    if data_symbols.insert(label.to_string(), symbol).is_some() {
                         return Err(err(format!("duplicate symbol `{label}`")));
                     }
                 }
-                data_len = align_for(l.rest, data_len) + size;
+                data_len = end as u32;
             }
         }
     }
@@ -194,22 +202,24 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
     Ok(program)
 }
 
-fn align_for(rest: &str, cursor: u32) -> u32 {
-    let align = if rest.starts_with(".word") {
-        4
-    } else if rest.starts_with(".align") {
-        rest.split_whitespace()
-            .nth(1)
-            .and_then(|v| v.parse::<u32>().ok())
-            .filter(|a| a.is_power_of_two())
-            .unwrap_or(1)
-    } else {
-        1
+/// The alignment a data line asks for: 4 for `.word`, the argument of
+/// `.align` (a power of two), else 1.
+fn data_align(l: &SrcLine<'_>) -> Result<u32, AsmError> {
+    let rest = l.rest;
+    if rest.starts_with(".word") {
+        return Ok(4);
+    }
+    let Some(arg) = rest.strip_prefix(".align") else {
+        return Ok(1);
     };
-    cursor.div_ceil(align) * align
+    let arg = arg.trim();
+    arg.parse::<u32>().ok().filter(|a| a.is_power_of_two()).ok_or_else(|| AsmError {
+        line: l.number,
+        msg: format!(".align takes a power of two, not `{arg}`"),
+    })
 }
 
-fn data_directive_size(l: &SrcLine<'_>, _cursor: u32) -> Result<u32, AsmError> {
+fn data_directive_size(l: &SrcLine<'_>) -> Result<u64, AsmError> {
     let rest = l.rest;
     let err = |msg: String| AsmError { line: l.number, msg };
     if rest.is_empty() || rest == ".data" {
@@ -217,16 +227,17 @@ fn data_directive_size(l: &SrcLine<'_>, _cursor: u32) -> Result<u32, AsmError> {
     }
     if let Some(args) = rest.strip_prefix(".word") {
         let n = args.split(',').filter(|s| !s.trim().is_empty()).count();
-        return Ok(n as u32 * 4);
+        return Ok(n as u64 * 4);
     }
     if let Some(args) = rest.strip_prefix(".byte") {
         let n = args.split(',').filter(|s| !s.trim().is_empty()).count();
-        return Ok(n as u32);
+        return Ok(n as u64);
     }
     if let Some(arg) = rest.strip_prefix(".space") {
         return arg
             .trim()
             .parse::<u32>()
+            .map(u64::from)
             .map_err(|_| err(format!("bad .space size `{}`", arg.trim())));
     }
     if rest.starts_with(".align") {
@@ -235,12 +246,13 @@ fn data_directive_size(l: &SrcLine<'_>, _cursor: u32) -> Result<u32, AsmError> {
     Err(err(format!("unknown data directive `{rest}`")))
 }
 
+/// Appends one data line to the image. Pass 1 has checked its alignment
+/// and that the image stays within WRAM.
 fn emit_data(l: &SrcLine<'_>, wram: &mut Vec<u8>) -> Result<(), AsmError> {
     let rest = l.rest;
     let err = |msg: String| AsmError { line: l.number, msg };
-    // Apply the same alignment rule pass 1 used.
-    let aligned = align_for(rest, wram.len() as u32);
-    wram.resize(aligned as usize, 0);
+    let aligned = wram.len().next_multiple_of(data_align(l)? as usize);
+    wram.resize(aligned, 0);
     if rest.is_empty() || rest == ".data" || rest.starts_with(".align") {
         return Ok(());
     }
@@ -573,6 +585,35 @@ mod tests {
         assert_eq!(p.symbol("x").unwrap().addr, 0);
         assert_eq!(p.symbol("y").unwrap().addr, 8);
         assert_eq!(&p.wram_init[8..12], &5i32.to_le_bytes());
+    }
+
+    #[test]
+    fn data_past_wram_is_an_error_at_its_line() {
+        // Each image would wrap a u32 cursor or pass WRAM; each is refused
+        // at the line that overflows, before any image is allocated.
+        for (src, line) in [
+            ("x: .space 4294967295\ny: .space 2\n", 1),
+            ("x: .space 4294967293\ny: .word 5\n", 1),
+            (".space 3000000000\n", 1),
+            (".byte 1\n.space 4294967295\n", 2),
+            (".space 65536\n.byte 1\n", 2),
+            (".byte 1\n.align 2147483648\n", 2),
+        ] {
+            let e = assemble(&format!(".data\n{src}.text\n stop\n")).unwrap_err();
+            assert_eq!(e.line, line + 1, "{src:?}: {e}");
+            assert!(e.msg.contains("past the 65536-byte WRAM"), "{src:?}: {e}");
+        }
+        let full = assemble(".data\n.space 65532\n.word 5\n.text\n stop\n").unwrap();
+        assert_eq!(full.wram_init.len(), 65536);
+    }
+
+    #[test]
+    fn align_takes_a_power_of_two() {
+        for arg in ["99", "abc", "0", ""] {
+            let e = assemble(&format!(".data\n.byte 1\n.align {arg}\n.text\n stop\n")).unwrap_err();
+            assert_eq!(e.line, 3, ".align {arg}: {e}");
+            assert!(e.msg.contains("power of two"), ".align {arg}: {e}");
+        }
     }
 
     #[test]

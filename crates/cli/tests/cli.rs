@@ -363,6 +363,28 @@ fn run_rejects_malformed_and_out_of_range_flag_values() {
     }
 }
 
+/// A data image past WRAM is refused at the line that overflows, before
+/// anything of its size is allocated: the run is held to 256 MB of address
+/// space, which a 4 GB image would abort under.
+#[cfg(target_os = "linux")]
+#[test]
+fn run_refuses_a_data_image_past_wram_at_its_line() {
+    let scratch = Scratch::new("run-wram");
+    let kernel = scratch.path("huge.s");
+    std::fs::write(&kernel, ".data\nx: .space 4294967293\ny: .word 5\n.text\n    stop\n")
+        .expect("write kernel");
+    let out = Command::new("sh")
+        .args(["-c", "ulimit -v 262144 && exec \"$0\" run \"$1\""])
+        .arg(env!("CARGO_BIN_EXE_pimsim"))
+        .arg(&kernel)
+        .output()
+        .expect("spawn pimsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("huge.s: line 2: data image reaches"), "stderr: {stderr}");
+}
+
 /// `pimsim run --trace N` on a three-tasklet kernel with a DMA round trip
 /// and a mutex (`tests/data/trace_sample.s`; the `--cache` leg runs its
 /// DMA-free twin, cached mode rejecting DMA). Each `tests/data/*.txt` is

@@ -790,14 +790,6 @@ pub const DPUS_PER_RANK: u32 = 128;
 /// the job engine.
 pub const DEFAULT_RANK_BATCH: u32 = 64;
 
-/// MRAM bytes given to each rank-sweep DPU — enough for the kernel's input
-/// window (and the 256 KB IRAM-backing convention near the top of the
-/// bank), small enough that thousands of DPUs fit in host memory. The
-/// paper-faithful 64 MB banks would need 160 GB at 2,560 DPUs; nothing in
-/// the sweep's kernel touches addresses above the window, so the shrunken
-/// bank is timing-identical.
-const RANK_MRAM_BYTES: u32 = 256 * 1024;
-
 /// Words each DPU sums out of its MRAM window.
 const RANK_WINDOW_WORDS: u32 = 1024;
 
@@ -864,15 +856,6 @@ fn rank_kernel() -> pim_asm::DpuProgram {
     k.build().expect("rank kernel assembles")
 }
 
-/// The rank sweep's DPU configuration: the paper baseline at 8 tasklets
-/// with the shrunken MRAM bank.
-#[must_use]
-pub(crate) fn rank_config() -> DpuConfig {
-    let mut cfg = DpuConfig::paper_baseline(RANK_TASKLETS);
-    cfg.mram_bytes = RANK_MRAM_BYTES;
-    cfg
-}
-
 /// Deterministic per-DPU input window: DPU `g`'s words depend only on `g`,
 /// so any partition of the population stages identical data.
 fn rank_input(g: u32) -> Vec<i32> {
@@ -892,11 +875,12 @@ struct RankShard {
 }
 
 /// Builds a fully staged rank-sweep population: `n_dpus` DPUs under
-/// the sweep's configuration (the paper baseline at 8 tasklets with the
-/// shrunken MRAM bank) with the kernel loaded and DPU `base + i`'s
-/// deterministic input window written to MRAM. Used by the sweep's shards
-/// and by the `pim-bench` `rank` synthetic, which stages once and times
-/// repeated launches. `_batch_dpus` is ignored: it used to select the
+/// the paper baseline at 8 tasklets, each with Table I's 64 MB MRAM bank,
+/// with the kernel loaded and DPU `base + i`'s deterministic input window
+/// written to MRAM. A bank costs the host only the pages written to it —
+/// here the 4 KB window — so 2,560 DPUs fit in host memory. Used by the
+/// sweep's shards and by the `pim-bench` `rank` synthetic, which stages
+/// once and times repeated launches. `_batch_dpus` is ignored: it used to select the
 /// lockstep driver, which `PimSystem::launch_all` now takes whenever the
 /// DPUs are compatible. It stays because `benchmark/` (`cases.rs`,
 /// `probes.rs`) calls this with three arguments.
@@ -910,7 +894,11 @@ pub fn rank_population(
     _batch_dpus: u32,
 ) -> Result<pim_host::PimSystem, SimError> {
     let program = rank_kernel();
-    let mut sys = pim_host::PimSystem::new(n_dpus, rank_config(), pim_host::ChannelConfig::paper());
+    let mut sys = pim_host::PimSystem::new(
+        n_dpus,
+        DpuConfig::paper_baseline(RANK_TASKLETS),
+        pim_host::ChannelConfig::paper(),
+    );
     sys.load(&program)?;
     for i in 0..n_dpus {
         let bytes: Vec<u8> = rank_input(base + i).iter().flat_map(|w| w.to_le_bytes()).collect();

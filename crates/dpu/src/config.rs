@@ -2,7 +2,6 @@
 //! extension knob used by the paper's case studies.
 
 use pim_dram::DramConfig;
-use pim_isa::layout::MRAM_BYTES;
 
 /// Maximum hardware tasklets per DPU.
 pub const MAX_TASKLETS: u32 = 24;
@@ -159,16 +158,13 @@ pub enum ExecTier {
 /// Full configuration of one simulated DPU (paper Table I defaults).
 ///
 /// Timing and memory geometry are Table I's and live as constants
-/// (here and in [`pim_isa::layout`]); these fields are the case studies'
-/// design choices and the simulator's own switches.
+/// (here and in [`pim_isa::layout`]), so every DPU holds the full 64 MB
+/// MRAM bank; these fields are the case studies' design choices and the
+/// simulator's own switches.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DpuConfig {
     /// Number of tasklets launched.
     pub n_tasklets: u32,
-    /// MRAM bank capacity in bytes (Table I: 64 MB,
-    /// [`pim_isa::layout::MRAM_BYTES`]). The one memory size a caller
-    /// changes: a many-DPU sweep shrinks the bank to fit host memory.
-    pub mram_bytes: u32,
     /// ILP feature set (all off for the baseline).
     pub ilp: IlpFeatures,
     /// SIMT extension; `None` for the baseline scalar pipeline.
@@ -211,7 +207,6 @@ impl DpuConfig {
         );
         DpuConfig {
             n_tasklets,
-            mram_bytes: MRAM_BYTES,
             ilp: IlpFeatures::default(),
             simt: None,
             memory_mode: MemoryMode::Scratchpad,
@@ -366,7 +361,7 @@ impl Default for DpuConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_isa::layout::{ATOMIC_BITS, IRAM_INSTRS, WRAM_BYTES};
+    use pim_isa::layout::{ATOMIC_BITS, IRAM_INSTRS, MRAM_BYTES, WRAM_BYTES};
 
     #[test]
     fn baseline_matches_table_i() {
@@ -379,7 +374,6 @@ mod tests {
             (IRAM_INSTRS, WRAM_BYTES, MRAM_BYTES, ATOMIC_BITS),
             (4096, 64 * 1024, 64 * 1024 * 1024, 256)
         );
-        assert_eq!(c.mram_bytes, MRAM_BYTES);
         assert_eq!(c.max_ipc(), 1);
         c.assert_valid();
     }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use pim_asm::DpuProgram;
 use pim_cache::{Cache, CacheConfig};
 use pim_dram::DramConfig;
-use pim_isa::layout::{IRAM_INSTRS, WRAM_BYTES};
+use pim_isa::layout::{IRAM_INSTRS, MRAM_BYTES, WRAM_BYTES};
 use pim_isa::{AddressSpace, Instruction};
 use pim_mmu::{Mmu, MmuConfig, PageTable};
 use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink};
@@ -24,6 +24,10 @@ use crate::mem::{debug_assert_on_time, MemEngine, Segment};
 use crate::sched::{CompiledDispatch, Dispatch, Engine, FastDispatch};
 use crate::simt::{bits, Warps};
 use crate::stats::DpuRunStats;
+
+/// The MRAM address backing the instruction stream in cache-centric mode
+/// (timing only; 256 KB below the top of the bank).
+pub(crate) const IRAM_BACKING_BASE: u32 = MRAM_BYTES - 256 * 1024;
 
 /// Execution status of one tasklet (or SIMT lane) in the reference loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,7 +89,7 @@ impl Dpu {
     #[must_use]
     pub fn new(cfg: DpuConfig) -> Self {
         cfg.assert_valid();
-        let state = ArchState::new(cfg.n_tasklets, cfg.mram_bytes);
+        let state = ArchState::new(cfg.n_tasklets);
         let trace = (cfg.event_trace_capacity > 0).then(|| RingSink::new(cfg.event_trace_capacity));
         Dpu {
             cfg,
@@ -396,7 +400,7 @@ impl Dpu {
     pub(crate) fn mem_engine(&self) -> MemEngine {
         let mmu = self.cfg.mmu.then(|| {
             let mc = MmuConfig::paper();
-            Mmu::new(mc, PageTable::identity(self.cfg.mram_bytes / mc.page_bytes))
+            Mmu::new(mc, PageTable::identity(MRAM_BYTES / mc.page_bytes))
         });
         MemEngine::new(
             DramConfig::ddr4_2400().scaled(self.cfg.mram_bw_scale),
@@ -479,12 +483,6 @@ impl Dpu {
         }
     }
 
-    /// The MRAM address backing the instruction stream in cache-centric
-    /// mode (timing only; 256 KB below the top of the bank).
-    pub(crate) fn iram_backing_base(&self) -> u32 {
-        self.cfg.mram_bytes - 256 * 1024
-    }
-
     /// One launch on the issue engine under dispatch `D`.
     fn run_engine<D: Dispatch, S: TraceSink>(
         &mut self,
@@ -525,7 +523,6 @@ impl Dpu {
         let gap: u64 = if fwd { 1 } else { u64::from(REVOLVER_CYCLES) };
 
         let (mut icache, mut dcache) = self.caches();
-        let iram_base = self.iram_backing_base();
 
         let mut stats = self.new_stats();
         let mut window_acc = (0u64, 0u64);
@@ -672,7 +669,7 @@ impl Dpu {
                 }
                 // Instruction fetch through the I-cache (cache-centric mode).
                 if let Some(ic) = icache.as_mut() {
-                    let fetch_addr = iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
+                    let fetch_addr = IRAM_BACKING_BASE + pc * pim_isa::layout::IRAM_INSTR_BYTES;
                     let out = ic.access(fetch_addr, false);
                     if !out.hit {
                         status[t] = TaskletStatus::Blocked;

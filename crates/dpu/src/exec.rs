@@ -1,7 +1,7 @@
 //! Architectural state and functional (execute-at-issue) instruction
 //! semantics, shared by the scalar and SIMT front-ends.
 
-use pim_isa::layout::{ATOMIC_BITS, WRAM_BYTES};
+use pim_isa::layout::{ATOMIC_BITS, MRAM_BYTES, WRAM_BYTES};
 use pim_isa::{AddressSpace, InstrClass, Instruction, Operand, Reg, Width};
 use pim_trace::{TraceEvent, TraceSink};
 
@@ -33,7 +33,7 @@ pub(crate) enum Effect {
 
 /// The DPU's architectural state: memories and per-tasklet register files.
 /// Every bounds check reads the length of the memory it checks.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ArchState {
     /// Scratchpad contents: the load/store-addressable space. In
     /// cache-centric mode this is the *flat* data space (may exceed the
@@ -53,12 +53,14 @@ pub(crate) struct ArchState {
 }
 
 impl ArchState {
-    /// Zeroed memories: Table I's WRAM and atomic region, an
-    /// `mram_bytes` bank.
-    pub(crate) fn new(n_tasklets: u32, mram_bytes: u32) -> Self {
+    /// Zeroed memories of Table I's sizes. The 64 MB bank is one zeroed
+    /// allocation, never resized, filled or cloned here: the allocator
+    /// hands a request that large fresh mapped pages, so the host pays
+    /// only for the MRAM pages a run writes.
+    pub(crate) fn new(n_tasklets: u32) -> Self {
         ArchState {
             wram: vec![0; WRAM_BYTES as usize],
-            mram: vec![0; mram_bytes as usize],
+            mram: vec![0; MRAM_BYTES as usize],
             atomic: vec![false; ATOMIC_BITS as usize],
             regs: vec![[0; 24]; n_tasklets as usize],
             pc: vec![0; n_tasklets as usize],
@@ -306,7 +308,7 @@ mod tests {
     use pim_isa::{AluOp, Cond};
 
     fn state() -> ArchState {
-        ArchState::new(2, pim_isa::layout::MRAM_BYTES)
+        ArchState::new(2)
     }
 
     #[test]

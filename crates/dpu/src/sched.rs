@@ -72,7 +72,7 @@ use crate::compiled::{
     word_of, CompiledKernel, CompiledOp, DMA, FAULT, F_LOAD, F_STORE, KIND, RETRY, STOP,
 };
 use crate::config::{FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES};
-use crate::dpu::Dpu;
+use crate::dpu::{Dpu, IRAM_BACKING_BASE};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
 use crate::mem::{debug_assert_on_time, MemEngine, Segment};
@@ -260,7 +260,6 @@ struct Hot {
     rf_hazards: bool,
     ways: usize,
     gap: u64,
-    iram_base: u32,
     max_cycles: u64,
     live: usize,
     /// Tasklets waiting on the memory system (DMA or cache fill).
@@ -401,7 +400,6 @@ impl Engine {
                 rf_hazards,
                 ways: cfg.issue_ways() as usize,
                 gap: if fwd { 1 } else { u64::from(REVOLVER_CYCLES) },
-                iram_base: dpu.iram_backing_base(),
                 max_cycles: cfg.max_cycles,
                 live: n,
                 blocked: 0,
@@ -616,7 +614,7 @@ impl Engine {
                     // Instruction fetch through the I-cache (cache-centric
                     // mode).
                     if let Some(ic) = self.icache.as_mut() {
-                        let fetch_addr = h.iram_base + pc * pim_isa::layout::IRAM_INSTR_BYTES;
+                        let fetch_addr = IRAM_BACKING_BASE + pc * pim_isa::layout::IRAM_INSTR_BYTES;
                         let out = ic.access(fetch_addr, false);
                         if !out.hit {
                             let line = out.fill_line.expect("miss has a fill");

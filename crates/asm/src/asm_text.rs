@@ -26,10 +26,10 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-use pim_isa::layout::WRAM_BYTES;
+use pim_isa::layout::{IRAM_INSTRS, WRAM_BYTES};
 use pim_isa::{AddressSpace, AluOp, Cond, Instruction, Operand, Reg, Width};
 
-use crate::program::{DpuProgram, LinkOptions, Symbol};
+use crate::program::{DpuProgram, LinkError, LinkOptions, Symbol};
 
 /// An assembly error with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,12 +47,6 @@ impl fmt::Display for AsmError {
 }
 
 impl Error for AsmError {}
-
-impl From<crate::program::LinkError> for AsmError {
-    fn from(e: crate::program::LinkError) -> Self {
-        AsmError { line: 0, msg: format!("link error: {e}") }
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Section {
@@ -134,6 +128,11 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
                     }
                 }
                 if !l.rest.is_empty() && !l.rest.starts_with('.') {
+                    if text_len == IRAM_INSTRS {
+                        return Err(err(format!(
+                            "text section passes the {IRAM_INSTRS}-instruction IRAM"
+                        )));
+                    }
                     text_len += 1;
                 }
             }
@@ -163,6 +162,8 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
     // ---- Pass 2: emit ----
     let mut section = Section::Text;
     let mut instrs = Vec::with_capacity(text_len as usize);
+    // The source line of each instruction, for link errors.
+    let mut instr_lines = Vec::with_capacity(text_len as usize);
     let mut wram = Vec::with_capacity(data_len as usize);
     for l in &lines {
         if l.rest == ".text" {
@@ -185,6 +186,7 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
                     });
                 }
                 instrs.push(parse_instruction(l, &code_labels, &data_symbols)?);
+                instr_lines.push(l.number);
             }
             Section::Data => emit_data(l, &mut wram)?,
         }
@@ -198,7 +200,17 @@ pub fn assemble(src: &str) -> Result<DpuProgram, AsmError> {
         heap_base,
         ..DpuProgram::default()
     };
-    program.validate(&LinkOptions::default())?;
+    // Pass 1 kept text and data within IRAM and WRAM, so what is left to
+    // fail is one instruction's operand.
+    program.validate(&LinkOptions::default()).map_err(|e| {
+        let line = match e {
+            LinkError::BadTarget { at, .. }
+            | LinkError::BadAtomicBit { at, .. }
+            | LinkError::BranchImmOverflow { at, .. } => instr_lines[at],
+            LinkError::IramOverflow { .. } | LinkError::WramOverflow { .. } => 0,
+        };
+        AsmError { line, msg: format!("link error: {e}") }
+    })?;
     Ok(program)
 }
 
@@ -605,6 +617,25 @@ mod tests {
         }
         let full = assemble(".data\n.space 65532\n.word 5\n.text\n stop\n").unwrap();
         assert_eq!(full.wram_init.len(), 65536);
+    }
+
+    #[test]
+    fn link_errors_name_their_source_line() {
+        let big = format!(".text\n{}stop\n", " nop\n".repeat(4097));
+        for (src, line, msg) in [
+            (big.as_str(), 4098, "text section passes the 4096-instruction IRAM"),
+            (".text\n acquire 300\n stop\n", 2, "instruction 0: atomic bit 300 out of range"),
+            (
+                ".text\n movi r0, 1\n bne r0, 70000, done\ndone:\n stop\n",
+                3,
+                "instruction 1: branch immediate 70000 does not fit i16",
+            ),
+        ] {
+            let e = assemble(src).unwrap_err();
+            assert_eq!((e.line, e.msg.contains(msg)), (line, true), "{e}");
+        }
+        let full = format!(".text\n{}stop\n", " nop\n".repeat(4095));
+        assert_eq!(assemble(&full).unwrap().instrs.len(), 4096);
     }
 
     #[test]

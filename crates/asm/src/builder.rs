@@ -20,14 +20,6 @@ use crate::program::{DpuProgram, LinkError, LinkOptions, Symbol};
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct LabelId(String);
 
-impl LabelId {
-    /// The label's name (unique within its builder).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.0
-    }
-}
-
 /// An error produced when finalizing a built kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -196,12 +188,6 @@ impl KernelBuilder {
         l
     }
 
-    /// The index the next emitted instruction will occupy.
-    #[must_use]
-    pub fn pc(&self) -> u32 {
-        self.instrs.len() as u32
-    }
-
     // ------------------------------------------------------------------
     // WRAM data and atomic bits
     // ------------------------------------------------------------------
@@ -231,17 +217,6 @@ impl KernelBuilder {
         addr
     }
 
-    /// Reserves a named WRAM buffer initialized with the given words.
-    pub(crate) fn global_words(&mut self, name: &str, words: &[i32]) -> u32 {
-        let addr = self.global_zeroed(name, words.len() as u32 * 4);
-        for (i, w) in words.iter().enumerate() {
-            let b = w.to_le_bytes();
-            let at = (addr - self.wram_base) as usize + i * 4;
-            self.wram[at..at + 4].copy_from_slice(&b);
-        }
-        addr
-    }
-
     /// Allocates the next free atomic bit (checked at [`KernelBuilder::build`]).
     pub fn alloc_atomic_bit(&mut self) -> u32 {
         let bit = self.atomic_base + self.next_atomic_bit;
@@ -254,7 +229,7 @@ impl KernelBuilder {
     // ------------------------------------------------------------------
 
     /// Emits a raw instruction.
-    pub fn emit(&mut self, i: Instruction) {
+    pub(crate) fn emit(&mut self, i: Instruction) {
         self.instrs.push(i);
     }
 
@@ -376,19 +351,6 @@ impl KernelBuilder {
         self.emit(Instruction::Stop);
     }
 
-    /// No-op.
-    pub fn nop(&mut self) {
-        self.emit(Instruction::Nop);
-    }
-
-    /// Emits `dst = base + tasklet_id * stride` — the ubiquitous
-    /// "where is my slice" computation of SPMD kernels.
-    pub fn tasklet_slot(&mut self, dst: Reg, base: u32, stride: u32) {
-        self.tid(dst);
-        self.mul(dst, dst, stride as i32);
-        self.add(dst, dst, base as i32);
-    }
-
     // ------------------------------------------------------------------
     // Finalization
     // ------------------------------------------------------------------
@@ -471,7 +433,7 @@ mod tests {
         let r = k.reg("r");
         k.movi(r, 1);
         k.jump(&done);
-        k.nop();
+        k.emit(Instruction::Nop);
         k.place(&done);
         k.stop();
         let p = k.build().unwrap();
@@ -521,17 +483,15 @@ mod tests {
     fn wram_globals_are_aligned_and_visible() {
         let mut k = KernelBuilder::new();
         let a = k.global_zeroed("a", 3);
-        let b = k.global_words("b", &[1, -1]);
+        let b = k.global_zeroed("b", 8);
         assert_eq!(a, 0);
-        assert_eq!(b, 4, "word global must be 4-byte aligned");
+        assert_eq!(b, 4, "a global must be 4-byte aligned");
         k.stop();
         let p = k.build().unwrap();
         let sym = p.symbol("b").unwrap();
         assert_eq!(sym.addr, 4);
         assert_eq!(sym.size, 8);
         assert_eq!(sym.space, AddressSpace::Wram);
-        assert_eq!(&p.wram_init[4..8], &1i32.to_le_bytes());
-        assert_eq!(&p.wram_init[8..12], &(-1i32).to_le_bytes());
         assert_eq!(p.heap_base, 16, "heap starts 8-aligned after data");
     }
 
@@ -543,24 +503,6 @@ mod tests {
         }
         k.stop();
         assert!(matches!(k.build(), Err(BuildError::AtomicBitsExhausted)));
-    }
-
-    #[test]
-    fn tasklet_slot_emits_expected_sequence() {
-        let mut k = KernelBuilder::new();
-        let r = k.reg("r");
-        k.tasklet_slot(r, 100, 8);
-        k.stop();
-        let p = k.build().unwrap();
-        assert_eq!(p.instrs[0], Instruction::Tid { rd: r });
-        assert_eq!(
-            p.instrs[1],
-            Instruction::Alu { op: AluOp::Mul, rd: r, ra: r, rb: Operand::Imm(8) }
-        );
-        assert_eq!(
-            p.instrs[2],
-            Instruction::Alu { op: AluOp::Add, rd: r, ra: r, rb: Operand::Imm(100) }
-        );
     }
 
     #[test]

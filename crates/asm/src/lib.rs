@@ -68,4 +68,4 @@ pub mod rt;
 pub use asm_text::{assemble, disassemble, AsmError};
 pub use builder::{BuildError, KernelBuilder, LabelId};
 pub use program::{DpuProgram, LinkError, LinkOptions, Symbol};
-pub use rt::{Barrier, HeapAllocator, Mutex, Semaphore};
+pub use rt::{Barrier, HeapAllocator, Mutex};

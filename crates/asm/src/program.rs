@@ -148,7 +148,7 @@ impl DpuProgram {
     /// # Errors
     ///
     /// Returns the first [`LinkError`] found.
-    pub fn validate(&self, opts: &LinkOptions) -> Result<(), LinkError> {
+    pub(crate) fn validate(&self, opts: &LinkOptions) -> Result<(), LinkError> {
         if self.instrs.len() as u32 > IRAM_INSTRS {
             return Err(LinkError::IramOverflow {
                 instrs: self.instrs.len(),

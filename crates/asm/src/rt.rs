@@ -26,12 +26,6 @@ impl Mutex {
         Mutex { bit: k.alloc_atomic_bit() }
     }
 
-    /// The underlying atomic-bit index.
-    #[must_use]
-    pub fn bit(&self) -> u32 {
-        self.bit
-    }
-
     /// Emits a blocking lock (the `acquire` busy-waits in hardware).
     pub fn lock(&self, k: &mut KernelBuilder) {
         k.acquire(self.bit as i32);
@@ -114,64 +108,6 @@ impl Barrier {
         k.branch(Cond::Ne, s0, s1, &spin);
         k.place(&done);
     }
-
-    /// Number of participating tasklets.
-    #[must_use]
-    pub fn n_tasklets(&self) -> u32 {
-        self.n_tasklets
-    }
-}
-
-/// A counting semaphore, as in the SDK's `sem_give`/`sem_take` (paper
-/// §II-B lists semaphores among the supported primitives).
-///
-/// Backed by a WRAM counter under a mutex; `take` busy-waits while the
-/// count is zero, so — like every UPMEM synchronization primitive — waiting
-/// consumes issue slots.
-#[derive(Debug, Clone, Copy)]
-pub struct Semaphore {
-    mutex: Mutex,
-    count_addr: u32,
-}
-
-impl Semaphore {
-    /// Allocates a semaphore with the given initial count.
-    pub fn alloc(k: &mut KernelBuilder, initial: i32) -> Self {
-        let mutex = Mutex::alloc(k);
-        let count_addr = k.global_words(&format!("sem${}", mutex.bit()), &[initial]);
-        Semaphore { mutex, count_addr }
-    }
-
-    /// Emits `take` (P): busy-waits until the count is positive, then
-    /// decrements it. Clobbers both scratch registers.
-    pub fn take(&self, k: &mut KernelBuilder, scratch: [pim_isa::Reg; 2]) {
-        let [s0, s1] = scratch;
-        let retry = k.label_here("sem_retry");
-        self.mutex.lock(k);
-        k.movi(s1, self.count_addr as i32);
-        k.lw(s0, s1, 0);
-        let available = k.fresh_label("sem_avail");
-        k.branch(Cond::Ne, s0, 0, &available);
-        // Zero: drop the lock and spin.
-        self.mutex.unlock(k);
-        k.jump(&retry);
-        k.place(&available);
-        k.alu(pim_isa::AluOp::Sub, s0, s0, 1);
-        k.sw(s0, s1, 0);
-        self.mutex.unlock(k);
-    }
-
-    /// Emits `give` (V): increments the count. Clobbers both scratch
-    /// registers.
-    pub fn give(&self, k: &mut KernelBuilder, scratch: [pim_isa::Reg; 2]) {
-        let [s0, s1] = scratch;
-        self.mutex.lock(k);
-        k.movi(s1, self.count_addr as i32);
-        k.lw(s0, s1, 0);
-        k.add(s0, s0, 1);
-        k.sw(s0, s1, 0);
-        self.mutex.unlock(k);
-    }
 }
 
 /// A runtime bump allocator over the WRAM heap — the SDK's `mem_alloc`
@@ -249,7 +185,7 @@ mod tests {
         let mut k = KernelBuilder::new();
         let a = Mutex::alloc(&mut k);
         let b = Mutex::alloc(&mut k);
-        assert_ne!(a.bit(), b.bit());
+        assert_ne!(a.bit, b.bit);
     }
 
     #[test]
@@ -276,7 +212,7 @@ mod tests {
         let before = k.alloc_wram(0, 4);
         let bar = Barrier::alloc(&mut k, 16);
         let after = k.alloc_wram(0, 4);
-        assert_eq!(bar.n_tasklets(), 16);
+        assert_eq!(bar.n_tasklets, 16);
         // counter + sense + 16 local senses = 18 words.
         assert_eq!(after - before, 18 * 4);
     }
@@ -286,29 +222,6 @@ mod tests {
     fn zero_tasklet_barrier_panics() {
         let mut k = KernelBuilder::new();
         let _ = Barrier::alloc(&mut k, 0);
-    }
-}
-
-#[cfg(test)]
-mod sem_heap_tests {
-    use super::*;
-    use pim_isa::Cond;
-
-    #[test]
-    fn semaphore_emits_balanced_sync() {
-        let mut k = KernelBuilder::new();
-        let sem = Semaphore::alloc(&mut k, 2);
-        let scratch = k.regs(["s0", "s1"]);
-        sem.take(&mut k, scratch);
-        sem.give(&mut k, scratch);
-        k.stop();
-        let p = k.build().unwrap();
-        let acquires =
-            p.instrs.iter().filter(|i| matches!(i, pim_isa::Instruction::Acquire { .. })).count();
-        let releases =
-            p.instrs.iter().filter(|i| matches!(i, pim_isa::Instruction::Release { .. })).count();
-        assert_eq!(acquires, 2, "take + give each lock once");
-        assert_eq!(releases, 3, "take has a retry-path unlock");
     }
 
     #[test]

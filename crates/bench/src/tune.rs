@@ -84,7 +84,7 @@ impl TunedTable {
     /// The entry of `name` (resolved through the workload registry, so
     /// aliases like `SpMV-CSR` find their canonical row).
     #[must_use]
-    pub fn entry(&self, name: &str) -> Option<&TunedEntry> {
+    pub(crate) fn entry(&self, name: &str) -> Option<&TunedEntry> {
         let canonical = workload_by_name(name)?.name().to_string();
         self.entries.iter().find(|e| e.workload == canonical)
     }

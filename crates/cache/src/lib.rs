@@ -267,15 +267,6 @@ impl Cache {
         tag * self.geo.sets + low
     }
 
-    /// Looks up `addr` without changing any state (no LRU update, no fill).
-    #[must_use]
-    pub fn probe(&self, addr: u32) -> bool {
-        let (set, tag) = self.locate(addr);
-        let set = set as usize;
-        let ways = self.cfg.ways as usize;
-        self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.tag == tag)
-    }
-
     /// Performs an access (read if `write` is false, write otherwise),
     /// updating LRU state and, on a miss, allocating the line (evicting the
     /// LRU way).
@@ -323,28 +314,6 @@ impl Cache {
         self.lines[victim] = Line { tag, valid: true, dirty: write, last_use: self.use_clock };
         AccessOutcome { hit: false, fill_line: Some(self.cfg.line_addr(addr)), writeback_line }
     }
-
-    /// Writes back and invalidates every line; returns the addresses of the
-    /// dirty lines that were written back.
-    pub fn flush(&mut self) -> Vec<u32> {
-        let sets = self.geo.sets;
-        let ways = self.cfg.ways as usize;
-        let mut dirty = Vec::new();
-        for set in 0..sets {
-            for way in 0..ways {
-                let l = self.lines[set as usize * ways + way];
-                if l.valid && l.dirty {
-                    dirty.push(self.line_of(l.tag, set) * self.cfg.line_bytes);
-                    self.stats.writebacks += 1;
-                    self.stats.bytes_written_back += u64::from(self.cfg.line_bytes);
-                }
-                let slot = &mut self.lines[set as usize * ways + way];
-                slot.valid = false;
-                slot.dirty = false;
-            }
-        }
-        dirty
-    }
 }
 
 impl fmt::Display for Cache {
@@ -363,6 +332,16 @@ impl fmt::Display for Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cache {
+        /// Looks up `addr` without changing any state (no LRU update, no fill).
+        fn probe(&self, addr: u32) -> bool {
+            let (set, tag) = self.locate(addr);
+            let set = set as usize;
+            let ways = self.cfg.ways as usize;
+            self.lines[set * ways..(set + 1) * ways].iter().any(|l| l.valid && l.tag == tag)
+        }
+    }
 
     #[test]
     fn paper_geometries() {
@@ -421,18 +400,6 @@ mod tests {
         c.access(addr + set_stride, false);
         let out = c.access(addr + 2 * set_stride, false);
         assert_eq!(out.writeback_line, Some(cfg.line_addr(addr)));
-    }
-
-    #[test]
-    fn flush_writes_back_dirty_lines_and_invalidates() {
-        let cfg = CacheConfig { size_bytes: 256, ways: 2, line_bytes: 64, hashed_index: false };
-        let mut c = Cache::new(cfg);
-        c.access(0, true);
-        c.access(64, false);
-        let dirty = c.flush();
-        assert_eq!(dirty, vec![0]);
-        assert!(!c.probe(0));
-        assert!(!c.probe(64));
     }
 
     #[test]

@@ -385,6 +385,20 @@ fn run_refuses_a_data_image_past_wram_at_its_line() {
     assert!(stderr.contains("huge.s: line 2: data image reaches"), "stderr: {stderr}");
 }
 
+/// A link error names the source line of the instruction it is about.
+#[test]
+fn run_reports_a_link_error_at_its_source_line() {
+    let scratch = Scratch::new("run-link");
+    let kernel = scratch.path("imm.s");
+    std::fs::write(&kernel, ".text\n    movi r0, 1\n    bne r0, 70000, done\ndone:\n    stop\n")
+        .expect("write kernel");
+    let out = pimsim().arg("run").arg(&kernel).output().expect("spawn pimsim");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "stderr: {stderr}");
+    assert!(stderr.contains("imm.s: line 3: link error: instruction 1:"), "stderr: {stderr}");
+}
+
 /// `pimsim run --trace N` on a three-tasklet kernel with a DMA round trip
 /// and a mutex (`tests/data/trace_sample.s`; the `--cache` leg runs its
 /// DMA-free twin, cached mode rejecting DMA). Each `tests/data/*.txt` is

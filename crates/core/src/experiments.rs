@@ -783,7 +783,10 @@ pub fn multi_tenant() -> Result<MultiTenantReport, SimError> {
 // Rank scale — batched lockstep execution at paper population sizes
 // ---------------------------------------------------------------------
 
-/// DPUs per rank of the paper's hardware baseline (20 ranks = 2,560 DPUs).
+/// DPUs per unit of the rank sweep: the paper counts its 2,560-DPU
+/// baseline as 20 units of 128, and each unit is two of the host channel's
+/// 64-DPU ranks ([`pim_host::RANK_DPUS`]). The sweep's rows and its
+/// `dpus_per_rank` key keep the 128-DPU unit.
 pub const DPUS_PER_RANK: u32 = 128;
 
 /// Default shard length of the rank sweep: DPUs per `PimSystem` handed to

@@ -77,7 +77,7 @@ impl SimJob {
 
     /// A multi-DPU strong-scaling job with an empty tag.
     #[must_use]
-    pub fn multi(workload: &str, size: DatasetSize, n_dpus: u32, cfg: DpuConfig) -> Self {
+    pub(crate) fn multi(workload: &str, size: DatasetSize, n_dpus: u32, cfg: DpuConfig) -> Self {
         SimJob {
             workload: workload.to_string(),
             size,
@@ -88,14 +88,14 @@ impl SimJob {
 
     /// Attaches a design-point tag.
     #[must_use]
-    pub fn tagged(mut self, tag: impl Into<String>) -> Self {
+    pub(crate) fn tagged(mut self, tag: impl Into<String>) -> Self {
         self.tag = tag.into();
         self
     }
 
     /// Tasklets per DPU of this job.
     #[must_use]
-    pub fn threads(&self) -> u32 {
+    pub(crate) fn threads(&self) -> u32 {
         self.run.dpu.n_tasklets
     }
 

@@ -303,7 +303,7 @@ impl DpuConfig {
     /// denominator of the paper's compute-utilization plots (Fig 5: 1 for
     /// the baseline; Fig 11: 16 for SIMT designs).
     #[must_use]
-    pub fn max_ipc(&self) -> u32 {
+    pub(crate) fn max_ipc(&self) -> u32 {
         if self.simt.is_some() {
             WARP_WIDTH
         } else {

@@ -114,12 +114,6 @@ impl Dpu {
         &self.cfg
     }
 
-    /// The loaded program, if any.
-    #[must_use]
-    pub fn program(&self) -> Option<&DpuProgram> {
-        self.program.as_ref()
-    }
-
     /// Loads a program: instructions into IRAM and the initial data image
     /// into WRAM (or, in cache-centric mode, into the flat data space).
     ///

@@ -117,7 +117,7 @@ pub struct Colocated {
 impl Colocated {
     /// Total tasklets across tenants.
     #[must_use]
-    pub fn n_tasklets(&self) -> u32 {
+    pub(crate) fn n_tasklets(&self) -> u32 {
         self.entry.len() as u32
     }
 

@@ -250,7 +250,9 @@ fn simt_runs_lockstep_and_beats_scalar_on_data_parallel_code() {
     let mut k = KernelBuilder::new();
     let data = k.global_zeroed("data", 4 * n);
     let [t, p, v, i] = k.regs(["t", "p", "v", "i"]);
-    k.tasklet_slot(p, data, 4);
+    k.tid(p);
+    k.mul(p, p, 4);
+    k.add(p, p, data as i32);
     k.tid(t);
     k.movi(v, 0);
     k.movi(i, 50);
@@ -314,7 +316,9 @@ fn simt_coalescing_reduces_memory_requests() {
     let mut k = KernelBuilder::new();
     let buf = k.global_zeroed("buf", 64 * n);
     let [w, m] = k.regs(["w", "m"]);
-    k.tasklet_slot(w, buf, 64);
+    k.tid(w);
+    k.mul(w, w, 64);
+    k.add(w, w, buf as i32);
     k.tid(m);
     k.mul(m, m, 64);
     k.ldma(w, m, 64);
@@ -510,52 +514,6 @@ fn launch_with_hands_retired_instructions_to_the_callers_sink() {
     let plain = dpu.launch().unwrap();
     assert!(dpu.take_trace().is_none());
     assert_eq!(format!("{plain:?}"), format!("{stats:?}"));
-}
-
-#[test]
-fn semaphore_bounds_concurrency() {
-    // 8 tasklets contend on a 2-slot semaphore guarding an occupancy
-    // counter; the observed maximum occupancy must never exceed 2.
-    use pim_asm::Semaphore;
-    let n = 8u32;
-    let mut k = KernelBuilder::new();
-    let sem = Semaphore::alloc(&mut k, 2);
-    let gate = Mutex::alloc(&mut k);
-    let occ = k.global_zeroed("occ", 4);
-    let max_occ = k.global_zeroed("max_occ", 4);
-    let [s0, s1, p, v, m] = k.regs(["s0", "s1", "p", "v", "m"]);
-    sem.take(&mut k, [s0, s1]);
-    // occ++ and track the max, under a separate mutex.
-    gate.lock(&mut k);
-    k.movi(p, occ as i32);
-    k.lw(v, p, 0);
-    k.add(v, v, 1);
-    k.sw(v, p, 0);
-    k.movi(m, max_occ as i32);
-    k.lw(s0, m, 0);
-    k.alu(AluOp::Max, s0, s0, v);
-    k.sw(s0, m, 0);
-    gate.unlock(&mut k);
-    // Dwell inside the critical region for a few instructions.
-    for _ in 0..6 {
-        k.nop();
-    }
-    gate.lock(&mut k);
-    k.movi(p, occ as i32);
-    k.lw(v, p, 0);
-    k.sub(v, v, 1);
-    k.sw(v, p, 0);
-    gate.unlock(&mut k);
-    sem.give(&mut k, [s0, s1]);
-    k.stop();
-    let program = k.build().unwrap();
-    let mut dpu = Dpu::new(DpuConfig::paper_baseline(n));
-    dpu.load_program(&program).unwrap();
-    dpu.launch().unwrap();
-    let max = i32::from_le_bytes(dpu.read_wram_symbol("max_occ").try_into().unwrap());
-    let end = i32::from_le_bytes(dpu.read_wram_symbol("occ").try_into().unwrap());
-    assert!((1..=2).contains(&max), "semaphore must bound occupancy to 2, saw {max}");
-    assert_eq!(end, 0, "every taker must have left");
 }
 
 #[test]

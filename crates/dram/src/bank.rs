@@ -168,12 +168,6 @@ impl DramBank {
         std::mem::take(&mut self.row_events)
     }
 
-    /// The bank's configuration.
-    #[must_use]
-    pub fn config(&self) -> &DramConfig {
-        &self.cfg
-    }
-
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> &DramStats {

@@ -35,7 +35,7 @@ impl HazardKind {
 
     /// Stable lowercase name.
     #[must_use]
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             HazardKind::None => "none",
             HazardKind::SameBank => "same-bank",
@@ -295,7 +295,7 @@ pub struct CoverageMap {
 impl CoverageMap {
     /// An empty map.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CoverageMap::default()
     }
 
@@ -425,7 +425,7 @@ impl CoverageMap {
     /// JSON report: the class × hazard projection with reachability, plus
     /// every nonzero fully-qualified cell.
     #[must_use]
-    pub fn json(&self) -> Json {
+    pub(crate) fn json(&self) -> Json {
         let (hit, reachable) = self.class_hazard_coverage();
         let mut proj = Vec::new();
         for class in InstrClass::ALL {

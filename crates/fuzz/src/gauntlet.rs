@@ -86,18 +86,6 @@ impl Invariant {
             Invariant::BatchEquality => "batch",
         }
     }
-
-    /// Parses [`Invariant::as_str`] output back.
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending string when it names no invariant.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        Invariant::ALL
-            .into_iter()
-            .find(|i| i.as_str() == s)
-            .ok_or_else(|| format!("unknown invariant `{s}`"))
-    }
 }
 
 /// One conformance failure: which invariant broke and how.
@@ -453,14 +441,6 @@ mod tests {
     use crate::gen::{generate, GenOptions};
     use crate::ExecMode;
     use pim_asm::KernelBuilder;
-
-    #[test]
-    fn invariant_names_round_trip() {
-        for i in Invariant::ALL {
-            assert_eq!(Invariant::parse(i.as_str()).unwrap(), i);
-        }
-        assert!(Invariant::parse("vibes").is_err());
-    }
 
     fn gen_opts(tasklets: u32) -> GenOptions {
         GenOptions { tasklets, mode: ExecMode::Scalar, focus: None, gather: false, launches: 1 }

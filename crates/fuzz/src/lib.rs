@@ -76,7 +76,7 @@ impl ExecMode {
     /// # Errors
     ///
     /// Returns the offending string when it names no mode.
-    pub fn parse(s: &str) -> Result<Self, String> {
+    pub(crate) fn parse(s: &str) -> Result<Self, String> {
         match s {
             "scalar" => Ok(ExecMode::Scalar),
             "ilp" => Ok(ExecMode::Ilp),
@@ -88,15 +88,10 @@ impl ExecMode {
     /// The simulator configuration this mode runs under, bounded so a
     /// runaway generated program errors out instead of hanging a worker.
     #[must_use]
-    pub fn config(self, tasklets: u32) -> DpuConfig {
+    pub(crate) fn config(self, tasklets: u32) -> DpuConfig {
         let mut cfg = match self {
             ExecMode::Scalar => DpuConfig::paper_baseline(tasklets),
-            ExecMode::Ilp => DpuConfig::paper_baseline(tasklets).with_ilp(IlpFeatures {
-                data_forwarding: true,
-                unified_rf: true,
-                superscalar: true,
-                double_frequency: true,
-            }),
+            ExecMode::Ilp => DpuConfig::paper_baseline(tasklets).with_ilp(IlpFeatures::all()),
             ExecMode::Simt => DpuConfig::paper_baseline(tasklets).with_simt(SimtConfig::default()),
         };
         cfg.max_cycles = 50_000_000;
@@ -125,7 +120,7 @@ pub struct FuzzCase {
 impl FuzzCase {
     /// The simulator configuration for this case.
     #[must_use]
-    pub fn config(&self) -> DpuConfig {
+    pub(crate) fn config(&self) -> DpuConfig {
         self.mode.config(self.tasklets)
     }
 

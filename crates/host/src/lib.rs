@@ -44,5 +44,5 @@ pub mod xfer;
 pub use system::{ExecutionTimeline, LaunchReport, PimSystem};
 pub use xfer::{
     from_dpu_ns, to_dpu_ns, Channel, ChannelConfig, ChannelError, ChannelMode, FROM_DPU_GBPS,
-    TO_DPU_GBPS,
+    RANK_DPUS, TO_DPU_GBPS,
 };

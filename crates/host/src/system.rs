@@ -46,17 +46,6 @@ impl ExecutionTimeline {
             self.total_ns()
         }
     }
-
-    /// Fractions `(to_dpu, kernel, from_dpu)` of the total.
-    #[must_use]
-    pub fn fractions(&self) -> (f64, f64, f64) {
-        let t = self.total_ns();
-        if t == 0.0 {
-            (0.0, 0.0, 0.0)
-        } else {
-            (self.to_dpu_ns / t, self.kernel_ns / t, self.from_dpu_ns / t)
-        }
-    }
 }
 
 /// The result of one synchronous launch across the whole set.
@@ -119,8 +108,7 @@ impl PimSystem {
     ///
     /// # Panics
     ///
-    /// Panics if `n_dpus` or `channel.rank_dpus` is zero, or the DPU
-    /// configuration is invalid.
+    /// Panics if `n_dpus` is zero or the DPU configuration is invalid.
     #[must_use]
     pub fn new(n_dpus: u32, cfg: DpuConfig, channel: ChannelConfig) -> Self {
         assert!(n_dpus > 0, "a PIM system needs at least one DPU");
@@ -132,12 +120,6 @@ impl PimSystem {
             timeline: ExecutionTimeline::default(),
             trace_host,
         }
-    }
-
-    /// The virtual-time channel engine pricing this system's transfers.
-    #[must_use]
-    pub fn channel(&self) -> &Channel {
-        &self.channel
     }
 
     /// Mirrors the channel's wall clock into the timeline. Blocking mode
@@ -554,8 +536,6 @@ mod tests {
         assert!(t.kernel_ns > 0.0);
         assert!(t.from_dpu_ns > 0.0);
         assert_eq!(t.launches, 1);
-        let (a, b, c) = t.fractions();
-        assert!((a + b + c - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -743,7 +723,7 @@ mod tests {
     /// returns the finished timeline.
     fn round_trip_timeline(mode: crate::ChannelMode) -> ExecutionTimeline {
         let program = sum_kernel(64);
-        let cfg = crate::ChannelConfig::with_mode(mode);
+        let cfg = crate::ChannelConfig { mode };
         let mut sys = PimSystem::new(2, DpuConfig::paper_baseline(1), cfg);
         sys.load(&program).unwrap();
         let a: Vec<u8> = (0..64).flat_map(|i: i32| i.to_le_bytes()).collect();
@@ -780,11 +760,11 @@ mod tests {
     fn identical_chunks_price_as_broadcast_in_v2_modes() {
         let program = sum_kernel(64);
         let data = vec![3u8; 64 * 4];
-        let chunks: Vec<&[u8]> = vec![&data, &data, &data, &data];
+        let n = 2 * crate::RANK_DPUS;
+        let chunks: Vec<&[u8]> = vec![&data; n as usize];
         let mk = |mode| {
-            let cfg =
-                crate::ChannelConfig { rank_dpus: 4, ..crate::ChannelConfig::with_mode(mode) };
-            let mut sys = PimSystem::new(4, DpuConfig::paper_baseline(1), cfg);
+            let cfg = crate::ChannelConfig { mode };
+            let mut sys = PimSystem::new(n, DpuConfig::paper_baseline(1), cfg);
             sys.load(&program).unwrap();
             sys.try_push_to_mram(0, &chunks).unwrap();
             sys.timeline().to_dpu_ns
@@ -792,7 +772,8 @@ mod tests {
         let blocking = mk(crate::ChannelMode::Blocking);
         let broadcast = mk(crate::ChannelMode::Broadcast);
         assert!((blocking - to_dpu_ns(64 * 4)).abs() < 1e-9);
-        assert!((broadcast - blocking / 4.0).abs() < 1e-9, "one write serves all four DPUs");
+        let per_rank = f64::from(crate::RANK_DPUS);
+        assert!((broadcast - blocking / per_rank).abs() < 1e-9, "one write serves a whole rank");
     }
 
     #[test]
@@ -802,7 +783,7 @@ mod tests {
         let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
         let mut prices = Vec::new();
         for mode in crate::ChannelMode::all() {
-            let cfg = crate::ChannelConfig::with_mode(mode);
+            let cfg = crate::ChannelConfig { mode };
             let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), cfg);
             sys.load(&program).unwrap();
             sys.try_push_to_mram(0, &refs).unwrap();

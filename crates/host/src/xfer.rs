@@ -2,17 +2,18 @@
 //!
 //! One model, three modes. Every mode prices bytes at the paper's §III-A
 //! fixed per-direction bandwidths ([`TO_DPU_GBPS`] / [`FROM_DPU_GBPS`],
-//! Table I); a [`ChannelConfig`] is a [`ChannelMode`] and the rank
-//! geometry, and [`Channel`] is the virtual-time engine that prices each
-//! operation under it. The modes ladder the software transfer tricks of
-//! the pathfinding literature ("UPMEM Unleashed", arXiv:2510.15927):
+//! Table I); a [`ChannelConfig`] picks a [`ChannelMode`], every rank holds
+//! [`RANK_DPUS`] DPUs, and [`Channel`] is the virtual-time engine that
+//! prices each operation under it. The modes ladder the software transfer
+//! tricks of the pathfinding literature ("UPMEM Unleashed",
+//! arXiv:2510.15927):
 //!
 //! * [`ChannelMode::Blocking`] — what the paper measures and every golden
 //!   is pinned to: each transfer blocks the host at per-DPU bandwidth and
 //!   the set behaves as one flat channel.
 //! * [`ChannelMode::Broadcast`] — per-rank parallel channels, and a
 //!   payload written once serves every DPU of a rank: a broadcast of `B`
-//!   bytes costs `B / (rank_dpus × bw)` per rank instead of `B / bw`.
+//!   bytes costs `B / (RANK_DPUS × bw)` per rank instead of `B / bw`.
 //!   Host semantics stay blocking.
 //! * [`ChannelMode::Overlapped`] — broadcast pricing **plus**
 //!   asynchronous pushes: CPU→DPU transfers are issued against the
@@ -29,15 +30,12 @@
 
 use std::fmt;
 
-/// Default DPUs per rank: UPMEM DIMMs carry 8 chips × 8 DPUs per rank.
-pub(crate) const DEFAULT_RANK_DPUS: u32 = 64;
+/// DPUs per rank: a UPMEM rank is 8 chips × 8 DPUs.
+pub const RANK_DPUS: u32 = 64;
 
-/// A typed rejection of an invalid channel configuration — hand-edited
-/// configs must fail loudly at construction.
+/// A typed rejection of a channel-mode name.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChannelError {
-    /// `rank_dpus` was zero — a rank must hold at least one DPU.
-    EmptyRank,
     /// A channel-mode name that is not `blocking`/`broadcast`/`overlapped`.
     UnknownMode(String),
 }
@@ -45,7 +43,6 @@ pub enum ChannelError {
 impl fmt::Display for ChannelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ChannelError::EmptyRank => write!(f, "rank_dpus must be at least 1"),
             ChannelError::UnknownMode(name) => {
                 write!(f, "unknown channel mode '{name}' (expected blocking|broadcast|overlapped)")
             }
@@ -131,15 +128,11 @@ impl fmt::Display for ChannelMode {
     }
 }
 
-/// The channel model's settings: the scheduling mode and the rank
-/// geometry the broadcast and overlapped modes exploit.
+/// The channel model's settings: the scheduling mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChannelConfig {
     /// Transfer scheduling mode.
     pub mode: ChannelMode,
-    /// DPUs per rank (per-rank channels move in parallel in the
-    /// broadcast and overlapped modes). Must be at least 1.
-    pub rank_dpus: u32,
 }
 
 impl ChannelConfig {
@@ -148,37 +141,13 @@ impl ChannelConfig {
     /// golden snapshot is pinned to.
     #[must_use]
     pub fn paper() -> Self {
-        ChannelConfig { mode: ChannelMode::Blocking, rank_dpus: DEFAULT_RANK_DPUS }
-    }
-
-    /// Paper constants, [`ChannelMode::Broadcast`].
-    #[must_use]
-    pub fn broadcast() -> Self {
-        ChannelConfig { mode: ChannelMode::Broadcast, ..Self::paper() }
+        ChannelConfig { mode: ChannelMode::Blocking }
     }
 
     /// Paper constants, [`ChannelMode::Overlapped`].
     #[must_use]
     pub fn overlapped() -> Self {
-        ChannelConfig { mode: ChannelMode::Overlapped, ..Self::paper() }
-    }
-
-    /// Paper constants with the given mode.
-    #[must_use]
-    pub fn with_mode(mode: ChannelMode) -> Self {
-        ChannelConfig { mode, ..Self::paper() }
-    }
-
-    /// Validated constructor for hand-assembled configs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ChannelError`] of the first violated invariant.
-    pub fn try_new(mode: ChannelMode, rank_dpus: u32) -> Result<Self, ChannelError> {
-        if rank_dpus == 0 {
-            return Err(ChannelError::EmptyRank);
-        }
-        Ok(ChannelConfig { mode, rank_dpus })
+        ChannelConfig { mode: ChannelMode::Overlapped }
     }
 }
 
@@ -198,7 +167,7 @@ impl Default for ChannelConfig {
 /// drives it directly with seeded shapes.
 #[derive(Debug, Clone)]
 pub struct Channel {
-    cfg: ChannelConfig,
+    mode: ChannelMode,
     n_dpus: u32,
     /// The host's clock: advanced by kernels and every blocking transfer.
     host_ns: f64,
@@ -212,27 +181,18 @@ impl Channel {
     ///
     /// # Panics
     ///
-    /// Panics if `n_dpus` or `cfg.rank_dpus` is zero (the config-level
-    /// invariant is enforced by [`ChannelConfig::try_new`]; this is the
-    /// last line of defence for struct-literal configs).
+    /// Panics if `n_dpus` is zero.
     #[must_use]
     pub fn new(cfg: ChannelConfig, n_dpus: u32) -> Self {
         assert!(n_dpus > 0, "a channel serves at least one DPU");
-        assert!(cfg.rank_dpus > 0, "rank_dpus must be at least 1");
-        let ranks = n_dpus.div_ceil(cfg.rank_dpus) as usize;
-        Channel { cfg, n_dpus, host_ns: 0.0, rank_free_ns: vec![0.0; ranks] }
-    }
-
-    /// The configuration the channel was built with.
-    #[must_use]
-    pub fn config(&self) -> &ChannelConfig {
-        &self.cfg
+        let ranks = n_dpus.div_ceil(RANK_DPUS) as usize;
+        Channel { mode: cfg.mode, n_dpus, host_ns: 0.0, rank_free_ns: vec![0.0; ranks] }
     }
 
     /// The scheduling mode.
     #[must_use]
-    pub fn mode(&self) -> ChannelMode {
-        self.cfg.mode
+    pub(crate) fn mode(&self) -> ChannelMode {
+        self.mode
     }
 
     /// The host clock (excludes in-flight overlapped pushes).
@@ -249,15 +209,15 @@ impl Channel {
     }
 
     /// Rewinds the channel to time 0 (e.g. between experiments).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.host_ns = 0.0;
         self.rank_free_ns.fill(0.0);
     }
 
     /// DPUs populating rank `r` (the last rank may be partial).
     fn rank_population(&self, r: usize) -> f64 {
-        let lo = r as u32 * self.cfg.rank_dpus;
-        f64::from(self.n_dpus.min(lo + self.cfg.rank_dpus) - lo)
+        let lo = r as u32 * RANK_DPUS;
+        f64::from(self.n_dpus.min(lo + RANK_DPUS) - lo)
     }
 
     /// A blocking operation of `ns` on host and channel together.
@@ -284,11 +244,11 @@ impl Channel {
         debug_assert_eq!(bytes_per_dpu.len(), self.n_dpus as usize, "one payload size per DPU");
         let max = bytes_per_dpu.iter().copied().max().unwrap_or(0);
         let ns = to_dpu_ns(max);
-        match self.cfg.mode {
+        match self.mode {
             ChannelMode::Blocking => self.host_ns += ns,
             ChannelMode::Broadcast => self.advance_sync(ns),
             ChannelMode::Overlapped => {
-                for (r, chunk) in bytes_per_dpu.chunks(self.cfg.rank_dpus as usize).enumerate() {
+                for (r, chunk) in bytes_per_dpu.chunks(RANK_DPUS as usize).enumerate() {
                     let rank_max = chunk.iter().copied().max().unwrap_or(0);
                     if rank_max == 0 {
                         continue;
@@ -304,12 +264,12 @@ impl Channel {
     /// Prices a CPU→DPU push of `bytes` to a single DPU.
     pub(crate) fn push_one(&mut self, dpu: u32, bytes: u64) -> f64 {
         let ns = to_dpu_ns(bytes);
-        match self.cfg.mode {
+        match self.mode {
             ChannelMode::Blocking => self.host_ns += ns,
             ChannelMode::Broadcast => self.advance_sync(ns),
             ChannelMode::Overlapped => {
                 if bytes > 0 {
-                    let r = (dpu / self.cfg.rank_dpus) as usize;
+                    let r = (dpu / RANK_DPUS) as usize;
                     let start = self.rank_free_ns[r].max(self.host_ns);
                     self.rank_free_ns[r] = start + ns;
                 }
@@ -321,14 +281,14 @@ impl Channel {
     /// Prices a broadcast of `bytes` — one payload serving every DPU.
     ///
     /// Outside blocking mode the payload is written **once** per rank and
-    /// the rank's aggregate link (`rank_dpus × bw`) carries it, so the cost
+    /// the rank's aggregate link (`RANK_DPUS × bw`) carries it, so the cost
     /// per rank is `bytes / (population × bw)`; the smallest (possibly
     /// partial, and therefore slowest) rank gates the operation, and
     /// ranks move in parallel. [`ChannelMode::Blocking`] charges the
     /// price of one per-DPU write (`bytes / bw`), which is what the SDK's
     /// sequential broadcast costs under per-DPU-parallel links.
     pub fn broadcast(&mut self, bytes: u64) -> f64 {
-        match self.cfg.mode {
+        match self.mode {
             ChannelMode::Blocking => {
                 let ns = to_dpu_ns(bytes);
                 self.host_ns += ns;
@@ -340,7 +300,7 @@ impl Channel {
                 for r in 0..ranks {
                     worst = worst.max(to_dpu_ns(bytes) / self.rank_population(r));
                 }
-                if self.cfg.mode == ChannelMode::Broadcast {
+                if self.mode == ChannelMode::Broadcast {
                     self.advance_sync(worst);
                 } else if bytes > 0 {
                     for r in 0..ranks {
@@ -360,7 +320,7 @@ impl Channel {
     /// program staged the *next* launch's data).
     pub fn kernel(&mut self, ns: f64) {
         self.host_ns += ns;
-        if self.cfg.mode != ChannelMode::Overlapped {
+        if self.mode != ChannelMode::Overlapped {
             self.rank_free_ns.fill(self.host_ns);
         }
     }
@@ -374,7 +334,7 @@ impl Channel {
     /// [`ChannelMode::Overlapped`] the pull is a completion barrier: the
     /// host first waits out every in-flight push.
     pub fn pull(&mut self, max_bytes: u64) -> f64 {
-        if self.cfg.mode == ChannelMode::Overlapped {
+        if self.mode == ChannelMode::Overlapped {
             self.host_ns = self.wall_ns();
         }
         let ns = from_dpu_ns(max_bytes);
@@ -423,18 +383,14 @@ mod tests {
     }
 
     #[test]
-    fn channel_config_validation() {
-        assert!(ChannelConfig::try_new(ChannelMode::Broadcast, 64).is_ok());
-        assert_eq!(
-            ChannelConfig::try_new(ChannelMode::Blocking, 0).unwrap_err(),
-            ChannelError::EmptyRank
-        );
+    fn default_config_is_the_papers_blocking_channel() {
+        assert_eq!(ChannelConfig::default(), ChannelConfig::paper());
         assert_eq!(ChannelConfig::default().mode, ChannelMode::Blocking);
     }
 
     /// One virtual round trip: push per-DPU chunks, run a kernel, pull.
     fn round_trip(mode: ChannelMode, n_dpus: u32, chunks: &[u64], kernel_ns: f64) -> (f64, f64) {
-        let mut ch = Channel::new(ChannelConfig::with_mode(mode), n_dpus);
+        let mut ch = Channel::new(ChannelConfig { mode }, n_dpus);
         let to = ch.push(chunks);
         ch.kernel(kernel_ns);
         let from = ch.pull(*chunks.iter().max().unwrap());
@@ -469,29 +425,29 @@ mod tests {
 
     #[test]
     fn broadcast_splits_across_the_rank() {
-        let cfg = ChannelConfig { rank_dpus: 8, ..ChannelConfig::broadcast() };
-        let mut ch = Channel::new(cfg, 8);
+        let broadcast = ChannelConfig { mode: ChannelMode::Broadcast };
+        let mut ch = Channel::new(broadcast, 2 * RANK_DPUS);
         let ns = ch.broadcast(8192);
-        assert!((ns - to_dpu_ns(8192) / 8.0).abs() < 1e-9);
+        assert!((ns - to_dpu_ns(8192) / f64::from(RANK_DPUS)).abs() < 1e-9);
         // Blocking prices the same broadcast at the full per-DPU cost.
-        let mut legacy = Channel::new(ChannelConfig { rank_dpus: 8, ..ChannelConfig::paper() }, 8);
+        let mut legacy = Channel::new(ChannelConfig::paper(), 2 * RANK_DPUS);
         assert!((legacy.broadcast(8192) - to_dpu_ns(8192)).abs() < 1e-9);
     }
 
     #[test]
     fn partial_rank_gates_the_broadcast() {
-        // 10 DPUs at rank_dpus=8: the 2-DPU tail rank is the slowest.
-        let cfg = ChannelConfig { rank_dpus: 8, ..ChannelConfig::broadcast() };
-        let mut ch = Channel::new(cfg, 10);
+        // Two DPUs past a full rank: the 2-DPU tail rank is the slowest.
+        let broadcast = ChannelConfig { mode: ChannelMode::Broadcast };
+        let mut ch = Channel::new(broadcast, RANK_DPUS + 2);
         assert!((ch.broadcast(8192) - to_dpu_ns(8192) / 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn overlapped_pushes_queue_on_their_rank_channel() {
-        let cfg = ChannelConfig { rank_dpus: 4, ..ChannelConfig::overlapped() };
-        let mut ch = Channel::new(cfg, 4);
-        ch.push(&[4096; 4]);
-        ch.push(&[4096; 4]);
+        let mut ch = Channel::new(ChannelConfig::overlapped(), 2 * RANK_DPUS);
+        let chunks = vec![4096; 2 * RANK_DPUS as usize];
+        ch.push(&chunks);
+        ch.push(&chunks);
         // No kernel ran: both pushes are in flight back-to-back.
         assert!((ch.wall_ns() - 2.0 * to_dpu_ns(4096)).abs() < 1e-9);
         assert_eq!(ch.host_ns(), 0.0);

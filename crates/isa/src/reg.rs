@@ -59,11 +59,6 @@ impl Reg {
             RegBank::Odd
         }
     }
-
-    /// Iterates over all general-purpose registers in index order.
-    pub fn all() -> impl Iterator<Item = Reg> {
-        (0..NUM_GP_REGS).map(Reg)
-    }
 }
 
 impl fmt::Display for Reg {
@@ -146,7 +141,7 @@ mod tests {
 
     #[test]
     fn all_yields_every_register_once() {
-        let regs: Vec<Reg> = Reg::all().collect();
+        let regs: Vec<Reg> = (0..NUM_GP_REGS).map(Reg).collect();
         assert_eq!(regs.len(), NUM_GP_REGS as usize);
         for (i, r) in regs.iter().enumerate() {
             assert_eq!(r.index() as usize, i);

@@ -86,15 +86,9 @@ impl PageTable {
         PageTable { map: (0..pages).collect() }
     }
 
-    /// Number of mapped pages.
-    #[must_use]
-    pub fn pages(&self) -> u32 {
-        self.map.len() as u32
-    }
-
     /// Looks up the physical page for a virtual page.
     #[must_use]
-    pub fn lookup(&self, vpn: u32) -> Option<u32> {
+    pub(crate) fn lookup(&self, vpn: u32) -> Option<u32> {
         self.map.get(vpn as usize).copied()
     }
 }

@@ -96,7 +96,7 @@ impl RunConfig {
 
     /// Whether the DPUs run the cache-centric memory model.
     #[must_use]
-    pub fn cached(&self) -> bool {
+    pub(crate) fn cached(&self) -> bool {
         self.dpu.memory_mode == MemoryMode::Cached
     }
 }

@@ -90,12 +90,6 @@ impl RefInterpreter {
         self.atomic.fill(false);
     }
 
-    /// Copies bytes into WRAM at `addr`.
-    pub fn write_wram(&mut self, addr: u32, bytes: &[u8]) {
-        let a = addr as usize;
-        self.wram[a..a + bytes.len()].copy_from_slice(bytes);
-    }
-
     /// Copies bytes into MRAM at `addr`.
     pub fn write_mram(&mut self, addr: u32, bytes: &[u8]) {
         let a = addr as usize;

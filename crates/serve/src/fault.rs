@@ -241,7 +241,6 @@ pub(crate) struct Outage {
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     spec: FaultSpec,
-    n_ranks: u32,
     outages: Vec<Outage>,
     /// Sampler behind every per-mille fault draw.
     per_mille: Below,
@@ -252,7 +251,7 @@ impl FaultPlan {
     /// outage times and ranks are pre-drawn from the fault seed and
     /// sorted by onset, so the loop walks them with a cursor.
     #[must_use]
-    pub fn generate(spec: FaultSpec, n_dpus: u32, duration_ns: u64) -> FaultPlan {
+    pub(crate) fn generate(spec: FaultSpec, n_dpus: u32, duration_ns: u64) -> FaultPlan {
         let n_ranks = spec.n_ranks(n_dpus);
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let mut outages: Vec<Outage> = (0..spec.outages)
@@ -263,19 +262,7 @@ impl FaultPlan {
             })
             .collect();
         outages.sort_unstable_by_key(|o| (o.at_ns, o.rank));
-        FaultPlan { spec, n_ranks, outages, per_mille: Below::new(1000) }
-    }
-
-    /// The spec this plan was expanded from.
-    #[must_use]
-    pub fn spec(&self) -> &FaultSpec {
-        &self.spec
-    }
-
-    /// Ranks in the system under this plan's rank geometry.
-    #[must_use]
-    pub fn n_ranks(&self) -> u32 {
-        self.n_ranks
+        FaultPlan { spec, outages, per_mille: Below::new(1000) }
     }
 
     /// The rank containing DPU `dpu`.
@@ -459,7 +446,7 @@ mod tests {
     fn outages_are_sorted_and_in_range() {
         let spec = FaultSpec::parse("outages=5,outage_ms=2,rank_dpus=4,seed=3").unwrap();
         let plan = FaultPlan::generate(spec, 8, 10_000_000);
-        assert_eq!(plan.n_ranks(), 2);
+        assert_eq!(spec.n_ranks(8), 2);
         assert_eq!(plan.outages().len(), 5);
         assert!(plan.outages().windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
         for o in plan.outages() {

@@ -66,7 +66,7 @@ impl AdmissionQueue {
     /// Creates a queue holding at most `capacity` requests overall and at
     /// most `quotas[t]` requests of tenant `t`.
     #[must_use]
-    pub fn new(capacity: usize, quotas: Vec<usize>) -> Self {
+    pub(crate) fn new(capacity: usize, quotas: Vec<usize>) -> Self {
         let n = quotas.len();
         AdmissionQueue {
             queue: VecDeque::new(),
@@ -81,7 +81,7 @@ impl AdmissionQueue {
     /// requests in FIFO order, and the admission counters as of the
     /// snapshot. Per-tenant occupancy is re-derived from `contents`.
     #[must_use]
-    pub fn restore(
+    pub(crate) fn restore(
         capacity: usize,
         quotas: Vec<usize>,
         contents: Vec<Request>,
@@ -95,7 +95,7 @@ impl AdmissionQueue {
     }
 
     /// The queued requests in FIFO order (for checkpointing).
-    pub fn iter(&self) -> impl Iterator<Item = &Request> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Request> {
         self.queue.iter()
     }
 
@@ -119,7 +119,7 @@ impl AdmissionQueue {
     }
 
     /// Removes and returns the oldest queued request.
-    pub fn pop_front(&mut self) -> Option<Request> {
+    pub(crate) fn pop_front(&mut self) -> Option<Request> {
         let req = self.queue.pop_front()?;
         self.queued[req.tenant] -= 1;
         Some(req)
@@ -135,13 +135,13 @@ impl AdmissionQueue {
 
     /// The oldest queued request, if any.
     #[must_use]
-    pub fn front(&self) -> Option<&Request> {
+    pub(crate) fn front(&self) -> Option<&Request> {
         self.queue.front()
     }
 
     /// Whether nothing is queued.
     #[must_use]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
 
@@ -153,7 +153,7 @@ impl AdmissionQueue {
 
     /// Per-tenant admission counters.
     #[must_use]
-    pub fn stats(&self) -> &[TenantAdmission] {
+    pub(crate) fn stats(&self) -> &[TenantAdmission] {
         &self.stats
     }
 }

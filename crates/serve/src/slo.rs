@@ -56,14 +56,8 @@ impl Default for LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// An empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        LatencyHistogram::default()
-    }
-
     /// Records one sample.
-    pub fn record(&mut self, ns: u64) {
+    pub(crate) fn record(&mut self, ns: u64) {
         self.counts[bucket_of(ns)] += 1;
         self.total += 1;
         self.sum_ns += ns;
@@ -118,7 +112,7 @@ impl LatencyHistogram {
 
     /// Folds another histogram's population into this one (bucket-wise;
     /// exact because both sides share the same bucket boundaries).
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -133,7 +127,7 @@ impl LatencyHistogram {
     /// count]...]` with only the occupied buckets listed (the histogram
     /// is sparse in practice).
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let mut items =
             vec![Json::from(self.total), Json::from(self.sum_ns), Json::from(self.max_ns)];
         for (idx, &c) in self.counts.iter().enumerate() {
@@ -150,7 +144,7 @@ impl LatencyHistogram {
     ///
     /// Returns a message on a malformed snapshot (wrong shape, a bucket
     /// index out of range, or counts that do not sum to the total).
-    pub fn from_json(j: Node<'_>) -> Result<Self, String> {
+    pub(crate) fn from_json(j: Node<'_>) -> Result<Self, String> {
         let items = j.list(Ok)?;
         let [total, sum_ns, max_ns, buckets @ ..] = items.as_slice() else {
             return j.fail("a histogram starts with total, sum_ns and max_ns");
@@ -192,7 +186,7 @@ pub struct LatencySplit {
 
 impl LatencySplit {
     /// Records one completed request's phase breakdown.
-    pub fn record(&mut self, queue_ns: u64, transfer_ns: u64, execute_ns: u64) {
+    pub(crate) fn record(&mut self, queue_ns: u64, transfer_ns: u64, execute_ns: u64) {
         self.queue.record(queue_ns);
         self.transfer.record(transfer_ns);
         self.execute.record(execute_ns);
@@ -200,7 +194,7 @@ impl LatencySplit {
     }
 
     /// Folds another split's populations into this one, phase by phase.
-    pub fn merge(&mut self, other: &Self) {
+    pub(crate) fn merge(&mut self, other: &Self) {
         self.queue.merge(&other.queue);
         self.transfer.merge(&other.transfer);
         self.execute.merge(&other.execute);
@@ -209,7 +203,7 @@ impl LatencySplit {
 
     /// Serializes all four phases for a checkpoint.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::arr([
             self.queue.to_json(),
             self.transfer.to_json(),
@@ -223,7 +217,7 @@ impl LatencySplit {
     /// # Errors
     ///
     /// Returns a message on a malformed snapshot.
-    pub fn from_json(j: Node<'_>) -> Result<Self, String> {
+    pub(crate) fn from_json(j: Node<'_>) -> Result<Self, String> {
         let [queue, transfer, execute, total] = j.tuple()?;
         Ok(LatencySplit {
             queue: LatencyHistogram::from_json(queue)?,
@@ -266,7 +260,7 @@ mod tests {
 
     #[test]
     fn quantiles_of_a_known_population() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         for v in 1..=100u64 {
             h.record(v * 1000);
         }
@@ -284,7 +278,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_all_zero() {
-        let h = LatencyHistogram::new();
+        let h = LatencyHistogram::default();
         assert_eq!(h.slo_triple(), (0, 0, 0));
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean_ns(), 0.0);
@@ -292,9 +286,9 @@ mod tests {
 
     #[test]
     fn merging_is_equivalent_to_recording_into_one() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        let mut both = LatencyHistogram::new();
+        let mut a = LatencyHistogram::default();
+        let mut b = LatencyHistogram::default();
+        let mut both = LatencyHistogram::default();
         for v in [5u64, 70, 900, 12_000] {
             a.record(v);
             both.record(v);
@@ -335,7 +329,7 @@ mod tests {
 
     #[test]
     fn histogram_from_json_rejects_corruption() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         h.record(100);
         let decode = |j: &Json| LatencyHistogram::from_json(Node::root("h", j));
         assert!(decode(&Json::Null).is_err());

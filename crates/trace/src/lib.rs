@@ -196,10 +196,10 @@ pub struct DpuTrace {
 
 /// A bounded ring buffer keeping the most recent events.
 ///
-/// When full, the oldest event is evicted and counted in
-/// [`RingSink::dropped`] — the tail of a run is usually the interesting
-/// part (the steady state plus the finish), and a hard bound keeps memory
-/// per DPU predictable.
+/// When full, the oldest event is evicted and counted; [`RingSink::take`]
+/// hands the count over as [`DpuTrace::dropped`]. The tail of a run is
+/// usually the interesting part (the steady state plus the finish), and a
+/// hard bound keeps memory per DPU predictable.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RingSink {
     capacity: usize,
@@ -212,30 +212,6 @@ impl RingSink {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         RingSink { capacity, events: VecDeque::with_capacity(capacity.min(4096)), dropped: 0 }
-    }
-
-    /// The bound this ring was created with.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Retained event count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing has been retained.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Drains the ring into a [`DpuTrace`], resetting the drop counter.
@@ -372,17 +348,6 @@ impl SystemTrace {
     pub fn dropped(&self) -> u64 {
         self.per_dpu.iter().map(|d| d.dropped).sum()
     }
-
-    /// Folds every retained event into a fresh metrics registry.
-    #[must_use]
-    pub fn metrics(&self) -> MetricsSink {
-        let mut m = MetricsSink::new();
-        m.absorb(&self.host);
-        for d in &self.per_dpu {
-            m.absorb(&d.events);
-        }
-        m
-    }
 }
 
 #[cfg(test)]
@@ -407,8 +372,8 @@ mod tests {
         for c in 0..5 {
             r.emit(retire(c));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.dropped(), 2);
+        assert_eq!(r.events.len(), 3);
+        assert_eq!(r.dropped, 2);
         let t = r.take();
         assert_eq!(
             t.events
@@ -421,16 +386,16 @@ mod tests {
             vec![2, 3, 4]
         );
         assert_eq!(t.dropped, 2);
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 0);
+        assert!(r.events.is_empty());
+        assert_eq!(r.dropped, 0);
     }
 
     #[test]
     fn zero_capacity_ring_drops_everything() {
         let mut r = RingSink::new(0);
         r.emit(retire(0));
-        assert!(r.is_empty());
-        assert_eq!(r.dropped(), 1);
+        assert!(r.events.is_empty());
+        assert_eq!(r.dropped, 1);
     }
 
     #[test]
@@ -482,9 +447,5 @@ mod tests {
         };
         assert_eq!(st.event_count(), 3);
         assert_eq!(st.dropped(), 0);
-        let m = st.metrics();
-        assert_eq!(m.get("instr_retired"), 1);
-        assert_eq!(m.get("dma_bytes_written"), 64);
-        assert_eq!(m.get("host_push_transfers"), 1);
     }
 }

@@ -258,7 +258,9 @@ fn load_use_kernel(lines_per_tasklet: u32, tasklets: u32, filler: u32) -> pim_as
     let mut k = pim_asm::KernelBuilder::new();
     let data = k.global_zeroed("data", 64 * lines_per_tasklet * tasklets);
     let [p, v, acc, i, scratch] = k.regs(["p", "v", "acc", "i", "scratch"]);
-    k.tasklet_slot(p, data, 64 * lines_per_tasklet);
+    k.tid(p);
+    k.mul(p, p, (64 * lines_per_tasklet) as i32);
+    k.add(p, p, data as i32);
     k.movi(acc, 0);
     k.movi(i, lines_per_tasklet as i32);
     let top = k.label_here("top");
@@ -289,7 +291,9 @@ fn low_tlp_idle_hops_match_naive_reference() {
     let mut k = pim_asm::KernelBuilder::new();
     let buf = k.global_zeroed("buf", 3 * 2048);
     let [w, m, id, i, acc] = k.regs(["w", "m", "id", "i", "acc"]);
-    k.tasklet_slot(w, buf, 2048);
+    k.tid(w);
+    k.mul(w, w, 2048);
+    k.add(w, w, buf as i32);
     k.tid(id);
     k.sll(m, id, 11);
     k.movi(i, 4);
@@ -369,7 +373,9 @@ fn traced_stalls_tile_the_idle_time_and_agree_per_cause() {
     let mut k = pim_asm::KernelBuilder::new();
     let buf = k.global_zeroed("buf", 4 * 2048);
     let [w, m, a, i, id] = k.regs(["w", "m", "a", "i", "id"]);
-    k.tasklet_slot(w, buf, 2048);
+    k.tid(w);
+    k.mul(w, w, 2048);
+    k.add(w, w, buf as i32);
     k.tid(id);
     k.sll(m, id, 12);
     k.movi(i, 5);

@@ -880,13 +880,15 @@ struct RankShard {
 /// Builds a fully staged rank-sweep population: `n_dpus` DPUs under
 /// the paper baseline at 8 tasklets, each with Table I's 64 MB MRAM bank,
 /// with the kernel loaded and DPU `base + i`'s deterministic input window
-/// written to MRAM. A bank costs the host only the pages written to it —
-/// here the 4 KB window — so 2,560 DPUs fit in host memory. Used by the
-/// sweep's shards and by the `pim-bench` `rank` synthetic, which stages
-/// once and times repeated launches. `_batch_dpus` is ignored: it used to select the
-/// lockstep driver, which `PimSystem::launch_all` now takes whenever the
-/// DPUs are compatible. It stays because `benchmark/` (`cases.rs`,
-/// `probes.rs`) calls this with three arguments.
+/// written to MRAM. A DPU's bank and WRAM cost the host only the pages
+/// written to them — here the 4 KB window and the kernel's WRAM buffer —
+/// and the DPUs share one program image, so 2,560 DPUs fit in host
+/// memory. Used by the sweep's shards and by the `pim-bench` `rank`
+/// synthetic, which stages once and times repeated launches.
+/// `_batch_dpus` is ignored: it used to select the lockstep driver, which
+/// `PimSystem::launch_all` now takes whenever the DPUs are compatible. It
+/// stays because `benchmark/` (`cases.rs`, `probes.rs`) calls this with
+/// three arguments.
 ///
 /// # Errors
 ///

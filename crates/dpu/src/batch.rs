@@ -465,8 +465,8 @@ mod tests {
         let (results, summary) = run_batch(&mut batched);
         for (i, ((got, b), s)) in results.iter().zip(&batched).zip(&mut solo).enumerate() {
             assert_eq!(format!("{got:?}"), format!("{:?}", s.launch()), "member {i}");
-            assert!(b.state.wram == s.state.wram, "member {i}: WRAM image differs");
-            assert!(b.state.mram == s.state.mram, "member {i}: MRAM image differs");
+            assert!(b.state.wram() == s.state.wram(), "member {i}: WRAM image differs");
+            assert!(b.state.mram() == s.state.mram(), "member {i}: MRAM image differs");
             assert_eq!(b.state.pc, s.state.pc, "member {i}: final pcs differ");
         }
         assert_eq!(summary.members() as usize, inputs.len(), "{summary}");

@@ -323,22 +323,22 @@ fn alu_fn(op: AluOp, reg_operand: bool) -> OpFn {
 }
 
 /// Whether a `bytes`-wide load/store at `addr` is aligned and inside the
-/// load/store space: the checks of `ArchState::check_ls`.
+/// load/store space `wram`: the checks of `ArchState::check_ls`.
 #[inline(always)]
-fn ls_ok(s: &ArchState, addr: u32, bytes: u32) -> bool {
-    addr.is_multiple_of(bytes) && u64::from(addr) + u64::from(bytes) <= s.wram.len() as u64
+fn ls_ok(wram: &[u8], addr: u32, bytes: u32) -> bool {
+    addr.is_multiple_of(bytes) && u64::from(addr) + u64::from(bytes) <= wram.len() as u64
 }
 
 macro_rules! load_fns {
-    ($($name:ident $bytes:literal |$s:ident, $a:ident| $read:expr),* $(,)?) => {
+    ($($name:ident $bytes:literal |$w:ident, $a:ident| $read:expr),* $(,)?) => {
         $(
             fn $name(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
                 let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-                if !ls_ok(s, addr, $bytes) {
+                let $w = s.wram();
+                if !ls_ok($w, addr, $bytes) {
                     return FAULT;
                 }
                 let $a = addr as usize;
-                let $s = &*s;
                 let v = $read;
                 setr(s, t, op.a, v);
                 advance(pc)
@@ -348,44 +348,36 @@ macro_rules! load_fns {
 }
 
 load_fns!(
-    load_bu 1 |s, a| u32::from(s.wram[a]),
-    load_bs 1 |s, a| s.wram[a] as i8 as i32 as u32,
-    load_hu 2 |s, a| u32::from(u16::from_le_bytes([s.wram[a], s.wram[a + 1]])),
-    load_hs 2 |s, a| u16::from_le_bytes([s.wram[a], s.wram[a + 1]]) as i16 as i32 as u32,
-    load_w 4 |s, a| u32::from_le_bytes([s.wram[a], s.wram[a + 1], s.wram[a + 2], s.wram[a + 3]]),
+    load_bu 1 |w, a| u32::from(w[a]),
+    load_bs 1 |w, a| w[a] as i8 as i32 as u32,
+    load_hu 2 |w, a| u32::from(u16::from_le_bytes([w[a], w[a + 1]])),
+    load_hs 2 |w, a| u16::from_le_bytes([w[a], w[a + 1]]) as i16 as i32 as u32,
+    load_w 4 |w, a| u32::from_le_bytes([w[a], w[a + 1], w[a + 2], w[a + 3]]),
 );
 
-fn store_b(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
-    let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    if !ls_ok(s, addr, 1) {
-        return FAULT;
-    }
-    let v = rg(s, t, op.a);
-    s.wram[addr as usize] = v as u8;
-    advance(pc)
+macro_rules! store_fns {
+    ($($name:ident $bytes:literal |$v:ident| $le:expr),* $(,)?) => {
+        $(
+            fn $name(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
+                let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
+                let $v = rg(s, t, op.a);
+                let w = s.wram_mut();
+                if !ls_ok(w, addr, $bytes) {
+                    return FAULT;
+                }
+                let a = addr as usize;
+                w[a..a + $bytes].copy_from_slice(&$le);
+                advance(pc)
+            }
+        )*
+    };
 }
 
-fn store_h(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
-    let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    if !ls_ok(s, addr, 2) {
-        return FAULT;
-    }
-    let v = rg(s, t, op.a);
-    let a = addr as usize;
-    s.wram[a..a + 2].copy_from_slice(&(v as u16).to_le_bytes());
-    advance(pc)
-}
-
-fn store_w(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
-    let addr = rg(s, t, op.b).wrapping_add(op.imm as u32);
-    if !ls_ok(s, addr, 4) {
-        return FAULT;
-    }
-    let v = rg(s, t, op.a);
-    let a = addr as usize;
-    s.wram[a..a + 4].copy_from_slice(&v.to_le_bytes());
-    advance(pc)
-}
+store_fns!(
+    store_b 1 |v| [v as u8],
+    store_h 2 |v| (v as u16).to_le_bytes(),
+    store_w 4 |v| v.to_le_bytes(),
+);
 
 /// DMA validation + functional copy, shared by the four DMA op functions:
 /// the checks of the `Ldma`/`Sdma` arm of `ArchState::execute` (length,
@@ -396,17 +388,18 @@ fn dma_common(s: &mut ArchState, pc: u32, w: u32, m: u32, l: i32, write: bool) -
         return FAULT;
     }
     let l = l as u32;
+    let (wram, mram) = s.wram_and_mram_mut();
     if !(w | m | l).is_multiple_of(4)
-        || u64::from(w) + u64::from(l) > s.wram.len() as u64
-        || u64::from(m) + u64::from(l) > s.mram.len() as u64
+        || u64::from(w) + u64::from(l) > wram.len() as u64
+        || u64::from(m) + u64::from(l) > mram.len() as u64
     {
         return FAULT;
     }
     let (wi, mi, li) = (w as usize, m as usize, l as usize);
     if write {
-        s.mram[mi..mi + li].copy_from_slice(&s.wram[wi..wi + li]);
+        mram[mi..mi + li].copy_from_slice(&wram[wi..wi + li]);
     } else {
-        s.wram[wi..wi + li].copy_from_slice(&s.mram[mi..mi + li]);
+        wram[wi..wi + li].copy_from_slice(&mram[mi..mi + li]);
     }
     DMA | u64::from(pc + 1)
 }
@@ -699,7 +692,8 @@ fn compile_op(instr: &Instruction) -> CompiledOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pim_isa::Reg;
+    use pim_isa::layout::{MRAM_BYTES, WRAM_BYTES};
+    use pim_isa::{AddressSpace, Reg};
 
     /// The MRAM prefix [`view`] compares: every DMA these tests make
     /// lands below it or faults before it writes.
@@ -713,10 +707,10 @@ mod tests {
                 s.regs[t][r] = (t as u32) * 100 + r as u32;
             }
         }
-        for (i, b) in s.wram.iter_mut().enumerate().take(4096) {
+        for (i, b) in s.wram_mut().iter_mut().enumerate().take(4096) {
             *b = (i % 251) as u8;
         }
-        for (i, b) in s.mram.iter_mut().enumerate().take(4096) {
+        for (i, b) in s.mram_mut().iter_mut().enumerate().take(4096) {
             *b = (i % 241) as u8;
         }
         s.tid_base = vec![0, 0, 2, 2];
@@ -732,8 +726,8 @@ mod tests {
             s.pc,
             s.tid_base,
             s.atomic,
-            s.wram,
-            &s.mram[..MRAM_WINDOW]
+            s.wram(),
+            &s.mram()[..MRAM_WINDOW]
         )
     }
 
@@ -882,6 +876,63 @@ mod tests {
                         s.regs[t][3] = 64;
                     }
                 });
+            }
+        }
+    }
+
+    /// A DMA whose last byte is the last byte of WRAM and of MRAM copies
+    /// through the interpreter and the compiled op alike. One word more
+    /// faults on the memory it overruns, with nothing written: MRAM's end
+    /// is no way into WRAM, though WRAM follows it in the one allocation.
+    #[test]
+    fn dma_reaches_the_last_byte_of_wram_and_mram() {
+        let (w, m) = (WRAM_BYTES - 8, MRAM_BYTES - 8);
+        let (wi, mi) = (w as usize, m as usize);
+        let (wram_bytes, mram_bytes) = ([1, 2, 3, 4, 5, 6, 7, 8], [9, 10, 11, 12, 13, 14, 15, 16]);
+        let staged = |wa: u32, ma: u32| {
+            let mut s = ArchState::new(1);
+            s.regs[0][1] = wa;
+            s.regs[0][2] = ma;
+            s.wram_mut()[wi..].copy_from_slice(&wram_bytes);
+            s.mram_mut()[mi..].copy_from_slice(&mram_bytes);
+            s
+        };
+        let dma = |write: bool, len: i32| {
+            let (wram, mram, len) = (Reg::r(1), Reg::r(2), Operand::Imm(len));
+            if write {
+                Instruction::Sdma { wram, mram, len }
+            } else {
+                Instruction::Ldma { wram, mram, len }
+            }
+        };
+        for (write, want) in [(false, mram_bytes), (true, wram_bytes)] {
+            let instr = dma(write, 8);
+            let mut interp = staged(w, m);
+            assert_eq!(interp.execute(0, &instr).unwrap(), Effect::Dma { mram: m, len: 8, write });
+            let mut comp = staged(w, m);
+            assert_eq!(CompiledKernel::compile(&[instr]).step(&mut comp, 0, 0), DMA | 1);
+            for s in [&interp, &comp] {
+                assert_eq!(s.wram()[wi..], want, "{instr}: WRAM's last bytes");
+                assert_eq!(s.mram()[mi..], want, "{instr}: MRAM's last bytes");
+            }
+        }
+        for (wa, ma, space) in [(w, 0, AddressSpace::Wram), (0, m, AddressSpace::Mram)] {
+            for write in [false, true] {
+                let instr = dma(write, 12);
+                let mut interp = staged(wa, ma);
+                let e = interp.execute(0, &instr).unwrap_err();
+                assert!(
+                    matches!(e, SimError::OutOfBounds { space: got, .. } if got == space),
+                    "{instr} at ({wa:#x}, {ma:#x}): {e}"
+                );
+                let mut comp = staged(wa, ma);
+                assert_eq!(CompiledKernel::compile(&[instr]).step(&mut comp, 0, 0), FAULT);
+                for s in [&interp, &comp] {
+                    assert_eq!(s.wram()[wi..], wram_bytes, "{instr}: nothing written");
+                    assert_eq!(s.mram()[mi..], mram_bytes, "{instr}: nothing written");
+                    assert!(s.wram()[..16].iter().all(|&b| b == 0), "{instr}: nothing written");
+                    assert!(s.mram()[..16].iter().all(|&b| b == 0), "{instr}: nothing written");
+                }
             }
         }
     }

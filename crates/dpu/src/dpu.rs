@@ -64,7 +64,7 @@ enum TaskletStatus {
 #[derive(Debug)]
 pub struct Dpu {
     pub(crate) cfg: DpuConfig,
-    pub(crate) program: Option<DpuProgram>,
+    pub(crate) program: Option<Arc<DpuProgram>>,
     pub(crate) state: ArchState,
     /// Per-tasklet entry instruction index (multi-tenant co-location).
     pub(crate) entry: Vec<u32>,
@@ -122,6 +122,17 @@ impl Dpu {
     /// Returns [`SimError::OutOfBounds`] if the instruction stream exceeds
     /// IRAM or the data image does not fit the load/store-addressable space.
     pub fn load_program(&mut self, program: &DpuProgram) -> Result<(), SimError> {
+        self.load_shared_program(&Arc::new(program.clone()))
+    }
+
+    /// [`Dpu::load_program`] without a copy of its own: every DPU loaded
+    /// from the same `Arc` shares one image of the program, as the DPUs of
+    /// a rank share the one binary the host loads into them.
+    ///
+    /// # Errors
+    ///
+    /// As [`Dpu::load_program`].
+    pub fn load_shared_program(&mut self, program: &Arc<DpuProgram>) -> Result<(), SimError> {
         let cached = self.cfg.memory_mode == MemoryMode::Cached;
         if !cached && program.instrs.len() as u32 > IRAM_INSTRS {
             // The hardware linker would refuse this; hand-built programs
@@ -142,7 +153,7 @@ impl Dpu {
         }
         let base = program.wram_base as usize;
         let end = base + program.wram_init.len();
-        if end > self.state.wram.len() {
+        if end > self.state.wram().len() {
             return Err(SimError::OutOfBounds {
                 space: AddressSpace::Wram,
                 addr: program.wram_base,
@@ -151,8 +162,8 @@ impl Dpu {
                 pc: 0,
             });
         }
-        self.state.wram[base..end].copy_from_slice(&program.wram_init);
-        self.program = Some(program.clone());
+        self.state.wram_mut()[base..end].copy_from_slice(&program.wram_init);
+        self.program = Some(Arc::clone(program));
         self.entry.clear();
         self.tid_base.clear();
         self.kernel_cache = None;
@@ -207,10 +218,7 @@ impl Dpu {
     /// Grows the flat load/store space (cache-centric mode) to at least
     /// `bytes`, rounded up to a cache line.
     pub(crate) fn ensure_flat_space(&mut self, bytes: u32) {
-        let rounded = bytes.div_ceil(64) * 64;
-        if (self.state.wram.len() as u32) < rounded {
-            self.state.wram.resize(rounded as usize, 0);
-        }
+        self.state.grow_wram(bytes.div_ceil(64) as usize * 64);
     }
 
     /// Copies bytes into MRAM.
@@ -220,7 +228,7 @@ impl Dpu {
     /// Panics if the range exceeds MRAM.
     pub fn write_mram(&mut self, addr: u32, data: &[u8]) {
         let a = addr as usize;
-        self.state.mram[a..a + data.len()].copy_from_slice(data);
+        self.state.mram_mut()[a..a + data.len()].copy_from_slice(data);
     }
 
     /// Reads bytes from MRAM.
@@ -231,7 +239,7 @@ impl Dpu {
     #[must_use]
     pub fn read_mram(&self, addr: u32, len: u32) -> Vec<u8> {
         let a = addr as usize;
-        self.state.mram[a..a + len as usize].to_vec()
+        self.state.mram()[a..a + len as usize].to_vec()
     }
 
     /// Reads bytes from MRAM into a reused buffer (cleared first) —
@@ -244,7 +252,7 @@ impl Dpu {
     pub fn read_mram_into(&self, addr: u32, len: u32, out: &mut Vec<u8>) {
         let a = addr as usize;
         out.clear();
-        out.extend_from_slice(&self.state.mram[a..a + len as usize]);
+        out.extend_from_slice(&self.state.mram()[a..a + len as usize]);
     }
 
     /// Copies bytes into the load/store space (WRAM, or the flat space in
@@ -258,7 +266,7 @@ impl Dpu {
             self.ensure_flat_space(addr + data.len() as u32);
         }
         let a = addr as usize;
-        self.state.wram[a..a + data.len()].copy_from_slice(data);
+        self.state.wram_mut()[a..a + data.len()].copy_from_slice(data);
     }
 
     /// Reads bytes from the load/store space.
@@ -269,7 +277,7 @@ impl Dpu {
     #[must_use]
     pub fn read_wram(&self, addr: u32, len: u32) -> Vec<u8> {
         let a = addr as usize;
-        self.state.wram[a..a + len as usize].to_vec()
+        self.state.wram()[a..a + len as usize].to_vec()
     }
 
     /// Writes into a named WRAM symbol of the loaded program (the host-side
@@ -326,7 +334,7 @@ impl Dpu {
             .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"));
         let a = sym.addr as usize;
         out.clear();
-        out.extend_from_slice(&self.state.wram[a..a + sym.size as usize]);
+        out.extend_from_slice(&self.state.wram()[a..a + sym.size as usize]);
     }
 
     /// Runs the loaded kernel to completion on `n_tasklets` tasklets and
@@ -426,8 +434,8 @@ impl Dpu {
         }
         let program = self.program.as_ref().expect("checked in launch");
         let mut oracle = pim_ref::RefInterpreter::new(program, self.cfg.n_tasklets);
-        oracle.wram.copy_from_slice(&self.state.wram);
-        oracle.mram.clone_from(&self.state.mram);
+        oracle.wram.copy_from_slice(self.state.wram());
+        oracle.mram.copy_from_slice(self.state.mram());
         for t in 0..self.cfg.n_tasklets as usize {
             oracle.set_entry(t as u32, self.state.pc[t], self.state.tid_base[t]);
         }
@@ -458,8 +466,8 @@ impl Dpu {
                 }),
             }
         };
-        diff("WRAM", &self.state.wram, &oracle.wram)?;
-        diff("MRAM", &self.state.mram, &oracle.mram)
+        diff("WRAM", self.state.wram(), &oracle.wram)?;
+        diff("MRAM", self.state.mram(), &oracle.mram)
     }
 
     /// Fresh statistics shell for a run.

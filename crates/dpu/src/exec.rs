@@ -35,12 +35,11 @@ pub(crate) enum Effect {
 /// Every bounds check reads the length of the memory it checks.
 #[derive(Debug)]
 pub(crate) struct ArchState {
-    /// Scratchpad contents: the load/store-addressable space. In
-    /// cache-centric mode this is the *flat* data space (may exceed the
-    /// physical 64 KB WRAM).
-    pub wram: Vec<u8>,
-    /// Per-bank DRAM contents.
-    pub mram: Vec<u8>,
+    /// Both memories in one zeroed allocation: the 64 MB bank first, then
+    /// the load/store space as its tail — the 64 KB WRAM, or in
+    /// cache-centric mode the *flat* data space, which may exceed it. Read
+    /// through [`ArchState::mram`] and [`ArchState::wram`].
+    mem: Vec<u8>,
     /// The atomic bit region.
     pub atomic: Vec<bool>,
     /// Per-tasklet register files.
@@ -52,19 +51,61 @@ pub(crate) struct ArchState {
     pub tid_base: Vec<u32>,
 }
 
+/// Where the load/store space starts in [`ArchState`]'s allocation.
+const WRAM_AT: usize = MRAM_BYTES as usize;
+
 impl ArchState {
-    /// Zeroed memories of Table I's sizes. The 64 MB bank is one zeroed
-    /// allocation, never resized, filled or cloned here: the allocator
-    /// hands a request that large fresh mapped pages, so the host pays
-    /// only for the MRAM pages a run writes.
+    /// Zeroed memories of Table I's sizes in one allocation, never filled
+    /// or cloned here: the allocator hands a request that large fresh
+    /// mapped pages, so the host pays only for the MRAM and WRAM pages a
+    /// run writes.
     pub(crate) fn new(n_tasklets: u32) -> Self {
         ArchState {
-            wram: vec![0; WRAM_BYTES as usize],
-            mram: vec![0; MRAM_BYTES as usize],
+            mem: vec![0; WRAM_AT + WRAM_BYTES as usize],
             atomic: vec![false; ATOMIC_BITS as usize],
             regs: vec![[0; 24]; n_tasklets as usize],
             pc: vec![0; n_tasklets as usize],
             tid_base: vec![0; n_tasklets as usize],
+        }
+    }
+
+    /// The load/store space: WRAM, or the flat data space in cache-centric
+    /// mode.
+    #[inline]
+    pub(crate) fn wram(&self) -> &[u8] {
+        &self.mem[WRAM_AT..]
+    }
+
+    #[inline]
+    pub(crate) fn wram_mut(&mut self) -> &mut [u8] {
+        &mut self.mem[WRAM_AT..]
+    }
+
+    /// The DRAM bank.
+    #[inline]
+    pub(crate) fn mram(&self) -> &[u8] {
+        &self.mem[..WRAM_AT]
+    }
+
+    #[inline]
+    pub(crate) fn mram_mut(&mut self) -> &mut [u8] {
+        &mut self.mem[..WRAM_AT]
+    }
+
+    /// Both memories at once, `(wram, mram)`, for a DMA copy between them.
+    #[inline]
+    pub(crate) fn wram_and_mram_mut(&mut self) -> (&mut [u8], &mut [u8]) {
+        let (mram, wram) = self.mem.split_at_mut(WRAM_AT);
+        (wram, mram)
+    }
+
+    /// Grows the load/store space to at least `bytes`, zero-filled; both
+    /// memories keep their contents.
+    pub(crate) fn grow_wram(&mut self, bytes: usize) {
+        let len = WRAM_AT + bytes;
+        if self.mem.len() < len {
+            self.mem.reserve_exact(len - self.mem.len());
+            self.mem.resize(len, 0);
         }
     }
 
@@ -139,7 +180,7 @@ impl ArchState {
         if !addr.is_multiple_of(bytes) {
             return Err(SimError::Unaligned { addr, align: bytes, tasklet, pc });
         }
-        if u64::from(addr) + u64::from(bytes) > self.wram.len() as u64 {
+        if u64::from(addr) + u64::from(bytes) > self.wram().len() as u64 {
             return Err(SimError::OutOfBounds {
                 space: AddressSpace::Wram,
                 addr,
@@ -186,22 +227,15 @@ impl ArchState {
             Instruction::Load { width, signed, rd, base, offset } => {
                 let addr = self.reg(tasklet, base).wrapping_add(offset as u32);
                 self.check_ls(addr, width, tasklet, pc)?;
-                let a = addr as usize;
+                let (a, w) = (addr as usize, self.wram());
                 let v = match (width, signed) {
-                    (Width::Byte, false) => u32::from(self.wram[a]),
-                    (Width::Byte, true) => self.wram[a] as i8 as i32 as u32,
-                    (Width::Half, false) => {
-                        u32::from(u16::from_le_bytes([self.wram[a], self.wram[a + 1]]))
-                    }
+                    (Width::Byte, false) => u32::from(w[a]),
+                    (Width::Byte, true) => w[a] as i8 as i32 as u32,
+                    (Width::Half, false) => u32::from(u16::from_le_bytes([w[a], w[a + 1]])),
                     (Width::Half, true) => {
-                        u16::from_le_bytes([self.wram[a], self.wram[a + 1]]) as i16 as i32 as u32
+                        u16::from_le_bytes([w[a], w[a + 1]]) as i16 as i32 as u32
                     }
-                    (Width::Word, _) => u32::from_le_bytes([
-                        self.wram[a],
-                        self.wram[a + 1],
-                        self.wram[a + 2],
-                        self.wram[a + 3],
-                    ]),
+                    (Width::Word, _) => u32::from_le_bytes([w[a], w[a + 1], w[a + 2], w[a + 3]]),
                 };
                 self.set_reg(tasklet, rd, v);
                 Ok(Effect::Advance)
@@ -210,11 +244,11 @@ impl ArchState {
                 let addr = self.reg(tasklet, base).wrapping_add(offset as u32);
                 self.check_ls(addr, width, tasklet, pc)?;
                 let v = self.reg(tasklet, rs);
-                let a = addr as usize;
+                let (a, w) = (addr as usize, self.wram_mut());
                 match width {
-                    Width::Byte => self.wram[a] = v as u8,
-                    Width::Half => self.wram[a..a + 2].copy_from_slice(&(v as u16).to_le_bytes()),
-                    Width::Word => self.wram[a..a + 4].copy_from_slice(&v.to_le_bytes()),
+                    Width::Byte => w[a] = v as u8,
+                    Width::Half => w[a..a + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+                    Width::Word => w[a..a + 4].copy_from_slice(&v.to_le_bytes()),
                 }
                 Ok(Effect::Advance)
             }
@@ -231,7 +265,8 @@ impl ArchState {
                     let addr = if !w.is_multiple_of(4) { w } else { m };
                     return Err(SimError::Unaligned { addr, align: 4, tasklet, pc });
                 }
-                if u64::from(w) + u64::from(l) > self.wram.len() as u64 {
+                let (wram_mem, mram_mem) = self.wram_and_mram_mut();
+                if u64::from(w) + u64::from(l) > wram_mem.len() as u64 {
                     return Err(SimError::OutOfBounds {
                         space: AddressSpace::Wram,
                         addr: w,
@@ -240,7 +275,7 @@ impl ArchState {
                         pc,
                     });
                 }
-                if u64::from(m) + u64::from(l) > self.mram.len() as u64 {
+                if u64::from(m) + u64::from(l) > mram_mem.len() as u64 {
                     return Err(SimError::OutOfBounds {
                         space: AddressSpace::Mram,
                         addr: m,
@@ -253,9 +288,9 @@ impl ArchState {
                 // the memory engine while the tasklet blocks.
                 let (wi, mi, li) = (w as usize, m as usize, l as usize);
                 if write {
-                    self.mram[mi..mi + li].copy_from_slice(&self.wram[wi..wi + li]);
+                    mram_mem[mi..mi + li].copy_from_slice(&wram_mem[wi..wi + li]);
                 } else {
-                    self.wram[wi..wi + li].copy_from_slice(&self.mram[mi..mi + li]);
+                    wram_mem[wi..wi + li].copy_from_slice(&mram_mem[mi..mi + li]);
                 }
                 Ok(Effect::Dma { mram: m, len: l, write })
             }
@@ -309,6 +344,35 @@ mod tests {
 
     fn state() -> ArchState {
         ArchState::new(2)
+    }
+
+    #[test]
+    fn fresh_memories_are_table_one_sized_and_zero() {
+        let s = state();
+        assert_eq!(s.wram().len(), WRAM_BYTES as usize);
+        assert_eq!(s.mram().len(), MRAM_BYTES as usize);
+        assert!(s.wram().iter().all(|&b| b == 0), "a fresh WRAM reads zero");
+    }
+
+    #[test]
+    fn growing_the_flat_space_keeps_both_memories() {
+        let (w_top, m_top) = (WRAM_BYTES as usize - 4, MRAM_BYTES as usize - 4);
+        let mut s = state();
+        s.wram_mut()[..4].copy_from_slice(&[1, 2, 3, 4]);
+        s.wram_mut()[w_top..].copy_from_slice(&[5, 6, 7, 8]);
+        s.mram_mut()[..4].copy_from_slice(&[9, 10, 11, 12]);
+        s.mram_mut()[m_top..].copy_from_slice(&[13, 14, 15, 16]);
+        s.grow_wram(3 * WRAM_BYTES as usize);
+        assert_eq!(s.wram().len(), 3 * WRAM_BYTES as usize);
+        assert_eq!(s.mram().len(), MRAM_BYTES as usize);
+        assert_eq!(s.wram()[..4], [1, 2, 3, 4]);
+        assert_eq!(s.wram()[w_top..w_top + 4], [5, 6, 7, 8]);
+        assert!(s.wram()[w_top + 4..].iter().all(|&b| b == 0), "the grown tail reads zero");
+        assert_eq!(s.mram()[..4], [9, 10, 11, 12]);
+        assert_eq!(s.mram()[m_top..], [13, 14, 15, 16]);
+        // The space never shrinks.
+        s.grow_wram(WRAM_BYTES as usize);
+        assert_eq!(s.wram().len(), 3 * WRAM_BYTES as usize);
     }
 
     #[test]
@@ -422,7 +486,7 @@ mod tests {
     #[test]
     fn dma_copies_functionally_and_reports_effect() {
         let mut s = state();
-        s.mram[1000..1008].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
+        s.mram_mut()[1000..1008].copy_from_slice(&[1, 2, 3, 4, 5, 6, 7, 8]);
         s.set_reg(0, Reg::r(0), 16); // wram
         s.set_reg(0, Reg::r(1), 1000); // mram
         let eff = s
@@ -432,7 +496,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(eff, Effect::Dma { mram: 1000, len: 8, write: false });
-        assert_eq!(&s.wram[16..24], &[1, 2, 3, 4, 5, 6, 7, 8]);
+        assert_eq!(&s.wram()[16..24], &[1, 2, 3, 4, 5, 6, 7, 8]);
         // And back out with sdma.
         let eff = s
             .execute(

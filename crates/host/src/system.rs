@@ -1,5 +1,7 @@
 //! The multi-DPU system: a set of DPUs driven synchronously by the host.
 
+use std::sync::Arc;
+
 use pim_asm::DpuProgram;
 use pim_dpu::{Dpu, DpuConfig, DpuRunStats, LockstepSummary, SimError};
 use pim_trace::{SystemTrace, TraceEvent};
@@ -208,7 +210,8 @@ impl PimSystem {
         self.channel.reset();
     }
 
-    /// Loads the same program on every DPU (`dpu_load`). Program upload
+    /// Loads the same program on every DPU (`dpu_load`), one image shared
+    /// by all of them ([`Dpu::load_shared_program`]). Program upload
     /// time is not modelled (the paper's breakdowns start at input
     /// transfer).
     ///
@@ -216,8 +219,9 @@ impl PimSystem {
     ///
     /// Propagates a [`SimError`] if the program does not fit a DPU.
     pub fn load(&mut self, program: &DpuProgram) -> Result<(), SimError> {
+        let program = Arc::new(program.clone());
         for dpu in &mut self.dpus {
-            dpu.load_program(program)?;
+            dpu.load_shared_program(&program)?;
         }
         Ok(())
     }

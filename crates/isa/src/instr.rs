@@ -456,14 +456,12 @@ impl Instruction {
 
     /// Source registers read by this instruction, in operand order.
     #[must_use]
-    pub fn srcs(&self) -> Vec<Reg> {
-        let mut out = Vec::with_capacity(3);
+    pub fn srcs(&self) -> Srcs {
+        let mut out = Srcs { regs: [Reg::r(0); 3], len: 0 };
         match *self {
-            Instruction::Alu { ra, rb, .. } => {
+            Instruction::Alu { ra, rb, .. } | Instruction::Branch { ra, rb, .. } => {
                 out.push(ra);
-                if let Operand::Reg(r) = rb {
-                    out.push(r);
-                }
+                out.push_operand(rb);
             }
             Instruction::Load { base, .. } => out.push(base),
             Instruction::Store { rs, base, .. } => {
@@ -473,22 +471,10 @@ impl Instruction {
             Instruction::Ldma { wram, mram, len } | Instruction::Sdma { wram, mram, len } => {
                 out.push(wram);
                 out.push(mram);
-                if let Operand::Reg(r) = len {
-                    out.push(r);
-                }
-            }
-            Instruction::Branch { ra, rb, .. } => {
-                out.push(ra);
-                if let Operand::Reg(r) = rb {
-                    out.push(r);
-                }
+                out.push_operand(len);
             }
             Instruction::Jr { ra } => out.push(ra),
-            Instruction::Acquire { bit } | Instruction::Release { bit } => {
-                if let Operand::Reg(r) = bit {
-                    out.push(r);
-                }
-            }
+            Instruction::Acquire { bit } | Instruction::Release { bit } => out.push_operand(bit),
             Instruction::Movi { .. }
             | Instruction::Tid { .. }
             | Instruction::Jump { .. }
@@ -502,7 +488,7 @@ impl Instruction {
     /// Bitmask of source registers read by this instruction: bit `i` is set
     /// when `r<i>` appears in [`Instruction::srcs`].
     ///
-    /// Allocation-free companion to `srcs()` for hot-path scoreboard checks.
+    /// The one-word companion to `srcs()` for hot-path scoreboard checks.
     /// Duplicate sources collapse to a single bit, so register-file conflict
     /// accounting must keep using [`Instruction::rf_hazard_cycles`] (e.g.
     /// `add r0, r0, r0` has two even-bank reads but a one-bit mask).
@@ -598,6 +584,36 @@ impl fmt::Display for Instruction {
     }
 }
 
+/// The source registers of one instruction ([`Instruction::srcs`]): at
+/// most three, held inline so that asking for them never allocates. It
+/// derefs to a slice in operand order.
+#[derive(Debug, Clone, Copy)]
+pub struct Srcs {
+    regs: [Reg; 3],
+    len: u8,
+}
+
+impl Srcs {
+    fn push(&mut self, r: Reg) {
+        self.regs[self.len as usize] = r;
+        self.len += 1;
+    }
+
+    fn push_operand(&mut self, o: Operand) {
+        if let Operand::Reg(r) = o {
+            self.push(r);
+        }
+    }
+}
+
+impl std::ops::Deref for Srcs {
+    type Target = [Reg];
+
+    fn deref(&self) -> &[Reg] {
+        &self.regs[..self.len as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,12 +659,12 @@ mod tests {
             ra: Reg::r(1),
             rb: Operand::Reg(Reg::r(2)),
         };
-        assert_eq!(i.srcs(), vec![Reg::r(1), Reg::r(2)]);
+        assert_eq!(*i.srcs(), [Reg::r(1), Reg::r(2)]);
         assert_eq!(i.dst(), Some(Reg::r(4)));
 
         let s =
             Instruction::Store { width: Width::Word, rs: Reg::r(3), base: Reg::r(5), offset: 8 };
-        assert_eq!(s.srcs(), vec![Reg::r(3), Reg::r(5)]);
+        assert_eq!(*s.srcs(), [Reg::r(3), Reg::r(5)]);
         assert_eq!(s.dst(), None);
 
         let d =

@@ -66,6 +66,7 @@ impl StdRng {
     }
 
     /// The raw xoshiro256\*\* output step.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
@@ -88,6 +89,7 @@ impl StdRng {
     /// # Panics
     ///
     /// Panics if `range.start >= range.end`.
+    #[inline]
     pub fn gen_range<T: SampleUniform>(&mut self, range: Range<T>) -> T {
         T::sample(self, range.start, range.end)
     }
@@ -138,6 +140,7 @@ impl StdRng {
     /// one-off draw pays for the threshold's division either way, so it
     /// skips [`Below::sample`]'s mask test and runs the rejection loop
     /// directly — the same values and draws for every bound.
+    #[inline]
     fn below(&mut self, bound: u64) -> u64 {
         Below::new(bound).reject(self)
     }
@@ -179,6 +182,7 @@ impl Below {
     ///
     /// Panics if `bound` is zero.
     #[must_use]
+    #[inline]
     pub fn new(bound: u64) -> Self {
         assert!(bound > 0, "cannot sample below zero");
         Below { bound, threshold: bound.wrapping_neg() % bound }
@@ -215,6 +219,7 @@ pub trait SampleUniform: Copy {
 macro_rules! impl_sample_signed {
     ($($t:ty => $wide:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample(rng: &mut StdRng, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range requires a non-empty range");
                 let span = (hi as $wide).wrapping_sub(lo as $wide) as u64;
@@ -227,6 +232,7 @@ macro_rules! impl_sample_signed {
 macro_rules! impl_sample_unsigned {
     ($($t:ty),*) => {$(
         impl SampleUniform for $t {
+            #[inline]
             fn sample(rng: &mut StdRng, lo: Self, hi: Self) -> Self {
                 assert!(lo < hi, "gen_range requires a non-empty range");
                 let span = (hi - lo) as u64;
@@ -240,6 +246,7 @@ impl_sample_signed!(i32 => i64, i64 => i64, i16 => i64, i8 => i64);
 impl_sample_unsigned!(u32, usize, u16, u8);
 
 impl SampleUniform for u64 {
+    #[inline]
     fn sample(rng: &mut StdRng, lo: Self, hi: Self) -> Self {
         assert!(lo < hi, "gen_range requires a non-empty range");
         lo + rng.below(hi - lo)

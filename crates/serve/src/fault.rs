@@ -95,7 +95,10 @@ pub struct FaultSpec {
     pub outages: u32,
     /// How long each outage keeps its rank offline, ms.
     pub outage_ms: u64,
-    /// DPUs per rank (an outage takes all of them down together).
+    /// DPUs per rank (an outage takes all of them down together): the
+    /// outage's fault domain, which the channel does not price. It may be
+    /// smaller than the 64-DPU transfer rank (`pim_host::RANK_DPUS`), so
+    /// that one outage leaves a small pool some healthy DPUs.
     pub dpus_per_rank: u32,
 }
 

@@ -90,3 +90,13 @@ fn law_c_a_lone_dma_pays_set_up_one_bank_access_and_a_slot_per_burst() {
         }
     }
 }
+
+/// `cargo test` builds at `opt-level = 1` (the root manifest's
+/// `[profile.test]`) but keeps debug assertions: the loops'
+/// `debug_assert_on_time` and the wake-up wheel's `debug_assert!`s run
+/// under every law above. CI's release step does not run this file.
+#[test]
+#[allow(clippy::assertions_on_constants)]
+fn the_test_profile_keeps_debug_assertions() {
+    assert!(cfg!(debug_assertions), "the test profile must keep debug-assertions on");
+}

@@ -221,14 +221,35 @@ impl Dpu {
         self.state.grow_wram(bytes.div_ceil(64) as usize * 64);
     }
 
+    /// The `len` bytes of MRAM at `addr`, borrowed where they lie.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds MRAM.
+    #[must_use]
+    pub fn mram_window(&self, addr: u32, len: u32) -> &[u8] {
+        let a = addr as usize;
+        &self.state.mram()[a..a + len as usize]
+    }
+
+    /// The `len` bytes of MRAM at `addr`, borrowed mutably where they lie:
+    /// the host writes a transfer straight into the bank.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds MRAM.
+    pub fn mram_window_mut(&mut self, addr: u32, len: u32) -> &mut [u8] {
+        let a = addr as usize;
+        &mut self.state.mram_mut()[a..a + len as usize]
+    }
+
     /// Copies bytes into MRAM.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds MRAM.
     pub fn write_mram(&mut self, addr: u32, data: &[u8]) {
-        let a = addr as usize;
-        self.state.mram_mut()[a..a + data.len()].copy_from_slice(data);
+        self.mram_window_mut(addr, data.len() as u32).copy_from_slice(data);
     }
 
     /// Reads bytes from MRAM.
@@ -238,21 +259,34 @@ impl Dpu {
     /// Panics if the range exceeds MRAM.
     #[must_use]
     pub fn read_mram(&self, addr: u32, len: u32) -> Vec<u8> {
-        let a = addr as usize;
-        self.state.mram()[a..a + len as usize].to_vec()
+        self.mram_window(addr, len).to_vec()
     }
 
-    /// Reads bytes from MRAM into a reused buffer (cleared first) —
-    /// the allocation-free counterpart of [`Dpu::read_mram`] for host-side
-    /// readback loops.
+    /// The `len` bytes of the load/store space at `addr`, borrowed where
+    /// they lie.
     ///
     /// # Panics
     ///
-    /// Panics if the range exceeds MRAM.
-    pub fn read_mram_into(&self, addr: u32, len: u32, out: &mut Vec<u8>) {
+    /// Panics if the range is out of bounds.
+    #[must_use]
+    pub fn wram_window(&self, addr: u32, len: u32) -> &[u8] {
         let a = addr as usize;
-        out.clear();
-        out.extend_from_slice(&self.state.mram()[a..a + len as usize]);
+        &self.state.wram()[a..a + len as usize]
+    }
+
+    /// The `len` bytes of the load/store space at `addr`, borrowed mutably
+    /// where they lie (WRAM, or the flat space in cache-centric mode,
+    /// grown to cover them).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds WRAM in scratchpad mode.
+    pub fn wram_window_mut(&mut self, addr: u32, len: u32) -> &mut [u8] {
+        if self.cfg.memory_mode == MemoryMode::Cached {
+            self.ensure_flat_space(addr + len);
+        }
+        let a = addr as usize;
+        &mut self.state.wram_mut()[a..a + len as usize]
     }
 
     /// Copies bytes into the load/store space (WRAM, or the flat space in
@@ -262,11 +296,7 @@ impl Dpu {
     ///
     /// Panics if the range exceeds WRAM in scratchpad mode.
     pub fn write_wram(&mut self, addr: u32, data: &[u8]) {
-        if self.cfg.memory_mode == MemoryMode::Cached {
-            self.ensure_flat_space(addr + data.len() as u32);
-        }
-        let a = addr as usize;
-        self.state.wram_mut()[a..a + data.len()].copy_from_slice(data);
+        self.wram_window_mut(addr, data.len() as u32).copy_from_slice(data);
     }
 
     /// Reads bytes from the load/store space.
@@ -276,8 +306,21 @@ impl Dpu {
     /// Panics if the range is out of bounds.
     #[must_use]
     pub fn read_wram(&self, addr: u32, len: u32) -> Vec<u8> {
-        let a = addr as usize;
-        self.state.wram()[a..a + len as usize].to_vec()
+        self.wram_window(addr, len).to_vec()
+    }
+
+    /// The loaded program's WRAM symbol `name`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no program is loaded or the symbol is unknown.
+    fn symbol(&self, name: &str) -> pim_asm::Symbol {
+        *self
+            .program
+            .as_ref()
+            .expect("no program loaded")
+            .symbol(name)
+            .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"))
     }
 
     /// Writes into a named WRAM symbol of the loaded program (the host-side
@@ -288,12 +331,7 @@ impl Dpu {
     /// Panics if no program is loaded, the symbol is unknown, or `data`
     /// exceeds the symbol's size.
     pub fn write_wram_symbol(&mut self, name: &str, data: &[u8]) {
-        let sym = *self
-            .program
-            .as_ref()
-            .expect("no program loaded")
-            .symbol(name)
-            .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"));
+        let sym = self.symbol(name);
         assert!(
             data.len() as u32 <= sym.size,
             "{} bytes exceed symbol `{name}` of {} bytes",
@@ -303,6 +341,17 @@ impl Dpu {
         self.write_wram(sym.addr, data);
     }
 
+    /// A named WRAM symbol of the loaded program, borrowed where it lies.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no program is loaded or the symbol is unknown.
+    #[must_use]
+    pub fn wram_symbol(&self, name: &str) -> &[u8] {
+        let sym = self.symbol(name);
+        self.wram_window(sym.addr, sym.size)
+    }
+
     /// Reads a named WRAM symbol of the loaded program.
     ///
     /// # Panics
@@ -310,31 +359,7 @@ impl Dpu {
     /// Panics if no program is loaded or the symbol is unknown.
     #[must_use]
     pub fn read_wram_symbol(&self, name: &str) -> Vec<u8> {
-        let sym = *self
-            .program
-            .as_ref()
-            .expect("no program loaded")
-            .symbol(name)
-            .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"));
-        self.read_wram(sym.addr, sym.size)
-    }
-
-    /// Reads a named WRAM symbol into a reused buffer (cleared first) —
-    /// the allocation-free counterpart of [`Dpu::read_wram_symbol`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if no program is loaded or the symbol is unknown.
-    pub fn read_wram_symbol_into(&self, name: &str, out: &mut Vec<u8>) {
-        let sym = *self
-            .program
-            .as_ref()
-            .expect("no program loaded")
-            .symbol(name)
-            .unwrap_or_else(|| panic!("unknown WRAM symbol `{name}`"));
-        let a = sym.addr as usize;
-        out.clear();
-        out.extend_from_slice(&self.state.wram()[a..a + sym.size as usize]);
+        self.wram_symbol(name).to_vec()
     }
 
     /// Runs the loaded kernel to completion on `n_tasklets` tasklets and

@@ -122,9 +122,15 @@ pub enum CheckOutcome {
     Invalid(String),
 }
 
-/// First differing byte between two memory images, if any.
+/// First differing byte between two memory images (over their common
+/// length), if any. Images almost always agree, so they are compared as
+/// slices first and searched byte by byte only when they differ.
 fn first_diff(a: &[u8], b: &[u8]) -> Option<usize> {
-    a.iter().zip(b.iter()).position(|(x, y)| x != y)
+    let n = a.len().min(b.len());
+    if a[..n] == b[..n] {
+        return None;
+    }
+    a.iter().zip(b).position(|(x, y)| x != y)
 }
 
 /// First differing line between two pretty-Debug renderings (the stats
@@ -444,6 +450,17 @@ mod tests {
 
     fn gen_opts(tasklets: u32) -> GenOptions {
         GenOptions { tasklets, mode: ExecMode::Scalar, focus: None, gather: false, launches: 1 }
+    }
+
+    #[test]
+    fn first_diff_finds_the_first_differing_byte_of_the_common_length() {
+        let a = vec![0u8; 64 * 1024];
+        assert_eq!(first_diff(&a, &a.clone()), None);
+        let mut b = a.clone();
+        b[40_000] = 1;
+        b[50_000] = 2;
+        assert_eq!(first_diff(&a, &b), Some(40_000));
+        assert_eq!(first_diff(&a[..40_000], &b), None, "only the common length is compared");
     }
 
     #[test]

@@ -133,20 +133,24 @@ impl PimSystem {
         }
     }
 
-    /// Prices one parallel CPU→DPU push under the channel mode. Payloads
-    /// that are byte-identical across all DPUs are detected outside
-    /// blocking mode and priced as a broadcast — one write serves the
-    /// whole set, the common shape of `launch_all` setup traffic.
-    fn price_push(&mut self, chunks: &[&[u8]]) -> f64 {
-        if self.channel.mode() == ChannelMode::Blocking {
-            let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
-            return self.channel.push_one(0, max_bytes);
-        }
-        if chunks.len() > 1 && chunks.windows(2).all(|w| w[0] == w[1]) {
-            return self.channel.broadcast(chunks[0].len() as u64);
-        }
-        let lens: Vec<u64> = chunks.iter().map(|c| c.len() as u64).collect();
-        self.channel.push(&lens)
+    /// Prices, records and times one parallel CPU→DPU push of `lens[d]`
+    /// bytes to DPU `d`. Outside blocking mode, payloads that are
+    /// byte-identical across all DPUs (`identical` compares them) are
+    /// priced as a broadcast — one write serves the whole set, the common
+    /// shape of `launch_all` setup traffic.
+    fn finish_push(&mut self, lens: &[u32], identical: impl FnOnce(&[Dpu]) -> bool) {
+        let max_bytes = u64::from(lens.iter().copied().max().unwrap_or(0));
+        let ns = if self.channel.mode() == ChannelMode::Blocking {
+            self.channel.push_one(0, max_bytes)
+        } else if lens.len() > 1 && identical(&self.dpus) {
+            self.channel.broadcast(u64::from(lens[0]))
+        } else {
+            let lens: Vec<u64> = lens.iter().map(|&l| u64::from(l)).collect();
+            self.channel.push(&lens)
+        };
+        self.record_host(false, ns, max_bytes);
+        self.timeline.to_dpu_ns += ns;
+        self.sync_wall();
     }
 
     /// Records a host transfer event at the current timeline position.
@@ -254,15 +258,39 @@ impl PimSystem {
     /// Returns [`SimError::ChunkCountMismatch`] unless `chunks` has exactly
     /// one entry per DPU.
     pub fn try_push_to_mram(&mut self, addr: u32, chunks: &[&[u8]]) -> Result<(), SimError> {
-        self.check_chunks(chunks.len())?;
-        let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
-        for (dpu, chunk) in self.dpus.iter_mut().zip(chunks) {
-            dpu.write_mram(addr, chunk);
+        let lens: Vec<u32> = chunks.iter().map(|c| c.len() as u32).collect();
+        self.try_push_to_mram_with(addr, &lens, |d, window| window.copy_from_slice(chunks[d]))
+    }
+
+    /// [`PimSystem::try_push_to_mram`] written in place: DPU `d`'s
+    /// `lens[d]`-byte MRAM window at `addr` is handed to `fill(d, window)`,
+    /// in DPU order, and the host holds no copy of the transfer. Priced,
+    /// traced and timed as the push of those windows: identical windows
+    /// are a broadcast outside blocking mode.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ChunkCountMismatch`] unless `lens` has exactly
+    /// one entry per DPU; nothing is written then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a window exceeds MRAM.
+    pub fn try_push_to_mram_with(
+        &mut self,
+        addr: u32,
+        lens: &[u32],
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), SimError> {
+        self.check_chunks(lens.len())?;
+        for (d, (dpu, &len)) in self.dpus.iter_mut().zip(lens).enumerate() {
+            fill(d, dpu.mram_window_mut(addr, len));
         }
-        let ns = self.price_push(chunks);
-        self.record_host(false, ns, max_bytes);
-        self.timeline.to_dpu_ns += ns;
-        self.sync_wall();
+        self.finish_push(lens, |dpus| {
+            let mut windows = dpus.iter().zip(lens).map(|(dpu, &len)| dpu.mram_window(addr, len));
+            let first = windows.next();
+            windows.all(|w| Some(w) == first)
+        });
         Ok(())
     }
 
@@ -270,11 +298,26 @@ impl PimSystem {
     /// The broadcast and overlapped modes price this as one rank-parallel
     /// write serving the whole set ([`Channel::broadcast`]).
     pub fn broadcast_to_mram(&mut self, addr: u32, data: &[u8]) {
-        for dpu in &mut self.dpus {
-            dpu.write_mram(addr, data);
+        self.broadcast_to_mram_with(addr, data.len() as u32, |window| window.copy_from_slice(data));
+    }
+
+    /// [`PimSystem::broadcast_to_mram`] written in place: `fill` writes
+    /// the `len`-byte window at `addr` of the first DPU, and every other
+    /// DPU's window is copied from it, so the host holds no copy of the
+    /// transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window exceeds MRAM.
+    pub fn broadcast_to_mram_with(&mut self, addr: u32, len: u32, fill: impl FnOnce(&mut [u8])) {
+        let (first, rest) = self.dpus.split_first_mut().expect("a PIM system has DPUs");
+        fill(first.mram_window_mut(addr, len));
+        let data = first.mram_window(addr, len);
+        for dpu in rest {
+            dpu.mram_window_mut(addr, len).copy_from_slice(data);
         }
-        let ns = self.channel.broadcast(data.len() as u64);
-        self.record_host(false, ns, data.len() as u64);
+        let ns = self.channel.broadcast(u64::from(len));
+        self.record_host(false, ns, u64::from(len));
         self.timeline.to_dpu_ns += ns;
         self.sync_wall();
     }
@@ -300,22 +343,37 @@ impl PimSystem {
     /// chunk (they move in parallel).
     #[must_use]
     pub fn pull_from_mram(&mut self, addr: u32, len: u32) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        self.pull_from_mram_into(addr, len, &mut out);
+        let mut out = Vec::with_capacity(self.dpus.len());
+        self.pull_from_mram_with(addr, len, |_, window| out.push(window.to_vec()));
         out
     }
 
     /// [`PimSystem::pull_from_mram`] into a caller-owned buffer, reusing
     /// the outer vector and every inner allocation across calls — for
-    /// readback loops (multi-launch workloads, experiment sweeps) that
-    /// would otherwise allocate one `Vec<Vec<u8>>` per iteration.
+    /// readback loops that would otherwise allocate one `Vec<Vec<u8>>`
+    /// per iteration.
     ///
     /// `out` is resized to one entry per DPU; transfer-time accounting is
     /// identical to the allocating variant.
     pub fn pull_from_mram_into(&mut self, addr: u32, len: u32, out: &mut Vec<Vec<u8>>) {
         out.resize_with(self.dpus.len(), Vec::new);
-        for (dpu, buf) in self.dpus.iter().zip(out.iter_mut()) {
-            dpu.read_mram_into(addr, len, buf);
+        self.pull_from_mram_with(addr, len, |d, window| {
+            out[d].clear();
+            out[d].extend_from_slice(window);
+        });
+    }
+
+    /// [`PimSystem::pull_from_mram`] read in place: DPU `d`'s `len`-byte
+    /// MRAM window at `addr` is handed to `read(d, window)`, in DPU order,
+    /// and the host holds no copy of the transfer. Priced, traced and
+    /// timed as the pull it replaces.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window exceeds MRAM.
+    pub fn pull_from_mram_with(&mut self, addr: u32, len: u32, mut read: impl FnMut(usize, &[u8])) {
+        for (d, dpu) in self.dpus.iter().enumerate() {
+            read(d, dpu.mram_window(addr, len));
         }
         let ns = self.channel.pull(u64::from(len));
         self.record_host(true, ns, u64::from(len));
@@ -358,14 +416,11 @@ impl PimSystem {
     /// not a batch-sizing error).
     pub fn try_push_to_symbol(&mut self, name: &str, chunks: &[&[u8]]) -> Result<(), SimError> {
         self.check_chunks(chunks.len())?;
-        let max_bytes = chunks.iter().map(|c| c.len()).max().unwrap_or(0) as u64;
         for (dpu, chunk) in self.dpus.iter_mut().zip(chunks) {
             dpu.write_wram_symbol(name, chunk);
         }
-        let ns = self.price_push(chunks);
-        self.record_host(false, ns, max_bytes);
-        self.timeline.to_dpu_ns += ns;
-        self.sync_wall();
+        let lens: Vec<u32> = chunks.iter().map(|c| c.len() as u32).collect();
+        self.finish_push(&lens, |_| chunks.windows(2).all(|w| w[0] == w[1]));
         Ok(())
     }
 
@@ -387,20 +442,25 @@ impl PimSystem {
     /// flexible linking.
     #[must_use]
     pub fn pull_from_symbol(&mut self, name: &str) -> Vec<Vec<u8>> {
-        let mut out = Vec::new();
-        self.pull_from_symbol_into(name, &mut out);
+        let mut out = Vec::with_capacity(self.dpus.len());
+        self.pull_from_symbol_with(name, |_, sym| out.push(sym.to_vec()));
         out
     }
 
-    /// [`PimSystem::pull_from_symbol`] into a caller-owned buffer (see
-    /// [`PimSystem::pull_from_mram_into`]); latency is still that of the
-    /// largest per-DPU chunk.
-    pub fn pull_from_symbol_into(&mut self, name: &str, out: &mut Vec<Vec<u8>>) {
-        out.resize_with(self.dpus.len(), Vec::new);
-        for (dpu, buf) in self.dpus.iter().zip(out.iter_mut()) {
-            dpu.read_wram_symbol_into(name, buf);
+    /// [`PimSystem::pull_from_symbol`] read in place: DPU `d`'s symbol is
+    /// handed to `read(d, bytes)`, in DPU order. Latency is still that of
+    /// the largest per-DPU chunk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the symbol is unknown on some DPU.
+    pub fn pull_from_symbol_with(&mut self, name: &str, mut read: impl FnMut(usize, &[u8])) {
+        let mut max_bytes = 0;
+        for (d, dpu) in self.dpus.iter().enumerate() {
+            let sym = dpu.wram_symbol(name);
+            max_bytes = max_bytes.max(sym.len() as u64);
+            read(d, sym);
         }
-        let max_bytes = out.iter().map(Vec::len).max().unwrap_or(0) as u64;
         let ns = self.channel.pull(max_bytes);
         self.record_host(true, ns, max_bytes);
         self.timeline.from_dpu_ns += ns;
@@ -652,9 +712,10 @@ mod tests {
         // Both variants charge the same transfer time.
         assert!((sys.timeline().from_dpu_ns - 2.0 * t_after_alloc).abs() < 1e-9);
         let sum = sys.pull_from_symbol("sum");
-        let mut sum_into = Vec::new();
-        sys.pull_from_symbol_into("sum", &mut sum_into);
-        assert_eq!(sum, sum_into);
+        let mut sum_with = Vec::new();
+        sys.pull_from_symbol_with("sum", |d, bytes| sum_with.push((d, bytes.to_vec())));
+        assert_eq!(sum, sum_with.iter().map(|(_, b)| b.clone()).collect::<Vec<_>>());
+        assert!(sum_with.iter().enumerate().all(|(i, (d, _))| i == *d), "DPU order");
     }
 
     #[test]
@@ -795,6 +856,60 @@ mod tests {
         }
         assert_eq!(prices[0], prices[1]);
         assert_eq!(prices[0], prices[2]);
+    }
+
+    /// A traced three-DPU system under `mode`, loaded with `sum_kernel`.
+    fn traced_system(mode: crate::ChannelMode) -> PimSystem {
+        let cfg = crate::ChannelConfig { mode };
+        let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1).with_event_trace(16), cfg);
+        sys.load(&sum_kernel(64)).unwrap();
+        sys
+    }
+
+    #[test]
+    fn lending_push_prices_traces_and_times_like_the_copying_push() {
+        let identical: Vec<Vec<u8>> = vec![vec![5u8; 256]; 3];
+        let distinct: Vec<Vec<u8>> = (0..3u8).map(|d| vec![d; 64 + 64 * usize::from(d)]).collect();
+        for mode in crate::ChannelMode::all() {
+            for chunks in [&identical, &distinct] {
+                let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+                let lens: Vec<u32> = chunks.iter().map(|c| c.len() as u32).collect();
+                let mut copied = traced_system(mode);
+                copied.try_push_to_mram(64, &refs).unwrap();
+                let mut lent = traced_system(mode);
+                lent.try_push_to_mram_with(64, &lens, |d, w| w.copy_from_slice(&chunks[d]))
+                    .unwrap();
+                assert_eq!(copied.timeline(), lent.timeline(), "{mode:?}");
+                let (a, b) = (copied.take_trace().unwrap(), lent.take_trace().unwrap());
+                assert_eq!(a.host, b.host, "{mode:?}");
+                for d in 0..3 {
+                    assert_eq!(lent.dpu(d).mram_window(64, lens[d as usize]), refs[d as usize]);
+                }
+            }
+        }
+        let mut sys = traced_system(crate::ChannelMode::Blocking);
+        let err = sys.try_push_to_mram_with(0, &[4, 4], |_, _| panic!("nothing is written"));
+        assert!(matches!(err, Err(SimError::ChunkCountMismatch { chunks: 2, n_dpus: 3 })));
+    }
+
+    #[test]
+    fn lending_pull_reads_what_the_copying_pull_returns() {
+        for mode in crate::ChannelMode::all() {
+            let chunks: Vec<Vec<u8>> = (0..3u8).map(|d| vec![d + 1; 128]).collect();
+            let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
+            let mut copied = traced_system(mode);
+            copied.try_push_to_mram(0, &refs).unwrap();
+            let mut into = Vec::new();
+            copied.pull_from_mram_into(32, 96, &mut into);
+            let mut lent = traced_system(mode);
+            lent.try_push_to_mram(0, &refs).unwrap();
+            let mut seen = Vec::new();
+            lent.pull_from_mram_with(32, 96, |d, w| seen.push((d, w.to_vec())));
+            assert_eq!(seen.iter().map(|(d, _)| *d).collect::<Vec<_>>(), [0, 1, 2]);
+            assert_eq!(seen.into_iter().map(|(_, w)| w).collect::<Vec<_>>(), into);
+            assert_eq!(copied.timeline(), lent.timeline(), "{mode:?}");
+            assert_eq!(copied.take_trace().unwrap().host, lent.take_trace().unwrap().host);
+        }
     }
 
     #[test]

@@ -33,15 +33,53 @@ pub fn to_bytes(words: &[i32]) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-/// Deserializes little-endian `i32` words.
-///
-/// # Panics
-///
-/// Panics if `bytes` is not a multiple of 4.
-#[must_use]
-pub fn from_bytes(bytes: &[u8]) -> Vec<i32> {
-    assert_eq!(bytes.len() % 4, 0, "byte buffer must hold whole words");
-    bytes.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().expect("chunk of 4"))).collect()
+/// The little-endian `i32` words of `bytes`, read where they lie (a
+/// trailing partial word is ignored).
+pub(crate) fn words(bytes: &[u8]) -> impl Iterator<Item = i32> + '_ {
+    bytes.chunks_exact(4).map(|c| i32::from_le_bytes(c.try_into().expect("chunk of 4")))
+}
+
+/// An element type a workload stages: its values are written
+/// little-endian straight into a DPU's memory.
+pub(crate) trait Elem: Copy {
+    /// Bytes per element.
+    const BYTES: usize;
+
+    /// Writes `elems` into `out`, which is exactly their size.
+    fn put(elems: &[Self], out: &mut [u8]);
+}
+
+impl Elem for i32 {
+    const BYTES: usize = 4;
+
+    fn put(elems: &[i32], out: &mut [u8]) {
+        for (o, w) in out.chunks_exact_mut(4).zip(elems) {
+            o.copy_from_slice(&w.to_le_bytes());
+        }
+    }
+}
+
+impl Elem for u8 {
+    const BYTES: usize = 1;
+
+    fn put(elems: &[u8], out: &mut [u8]) {
+        out.copy_from_slice(elems);
+    }
+}
+
+impl Elem for i8 {
+    const BYTES: usize = 1;
+
+    fn put(elems: &[i8], out: &mut [u8]) {
+        for (o, &v) in out.iter_mut().zip(elems) {
+            *o = v as u8;
+        }
+    }
+}
+
+/// The bytes `elems` take in a DPU's memory.
+fn byte_len<T: Elem>(elems: &[T]) -> u32 {
+    (elems.len() * T::BYTES) as u32
 }
 
 /// Splits `total` items into `parts` contiguous chunks, spreading the
@@ -117,19 +155,70 @@ pub(crate) fn emit_tasklet_rows(
 /// Returns a description of the first mismatching element (or a length
 /// mismatch).
 pub(crate) fn validate_words(name: &str, got: &[i32], expect: &[i32]) -> Result<(), String> {
-    if got.len() != expect.len() {
-        return Err(format!(
-            "{name}: length mismatch, got {} words, expected {}",
-            got.len(),
-            expect.len()
-        ));
+    let mut check = Check::new(name, expect.iter().copied());
+    for &g in got {
+        check.push(g);
     }
-    match got.iter().zip(expect).position(|(g, e)| g != e) {
-        None => Ok(()),
-        Some(at) => Err(format!(
-            "{name}: mismatch at element {at}: got {}, expected {}",
-            got[at], expect[at]
-        )),
+    check.finish()
+}
+
+/// The validation error naming output element `at`.
+pub(crate) fn mismatch(name: &str, at: usize, got: i32, expect: i32) -> String {
+    format!("{name}: mismatch at element {at}: got {got}, expected {expect}")
+}
+
+/// [`validate_words`] over streams: output words are pushed one at a time,
+/// straight from where they lie, and the reference is any iterator — often
+/// computed lazily from the inputs — so neither side is materialised. The
+/// verdict and its text are [`validate_words`]'s: a length mismatch first,
+/// else the first mismatching element.
+pub(crate) struct Check<'n, I: Iterator<Item = i32>> {
+    name: &'n str,
+    expect: std::iter::Fuse<I>,
+    /// Output words pushed so far.
+    got: usize,
+    /// Reference words consumed so far.
+    expected: usize,
+    /// The first mismatch: element, output word, reference word.
+    first: Option<(usize, i32, i32)>,
+}
+
+impl<'n, I: Iterator<Item = i32>> Check<'n, I> {
+    pub(crate) fn new(name: &'n str, expect: impl IntoIterator<IntoIter = I>) -> Self {
+        Check { name, expect: expect.into_iter().fuse(), got: 0, expected: 0, first: None }
+    }
+
+    /// Compares the next output word with the next reference word; after
+    /// the first mismatch, only counts.
+    pub(crate) fn push(&mut self, got: i32) {
+        if self.first.is_none() {
+            if let Some(e) = self.expect.next() {
+                self.expected += 1;
+                if e != got {
+                    self.first = Some((self.got, got, e));
+                }
+            }
+        }
+        self.got += 1;
+    }
+
+    /// The verdict, once every output word is pushed.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate_words`].
+    pub(crate) fn finish(self) -> Result<(), String> {
+        let expected = self.expected + self.expect.count();
+        if self.got != expected {
+            return Err(format!(
+                "{}: length mismatch, got {} words, expected {expected}",
+                self.name, self.got
+            ));
+        }
+        match self.first {
+            None => Ok(()),
+            Some((at, g, e)) => Err(mismatch(self.name, at, g, e)),
+        }
     }
 }
 
@@ -188,8 +277,8 @@ impl Params {
 }
 
 /// One run's way onto its DPUs: the loaded [`PimSystem`], where the
-/// workload's buffers live, the parameter block, the per-DPU statistics
-/// merged across launches, and the gather.
+/// workload's buffers live, the parameter block and the per-DPU statistics
+/// merged across launches.
 ///
 /// A workload places each buffer at an *offset* of its own choosing; the
 /// stage decides what the offset means. In the scratchpad-centric model it
@@ -199,8 +288,11 @@ impl Params {
 /// 64-byte line, and inputs are written there in place. [`Stage::addr`] is
 /// the address the kernel sees.
 ///
-/// The stage keeps no copy of staged data: each chunk is built, handed to
-/// the system and dropped.
+/// The stage keeps no copy of staged data, in either direction: an input
+/// is written from the workload's own array straight into each DPU's
+/// memory, and an output is read, checked or folded where it lies, as the
+/// SDK's `dpu_push_xfer` moves each DPU's slice straight out of the host
+/// array and back (paper Fig 2(a)).
 #[derive(Debug)]
 pub(crate) struct Stage {
     sys: PimSystem,
@@ -209,8 +301,6 @@ pub(crate) struct Stage {
     base: u32,
     cached: bool,
     per_dpu: Vec<DpuRunStats>,
-    /// Per-DPU pull buffers, reused by every gather and symbol pull.
-    scratch: Vec<Vec<u8>>,
 }
 
 impl Stage {
@@ -234,7 +324,7 @@ impl Stage {
         let mut sys = PimSystem::new(rc.n_dpus, rc.dpu.clone(), rc.xfer);
         sys.load(&program)?;
         let base = if cached { program.heap_base.div_ceil(64) * 64 } else { 0 };
-        Ok(Stage { sys, params, base, cached, per_dpu: Vec::new(), scratch: Vec::new() })
+        Ok(Stage { sys, params, base, cached, per_dpu: Vec::new() })
     }
 
     /// Number of DPUs in the run.
@@ -249,23 +339,25 @@ impl Stage {
         self.base + off
     }
 
-    /// Stages one buffer per DPU at `off`: DPU `d` gets `chunk(d)`, pushed
-    /// in one parallel transfer, or written in place on a cached run.
+    /// Stages one buffer per DPU at `off`: DPU `d` gets the elements
+    /// `chunk(d)`, written straight into its bank in one parallel transfer,
+    /// or into the flat space in place on a cached run.
     ///
     /// # Errors
     ///
-    /// Never in practice: the stage builds one chunk per DPU.
-    pub(crate) fn scatter(
+    /// Never in practice: the stage sizes one chunk per DPU.
+    pub(crate) fn scatter<'a, T: Elem + 'a>(
         &mut self,
         off: u32,
-        chunk: impl Fn(usize) -> Vec<u8>,
+        chunk: impl Fn(usize) -> &'a [T],
     ) -> Result<(), SimError> {
         if self.cached {
-            self.sys.dpu_mut(0).write_wram(self.base + off, &chunk(0));
+            let c = chunk(0);
+            T::put(c, self.sys.dpu_mut(0).wram_window_mut(self.base + off, byte_len(c)));
             return Ok(());
         }
-        let chunks: Vec<Vec<u8>> = (0..self.n_dpus()).map(chunk).collect();
-        self.sys.try_push_to_mram(off, &chunks.iter().map(Vec::as_slice).collect::<Vec<_>>())
+        let lens: Vec<u32> = (0..self.n_dpus()).map(|d| byte_len(chunk(d))).collect();
+        self.sys.try_push_to_mram_with(off, &lens, |d, window| T::put(chunk(d), window))
     }
 
     /// [`Stage::scatter`] of `words` split into contiguous
@@ -276,24 +368,29 @@ impl Stage {
     /// As [`Stage::scatter`].
     pub(crate) fn scatter_words(&mut self, off: u32, words: &[i32]) -> Result<(), SimError> {
         let n_dpus = self.n_dpus();
-        self.scatter(off, |d| to_bytes(&words[chunk_range(words.len(), n_dpus, d)]))
+        self.scatter(off, |d| &words[chunk_range(words.len(), n_dpus, d)])
     }
 
-    /// Stages the same bytes on every DPU at `off`: one broadcast, or one
-    /// write in place on a cached run.
-    pub(crate) fn broadcast(&mut self, off: u32, data: &[u8]) {
+    /// Stages the same `len` bytes on every DPU at `off`, as `fill` writes
+    /// them: one broadcast, or one write in place on a cached run.
+    pub(crate) fn broadcast_with(&mut self, off: u32, len: u32, fill: impl FnOnce(&mut [u8])) {
         if self.cached {
-            self.sys.dpu_mut(0).write_wram(self.base + off, data);
+            fill(self.sys.dpu_mut(0).wram_window_mut(self.base + off, len));
         } else {
-            self.sys.broadcast_to_mram(off, data);
+            self.sys.broadcast_to_mram_with(off, len, fill);
         }
+    }
+
+    /// [`Stage::broadcast_with`] of the elements `data`.
+    pub(crate) fn broadcast<T: Elem>(&mut self, off: u32, data: &[T]) {
+        self.broadcast_with(off, byte_len(data), |window| T::put(data, window));
     }
 
     /// Reserves a zero-filled `len`-byte output region at `off`. MRAM
     /// starts zeroed; the flat space is grown to cover it.
     pub(crate) fn zeroed(&mut self, off: u32, len: u32) {
         if self.cached {
-            self.sys.dpu_mut(0).write_wram(self.base + off, &vec![0u8; len as usize]);
+            self.sys.dpu_mut(0).wram_window_mut(self.base + off, len).fill(0);
         }
     }
 
@@ -344,7 +441,7 @@ impl Stage {
         self.sys.try_copy_to_mram(dpu as u32, off, data)
     }
 
-    /// Reads `len` bytes at `off` back from one DPU's MRAM.
+    /// Reads `len` bytes at `off` back from one DPU's MRAM, as words.
     ///
     /// # Errors
     ///
@@ -355,7 +452,7 @@ impl Stage {
         off: u32,
         len: u32,
     ) -> Result<Vec<i32>, SimError> {
-        Ok(from_bytes(&self.sys.try_copy_from_mram(dpu as u32, off, len)?))
+        Ok(words(&self.sys.try_copy_from_mram(dpu as u32, off, len)?).collect())
     }
 
     /// Launches the kernel on every DPU. The first launch's statistics are
@@ -377,41 +474,51 @@ impl Stage {
     }
 
     /// Reads the WRAM symbol `name` back from every DPU in one parallel
-    /// transfer.
-    pub(crate) fn pull_symbol(&mut self, name: &str) -> &[Vec<u8>] {
-        self.sys.pull_from_symbol_into(name, &mut self.scratch);
-        &self.scratch
+    /// transfer, handing DPU `d`'s bytes to `read(d, bytes)` in DPU order.
+    pub(crate) fn pull_symbol(&mut self, name: &str, read: impl FnMut(usize, &[u8])) {
+        self.sys.pull_from_symbol_with(name, read);
     }
 
-    /// Reads `len` bytes at `off` back from every DPU: one parallel pull,
-    /// or a read of the one DPU's flat space on a cached run.
-    pub(crate) fn pull(&mut self, off: u32, len: u32) -> &[Vec<u8>] {
+    /// Reads `len` bytes at `off` back from every DPU, handing DPU `d`'s
+    /// bytes to `read(d, bytes)` in DPU order: one parallel pull, or a read
+    /// of the one DPU's flat space on a cached run.
+    pub(crate) fn pull(&mut self, off: u32, len: u32, mut read: impl FnMut(usize, &[u8])) {
         if self.cached {
-            self.scratch = vec![self.sys.dpu(0).read_wram(self.base + off, len)];
+            read(0, self.sys.dpu(0).wram_window(self.base + off, len));
         } else {
-            self.sys.pull_from_mram_into(off, len, &mut self.scratch);
+            self.sys.pull_from_mram_with(off, len, read);
         }
-        &self.scratch
     }
 
-    /// Gathers DPU `d`'s `lens_bytes[d]` output bytes at `off` as words,
-    /// concatenated in DPU order: one [`Stage::pull`] of the largest length
-    /// (the SDK pads every DPU to it), each DPU's part trimmed to its own.
-    /// Nothing moves when every length is 0.
-    pub(crate) fn gather(&mut self, off: u32, lens_bytes: &[u32]) -> Vec<i32> {
+    /// Hands DPU `d`'s first `lens_bytes[d]` output bytes at `off` to
+    /// `each` as words, in DPU order: one [`Stage::pull`] of the largest
+    /// length (the SDK pads every DPU to it), each DPU's part trimmed to its
+    /// own. Nothing moves when every length is 0.
+    pub(crate) fn pull_words(&mut self, off: u32, lens_bytes: &[u32], mut each: impl FnMut(i32)) {
         let max = lens_bytes.iter().copied().max().unwrap_or(0);
         if max == 0 {
-            return Vec::new();
+            return;
         }
-        let mut words = Vec::with_capacity(lens_bytes.iter().sum::<u32>() as usize / 4);
-        for (b, &l) in self.pull(off, max).iter().zip(lens_bytes) {
-            words.extend(
-                b[..l as usize]
-                    .chunks_exact(4)
-                    .map(|c| i32::from_le_bytes(c.try_into().expect("chunk of 4"))),
-            );
-        }
-        words
+        self.pull(off, max, |d, bytes| words(&bytes[..lens_bytes[d] as usize]).for_each(&mut each));
+    }
+
+    /// Checks the output [`Stage::pull_words`] reads against the reference
+    /// `expect`, where it lies, as [`validate_words`] would check the two
+    /// gathered.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate_words`].
+    pub(crate) fn check(
+        &mut self,
+        name: &str,
+        off: u32,
+        lens_bytes: &[u32],
+        expect: impl IntoIterator<Item = i32>,
+    ) -> Result<(), String> {
+        let mut check = Check::new(name, expect);
+        self.pull_words(off, lens_bytes, |w| check.push(w));
+        check.finish()
     }
 
     /// Ends the run: the timeline, the merged per-DPU statistics, the
@@ -429,8 +536,8 @@ mod tests {
 
     #[test]
     fn bytes_round_trip() {
-        let words = vec![1, -2, i32::MAX, i32::MIN];
-        assert_eq!(from_bytes(&to_bytes(&words)), words);
+        let w = vec![1, -2, i32::MAX, i32::MIN];
+        assert_eq!(words(&to_bytes(&w)).collect::<Vec<_>>(), w);
     }
 
     #[test]
@@ -472,7 +579,48 @@ mod tests {
         assert_eq!(sym.size, 8);
         let bytes = p.bytes(&[("base", 7), ("n", 42)]);
         // Declaration order wins: n first.
-        assert_eq!(from_bytes(&bytes), vec![42, 7]);
+        assert_eq!(words(&bytes).collect::<Vec<_>>(), [42, 7]);
+    }
+
+    /// A three-DPU stage whose "output" at offset 0 is `out` split into
+    /// [`chunk_range`]s, with one word of DPU 1's part set to `tamper`.
+    fn staged_output(out: &[i32], tamper: Option<(usize, i32)>) -> (Stage, Vec<u32>) {
+        let mut k = KernelBuilder::new();
+        let params = Params::define(&mut k, &["n"]);
+        k.stop();
+        let rc = RunConfig::multi(3, pim_dpu::DpuConfig::paper_baseline(1));
+        let mut st = Stage::new(&rc, (k.build().unwrap(), params)).unwrap();
+        st.scatter_words(0, out).unwrap();
+        if let Some((word, v)) = tamper {
+            st.sys.dpu_mut(1).write_mram(word as u32 * 4, &v.to_le_bytes());
+        }
+        let lens = (0..3).map(|d| chunk_range(out.len(), 3, d).len() as u32 * 4).collect();
+        (st, lens)
+    }
+
+    #[test]
+    fn the_in_place_check_names_the_element_validate_words_names() {
+        let expect: Vec<i32> = (0..50).map(|i| i * 7 - 100).collect();
+        for tamper in [None, Some((0, 9999)), Some((5, -1))] {
+            let (mut gathered, lens) = staged_output(&expect, tamper);
+            let mut got = Vec::new();
+            gathered.pull_words(0, &lens, |w| got.push(w));
+            let want = validate_words("T", &got, &expect);
+            let (mut st, lens) = staged_output(&expect, tamper);
+            assert_eq!(st.check("T", 0, &lens, expect.iter().copied()), want, "{tamper:?}");
+            assert_eq!(st.sys.timeline(), gathered.sys.timeline(), "one pull, priced alike");
+        }
+        // DPU 1's part starts at element 17: its word 5 is element 22.
+        let (mut st, lens) = staged_output(&expect, Some((5, -1)));
+        let err = st.check("T", 0, &lens, expect.iter().copied()).unwrap_err();
+        assert_eq!(err, "T: mismatch at element 22: got -1, expected 54");
+        // A reference of another length is a length mismatch, whatever differs.
+        for short in [&expect[..49], &expect[1..]] {
+            let (mut st, lens) = staged_output(&expect, None);
+            let err = st.check("T", 0, &lens, short.iter().copied()).unwrap_err();
+            assert_eq!(err, validate_words("T", &expect, short).unwrap_err());
+            assert_eq!(err, "T: length mismatch, got 50 words, expected 49");
+        }
     }
 
     #[test]

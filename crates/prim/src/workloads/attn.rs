@@ -22,8 +22,7 @@ use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
 use crate::common::{
-    chunk_range, emit_tasklet_rows, from_bytes, region, to_bytes, validate_words, Params, Stage,
-    REGION_SKEW,
+    chunk_range, emit_tasklet_rows, region, validate_words, words, Params, Stage, REGION_SKEW,
 };
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
@@ -264,10 +263,9 @@ impl Workload for Attn {
         let s_base = v_base + kv_cap;
         let p_base = s_base + region(max_band as u32 * 4);
         let o_base = p_base + (d + 2) as u32 * 4 + REGION_SKEW;
-        let enc = |v: &[i8]| -> Vec<u8> { v.iter().map(|&x| x as u8).collect() };
-        st.broadcast(q_base, &enc(&qv));
-        st.scatter(k_base, |i| enc(&km[bands[i].start * d..bands[i].end * d]))?;
-        st.scatter(v_base, |i| enc(&vm[bands[i].start * d..bands[i].end * d]))?;
+        st.broadcast(q_base, &qv);
+        st.scatter(k_base, |i| &km[bands[i].start * d..bands[i].end * d])?;
+        st.scatter(v_base, |i| &vm[bands[i].start * d..bands[i].end * d])?;
         let values = |stage: u32, maxs: u32| {
             let bands = &bands;
             move |i: usize| {
@@ -289,19 +287,20 @@ impl Workload for Attn {
         st.params(values(0, 0))?;
         st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| bd.len() as u32 * 4).collect();
-        let scores = st.gather(s_base, &lens);
-        let maxs = *scores.iter().max().expect("non-empty scores");
+        let mut maxs = None;
+        st.pull_words(s_base, &lens, |s| maxs = maxs.max(Some(s)));
+        let maxs = maxs.expect("non-empty scores");
         // Launch 2: softmax-approx weights + AV partials; host sums.
         st.params(values(1, maxs as u32))?;
         st.launch()?;
         let mut nb = vec![0i32; d + 2];
-        for p in st.pull(p_base, (d + 1) as u32 * 4) {
-            for (i, v) in from_bytes(p).into_iter().enumerate() {
-                nb[i] = nb[i].wrapping_add(v);
+        st.pull(p_base, (d + 1) as u32 * 4, |_, p| {
+            for (acc, v) in nb.iter_mut().zip(words(p)) {
+                *acc = acc.wrapping_add(v);
             }
-        }
+        });
         // Launch 3: broadcast summed num/den, normalize on-DPU.
-        st.broadcast(p_base, &to_bytes(&nb));
+        st.broadcast(p_base, &nb);
         st.params(values(2, 0))?;
         st.launch()?;
         let got = st.copy_from(0, o_base, d as u32 * 4)?;

@@ -15,7 +15,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{region, to_bytes, validate_words, Params, Stage};
+use crate::common::{region, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Owned vertices processed per staging block (and the owned-range
@@ -338,9 +338,10 @@ impl Workload for Bfs {
         let col_off = region((owned + 1) as u32 * 4);
         let level_off =
             col_off + region(col_slices.iter().map(|s| s.len().max(1)).max().unwrap() as u32 * 4);
-        st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
-        st.scatter(col_off, |d| to_bytes(&col_slices[d]))?;
-        st.scatter(level_off, |_| to_bytes(&vec![-1i32; owned]))?;
+        let unvisited = vec![-1i32; owned];
+        st.scatter(0, |d| rp_slices[d].as_slice())?;
+        st.scatter(col_off, |d| col_slices[d].as_slice())?;
+        st.scatter(level_off, |_| unvisited.as_slice())?;
         let bases = [0, col_off, level_off].map(|off| st.addr(off));
         // Level-synchronous host loop.
         let front_words = vtotal / 32;
@@ -363,11 +364,11 @@ impl Workload for Bfs {
             st.launch()?;
             // OR the per-DPU next frontiers on the host.
             let mut merged = vec![0u32; front_words];
-            for nf in st.pull_symbol("next_front") {
-                for (w, c) in merged.iter_mut().zip(nf.chunks_exact(4)) {
-                    *w |= u32::from_le_bytes(c.try_into().expect("4B word"));
+            st.pull_symbol("next_front", |_, nf| {
+                for (w, v) in merged.iter_mut().zip(words(nf)) {
+                    *w |= v as u32;
                 }
-            }
+            });
             if merged.iter().all(|w| *w == 0) {
                 break;
             }
@@ -375,8 +376,8 @@ impl Workload for Bfs {
             depth += 1;
             assert!(depth as usize <= vtotal, "BFS failed to converge");
         }
-        let got = st.gather(level_off, &vec![owned as u32 * 4; n_dpus]);
-        Ok(st.finish(validate_words("BFS", &got, &expect)))
+        let validation = st.check("BFS", level_off, &vec![owned as u32 * 4; n_dpus], expect);
+        Ok(st.finish(validation))
     }
 }
 

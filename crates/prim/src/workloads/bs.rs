@@ -15,9 +15,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_byte_range, region, to_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Query/output staging block (bytes).
@@ -157,15 +155,13 @@ impl Workload for Bs {
         let mut arr: Vec<i32> = (0..n).map(|_| rng.gen_range(0..1_000_000)).collect();
         arr.sort_unstable();
         let queries: Vec<i32> = (0..n_queries).map(|_| rng.gen_range(0..1_000_000)).collect();
-        let expect: Vec<i32> =
-            queries.iter().map(|q| arr.partition_point(|v| v < q) as i32).collect();
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let arr_cap = region(n as u32 * 4);
         let qcap = region(chunk_range(n_queries, n_dpus, 0).len() as u32 * 4);
         let (arr_base, q_base, out_base) = (st.addr(0), st.addr(arr_cap), st.addr(arr_cap + qcap));
         // The sorted array is broadcast; queries are partitioned.
-        st.broadcast(0, &to_bytes(&arr));
+        st.broadcast(0, &arr);
         st.scatter_words(arr_cap, &queries)?;
         st.zeroed(arr_cap + qcap, n_queries as u32 * 4);
         st.params(|d| {
@@ -180,8 +176,9 @@ impl Workload for Bs {
         st.launch()?;
         let lens: Vec<u32> =
             (0..n_dpus).map(|d| chunk_range(n_queries, n_dpus, d).len() as u32 * 4).collect();
-        let got = st.gather(arr_cap + qcap, &lens);
-        Ok(st.finish(validate_words("BS", &got, &expect)))
+        let expect = queries.iter().map(|q| arr.partition_point(|v| v < q) as i32);
+        let validation = st.check("BS", arr_cap + qcap, &lens, expect);
+        Ok(st.finish(validation))
     }
 }
 

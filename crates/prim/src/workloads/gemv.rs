@@ -8,9 +8,7 @@ use pim_dpu::SimError;
 use pim_isa::Cond;
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_rows, region, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// The GEMV workload.
@@ -118,11 +116,6 @@ impl Workload for Gemv {
         let mut rng = StdRng::seed_from_u64(0x4745_4d56);
         let a: Vec<i32> = (0..rows * cols).map(|_| rng.gen_range(-50..50)).collect();
         let x: Vec<i32> = (0..cols).map(|_| rng.gen_range(-50..50)).collect();
-        let expect: Vec<i32> = (0..rows)
-            .map(|r| {
-                (0..cols).map(|c| a[r * cols + c].wrapping_mul(x[c])).fold(0i32, i32::wrapping_add)
-            })
-            .collect();
         let n_dpus = rc.n_dpus as usize;
         let max_rows = chunk_range(rows, n_dpus, 0).len() as u32;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32, max_rows, rc.cached()))?;
@@ -131,9 +124,9 @@ impl Workload for Gemv {
         let (a_base, x_base, y_base) = (st.addr(0), st.addr(a_cap), st.addr(a_cap + x_cap));
         st.scatter(0, |d| {
             let r = chunk_range(rows, n_dpus, d);
-            to_bytes(&a[r.start * cols..r.end * cols])
+            &a[r.start * cols..r.end * cols]
         })?;
-        st.broadcast(a_cap, &to_bytes(&x));
+        st.broadcast(a_cap, &x);
         st.zeroed(a_cap + x_cap, rows as u32 * 4);
         st.params(|d| {
             [
@@ -146,8 +139,11 @@ impl Workload for Gemv {
         st.launch()?;
         let lens: Vec<u32> =
             (0..n_dpus).map(|d| chunk_range(rows, n_dpus, d).len() as u32 * 4).collect();
-        let got = st.gather(a_cap + x_cap, &lens);
-        Ok(st.finish(validate_words("GEMV", &got, &expect)))
+        let expect = (0..rows).map(|r| {
+            (0..cols).map(|c| a[r * cols + c].wrapping_mul(x[c])).fold(0i32, i32::wrapping_add)
+        });
+        let validation = st.check("GEMV", a_cap + x_cap, &lens, expect);
+        Ok(st.finish(validation))
     }
 }
 

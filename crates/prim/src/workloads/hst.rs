@@ -14,9 +14,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_byte_range, validate_words, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -182,11 +180,11 @@ fn run_hst(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Worklo
     st.launch()?;
     // Host-side cross-DPU reduction of the histograms.
     let mut got = vec![0i32; bins];
-    for h in st.pull_symbol("hist") {
-        for (g, v) in got.iter_mut().zip(from_bytes(h)) {
+    st.pull_symbol("hist", |_, h| {
+        for (g, v) in got.iter_mut().zip(words(h)) {
             *g += v;
         }
-    }
+    });
     let name = if flavour == Flavour::Small { "HST-S" } else { "HST-L" };
     Ok(st.finish(validate_words(name, &got, &expect)))
 }

@@ -16,9 +16,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond, Reg};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_rows, region, validate_words, Elem, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Weight-row staging chunk, in words.
@@ -257,17 +255,21 @@ impl Mlp {
             Stage::new(rc, kernel(rc.dpu.n_tasklets, cols as u32, layers as u32, rc.cached()))?;
         let x_off = (cols * cols * 4) as u32 * layers as u32;
         let y_off = x_off + region(cols as u32 * 4);
-        let all_w: Vec<u8> = weights.iter().flat_map(|w| to_bytes(w)).collect();
-        st.broadcast(0, &all_w);
-        st.broadcast(x_off, &to_bytes(x));
+        // Every layer's weights, back to back, in one broadcast.
+        st.broadcast_with(0, x_off, |window| {
+            for (w, out) in weights.iter().zip(window.chunks_exact_mut(cols * cols * 4)) {
+                i32::put(w, out);
+            }
+        });
+        st.broadcast(x_off, x);
         st.zeroed(y_off, cols as u32 * 4);
         let (w_base, x_base, y_base) = (st.addr(0), st.addr(x_off), st.addr(y_off));
         st.params(|_| {
             [("rows", cols as u32), ("w_base", w_base), ("x_base", x_base), ("y_base", y_base)]
         })?;
         st.launch()?;
-        let got = st.gather(y_off, &[cols as u32 * 4]);
-        Ok(st.finish(validate_words("MLP", &got, expect)))
+        let validation = st.check("MLP", y_off, &[cols as u32 * 4], expect.iter().copied());
+        Ok(st.finish(validation))
     }
 
     fn run_multi(
@@ -287,7 +289,7 @@ impl Mlp {
         for (l, w) in weights.iter().enumerate() {
             st.scatter(l as u32 * w_chunk_bytes, |d| {
                 let r = chunk_range(cols, n_dpus, d);
-                to_bytes(&w[r.start * cols..r.end * cols])
+                &w[r.start * cols..r.end * cols]
             })?;
         }
         let x_base = layers as u32 * w_chunk_bytes;
@@ -296,7 +298,7 @@ impl Mlp {
             (0..n_dpus).map(|d| chunk_range(cols, n_dpus, d).len() as u32 * 4).collect();
         let mut act = x.to_vec();
         for l in 0..layers {
-            st.broadcast(x_base, &to_bytes(&act));
+            st.broadcast(x_base, &act);
             st.params(|d| {
                 [
                     ("rows", chunk_range(cols, n_dpus, d).len() as u32),
@@ -306,8 +308,10 @@ impl Mlp {
                 ]
             })?;
             st.launch()?;
-            // Gather this layer's activations with one parallel pull.
-            act = st.gather(y_base, &lens);
+            // Gather this layer's activations with one parallel pull: the
+            // next layer's input.
+            act.clear();
+            st.pull_words(y_base, &lens, |w| act.push(w));
         }
         Ok(st.finish(validate_words("MLP", &act, expect)))
     }

@@ -182,9 +182,7 @@ impl Workload for MlpQ {
         let y_base = x_base + region(cols as u32);
         let q_base = y_base + region(max_rows as u32 * 4);
         for (l, w) in weights.iter().enumerate() {
-            st.scatter(l as u32 * w_chunk, |d| {
-                w[bands[d].start * cols..bands[d].end * cols].iter().map(|&v| v as u8).collect()
-            })?;
+            st.scatter(l as u32 * w_chunk, |d| &w[bands[d].start * cols..bands[d].end * cols])?;
         }
         let lens: Vec<u32> = bands.iter().map(|bd| bd.len() as u32).collect();
         let mut act = x0.clone();
@@ -205,7 +203,8 @@ impl Workload for MlpQ {
                 st.launch()?;
             }
             // Host staging: gather each DPU's packed activations, re-feed.
-            act = st.gather(q_base, &lens).into_iter().flat_map(i32::to_le_bytes).collect();
+            act.clear();
+            st.pull_words(q_base, &lens, |w| act.extend(w.to_le_bytes()));
         }
         let got: Vec<i32> = act.iter().map(|&b| i32::from(b)).collect();
         Ok(st.finish(validate_words("MLP-Q", &got, &expect)))

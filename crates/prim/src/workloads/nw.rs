@@ -316,16 +316,16 @@ impl Nw {
         let h0 = boundary_matrix(n);
         let h_bytes = (h0.len() * 4) as u32;
         let b_off = h_bytes + region(n as u32 * 4);
-        st.broadcast(0, &to_bytes(&h0));
-        st.broadcast(h_bytes, &to_bytes(a));
-        st.broadcast(b_off, &to_bytes(b));
+        st.broadcast(0, &h0);
+        st.broadcast(h_bytes, a);
+        st.broadcast(b_off, b);
         let (h_base, a_base, b_base) = (st.addr(0), st.addr(h_bytes), st.addr(b_off));
         st.params(|_| {
             [("n", n as u32), ("h_base", h_base), ("a_base", a_base), ("b_base", b_base)]
         })?;
         st.launch()?;
-        let got = st.gather(0, &[h_bytes]);
-        Ok(st.finish(validate_words("NW", &got, expect)))
+        let validation = st.check("NW", 0, &[h_bytes], expect.iter().copied());
+        Ok(st.finish(validation))
     }
 
     /// Host-level anti-diagonal wavefront over `D×D` super-blocks, one DPU

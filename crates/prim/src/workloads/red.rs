@@ -10,7 +10,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, validate_words, Params, Stage};
+use crate::common::{chunk_range, emit_tasklet_byte_range, validate_words, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -113,11 +113,8 @@ impl Workload for Red {
         })?;
         st.launch()?;
         // Host-side final reduction across DPUs.
-        let got = st
-            .pull_symbol("result")
-            .iter()
-            .map(|b| i32::from_le_bytes(b.as_slice().try_into().expect("4-byte result")))
-            .fold(0i32, |a, b| a.wrapping_add(b));
+        let mut got = 0i32;
+        st.pull_symbol("result", |_, b| got = words(b).fold(got, i32::wrapping_add));
         Ok(st.finish(validate_words("RED", &[got], &[expect])))
     }
 }

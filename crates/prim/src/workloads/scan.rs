@@ -18,7 +18,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, region, validate_words, Params, Stage};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -229,12 +229,6 @@ fn run_scan(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Workl
     let seed = if flavour == Flavour::Ssa { 0x53_5341 } else { 0x52_5353 };
     let mut rng = StdRng::seed_from_u64(seed);
     let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-100..100)).collect();
-    let mut expect = Vec::with_capacity(n);
-    let mut acc = 0i32;
-    for v in &input {
-        acc = acc.wrapping_add(*v);
-        expect.push(acc);
-    }
     let n_dpus = rc.n_dpus as usize;
     let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached(), flavour))?;
     let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
@@ -260,17 +254,22 @@ fn run_scan(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Workl
         // Host-side exclusive scan of the per-DPU totals, then launch 2.
         let mut bases = Vec::with_capacity(n_dpus);
         let mut run = 0i32;
-        for t in st.pull_symbol("dpu_total") {
+        st.pull_symbol("dpu_total", |_, t| {
             bases.push(run as u32);
-            run = run.wrapping_add(i32::from_le_bytes(t.as_slice().try_into().expect("4B")));
-        }
+            run = words(t).fold(run, i32::wrapping_add);
+        });
         st.params(values(1, bases))?;
         st.launch()?;
     }
     let lens: Vec<u32> = (0..n_dpus).map(|d| chunk_range(n, n_dpus, d).len() as u32 * 4).collect();
-    let got = st.gather(cap, &lens);
     let name = if flavour == Flavour::Ssa { "SCAN-SSA" } else { "SCAN-RSS" };
-    Ok(st.finish(validate_words(name, &got, &expect)))
+    // The reference is the inclusive prefix sum of the input.
+    let expect = input.iter().scan(0i32, |acc, v| {
+        *acc = acc.wrapping_add(*v);
+        Some(*acc)
+    });
+    let validation = st.check(name, cap, &lens, expect);
+    Ok(st.finish(validation))
 }
 
 impl Workload for ScanSsa {

@@ -13,9 +13,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond, Reg};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, region, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -189,7 +187,6 @@ impl Workload for Sel {
         let n = datasets::red_sel_uni(size);
         let mut rng = StdRng::seed_from_u64(0x53_454c);
         let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
-        let expect: Vec<i32> = input.iter().copied().filter(|v| keep(*v)).collect();
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
@@ -205,13 +202,11 @@ impl Workload for Sel {
         })?;
         st.launch()?;
         // Gather: per-DPU survivor counts, then the compacted prefixes.
-        let lens: Vec<u32> = st
-            .pull_symbol("counts")
-            .iter()
-            .map(|c| from_bytes(c).iter().sum::<i32>() as u32 * 4)
-            .collect();
-        let got = st.gather(cap, &lens);
-        Ok(st.finish(validate_words("SEL", &got, &expect)))
+        let mut lens = Vec::with_capacity(n_dpus);
+        st.pull_symbol("counts", |_, c| lens.push(words(c).sum::<i32>() as u32 * 4));
+        let expect = input.iter().copied().filter(|v| keep(*v));
+        let validation = st.check("SEL", cap, &lens, expect);
+        Ok(st.finish(validation))
     }
 }
 

@@ -15,7 +15,7 @@ use pim_isa::Cond;
 use pim_rng::StdRng;
 
 use super::spmv_bsr::stage_bsr;
-use crate::common::{emit_tasklet_rows, validate_words, Params, Stage};
+use crate::common::{emit_tasklet_rows, Params, Stage};
 use crate::datasets::bsr;
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
@@ -162,8 +162,8 @@ impl Workload for SpmmBsr {
         })?;
         st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| (bd.len() * block * n_rhs) as u32 * 4).collect();
-        let got = st.gather(offs[4], &lens);
-        Ok(st.finish(validate_words("SpMM-BSR", &got, &expect)))
+        let validation = st.check("SpMM-BSR", offs[4], &lens, expect);
+        Ok(st.finish(validation))
     }
 }
 

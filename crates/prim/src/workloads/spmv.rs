@@ -12,9 +12,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_rows, region, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Non-zeros staged per chunk (columns and values separately).
@@ -58,14 +56,13 @@ fn generate(rows: usize, cols: usize, nnz: usize, seed: u64) -> Csr {
     Csr { rows, rowptr, colidx, vals }
 }
 
-fn reference(m: &Csr, x: &[i32]) -> Vec<i32> {
-    (0..m.rows)
-        .map(|r| {
-            (m.rowptr[r] as usize..m.rowptr[r + 1] as usize)
-                .map(|i| m.vals[i].wrapping_mul(x[m.colidx[i] as usize]))
-                .fold(0i32, i32::wrapping_add)
-        })
-        .collect()
+/// `y = A·x`, row by row, computed as it is read.
+fn reference<'a>(m: &'a Csr, x: &'a [i32]) -> impl Iterator<Item = i32> + 'a {
+    (0..m.rows).map(|r| {
+        (m.rowptr[r] as usize..m.rowptr[r + 1] as usize)
+            .map(|i| m.vals[i].wrapping_mul(x[m.colidx[i] as usize]))
+            .fold(0i32, i32::wrapping_add)
+    })
 }
 
 #[allow(clippy::too_many_lines)]
@@ -244,7 +241,6 @@ impl Workload for Spmv {
         let m = generate(rows, cols, nnz, 0x5370_4d56);
         let mut rng = StdRng::seed_from_u64(0x5370_4d57);
         let x: Vec<i32> = (0..cols).map(|_| rng.gen_range(-10..10)).collect();
-        let expect = reference(&m, &x);
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         // Per-DPU row bands with rebased rowptr slices.
@@ -265,10 +261,10 @@ impl Workload for Spmv {
         let val_off = col_off + nnz_cap;
         let x_off = val_off + nnz_cap;
         let y_off = x_off + region(cols as u32 * 4);
-        st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
-        st.scatter(col_off, |d| to_bytes(&m.colidx[nnz_slices[d].clone()]))?;
-        st.scatter(val_off, |d| to_bytes(&m.vals[nnz_slices[d].clone()]))?;
-        st.broadcast(x_off, &to_bytes(&x));
+        st.scatter(0, |d| rp_slices[d].as_slice())?;
+        st.scatter(col_off, |d| &m.colidx[nnz_slices[d].clone()])?;
+        st.scatter(val_off, |d| &m.vals[nnz_slices[d].clone()])?;
+        st.broadcast(x_off, &x);
         st.zeroed(y_off, rows as u32 * 4);
         let bases = [0, col_off, val_off, x_off, y_off].map(|off| st.addr(off));
         st.params(|d| {
@@ -283,8 +279,8 @@ impl Workload for Spmv {
         })?;
         st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|b| b.len() as u32 * 4).collect();
-        let got = st.gather(y_off, &lens);
-        Ok(st.finish(validate_words("SpMV", &got, &expect)))
+        let validation = st.check("SpMV", y_off, &lens, reference(&m, &x));
+        Ok(st.finish(validation))
     }
 }
 

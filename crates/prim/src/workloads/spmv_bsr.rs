@@ -16,9 +16,7 @@ use pim_dpu::SimError;
 use pim_isa::Cond;
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage, REGION_SKEW,
-};
+use crate::common::{chunk_range, emit_tasklet_rows, region, Params, Stage, REGION_SKEW};
 use crate::datasets::bsr::{self, Bsr};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadFamily, WorkloadRun};
 
@@ -161,8 +159,8 @@ impl Workload for SpmvBsr {
         })?;
         st.launch()?;
         let lens: Vec<u32> = bands.iter().map(|bd| (bd.len() * block) as u32 * 4).collect();
-        let got = st.gather(offs[4], &lens);
-        Ok(st.finish(validate_words("SpMV-BSR", &got, &expect)))
+        let validation = st.check("SpMV-BSR", offs[4], &lens, expect);
+        Ok(st.finish(validation))
     }
 }
 
@@ -194,12 +192,10 @@ pub(super) fn stage_bsr(
     let val_off = col_off + col_cap;
     let dense_off = val_off + col_cap.saturating_sub(REGION_SKEW) * tile as u32 + REGION_SKEW;
     let out_off = dense_off + region(dense.len() as u32 * 4);
-    st.scatter(0, |d| to_bytes(&rp_slices[d]))?;
-    st.scatter(col_off, |d| to_bytes(&a.colidx[blk_slices[d].clone()]))?;
-    st.scatter(val_off, |d| {
-        to_bytes(&a.vals[blk_slices[d].start * tile..blk_slices[d].end * tile])
-    })?;
-    st.broadcast(dense_off, &to_bytes(dense));
+    st.scatter(0, |d| rp_slices[d].as_slice())?;
+    st.scatter(col_off, |d| &a.colidx[blk_slices[d].clone()])?;
+    st.scatter(val_off, |d| &a.vals[blk_slices[d].start * tile..blk_slices[d].end * tile])?;
+    st.broadcast(dense_off, dense);
     Ok((bands, [0, col_off, val_off, dense_off, out_off]))
 }
 

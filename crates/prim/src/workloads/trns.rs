@@ -11,7 +11,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{emit_tasklet_byte_range, to_bytes, validate_words, Params, Stage};
+use crate::common::{emit_tasklet_byte_range, mismatch, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Tile edge in words (16×16 words = 1 KB per tile buffer).
@@ -169,13 +169,6 @@ impl Workload for Trns {
         let (rows, cols) = datasets::trns(size);
         let mut rng = StdRng::seed_from_u64(0x5452_4e53);
         let input: Vec<i32> = (0..rows * cols).map(|_| rng.gen_range(-10_000..10_000)).collect();
-        // Reference transpose.
-        let mut expect = vec![0i32; rows * cols];
-        for r in 0..rows {
-            for c in 0..cols {
-                expect[c * rows + r] = input[r * cols + c];
-            }
-        }
         let n_dpus = rc.n_dpus as usize;
         // Row bands must stay tile-aligned.
         assert_eq!(rows % (TILE as usize * n_dpus.max(1)), 0, "rows must split into tiles");
@@ -184,7 +177,7 @@ impl Workload for Trns {
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets))?;
         let band_bytes = (band * cols * 4) as u32;
         let (in_base, out_base) = (st.addr(0), st.addr(band_bytes));
-        st.scatter(0, |d| to_bytes(&input[d * band * cols..(d + 1) * band * cols]))?;
+        st.scatter(0, |d| &input[d * band * cols..(d + 1) * band * cols])?;
         st.zeroed(band_bytes, band_bytes);
         // Each DPU transposes its band: output is cols × band.
         let tiles_x = cols as u32 / TILE;
@@ -200,16 +193,23 @@ impl Workload for Trns {
             ]
         })?;
         st.launch()?;
-        // Reassemble: DPU d's output column c covers out[c][d*band..(d+1)*band].
-        let mut got = vec![0i32; rows * cols];
-        for (d, part) in st.pull(band_bytes, band_bytes).iter().enumerate() {
-            for (i, word) in part.chunks_exact(4).enumerate() {
+        // DPU d's output word i is element (c, d*band + r) of the transpose,
+        // c = i / band and r = i % band: input element (d*band + r, c). Its
+        // elements ascend within a DPU, so the transpose's first mismatch
+        // is the first of the DPUs' first mismatches.
+        let mut first: Option<(usize, i32, i32)> = None;
+        st.pull(band_bytes, band_bytes, |d, part| {
+            let bad = words(part).enumerate().find_map(|(i, got)| {
                 let (c, r) = (i / band, i % band);
-                got[c * rows + d * band + r] =
-                    i32::from_le_bytes(word.try_into().expect("4B word"));
+                let want = input[(d * band + r) * cols + c];
+                (got != want).then_some((c * rows + d * band + r, got, want))
+            });
+            if let Some(b) = bad {
+                first = Some(first.map_or(b, |f| f.min(b)));
             }
-        }
-        Ok(st.finish(validate_words("TRNS", &got, &expect)))
+        });
+        let validation = first.map_or(Ok(()), |(at, g, e)| Err(mismatch("TRNS", at, g, e)));
+        Ok(st.finish(validation))
     }
 }
 

@@ -14,9 +14,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_rows, region, to_bytes, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_rows, region, validate_words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Candidate positions processed per staging block.
@@ -186,8 +184,8 @@ impl Workload for Ts {
         let slices: Vec<Range<usize>> = (0..n_dpus).map(|d| chunk_range(npos, n_dpus, d)).collect();
         let q_off = region(slices.iter().map(|r| r.len() + qlen - 1).max().unwrap_or(0) as u32 * 4);
         let (series_base, q_base) = (st.addr(0), st.addr(q_off));
-        st.scatter(0, |d| to_bytes(&series[slices[d].start..slices[d].end + qlen - 1]))?;
-        st.broadcast(q_off, &to_bytes(&query));
+        st.scatter(0, |d| &series[slices[d].start..slices[d].end + qlen - 1])?;
+        st.broadcast(q_off, &query);
         st.params(|d| {
             [
                 ("npos", slices[d].len() as u32),
@@ -199,14 +197,13 @@ impl Workload for Ts {
         st.launch()?;
         // Host-side fold across DPUs (ascending order keeps earliest ties).
         let (mut gmin, mut gidx) = (i32::MAX, -1i32);
-        for b in st.pull_symbol("best") {
-            let d = i32::from_le_bytes(b[0..4].try_into().expect("8-byte best"));
-            let i = i32::from_le_bytes(b[4..8].try_into().expect("8-byte best"));
+        st.pull_symbol("best", |_, b| {
+            let [d, i] = [0, 4].map(|at| i32::from_le_bytes(b[at..at + 4].try_into().expect("4B")));
             if d < gmin {
                 gmin = d;
                 gidx = i;
             }
-        }
+        });
         Ok(st.finish(validate_words("TS", &[gmin, gidx], &[emin, eidx])))
     }
 }

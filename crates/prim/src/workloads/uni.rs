@@ -14,9 +14,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{
-    chunk_range, emit_tasklet_byte_range, from_bytes, region, validate_words, Params, Stage,
-};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -192,12 +190,6 @@ impl Workload for Uni {
             }
             input.push(cur);
         }
-        let mut expect: Vec<i32> = Vec::new();
-        for (i, v) in input.iter().enumerate() {
-            if i == 0 || input[i - 1] != *v {
-                expect.push(*v);
-            }
-        }
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
@@ -216,13 +208,12 @@ impl Workload for Uni {
             ]
         })?;
         st.launch()?;
-        let lens: Vec<u32> = st
-            .pull_symbol("counts")
-            .iter()
-            .map(|c| from_bytes(c).iter().sum::<i32>() as u32 * 4)
-            .collect();
-        let got = st.gather(cap, &lens);
-        Ok(st.finish(validate_words("UNI", &got, &expect)))
+        let mut lens = Vec::with_capacity(n_dpus);
+        st.pull_symbol("counts", |_, c| lens.push(words(c).sum::<i32>() as u32 * 4));
+        // The reference keeps the first element of every run.
+        let expect = input.iter().enumerate().filter(|&(i, v)| i == 0 || input[i - 1] != *v);
+        let validation = st.check("UNI", cap, &lens, expect.map(|(_, v)| *v));
+        Ok(st.finish(validation))
     }
 }
 

@@ -7,7 +7,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, from_bytes, region, validate_words, Params, Stage};
+use crate::common::{chunk_range, region, words, Check, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Per-tasklet staging block, in bytes (256 elements).
@@ -127,7 +127,6 @@ impl Workload for Va {
         let mut rng = StdRng::seed_from_u64(0x5641);
         let a: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
         let b: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
-        let expect: Vec<i32> = a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)).collect();
         let n_dpus = rc.n_dpus as usize;
         let kernel = if rc.cached() { kernel_flat } else { kernel_scratchpad };
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets))?;
@@ -151,11 +150,12 @@ impl Workload for Va {
             ]
         })?;
         st.launch()?;
-        let mut got: Vec<i32> = Vec::with_capacity(n);
-        for (d, bytes) in st.pull(2 * cap, cap).iter().enumerate() {
-            got.extend(&from_bytes(bytes)[..chunk_range(n, n_dpus, d).len()]);
-        }
-        Ok(st.finish(validate_words("VA", &got, &expect)))
+        // Each DPU's sums are checked where they lie against a + b.
+        let mut check = Check::new("VA", a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)));
+        st.pull(2 * cap, cap, |d, bytes| {
+            words(bytes).take(chunk_range(n, n_dpus, d).len()).for_each(|w| check.push(w));
+        });
+        Ok(st.finish(check.finish()))
     }
 }
 

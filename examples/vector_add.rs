@@ -74,30 +74,32 @@ fn main() -> Result<(), SimError> {
         PimSystem::new(N_DPUS, DpuConfig::paper_baseline(N_TASKLETS), ChannelConfig::paper());
     sys.load(&build_kernel())?;
 
-    // Partition and push inputs (dpu_push_xfer TO_DPU).
+    // Partition and push inputs (dpu_push_xfer TO_DPU): each DPU's slice is
+    // written from the host array straight into its bank.
     let per = N / N_DPUS as usize;
     let nbytes = (per * 4) as u32;
-    let to_bytes = |w: &[i32]| w.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>();
-    let chunks_a: Vec<Vec<u8>> =
-        (0..N_DPUS as usize).map(|d| to_bytes(&a[d * per..(d + 1) * per])).collect();
-    let chunks_b: Vec<Vec<u8>> =
-        (0..N_DPUS as usize).map(|d| to_bytes(&b[d * per..(d + 1) * per])).collect();
-    sys.try_push_to_mram(0, &chunks_a.iter().map(Vec::as_slice).collect::<Vec<_>>())?;
-    sys.try_push_to_mram(nbytes, &chunks_b.iter().map(Vec::as_slice).collect::<Vec<_>>())?;
+    let lens = [nbytes; N_DPUS as usize];
+    for (addr, host) in [(0, &a), (nbytes, &b)] {
+        sys.try_push_to_mram_with(addr, &lens, |d, window| {
+            for (out, v) in window.chunks_exact_mut(4).zip(&host[d * per..(d + 1) * per]) {
+                out.copy_from_slice(&v.to_le_bytes());
+            }
+        })?;
+    }
     sys.broadcast_to_symbol("nbytes", &nbytes.to_le_bytes());
 
     // dpu_launch (synchronous)
     let report = sys.launch_all()?;
 
-    // Pull C back (dpu_push_xfer FROM_DPU) and check.
-    let pulled = sys.pull_from_mram(2 * nbytes, nbytes);
-    for (d, bytes) in pulled.iter().enumerate() {
-        for (i, c) in bytes.chunks_exact(4).enumerate() {
+    // Pull C back (dpu_push_xfer FROM_DPU) and check each DPU's slice where
+    // it lies.
+    sys.pull_from_mram_with(2 * nbytes, nbytes, |d, window| {
+        for (i, c) in window.chunks_exact(4).enumerate() {
             let got = i32::from_le_bytes(c.try_into().unwrap());
             let idx = d * per + i;
             assert_eq!(got, a[idx] + b[idx], "element {idx}");
         }
-    }
+    });
     println!("C = A + B verified for {N} elements across {N_DPUS} DPUs");
 
     let t = sys.timeline();

@@ -25,11 +25,25 @@
 //! faults) is [`CheckOutcome::Invalid`] — shrink candidates that break
 //! the program land there and are rejected without masquerading as
 //! conformance failures.
+//!
+//! Memory images are compared where they lie: in the DPU a run launched on
+//! (its first 64 KB of WRAM and 128 KB of MRAM) or in the oracle's own
+//! memories, never in copies. A run is dropped once the last invariant
+//! that reads it has been checked, so the live runs are:
+//!
+//! | invariant | live runs |
+//! |-----------|-----------|
+//! | 1 | oracle, primary |
+//! | 2 | oracle, primary, naive (stats only; dropped after) |
+//! | 3 | oracle, primary, fast tier (dropped after) |
+//! | 4 | oracle, primary, traced (its events go to the case's `MetricsSink`; dropped after) |
+//! | 5 | oracle, primary, reversed oracle (both oracles dropped after) |
+//! | 6 | primary, perturbed, the three batch members |
 
 use crate::FuzzCase;
 use pim_dpu::{Dpu, DpuConfig, DpuRunStats, ExecTier};
 use pim_ref::RefInterpreter;
-use pim_trace::{DpuTrace, MetricsSink};
+use pim_trace::MetricsSink;
 
 use crate::coverage::{ChainDepth, DmaShape, MemPressure};
 
@@ -144,14 +158,24 @@ fn first_line_diff(a: &str, b: &str) -> String {
     format!("{} vs {} debug lines", a.lines().count(), b.lines().count())
 }
 
+/// One launched run: its merged statistics, and the DPU it ran on, whose
+/// final memory images the invariants read where they lie.
 struct RunOutput {
     stats_debug: String,
     cycles: u64,
     dma_requests: u64,
     dram_bytes: u64,
-    wram: Vec<u8>,
-    mram: Vec<u8>,
-    trace: Option<DpuTrace>,
+    dpu: Dpu,
+}
+
+impl RunOutput {
+    fn wram(&self) -> &[u8] {
+        self.dpu.wram_window(0, WRAM_COMPARE)
+    }
+
+    fn mram(&self) -> &[u8] {
+        self.dpu.mram_window(0, MRAM_COMPARE)
+    }
 }
 
 /// Launches the case's program `case.launches` times on one DPU (WRAM and
@@ -168,9 +192,11 @@ fn run_once(case: &FuzzCase, cfg: DpuConfig) -> Result<RunOutput, String> {
 /// bits alone, so a DPU staged like this keeps issuing the same DMAs as its
 /// unstaged twins and first parts from them on a branch.
 fn perturb_mram(dpu: &mut Dpu) {
-    const WORD: u32 = 0xa5a5_a400;
-    let words = crate::gen::MRAM_WINDOW as usize * 16 / 4;
-    dpu.write_mram(crate::gen::MRAM_BASE as u32, &WORD.to_le_bytes().repeat(words));
+    const WORD: [u8; 4] = 0xa5a5_a400_u32.to_le_bytes();
+    let len = crate::gen::MRAM_WINDOW as u32 * 16;
+    for word in dpu.mram_window_mut(crate::gen::MRAM_BASE as u32, len).chunks_exact_mut(4) {
+        word.copy_from_slice(&WORD);
+    }
 }
 
 /// [`run_once`] on a DPU that `stage` touched between load and launch.
@@ -192,9 +218,7 @@ fn run_staged(
         cycles: stats.cycles,
         dma_requests: stats.dma_requests,
         dram_bytes: stats.dram.bytes_read,
-        wram: dpu.read_wram(0, WRAM_COMPARE),
-        mram: dpu.read_mram(0, MRAM_COMPARE),
-        trace: dpu.take_trace(),
+        dpu,
     })
 }
 
@@ -228,8 +252,8 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
     if let Err(e) = run_oracle(&mut oracle, case, None) {
         return CheckOutcome::Invalid(format!("oracle: {e}"));
     }
-    let owram = oracle.read_wram(0, WRAM_COMPARE);
-    let omram = oracle.read_mram(0, MRAM_COMPARE);
+    let owram = &oracle.wram[..WRAM_COMPARE as usize];
+    let omram = &oracle.mram[..MRAM_COMPARE as usize];
 
     // Invariant 1: the optimized pipeline agrees with the oracle.
     let fast = match run_once(case, case.config()) {
@@ -241,7 +265,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     };
-    for (name, got, want) in [("WRAM", &fast.wram, &owram), ("MRAM", &fast.mram, &omram)] {
+    for (name, got, want) in [("WRAM", fast.wram(), owram), ("MRAM", fast.mram(), omram)] {
         if let Some(at) = first_diff(got, want) {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::OracleEquality,
@@ -274,6 +298,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             ),
         });
     }
+    drop(naive);
 
     // Invariant 3: the decoded fast loop agrees with the block-compiled
     // loop (the default tier, so the primary run above is compiled). The
@@ -300,7 +325,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         });
     }
     for (name, got, want) in
-        [("WRAM", &fastloop.wram, &fast.wram), ("MRAM", &fastloop.mram, &fast.mram)]
+        [("WRAM", fastloop.wram(), fast.wram()), ("MRAM", fastloop.mram(), fast.mram())]
     {
         if let Some(at) = first_diff(got, want) {
             return CheckOutcome::Fail(Failure {
@@ -312,9 +337,10 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     }
+    drop(fastloop);
 
     // Invariant 4: attaching an event-trace ring is invisible.
-    let ring = match run_once(case, case.config().with_event_trace(RING_CAPACITY)) {
+    let mut ring = match run_once(case, case.config().with_event_trace(RING_CAPACITY)) {
         Ok(r) => r,
         Err(e) => {
             return CheckOutcome::Fail(Failure {
@@ -332,6 +358,11 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             ),
         });
     }
+    let mut metrics = MetricsSink::new();
+    if let Some(trace) = ring.dpu.take_trace() {
+        metrics.absorb(&trace.events);
+    }
+    drop(ring);
 
     // Invariant 5: a reversed oracle service order reaches the same
     // memory image (schedule independence).
@@ -343,9 +374,9 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             detail: format!("oracle faulted under reversed schedule: {e}"),
         });
     }
-    let rwram = reversed.read_wram(0, WRAM_COMPARE);
-    let rmram = reversed.read_mram(0, MRAM_COMPARE);
-    for (name, got, want) in [("WRAM", &rwram, &owram), ("MRAM", &rmram, &omram)] {
+    let rwram = &reversed.wram[..WRAM_COMPARE as usize];
+    let rmram = &reversed.mram[..MRAM_COMPARE as usize];
+    for (name, got, want) in [("WRAM", rwram, owram), ("MRAM", rmram, omram)] {
         if let Some(at) = first_diff(got, want) {
             return CheckOutcome::Fail(Failure {
                 invariant: Invariant::ScheduleInvariance,
@@ -356,6 +387,7 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
             });
         }
     }
+    drop((reversed, oracle));
 
     // Invariant 6: the lockstep batch driver (the `launch_all` path) matches
     // the per-DPU launch member-for-member. Two members with the case's own
@@ -414,9 +446,9 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
                 ),
             });
         }
-        let bwram = dpu.read_wram(0, WRAM_COMPARE);
-        let bmram = dpu.read_mram(0, MRAM_COMPARE);
-        for (name, got, want) in [("WRAM", &bwram, &solo.wram), ("MRAM", &bmram, &solo.mram)] {
+        let bwram = dpu.wram_window(0, WRAM_COMPARE);
+        let bmram = dpu.mram_window(0, MRAM_COMPARE);
+        for (name, got, want) in [("WRAM", bwram, solo.wram()), ("MRAM", bmram, solo.mram())] {
             if let Some(at) = first_diff(got, want) {
                 return CheckOutcome::Fail(Failure {
                     invariant: Invariant::BatchEquality,
@@ -429,10 +461,6 @@ pub fn run_gauntlet(case: &FuzzCase) -> CheckOutcome {
         }
     }
 
-    let mut metrics = MetricsSink::new();
-    if let Some(trace) = &ring.trace {
-        metrics.absorb(&trace.events);
-    }
     CheckOutcome::Pass(Box::new(PassInfo {
         mem: MemPressure::classify(fast.dma_requests, case.tasklets),
         shape: DmaShape::classify(fast.dma_requests, fast.dram_bytes),
@@ -533,8 +561,15 @@ mod tests {
             launches: 1,
             label: "racy".into(),
         };
+        // The text is pinned: the oracle images are compared in place.
         match run_gauntlet(&case) {
-            CheckOutcome::Fail(f) => assert_eq!(f.invariant, Invariant::ScheduleInvariance),
+            CheckOutcome::Fail(f) => {
+                assert_eq!(f.invariant, Invariant::ScheduleInvariance);
+                assert_eq!(
+                    f.detail,
+                    "WRAM depends on the schedule at 0x0: reversed 0x00, identity 0x01"
+                );
+            }
             other => panic!("expected schedule-invariance failure, got {other:?}"),
         }
     }

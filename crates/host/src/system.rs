@@ -348,21 +348,6 @@ impl PimSystem {
         out
     }
 
-    /// [`PimSystem::pull_from_mram`] into a caller-owned buffer, reusing
-    /// the outer vector and every inner allocation across calls — for
-    /// readback loops that would otherwise allocate one `Vec<Vec<u8>>`
-    /// per iteration.
-    ///
-    /// `out` is resized to one entry per DPU; transfer-time accounting is
-    /// identical to the allocating variant.
-    pub fn pull_from_mram_into(&mut self, addr: u32, len: u32, out: &mut Vec<Vec<u8>>) {
-        out.resize_with(self.dpus.len(), Vec::new);
-        self.pull_from_mram_with(addr, len, |d, window| {
-            out[d].clear();
-            out[d].extend_from_slice(window);
-        });
-    }
-
     /// [`PimSystem::pull_from_mram`] read in place: DPU `d`'s `len`-byte
     /// MRAM window at `addr` is handed to `read(d, window)`, in DPU order,
     /// and the host holds no copy of the transfer. Priced, traced and
@@ -695,7 +680,7 @@ mod tests {
     }
 
     #[test]
-    fn pull_into_variants_match_allocating_pulls() {
+    fn lending_pulls_match_allocating_pulls() {
         let program = sum_kernel(64);
         let mut sys = PimSystem::new(3, DpuConfig::paper_baseline(1), ChannelConfig::paper());
         sys.load(&program).unwrap();
@@ -706,9 +691,15 @@ mod tests {
         sys.launch_all().unwrap();
         let mram = sys.pull_from_mram(0, 256);
         let t_after_alloc = sys.timeline().from_dpu_ns;
-        let mut mram_into = vec![vec![7u8; 3]; 5]; // wrong shape on purpose
-        sys.pull_from_mram_into(0, 256, &mut mram_into);
-        assert_eq!(mram, mram_into);
+        // A caller-owned buffer of the wrong shape on purpose: the lending
+        // pull visits the three DPUs only, each with its whole window.
+        let mut reused = vec![vec![7u8; 3]; 5];
+        sys.pull_from_mram_with(0, 256, |d, window| {
+            reused[d].clear();
+            reused[d].extend_from_slice(window);
+        });
+        assert_eq!(mram[..], reused[..3]);
+        assert_eq!(reused[3..], [vec![7u8; 3], vec![7u8; 3]]);
         // Both variants charge the same transfer time.
         assert!((sys.timeline().from_dpu_ns - 2.0 * t_after_alloc).abs() < 1e-9);
         let sum = sys.pull_from_symbol("sum");
@@ -899,14 +890,13 @@ mod tests {
             let refs: Vec<&[u8]> = chunks.iter().map(Vec::as_slice).collect();
             let mut copied = traced_system(mode);
             copied.try_push_to_mram(0, &refs).unwrap();
-            let mut into = Vec::new();
-            copied.pull_from_mram_into(32, 96, &mut into);
+            let pulled = copied.pull_from_mram(32, 96);
             let mut lent = traced_system(mode);
             lent.try_push_to_mram(0, &refs).unwrap();
             let mut seen = Vec::new();
             lent.pull_from_mram_with(32, 96, |d, w| seen.push((d, w.to_vec())));
             assert_eq!(seen.iter().map(|(d, _)| *d).collect::<Vec<_>>(), [0, 1, 2]);
-            assert_eq!(seen.into_iter().map(|(_, w)| w).collect::<Vec<_>>(), into);
+            assert_eq!(seen.into_iter().map(|(_, w)| w).collect::<Vec<_>>(), pulled);
             assert_eq!(copied.timeline(), lent.timeline(), "{mode:?}");
             assert_eq!(copied.take_trace().unwrap().host, lent.take_trace().unwrap().host);
         }

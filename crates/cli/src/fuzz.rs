@@ -6,7 +6,8 @@
 
 use std::fmt::Write as _;
 
-use pim_fuzz::campaign::{run_campaign, CampaignOptions, CampaignReport, Mutant};
+use pim_dpu::Mutant;
+use pim_fuzz::campaign::{run_campaign, CampaignOptions, CampaignReport};
 use pimulator::report::Json;
 
 use crate::args::{Args, Common, Failure, Spec, JSON, OUT_FILE, THREADS};

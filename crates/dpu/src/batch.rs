@@ -45,7 +45,7 @@
 use pim_trace::NullSink;
 
 use crate::compiled::CompiledKernel;
-use crate::config::{ExecTier, MemoryMode};
+use crate::config::{ExecTier, MemoryMode, Mutant};
 use crate::dpu::Dpu;
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
@@ -244,8 +244,8 @@ fn first_disagreement(
     state: &mut ArchState,
     log: &[Step],
     leader_fault: Option<(usize, u32)>,
+    replay_bug: bool,
 ) -> Option<(usize, Result<Effect, SimError>)> {
-    let replay_bug = crate::mutation::replay_bug();
     for (k, step) in log.iter().enumerate() {
         let own = CompiledDispatch::execute(kernel, state, step.tasklet, step.pc);
         if replay_bug
@@ -284,6 +284,8 @@ fn run_lockstep(
     let (leader, followers) = group.split_first_mut().expect("lockstep groups are non-empty");
     let kernel = leader.kernel_artifacts();
     let mut engine = Engine::new(leader, leader.mem_engine());
+    // The seeded replay bug: `compatible` gave every member this config.
+    let replay_bug = leader.cfg.mutant == Some(Mutant::Replay);
     // Followers still on the shared schedule, and the results of those
     // that left it.
     let mut on_schedule: Vec<usize> = (0..followers.len()).collect();
@@ -301,7 +303,8 @@ fn run_lockstep(
         };
         on_schedule.retain(|&f| {
             let dpu = &mut followers[f];
-            let Some((k, own)) = first_disagreement(&kernel, &mut dpu.state, &log, leader_fault)
+            let Some((k, own)) =
+                first_disagreement(&kernel, &mut dpu.state, &log, leader_fault, replay_bug)
             else {
                 return true;
             };

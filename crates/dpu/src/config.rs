@@ -29,7 +29,8 @@ pub const FORWARD_LOAD_LATENCY: u32 = 4;
 /// two or more tasklets, whose transfers hide each other's setup and bank
 /// latency, and 652 MB/s with one. Bank timing is hidden behind the
 /// interface, so the ≈600 MB/s that prior work measured on real hardware
-/// (Fig 5 caption) is not reproduced (ROADMAP item 3).
+/// (Fig 5 caption) is not reproduced (ROADMAP, "Make the MRAM path reach
+/// the bandwidth its docs claim").
 pub const DMA_INTERFACE_BYTES_PER_CYCLE: f64 = 2.0;
 
 /// Fixed per-request DMA-engine setup latency in core cycles. Makes small
@@ -155,6 +156,54 @@ pub enum ExecTier {
     Compiled,
 }
 
+/// A seeded bug for the fuzzer's self-check (`pimsim fuzz --mutate`): a
+/// conformance fuzzer is only trustworthy if it demonstrably catches the
+/// class of bug it exists for. The bug is part of the launch's
+/// configuration ([`DpuConfig::mutant`], `None` everywhere else), and each
+/// hook reads it once per launch, outside the hot loops, so a
+/// configuration without one simulates exactly as if the hooks were
+/// absent.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutant {
+    /// The issue engine drops the even/odd register-file structural hazard:
+    /// the optimized loops treat every instruction's hazard cost as zero,
+    /// as if the bank conflict check were lost in the pre-decode refactor,
+    /// and under-count issue slots for same-bank source pairs. Any program
+    /// with an RF hazard diverges from the naive reference loop in cycle
+    /// counts and stall attribution.
+    Scoreboard,
+    /// A lockstep follower accepts any logged instruction on which it or
+    /// the leader jumped without comparing the two effects, so a member
+    /// whose branch goes the other way stays on the leader's schedule
+    /// instead of leaving it: only a batch whose members take different
+    /// paths shows it.
+    Replay,
+    /// A timing bug in the memory path: the memory engine's due cycle for
+    /// a request in transfer counts its last burst's interface occupancy
+    /// twice, so a loop that hops to the due cycle wakes the tasklet late.
+    /// The naive loop visits every cycle while another tasklet issues and
+    /// the engine does not, so any program with one tasklet in a DMA
+    /// beside one computing diverges in cycle counts. (A debug build's
+    /// on-time check at the loops' drain sites stands down in an engine
+    /// with this bug, so the fuzzer and not the assertion reports it.)
+    Due,
+}
+
+impl Mutant {
+    /// Every seeded bug, in self-check order.
+    pub const ALL: [Mutant; 3] = [Mutant::Scoreboard, Mutant::Replay, Mutant::Due];
+
+    /// Lower-case name, as reports print it.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Mutant::Scoreboard => "scoreboard",
+            Mutant::Replay => "replay",
+            Mutant::Due => "due",
+        }
+    }
+}
+
 /// Full configuration of one simulated DPU (paper Table I defaults).
 ///
 /// Timing and memory geometry are Table I's and live as constants
@@ -194,6 +243,9 @@ pub struct DpuConfig {
     /// [`ExecTier`]). Defaults to [`ExecTier::Compiled`]; simulated counts
     /// are byte-identical across tiers.
     pub exec_tier: ExecTier,
+    /// The seeded bug this launch runs with (see [`Mutant`]); `None`, the
+    /// default, outside the fuzzer's self-check.
+    pub mutant: Option<Mutant>,
 }
 
 impl DpuConfig {
@@ -216,6 +268,7 @@ impl DpuConfig {
             event_trace_capacity: 0,
             oracle_check: false,
             exec_tier: ExecTier::Compiled,
+            mutant: None,
         }
     }
 

@@ -15,12 +15,12 @@ use pim_trace::{DpuTrace, NullSink, RingSink, StallCause, TraceEvent, TraceSink}
 
 use crate::compiled::CompiledKernel;
 use crate::config::{
-    DpuConfig, ExecTier, MemoryMode, DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY,
-    REVOLVER_CYCLES, TLP_WINDOW,
+    DpuConfig, ExecTier, MemoryMode, Mutant, DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY,
+    FORWARD_LOAD_LATENCY, REVOLVER_CYCLES, TLP_WINDOW,
 };
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
-use crate::mem::{debug_assert_on_time, MemEngine, Segment};
+use crate::mem::{MemEngine, Segment};
 use crate::sched::{CompiledDispatch, Dispatch, Engine, FastDispatch};
 use crate::simt::{bits, Warps};
 use crate::stats::DpuRunStats;
@@ -435,6 +435,7 @@ impl Dpu {
             self.cfg.dram_per_core_ratio(),
             self.cfg.interface_rate(),
             DMA_SETUP_CYCLES,
+            self.cfg.mutant == Some(Mutant::Due),
         )
     }
 
@@ -590,7 +591,7 @@ impl Dpu {
             }
             mem.drain_done_into(&mut done_buf);
             for &(token, at) in &done_buf {
-                debug_assert_on_time(at, now);
+                mem.debug_assert_on_time(at, now);
                 // The last of a SIMT warp's requests wakes its lanes.
                 let woken = warps.as_mut().map_or(1 << token, |w| w.complete(token));
                 for t in bits(woken) {

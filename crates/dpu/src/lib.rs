@@ -61,7 +61,6 @@ pub mod dpu;
 pub mod error;
 mod exec;
 mod mem;
-pub mod mutation;
 mod sched;
 mod simt;
 pub mod stats;
@@ -69,9 +68,9 @@ pub mod tenancy;
 
 pub use batch::{run_batch, Divergence, LockstepSummary};
 pub use config::{
-    DpuConfig, ExecTier, IlpFeatures, MemoryMode, SimtConfig, DMA_INTERFACE_BYTES_PER_CYCLE,
-    DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, MAX_TASKLETS, REVOLVER_CYCLES,
-    SIMT_WRAM_PORTS, TLP_WINDOW, WARP_WIDTH,
+    DpuConfig, ExecTier, IlpFeatures, MemoryMode, Mutant, SimtConfig,
+    DMA_INTERFACE_BYTES_PER_CYCLE, DMA_SETUP_CYCLES, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY,
+    MAX_TASKLETS, REVOLVER_CYCLES, SIMT_WRAM_PORTS, TLP_WINDOW, WARP_WIDTH,
 };
 pub use dpu::Dpu;
 pub use error::SimError;

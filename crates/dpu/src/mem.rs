@@ -83,21 +83,6 @@ fn tag(slot: u64, is_walk: bool) -> u64 {
     slot << 1 | u64::from(is_walk)
 }
 
-/// Debug-build check for the cycle loops, on every completion they drain at
-/// cycle `now`: a request is reported on the cycle it finishes. It is the
-/// one property a [`MemEngine::due`] that comes too late breaks — the
-/// bookings do not depend on when `advance` runs, the wake-up does.
-#[inline]
-pub(crate) fn debug_assert_on_time(at: u64, now: u64) {
-    if cfg!(debug_assertions) && at != now {
-        // The seeded due bug is late on purpose, and is the fuzzer's to find.
-        if crate::mutation::due_bug() {
-            return;
-        }
-        panic!("memory completion of cycle {at} reported at cycle {now}");
-    }
-}
-
 /// The memory engine. All public times are **core cycles**; the DRAM bank
 /// runs in its own clock domain internally. `Clone` exists for the batch
 /// executor's lockstep divergence handoff: while a batch is
@@ -122,7 +107,7 @@ pub(crate) struct MemEngine {
     /// See [`MemEngine::due`]; `u64::MAX` when idle.
     due: u64,
     /// What a request's last burst adds to its bound in `due`: one
-    /// occupancy (two with `mutation::set_due_bug` armed — a bound that
+    /// occupancy (two with the seeded `Mutant::Due` bug — a bound that
     /// comes too late).
     bound_tail: u64,
     /// Completions ready to report: (token, completion core cycle).
@@ -144,11 +129,11 @@ impl MemEngine {
         ratio: f64,
         iface_rate: f64,
         setup: u32,
+        due_bug: bool,
     ) -> Self {
         assert!(ratio > 0.0 && iface_rate > 0.0);
         let burst_occupancy = (f64::from(dram.burst_bytes) / iface_rate).ceil() as u64;
-        // Seeded bug for the mutation self-check, sampled once per launch.
-        let bound_tail = burst_occupancy * (1 + u64::from(crate::mutation::due_bug()));
+        let bound_tail = burst_occupancy * (1 + u64::from(due_bug));
         MemEngine {
             bank: DramBank::new(dram),
             mmu,
@@ -448,6 +433,19 @@ impl MemEngine {
         self.due
     }
 
+    /// Debug-build check for the cycle loops, on every completion they
+    /// drain at cycle `now`: a request is reported on the cycle it
+    /// finishes. It is the one property a [`MemEngine::due`] that comes too
+    /// late breaks — the bookings do not depend on when `advance` runs, the
+    /// wake-up does. An engine with the seeded due bug is late on purpose,
+    /// and that is the fuzzer's to find, so its check stands down.
+    #[inline]
+    pub(crate) fn debug_assert_on_time(&self, at: u64, now: u64) {
+        if cfg!(debug_assertions) && at != now && self.bound_tail == self.burst_occupancy {
+            panic!("memory completion of cycle {at} reported at cycle {now}");
+        }
+    }
+
     /// Whether nothing is queued or in flight.
     #[cfg(test)]
     pub(crate) fn is_idle(&self) -> bool {
@@ -462,7 +460,7 @@ mod tests {
 
     fn engine() -> MemEngine {
         // Baseline: 1200/350 ≈ 3.43 DRAM cycles per core cycle, 2 B/cycle.
-        MemEngine::new(DramConfig::ddr4_2400(), None, 1200.0 / 350.0, 2.0, 24)
+        MemEngine::new(DramConfig::ddr4_2400(), None, 1200.0 / 350.0, 2.0, 24, false)
     }
 
     fn run_until_done(e: &mut MemEngine, mut now: u64) -> Vec<(Token, u64)> {
@@ -542,7 +540,8 @@ mod tests {
     fn mmu_walks_then_transfers() {
         let pages = 16 * 1024;
         let mmu = Mmu::new(MmuConfig::paper(), PageTable::identity(pages));
-        let mut e = MemEngine::new(DramConfig::ddr4_2400(), Some(mmu), 1200.0 / 350.0, 2.0, 24);
+        let mut e =
+            MemEngine::new(DramConfig::ddr4_2400(), Some(mmu), 1200.0 / 350.0, 2.0, 24, false);
         e.issue(1, &[Segment { addr: 8192, bytes: 64, write: false }], 0);
         let done = run_until_done(&mut e, 0);
         assert_eq!(done.len(), 1);
@@ -559,7 +558,8 @@ mod tests {
     #[test]
     fn mmu_transfer_crossing_pages_translates_each_page() {
         let mmu = Mmu::new(MmuConfig::paper(), PageTable::identity(16 * 1024));
-        let mut e = MemEngine::new(DramConfig::ddr4_2400(), Some(mmu), 1200.0 / 350.0, 2.0, 0);
+        let mut e =
+            MemEngine::new(DramConfig::ddr4_2400(), Some(mmu), 1200.0 / 350.0, 2.0, 0, false);
         // 6000 bytes starting mid-page: touches pages 0 and 1.
         e.issue(1, &[Segment { addr: 2048, bytes: 6000, write: false }], 0);
         run_until_done(&mut e, 0);
@@ -569,7 +569,8 @@ mod tests {
     #[test]
     fn walk_delays_data_relative_to_no_mmu() {
         let run = |mmu: Option<Mmu>| {
-            let mut e = MemEngine::new(DramConfig::ddr4_2400(), mmu, 1200.0 / 350.0, 2.0, 24);
+            let mut e =
+                MemEngine::new(DramConfig::ddr4_2400(), mmu, 1200.0 / 350.0, 2.0, 24, false);
             e.issue(1, &[Segment { addr: 0, bytes: 2048, write: false }], 0);
             run_until_done(&mut e, 0)[0].1
         };
@@ -599,7 +600,7 @@ mod tests {
     fn scaled_engine(mmu: bool, scale: f64, core_mhz: f64, setup: u32) -> MemEngine {
         let mmu = mmu.then(|| Mmu::new(MmuConfig::paper(), PageTable::identity(16 * 1024)));
         let dram = DramConfig::ddr4_2400().scaled(scale);
-        MemEngine::new(dram, mmu, dram.freq_mhz / core_mhz, 2.0 * scale, setup)
+        MemEngine::new(dram, mmu, dram.freq_mhz / core_mhz, 2.0 * scale, setup, false)
     }
 
     #[test]
@@ -662,8 +663,10 @@ mod tests {
             }
         }
         // 1200 / 110: ceil overshoots and floor undershoots on some cycles.
-        engines
-            .push((MemEngine::new(DramConfig::ddr4_2400(), None, 1200.0 / 110.0, 2.0, 0), false));
+        engines.push((
+            MemEngine::new(DramConfig::ddr4_2400(), None, 1200.0 / 110.0, 2.0, 0, false),
+            false,
+        ));
         for (e, ceil_is_exact) in engines {
             let mut first = 0u64;
             let mut disagreements = 0;

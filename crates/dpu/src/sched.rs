@@ -71,11 +71,11 @@ use pim_trace::{NullSink, StallCause, TraceEvent, TraceSink};
 use crate::compiled::{
     word_of, CompiledKernel, CompiledOp, DMA, FAULT, F_LOAD, F_STORE, KIND, RETRY, STOP,
 };
-use crate::config::{FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES};
+use crate::config::{Mutant, FORWARD_ALU_LATENCY, FORWARD_LOAD_LATENCY, REVOLVER_CYCLES};
 use crate::dpu::{Dpu, IRAM_BACKING_BASE};
 use crate::error::SimError;
 use crate::exec::{ArchState, Effect};
-use crate::mem::{debug_assert_on_time, MemEngine, Segment};
+use crate::mem::{MemEngine, Segment};
 use crate::simt::{bits, Warps};
 use crate::stats::DpuRunStats;
 
@@ -389,11 +389,9 @@ impl Engine {
         // SIMT forwards per PC group, at issue ([`Warps::issue`]).
         let fwd = cfg.ilp.data_forwarding && cfg.simt.is_none();
         let (icache, dcache) = dpu.caches();
-        let rf_hazards = !cfg.ilp.unified_rf;
-        // Seeded bug for the mutation self-check, sampled here and nowhere
-        // else: every optimized run, solo or lockstep, starts from this
-        // constructor, so `fuzz --mutate` arms all of them or none.
-        let rf_hazards = rf_hazards && !crate::mutation::scoreboard_bug();
+        // The seeded scoreboard bug is read here and nowhere else: every
+        // optimized run, solo or lockstep, starts from this constructor.
+        let rf_hazards = !cfg.ilp.unified_rf && cfg.mutant != Some(Mutant::Scoreboard);
         Engine {
             hot: Hot {
                 fwd,
@@ -730,7 +728,7 @@ impl Engine {
                 let mut done = std::mem::take(&mut self.done_buf);
                 self.mem.drain_done_into(&mut done);
                 for &(token, at) in &done {
-                    debug_assert_on_time(at, now);
+                    self.mem.debug_assert_on_time(at, now);
                     // The last of a SIMT warp's requests wakes its lanes.
                     let woken = match self.warps.as_mut().filter(|_| !PLAIN) {
                         Some(warps) => warps.complete(token) & h.blocked,

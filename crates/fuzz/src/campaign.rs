@@ -9,9 +9,10 @@
 //! order), and coverage/failure folding happens serially after. The
 //! report carries no wall-clock times and no worker counts.
 //!
-//! With [`CampaignOptions::mutate`] set, that seeded bug in `pim-dpu`
-//! ([`Mutant`]) is armed for the campaign's duration and the report
-//! records whether the fuzzer caught it — the harness's self-check.
+//! With [`CampaignOptions::mutate`] set, every generated case carries that
+//! seeded `pim-dpu` bug ([`Mutant`]) into each configuration it runs
+//! under, and the report records whether the fuzzer caught it — the
+//! harness's self-check. Nothing outside the campaign's own cases sees it.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -22,6 +23,7 @@ use crate::gauntlet::{run_gauntlet, CheckOutcome, Invariant};
 use crate::gen::{generate, GenOptions};
 use crate::shrink::{shrink, DEFAULT_SHRINK_EVALS};
 use crate::{ExecMode, FuzzCase};
+use pim_dpu::Mutant;
 use pim_isa::DecodedProgram;
 use pim_rng::StdRng;
 use pimulator::jobs::JobRunner;
@@ -37,40 +39,6 @@ const BATCH: u32 = 32;
 /// Most failures shrunk/reported per campaign (the rest are counted).
 const MAX_REPORTED_FAILURES: usize = 5;
 
-/// A seeded bug in `pim-dpu` the self-check can arm (`pim_dpu::mutation`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mutant {
-    /// The issue engine drops the even/odd register-file hazard.
-    Scoreboard,
-    /// A lockstep follower skips the `Effect` comparison on jumps.
-    Replay,
-    /// The memory engine's due cycle overshoots a request's finish.
-    Due,
-}
-
-impl Mutant {
-    /// Every seeded bug, in self-check order.
-    pub const ALL: [Mutant; 3] = [Mutant::Scoreboard, Mutant::Replay, Mutant::Due];
-
-    /// Lower-case name, as reports print it.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Mutant::Scoreboard => "scoreboard",
-            Mutant::Replay => "replay",
-            Mutant::Due => "due",
-        }
-    }
-
-    fn set(self, on: bool) {
-        match self {
-            Mutant::Scoreboard => pim_dpu::mutation::set_scoreboard_bug(on),
-            Mutant::Replay => pim_dpu::mutation::set_replay_bug(on),
-            Mutant::Due => pim_dpu::mutation::set_due_bug(on),
-        }
-    }
-}
-
 /// What to run.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
@@ -83,7 +51,8 @@ pub struct CampaignOptions {
     /// Corpus directory to replay before generating (and to write new
     /// repros into).
     pub corpus: Option<PathBuf>,
-    /// Arm this seeded bug and self-check detection.
+    /// Run every generated case with this seeded bug and self-check
+    /// detection.
     pub mutate: Option<Mutant>,
     /// Gauntlet-evaluation budget per shrink.
     pub shrink_evals: u32,
@@ -211,15 +180,6 @@ impl CampaignReport {
     }
 }
 
-/// Disarms the seeded bugs on every exit path.
-struct MutationGuard;
-
-impl Drop for MutationGuard {
-    fn drop(&mut self) {
-        Mutant::ALL.into_iter().for_each(|m| m.set(false));
-    }
-}
-
 /// Runs a campaign: corpus replay (unless mutating), then coverage-guided
 /// generation in batches, then shrinking of any failures.
 ///
@@ -229,9 +189,6 @@ impl Drop for MutationGuard {
 /// *results*, not errors.
 #[allow(clippy::too_many_lines)]
 pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
-    let _guard = MutationGuard;
-    Mutant::ALL.into_iter().for_each(|m| m.set(opts.mutate == Some(m)));
-
     let runner = JobRunner::new(opts.jobs);
     let mut coverage = CoverageMap::new();
     let mut counters: BTreeMap<&'static str, u64> = BTreeMap::new();
@@ -327,7 +284,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignReport, String> {
             })
             .collect();
         let outcomes = runner.map(&specs, |_, (case_seed, gen_opts)| {
-            let case = generate(*case_seed, gen_opts);
+            let case = FuzzCase { mutant: opts.mutate, ..generate(*case_seed, gen_opts) };
             let outcome = run_gauntlet(&case);
             (case, outcome)
         });

@@ -175,6 +175,7 @@ pub fn entry_case(entry: &CorpusEntry, label: &str) -> Result<FuzzCase, String> 
                 mode: *mode,
                 launches: *launches,
                 label: label.into(),
+                mutant: None,
             })
         }
     }

@@ -517,6 +517,7 @@ mod tests {
             mode: ExecMode::Scalar,
             launches: 1,
             label: "runaway".into(),
+            mutant: None,
         };
         assert!(matches!(run_gauntlet(&case), CheckOutcome::Invalid(_)));
     }
@@ -560,6 +561,7 @@ mod tests {
             mode: ExecMode::Scalar,
             launches: 1,
             label: "racy".into(),
+            mutant: None,
         };
         // The text is pinned: the oracle images are compared in place.
         match run_gauntlet(&case) {

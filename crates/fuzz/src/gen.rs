@@ -418,6 +418,7 @@ pub fn generate(seed: u64, opts: &GenOptions) -> FuzzCase {
         mode: opts.mode,
         launches,
         label: format!("seed {seed:#x} {}/{n}{chain}", opts.mode.as_str()),
+        mutant: None,
     }
 }
 

@@ -22,9 +22,10 @@
 //!   memory pressure × tasklet bucket) cells, harvested from each case's
 //!   [`pim_isa::DecodedProgram`] and run metrics; the campaign biases
 //!   generation toward unhit cells.
-//! * [`gauntlet`] — the metamorphic conformance checks every generated
+//! * [`gauntlet`] — the six metamorphic conformance checks every generated
 //!   program must pass: oracle equality, naive-vs-fast stats equality,
-//!   trace-sink invisibility, and tasklet-schedule invariance.
+//!   compiled-vs-fast stats and memory equality, trace-sink invisibility,
+//!   tasklet-schedule invariance, and lockstep-batch equality.
 //! * [`shrink`] + [`corpus`] — failures are delta-debugged down to minimal
 //!   repros (blocks, then instructions, then operands, then tasklets) and
 //!   written to a committed text corpus that replays deterministically in
@@ -32,8 +33,9 @@
 //!
 //! [`campaign`] ties it together on the `pimulator` job engine, and
 //! `pimsim fuzz` (crate `pim-cli`) exposes it, including the `--mutate`
-//! self-check that arms each seeded `pim-dpu` bug in turn and proves the
-//! harness detects it.
+//! self-check that runs one campaign per seeded `pim-dpu` bug
+//! ([`pim_dpu::Mutant`], carried in each case's configuration) and proves
+//! the harness detects it.
 
 pub mod campaign;
 pub mod corpus;
@@ -43,7 +45,7 @@ pub mod gen;
 pub mod shrink;
 
 use pim_asm::DpuProgram;
-use pim_dpu::{DpuConfig, IlpFeatures, SimtConfig};
+use pim_dpu::{DpuConfig, IlpFeatures, Mutant, SimtConfig};
 
 /// Which executor configuration a fuzz case targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -115,13 +117,17 @@ pub struct FuzzCase {
     pub launches: u32,
     /// Human-readable provenance (`seed 0x… scalar/4`, corpus filename…).
     pub label: String,
+    /// The seeded `pim-dpu` bug every run of the case carries: `None`
+    /// except in a `--mutate` campaign's generated cases. Shrinking keeps
+    /// it; corpus files do not record it.
+    pub mutant: Option<Mutant>,
 }
 
 impl FuzzCase {
     /// The simulator configuration for this case.
     #[must_use]
     pub(crate) fn config(&self) -> DpuConfig {
-        self.mode.config(self.tasklets)
+        DpuConfig { mutant: self.mutant, ..self.mode.config(self.tasklets) }
     }
 
     /// Effective launch count — a zero (e.g. from a hand-edited corpus

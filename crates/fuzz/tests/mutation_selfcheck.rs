@@ -1,12 +1,11 @@
 //! The harness's proof-of-usefulness: with any of the seeded bugs armed, a
 //! small campaign must catch it and shrink the repro to a handful of
 //! instructions; the same seed with the bugs disarmed must run clean.
-//!
-//! All four live in ONE test: the bug switches are process-global, so
-//! interleaving with a parallel clean run would race. (The `pimsim fuzz
-//! --mutate` CLI path is exercised end-to-end in `crates/cli/tests`.)
+//! (The `pimsim fuzz --mutate` CLI path is exercised end-to-end in
+//! `crates/cli/tests`.)
 
-use pim_fuzz::campaign::{run_campaign, CampaignOptions, Mutant};
+use pim_dpu::Mutant;
+use pim_fuzz::campaign::{run_campaign, CampaignOptions};
 use pim_fuzz::gauntlet::Invariant;
 
 #[test]

@@ -52,17 +52,6 @@ pub enum CorpusEntry {
     },
 }
 
-/// FNV-1a 64-bit hash (the corpus's content-addressing primitive).
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Renders a minimized-repro program entry (header + disassembly).
 #[must_use]
 pub(crate) fn render_repro(case: &FuzzCase, invariant: &str) -> String {
@@ -82,7 +71,7 @@ pub(crate) fn render_repro(case: &FuzzCase, invariant: &str) -> String {
 /// Content-addressed filename for a rendered repro entry.
 #[must_use]
 pub(crate) fn repro_filename(text: &str, invariant: &str) -> String {
-    format!("repro-{invariant}-{:016x}.corpus", fnv1a(text.as_bytes()))
+    format!("repro-{invariant}-{:016x}.corpus", pim_rng::fnv1a(text.as_bytes()))
 }
 
 fn header_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {

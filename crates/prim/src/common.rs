@@ -2,6 +2,7 @@
 //! contiguous partitioning, the host↔kernel parameter-block convention, and
 //! the `Stage` every workload's host side runs through.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::ops::Range;
 
@@ -98,6 +99,13 @@ pub(crate) fn chunk_range(total: usize, parts: usize, idx: usize) -> Range<usize
     start..(start + len).min(total)
 }
 
+/// The longest of per-DPU byte lengths: the size of the one parallel pull
+/// that reads them all (the SDK pads every DPU to it).
+#[must_use]
+pub(crate) fn widest(lens_bytes: &[u32]) -> u32 {
+    lens_bytes.iter().copied().max().unwrap_or(0)
+}
+
 /// Emits the contiguous per-tasklet byte-range split used by the flat
 /// (cache-centric) kernel variants: given the total byte count in `nbytes`
 /// and the tasklet id in `t`, computes `start`/`end` byte offsets of this
@@ -172,7 +180,7 @@ pub(crate) fn mismatch(name: &str, at: usize, got: i32, expect: i32) -> String {
 /// computed lazily from the inputs — so neither side is materialised. The
 /// verdict and its text are [`validate_words`]'s: a length mismatch first,
 /// else the first mismatching element.
-pub(crate) struct Check<'n, I: Iterator<Item = i32>> {
+struct Check<'n, I: Iterator<Item = i32>> {
     name: &'n str,
     expect: std::iter::Fuse<I>,
     /// Output words pushed so far.
@@ -184,13 +192,13 @@ pub(crate) struct Check<'n, I: Iterator<Item = i32>> {
 }
 
 impl<'n, I: Iterator<Item = i32>> Check<'n, I> {
-    pub(crate) fn new(name: &'n str, expect: impl IntoIterator<IntoIter = I>) -> Self {
+    fn new(name: &'n str, expect: impl IntoIterator<IntoIter = I>) -> Self {
         Check { name, expect: expect.into_iter().fuse(), got: 0, expected: 0, first: None }
     }
 
     /// Compares the next output word with the next reference word; after
     /// the first mismatch, only counts.
-    pub(crate) fn push(&mut self, got: i32) {
+    fn push(&mut self, got: i32) {
         if self.first.is_none() {
             if let Some(e) = self.expect.next() {
                 self.expected += 1;
@@ -207,7 +215,7 @@ impl<'n, I: Iterator<Item = i32>> Check<'n, I> {
     /// # Errors
     ///
     /// As [`validate_words`].
-    pub(crate) fn finish(self) -> Result<(), String> {
+    fn finish(self) -> Result<(), String> {
         let expected = self.expected + self.expect.count();
         if self.got != expected {
             return Err(format!(
@@ -288,11 +296,16 @@ impl Params {
 /// 64-byte line, and inputs are written there in place. [`Stage::addr`] is
 /// the address the kernel sees.
 ///
-/// The stage keeps no copy of staged data, in either direction: an input
-/// is written from the workload's own array straight into each DPU's
-/// memory, and an output is read, checked or folded where it lies, as the
-/// SDK's `dpu_push_xfer` moves each DPU's slice straight out of the host
-/// array and back (paper Fig 2(a)).
+/// The stage keeps no copy of staged data, in either direction. A 1-D
+/// input stream is generated word by word straight into each DPU's memory
+/// ([`Stage::generate`]) and never exists on the host; a structured input
+/// is written from the workload's own array ([`Stage::scatter`]). An
+/// output is read, checked or folded where it lies, and a reference that
+/// is a function of generated inputs reads them there too ([`Reads`]),
+/// under a fingerprint taken as they were written that proves the kernel
+/// left them as staged. The banks live in host memory, so a host array
+/// kept after the push would be a second copy the modelled machine does
+/// not have.
 #[derive(Debug)]
 pub(crate) struct Stage {
     sys: PimSystem,
@@ -351,13 +364,93 @@ impl Stage {
         off: u32,
         chunk: impl Fn(usize) -> &'a [T],
     ) -> Result<(), SimError> {
+        let lens: Vec<u32> = (0..self.n_dpus()).map(|d| byte_len(chunk(d))).collect();
+        self.fill(off, &lens, |d, window| T::put(chunk(d), window))
+    }
+
+    /// The one way an input reaches the DPUs: DPU `d`'s `lens[d]`-byte
+    /// window at `off` is handed to `fill(d, window)`, in DPU order, and
+    /// written where it lies — into the bank in one parallel transfer, or
+    /// into the flat space in place on a cached run.
+    fn fill(
+        &mut self,
+        off: u32,
+        lens: &[u32],
+        mut fill: impl FnMut(usize, &mut [u8]),
+    ) -> Result<(), SimError> {
         if self.cached {
-            let c = chunk(0);
-            T::put(c, self.sys.dpu_mut(0).wram_window_mut(self.base + off, byte_len(c)));
+            fill(0, self.sys.dpu_mut(0).wram_window_mut(self.base + off, lens[0]));
             return Ok(());
         }
-        let lens: Vec<u32> = (0..self.n_dpus()).map(|d| byte_len(chunk(d))).collect();
-        self.sys.try_push_to_mram_with(off, &lens, |d, window| T::put(chunk(d), window))
+        self.sys.try_push_to_mram_with(off, lens, fill)
+    }
+
+    /// Generates an `n`-word input stream at `off`, split into contiguous
+    /// [`chunk_range`]s, one per DPU, as [`Stage::scatter_words`] stages a
+    /// slice: `next()` draws every word in DPU order and, within a DPU, in
+    /// element order, and each is written straight into the DPU's window,
+    /// so no host copy of the stream ever exists. The returned [`Staged`]
+    /// names the stream (`name`, for a validation message) and carries the
+    /// fingerprint of every word as written.
+    ///
+    /// # Errors
+    ///
+    /// As [`Stage::scatter`].
+    pub(crate) fn generate(
+        &mut self,
+        name: &'static str,
+        off: u32,
+        n: usize,
+        mut next: impl FnMut() -> i32,
+    ) -> Result<Staged, SimError> {
+        let n_dpus = self.n_dpus();
+        let lens: Vec<u32> =
+            (0..n_dpus).map(|d| chunk_range(n, n_dpus, d).len() as u32 * 4).collect();
+        let mut print = Print::default();
+        self.fill(off, &lens, |_, window| {
+            let mut pairs = window.chunks_exact_mut(8);
+            for pair in &mut pairs {
+                let lo = next() as u32;
+                let w = u64::from(lo) | u64::from(next() as u32) << 32;
+                pair.copy_from_slice(&w.to_le_bytes());
+                print = print.word(w);
+            }
+            if let Some(tail) = pairs.into_remainder().get_mut(..4) {
+                let w = next() as u32;
+                tail.copy_from_slice(&w.to_le_bytes());
+                print = print.word(u64::from(w));
+            }
+        })?;
+        Ok(Staged { name, off, lens, print })
+    }
+
+    /// DPU `d`'s `len` bytes at `off`, read where they lie: MRAM, or the
+    /// flat space on a cached run. The simulator's own read; it prices
+    /// nothing.
+    fn window(&self, d: usize, off: u32, len: u32) -> &[u8] {
+        if self.cached {
+            self.sys.dpu(0).wram_window(self.base + off, len)
+        } else {
+            self.sys.dpu(d as u32).mram_window(off, len)
+        }
+    }
+
+    /// The last word of DPU `d`'s part of the staged stream `input`, read
+    /// where it lies, or `None` when the part is empty.
+    pub(crate) fn last_word(&self, input: &Staged, d: usize) -> Option<i32> {
+        let window = self.window(d, input.off, input.lens[d]);
+        window.last_chunk().map(|w| i32::from_le_bytes(*w))
+    }
+
+    /// Prices the pull of `len` bytes at `off` from every DPU — one
+    /// parallel pull, nothing on a cached run or when `len` is 0 — and
+    /// hands out the simulator's own view of the run, which reads that
+    /// output and the staged inputs where they lie and prices nothing more.
+    pub(crate) fn read_back(&mut self, off: u32, len: u32) -> Reads<'_> {
+        if !self.cached && len > 0 {
+            self.sys.pull_from_mram_with(off, len, |_, _| {});
+        }
+        Reads { stage: self, off, open: Cell::new(0), changed: Cell::new(None) }
     }
 
     /// [`Stage::scatter`] of `words` split into contiguous
@@ -495,7 +588,7 @@ impl Stage {
     /// length (the SDK pads every DPU to it), each DPU's part trimmed to its
     /// own. Nothing moves when every length is 0.
     pub(crate) fn pull_words(&mut self, off: u32, lens_bytes: &[u32], mut each: impl FnMut(i32)) {
-        let max = lens_bytes.iter().copied().max().unwrap_or(0);
+        let max = widest(lens_bytes);
         if max == 0 {
             return;
         }
@@ -516,9 +609,7 @@ impl Stage {
         lens_bytes: &[u32],
         expect: impl IntoIterator<Item = i32>,
     ) -> Result<(), String> {
-        let mut check = Check::new(name, expect);
-        self.pull_words(off, lens_bytes, |w| check.push(w));
-        check.finish()
+        self.read_back(off, widest(lens_bytes)).check(name, lens_bytes, expect)
     }
 
     /// Ends the run: the timeline, the merged per-DPU statistics, the
@@ -530,9 +621,165 @@ impl Stage {
     }
 }
 
+/// A 64-bit fingerprint of a word stream: FxHash's multiply–xor step over
+/// its 8-byte words (a 4-byte tail is one zero-extended word). Each step
+/// is a bijection of the state, so a stream that differs from the staged
+/// one in a single word always prints differently.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Print(u64);
+
+impl Print {
+    fn word(self, w: u64) -> Print {
+        Print((self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95))
+    }
+}
+
+/// An input stream [`Stage::generate`] wrote into the DPUs: its name, its
+/// offset, each DPU's part in bytes and the fingerprint of every word as
+/// staged.
+#[derive(Debug)]
+pub(crate) struct Staged {
+    name: &'static str,
+    off: u32,
+    lens: Vec<u32>,
+    print: Print,
+}
+
+impl Staged {
+    /// Each DPU's part of the stream, in bytes.
+    pub(crate) fn lens(&self) -> &[u32] {
+        &self.lens
+    }
+}
+
+/// The simulator's own view of a run after its last launch, from
+/// [`Stage::read_back`]: the output at one offset and the generated
+/// inputs, read where they lie.
+#[derive(Debug)]
+pub(crate) struct Reads<'s> {
+    stage: &'s Stage,
+    /// The output's offset.
+    off: u32,
+    /// Input streams handed out and not yet dropped.
+    open: Cell<usize>,
+    /// The first input stream found changed since it was staged.
+    changed: Cell<Option<&'static str>>,
+}
+
+impl<'s> Reads<'s> {
+    /// Each staged input's words, as a stream to compute the reference
+    /// from; see [`Words`].
+    pub(crate) fn inputs<const N: usize>(&self, inputs: [&'s Staged; N]) -> [Words<'_>; N] {
+        self.open.set(self.open.get() + N);
+        inputs.map(|staged| Words {
+            reads: self,
+            staged,
+            dpu: 0,
+            pairs: [].chunks_exact(8),
+            tail: &[],
+            hi: None,
+            print: Print::default(),
+        })
+    }
+
+    /// Checks DPU `d`'s first `lens_bytes[d]` output bytes, as words in DPU
+    /// order, against the reference `expect`, as [`validate_words`] would
+    /// check the two gathered. Every input stream from [`Reads::inputs`]
+    /// must be part of `expect`, which the check consumes: an input whose
+    /// words are no longer the ones staged fails with its own message,
+    /// since a reference read from it proves nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`validate_words`], or `"<name>: input <input> changed since it
+    /// was staged"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an input stream outlives the check.
+    pub(crate) fn check(
+        &self,
+        name: &str,
+        lens_bytes: &[u32],
+        expect: impl IntoIterator<Item = i32>,
+    ) -> Result<(), String> {
+        let mut check = Check::new(name, expect);
+        for (d, &len) in lens_bytes.iter().enumerate() {
+            words(self.stage.window(d, self.off, len)).for_each(|w| check.push(w));
+        }
+        let verdict = check.finish();
+        assert_eq!(self.open.get(), 0, "every input stream is part of the reference");
+        match self.changed.get() {
+            Some(input) => Err(format!("{name}: input {input} changed since it was staged")),
+            None => verdict,
+        }
+    }
+}
+
+/// One staged input stream's words, in DPU order and, within a DPU, in
+/// element order, read where they lie. Each 8-byte word is folded into the
+/// stream's fingerprint as it is read, in the same pass as the reference
+/// that reads it; on drop, the stream folds whatever was not read and
+/// tells its [`Reads`] whether the kernel left it as staged.
+#[derive(Debug)]
+pub(crate) struct Words<'r> {
+    reads: &'r Reads<'r>,
+    staged: &'r Staged,
+    /// The next DPU whose part is read.
+    dpu: usize,
+    /// The current part's 8-byte words not yet read, and its 4-byte tail.
+    pairs: std::slice::ChunksExact<'r, u8>,
+    tail: &'r [u8],
+    /// The upper half of the last 8-byte word, when not yet yielded.
+    hi: Option<i32>,
+    print: Print,
+}
+
+impl<'r> Iterator for Words<'r> {
+    type Item = i32;
+
+    fn next(&mut self) -> Option<i32> {
+        if let Some(hi) = self.hi.take() {
+            return Some(hi);
+        }
+        loop {
+            if let Some(pair) = self.pairs.next() {
+                let w = u64::from_le_bytes(pair.try_into().expect("chunk of 8"));
+                self.print = self.print.word(w);
+                self.hi = Some((w >> 32) as i32);
+                return Some(w as i32);
+            }
+            if let Some(tail) = self.tail.first_chunk() {
+                let w = u32::from_le_bytes(*tail);
+                self.tail = &[];
+                self.print = self.print.word(u64::from(w));
+                return Some(w as i32);
+            }
+            let len = *self.staged.lens.get(self.dpu)?;
+            let stage: &'r Stage = self.reads.stage;
+            self.pairs = stage.window(self.dpu, self.staged.off, len).chunks_exact(8);
+            self.tail = self.pairs.remainder();
+            self.dpu += 1;
+        }
+    }
+}
+
+impl Drop for Words<'_> {
+    fn drop(&mut self) {
+        while self.next().is_some() {}
+        let reads = self.reads;
+        if self.print != self.staged.print && reads.changed.get().is_none() {
+            reads.changed.set(Some(self.staged.name));
+        }
+        reads.open.set(reads.open.get() - 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_dpu::DpuConfig;
+    use pim_rng::StdRng;
 
     #[test]
     fn bytes_round_trip() {
@@ -582,14 +829,87 @@ mod tests {
         assert_eq!(words(&bytes).collect::<Vec<_>>(), [42, 7]);
     }
 
-    /// A three-DPU stage whose "output" at offset 0 is `out` split into
-    /// [`chunk_range`]s, with one word of DPU 1's part set to `tamper`.
-    fn staged_output(out: &[i32], tamper: Option<(usize, i32)>) -> (Stage, Vec<u32>) {
+    /// A stage whose kernel only stops.
+    fn stop_stage(rc: &RunConfig) -> Stage {
         let mut k = KernelBuilder::new();
         let params = Params::define(&mut k, &["n"]);
         k.stop();
-        let rc = RunConfig::multi(3, pim_dpu::DpuConfig::paper_baseline(1));
-        let mut st = Stage::new(&rc, (k.build().unwrap(), params)).unwrap();
+        Stage::new(rc, (k.build().unwrap(), params)).unwrap()
+    }
+
+    /// A seeded word stream, as a workload draws one.
+    fn stream(seed: u64) -> impl FnMut() -> i32 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        move || rng.gen_range(-1000..1000)
+    }
+
+    /// Each DPU's part of a stream of `n` words, in bytes.
+    fn part_lens(n: usize, n_dpus: usize) -> Vec<u32> {
+        (0..n_dpus).map(|d| chunk_range(n, n_dpus, d).len() as u32 * 4).collect()
+    }
+
+    #[test]
+    fn a_generated_stream_is_the_slice_form_of_the_same_draws() {
+        // 51 words over 4 DPUs: parts of 13, 13, 13 and 12 words, so both
+        // the 8-byte steps and a 4-byte tail are drawn.
+        for (rc, n) in [
+            (RunConfig::multi(4, DpuConfig::paper_baseline(1)), 51),
+            (RunConfig::single(DpuConfig::paper_baseline(1).with_paper_caches()), 51),
+        ] {
+            let mut generated = stop_stage(&rc);
+            let staged = generated.generate("X", 64, n, stream(7)).unwrap();
+            let collected: Vec<i32> = {
+                let mut next = stream(7);
+                (0..n).map(|_| next()).collect()
+            };
+            let mut sliced = stop_stage(&rc);
+            sliced.scatter_words(64, &collected).unwrap();
+            let lens = part_lens(n, generated.n_dpus());
+            assert_eq!(staged.lens, lens);
+            for (d, &len) in lens.iter().enumerate() {
+                assert_eq!(generated.window(d, 64, len), sliced.window(d, 64, len), "DPU {d}");
+            }
+            assert_eq!(generated.sys.timeline(), sliced.sys.timeline(), "one push, priced alike");
+        }
+    }
+
+    #[test]
+    fn a_changed_input_fails_the_check_with_its_own_message() {
+        const N: usize = 50;
+        const OUT: u32 = 4096;
+        let lens = part_lens(N, 3);
+        // The "output" at `OUT` is the input stream staged again, so an
+        // unchanged input checks clean. Word 5 of DPU 1's part is element 22.
+        let run = |tamper: Option<u32>, read: usize| {
+            let mut st = stop_stage(&RunConfig::multi(3, DpuConfig::paper_baseline(1)));
+            let input = st.generate("X", 0, N, stream(3)).unwrap();
+            let out: Vec<i32> = {
+                let mut next = stream(3);
+                (0..N).map(|_| next()).collect()
+            };
+            st.scatter_words(OUT, &out).unwrap();
+            st.launch().unwrap();
+            if let Some(word) = tamper {
+                st.sys.dpu_mut(1).write_mram(word * 4, &9999i32.to_le_bytes());
+            }
+            let reads = st.read_back(OUT, lens[0]);
+            let [x] = reads.inputs([&input]);
+            let read_lens: Vec<u32> = lens.iter().map(|&l| l.min(read as u32 * 4)).collect();
+            let expect = x.take(read_lens.iter().sum::<u32>() as usize / 4);
+            reads.check("T", &read_lens, expect)
+        };
+        assert_eq!(run(None, N), Ok(()));
+        let changed = Err("T: input X changed since it was staged".to_string());
+        assert_eq!(run(Some(5), N), changed, "the reference it fed is wrong too");
+        // A word the reference never read is folded all the same.
+        assert_eq!(run(None, 0), Ok(()));
+        assert_eq!(run(Some(5), 0), changed);
+    }
+
+    /// A three-DPU stage whose "output" at offset 0 is `out` split into
+    /// [`chunk_range`]s, with one word of DPU 1's part set to `tamper`.
+    fn staged_output(out: &[i32], tamper: Option<(usize, i32)>) -> (Stage, Vec<u32>) {
+        let mut st = stop_stage(&RunConfig::multi(3, DpuConfig::paper_baseline(1)));
         st.scatter_words(0, out).unwrap();
         if let Some((word, v)) = tamper {
             st.sys.dpu_mut(1).write_mram(word as u32 * 4, &v.to_le_bytes());

@@ -166,16 +166,17 @@ fn kernel(n_tasklets: u32, bins: u32, flat: bool, flavour: Flavour) -> (DpuProgr
 fn run_hst(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
     let (n, bins) = datasets::hst(size);
     let seed = if flavour == Flavour::Small { 0x48_5353 } else { 0x48_534c };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let input: Vec<i32> = (0..n).map(|_| rng.gen_range(0..DOMAIN)).collect();
-    let mut expect = vec![0i32; bins];
-    for v in &input {
-        expect[(v >> SHIFT) as usize] += 1;
-    }
     let n_dpus = rc.n_dpus as usize;
     let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, bins as u32, rc.cached(), flavour))?;
     let in_base = st.addr(0);
-    st.scatter_words(0, &input)?;
+    // The reference histogram is folded as the input is generated.
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut expect = vec![0i32; bins];
+    st.generate("input", 0, n, || {
+        let v = rng.gen_range(0..DOMAIN);
+        expect[(v >> SHIFT) as usize] += 1;
+        v
+    })?;
     st.params(|d| [("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4), ("in_base", in_base)])?;
     st.launch()?;
     // Host-side cross-DPU reduction of the histograms.

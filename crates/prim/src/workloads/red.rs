@@ -101,13 +101,17 @@ impl Workload for Red {
 
     fn run(&self, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
         let n = datasets::red_sel_uni(size);
-        let mut rng = StdRng::seed_from_u64(0x52_4544);
-        let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
-        let expect: i32 = input.iter().fold(0i32, |a, b| a.wrapping_add(*b));
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let in_base = st.addr(0);
-        st.scatter_words(0, &input)?;
+        // The reference sum is folded as the input is generated.
+        let mut rng = StdRng::seed_from_u64(0x52_4544);
+        let mut expect = 0i32;
+        st.generate("input", 0, n, || {
+            let v = rng.gen_range(-10_000..10_000);
+            expect = expect.wrapping_add(v);
+            v
+        })?;
         st.params(|d| {
             [("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4), ("in_base", in_base)]
         })?;

@@ -18,7 +18,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, widest, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -227,13 +227,12 @@ fn emit_offset_and_total(
 fn run_scan(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
     let n = datasets::scan(size);
     let seed = if flavour == Flavour::Ssa { 0x53_5341 } else { 0x52_5353 };
-    let mut rng = StdRng::seed_from_u64(seed);
-    let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-100..100)).collect();
     let n_dpus = rc.n_dpus as usize;
     let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached(), flavour))?;
     let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
     let (in_base, out_base) = (st.addr(0), st.addr(cap));
-    st.scatter_words(0, &input)?;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let input = st.generate("input", 0, n, || rng.gen_range(-100..100))?;
     st.zeroed(cap, n as u32 * 4);
     let values = |mode: u32, bases: Vec<u32>| {
         move |d: usize| {
@@ -261,14 +260,15 @@ fn run_scan(flavour: Flavour, size: DatasetSize, rc: &RunConfig) -> Result<Workl
         st.params(values(1, bases))?;
         st.launch()?;
     }
-    let lens: Vec<u32> = (0..n_dpus).map(|d| chunk_range(n, n_dpus, d).len() as u32 * 4).collect();
     let name = if flavour == Flavour::Ssa { "SCAN-SSA" } else { "SCAN-RSS" };
     // The reference is the inclusive prefix sum of the input.
-    let expect = input.iter().scan(0i32, |acc, v| {
-        *acc = acc.wrapping_add(*v);
+    let reads = st.read_back(cap, widest(input.lens()));
+    let [x] = reads.inputs([&input]);
+    let expect = x.scan(0i32, |acc, v| {
+        *acc = acc.wrapping_add(v);
         Some(*acc)
     });
-    let validation = st.check(name, cap, &lens, expect);
+    let validation = reads.check(name, input.lens(), expect);
     Ok(st.finish(validation))
 }
 

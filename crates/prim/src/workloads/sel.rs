@@ -13,7 +13,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond, Reg};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, widest, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -185,13 +185,12 @@ impl Workload for Sel {
 
     fn run(&self, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
         let n = datasets::red_sel_uni(size);
-        let mut rng = StdRng::seed_from_u64(0x53_454c);
-        let input: Vec<i32> = (0..n).map(|_| rng.gen_range(-10_000..10_000)).collect();
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
         let (in_base, out_base) = (st.addr(0), st.addr(cap));
-        st.scatter_words(0, &input)?;
+        let mut rng = StdRng::seed_from_u64(0x53_454c);
+        let input = st.generate("input", 0, n, || rng.gen_range(-10_000..10_000))?;
         st.zeroed(cap, n as u32 * 4);
         st.params(|d| {
             [
@@ -204,8 +203,9 @@ impl Workload for Sel {
         // Gather: per-DPU survivor counts, then the compacted prefixes.
         let mut lens = Vec::with_capacity(n_dpus);
         st.pull_symbol("counts", |_, c| lens.push(words(c).sum::<i32>() as u32 * 4));
-        let expect = input.iter().copied().filter(|v| keep(*v));
-        let validation = st.check("SEL", cap, &lens, expect);
+        let reads = st.read_back(cap, widest(&lens));
+        let [input] = reads.inputs([&input]);
+        let validation = reads.check("SEL", &lens, input.filter(|v| keep(*v)));
         Ok(st.finish(validation))
     }
 }

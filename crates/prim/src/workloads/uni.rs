@@ -14,7 +14,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, emit_tasklet_byte_range, region, words, Params, Stage};
+use crate::common::{chunk_range, emit_tasklet_byte_range, region, widest, words, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 const BLOCK: u32 = 1024;
@@ -180,39 +180,47 @@ impl Workload for Uni {
 
     fn run(&self, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
         let n = datasets::red_sel_uni(size);
-        let mut rng = StdRng::seed_from_u64(0x55_4e49);
-        // Runs of duplicates: ~25% unique boundaries.
-        let mut input: Vec<i32> = Vec::with_capacity(n);
-        let mut cur = rng.gen_range(-1000..1000);
-        for _ in 0..n {
-            if rng.gen_ratio(1, 4) {
-                cur = rng.gen_range(-1000..1000);
-            }
-            input.push(cur);
-        }
         let n_dpus = rc.n_dpus as usize;
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets, rc.cached()))?;
         let cap = region(chunk_range(n, n_dpus, 0).len() as u32 * 4);
         let (in_base, out_base) = (st.addr(0), st.addr(cap));
-        st.scatter_words(0, &input)?;
+        let mut rng = StdRng::seed_from_u64(0x55_4e49);
+        // Runs of duplicates: ~25% unique boundaries.
+        let mut cur = rng.gen_range(-1000..1000);
+        let input = st.generate("input", 0, n, || {
+            if rng.gen_ratio(1, 4) {
+                cur = rng.gen_range(-1000..1000);
+            }
+            cur
+        })?;
         st.zeroed(cap, n as u32 * 4);
+        // The host hands each DPU its predecessor element — the inter-DPU
+        // handoff: the last element of the nearest non-empty part before it.
+        let mut last = NO_PREV;
+        let prevs: Vec<i32> = (0..n_dpus)
+            .map(|d| {
+                let prev = last;
+                last = st.last_word(&input, d).unwrap_or(last);
+                prev
+            })
+            .collect();
         st.params(|d| {
-            // The host hands each DPU its predecessor element — the
-            // inter-DPU handoff.
-            let prev = if d == 0 { NO_PREV } else { input[chunk_range(n, n_dpus, d - 1).end - 1] };
             [
                 ("nbytes", chunk_range(n, n_dpus, d).len() as u32 * 4),
                 ("in_base", in_base),
                 ("out_base", out_base),
-                ("prev", prev as u32),
+                ("prev", prevs[d] as u32),
             ]
         })?;
         st.launch()?;
         let mut lens = Vec::with_capacity(n_dpus);
         st.pull_symbol("counts", |_, c| lens.push(words(c).sum::<i32>() as u32 * 4));
         // The reference keeps the first element of every run.
-        let expect = input.iter().enumerate().filter(|&(i, v)| i == 0 || input[i - 1] != *v);
-        let validation = st.check("UNI", cap, &lens, expect.map(|(_, v)| *v));
+        let reads = st.read_back(cap, widest(&lens));
+        let [input] = reads.inputs([&input]);
+        let mut prev = None;
+        let expect = input.filter(|&v| prev.replace(v) != Some(v));
+        let validation = reads.check("UNI", &lens, expect);
         Ok(st.finish(validation))
     }
 }

@@ -7,7 +7,7 @@ use pim_dpu::SimError;
 use pim_isa::{AluOp, Cond};
 use pim_rng::StdRng;
 
-use crate::common::{chunk_range, region, words, Check, Params, Stage};
+use crate::common::{chunk_range, region, Params, Stage};
 use crate::{datasets, DatasetSize, RunConfig, Workload, WorkloadRun};
 
 /// Per-tasklet staging block, in bytes (256 elements).
@@ -124,9 +124,6 @@ impl Workload for Va {
 
     fn run(&self, size: DatasetSize, rc: &RunConfig) -> Result<WorkloadRun, SimError> {
         let n = datasets::va(size);
-        let mut rng = StdRng::seed_from_u64(0x5641);
-        let a: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
-        let b: Vec<i32> = (0..n).map(|_| rng.gen_range(-1000..1000)).collect();
         let n_dpus = rc.n_dpus as usize;
         let kernel = if rc.cached() { kernel_flat } else { kernel_scratchpad };
         let mut st = Stage::new(rc, kernel(rc.dpu.n_tasklets))?;
@@ -138,8 +135,9 @@ impl Workload for Va {
             region(chunk_range(n, n_dpus, 0).len() as u32 * 4)
         };
         let (a_base, b_base, c_base) = (st.addr(0), st.addr(cap), st.addr(2 * cap));
-        st.scatter_words(0, &a)?;
-        st.scatter_words(cap, &b)?;
+        let mut rng = StdRng::seed_from_u64(0x5641);
+        let a = st.generate("A", 0, n, || rng.gen_range(-1000..1000))?;
+        let b = st.generate("B", cap, n, || rng.gen_range(-1000..1000))?;
         st.zeroed(2 * cap, n as u32 * 4);
         st.params(|d| {
             [
@@ -150,12 +148,12 @@ impl Workload for Va {
             ]
         })?;
         st.launch()?;
-        // Each DPU's sums are checked where they lie against a + b.
-        let mut check = Check::new("VA", a.iter().zip(&b).map(|(x, y)| x.wrapping_add(*y)));
-        st.pull(2 * cap, cap, |d, bytes| {
-            words(bytes).take(chunk_range(n, n_dpus, d).len()).for_each(|w| check.push(w));
-        });
-        Ok(st.finish(check.finish()))
+        // Each DPU's sums are checked where they lie against A + B, read
+        // where they lie too.
+        let reads = st.read_back(2 * cap, cap);
+        let [x, y] = reads.inputs([&a, &b]);
+        let validation = reads.check("VA", a.lens(), x.zip(y).map(|(x, y)| x.wrapping_add(y)));
+        Ok(st.finish(validation))
     }
 }
 

@@ -253,9 +253,26 @@ impl SampleUniform for u64 {
     }
 }
 
+/// FNV-1a, 64-bit: the repository's one content hash, for corpus file
+/// names and the digests tests pin. Stable across platforms and releases,
+/// like the generator.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_is_the_published_fnv_1a_64() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
 
     #[test]
     fn same_seed_same_stream() {

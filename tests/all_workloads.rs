@@ -182,12 +182,6 @@ fn every_workload_validates_under_simt() {
 
 const STAGING_GOLDEN: &str = "results/golden/prim_staging.txt";
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// Every registered workload at `Tiny` on 1 DPU × 16 tasklets; on 4 DPUs ×
 /// 8 tasklets over the blocking and the overlapped channel where it
 /// strong-scales; and on 1 cached DPU where it has a cache-centric kernel —
@@ -240,7 +234,7 @@ fn staging_table() -> String {
             let dpus: Vec<String> = run
                 .per_dpu
                 .iter()
-                .map(|s| format!("{:016x}", fnv1a64(format!("{s:?}").as_bytes())))
+                .map(|s| format!("{:016x}", pim_rng::fnv1a(format!("{s:?}").as_bytes())))
                 .collect();
             table += &format!(
                 "{} {label} {:016x} {:016x} {:016x} {:016x} {} {:016x} {}\n",
@@ -250,7 +244,7 @@ fn staging_table() -> String {
                 t.from_dpu_ns.to_bits(),
                 t.end_ns.to_bits(),
                 t.launches,
-                fnv1a64(host.as_bytes()),
+                pim_rng::fnv1a(host.as_bytes()),
                 dpus.join(",")
             );
         }

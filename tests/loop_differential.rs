@@ -563,12 +563,6 @@ fn event_tracing_is_invisible_to_both_loops() {
 /// `DpuRunStats` `Debug` rendering.
 const SIMT_GOLDEN: &str = "results/golden/simt_stats.txt";
 
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
-}
-
 /// Every workload under SIMT and SIMT+AC at 1, 8, 16 and 24 tasklets, and
 /// under SIMT+AC with every ILP feature at 16 (the front-end honours the
 /// unified register file and the 700 MHz clock, and ignores forwarding and
@@ -592,7 +586,7 @@ fn simt_stats_table() -> String {
                 continue;
             };
             let [stats] = &out.per_dpu[..] else { panic!("{}: one DPU", w.name()) };
-            let hash = fnv1a64(format!("{stats:?}").as_bytes());
+            let hash = pim_rng::fnv1a(format!("{stats:?}").as_bytes());
             table += &format!(
                 "{} {n} {mode} {} {} {} {hash:016x}\n",
                 w.name(),

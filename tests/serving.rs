@@ -246,8 +246,8 @@ fn steady_state_shapes_are_pinned_byte_for_byte() {
     // committing 60 KB of JSON. The constants were captured on the commit
     // before the dispatch round was rewritten; they move only if serving
     // *results* move.
-    use pim_fuzz::corpus::fnv1a;
     use pim_host::ChannelMode;
+    use pim_rng::fnv1a;
     use pim_serve::{resume_scenario, run_scenario_with_checkpoints, Checkpoint, FaultSpec};
     use pimulator::report::Json;
 

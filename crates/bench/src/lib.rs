@@ -13,12 +13,11 @@
 pub mod tune;
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use pim_dpu::{DpuConfig, ExecTier, SimError};
+use pim_dpu::{DpuConfig, SimError};
 use pim_isa::InstrClass;
 use pimulator::experiments as exp;
-use pimulator::jobs::{JobRunner, SimJob};
+use pimulator::jobs::JobRunner;
 use pimulator::report::Show::{Fixed, Ms, Pct, Text, Us, X};
 use pimulator::report::{pct, speedup, Cols, Json};
 use pimulator::trace::JobTrace;
@@ -198,12 +197,6 @@ pub fn experiments() -> &'static [Experiment] {
             title: "Channel study: blocking vs broadcast vs overlapped host transfers",
             default_size: DatasetSize::Tiny,
             run: run_transfer_study,
-        },
-        Experiment {
-            name: "exp_sim_rate",
-            title: "\u{a7}III-D: simulation rate",
-            default_size: DatasetSize::SingleDpu,
-            run: run_sim_rate,
         },
         Experiment {
             name: "exp_validation",
@@ -738,60 +731,6 @@ fn run_rank_scale(ctx: &ExpContext) -> Result<ExpReport, SimError> {
             ],
         ),
     })
-}
-
-/// Median-of-three wall seconds of `job`, with the simulated
-/// `(instructions, cycles)` every repetition must agree on.
-fn time_job(job: &SimJob) -> Result<(f64, (u64, u64)), SimError> {
-    let mut walls = [0.0f64; 3];
-    let mut sim = None;
-    for wall in &mut walls {
-        let start = Instant::now();
-        let out = job.execute()?;
-        *wall = start.elapsed().as_secs_f64();
-        let got = (out.stats.instructions, out.stats.cycles);
-        assert_eq!(*sim.get_or_insert(got), got, "simulated work must not vary across reps");
-    }
-    walls.sort_by(f64::total_cmp);
-    Ok((walls[1], sim.expect("three reps ran")))
-}
-
-fn run_sim_rate(ctx: &ExpContext) -> Result<ExpReport, SimError> {
-    let mut text = header(ctx);
-    let mut json_rows = Vec::new();
-    for name in ["VA", "GEMV", "BS", "RED"] {
-        // Before/after on the same simulated work: the naive per-cycle
-        // reference loop (`ExecTier::Naive`) vs the optimized
-        // scheduler. Both are timing-identical (see
-        // `tests/loop_differential.rs`), so `instructions` is shared.
-        let cfg = DpuConfig::paper_baseline(16);
-        let naive = SimJob::single(name, ctx.size, cfg.clone().with_exec_tier(ExecTier::Naive));
-        let (wall_naive, sim_naive) = time_job(&naive)?;
-        let (wall, sim) = time_job(&SimJob::single(name, ctx.size, cfg))?;
-        assert_eq!(sim_naive, sim, "{name}: naive and optimized loops disagree on simulated work");
-        let instructions = sim.0;
-        let kips_naive = instructions as f64 / wall_naive / 1e3;
-        let kips = instructions as f64 / wall / 1e3;
-        let speedup = kips / kips_naive;
-        let _ = writeln!(
-            text,
-            "{name:8} {instructions:>12} instructions  naive {kips_naive:>9.1} KIPS -> optimized {kips:>9.1} KIPS ({speedup:.2}x)",
-        );
-        json_rows.push(Json::obj([
-            ("workload", Json::from(name)),
-            ("instructions", Json::from(instructions)),
-            ("wall_seconds_naive", Json::from(wall_naive)),
-            ("wall_seconds", Json::from(wall)),
-            ("kips_naive", Json::from(kips_naive)),
-            ("kips", Json::from(kips)),
-            ("speedup", Json::from(speedup)),
-        ]));
-    }
-    let _ = writeln!(
-        text,
-        "(paper's PIMulator: ~3 KIPS; `bash benchmark/run.sh` is the developer stopwatch)"
-    );
-    Ok(ExpReport { text, json: json_doc(ctx, Json::Arr(json_rows), vec![]) })
 }
 
 fn run_sparse_nn(ctx: &ExpContext) -> Result<ExpReport, SimError> {

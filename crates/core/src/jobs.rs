@@ -122,7 +122,7 @@ impl SimJob {
     /// Panics if the workload name is unknown or the simulated output does
     /// not match the reference (an experiment must never silently report
     /// numbers from a wrong computation).
-    pub fn execute(&self) -> Result<SimJobOutput, SimError> {
+    pub(crate) fn execute(&self) -> Result<SimJobOutput, SimError> {
         let w = workload_by_name(&self.workload)
             .unwrap_or_else(|| panic!("unknown workload `{}`", self.workload));
         let mut run = w.run(self.size, &self.run)?;

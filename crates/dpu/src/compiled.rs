@@ -266,6 +266,12 @@ macro_rules! alu_fns {
                 advance(pc)
             }
         )*
+
+        fn alu_fn(op: AluOp, reg_operand: bool) -> OpFn {
+            match op {
+                $(AluOp::$variant => if reg_operand { $rr } else { $ri },)*
+            }
+        }
     };
 }
 
@@ -286,41 +292,6 @@ alu_fns!(
     alu_min_rr alu_min_ri Min,
     alu_max_rr alu_max_ri Max,
 );
-
-fn alu_fn(op: AluOp, reg_operand: bool) -> OpFn {
-    match (op, reg_operand) {
-        (AluOp::Add, true) => alu_add_rr,
-        (AluOp::Add, false) => alu_add_ri,
-        (AluOp::Sub, true) => alu_sub_rr,
-        (AluOp::Sub, false) => alu_sub_ri,
-        (AluOp::And, true) => alu_and_rr,
-        (AluOp::And, false) => alu_and_ri,
-        (AluOp::Or, true) => alu_or_rr,
-        (AluOp::Or, false) => alu_or_ri,
-        (AluOp::Xor, true) => alu_xor_rr,
-        (AluOp::Xor, false) => alu_xor_ri,
-        (AluOp::Sll, true) => alu_sll_rr,
-        (AluOp::Sll, false) => alu_sll_ri,
-        (AluOp::Srl, true) => alu_srl_rr,
-        (AluOp::Srl, false) => alu_srl_ri,
-        (AluOp::Sra, true) => alu_sra_rr,
-        (AluOp::Sra, false) => alu_sra_ri,
-        (AluOp::Mul, true) => alu_mul_rr,
-        (AluOp::Mul, false) => alu_mul_ri,
-        (AluOp::Div, true) => alu_div_rr,
-        (AluOp::Div, false) => alu_div_ri,
-        (AluOp::Rem, true) => alu_rem_rr,
-        (AluOp::Rem, false) => alu_rem_ri,
-        (AluOp::Slt, true) => alu_slt_rr,
-        (AluOp::Slt, false) => alu_slt_ri,
-        (AluOp::Sltu, true) => alu_sltu_rr,
-        (AluOp::Sltu, false) => alu_sltu_ri,
-        (AluOp::Min, true) => alu_min_rr,
-        (AluOp::Min, false) => alu_min_ri,
-        (AluOp::Max, true) => alu_max_rr,
-        (AluOp::Max, false) => alu_max_ri,
-    }
-}
 
 /// Whether a `bytes`-wide load/store at `addr` is aligned and inside the
 /// load/store space `wram`: the checks of `ArchState::check_ls`.
@@ -445,6 +416,12 @@ macro_rules! branch_fns {
                 }
             }
         )*
+
+        fn branch_fn(cond: Cond, reg_operand: bool) -> OpFn {
+            match cond {
+                $(Cond::$variant => if reg_operand { $rr } else { $ri },)*
+            }
+        }
     };
 }
 
@@ -456,23 +433,6 @@ branch_fns!(
     br_ltu_rr br_ltu_ri Ltu,
     br_geu_rr br_geu_ri Geu,
 );
-
-fn branch_fn(cond: Cond, reg_operand: bool) -> OpFn {
-    match (cond, reg_operand) {
-        (Cond::Eq, true) => br_eq_rr,
-        (Cond::Eq, false) => br_eq_ri,
-        (Cond::Ne, true) => br_ne_rr,
-        (Cond::Ne, false) => br_ne_ri,
-        (Cond::Lt, true) => br_lt_rr,
-        (Cond::Lt, false) => br_lt_ri,
-        (Cond::Ge, true) => br_ge_rr,
-        (Cond::Ge, false) => br_ge_ri,
-        (Cond::Ltu, true) => br_ltu_rr,
-        (Cond::Ltu, false) => br_ltu_ri,
-        (Cond::Geu, true) => br_geu_rr,
-        (Cond::Geu, false) => br_geu_ri,
-    }
-}
 
 fn op_movi(s: &mut ArchState, t: u32, pc: u32, op: &CompiledOp) -> u64 {
     setr(s, t, op.a, op.imm as u32);

@@ -294,17 +294,12 @@ impl PimSystem {
         Ok(())
     }
 
-    /// Broadcast CPU→DPU transfer: the same bytes to every DPU's MRAM.
-    /// The broadcast and overlapped modes price this as one rank-parallel
-    /// write serving the whole set ([`Channel::broadcast`]).
-    pub fn broadcast_to_mram(&mut self, addr: u32, data: &[u8]) {
-        self.broadcast_to_mram_with(addr, data.len() as u32, |window| window.copy_from_slice(data));
-    }
-
-    /// [`PimSystem::broadcast_to_mram`] written in place: `fill` writes
-    /// the `len`-byte window at `addr` of the first DPU, and every other
-    /// DPU's window is copied from it, so the host holds no copy of the
-    /// transfer.
+    /// Broadcast CPU→DPU transfer, written in place: the same bytes to
+    /// every DPU's MRAM. `fill` writes the `len`-byte window at `addr` of
+    /// the first DPU, and every other DPU's window is copied from it, so
+    /// the host holds no copy of the transfer. The broadcast and
+    /// overlapped modes price this as one rank-parallel write serving the
+    /// whole set ([`Channel::broadcast`]).
     ///
     /// # Panics
     ///
@@ -410,7 +405,7 @@ impl PimSystem {
     }
 
     /// Broadcast the same bytes into a named WRAM symbol on every DPU.
-    /// Priced like [`PimSystem::broadcast_to_mram`].
+    /// Priced like [`PimSystem::broadcast_to_mram_with`].
     pub fn broadcast_to_symbol(&mut self, name: &str, data: &[u8]) {
         for dpu in &mut self.dpus {
             dpu.write_wram_symbol(name, data);

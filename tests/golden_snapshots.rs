@@ -21,9 +21,6 @@ use std::path::{Path, PathBuf};
 use pim_bench::{experiment_by_name, experiments, run_experiment, DriverOptions};
 use prim_suite::DatasetSize;
 
-/// Experiments with no text golden: `exp_sim_rate` prints wall-clock rates.
-const UNPINNED: [&str; 1] = ["exp_sim_rate"];
-
 fn golden(name: &str, ext: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("results/golden/{name}.{ext}"))
 }
@@ -118,7 +115,7 @@ fn exp_transfer_study_regenerates_byte_identically() {
 fn every_experiment_regenerates_its_goldens() {
     let moved: Vec<String> = experiments()
         .iter()
-        .filter(|e| !UNPINNED.contains(&e.name) && !golden(e.name, "json").exists())
+        .filter(|e| !golden(e.name, "json").exists())
         .flat_map(|e| moved_goldens(e.name, false))
         .collect();
     assert_unmoved(&moved);
